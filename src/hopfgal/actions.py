@@ -47,40 +47,28 @@ class ModuleAlgebraData:
 
     def action_matrix(self, hvec):
         """Matrix of s -> hvec . s for a general element of H."""
-        dom = self.domain
-        ds = self.algebra.dim
-        cols = [[dom.zero] * ds for _ in range(ds)]
-        for a, c in enumerate(hvec):
-            if c == dom.zero:
-                continue
-            for s in range(ds):
-                for t, w in _sparse(self.action[a][s], dom.zero):
-                    cols[s][t] = dom.add(cols[s][t], dom.mul(c, w))
-        return Matrix.from_cols(dom, cols, ds)
+        return acting_matrix(self.domain, self.action, self.algebra.dim, hvec)
 
     def basis_action_matrix(self, a):
         return Matrix.from_cols(self.domain, list(self.action[a]), self.algebra.dim)
 
-    def induced_coaction(self, s):
-        """Right H*-comodule legs of basis vector s: list of (t, a, coeff)."""
-        dom = self.domain
-        out = []
-        for a in range(self.hopf.dim):
-            for t, w in _sparse(self.action[a][s], dom.zero):
-                out.append((t, a, w))
-        return out
+
+def action_matrices(domain, action, dim):
+    """One matrix per basis element of the acting algebra; action[a][m] = e_a . e_m."""
+    return [Matrix.from_cols(domain, list(block), dim) for block in action]
+
+
+def acting_matrix(domain, action, dim, hvec):
+    """Matrix of v -> hvec . v for a general element hvec of the acting algebra."""
+    return linalg.combination(domain, hvec, action_matrices(domain, action, dim), dim, dim)
 
 
 def module_algebra(hopf, algebra, action_triples):
     """Validated module algebra from sparse action entries (h, s, t, c)."""
     action = hopf_mod.dense_tensor_from_triples(
-        hopf.domain, max(hopf.dim, algebra.dim), action_triples, 3
+        hopf.domain, (hopf.dim, algebra.dim, algebra.dim), action_triples
     )
-    dense = tuple(
-        tuple(tuple(action[a][s][t] for t in range(algebra.dim)) for s in range(algebra.dim))
-        for a in range(hopf.dim)
-    )
-    data = ModuleAlgebraData(hopf, algebra, dense)
+    data = ModuleAlgebraData(hopf, algebra, action)
     report = verify_module_algebra(data)
     if not report.passed:
         bad = report.failures()[0]
@@ -94,26 +82,8 @@ def verify_module_over_algebra(alg, action):
     action[a][m] is the image vector of basis m under e_a; returns None
     when (a b) . m = a . (b . m) and 1 . m = m hold, else an index pair.
     """
-    dom = alg.domain
     dim = len(action[0]) if action else 0
-    mats = [Matrix.from_cols(dom, list(block), dim) for block in action]
-    unit_mat = None
-    for a, c in enumerate(alg.unit):
-        term = mats[a].scale(c)
-        unit_mat = term if unit_mat is None else unit_mat + term
-    if unit_mat != Matrix.identity(dom, dim):
-        return ("unit",)
-    for a in range(alg.dim):
-        for b in range(alg.dim):
-            prod = None
-            for k, c in _sparse(alg.mult[a][b], dom.zero):
-                term = mats[k].scale(c)
-                prod = term if prod is None else prod + term
-            if prod is None:
-                prod = Matrix.zeros(dom, dim, dim)
-            if prod != mats[a] @ mats[b]:
-                return (a, b)
-    return None
+    return alg.representation_witness(action_matrices(alg.domain, action, dim))
 
 
 def verify_module(h, action):
@@ -163,23 +133,17 @@ def verify_module_algebra(d):
 
 def invariants(d):
     """Canonical echelon basis of S^H = {s : h s = counit(h) s}."""
-    dom = d.domain
-    linalg.require_field(dom, "invariants")
-    blocks = []
-    for a in range(d.hopf.dim):
-        act = d.basis_action_matrix(a)
-        blocks.append(act - Matrix.identity(dom, d.algebra.dim).scale(d.hopf.counit[a]))
-    return linalg.kernel_basis(linalg.stack(blocks))
+    return fixed_points(d.hopf, d.action)
 
 
 def fixed_points(h, action):
     """V^H for a plain H-module given by an action tensor."""
     dom = h.domain
     dim = len(action[0]) if action else 0
-    blocks = []
-    for a in range(h.dim):
-        act = Matrix.from_cols(dom, list(action[a]), dim)
-        blocks.append(act - Matrix.identity(dom, dim).scale(h.counit[a]))
+    ident = Matrix.identity(dom, dim)
+    blocks = [
+        act - ident.scale(e) for act, e in zip(action_matrices(dom, action, dim), h.counit)
+    ]
     return linalg.kernel_basis(linalg.stack(blocks))
 
 
@@ -271,6 +235,12 @@ class GaloisMap:
     rank: int
     bijective: bool
 
+    @classmethod
+    def of(cls, matrix):
+        """The map with its rank; bijective means square of full rank."""
+        r = linalg.rank(matrix)
+        return cls(matrix, r, matrix.nrows == matrix.ncols and r == matrix.nrows)
+
 
 def galois_map_j(d):
     """Matrix of j : S#H -> End(S), j(s (x) h)(t) = s (h . t).
@@ -291,9 +261,7 @@ def galois_map_j(d):
                         rows[u * ds + v][col] = dom.add(
                             rows[u * ds + v][col], dom.mul(w, w2)
                         )
-    m = Matrix(dom, rows)
-    r = linalg.rank(m)
-    return GaloisMap(m, r, m.nrows == m.ncols and r == m.nrows)
+    return GaloisMap.of(Matrix(dom, rows))
 
 
 def galois_map_gamma(d):
@@ -315,9 +283,7 @@ def galois_map_gamma(d):
                         rows[u * dh + a][col] = dom.add(
                             rows[u * dh + a][col], dom.mul(w, w2)
                         )
-    m = Matrix(dom, rows)
-    r = linalg.rank(m)
-    return GaloisMap(m, r, m.nrows == m.ncols and r == m.nrows)
+    return GaloisMap.of(Matrix(dom, rows))
 
 
 def gamma_is_algebra_map(d):
@@ -548,12 +514,7 @@ def total_integral_map(d):
     t0, phi = free
 
     # integral -> t0 is an invariant element, necessarily c * counit
-    lam_t0 = None
-    for a, c in enumerate(integral):
-        if c == dom.zero:
-            continue
-        term = linalg.vec_scale(dom, c, dual_mats[a].apply(t0))
-        lam_t0 = term if lam_t0 is None else linalg.vec_add(dom, lam_t0, term)
+    lam_t0 = linalg.combination(dom, integral, dual_mats, n, n).apply(t0)
     ratio = None
     for v, e in zip(lam_t0, h.counit):
         if e != dom.zero:
@@ -611,10 +572,7 @@ def hopfological_homology_module(h, action):
     dim = len(action[0]) if action else 0
     fixed = fixed_points(h, action)
     integral = hopf_mod.left_integrals(h).basis[0]
-    act = None
-    for a, c in enumerate(integral):
-        term = Matrix.from_cols(dom, list(action[a]), dim).scale(c)
-        act = term if act is None else act + term
+    act = acting_matrix(dom, action, dim, integral)
     image = linalg.column_space_basis(act)
     if not linalg.span_le(dom, image, fixed):
         raise InconsistencyError("I.V is not contained in V^H")
@@ -653,37 +611,32 @@ class SmashModuleData:
     def h_action(self):
         """Action tensor of H through h -> 1_S # h."""
         d = self.smash.base
-        dom = self.domain
-        dh = d.hopf.dim
-        out = []
-        for a in range(dh):
-            mat = None
-            for i, c in enumerate(d.algebra.unit):
-                if c == dom.zero:
-                    continue
-                term = Matrix.from_cols(
-                    dom, list(self.action[self.smash.index(i, a)]), self.dim
-                ).scale(c)
-                mat = term if mat is None else mat + term
-            out.append(tuple(mat.col(j) for j in range(self.dim)))
-        return tuple(out)
+        ds, dh = d.algebra.dim, d.hopf.dim
+        index = self.smash.index
+        return self._restricted_action(
+            d.algebra.unit, [[index(i, a) for i in range(ds)] for a in range(dh)]
+        )
 
     def s_action(self):
         """Action tensor of S through s -> s # 1_H."""
         d = self.smash.base
-        dom = self.domain
-        out = []
-        for i in range(d.algebra.dim):
-            mat = None
-            for a, c in enumerate(d.hopf.algebra.unit):
-                if c == dom.zero:
-                    continue
-                term = Matrix.from_cols(
-                    dom, list(self.action[self.smash.index(i, a)]), self.dim
-                ).scale(c)
-                mat = term if mat is None else mat + term
-            out.append(tuple(mat.col(j) for j in range(self.dim)))
-        return tuple(out)
+        ds, dh = d.algebra.dim, d.hopf.dim
+        index = self.smash.index
+        return self._restricted_action(
+            d.hopf.algebra.unit, [[index(i, a) for a in range(dh)] for i in range(ds)]
+        )
+
+    def _restricted_action(self, coeffs, indices):
+        """Action tensor of x -> sum_k coeffs[k] e_indices[x][k] in S#H."""
+        mats = action_matrices(self.domain, self.action, self.dim)
+        return tuple(
+            tuple(
+                linalg.combination(
+                    self.domain, coeffs, [mats[i] for i in row], self.dim, self.dim
+                ).cols()
+            )
+            for row in indices
+        )
 
 
 def smash_module(smash_data, dim, action):
@@ -764,14 +717,16 @@ def morita_decomposition(module):
         raise PreconditionError(
             "the Morita decomposition needs j : S#H -> End(S) bijective"
         )
-    dom = module.domain
     fixed = fixed_points_smash(module)
-    s_act = module.s_action()
-    s_mats = [Matrix.from_cols(dom, list(block), module.dim) for block in s_act]
-    cols = []
-    for i in range(d.algebra.dim):
-        for w in fixed:
-            cols.append(s_mats[i].apply(w))
-    ev = Matrix.from_cols(dom, cols, module.dim) if cols else Matrix.zeros(dom, module.dim, 0)
-    bij = ev.nrows == ev.ncols and linalg.rank(ev) == ev.nrows
-    return MoritaReport(ev, bij, module.dim, len(fixed), fixed)
+    ev = evaluation_map(module.domain, module.s_action(), module.dim, fixed)
+    return MoritaReport(ev.matrix, ev.bijective, module.dim, len(fixed), fixed)
+
+
+def evaluation_map(domain, s_action, dim, vectors):
+    """S (x) W -> M, e_s (x) w -> e_s . w, for W spanned by `vectors` in M.
+
+    Columns are ordered (s, w) with s slowest; the result carries its
+    rank and bijectivity verdict.
+    """
+    cols = [mat.apply(w) for mat in action_matrices(domain, s_action, dim) for w in vectors]
+    return GaloisMap.of(Matrix.from_cols(domain, cols, dim))

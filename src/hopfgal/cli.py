@@ -39,10 +39,6 @@ def _doc(command, path, **extra):
     return doc
 
 
-def _fmt(domain, value):
-    return domain.format(value)
-
-
 def _fmt_vec(domain, vec):
     return [domain.format(v) for v in vec]
 

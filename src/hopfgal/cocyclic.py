@@ -122,24 +122,10 @@ class ComoduleData:
             if c != zero
         ]
 
-    def coaction_matrix(self):
-        """Matrix M -> M (x) H, rows (m', h) lexicographic."""
-        dom = self.domain
-        dh = self.hopf.dim
-        rows = [[dom.zero] * self.dim for _ in range(self.dim * dh)]
-        for m in range(self.dim):
-            for m2, h, c in self.coaction_sparse(m):
-                rows[m2 * dh + h][m] = c
-        return Matrix(dom, rows)
-
 
 def comodule_from_triples(hopf, dim, triples):
-    grid = hopf_mod.dense_tensor_from_triples(hopf.domain, max(dim, hopf.dim), triples, 3)
-    dense = tuple(
-        tuple(tuple(grid[m][m2][h] for h in range(hopf.dim)) for m2 in range(dim))
-        for m in range(dim)
-    )
-    return ComoduleData(hopf, dim, dense)
+    coaction = hopf_mod.dense_tensor_from_triples(hopf.domain, (dim, dim, hopf.dim), triples)
+    return ComoduleData(hopf, dim, coaction)
 
 
 def trivial_comodule(hopf, dim):
@@ -227,10 +213,7 @@ def hopfological_homology_comodule(c):
     coinv = coinvariants(c)
     dual_h, action = comodule_to_module(c)
     lam = hopf_mod.left_integrals(dual_h).basis[0]
-    act = None
-    for a, coeff in enumerate(lam):
-        term = Matrix.from_cols(dom, list(action[a]), c.dim).scale(coeff)
-        act = term if act is None else act + term
+    act = actions_mod.acting_matrix(dom, action, c.dim, lam)
     image = linalg.column_space_basis(act)
     if not linalg.span_le(dom, image, coinv):
         raise InconsistencyError("I.M is not contained in M^coH")
@@ -545,26 +528,19 @@ def face_matrix(S, M, n, i):
         raise ShapeError("faces exist at level >= 1")
     if not 0 <= i <= n:
         raise ShapeError(f"face index {i} out of range at level {n}")
-    dom = S.domain
-    ds, dm = S.dim, M.dim
     if i == n:
         return face_matrix(S, M, n, 0) @ cyclic_matrix(S, M, n)
-    mult = _mult_matrix(S.algebra)
-    left = Matrix.identity(dom, ds ** i)
-    right = Matrix.identity(dom, ds ** (n - 1 - i) * dm)
-    return left.kron(mult).kron(right)
+    ds = S.dim
+    return linalg.on_slot(S.domain, ds ** i, _mult_matrix(S.algebra), ds ** (n - 1 - i) * M.dim)
 
 
 def degeneracy_matrix(S, M, n, i):
     """s_i at level n: insert the unit of S after slot i."""
     if not 0 <= i <= n:
         raise ShapeError(f"degeneracy index {i} out of range at level {n}")
-    dom = S.domain
-    ds, dm = S.dim, M.dim
-    unit_col = Matrix.from_cols(dom, [S.algebra.unit], ds)
-    left = Matrix.identity(dom, ds ** (i + 1))
-    right = Matrix.identity(dom, ds ** (n - i) * dm)
-    return left.kron(unit_col).kron(right)
+    ds = S.dim
+    unit_col = Matrix.from_cols(S.domain, [S.algebra.unit], ds)
+    return linalg.on_slot(S.domain, ds ** (i + 1), unit_col, ds ** (n - i) * M.dim)
 
 
 @dataclass(frozen=True)
@@ -718,15 +694,17 @@ def t_complex(S, M, top, max_dim=DEFAULT_MAX_DIM):
         if d > max_dim:
             raise ResourceBoundError(f"level {k} has dimension {d} > bound {max_dim}")
         dims.append(d)
-    dom = S.domain
-    diffs = []
-    for k in range(1, top + 1):
-        b = Matrix.zeros(dom, dims[k - 1], dims[k])
-        for i in range(k + 1):
-            sign = dom.one if i % 2 == 0 else dom.neg(dom.one)
-            b = b + face_matrix(S, M, k, i).scale(sign)
-        diffs.append(b)
-    return ChainComplexData(tuple(dims), tuple(diffs))
+    diffs = tuple(
+        _alternating_sum(S.domain, [face_matrix(S, M, k, i) for i in range(k + 1)], 0)
+        for k in range(1, top + 1)
+    )
+    return ChainComplexData(tuple(dims), diffs)
+
+
+def _alternating_sum(dom, faces, first):
+    """Sum of (-1)^i faces[i - first]: a (partial) bar or face differential."""
+    signs = [dom.one if i % 2 == 0 else dom.neg(dom.one) for i in range(first, first + len(faces))]
+    return linalg.combination(dom, signs, faces, faces[0].nrows, faces[0].ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -801,19 +779,14 @@ def bar_complex(alg, s_action, top, max_dim=DEFAULT_MAX_DIM):
 
     def face(n, i):
         if i == n:
-            return Matrix.identity(dom, ds ** (n - 1)).kron(act_mat)
-        left = Matrix.identity(dom, ds ** (i - 1))
-        right = Matrix.identity(dom, ds ** (n - 1 - i) * dm)
-        return left.kron(mult).kron(right)
+            return linalg.on_slot(dom, ds ** (n - 1), act_mat, 1)
+        return linalg.on_slot(dom, ds ** (i - 1), mult, ds ** (n - 1 - i) * dm)
 
-    diffs = []
-    for n in range(1, top + 1):
-        b = Matrix.zeros(dom, dims[n - 1], dims[n])
-        for i in range(1, n + 1):
-            sign = dom.one if i % 2 == 0 else dom.neg(dom.one)
-            b = b + face(n, i).scale(sign)
-        diffs.append(b)
-    return ChainComplexData(tuple(dims), tuple(diffs))
+    diffs = tuple(
+        _alternating_sum(dom, [face(n, i) for i in range(1, n + 1)], 1)
+        for n in range(1, top + 1)
+    )
+    return ChainComplexData(tuple(dims), diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -857,33 +830,22 @@ def bar_shift_check(d, module, top, max_dim=DEFAULT_MAX_DIM):
             raise ResourceBoundError(f"bar degree dimension {value} > bound {max_dim}")
     dims_match = dims_m == dims_f
 
-    phi = None
-    iso_flags = []
-    if morita.bijective:
-        phi = linalg.invert(morita.matrix)  # M -> S (x) M^H
-        for n in range(top + 1):
-            iso = Matrix.identity(dom, ds ** n).kron(phi)
-            iso_flags.append(iso.nrows == iso.ncols and linalg.rank(iso) == iso.nrows)
-    else:
-        iso_flags = [False] * (top + 1)
+    # rank(I (x) phi) = rank(I) rank(phi), so each degree's iso is
+    # bijective exactly when the Morita map is
+    iso_flags = [morita.bijective] * (top + 1)
 
     # informational: does the iso intertwine the multiplication faces
     compat = []
     if morita.bijective:
-        s_act = module.s_action()
-        bar_m = bar_complex(d.algebra, s_act, top, max_dim)
+        phi = linalg.invert(morita.matrix)  # M -> S (x) M^H
+        bar_m = bar_complex(d.algebra, module.s_action(), top, max_dim)
         mult = _mult_matrix(d.algebra)
         for n in range(1, top + 1):
-            iso_lo = Matrix.identity(dom, ds ** (n - 1)).kron(phi)
-            iso_hi = Matrix.identity(dom, ds ** n).kron(phi)
+            iso_lo = linalg.on_slot(dom, ds ** (n - 1), phi, 1)
+            iso_hi = linalg.on_slot(dom, ds ** n, phi, 1)
             # partial bar differential on S^(x)(n+1) (x) M^H: faces 1..n only
-            target = Matrix.zeros(dom, ds ** n * k, ds ** (n + 1) * k)
-            for i in range(1, n + 1):
-                left = Matrix.identity(dom, ds ** (i - 1))
-                right = Matrix.identity(dom, ds ** (n - i) * k)
-                sign = dom.one if i % 2 == 0 else dom.neg(dom.one)
-                target = target + left.kron(mult).kron(right).scale(sign)
-            compat.append(target @ iso_hi == iso_lo @ bar_m.differential(n))
+            faces = [linalg.on_slot(dom, ds ** (i - 1), mult, ds ** (n - i) * k) for i in range(1, n + 1)]
+            compat.append(_alternating_sum(dom, faces, 1) @ iso_hi == iso_lo @ bar_m.differential(n))
     else:
         compat = [False] * top
 
@@ -914,9 +876,7 @@ def galois_map_gamma_comodule(S):
             for t0, h, c in S.comodule.coaction_sparse(j):
                 for u, w in _sparse(S.algebra.mult[i][t0], dom.zero):
                     rows[u * dh + h][col] = dom.add(rows[u * dh + h][col], dom.mul(c, w))
-    m = Matrix(dom, rows)
-    r = linalg.rank(m)
-    return actions_mod.GaloisMap(m, r, m.nrows == m.ncols and r == m.nrows)
+    return actions_mod.GaloisMap.of(Matrix(dom, rows))
 
 
 @dataclass(frozen=True)
@@ -1041,13 +1001,7 @@ def t_shift_check(m, top, max_dim=DEFAULT_MAX_DIM):
     coinv_base = linalg.span_eq(dom, s_coinv, base)
 
     mco = coinvariants(m.comodule)
-    cols = []
-    s_mats = [Matrix.from_cols(dom, list(block), m.dim) for block in m.s_action]
-    for i in range(S.dim):
-        for w in mco:
-            cols.append(s_mats[i].apply(w))
-    ev = Matrix.from_cols(dom, cols, m.dim) if cols else Matrix.zeros(dom, m.dim, 0)
-    ev_bij = ev.nrows == ev.ncols and linalg.rank(ev) == ev.nrows
+    ev_bij = actions_mod.evaluation_map(dom, m.s_action, m.dim, mco).bijective
 
     ds = S.dim
     dims_m = tuple(ds ** (n + 1) * m.dim for n in range(top + 1))

@@ -11,6 +11,11 @@ coefficient:
 * action entry [h, s, t, c]: e_h . e_s contains c e_t
 * coaction entry [m, m2, h, c]: rho(e_m) contains c e_m2 (x) e_h
 
+Each index is checked against the dimension of its own axis: in an
+action entry h < dim H and s, t < dim S (or dim M); in a coaction entry
+m, m2 < dim M and h < dim H.  An index out of range is an input error
+(exit code 2), never silently dropped.
+
 Hopf algebras are either explicit or builtin:
 {"name": "group_algebra", "table": [[...]], "labels": [...]},
 {"name": "sweedler"}, {"name": "taft", "n": 3, "q": "2"},
@@ -115,14 +120,15 @@ def load_hopf(domain, obj, validate=True):
         if key not in obj:
             raise FormatError(f"explicit hopf data needs '{key}'")
     alg = load_algebra(domain, obj, "hopf algebra")
+    n = alg.dim
     comult = hopf.dense_tensor_from_triples(
-        domain, alg.dim, _parse_entries(domain, obj["comult"], 3, "comult"), 3
+        domain, (n, n, n), _parse_entries(domain, obj["comult"], 3, "comult")
     )
-    counit = _parse_vector(domain, obj["counit"], alg.dim, "counit")
+    counit = _parse_vector(domain, obj["counit"], n, "counit")
     anti = hopf.dense_tensor_from_triples(
-        domain, alg.dim, _parse_entries(domain, obj["antipode"], 2, "antipode"), 2
+        domain, (n, n), _parse_entries(domain, obj["antipode"], 2, "antipode")
     )
-    antipode = Matrix.from_cols(domain, [anti[i] for i in range(alg.dim)], alg.dim)
+    antipode = Matrix.from_cols(domain, anti, n)
     if validate:
         return hopf.build_hopf(alg, comult, counit, antipode)
     return hopf.HopfAlgebraData(alg, comult, counit, antipode)
@@ -193,11 +199,7 @@ def load_module_file(path):
         raise FormatError("module spec needs 'dim' and 'action'")
     dim = int(mod["dim"])
     entries = _parse_entries(domain, mod["action"], 3, "module action")
-    grid = hopf.dense_tensor_from_triples(domain, max(dim, h.dim), entries, 3)
-    action = tuple(
-        tuple(tuple(grid[a][m][m2] for m2 in range(dim)) for m in range(dim))
-        for a in range(h.dim)
-    )
+    action = hopf.dense_tensor_from_triples(domain, (h.dim, dim, dim), entries)
     return h, dim, action
 
 
@@ -211,11 +213,7 @@ def load_ayd_module(hopf_algebra, path):
     domain = hopf_algebra.domain
     dim = int(mod["dim"])
     act_entries = _parse_entries(domain, mod["action"], 3, "module action")
-    grid = hopf.dense_tensor_from_triples(domain, max(dim, hopf_algebra.dim), act_entries, 3)
-    action = tuple(
-        tuple(tuple(grid[a][m][m2] for m2 in range(dim)) for m in range(dim))
-        for a in range(hopf_algebra.dim)
-    )
+    action = hopf.dense_tensor_from_triples(domain, (hopf_algebra.dim, dim, dim), act_entries)
     co_entries = _parse_entries(domain, mod["coaction"], 3, "module coaction")
     comod = cocyclic.comodule_from_triples(hopf_algebra, dim, co_entries)
     return cocyclic.AydModuleData(comod, action)
@@ -241,11 +239,7 @@ def load_smash_module(smash_data, spec):
         domain = smash_data.algebra.domain
         dim = int(spec["dim"])
         entries = _parse_entries(domain, spec["action"], 3, "smash module action")
-        grid = hopf.dense_tensor_from_triples(domain, max(dim, smash_data.dim), entries, 3)
-        action = tuple(
-            tuple(tuple(grid[a][m][m2] for m2 in range(dim)) for m in range(dim))
-            for a in range(smash_data.dim)
-        )
+        action = hopf.dense_tensor_from_triples(domain, (smash_data.dim, dim, dim), entries)
         return actions.smash_module(smash_data, dim, action)
     raise FormatError(f"cannot interpret smash module spec {spec!r}")
 

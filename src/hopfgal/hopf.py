@@ -30,20 +30,25 @@ from .reporting import CheckResult, VerificationReport
 _sparse = linalg.sparse_entries
 
 
-def dense_tensor_from_triples(domain, dim, triples, arity):
-    """Dense nested tuple from sparse entries (i_1, .., i_arity, coeff)."""
+def dense_tensor_from_triples(domain, shape, triples):
+    """Dense nested tuple from sparse entries (i_1, .., i_k, coeff).
+
+    ``shape`` holds one bound per axis; an index at or past the bound of
+    its own axis is a format error.
+    """
+    arity = len(shape)
 
     def build(depth):
         if depth == arity:
             return domain.zero
-        return [build(depth + 1) for _ in range(dim)]
+        return [build(depth + 1) for _ in range(shape[depth])]
 
     grid = build(0)
     for entry in triples:
         if len(entry) != arity + 1:
             raise FormatError(f"tensor entry {entry!r} has wrong length")
         *idx, c = entry
-        if any((not isinstance(i, int)) or i < 0 or i >= dim for i in idx):
+        if any((not isinstance(i, int)) or i < 0 or i >= n for i, n in zip(idx, shape)):
             raise FormatError(f"index out of range in tensor entry {entry!r}")
         cell = grid
         for i in idx[:-1]:
@@ -178,18 +183,33 @@ class AlgebraData:
                 return (j,)
         return None
 
+    def representation_witness(self, mats):
+        """Witness that e_a -> mats[a] is not a unital algebra map, or None.
+
+        Returns ("unit",) when the unit does not act as the identity and
+        (a, b) when e_a e_b does not act as mats[a] @ mats[b].
+        """
+        dom = self.domain
+        n = mats[0].nrows
+        if linalg.combination(dom, self.unit, mats, n, n) != Matrix.identity(dom, n):
+            return ("unit",)
+        for a in range(self.dim):
+            for b in range(self.dim):
+                if linalg.combination(dom, self.mult[a][b], mats, n, n) != mats[a] @ mats[b]:
+                    return (a, b)
+        return None
+
     def format_element(self, vec):
         return linalg.format_vector(self.domain, self.labels, vec)
 
 
 def algebra_from_triples(domain, dim, labels, mult_triples, unit):
-    mult = dense_tensor_from_triples(domain, dim, mult_triples, 3)
-    nested = tuple(tuple(mult[i][j] for j in range(dim)) for i in range(dim))
+    mult = dense_tensor_from_triples(domain, (dim, dim, dim), mult_triples)
     return AlgebraData(
         domain,
         dim,
         tuple(labels),
-        nested,
+        mult,
         tuple(domain.normalize(v) for v in unit),
     )
 
@@ -290,9 +310,6 @@ class HopfAlgebraData:
         for a, e in zip(vec, self.counit):
             acc = dom.add(acc, dom.mul(a, e))
         return acc
-
-    def antipode_vec(self, vec):
-        return self.antipode.apply(vec)
 
     def is_cocommutative(self):
         n = self.dim
@@ -436,14 +453,13 @@ def build_hopf(algebra, comult, counit, antipode):
 def hopf_from_triples(domain, dim, labels, mult, unit, comult, counit, antipode):
     """Hopf algebra from sparse structure constants (validated)."""
     alg = algebra_from_triples(domain, dim, labels, mult, unit)
-    comult_dense = dense_tensor_from_triples(domain, dim, comult, 3)
-    anti = dense_tensor_from_triples(domain, dim, antipode, 2)
-    anti_matrix = Matrix.from_cols(domain, [anti[i] for i in range(dim)], dim)
+    comult_dense = dense_tensor_from_triples(domain, (dim, dim, dim), comult)
+    anti = dense_tensor_from_triples(domain, (dim, dim), antipode)
     return build_hopf(
         alg,
         comult_dense,
         tuple(domain.normalize(v) for v in counit),
-        anti_matrix,
+        Matrix.from_cols(domain, anti, dim),
     )
 
 

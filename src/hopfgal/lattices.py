@@ -137,36 +137,15 @@ class LatticeModuleData:
                 raise ShapeError("ambient action matrix shape mismatch")
         if len(self.unit) != n:
             raise ShapeError("unit vector length mismatch")
-        ident = None
-        for a, c in enumerate(self.hopf.algebra.unit):
-            term = self.action[a].scale(c)
-            ident = term if ident is None else ident + term
-        if ident != Matrix.identity(QQ, n):
+        witness = self.hopf.algebra.representation_witness(self.action)
+        if witness == ("unit",):
             raise InconsistencyError("unit of H does not act as the identity")
-        for a in range(self.hopf.dim):
-            for b in range(self.hopf.dim):
-                composed = self.action[a] @ self.action[b]
-                total = None
-                for k, c in enumerate(self.hopf.algebra.mult[a][b]):
-                    if c == 0:
-                        continue
-                    term = self.action[k].scale(c)
-                    total = term if total is None else total + term
-                if total is None:
-                    total = Matrix.zeros(QQ, n, n)
-                if composed != total:
-                    raise InconsistencyError(f"ambient action violates the module law at ({a}, {b})")
+        if witness is not None:
+            raise InconsistencyError(f"ambient action violates the module law at {witness}")
 
     def action_of(self, hvec):
-        out = None
-        for a, c in enumerate(hvec):
-            if c == 0:
-                continue
-            term = self.action[a].scale(c)
-            out = term if out is None else out + term
-        if out is None:
-            out = Matrix.zeros(QQ, self.lattice.ambient_dim, self.lattice.ambient_dim)
-        return out
+        n = self.lattice.ambient_dim
+        return linalg.combination(QQ, hvec, self.action, n, n)
 
 
 @dataclass(frozen=True)

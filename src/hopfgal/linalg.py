@@ -13,7 +13,6 @@ echelon forms and normal forms are reproducible across runs.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import (
@@ -402,6 +401,42 @@ class Matrix:
         return Matrix(self.domain, [r1 + r2 for r1, r2 in zip(self.rows, other.rows)])
 
 
+def on_slot(domain, left, a, right):
+    """I_left (x) a (x) I_right, built by index arithmetic.
+
+    This is the one place that fixes the slot layout of tensor
+    operators: flattening is lexicographic with the left slot slowest,
+    so column (l, j, r) of the result is column j of a placed at rows
+    (l, i, r).
+    """
+    zero = domain.zero
+    ncols = left * a.ncols * right
+    rows = []
+    for l in range(left):
+        for arow in a.rows:
+            placed = [((l * a.ncols + j) * right, v) for j, v in enumerate(arow) if v != zero]
+            for r in range(right):
+                row = [zero] * ncols
+                for base, v in placed:
+                    row[base + r] = v
+                rows.append(row)
+    return Matrix._make(domain, rows, ncols)
+
+
+def combination(domain, coeffs, mats, nrows, ncols):
+    """Sum of c_k * mats[k] over the nonzero c_k; the zero matrix when none."""
+    zero, add, mul = domain.zero, domain.add, domain.mul
+    rows = [[zero] * ncols for _ in range(nrows)]
+    for c, m in zip(coeffs, mats):
+        if c == zero:
+            continue
+        for out, mrow in zip(rows, m.rows):
+            for j, v in enumerate(mrow):
+                if v != zero:
+                    out[j] = add(out[j], mul(c, v))
+    return Matrix._make(domain, rows, ncols)
+
+
 def stack(matrices):
     """Vertical stack of matrices with equal column counts."""
     matrices = list(matrices)
@@ -732,24 +767,12 @@ def smith_normal_form(m):
     return tuple(factors)
 
 
-def lcm(a, b):
-    return abs(a * b) // math.gcd(a, b) if a and b else 0
-
-
 # vector helpers used across higher modules ---------------------------------
 
 
 def sparse_entries(vec, zero):
     """Nonzero (index, value) pairs of a coefficient vector."""
     return [(k, c) for k, c in enumerate(vec) if c != zero]
-
-
-def vec_add(domain, u, v):
-    return tuple(domain.add(a, b) for a, b in zip(u, v))
-
-
-def vec_sub(domain, u, v):
-    return tuple(domain.sub(a, b) for a, b in zip(u, v))
 
 
 def vec_scale(domain, c, v):

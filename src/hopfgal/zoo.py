@@ -156,7 +156,7 @@ def divided_power_hopf(p=2):
         dom, 2, ("1", "d"), [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)], (1, 0)
     )
     comult = hopf.dense_tensor_from_triples(
-        dom, 2, [(0, 0, 0, 1), (1, 1, 0, 1), (1, 0, 1, 1)], 3
+        dom, (2, 2, 2), [(0, 0, 0, 1), (1, 1, 0, 1), (1, 0, 1, 1)]
     )
     return hopf.build_hopf(alg, comult, (1, 0), Matrix.identity(dom, 2))
 

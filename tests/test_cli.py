@@ -270,3 +270,102 @@ def test_human_text_round_trips_through_json(fixtures, command):
     human = run_cli(args).stdout
     machine = run_cli(args + ["--json"]).stdout
     assert cli.render_human(json.loads(machine)) == human
+
+
+# tensor indices are bounded per axis -------------------------------------------
+
+F3 = {"kind": "Fp", "p": 3}
+KC2 = {"name": "group_algebra", "table": [[0, 1], [1, 0]]}
+POINT = {"dim": 1, "mult": [[0, 0, 0, "1"]], "unit": ["1"]}
+TRIVIAL_ACTION = [[0, 0, 0, "1"], [1, 0, 0, "1"]]
+TRIVIAL_COACTION = [[0, 0, 0, "1"]]
+GAUSSIAN_S_ACTION = [
+    [0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 0, "1"], [1, 1, 1, "-1"],
+    [2, 0, 1, "1"], [2, 1, 0, "-1"], [3, 0, 1, "1"], [3, 1, 0, "1"],
+]
+
+
+def _with_extra_action_entry(name, entry):
+    with open(os.path.join(os.path.dirname(__file__), "fixtures", name)) as handle:
+        doc = json.load(handle)
+    doc["module"]["action"].append(entry)
+    return doc
+
+
+# Each case adds one entry whose index is below the larger dimension of the
+# tensor but out of range for its own axis (dim S = 1 < dim H = 2, or
+# dim M = 2 < dim S#H = 4); every such entry must be refused, not dropped.
+OUT_OF_RANGE_CASES = [
+    pytest.param(
+        {"in.json": _with_extra_action_entry("mod_trivial_f2c2.json", [0, 1, 0, "1"])},
+        ["homology", "in.json"],
+        id="module-action",
+    ),
+    pytest.param(
+        {
+            "in.json": {"field": F3, "hopf": KC2, "algebra": POINT, "coaction": TRIVIAL_COACTION},
+            "m.json": {
+                "dim": 1,
+                "action": TRIVIAL_ACTION + [[0, 1, 0, "1"]],
+                "coaction": TRIVIAL_COACTION,
+            },
+        },
+        ["cyclic", "in.json", "--module", "m.json", "--levels", "1"],
+        id="ayd-action",
+    ),
+    pytest.param(
+        {
+            "in.json": {"field": F3, "hopf": KC2, "algebra": POINT, "coaction": TRIVIAL_COACTION},
+            "m.json": {
+                "dim": 1,
+                "action": TRIVIAL_ACTION,
+                "coaction": TRIVIAL_COACTION + [[0, 1, 0, "1"]],
+            },
+        },
+        ["cyclic", "in.json", "--module", "m.json", "--levels", "1"],
+        id="ayd-coaction",
+    ),
+    pytest.param(
+        {"m.json": {"smash_module": {"dim": 2, "action": GAUSSIAN_S_ACTION + [[0, 3, 0, "1"]]}}},
+        ["bar-shift", "ext_gaussian.json", "--module", "m.json", "--levels", "1"],
+        id="smash-module-action",
+    ),
+    pytest.param(
+        {
+            "in.json": {
+                "field": F3,
+                "hopf": KC2,
+                "algebra": POINT,
+                "action": TRIVIAL_ACTION + [[0, 0, 1, "1"]],
+            }
+        },
+        ["tame", "in.json"],
+        id="extension-action",
+    ),
+    pytest.param(
+        {
+            "in.json": {
+                "field": F3,
+                "hopf": KC2,
+                "algebra": POINT,
+                "coaction": TRIVIAL_COACTION + [[0, 1, 0, "1"]],
+            },
+            "m.json": {"dim": 1, "action": TRIVIAL_ACTION, "coaction": TRIVIAL_COACTION},
+        },
+        ["cyclic", "in.json", "--module", "m.json", "--levels", "1"],
+        id="extension-coaction",
+    ),
+]
+
+
+@pytest.mark.parametrize("docs,command", OUT_OF_RANGE_CASES)
+def test_out_of_range_tensor_index_is_input_error(tmp_path, fixtures, docs, command):
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    args = [
+        str(tmp_path / a) if a in docs else fx(fixtures, a) if a.endswith(".json") else a
+        for a in command
+    ]
+    proc = run_cli(args)
+    assert proc.returncode == 2, proc.stdout
+    assert "index out of range" in proc.stderr

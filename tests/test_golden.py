@@ -1,0 +1,80 @@
+"""Golden CLI reports: every command's stdout and exit code, byte for byte.
+
+The stored files under ``fixtures/golden/`` pin the exact report bytes,
+so a change to the library that must not change any output (a
+refactor, a faster kernel) can be checked against them directly.
+Commands run in process with the fixture directory as the working
+directory and relative paths, so the ``input`` field of each report does
+not depend on where the repository lives.
+
+Regenerate the files, only when a change is meant to alter a report,
+with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import contextlib
+import io
+import json
+import os
+import pathlib
+
+import pytest
+from test_acceptance import CLI_COMMANDS
+
+from hopfgal import cli
+
+FIXDIR = pathlib.Path(__file__).parent / "fixtures"
+GOLDEN = FIXDIR / "golden"
+
+COMMANDS = CLI_COMMANDS + [
+    # non-AYD coefficients: cyclicity fails with a warning, exit 0
+    ["cyclic", "comodalg_graded_f3.json", "--module", "mod_kc2_swap_f3.json", "--levels", "1"],
+    # j not bijective: the bar-shift precondition fails, exit 1
+    ["bar-shift", "ext_trivial.json", "--module", "smashmod_regular.json", "--levels", "2"],
+]
+CASES = [(command, form) for command in COMMANDS for form in ("json", "txt")]
+
+
+def case_name(command, form):
+    parts = [a.replace(".json", "").lstrip("-") for a in command]
+    return "_".join(parts).replace("-", "_") + "." + form
+
+
+def run_in_fixdir(command, form):
+    argv = list(command) + (["--json"] if form == "json" else [])
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(FIXDIR)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue()
+
+
+def load_exit_codes():
+    return json.loads((GOLDEN / "exit_codes.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "command,form", CASES, ids=[case_name(c, f) for c, f in CASES]
+)
+def test_report_matches_golden(command, form):
+    name = case_name(command, form)
+    code, stdout = run_in_fixdir(command, form)
+    assert code == load_exit_codes()[name]
+    assert stdout == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def write_golden():
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for command, form in CASES:
+        name = case_name(command, form)
+        codes[name], stdout = run_in_fixdir(command, form)
+        (GOLDEN / name).write_text(stdout, encoding="utf-8")
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    write_golden()

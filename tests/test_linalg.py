@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hopfgal.errors import SingularMatrixError, UnsupportedDomainError
@@ -10,6 +10,7 @@ from hopfgal.linalg import (
     QQ,
     ZZ,
     Matrix,
+    combination,
     det,
     echelon_basis,
     hermite_normal_form,
@@ -17,6 +18,7 @@ from hopfgal.linalg import (
     integer_kernel_basis,
     invert,
     kernel_basis,
+    on_slot,
     rank,
     rref,
     smith_normal_form,
@@ -156,6 +158,40 @@ def small_matrix(domain, nrows, ncols):
 @given(small_matrix(QQ, 2, 2), small_matrix(QQ, 2, 3), small_matrix(QQ, 3, 2))
 def test_kron_associative_up_to_flattening(a, b, c):
     assert a.kron(b).kron(c) == a.kron(b.kron(c))
+
+
+@st.composite
+def slot_operands(draw):
+    domain = draw(st.sampled_from([QQ, GF(5)]))
+    shape = draw(st.tuples(st.integers(1, 3), st.integers(1, 3)))
+    a = draw(small_matrix(domain, *shape))
+    return domain, draw(st.integers(1, 3)), a, draw(st.integers(1, 3))
+
+
+@given(slot_operands())
+@example((QQ, 1, Matrix(QQ, [[1, -2], [0, 3]]), 1))
+@example((GF(5), 1, Matrix(GF(5), [[1, 2, 3]]), 3))
+@example((QQ, 3, Matrix(QQ, [[2, 1]]), 1))
+@example((GF(5), 2, Matrix(GF(5), [[1], [0], [4]]), 2))  # a degeneracy: one column
+@example((QQ, 1, Matrix(QQ, [[1], [1]]), 1))
+def test_on_slot_matches_kron_with_identities(operands):
+    domain, left, a, right = operands
+    expected = Matrix.identity(domain, left).kron(a).kron(Matrix.identity(domain, right))
+    assert on_slot(domain, left, a, right) == expected
+
+
+def test_combination_of_zero_coefficients_is_zero_matrix():
+    mats = [Matrix(QQ, [[1, 2, 3], [4, 5, 6]]), Matrix(QQ, [[0, 1, 0], [1, 0, 1]])]
+    assert combination(QQ, [0, 0], mats, 2, 3) == Matrix.zeros(QQ, 2, 3)
+    assert combination(GF(5), [], [], 2, 3) == Matrix.zeros(GF(5), 2, 3)
+
+
+@given(st.lists(small_entries, min_size=3, max_size=3), small_matrix(GF(5), 2, 3),
+       small_matrix(GF(5), 2, 3), small_matrix(GF(5), 2, 3))
+def test_combination_matches_scale_and_add(coeffs, a, b, c):
+    expected = a.scale(coeffs[0]) + b.scale(coeffs[1]) + c.scale(coeffs[2])
+    coeffs = [GF(5).normalize(x) for x in coeffs]
+    assert combination(GF(5), coeffs, [a, b, c], 2, 3) == expected
 
 
 @given(small_matrix(QQ, 3, 4))
