@@ -201,10 +201,8 @@ def smash(d):
                     for c1, c2, w in h.comult_sparse(a):
                         moved = d.action[c1][j]
                         for t, w2 in _sparse(moved, dom.zero):
-                            s_part = s_alg.mult[i][t]
-                            h_part = h.algebra.mult[c2][b]
-                            for u, w3 in _sparse(s_part, dom.zero):
-                                for v, w4 in _sparse(h_part, dom.zero):
+                            for u, w3 in s_alg.mult_sparse[i][t]:
+                                for v, w4 in h.algebra.mult_sparse[c2][b]:
                                     idx = u * dh + v
                                     out[idx] = dom.add(
                                         out[idx],
@@ -257,7 +255,7 @@ def galois_map_j(d):
             col = i * dh + a
             for v in range(ds):
                 for t, w in _sparse(d.action[a][v], dom.zero):
-                    for u, w2 in _sparse(d.algebra.mult[i][t], dom.zero):
+                    for u, w2 in d.algebra.mult_sparse[i][t]:
                         rows[u * ds + v][col] = dom.add(
                             rows[u * ds + v][col], dom.mul(w, w2)
                         )
@@ -279,7 +277,7 @@ def galois_map_gamma(d):
             col = i * ds + j
             for a in range(dh):
                 for t, w in _sparse(d.action[a][j], dom.zero):
-                    for u, w2 in _sparse(d.algebra.mult[i][t], dom.zero):
+                    for u, w2 in d.algebra.mult_sparse[i][t]:
                         rows[u * dh + a][col] = dom.add(
                             rows[u * dh + a][col], dom.mul(w, w2)
                         )
@@ -308,8 +306,8 @@ def gamma_is_algebra_map(d):
                 for yp in range(ds):
                     # gamma(x x' (x) y y')
                     lhs = [dom.zero] * (ds * dh)
-                    for i, c1 in _sparse(d.algebra.mult[x][xp], dom.zero):
-                        for j, c2 in _sparse(d.algebra.mult[y][yp], dom.zero):
+                    for i, c1 in d.algebra.mult_sparse[x][xp]:
+                        for j, c2 in d.algebra.mult_sparse[y][yp]:
                             for t, v in enumerate(gamma_of(i, j)):
                                 lhs[t] = dom.add(lhs[t], dom.mul(dom.mul(c1, c2), v))
                     # gamma(x (x) y) gamma(x' (x) y') in S (x) H*
@@ -324,8 +322,8 @@ def gamma_is_algebra_map(d):
                                 continue
                             u2, a2 = divmod(p2, dh)
                             c = dom.mul(v1, v2)
-                            for u, w1 in _sparse(d.algebra.mult[u1][u2], dom.zero):
-                                for a, w2 in _sparse(dual_h.algebra.mult[a1][a2], dom.zero):
+                            for u, w1 in d.algebra.mult_sparse[u1][u2]:
+                                for a, w2 in dual_h.algebra.mult_sparse[a1][a2]:
                                     idx = u * dh + a
                                     rhs[idx] = dom.add(
                                         rhs[idx], dom.mul(c, dom.mul(w1, w2))
@@ -668,7 +666,7 @@ def algebra_smash_module(smash_data):
                 moved = d.action[a][m]
                 out = [dom.zero] * ds
                 for t, w in _sparse(moved, dom.zero):
-                    for u, w2 in _sparse(d.algebra.mult[i][t], dom.zero):
+                    for u, w2 in d.algebra.mult_sparse[i][t]:
                         out[u] = dom.add(out[u], dom.mul(w, w2))
                 block.append(tuple(out))
             action.append(tuple(block))

@@ -22,6 +22,7 @@ t^(n+1) = id, and that restriction is what the identity checks verify.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import actions as actions_mod
 from . import hopf as hopf_mod
@@ -33,7 +34,7 @@ from .errors import (
     ResourceBoundError,
     ShapeError,
 )
-from .linalg import Matrix, sparse_entries as _sparse
+from .linalg import Matrix, sparse_entries as _sparse  # noqa: F401 (read by perfbench/tests)
 
 DEFAULT_MAX_DIM = 5000
 
@@ -81,29 +82,21 @@ class ComoduleData:
         # counit law: (id (x) counit) rho = id
         for m in range(self.dim):
             out = [zero] * self.dim
-            for m2 in range(self.dim):
-                for h, c in enumerate(self.coaction[m][m2]):
-                    if c != zero:
-                        out[m2] = dom.add(out[m2], dom.mul(c, self.hopf.counit[h]))
+            for m2, h, c in self.coaction_sparse(m):
+                out[m2] = dom.add(out[m2], dom.mul(c, self.hopf.counit[h]))
             if out != list(linalg.unit_vec(dom, self.dim, m)):
                 raise AxiomError("comodule-counit", (m,))
         # coassociativity: (rho (x) id) rho = (id (x) Delta) rho
         for m in range(self.dim):
             left = {}
             right = {}
-            for m2 in range(self.dim):
-                for h, c in enumerate(self.coaction[m][m2]):
-                    if c == zero:
-                        continue
-                    for m3 in range(self.dim):
-                        for h2, c2 in enumerate(self.coaction[m2][m3]):
-                            if c2 == zero:
-                                continue
-                            key = (m3, h2, h)
-                            left[key] = dom.add(left.get(key, zero), dom.mul(c, c2))
-                    for j, k, c2 in self.hopf.comult_sparse(h):
-                        key = (m2, j, k)
-                        right[key] = dom.add(right.get(key, zero), dom.mul(c, c2))
+            for m2, h, c in self.coaction_sparse(m):
+                for m3, h2, c2 in self.coaction_sparse(m2):
+                    key = (m3, h2, h)
+                    left[key] = dom.add(left.get(key, zero), dom.mul(c, c2))
+                for j, k, c2 in self.hopf.comult_sparse(h):
+                    key = (m2, j, k)
+                    right[key] = dom.add(right.get(key, zero), dom.mul(c, c2))
             left = {k: v for k, v in left.items() if v != zero}
             right = {k: v for k, v in right.items() if v != zero}
             if left != right:
@@ -113,14 +106,19 @@ class ComoduleData:
     def domain(self):
         return self.hopf.domain
 
-    def coaction_sparse(self, m):
+    @cached_property
+    def _coaction_lists(self):
         zero = self.domain.zero
-        return [
-            (m2, h, c)
-            for m2, row in enumerate(self.coaction[m])
-            for h, c in enumerate(row)
-            if c != zero
-        ]
+        return tuple(
+            tuple(
+                (m2, h, c) for m2, row in enumerate(block) for h, c in enumerate(row) if c != zero
+            )
+            for block in self.coaction
+        )
+
+    def coaction_sparse(self, m):
+        """The nonzero (m2, h, c) triples of rho(e_m)."""
+        return self._coaction_lists[m]
 
 
 def comodule_from_triples(hopf, dim, triples):
@@ -387,7 +385,7 @@ class ComoduleAlgebraData:
         for s in range(c.dim):
             for t in range(c.dim):
                 lhs = {}
-                for m, coeff in _sparse(self.algebra.mult[s][t], zero):
+                for m, coeff in self.algebra.mult_sparse[s][t]:
                     for m2, hh, w in c.coaction_sparse(m):
                         key = (m2, hh)
                         lhs[key] = dom.add(lhs.get(key, zero), dom.mul(coeff, w))
@@ -395,8 +393,8 @@ class ComoduleAlgebraData:
                 for s0, h1, c1 in c.coaction_sparse(s):
                     for t0, h2, c2 in c.coaction_sparse(t):
                         coeff = dom.mul(c1, c2)
-                        for u, w1 in _sparse(self.algebra.mult[s0][t0], zero):
-                            for hh, w2 in _sparse(h.algebra.mult[h1][h2], zero):
+                        for u, w1 in self.algebra.mult_sparse[s0][t0]:
+                            for hh, w2 in h.algebra.mult_sparse[h1][h2]:
                                 key = (u, hh)
                                 rhs[key] = dom.add(
                                     rhs.get(key, zero), dom.mul(coeff, dom.mul(w1, w2))
@@ -440,7 +438,7 @@ def tensor_power_comodule(c, k):
                 for s in range(c.dim):
                     for s0, h2, c2 in c.coaction_sparse(s):
                         coeff = dom.mul(c1, c2)
-                        for hh, w in _sparse(h.algebra.mult[h1][h2], dom.zero):
+                        for hh, w in h.algebra.mult_sparse[h1][h2]:
                             row = x0 * c.dim + s0
                             coaction[x * c.dim + s][row][hh] = dom.add(
                                 coaction[x * c.dim + s][row][hh], dom.mul(coeff, w)
@@ -613,6 +611,8 @@ def check_cyclic_identities(S, M, n, max_dim=DEFAULT_MAX_DIM):
     # degeneracy identities with sources at level n
     if witness is None:
         above = tuple(face_matrix(S, M, n + 1, i) for i in range(n + 2))
+        # i < j or i > j + 1 needs n >= 1, so level n - 1 exists whenever it is read
+        degens_below = tuple(degeneracy_matrix(S, M, n - 1, k) for k in range(n))
         ident = Matrix.identity(dom, level.dim)
         for j in range(n + 1):
             s_j = level.degeneracies[j]
@@ -621,21 +621,23 @@ def check_cyclic_identities(S, M, n, max_dim=DEFAULT_MAX_DIM):
                 if i == j or i == j + 1:
                     ok = lhs == ident
                 elif i < j:
-                    rhs = degeneracy_matrix(S, M, n - 1, j - 1) @ face_matrix(S, M, n, i) if n >= 1 else None
-                    ok = rhs is not None and lhs == rhs
+                    ok = lhs == degens_below[j - 1] @ level.faces[i]
                 else:  # i > j + 1
-                    rhs = degeneracy_matrix(S, M, n - 1, j) @ face_matrix(S, M, n, i - 1) if n >= 1 else None
-                    ok = rhs is not None and lhs == rhs
+                    ok = lhs == degens_below[j] @ level.faces[i - 1]
                 if not ok:
                     witness = ("d.s", i, j)
                     break
             if witness:
                 break
         if witness is None:
+            # The level n + 1 degeneracies are the largest operators here, so
+            # they are not all kept at once: each s_(j+1) is built once per j.
+            del above, degens_below
             for j in range(n + 1):
+                s_next = degeneracy_matrix(S, M, n + 1, j + 1)
                 for i in range(j + 1):
                     lhs = degeneracy_matrix(S, M, n + 1, i) @ level.degeneracies[j]
-                    rhs = degeneracy_matrix(S, M, n + 1, j + 1) @ level.degeneracies[i]
+                    rhs = s_next @ level.degeneracies[i]
                     if lhs != rhs:
                         witness = ("s.s", i, j)
                         break
@@ -874,7 +876,7 @@ def galois_map_gamma_comodule(S):
         for j in range(ds):
             col = i * ds + j
             for t0, h, c in S.comodule.coaction_sparse(j):
-                for u, w in _sparse(S.algebra.mult[i][t0], dom.zero):
+                for u, w in S.algebra.mult_sparse[i][t0]:
                     rows[u * dh + h][col] = dom.add(rows[u * dh + h][col], dom.mul(c, w))
     return actions_mod.GaloisMap.of(Matrix(dom, rows))
 
@@ -911,7 +913,7 @@ class RelativeHopfModuleData:
                     for m0, h2, c2 in self.comodule.coaction_sparse(m):
                         coeff = dom.mul(c1, c2)
                         acted = self.s_action[s0][m0]
-                        for hh, w2 in _sparse(S.hopf.algebra.mult[h1][h2], zero):
+                        for hh, w2 in S.hopf.algebra.mult_sparse[h1][h2]:
                             for mi, w1 in enumerate(acted):
                                 if w1 == zero:
                                     continue
@@ -952,7 +954,7 @@ def cofree_relative_module(S, extra_dim):
         for m in range(dim):
             s2, v = divmod(m, extra_dim)
             out = [dom.zero] * dim
-            for u, w in _sparse(S.algebra.mult[s][s2], dom.zero):
+            for u, w in S.algebra.mult_sparse[s][s2]:
                 out[u * extra_dim + v] = w
             block.append(tuple(out))
         action.append(tuple(block))

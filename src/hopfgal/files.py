@@ -135,13 +135,17 @@ def load_hopf(domain, obj, validate=True):
 
 
 def load_document(path):
+    """The JSON object in the file at `path`; anything else is a FormatError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            doc = json.load(handle)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path} must hold a JSON object, not {type(doc).__name__}")
+    return doc
 
 
 def load_hopf_file(path, validate=True):
@@ -292,4 +296,4 @@ def is_lattice_document(path):
         doc = load_document(path)
     except HopfgalError:
         return False
-    return isinstance(doc, dict) and "ambient_dim" in doc and "basis" in doc
+    return "ambient_dim" in doc and "basis" in doc

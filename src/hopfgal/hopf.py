@@ -14,6 +14,7 @@ lexicographic with the left factor varying slowest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .errors import (
@@ -94,7 +95,8 @@ class AlgebraData:
 
     @classmethod
     def _unchecked(cls, domain, dim, labels, mult, unit):
-        """Skip the axiom scan for algebras derived from verified ones."""
+        """Skip the axiom scan: the algebra is derived from a verified one, or
+        verify_hopf scans it next."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "domain", domain)
         object.__setattr__(obj, "dim", dim)
@@ -102,6 +104,12 @@ class AlgebraData:
         object.__setattr__(obj, "mult", mult)
         object.__setattr__(obj, "unit", unit)
         return obj
+
+    @cached_property
+    def mult_sparse(self):
+        """mult_sparse[i][j]: the nonzero (k, c) pairs of e_i * e_j."""
+        zero = self.domain.zero
+        return tuple(tuple(tuple(_sparse(v, zero)) for v in row) for row in self.mult)
 
     # vector arithmetic in the algebra ------------------------------------
 
@@ -115,7 +123,7 @@ class AlgebraData:
                 if b == dom.zero:
                     continue
                 c = dom.mul(a, b)
-                for k, w in _sparse(self.mult[i][j], dom.zero):
+                for k, w in self.mult_sparse[i][j]:
                     out[k] = dom.add(out[k], dom.mul(c, w))
         return tuple(out)
 
@@ -128,7 +136,7 @@ class AlgebraData:
             for i, a in enumerate(vec):
                 if a == dom.zero:
                     continue
-                for k, w in _sparse(self.mult[i][j], dom.zero):
+                for k, w in self.mult_sparse[i][j]:
                     col[k] = dom.add(col[k], dom.mul(a, w))
             cols.append(col)
         return Matrix.from_cols(dom, cols, self.dim)
@@ -141,7 +149,7 @@ class AlgebraData:
             for j, a in enumerate(vec):
                 if a == dom.zero:
                     continue
-                for k, w in _sparse(self.mult[i][j], dom.zero):
+                for k, w in self.mult_sparse[i][j]:
                     col[k] = dom.add(col[k], dom.mul(a, w))
             cols.append(col)
         return Matrix.from_cols(dom, cols, self.dim)
@@ -157,17 +165,17 @@ class AlgebraData:
 
     def associativity_witness(self):
         dom = self.domain
+        sparse = self.mult_sparse
         for i in range(self.dim):
             for j in range(self.dim):
-                ij = self.mult[i][j]
                 for k in range(self.dim):
                     left = [dom.zero] * self.dim
-                    for t, c in _sparse(ij, dom.zero):
-                        for u, w in _sparse(self.mult[t][k], dom.zero):
+                    for t, c in sparse[i][j]:
+                        for u, w in sparse[t][k]:
                             left[u] = dom.add(left[u], dom.mul(c, w))
                     right = [dom.zero] * self.dim
-                    for t, c in _sparse(self.mult[j][k], dom.zero):
-                        for u, w in _sparse(self.mult[i][t], dom.zero):
+                    for t, c in sparse[j][k]:
+                        for u, w in sparse[i][t]:
                             right[u] = dom.add(right[u], dom.mul(c, w))
                     if left != right:
                         return (i, j, k)
@@ -214,32 +222,6 @@ def algebra_from_triples(domain, dim, labels, mult_triples, unit):
     )
 
 
-def tensor_square_algebra(alg):
-    """The algebra A (x) A on the lexicographic product basis."""
-    dom = alg.domain
-    n = alg.dim
-    dim = n * n
-    mult = [[None] * dim for _ in range(dim)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    out = [dom.zero] * dim
-                    for u, w1 in _sparse(alg.mult[a][c], dom.zero):
-                        for v, w2 in _sparse(alg.mult[b][d], dom.zero):
-                            out[u * n + v] = dom.add(out[u * n + v], dom.mul(w1, w2))
-                    mult[a * n + b][c * n + d] = tuple(out)
-    unit = [dom.zero] * dim
-    for i, a in enumerate(alg.unit):
-        for j, b in enumerate(alg.unit):
-            unit[i * n + j] = dom.mul(a, b)
-    labels = tuple(
-        f"{alg.labels[i]}(x){alg.labels[j]}" for i in range(n) for j in range(n)
-    )
-    # associativity is inherited from alg, so the axiom scan is skipped
-    return AlgebraData._unchecked(dom, dim, labels, tuple(tuple(r) for r in mult), tuple(unit))
-
-
 # ---------------------------------------------------------------------------
 # Hopf algebras
 
@@ -283,14 +265,17 @@ class HopfAlgebraData:
     def labels(self):
         return self.algebra.labels
 
-    def comult_sparse(self, i):
+    @cached_property
+    def _comult_lists(self):
         zero = self.domain.zero
-        return [
-            (j, k, c)
-            for j, row in enumerate(self.comult[i])
-            for k, c in enumerate(row)
-            if c != zero
-        ]
+        return tuple(
+            tuple((j, k, c) for j, row in enumerate(g) for k, c in enumerate(row) if c != zero)
+            for g in self.comult
+        )
+
+    def comult_sparse(self, i):
+        """The nonzero (j, k, c) triples of Delta(e_i)."""
+        return self._comult_lists[i]
 
     def comult_vec(self, vec):
         """Delta of a general element as a dict (j, k) -> coeff."""
@@ -385,22 +370,12 @@ def verify_hopf(h):
         for i in range(n):
             for j in range(n):
                 lhs = h.comult_vec(alg.mult[i][j])
-                rhs = {}
-                for a, b, c1 in h.comult_sparse(i):
-                    for cc, d, c2 in h.comult_sparse(j):
-                        coeff = dom.mul(c1, c2)
-                        for u, w1 in _sparse(alg.mult[a][cc], zero):
-                            for v, w2 in _sparse(alg.mult[b][d], zero):
-                                key = (u, v)
-                                rhs[key] = dom.add(
-                                    rhs.get(key, zero),
-                                    dom.mul(coeff, dom.mul(w1, w2)),
-                                )
-                if _clean(lhs, zero) != _clean(rhs, zero):
+                rhs = _square_product(alg, h.comult_sparse(i), h.comult_sparse(j))
+                if _clean(lhs, zero) != {(u, v): c for u, v, c in rhs}:
                     witness = (i, j)
                     break
                 eps = zero
-                for k, c in _sparse(alg.mult[i][j], zero):
+                for k, c in alg.mult_sparse[i][j]:
                     eps = dom.add(eps, dom.mul(c, h.counit[k]))
                 if eps != dom.mul(h.counit[i], h.counit[j]):
                     witness = (i, j)
@@ -430,6 +405,26 @@ def verify_hopf(h):
     checks.append(_check("antipode", witness))
 
     return VerificationReport(tuple(checks))
+
+
+def _square_product(alg, u, v):
+    """Product in alg (x) alg of two elements given as (a, b, c) triples.
+
+    Uses (e_a (x) e_b)(e_c (x) e_d) = e_a e_c (x) e_b e_d and returns the
+    nonzero (s, t, c) triples of the product.
+    """
+    dom = alg.domain
+    zero = dom.zero
+    sparse = alg.mult_sparse
+    out = {}
+    for a, b, c1 in u:
+        for c, d, c2 in v:
+            coeff = dom.mul(c1, c2)
+            for s, w1 in sparse[a][c]:
+                for t, w2 in sparse[b][d]:
+                    key = (s, t)
+                    out[key] = dom.add(out.get(key, zero), dom.mul(coeff, dom.mul(w1, w2)))
+    return [(s, t, c) for (s, t), c in out.items() if c != zero]
 
 
 def _check(name, witness):
@@ -560,28 +555,26 @@ def taft(domain, n, q, labels=None):
                     coeff = qpow[b * c]
                     mult.append((idx(a, b), idx(c, d), idx((a + c) % n, b + d), coeff))
     unit = linalg.unit_vec(domain, dim, idx(0, 0))
-    alg = algebra_from_triples(domain, dim, labels, mult, unit)
+    # verify_hopf in build_hopf below runs the algebra axiom scans
+    alg = AlgebraData._unchecked(
+        domain, dim, tuple(labels), dense_tensor_from_triples(domain, (dim, dim, dim), mult), unit
+    )
 
-    # comultiplication of monomials computed inside H (x) H
-    square = tensor_square_algebra(alg)
-    delta_g = linalg.unit_vec(domain, dim * dim, idx(1, 0) * dim + idx(1, 0))
-    delta_x = [domain.zero] * (dim * dim)
-    delta_x[idx(0, 1) * dim + idx(0, 0)] = domain.one
-    delta_x[idx(1, 0) * dim + idx(0, 1)] = domain.one
-    delta_x = tuple(delta_x)
-    comult = [[None] * dim for _ in range(dim)]
+    # Delta(g^a x^b) = Delta(g)^a Delta(x)^b, multiplied out in H (x) H
+    one = domain.one
+    delta_g = [(idx(1, 0), idx(1, 0), one)]
+    delta_x = [(idx(0, 1), idx(0, 0), one), (idx(1, 0), idx(0, 1), one)]
+    comult = [None] * dim
+    delta_ga = [(idx(0, 0), idx(0, 0), one)]
     for a in range(n):
+        vec = delta_ga
         for b in range(n):
-            vec = square.unit
-            for _ in range(a):
-                vec = square.mul_vec(vec, delta_g)
-            for _ in range(b):
-                vec = square.mul_vec(vec, delta_x)
             grid = [[domain.zero] * dim for _ in range(dim)]
-            for flat, c in enumerate(vec):
-                if c != domain.zero:
-                    grid[flat // dim][flat % dim] = c
+            for u, v, c in vec:
+                grid[u][v] = c
             comult[idx(a, b)] = tuple(tuple(row) for row in grid)
+            vec = _square_product(alg, vec, delta_x)
+        delta_ga = _square_product(alg, delta_ga, delta_g)
 
     # counit(g^a x^b) = [b == 0]
     counit = [domain.zero] * dim
@@ -626,7 +619,8 @@ def dual(h):
         for i in range(n)
     )
     unit = tuple(h.counit)
-    alg = AlgebraData(dom, n, labels, mult, unit)
+    # verify_hopf in build_hopf below runs the algebra axiom scans
+    alg = AlgebraData._unchecked(dom, n, labels, mult, unit)
     comult = tuple(
         tuple(tuple(h.algebra.mult[j][k][i] for k in range(n)) for j in range(n))
         for i in range(n)

@@ -389,16 +389,16 @@ class Matrix:
         return Matrix(domain, self.rows)
 
     def stack_below(self, other):
-        self._check_domain(other)
-        if self.ncols != other.ncols:
-            raise ShapeError("column count mismatch")
-        return Matrix(self.domain, list(self.rows) + list(other.rows))
+        return stack([self, other])
 
     def stack_right(self, other):
         self._check_domain(other)
         if self.nrows != other.nrows:
             raise ShapeError("row count mismatch")
-        return Matrix(self.domain, [r1 + r2 for r1, r2 in zip(self.rows, other.rows)])
+        return Matrix._make(
+            self.domain, [r1 + r2 for r1, r2 in zip(self.rows, other.rows)],
+            self.ncols + other.ncols,
+        )
 
 
 def on_slot(domain, left, a, right):
@@ -438,12 +438,14 @@ def combination(domain, coeffs, mats, nrows, ncols):
 
 
 def stack(matrices):
-    """Vertical stack of matrices with equal column counts."""
+    """Vertical stack of matrices with equal column counts, in one pass."""
     matrices = list(matrices)
-    out = matrices[0]
+    first = matrices[0]
     for m in matrices[1:]:
-        out = out.stack_below(m)
-    return out
+        first._check_domain(m)
+        if m.ncols != first.ncols:
+            raise ShapeError("column count mismatch")
+    return Matrix._make(first.domain, [row for m in matrices for row in m.rows], first.ncols)
 
 
 # ---------------------------------------------------------------------------

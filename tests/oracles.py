@@ -9,6 +9,9 @@ enumeration where feasible.  Slow but obviously correct at desk scale.
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from hopfgal.hopf import AlgebraData
+from hopfgal.linalg import sparse_entries
+
 
 def leibniz_det(rows):
     """Permutation-expansion determinant over exact scalars (n <= 7)."""
@@ -68,3 +71,44 @@ def brute_kernel_dim_fp(rows, p, ncols):
 
 def frac(a, b=1):
     return Fraction(a, b)
+
+
+def tensor_square_algebra(alg):
+    """The algebra A (x) A on the lexicographic product basis, as a dense table.
+
+    Its multiplication tensor has dim(A)^6 cells; keep dim(A) <= 16.
+    """
+    dom = alg.domain
+    n = alg.dim
+    dim = n * n
+    mult = [[None] * dim for _ in range(dim)]
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for d in range(n):
+                    out = [dom.zero] * dim
+                    for u, w1 in sparse_entries(alg.mult[a][c], dom.zero):
+                        for v, w2 in sparse_entries(alg.mult[b][d], dom.zero):
+                            out[u * n + v] = dom.add(out[u * n + v], dom.mul(w1, w2))
+                    mult[a * n + b][c * n + d] = tuple(out)
+    unit = [dom.zero] * dim
+    for i, a in enumerate(alg.unit):
+        for j, b in enumerate(alg.unit):
+            unit[i * n + j] = dom.mul(a, b)
+    labels = tuple(
+        f"{alg.labels[i]}(x){alg.labels[j]}" for i in range(n) for j in range(n)
+    )
+    # associativity is inherited from alg, so the axiom scan is skipped
+    return AlgebraData._unchecked(dom, dim, labels, tuple(tuple(r) for r in mult), tuple(unit))
+
+
+def dense_product(alg, u, v):
+    """u * v in alg, read from the dense multiplication tensor."""
+    dom = alg.domain
+    out = [dom.zero] * alg.dim
+    for i, a in sparse_entries(u, dom.zero):
+        for j, b in sparse_entries(v, dom.zero):
+            c = dom.mul(a, b)
+            for k, w in sparse_entries(alg.mult[i][j], dom.zero):
+                out[k] = dom.add(out[k], dom.mul(c, w))
+    return tuple(out)

@@ -369,3 +369,31 @@ def test_out_of_range_tensor_index_is_input_error(tmp_path, fixtures, docs, comm
     proc = run_cli(args)
     assert proc.returncode == 2, proc.stdout
     assert "index out of range" in proc.stderr
+
+
+# Every loader reads one top-level JSON document; a valid JSON value that is
+# not an object is an input error, never a traceback.
+NON_OBJECT_COMMANDS = [
+    pytest.param(["verify", "doc.json"], id="verify"),
+    pytest.param(["integrals", "doc.json"], id="integrals"),
+    pytest.param(["tame", "doc.json"], id="tame"),
+    pytest.param(["galois", "doc.json"], id="galois"),
+    pytest.param(["homology", "doc.json"], id="homology"),
+    pytest.param(["assoc-order", "doc.json"], id="assoc-order"),
+    pytest.param(["cyclic", "doc.json", "--module", "mod_kc2_ayd_f3.json"], id="cyclic"),
+    pytest.param(["cyclic", "comodalg_graded_f3.json", "--module", "doc.json"], id="cyclic-module"),
+    pytest.param(["bar-shift", "doc.json", "--module", "smashmod_sum.json"], id="bar-shift"),
+    pytest.param(["bar-shift", "ext_gaussian.json", "--module", "doc.json"], id="bar-shift-module"),
+]
+
+
+@pytest.mark.parametrize("text", ["[1]", "5"], ids=["array", "number"])
+@pytest.mark.parametrize("command", NON_OBJECT_COMMANDS)
+def test_non_object_document_is_input_error(tmp_path, fixtures, capsys, command, text):
+    (tmp_path / "doc.json").write_text(text)
+    args = [
+        str(tmp_path / a) if a == "doc.json" else fx(fixtures, a) if a.endswith(".json") else a
+        for a in command
+    ]
+    assert cli.main(args) == 2
+    assert "must hold a JSON object" in capsys.readouterr().err

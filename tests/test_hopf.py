@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopfgal import hopf, zoo
+from hopfgal import cocyclic, hopf, zoo
 from hopfgal.errors import AxiomError, FormatError, UnsupportedDomainError
-from hopfgal.linalg import GF, QQ, ZZ, Matrix
+from hopfgal.linalg import GF, QQ, ZZ, Matrix, sparse_entries
 
 import oracles
 
@@ -62,7 +62,7 @@ def test_hand_checked_sweedler_relations():
     # direct substitution oracle: mu (alpha (x) id) Delta(x) must be 0
     sw = hopf.sweedler(QQ)
     # Delta(x) = x (x) 1 + g (x) x; alpha(x) = -gx, alpha(g) = g
-    assert sw.comult_sparse(2) == [(1, 2, Fraction(1)), (2, 0, Fraction(1))]
+    assert sw.comult_sparse(2) == ((1, 2, Fraction(1)), (2, 0, Fraction(1)))
     assert sw.antipode.col(2) == (0, 0, 0, Fraction(-1))
     left = sw.algebra.mul_vec(sw.antipode.col(2), (1, 0, 0, 0))
     right = sw.algebra.mul_vec(sw.antipode.col(1), (0, 0, 1, 0))
@@ -107,6 +107,78 @@ def test_taft_3_2_f7():
     t = builtin_zoo()["taft(3,2,F7)"]
     assert t.dim == 9
     assert hopf.verify_hopf(t).passed
+
+
+def taft_comult_in_dense_square(h, n):
+    """Delta of the Taft monomials g^a x^b, multiplied out in the dense H (x) H."""
+    dom, dim = h.domain, h.dim
+    square = oracles.tensor_square_algebra(h.algebra)
+
+    def flat(*pairs):
+        vec = [dom.zero] * (dim * dim)
+        for u, v in pairs:
+            vec[u * dim + v] = dom.one
+        return tuple(vec)
+
+    g, x = 1, n  # basis index b*n + a of g^a x^b
+    delta_g, delta_x = flat((g, g)), flat((x, 0), (g, x))
+    comult = [None] * dim
+    for a in range(n):
+        for b in range(n):
+            vec = square.unit
+            for _ in range(a):
+                vec = oracles.dense_product(square, vec, delta_g)
+            for _ in range(b):
+                vec = oracles.dense_product(square, vec, delta_x)
+            comult[b * n + a] = tuple(vec[i * dim:(i + 1) * dim] for i in range(dim))
+    return tuple(comult)
+
+
+def primitive_roots(p, n):
+    """The q mod p of multiplicative order exactly n."""
+    return [
+        q for q in range(2, p)
+        if pow(q, n, p) == 1 and all(pow(q, k, p) != 1 for k in range(1, n))
+    ]
+
+
+TAFT_CASES = (
+    [(QQ, 2, -1)]
+    + [(GF(p), n, q) for p, n in [(5, 2), (7, 3), (5, 4), (13, 4)] for q in primitive_roots(p, n)]
+)
+
+
+@pytest.mark.parametrize("domain,n,q", TAFT_CASES, ids=lambda v: str(v))
+def test_taft_comult_matches_dense_tensor_square(domain, n, q):
+    h = hopf.taft(domain, n, q)
+    assert h.comult == taft_comult_in_dense_square(h, n)
+
+
+@pytest.mark.parametrize("p,n,q", [(11, 5, 3), (13, 6, 4)])
+def test_taft_scales_past_dimension_16(p, n, q):
+    assert primitive_roots(p, n)[0] == q
+    h = hopf.taft(GF(p), n, q)
+    assert h.dim == n * n
+    assert hopf.verify_hopf(h).passed
+
+
+@pytest.mark.parametrize("name", list(builtin_zoo()))
+def test_sparse_views_match_dense_tensors(name):
+    h = builtin_zoo()[name]
+    zero = h.domain.zero
+    n = h.dim
+    for alg in (h.algebra, hopf.dual(h).algebra):
+        assert alg.mult_sparse == tuple(
+            tuple(tuple(sparse_entries(alg.mult[i][j], zero)) for j in range(n))
+            for i in range(n)
+        )
+    for i in range(n):
+        flat = sparse_entries([c for row in h.comult[i] for c in row], zero)
+        assert h.comult_sparse(i) == tuple((k // n, k % n, c) for k, c in flat)
+    comodule = cocyclic.regular_comodule(h)
+    for m in range(n):
+        flat = sparse_entries([c for row in comodule.coaction[m] for c in row], zero)
+        assert comodule.coaction_sparse(m) == tuple((k // n, k % n, c) for k, c in flat)
 
 
 def test_taft_rejects_non_primitive_root():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hopfgal.errors import SingularMatrixError, UnsupportedDomainError
+from hopfgal.errors import ShapeError, SingularMatrixError, UnsupportedDomainError
 from hopfgal.linalg import (
     GF,
     QQ,
@@ -23,6 +23,7 @@ from hopfgal.linalg import (
     rref,
     smith_normal_form,
     solve,
+    stack,
 )
 
 import oracles
@@ -178,6 +179,35 @@ def test_on_slot_matches_kron_with_identities(operands):
     domain, left, a, right = operands
     expected = Matrix.identity(domain, left).kron(a).kron(Matrix.identity(domain, right))
     assert on_slot(domain, left, a, right) == expected
+
+
+@st.composite
+def stack_operands(draw):
+    domain = draw(st.sampled_from([QQ, GF(5)]))
+    ncols = draw(st.integers(1, 3))
+    heights = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    return [draw(small_matrix(domain, h, ncols)) for h in heights]
+
+
+@given(stack_operands())
+def test_stack_matches_iterated_stack_below(mats):
+    expected = mats[0]
+    for m in mats[1:]:
+        expected = expected.stack_below(m)
+    rows = [row for m in mats for row in m.rows]
+    assert stack(mats) == expected == Matrix(mats[0].domain, rows)
+
+
+def test_stack_of_one_matrix_is_that_matrix():
+    m = Matrix(GF(5), [[1, 2], [3, 4]])
+    assert stack([m]) == m
+
+
+def test_stack_rejects_column_mismatch():
+    with pytest.raises(ShapeError):
+        stack([Matrix(QQ, [[1, 2]]), Matrix(QQ, [[1, 2]]), Matrix(QQ, [[1, 2, 3]])])
+    with pytest.raises(ShapeError):
+        Matrix(QQ, [[1, 2]]).stack_below(Matrix(QQ, [[1]]))
 
 
 def test_combination_of_zero_coefficients_is_zero_matrix():
