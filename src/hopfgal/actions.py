@@ -151,11 +151,13 @@ def is_faithful(d):
     """Kernel of H -> End(S) is zero."""
     dom = d.domain
     linalg.require_field(dom, "faithfulness")
-    rows = []
-    for u in range(d.algebra.dim):
-        for v in range(d.algebra.dim):
-            rows.append([d.action[a][v][u] for a in range(d.hopf.dim)])
-    return linalg.rank(Matrix(dom, rows)) == d.hopf.dim
+    ds, dh = d.algebra.dim, d.hopf.dim
+    terms = (
+        ((u * ds + v, a), c)
+        for a in range(dh) for v in range(ds)
+        for u, c in enumerate(d.action[a][v]) if c != dom.zero
+    )
+    return linalg.rank(Matrix.from_entries(dom, ds * ds, dh, terms)) == dh
 
 
 def integral_image(d):
@@ -249,17 +251,15 @@ def galois_map_j(d):
     dom = d.domain
     linalg.require_field(dom, "Galois map")
     ds, dh = d.algebra.dim, d.hopf.dim
-    rows = [[dom.zero] * (ds * dh) for _ in range(ds * ds)]
-    for i in range(ds):
-        for a in range(dh):
-            col = i * dh + a
-            for v in range(ds):
-                for t, w in _sparse(d.action[a][v], dom.zero):
-                    for u, w2 in d.algebra.mult_sparse[i][t]:
-                        rows[u * ds + v][col] = dom.add(
-                            rows[u * ds + v][col], dom.mul(w, w2)
-                        )
-    return GaloisMap.of(Matrix(dom, rows))
+    terms = (
+        ((u * ds + v, i * dh + a), dom.mul(w, w2))
+        for i in range(ds)
+        for a in range(dh)
+        for v in range(ds)
+        for t, w in _sparse(d.action[a][v], dom.zero)
+        for u, w2 in d.algebra.mult_sparse[i][t]
+    )
+    return GaloisMap.of(Matrix.from_entries(dom, ds * ds, ds * dh, terms))
 
 
 def galois_map_gamma(d):
@@ -271,17 +271,15 @@ def galois_map_gamma(d):
     dom = d.domain
     linalg.require_field(dom, "Galois map")
     ds, dh = d.algebra.dim, d.hopf.dim
-    rows = [[dom.zero] * (ds * ds) for _ in range(ds * dh)]
-    for i in range(ds):
-        for j in range(ds):
-            col = i * ds + j
-            for a in range(dh):
-                for t, w in _sparse(d.action[a][j], dom.zero):
-                    for u, w2 in d.algebra.mult_sparse[i][t]:
-                        rows[u * dh + a][col] = dom.add(
-                            rows[u * dh + a][col], dom.mul(w, w2)
-                        )
-    return GaloisMap.of(Matrix(dom, rows))
+    terms = (
+        ((u * dh + a, i * ds + j), dom.mul(w, w2))
+        for i in range(ds)
+        for j in range(ds)
+        for a in range(dh)
+        for t, w in _sparse(d.action[a][j], dom.zero)
+        for u, w2 in d.algebra.mult_sparse[i][t]
+    )
+    return GaloisMap.of(Matrix.from_entries(dom, ds * dh, ds * ds, terms))
 
 
 def gamma_is_algebra_map(d):
@@ -293,41 +291,35 @@ def gamma_is_algebra_map(d):
     if not gamma.bijective:
         raise PreconditionError("gamma is not bijective, the algebra-map lemma does not apply")
     dom = d.domain
+    mul, zero = dom.mul, dom.zero
     ds, dh = d.algebra.dim, d.hopf.dim
-    dual_h = hopf_mod.dual(d.hopf)
-
-    def gamma_of(i, j):
-        return gamma.matrix.col(i * ds + j)
+    s_mult = d.algebra.mult_sparse
+    dual_mult = hopf_mod.dual(d.hopf).algebra.mult_sparse
+    # gamma(x (x) y) as (u, a, coeff) triples: coefficient of e_u (x) e_a*
+    images = [
+        [(p // dh, p % dh, v) for p, v in enumerate(gamma.matrix.col(col)) if v != zero]
+        for col in range(ds * ds)
+    ]
 
     for x in range(ds):
         for y in range(ds):
-            gxy = gamma_of(x, y)
             for xp in range(ds):
                 for yp in range(ds):
                     # gamma(x x' (x) y y')
-                    lhs = [dom.zero] * (ds * dh)
-                    for i, c1 in d.algebra.mult_sparse[x][xp]:
-                        for j, c2 in d.algebra.mult_sparse[y][yp]:
-                            for t, v in enumerate(gamma_of(i, j)):
-                                lhs[t] = dom.add(lhs[t], dom.mul(dom.mul(c1, c2), v))
+                    lhs = linalg.sparse_sum(dom, (
+                        ((u, a), mul(mul(c1, c2), v))
+                        for i, c1 in s_mult[x][xp]
+                        for j, c2 in s_mult[y][yp]
+                        for u, a, v in images[i * ds + j]
+                    ))
                     # gamma(x (x) y) gamma(x' (x) y') in S (x) H*
-                    gxpyp = gamma_of(xp, yp)
-                    rhs = [dom.zero] * (ds * dh)
-                    for p1, v1 in enumerate(gxy):
-                        if v1 == dom.zero:
-                            continue
-                        u1, a1 = divmod(p1, dh)
-                        for p2, v2 in enumerate(gxpyp):
-                            if v2 == dom.zero:
-                                continue
-                            u2, a2 = divmod(p2, dh)
-                            c = dom.mul(v1, v2)
-                            for u, w1 in d.algebra.mult_sparse[u1][u2]:
-                                for a, w2 in dual_h.algebra.mult_sparse[a1][a2]:
-                                    idx = u * dh + a
-                                    rhs[idx] = dom.add(
-                                        rhs[idx], dom.mul(c, dom.mul(w1, w2))
-                                    )
+                    rhs = linalg.sparse_sum(dom, (
+                        ((u, a), mul(mul(v1, v2), mul(w1, w2)))
+                        for u1, a1, v1 in images[x * ds + y]
+                        for u2, a2, v2 in images[xp * ds + yp]
+                        for u, w1 in s_mult[u1][u2]
+                        for a, w2 in dual_mult[a1][a2]
+                    ))
                     if lhs != rhs:
                         return False
     return True

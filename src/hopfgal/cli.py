@@ -191,13 +191,19 @@ def run_homology(args):
     return doc, 0
 
 
+def _levels(args):
+    if args.levels < 0:
+        raise FormatError(f"--levels must be 0 or more, not {args.levels}")
+    return args.levels
+
+
 def run_cyclic(args):
+    top = _levels(args)
     data = files.load_extension_file(args.path)
     S = data["comodule_algebra"]
     if args.module is None:
         raise FormatError("the cyclic command needs --module")
     M = files.load_ayd_module(S.hopf, args.module)
-    top = args.levels
     max_dim = args.max_dim
     for n in range(top + 1):
         dim = cocyclic._level_dim(S, M, n)
@@ -205,6 +211,10 @@ def run_cyclic(args):
             raise ResourceBoundError(
                 f"level {n} has dimension {dim} > bound {max_dim}"
             )
+    ayd_ok, ayd_witness = cocyclic.ayd_check(M)
+    stable_ok = False
+    if ayd_ok:
+        stable_ok, _ = cocyclic.stability_check(M)
     per_level = []
     all_ok = True
     warning = None
@@ -226,17 +236,13 @@ def run_cyclic(args):
         if not (rep.simplicial_ok and rep.rotation_ok):
             all_ok = False
         if not rep.cyclicity_ok:
-            if rep.ayd_ok and rep.stable_ok:
+            if ayd_ok and stable_ok:
                 all_ok = False
             else:
                 warning = (
                     "cyclicity fails on the cotensor, informational: the "
                     "coefficients are not a verified stable anti-Yetter-Drinfeld module"
                 )
-    ayd_ok, ayd_witness = cocyclic.ayd_check(M)
-    stable_ok = False
-    if ayd_ok:
-        stable_ok, _ = cocyclic.stability_check(M)
     doc = _doc(
         "cyclic",
         args.path,
@@ -253,6 +259,7 @@ def run_cyclic(args):
 
 
 def run_bar_shift(args):
+    top = _levels(args)
     data = files.load_extension_file(args.path)
     if data["module_algebra"] is None:
         raise FormatError("bar-shift needs an extension with an 'action'")
@@ -262,13 +269,13 @@ def run_bar_shift(args):
     sm = actions.smash(d)
     module = files.load_smash_module_file(sm, args.module)
     try:
-        rep = cocyclic.bar_shift_check(d, module, args.levels, args.max_dim)
+        rep = cocyclic.bar_shift_check(d, module, top, args.max_dim)
     except PreconditionError as exc:
         doc = _doc(
             "bar-shift",
             args.path,
             module=args.module,
-            levels=args.levels,
+            levels=top,
             error=str(exc),
             hypothesis="j : S#H -> End(S) bijective (Morita lemma hypothesis)",
         )
@@ -278,7 +285,7 @@ def run_bar_shift(args):
         "bar-shift",
         args.path,
         module=args.module,
-        levels=args.levels,
+        levels=top,
         dims_module=list(rep.dims_module),
         dims_fixed_shifted=list(rep.dims_fixed),
         dims_match=rep.dims_match,

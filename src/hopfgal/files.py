@@ -31,6 +31,20 @@ from .errors import FormatError, HopfgalError
 from .linalg import GF, QQ, ZZ, Matrix
 
 
+def _require_object(value, what):
+    if not isinstance(value, dict):
+        raise FormatError(f"{what} must hold a JSON object, not {type(value).__name__}")
+    return value
+
+
+def _int_field(obj, key, what):
+    """obj[key] as a JSON integer; bools, floats and strings are refused."""
+    value = obj[key]
+    if type(value) is not int:
+        raise FormatError(f"{what} '{key}' must be a JSON integer, not {value!r}")
+    return value
+
+
 def parse_field(obj):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FormatError("field spec must be an object with a 'kind'")
@@ -42,7 +56,7 @@ def parse_field(obj):
     if kind == "Fp":
         if "p" not in obj:
             raise FormatError("prime field spec needs 'p'")
-        return GF(int(obj["p"]))
+        return GF(_int_field(obj, "p", "prime field spec"))
     raise FormatError(f"unknown field kind {kind!r}")
 
 
@@ -77,10 +91,11 @@ def _parse_entries(domain, entries, arity, what):
 
 
 def load_algebra(domain, obj, what="algebra"):
+    _require_object(obj, what)
     for key in ("dim", "mult", "unit"):
         if key not in obj:
             raise FormatError(f"{what} needs '{key}'")
-    dim = int(obj["dim"])
+    dim = _int_field(obj, "dim", what)
     labels = obj.get("basis") or [f"e{i}" for i in range(dim)]
     if len(labels) != dim:
         raise FormatError(f"{what} basis labels must match dim")
@@ -110,7 +125,7 @@ def load_hopf(domain, obj, validate=True):
         if name == "taft":
             if "n" not in obj or "q" not in obj:
                 raise FormatError("taft needs 'n' and 'q'")
-            return hopf.taft(domain, int(obj["n"]), _parse_scalar(domain, obj["q"]))
+            return hopf.taft(domain, _int_field(obj, "n", "taft"), _parse_scalar(domain, obj["q"]))
         if name == "dual":
             if "of" not in obj:
                 raise FormatError("dual needs 'of'")
@@ -143,9 +158,7 @@ def load_document(path):
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path} must hold a JSON object, not {type(doc).__name__}")
-    return doc
+    return _require_object(doc, path)
 
 
 def load_hopf_file(path, validate=True):
@@ -198,10 +211,10 @@ def load_module_file(path):
             raise FormatError(f"module file needs '{key}'")
     domain = parse_field(doc["field"])
     h = load_hopf(domain, doc["hopf"])
-    mod = doc["module"]
+    mod = _require_object(doc["module"], "module spec")
     if "dim" not in mod or "action" not in mod:
         raise FormatError("module spec needs 'dim' and 'action'")
-    dim = int(mod["dim"])
+    dim = _int_field(mod, "dim", "module spec")
     entries = _parse_entries(domain, mod["action"], 3, "module action")
     action = hopf.dense_tensor_from_triples(domain, (h.dim, dim, dim), entries)
     return h, dim, action
@@ -210,12 +223,12 @@ def load_module_file(path):
 def load_ayd_module(hopf_algebra, path):
     """AYD coefficient file: dim + action + coaction over a given H."""
     doc = load_document(path)
-    mod = doc.get("module", doc)
+    mod = _require_object(doc.get("module", doc), "AYD module spec")
     for key in ("dim", "action", "coaction"):
         if key not in mod:
             raise FormatError(f"AYD module file needs '{key}'")
     domain = hopf_algebra.domain
-    dim = int(mod["dim"])
+    dim = _int_field(mod, "dim", "AYD module spec")
     act_entries = _parse_entries(domain, mod["action"], 3, "module action")
     action = hopf.dense_tensor_from_triples(domain, (hopf_algebra.dim, dim, dim), act_entries)
     co_entries = _parse_entries(domain, mod["coaction"], 3, "module coaction")
@@ -241,7 +254,7 @@ def load_smash_module(smash_data, spec):
         return total
     if isinstance(spec, dict) and "dim" in spec and "action" in spec:
         domain = smash_data.algebra.domain
-        dim = int(spec["dim"])
+        dim = _int_field(spec, "dim", "smash module spec")
         entries = _parse_entries(domain, spec["action"], 3, "smash module action")
         action = hopf.dense_tensor_from_triples(domain, (smash_data.dim, dim, dim), entries)
         return actions.smash_module(smash_data, dim, action)
@@ -262,7 +275,7 @@ def load_lattice_file(path):
         if key not in doc:
             raise FormatError(f"lattice file needs '{key}'")
     h = load_hopf(QQ, doc["hopf"])
-    n = int(doc["ambient_dim"])
+    n = _int_field(doc, "ambient_dim", "lattice file")
     basis_cols = doc["basis"]
     if not isinstance(basis_cols, list) or not basis_cols:
         raise FormatError("lattice basis must be a nonempty list of columns")

@@ -129,30 +129,24 @@ class AlgebraData:
 
     def left_mult_matrix(self, vec):
         """Matrix of x -> vec * x (columns are images of basis vectors)."""
-        dom = self.domain
-        cols = []
-        for j in range(self.dim):
-            col = [dom.zero] * self.dim
-            for i, a in enumerate(vec):
-                if a == dom.zero:
-                    continue
-                for k, w in self.mult_sparse[i][j]:
-                    col[k] = dom.add(col[k], dom.mul(a, w))
-            cols.append(col)
-        return Matrix.from_cols(dom, cols, self.dim)
+        mul, zero, sparse = self.domain.mul, self.domain.zero, self.mult_sparse
+        terms = (
+            ((k, j), mul(a, w))
+            for i, a in enumerate(vec) if a != zero
+            for j in range(self.dim)
+            for k, w in sparse[i][j]
+        )
+        return Matrix.from_entries(self.domain, self.dim, self.dim, terms)
 
     def right_mult_matrix(self, vec):
-        dom = self.domain
-        cols = []
-        for i in range(self.dim):
-            col = [dom.zero] * self.dim
-            for j, a in enumerate(vec):
-                if a == dom.zero:
-                    continue
-                for k, w in self.mult_sparse[i][j]:
-                    col[k] = dom.add(col[k], dom.mul(a, w))
-            cols.append(col)
-        return Matrix.from_cols(dom, cols, self.dim)
+        mul, zero, sparse = self.domain.mul, self.domain.zero, self.mult_sparse
+        terms = (
+            ((k, i), mul(a, w))
+            for j, a in enumerate(vec) if a != zero
+            for i in range(self.dim)
+            for k, w in sparse[i][j]
+        )
+        return Matrix.from_entries(self.domain, self.dim, self.dim, terms)
 
     def is_commutative(self):
         return all(
@@ -279,15 +273,12 @@ class HopfAlgebraData:
 
     def comult_vec(self, vec):
         """Delta of a general element as a dict (j, k) -> coeff."""
-        dom = self.domain
-        out = {}
-        for i, a in enumerate(vec):
-            if a == dom.zero:
-                continue
-            for j, k, c in self.comult_sparse(i):
-                key = (j, k)
-                out[key] = dom.add(out.get(key, dom.zero), dom.mul(a, c))
-        return {k: v for k, v in out.items() if v != dom.zero}
+        mul, zero = self.domain.mul, self.domain.zero
+        return linalg.sparse_sum(
+            self.domain,
+            (((j, k), mul(a, c)) for i, a in enumerate(vec) if a != zero
+             for j, k, c in self.comult_sparse(i)),
+        )
 
     def counit_vec(self, vec):
         dom = self.domain
@@ -318,7 +309,7 @@ def verify_hopf(h):
     alg = h.algebra
     dom = alg.domain
     n = alg.dim
-    zero = dom.zero
+    zero, mul = dom.zero, dom.mul
     checks = []
 
     checks.append(_check("associativity", alg.associativity_witness()))
@@ -327,16 +318,14 @@ def verify_hopf(h):
     # coassociativity: (Delta (x) id) Delta = (id (x) Delta) Delta
     witness = None
     for i in range(n):
-        left = {}
-        right = {}
-        for j, k, c in h.comult_sparse(i):
-            for a, b, c2 in h.comult_sparse(j):
-                key = (a, b, k)
-                left[key] = dom.add(left.get(key, zero), dom.mul(c, c2))
-            for a, b, c2 in h.comult_sparse(k):
-                key = (j, a, b)
-                right[key] = dom.add(right.get(key, zero), dom.mul(c, c2))
-        if _clean(left, zero) != _clean(right, zero):
+        delta = h.comult_sparse(i)
+        left = linalg.sparse_sum(
+            dom, (((a, b, k), mul(c, c2)) for j, k, c in delta for a, b, c2 in h.comult_sparse(j))
+        )
+        right = linalg.sparse_sum(
+            dom, (((j, a, b), mul(c, c2)) for j, k, c in delta for a, b, c2 in h.comult_sparse(k))
+        )
+        if left != right:
             witness = (i,)
             break
     checks.append(_check("coassociativity", witness))
@@ -357,12 +346,10 @@ def verify_hopf(h):
 
     # bialgebra compatibility: Delta and counit are algebra maps
     witness = None
-    unit_tensor = {}
-    for i, a in enumerate(alg.unit):
-        for j, b in enumerate(alg.unit):
-            if dom.mul(a, b) != zero:
-                unit_tensor[(i, j)] = dom.mul(a, b)
-    if _clean(h.comult_vec(alg.unit), zero) != unit_tensor:
+    unit_tensor = linalg.sparse_sum(
+        dom, (((i, j), mul(a, b)) for i, a in enumerate(alg.unit) for j, b in enumerate(alg.unit))
+    )
+    if h.comult_vec(alg.unit) != unit_tensor:
         witness = ("unit",)
     if witness is None and h.counit_vec(alg.unit) != dom.one:
         witness = ("unit",)
@@ -371,7 +358,7 @@ def verify_hopf(h):
             for j in range(n):
                 lhs = h.comult_vec(alg.mult[i][j])
                 rhs = _square_product(alg, h.comult_sparse(i), h.comult_sparse(j))
-                if _clean(lhs, zero) != {(u, v): c for u, v, c in rhs}:
+                if lhs != {(u, v): c for u, v, c in rhs}:
                     witness = (i, j)
                     break
                 eps = zero
@@ -413,26 +400,19 @@ def _square_product(alg, u, v):
     Uses (e_a (x) e_b)(e_c (x) e_d) = e_a e_c (x) e_b e_d and returns the
     nonzero (s, t, c) triples of the product.
     """
-    dom = alg.domain
-    zero = dom.zero
-    sparse = alg.mult_sparse
-    out = {}
-    for a, b, c1 in u:
-        for c, d, c2 in v:
-            coeff = dom.mul(c1, c2)
-            for s, w1 in sparse[a][c]:
-                for t, w2 in sparse[b][d]:
-                    key = (s, t)
-                    out[key] = dom.add(out.get(key, zero), dom.mul(coeff, dom.mul(w1, w2)))
-    return [(s, t, c) for (s, t), c in out.items() if c != zero]
+    mul, sparse = alg.domain.mul, alg.mult_sparse
+    terms = (
+        ((s, t), mul(mul(c1, c2), mul(w1, w2)))
+        for a, b, c1 in u
+        for c, d, c2 in v
+        for s, w1 in sparse[a][c]
+        for t, w2 in sparse[b][d]
+    )
+    return [(s, t, c) for (s, t), c in linalg.sparse_sum(alg.domain, terms).items()]
 
 
 def _check(name, witness):
     return CheckResult(name, witness is None, witness)
-
-
-def _clean(d, zero):
-    return {k: v for k, v in d.items() if v != zero}
 
 
 def build_hopf(algebra, comult, counit, antipode):

@@ -259,6 +259,16 @@ class Matrix:
                 raise ShapeError("ragged columns")
         return cls(domain, [[c[i] for c in cols] for i in range(nrows)])
 
+    @classmethod
+    def from_entries(cls, domain, nrows, ncols, terms):
+        """Sum of ((row, col), coeff) terms; the coefficients must already be
+        domain values, so nothing is normalized again."""
+        add = domain.add
+        rows = [[domain.zero] * ncols for _ in range(nrows)]
+        for (i, j), c in terms:
+            rows[i][j] = add(rows[i][j], c)
+        return cls._make(domain, rows, ncols)
+
     # basic queries ---------------------------------------------------------
 
     def entry(self, i, j):
@@ -482,7 +492,7 @@ def rref(m):
         pr += 1
         if pr == m.nrows:
             break
-    return Matrix(dom, rows), tuple(pivots)
+    return Matrix._make(dom, rows, m.ncols), tuple(pivots)
 
 
 def rank(m):
@@ -554,7 +564,7 @@ def invert(m):
     r = sum(1 for p in pivots if p < m.ncols)
     if r < m.ncols:
         raise SingularMatrixError(f"matrix of rank {r} < {m.ncols} is singular", r)
-    return Matrix(m.domain, [row[m.ncols:] for row in R.rows])
+    return Matrix._make(m.domain, [row[m.ncols:] for row in R.rows], m.ncols)
 
 
 def solve(m, b):
@@ -672,7 +682,7 @@ def hermite_normal_form(m):
         pr += 1
         if pr == nrows:
             break
-    return Matrix(ZZ, work), Matrix(ZZ, u)
+    return Matrix._make(ZZ, work, ncols), Matrix._make(ZZ, u, nrows)
 
 
 def integer_kernel_basis(m):
@@ -775,6 +785,15 @@ def smith_normal_form(m):
 def sparse_entries(vec, zero):
     """Nonzero (index, value) pairs of a coefficient vector."""
     return [(k, c) for k, c in enumerate(vec) if c != zero]
+
+
+def sparse_sum(domain, terms):
+    """Totals of (key, coeff) terms by key, leaving out the keys that sum to zero."""
+    zero, add = domain.zero, domain.add
+    out = {}
+    for key, c in terms:
+        out[key] = add(out.get(key, zero), c)
+    return {key: c for key, c in out.items() if c != zero}
 
 
 def vec_scale(domain, c, v):

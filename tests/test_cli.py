@@ -397,3 +397,54 @@ def test_non_object_document_is_input_error(tmp_path, fixtures, capsys, command,
     ]
     assert cli.main(args) == 2
     assert "must hold a JSON object" in capsys.readouterr().err
+
+
+# A nested section must be a JSON object, and an integer field a JSON integer:
+# anything else is an input error, never a traceback or a silent truncation.
+TAFT_F5 = {"field": {"kind": "Fp", "p": 5}, "builtin": {"name": "taft", "n": 2, "q": "4"}}
+AYD_CYCLIC = ["cyclic", "comodalg_graded_f3.json", "--module", "doc.json", "--levels", "1"]
+NESTED_CASES = [
+    pytest.param(["tame", "doc.json"], "ext_f4.json", ("algebra",), 5, id="algebra-number"),
+    pytest.param(["tame", "doc.json"], "ext_f4.json", ("algebra",), [1], id="algebra-array"),
+    pytest.param(AYD_CYCLIC, "mod_kc2_ayd_f3.json", ("module",), 5, id="ayd-module-number"),
+    pytest.param(["homology", "doc.json"], "mod_trivial_f2c2.json", ("module",), 5,
+                 id="module-number"),
+    pytest.param(["tame", "doc.json"], "ext_f4.json", ("algebra", "dim"), "abc", id="dim-string"),
+    pytest.param(["tame", "doc.json"], "ext_f4.json", ("algebra", "dim"), 2.7, id="dim-float"),
+    pytest.param(["tame", "doc.json"], "ext_f4.json", ("field", "p"), "2", id="p-string"),
+    pytest.param(["homology", "doc.json"], "mod_trivial_f2c2.json", ("module", "dim"), True,
+                 id="module-dim-bool"),
+    pytest.param(AYD_CYCLIC, "mod_kc2_ayd_f3.json", ("module", "dim"), "2", id="ayd-dim-string"),
+    pytest.param(["verify", "doc.json"], TAFT_F5, ("builtin", "n"), 2.0, id="taft-n-float"),
+    pytest.param(["homology", "doc.json"], "lat_zi_qc2.json", ("ambient_dim",), 2.0,
+                 id="ambient-dim-float"),
+]
+
+
+@pytest.mark.parametrize("command,base,path,value", NESTED_CASES)
+def test_malformed_nested_field_is_input_error(tmp_path, fixtures, capsys, command, base,
+                                               path, value):
+    doc = json.loads((fixtures / base).read_text()) if isinstance(base, str) else base
+    doc = json.loads(json.dumps(doc))
+    section = doc
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    args = [
+        str(tmp_path / a) if a == "doc.json" else fx(fixtures, a) if a.endswith(".json") else a
+        for a in command
+    ]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert "must hold a JSON object" in err or "must be a JSON integer" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["cyclic", "comodalg_graded_f3.json", "--module", "mod_kc2_ayd_f3.json"],
+    ["bar-shift", "ext_gaussian.json", "--module", "smashmod_sum.json"],
+], ids=["cyclic", "bar-shift"])
+def test_negative_levels_are_input_error(fixtures, capsys, command):
+    args = [fx(fixtures, a) if a.endswith(".json") else a for a in command]
+    assert cli.main(args + ["--levels", "-1"]) == 2
+    assert "--levels must be 0 or more" in capsys.readouterr().err

@@ -23,6 +23,7 @@ from hopfgal.linalg import (
     rref,
     smith_normal_form,
     solve,
+    sparse_sum,
     stack,
 )
 
@@ -222,6 +223,47 @@ def test_combination_matches_scale_and_add(coeffs, a, b, c):
     expected = a.scale(coeffs[0]) + b.scale(coeffs[1]) + c.scale(coeffs[2])
     coeffs = [GF(5).normalize(x) for x in coeffs]
     assert combination(GF(5), coeffs, [a, b, c], 2, 3) == expected
+
+
+# Keys (i, j) with i < 3 are drawn freely; key CANCELLED gets c and -c, so
+# its total is zero whatever else is drawn.
+CANCELLED = (3, 1)
+raw_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def sparse_terms(draw):
+    domain = draw(st.sampled_from([QQ, GF(5)]))
+    keys = st.tuples(st.integers(0, 2), st.integers(0, 1))
+    terms = draw(st.lists(st.tuples(keys, raw_coeffs), max_size=10))
+    c = draw(raw_coeffs.filter(bool))
+    terms = draw(st.permutations(terms + [(CANCELLED, c), (CANCELLED, -c)]))
+    return domain, terms
+
+
+@given(sparse_terms())
+@example((QQ, [((0, 0), Fraction(1, 2)), (CANCELLED, 1), ((0, 0), Fraction(1, 2)),
+               (CANCELLED, -1)]))
+@example((GF(5), [((1, 1), 3), ((1, 1), 2), (CANCELLED, 2), ((2, 0), 1), (CANCELLED, -2)]))
+def test_sparse_sum_and_from_entries_match_dense_reference(case):
+    domain, raw = case
+    terms = [(key, domain.normalize(c)) for key, c in raw]
+    totals = {
+        (i, j): domain.normalize(sum(c for key, c in raw if key == (i, j)))
+        for i in range(4)
+        for j in range(2)
+    }
+    sums = sparse_sum(domain, terms)
+    assert sums == {key: c for key, c in totals.items() if c != domain.zero}
+    assert CANCELLED not in sums
+    m = Matrix.from_entries(domain, 4, 2, terms)
+    assert m == Matrix(domain, [[totals[(i, j)] for j in range(2)] for i in range(4)])
+    assert m.entry(*CANCELLED) == domain.zero
+
+
+def test_from_entries_without_terms_is_zero_matrix():
+    assert Matrix.from_entries(GF(5), 2, 3, []) == Matrix.zeros(GF(5), 2, 3)
+    assert sparse_sum(QQ, []) == {}
 
 
 @given(small_matrix(QQ, 3, 4))
