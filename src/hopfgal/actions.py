@@ -1,10 +1,12 @@
 """Module algebras, smash products, Galois maps and tameness over fields.
 
-The pair (H, S) is stored as an action tensor act[h][s] giving the
-coefficient vector of e_h . e_s.  The comodule structure on S that the
-second Galois map needs is obtained from the action through the finite
-dual: sigma(t) = sum_a (e_a . t) (x) e_a*, with the pairing fixed as
-evaluation on the stored bases.
+The pair (H, S) is stored as an action tensor act[h][s] holding the
+nonzero (t, c) pairs of e_h . e_s, sorted by t, in the canonical form
+:func:`hopf.sparse_tensor` builds; modules over S#H and S use the same
+layout.  The comodule structure on S that the second Galois map needs
+is obtained from the action through the finite dual: sigma(t) =
+sum_a (e_a . t) (x) e_a*, with the pairing fixed as evaluation on the
+stored bases.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .errors import (
     ShapeError,
 )
 from .hopf import AlgebraData, HopfAlgebraData
-from .linalg import Matrix, sparse_entries as _sparse
+from .linalg import Matrix, sparse_entries as _sparse  # noqa: F401 (read by perfbench/tests)
 from .reporting import CheckResult, VerificationReport
 
 
@@ -29,17 +31,11 @@ class ModuleAlgebraData:
 
     hopf: HopfAlgebraData
     algebra: AlgebraData
-    action: tuple  # action[h][s] = coefficient vector in S
+    action: tuple  # action[h][s] = (t, c) pairs of e_h . e_s
 
     def __post_init__(self):
         if self.hopf.domain != self.algebra.domain:
             raise ShapeError("hopf and algebra domains differ")
-        if len(self.action) != self.hopf.dim or any(
-            len(block) != self.algebra.dim
-            or any(len(v) != self.algebra.dim for v in block)
-            for block in self.action
-        ):
-            raise ShapeError("action tensor shape mismatch")
 
     @property
     def domain(self):
@@ -50,12 +46,13 @@ class ModuleAlgebraData:
         return acting_matrix(self.domain, self.action, self.algebra.dim, hvec)
 
     def basis_action_matrix(self, a):
-        return Matrix.from_cols(self.domain, list(self.action[a]), self.algebra.dim)
+        return Matrix.from_sparse_cols(self.domain, self.algebra.dim, self.action[a])
 
 
 def action_matrices(domain, action, dim):
-    """One matrix per basis element of the acting algebra; action[a][m] = e_a . e_m."""
-    return [Matrix.from_cols(domain, list(block), dim) for block in action]
+    """One matrix per basis element of the acting algebra; action[a][m] holds
+    the (t, c) pairs of e_a . e_m."""
+    return [Matrix.from_sparse_cols(domain, dim, block) for block in action]
 
 
 def acting_matrix(domain, action, dim, hvec):
@@ -65,8 +62,8 @@ def acting_matrix(domain, action, dim, hvec):
 
 def module_algebra(hopf, algebra, action_triples):
     """Validated module algebra from sparse action entries (h, s, t, c)."""
-    action = hopf_mod.dense_tensor_from_triples(
-        hopf.domain, (hopf.dim, algebra.dim, algebra.dim), action_triples
+    action = hopf_mod.sparse_tensor(
+        hopf.domain, (hopf.dim, algebra.dim, algebra.dim), action_triples, 2
     )
     data = ModuleAlgebraData(hopf, algebra, action)
     report = verify_module_algebra(data)
@@ -79,7 +76,7 @@ def module_algebra(hopf, algebra, action_triples):
 def verify_module_over_algebra(alg, action):
     """Witness for the module law of an algebra action on a vector space.
 
-    action[a][m] is the image vector of basis m under e_a; returns None
+    action[a][m] holds the (t, c) pairs of e_a . e_m; returns None
     when (a b) . m = a . (b . m) and 1 . m = m hold, else an index pair.
     """
     dim = len(action[0]) if action else 0
@@ -94,6 +91,7 @@ def verify_module(h, action):
 def verify_module_algebra(d):
     """Module law plus module-algebra law, each with a witness."""
     dom = d.domain
+    mul = dom.mul
     h, alg = d.hopf, d.algebra
 
     module_witness = verify_module(h, d.action)
@@ -101,22 +99,24 @@ def verify_module_algebra(d):
 
     witness = None
     for a in range(h.dim):
-        act_a = d.basis_action_matrix(a)
         target = linalg.vec_scale(dom, h.counit[a], alg.unit)
-        if act_a.apply(alg.unit) != target:
+        if d.basis_action_matrix(a).apply(alg.unit) != target:
             witness = (a, "unit")
             break
         for s in range(alg.dim):
             for t in range(alg.dim):
-                lhs = act_a.apply(alg.mult[s][t])
-                rhs = [dom.zero] * alg.dim
-                for j, k, c in h.comult_sparse(a):
-                    left = d.action[j][s]
-                    right = d.action[k][t]
-                    prod = alg.mul_vec(left, right)
-                    for u, v in enumerate(prod):
-                        rhs[u] = dom.add(rhs[u], dom.mul(c, v))
-                if list(lhs) != rhs:
+                # e_a . (e_s e_t) against (e_a1 . e_s)(e_a2 . e_t)
+                lhs = linalg.sparse_sum(dom, (
+                    (u, mul(c, w)) for k, c in alg.mult[s][t] for u, w in d.action[a][k]
+                ))
+                rhs = linalg.sparse_sum(dom, (
+                    (u, mul(mul(c, w1), mul(w2, w3)))
+                    for j, k, c in h.comult[a]
+                    for x, w1 in d.action[j][s]
+                    for y, w2 in d.action[k][t]
+                    for u, w3 in alg.mult[x][y]
+                ))
+                if lhs != rhs:
                     witness = (a, s, t)
                     break
             if witness:
@@ -155,7 +155,7 @@ def is_faithful(d):
     terms = (
         ((u * ds + v, a), c)
         for a in range(dh) for v in range(ds)
-        for u, c in enumerate(d.action[a][v]) if c != dom.zero
+        for u, c in d.action[a][v]
     )
     return linalg.rank(Matrix.from_entries(dom, ds * ds, dh, terms)) == dh
 
@@ -191,26 +191,22 @@ def smash(d):
     AlgebraData constructor and surfaces as an inconsistency error.
     """
     dom = d.domain
+    mul = dom.mul
     h, s_alg = d.hopf, d.algebra
     ds, dh = s_alg.dim, h.dim
     dim = ds * dh
-    mult = [[None] * dim for _ in range(dim)]
-    for i in range(ds):
-        for a in range(dh):
-            for j in range(ds):
-                for b in range(dh):
-                    out = [dom.zero] * dim
-                    for c1, c2, w in h.comult_sparse(a):
-                        moved = d.action[c1][j]
-                        for t, w2 in _sparse(moved, dom.zero):
-                            for u, w3 in s_alg.mult_sparse[i][t]:
-                                for v, w4 in h.algebra.mult_sparse[c2][b]:
-                                    idx = u * dh + v
-                                    out[idx] = dom.add(
-                                        out[idx],
-                                        dom.mul(dom.mul(w, w2), dom.mul(w3, w4)),
-                                    )
-                    mult[i * dh + a][j * dh + b] = tuple(out)
+    entries = (
+        (i * dh + a, j * dh + b, u * dh + v, mul(mul(w, w2), mul(w3, w4)))
+        for i in range(ds)
+        for a in range(dh)
+        for j in range(ds)
+        for b in range(dh)
+        for c1, c2, w in h.comult[a]
+        for t, w2 in d.action[c1][j]
+        for u, w3 in s_alg.mult[i][t]
+        for v, w4 in h.algebra.mult[c2][b]
+    )
+    mult = hopf_mod.sparse_tensor(dom, (dim, dim, dim), entries, 2)
     unit = [dom.zero] * dim
     for i, a in enumerate(s_alg.unit):
         for j, b in enumerate(h.algebra.unit):
@@ -219,7 +215,7 @@ def smash(d):
         f"{s_alg.labels[i]}#{h.labels[a]}" for i in range(ds) for a in range(dh)
     )
     try:
-        alg = AlgebraData(dom, dim, labels, tuple(tuple(r) for r in mult), tuple(unit))
+        alg = AlgebraData(dom, dim, labels, mult, tuple(unit))
     except Exception as exc:
         raise InconsistencyError(f"smash product not associative: {exc}") from exc
     return SmashProductData(alg, d)
@@ -256,8 +252,8 @@ def galois_map_j(d):
         for i in range(ds)
         for a in range(dh)
         for v in range(ds)
-        for t, w in _sparse(d.action[a][v], dom.zero)
-        for u, w2 in d.algebra.mult_sparse[i][t]
+        for t, w in d.action[a][v]
+        for u, w2 in d.algebra.mult[i][t]
     )
     return GaloisMap.of(Matrix.from_entries(dom, ds * ds, ds * dh, terms))
 
@@ -276,8 +272,8 @@ def galois_map_gamma(d):
         for i in range(ds)
         for j in range(ds)
         for a in range(dh)
-        for t, w in _sparse(d.action[a][j], dom.zero)
-        for u, w2 in d.algebra.mult_sparse[i][t]
+        for t, w in d.action[a][j]
+        for u, w2 in d.algebra.mult[i][t]
     )
     return GaloisMap.of(Matrix.from_entries(dom, ds * dh, ds * ds, terms))
 
@@ -293,8 +289,8 @@ def gamma_is_algebra_map(d):
     dom = d.domain
     mul, zero = dom.mul, dom.zero
     ds, dh = d.algebra.dim, d.hopf.dim
-    s_mult = d.algebra.mult_sparse
-    dual_mult = hopf_mod.dual(d.hopf).algebra.mult_sparse
+    s_mult = d.algebra.mult
+    dual_mult = hopf_mod.dual(d.hopf).algebra.mult
     # gamma(x (x) y) as (u, a, coeff) triples: coefficient of e_u (x) e_a*
     images = [
         [(p // dh, p % dh, v) for p, v in enumerate(gamma.matrix.col(col)) if v != zero]
@@ -445,8 +441,8 @@ def dual_action_matrix(h, a):
     dom = h.domain
     n = h.dim
     # e_a -> e_i* = sum_j mult[j][a][i] e_j*
-    rows = [[h.algebra.mult[j][a][i] for i in range(n)] for j in range(n)]
-    return Matrix(dom, rows)
+    terms = (((j, i), c) for j in range(n) for i, c in h.algebra.mult[j][a])
+    return Matrix.from_entries(dom, n, n, terms)
 
 
 def total_integral_map(d):
@@ -585,14 +581,7 @@ class SmashModuleData:
 
     smash: SmashProductData
     dim: int
-    action: tuple  # action[smash index][m] = image vector
-
-    def __post_init__(self):
-        if len(self.action) != self.smash.dim or any(
-            len(block) != self.dim or any(len(v) != self.dim for v in block)
-            for block in self.action
-        ):
-            raise ShapeError("smash module action shape mismatch")
+    action: tuple  # action[smash index][m] = (t, c) pairs of the image
 
     @property
     def domain(self):
@@ -618,14 +607,16 @@ class SmashModuleData:
 
     def _restricted_action(self, coeffs, indices):
         """Action tensor of x -> sum_k coeffs[k] e_indices[x][k] in S#H."""
-        mats = action_matrices(self.domain, self.action, self.dim)
-        return tuple(
-            tuple(
-                linalg.combination(
-                    self.domain, coeffs, [mats[i] for i in row], self.dim, self.dim
-                ).cols()
-            )
-            for row in indices
+        mul, zero = self.domain.mul, self.domain.zero
+        entries = (
+            (x, m, u, mul(c, w))
+            for x, row in enumerate(indices)
+            for k, c in enumerate(coeffs) if c != zero
+            for m in range(self.dim)
+            for u, w in self.action[row[k]][m]
+        )
+        return hopf_mod.sparse_tensor(
+            self.domain, (len(indices), self.dim, self.dim), entries, 2
         )
 
 
@@ -641,44 +632,39 @@ def smash_module(smash_data, dim, action):
 def regular_smash_module(smash_data):
     """S#H acting on itself by left multiplication."""
     alg = smash_data.algebra
-    action = tuple(tuple(alg.mult[a][m] for m in range(alg.dim)) for a in range(alg.dim))
-    return smash_module(smash_data, alg.dim, action)
+    return smash_module(smash_data, alg.dim, alg.mult)
 
 
 def algebra_smash_module(smash_data):
     """S with its canonical S#H-structure: (s#h) . t = s (h . t)."""
     d = smash_data.base
     dom = d.domain
-    ds = d.algebra.dim
-    action = []
-    for i in range(ds):
-        for a in range(d.hopf.dim):
-            block = []
-            for m in range(ds):
-                moved = d.action[a][m]
-                out = [dom.zero] * ds
-                for t, w in _sparse(moved, dom.zero):
-                    for u, w2 in d.algebra.mult_sparse[i][t]:
-                        out[u] = dom.add(out[u], dom.mul(w, w2))
-                block.append(tuple(out))
-            action.append(tuple(block))
-    return smash_module(smash_data, ds, tuple(action))
+    ds, dh = d.algebra.dim, d.hopf.dim
+    entries = (
+        (i * dh + a, m, u, dom.mul(w, w2))
+        for i in range(ds)
+        for a in range(dh)
+        for m in range(ds)
+        for t, w in d.action[a][m]
+        for u, w2 in d.algebra.mult[i][t]
+    )
+    action = hopf_mod.sparse_tensor(dom, (ds * dh, ds, ds), entries, 2)
+    return smash_module(smash_data, ds, action)
 
 
 def direct_sum_smash_modules(m1, m2):
     if m1.smash is not m2.smash and m1.smash != m2.smash:
         raise ShapeError("direct sum needs modules over the same smash product")
-    dom = m1.domain
     dim = m1.dim + m2.dim
-    action = []
-    for a in range(m1.smash.dim):
-        block = []
-        for m in range(m1.dim):
-            block.append(tuple(m1.action[a][m]) + linalg.zero_vec(dom, m2.dim))
-        for m in range(m2.dim):
-            block.append(linalg.zero_vec(dom, m1.dim) + tuple(m2.action[a][m]))
-        action.append(tuple(block))
-    return smash_module(m1.smash, dim, tuple(action))
+    entries = [
+        (a, shift + m, shift + t, c)
+        for shift, module in ((0, m1), (m1.dim, m2))
+        for a, block in enumerate(module.action)
+        for m, cell in enumerate(block)
+        for t, c in cell
+    ]
+    action = hopf_mod.sparse_tensor(m1.domain, (m1.smash.dim, dim, dim), entries, 2)
+    return smash_module(m1.smash, dim, action)
 
 
 def fixed_points_smash(module):

@@ -8,7 +8,8 @@ reproducible byte for byte.  Elapsed time goes to stderr only, keeping
 both output forms deterministic.
 
 Exit codes: 0 success or expectation met, 1 theorem-level mismatch,
-2 input error, 3 resource bound exceeded.
+2 input error, 3 resource bound exceeded, 4 internal error (an
+unexpected Python exception, reported on stderr with its traceback).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import os
 import sys
 import time
+import traceback
 
 from . import actions, cocyclic, files, hopf, lattices, linalg
 from .errors import (
@@ -308,7 +310,10 @@ def _parse_inline_candidates(spec, dim):
         entries = [e.strip() for e in part.split(",")]
         if len(entries) != dim:
             raise FormatError(f"candidate {part!r} must have {dim} entries")
-        out.append(tuple(linalg.QQ.parse(e) for e in entries))
+        try:
+            out.append(tuple(linalg.QQ.parse(e) for e in entries))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FormatError(f"candidate {part!r} is not a vector over Q: {exc}") from exc
     return out
 
 
@@ -540,14 +545,23 @@ def build_parser():
     return parser
 
 
+def _env_max_dim():
+    env = os.environ.get("HOPFGAL_MAX_DIM")
+    if not env:
+        return DEFAULT_MAX_DIM
+    try:
+        return int(env)
+    except ValueError:
+        raise FormatError(f"HOPFGAL_MAX_DIM must be an integer, not {env!r}") from None
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.max_dim is None:
-        env = os.environ.get("HOPFGAL_MAX_DIM")
-        args.max_dim = int(env) if env else DEFAULT_MAX_DIM
     start = time.perf_counter()
     try:
+        if args.max_dim is None:
+            args.max_dim = _env_max_dim()
         doc, code = args.func(args)
     except ResourceBoundError as exc:
         print(f"resource bound exceeded: {exc}", file=sys.stderr)
@@ -561,6 +575,10 @@ def main(argv=None):
     except HopfgalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 4
     if args.json:
         sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
     else:

@@ -2,7 +2,11 @@
 
 Conventions fixed here once:
 
-* ComoduleData stores a right coaction, rho(e_m) = sum c e_m' (x) e_h.
+* ComoduleData stores a right coaction, rho(e_m) = sum c e_m' (x) e_h,
+  as coaction[m], the canonical tuple of its (m', h, c) triples: the
+  layout of Delta in :mod:`hopf`, so the regular comodule is the
+  comultiplication itself.  Actions act[h][m] hold (m', c) pairs, as in
+  :mod:`actions`.
 * A right comodule is converted to a left one through the inverse
   antipode: the left legs of m are alpha^{-1}(m_(1)) (x) m_(0).  The
   anti-Yetter-Drinfeld and stability formulas are stated left-left and
@@ -22,7 +26,6 @@ t^(n+1) = id, and that restriction is what the identity checks verify.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import actions as actions_mod
 from . import hopf as hopf_mod
@@ -60,7 +63,7 @@ def _compose(idx, dims):
 
 @dataclass(frozen=True)
 class ComoduleData:
-    """Right H-comodule; coaction[m][m'][h] is a structure constant.
+    """Right H-comodule; coaction[m] holds the nonzero (m', h, c) triples of rho(e_m).
 
     Coassociativity and the counit law are enforced at construction, so
     an instance is always a genuine comodule.
@@ -72,31 +75,25 @@ class ComoduleData:
 
     def __post_init__(self):
         dom = self.hopf.domain
-        dh = self.hopf.dim
-        if len(self.coaction) != self.dim or any(
-            len(block) != self.dim or any(len(row) != dh for row in block)
-            for block in self.coaction
-        ):
-            raise ShapeError("coaction tensor shape mismatch")
         zero = dom.zero
         # counit law: (id (x) counit) rho = id
         for m in range(self.dim):
             out = [zero] * self.dim
-            for m2, h, c in self.coaction_sparse(m):
+            for m2, h, c in self.coaction[m]:
                 out[m2] = dom.add(out[m2], dom.mul(c, self.hopf.counit[h]))
             if out != list(linalg.unit_vec(dom, self.dim, m)):
                 raise AxiomError("comodule-counit", (m,))
         # coassociativity: (rho (x) id) rho = (id (x) Delta) rho
         mul = dom.mul
         for m in range(self.dim):
-            rho = self.coaction_sparse(m)
+            rho = self.coaction[m]
             left = linalg.sparse_sum(dom, (
                 ((m3, h2, h), mul(c, c2))
-                for m2, h, c in rho for m3, h2, c2 in self.coaction_sparse(m2)
+                for m2, h, c in rho for m3, h2, c2 in self.coaction[m2]
             ))
             right = linalg.sparse_sum(dom, (
                 ((m2, j, k), mul(c, c2))
-                for m2, h, c in rho for j, k, c2 in self.hopf.comult_sparse(h)
+                for m2, h, c in rho for j, k, c2 in self.hopf.comult[h]
             ))
             if left != right:
                 raise AxiomError("comodule-coassociativity", (m,))
@@ -105,36 +102,17 @@ class ComoduleData:
     def domain(self):
         return self.hopf.domain
 
-    @cached_property
-    def _coaction_lists(self):
-        zero = self.domain.zero
-        return tuple(
-            tuple(
-                (m2, h, c) for m2, row in enumerate(block) for h, c in enumerate(row) if c != zero
-            )
-            for block in self.coaction
-        )
-
-    def coaction_sparse(self, m):
-        """The nonzero (m2, h, c) triples of rho(e_m)."""
-        return self._coaction_lists[m]
-
 
 def comodule_from_triples(hopf, dim, triples):
-    coaction = hopf_mod.dense_tensor_from_triples(hopf.domain, (dim, dim, hopf.dim), triples)
+    coaction = hopf_mod.sparse_tensor(hopf.domain, (dim, dim, hopf.dim), triples, 1)
     return ComoduleData(hopf, dim, coaction)
 
 
 def trivial_comodule(hopf, dim):
-    dom = hopf.domain
-    coaction = tuple(
-        tuple(
-            tuple(hopf.algebra.unit[h] if m2 == m else dom.zero for h in range(hopf.dim))
-            for m2 in range(dim)
-        )
-        for m in range(dim)
+    unit = hopf.algebra.unit
+    return comodule_from_triples(
+        hopf, dim, [(m, m, h, u) for m in range(dim) for h, u in enumerate(unit)]
     )
-    return ComoduleData(hopf, dim, coaction)
 
 
 def regular_comodule(hopf):
@@ -148,28 +126,20 @@ def module_to_comodule(h, action):
     witness = actions_mod.verify_module(h, action)
     if witness is not None:
         raise InconsistencyError(f"module law fails at {witness}")
-    dual_h = hopf_mod.dual(h)
     dim = len(action[0]) if action else 0
-    coaction = tuple(
-        tuple(
-            tuple(action[a][m][m2] for a in range(h.dim))
-            for m2 in range(dim)
-        )
-        for m in range(dim)
-    )
-    return ComoduleData(dual_h, dim, coaction)
+    triples = [
+        (m, m2, a, c) for a, block in enumerate(action) for m, cell in enumerate(block)
+        for m2, c in cell
+    ]
+    return comodule_from_triples(hopf_mod.dual(h), dim, triples)
 
 
 def comodule_to_module(c):
     """Action tensor of dual(hopf) on the comodule: f . m = f(m_(1)) m_(0)."""
     dual_h = hopf_mod.dual(c.hopf)
-    action = tuple(
-        tuple(
-            tuple(c.coaction[m][m2][a] for m2 in range(c.dim))
-            for m in range(c.dim)
-        )
-        for a in range(c.hopf.dim)
-    )
+    action = hopf_mod.sparse_tensor(c.domain, (c.hopf.dim, c.dim, c.dim), (
+        (a, m, m2, coeff) for m, rho in enumerate(c.coaction) for m2, a, coeff in rho
+    ), 2)
     witness = actions_mod.verify_module(dual_h, action)
     if witness is not None:
         raise InconsistencyError(f"dictionary produced a non-module at {witness}")
@@ -182,7 +152,7 @@ def coinvariants(c):
     linalg.require_field(dom, "coinvariants")
     dh = c.hopf.dim
     terms = [
-        ((m2 * dh + h, m), coeff) for m in range(c.dim) for m2, h, coeff in c.coaction_sparse(m)
+        ((m2 * dh + h, m), coeff) for m in range(c.dim) for m2, h, coeff in c.coaction[m]
     ]
     terms += [
         ((m * dh + h, m), dom.neg(u)) for m in range(c.dim)
@@ -225,7 +195,7 @@ class AydModuleData:
     """A module and a comodule over one H; AYD laws checked by the ops."""
 
     comodule: ComoduleData
-    action: tuple  # action[h][m] image vectors over the same H
+    action: tuple  # action[h][m] = (m', c) pairs, over the same H
 
     def __post_init__(self):
         witness = actions_mod.verify_module(self.comodule.hopf, self.action)
@@ -256,7 +226,7 @@ def _left_legs(ayd_or_comodule, antipode_inv):
     out = []
     for m in range(c.dim):
         legs = []
-        for m0, h1, coeff in c.coaction_sparse(m):
+        for m0, h1, coeff in c.coaction[m]:
             for hh, w in enumerate(antipode_inv.col(h1)):
                 if w != dom.zero:
                     legs.append((hh, m0, dom.mul(coeff, w)))
@@ -285,34 +255,31 @@ def ayd_check(m):
     delta2 = []
     for a in range(n):
         terms = []
-        for j, k, c in h.comult_sparse(a):
-            for a1, a2, c2 in h.comult_sparse(j):
+        for j, k, c in h.comult[a]:
+            for a1, a2, c2 in h.comult[j]:
                 terms.append((a1, a2, k, dom.mul(c, c2)))
         delta2.append(terms)
 
-    mul = dom.mul
+    mul, mult = dom.mul, h.algebra.mult
+    alpha_cols = [[(s, w) for s, w in enumerate(alpha.col(k)) if w != zero] for k in range(n)]
 
     def rhs_terms(a, v):
         for a1, a2, a3, c in delta2[a]:
-            alpha_a3 = alpha.col(a3)
             for hh, m0, w in legs[v]:
                 # h_(1) v_(-1) alpha(h_(3)) in H
-                hvec = h.algebra.mul_vec(h.algebra.mult[a1][hh], alpha_a3)
-                acted = m.action[a2][m0]
+                hvec = linalg.sparse_sum(dom, (
+                    (k, mul(w1, mul(w2, w3)))
+                    for t, w1 in mult[a1][hh] for s, w2 in alpha_cols[a3] for k, w3 in mult[t][s]
+                ))
                 cw = mul(c, w)
-                for hi, hv in enumerate(hvec):
-                    if hv == zero:
-                        continue
-                    for mi, mv in enumerate(acted):
-                        if mv != zero:
-                            yield (hi, mi), mul(cw, mul(hv, mv))
+                for hi, hv in hvec.items():
+                    for mi, mv in m.action[a2][m0]:
+                        yield (hi, mi), mul(cw, mul(hv, mv))
 
     for a in range(n):
         for v in range(m.dim):
             lhs = linalg.sparse_sum(dom, (
-                ((hh, m0), mul(c, w))
-                for m2, c in enumerate(m.action[a][v]) if c != zero
-                for hh, m0, w in legs[m2]
+                ((hh, m0), mul(c, w)) for m2, c in m.action[a][v] for hh, m0, w in legs[m2]
             ))
             if lhs != linalg.sparse_sum(dom, rhs_terms(a, v)):
                 return False, (a, v)
@@ -331,7 +298,7 @@ def stability_check(m):
     for v in range(m.dim):
         out = [dom.zero] * m.dim
         for hh, m0, w in legs[v]:
-            for mi, mv in enumerate(m.action[hh][m0]):
+            for mi, mv in m.action[hh][m0]:
                 out[mi] = dom.add(out[mi], dom.mul(w, mv))
         if out != list(linalg.unit_vec(dom, m.dim, v)):
             return False, (v,)
@@ -360,7 +327,7 @@ class ComoduleAlgebraData:
         unit_img = linalg.sparse_sum(dom, (
             ((m2, hh), mul(coeff, w))
             for m, coeff in enumerate(self.algebra.unit) if coeff != zero
-            for m2, hh, w in c.coaction_sparse(m)
+            for m2, hh, w in c.coaction[m]
         ))
         expected = linalg.sparse_sum(dom, (
             ((m, hh), mul(a, b))
@@ -369,17 +336,17 @@ class ComoduleAlgebraData:
         if unit_img != expected:
             raise AxiomError("comodule-algebra-unit", ())
         # rho(s t) = rho(s) rho(t)
-        s_mult, h_mult = self.algebra.mult_sparse, h.algebra.mult_sparse
+        s_mult, h_mult = self.algebra.mult, h.algebra.mult
         for s in range(c.dim):
             for t in range(c.dim):
                 lhs = linalg.sparse_sum(dom, (
                     ((m2, hh), mul(coeff, w))
-                    for m, coeff in s_mult[s][t] for m2, hh, w in c.coaction_sparse(m)
+                    for m, coeff in s_mult[s][t] for m2, hh, w in c.coaction[m]
                 ))
                 rhs = linalg.sparse_sum(dom, (
                     ((u, hh), mul(mul(c1, c2), mul(w1, w2)))
-                    for s0, h1, c1 in c.coaction_sparse(s)
-                    for t0, h2, c2 in c.coaction_sparse(t)
+                    for s0, h1, c1 in c.coaction[s]
+                    for t0, h2, c2 in c.coaction[t]
                     for u, w1 in s_mult[s0][t0]
                     for hh, w2 in h_mult[h1][h2]
                 ))
@@ -416,10 +383,10 @@ def tensor_power_comodule(c, k):
         triples = [
             (x * c.dim + s, x0 * c.dim + s0, hh, mul(mul(c1, c2), w))
             for x in range(current.dim)
-            for x0, h1, c1 in current.coaction_sparse(x)
+            for x0, h1, c1 in current.coaction[x]
             for s in range(c.dim)
-            for s0, h2, c2 in c.coaction_sparse(s)
-            for hh, w in h.algebra.mult_sparse[h1][h2]
+            for s0, h2, c2 in c.coaction[s]
+            for hh, w in h.algebra.mult[h1][h2]
         ]
         current = comodule_from_triples(h, current.dim * c.dim, triples)
     return current
@@ -438,10 +405,10 @@ def cotensor(x, m):
     dm = m.dim
     terms = [
         (((x0 * dm + mi) * dh + h, xi * dm + mi), c)
-        for xi in range(x.dim) for mi in range(dm) for x0, h, c in x.coaction_sparse(xi)
+        for xi in range(x.dim) for mi in range(dm) for x0, h, c in x.coaction[xi]
     ] + [
         (((xi * dm + m0) * dh + h, xi * dm + mi), dom.neg(c))
-        for xi in range(x.dim) for mi in range(dm) for m0, h, c in m.coaction_sparse(mi)
+        for xi in range(x.dim) for mi in range(dm) for m0, h, c in m.coaction[mi]
     ]
     return linalg.kernel_basis(Matrix.from_entries(dom, x.dim * dm * dh, x.dim * dm, terms))
 
@@ -452,10 +419,7 @@ def cotensor(x, m):
 
 def _mult_matrix(alg):
     """S (x) S -> S, column (a, b) = a * b."""
-    dom = alg.domain
-    n = alg.dim
-    cols = [alg.mult[a][b] for a in range(n) for b in range(n)]
-    return Matrix.from_cols(dom, cols, n)
+    return Matrix.from_sparse_cols(alg.domain, alg.dim, [cell for row in alg.mult for cell in row])
 
 
 def _level_dim(S, M, n):
@@ -468,16 +432,15 @@ def cyclic_matrix(S, M, n):
     ds, dm = S.dim, M.dim
     dims = [ds] * (n + 1) + [dm]
     total = _level_dim(S, M, n)
-    zero, mul = dom.zero, dom.mul
+    mul = dom.mul
 
     def terms():
         for flat in range(total):
             idx = _decompose(flat, dims)
             slots, mi = idx[:-1], idx[-1]
-            for s0, h, c in S.comodule.coaction_sparse(slots[-1]):
-                for m2, w in enumerate(M.action[h][mi]):
-                    if w != zero:
-                        yield (_compose((s0,) + slots[:-1] + (m2,), dims), flat), mul(c, w)
+            for s0, h, c in S.comodule.coaction[slots[-1]]:
+                for m2, w in M.action[h][mi]:
+                    yield (_compose((s0,) + slots[:-1] + (m2,), dims), flat), mul(c, w)
 
     return Matrix.from_entries(dom, total, total, terms())
 
@@ -726,11 +689,7 @@ def bar_complex(alg, s_action, top, max_dim=DEFAULT_MAX_DIM):
             raise ResourceBoundError(f"bar degree {n} has dimension {d} > bound {max_dim}")
         dims.append(d)
 
-    act_mat = Matrix.from_cols(
-        dom,
-        [s_action[s][m] for s in range(ds) for m in range(dm)],
-        dm,
-    )
+    act_mat = Matrix.from_sparse_cols(dom, dm, [cell for block in s_action for cell in block])
     mult = _mult_matrix(alg)
 
     def face(n, i):
@@ -829,8 +788,8 @@ def galois_map_gamma_comodule(S):
         ((u * dh + h, i * ds + j), dom.mul(c, w))
         for i in range(ds)
         for j in range(ds)
-        for t0, h, c in S.comodule.coaction_sparse(j)
-        for u, w in S.algebra.mult_sparse[i][t0]
+        for t0, h, c in S.comodule.coaction[j]
+        for u, w in S.algebra.mult[i][t0]
     )
     return actions_mod.GaloisMap.of(Matrix.from_entries(dom, ds * dh, ds * ds, terms))
 
@@ -851,22 +810,22 @@ class RelativeHopfModuleData:
         if witness is not None:
             raise InconsistencyError(f"S-module law fails at {witness}")
         dom = S.domain
-        zero, mul = dom.zero, dom.mul
-        comod, h_mult = self.comodule, S.hopf.algebra.mult_sparse
+        mul = dom.mul
+        comod, h_mult = self.comodule, S.hopf.algebra.mult
         # rho(s . m) = s^(0) m^(0) (x) s^(1) m^(1)
         for s in range(S.dim):
             for m in range(comod.dim):
                 lhs = linalg.sparse_sum(dom, (
                     ((m3, h), mul(c, w))
-                    for m2, c in enumerate(self.s_action[s][m]) if c != zero
-                    for m3, h, w in comod.coaction_sparse(m2)
+                    for m2, c in self.s_action[s][m]
+                    for m3, h, w in comod.coaction[m2]
                 ))
                 rhs = linalg.sparse_sum(dom, (
                     ((mi, hh), mul(mul(c1, c2), mul(w1, w2)))
-                    for s0, h1, c1 in S.comodule.coaction_sparse(s)
-                    for m0, h2, c2 in comod.coaction_sparse(m)
+                    for s0, h1, c1 in S.comodule.coaction[s]
+                    for m0, h2, c2 in comod.coaction[m]
                     for hh, w2 in h_mult[h1][h2]
-                    for mi, w1 in enumerate(self.s_action[s0][m0]) if w1 != zero
+                    for mi, w1 in self.s_action[s0][m0]
                 ))
                 if lhs != rhs:
                     raise AxiomError("relative-hopf-module", (s, m))
@@ -882,36 +841,22 @@ class RelativeHopfModuleData:
 
 def algebra_as_relative_module(S):
     """S over itself: action by multiplication, coaction of the algebra."""
-    action = tuple(
-        tuple(S.algebra.mult[s][m] for m in range(S.dim)) for s in range(S.dim)
-    )
-    return RelativeHopfModuleData(S, S.comodule, action)
+    return RelativeHopfModuleData(S, S.comodule, S.algebra.mult)
 
 
 def cofree_relative_module(S, extra_dim):
     """S (x) V for a trivial space V; action and coaction on the S factor."""
     dom = S.domain
-    ds = S.dim
-    dim = ds * extra_dim
-    action = []
-    for s in range(ds):
-        block = []
-        for m in range(dim):
-            s2, v = divmod(m, extra_dim)
-            out = [dom.zero] * dim
-            for u, w in S.algebra.mult_sparse[s][s2]:
-                out[u * extra_dim + v] = w
-            block.append(tuple(out))
-        action.append(tuple(block))
-    coaction = []
-    for m in range(dim):
-        s2, v = divmod(m, extra_dim)
-        block = [[dom.zero] * S.hopf.dim for _ in range(dim)]
-        for s0, h, c in S.comodule.coaction_sparse(s2):
-            block[s0 * extra_dim + v][h] = c
-        coaction.append(tuple(tuple(r) for r in block))
-    comod = ComoduleData(S.hopf, dim, tuple(coaction))
-    return RelativeHopfModuleData(S, comod, tuple(action))
+    dim = S.dim * extra_dim
+    action = hopf_mod.sparse_tensor(dom, (S.dim, dim, dim), (
+        (s, m, u * extra_dim + m % extra_dim, w)
+        for s in range(S.dim) for m in range(dim) for u, w in S.algebra.mult[s][m // extra_dim]
+    ), 2)
+    comod = comodule_from_triples(S.hopf, dim, (
+        (m, s0 * extra_dim + m % extra_dim, h, c)
+        for m in range(dim) for s0, h, c in S.comodule.coaction[m // extra_dim]
+    ))
+    return RelativeHopfModuleData(S, comod, action)
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,14 @@ def _int_field(obj, key, what):
     return value
 
 
+def _dim_field(obj, key, what):
+    """obj[key] as a dimension: a JSON integer of at least 1."""
+    value = _int_field(obj, key, what)
+    if value < 1:
+        raise FormatError(f"{what} '{key}' must be at least 1, not {value}")
+    return value
+
+
 def parse_field(obj):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FormatError("field spec must be an object with a 'kind'")
@@ -64,7 +72,12 @@ def _parse_scalar(domain, value):
     if isinstance(value, float):
         raise FormatError(f"floating point scalar {value!r} rejected; use strings")
     if isinstance(value, str):
-        return domain.parse(value)
+        try:
+            return domain.parse(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FormatError(
+                f"scalar {value!r} is not an element of {domain.name}: {exc}"
+            ) from exc
     if isinstance(value, int):
         return domain.normalize(value)
     raise FormatError(f"scalar {value!r} must be a string")
@@ -95,7 +108,7 @@ def load_algebra(domain, obj, what="algebra"):
     for key in ("dim", "mult", "unit"):
         if key not in obj:
             raise FormatError(f"{what} needs '{key}'")
-    dim = _int_field(obj, "dim", what)
+    dim = _dim_field(obj, "dim", what)
     labels = obj.get("basis") or [f"e{i}" for i in range(dim)]
     if len(labels) != dim:
         raise FormatError(f"{what} basis labels must match dim")
@@ -136,14 +149,13 @@ def load_hopf(domain, obj, validate=True):
             raise FormatError(f"explicit hopf data needs '{key}'")
     alg = load_algebra(domain, obj, "hopf algebra")
     n = alg.dim
-    comult = hopf.dense_tensor_from_triples(
-        domain, (n, n, n), _parse_entries(domain, obj["comult"], 3, "comult")
+    comult = hopf.sparse_tensor(
+        domain, (n, n, n), _parse_entries(domain, obj["comult"], 3, "comult"), 1
     )
     counit = _parse_vector(domain, obj["counit"], n, "counit")
-    anti = hopf.dense_tensor_from_triples(
-        domain, (n, n), _parse_entries(domain, obj["antipode"], 2, "antipode")
+    antipode = hopf.matrix_from_triples(
+        domain, n, _parse_entries(domain, obj["antipode"], 2, "antipode")
     )
-    antipode = Matrix.from_cols(domain, anti, n)
     if validate:
         return hopf.build_hopf(alg, comult, counit, antipode)
     return hopf.HopfAlgebraData(alg, comult, counit, antipode)
@@ -214,9 +226,9 @@ def load_module_file(path):
     mod = _require_object(doc["module"], "module spec")
     if "dim" not in mod or "action" not in mod:
         raise FormatError("module spec needs 'dim' and 'action'")
-    dim = _int_field(mod, "dim", "module spec")
+    dim = _dim_field(mod, "dim", "module spec")
     entries = _parse_entries(domain, mod["action"], 3, "module action")
-    action = hopf.dense_tensor_from_triples(domain, (h.dim, dim, dim), entries)
+    action = hopf.sparse_tensor(domain, (h.dim, dim, dim), entries, 2)
     return h, dim, action
 
 
@@ -228,9 +240,9 @@ def load_ayd_module(hopf_algebra, path):
         if key not in mod:
             raise FormatError(f"AYD module file needs '{key}'")
     domain = hopf_algebra.domain
-    dim = _int_field(mod, "dim", "AYD module spec")
+    dim = _dim_field(mod, "dim", "AYD module spec")
     act_entries = _parse_entries(domain, mod["action"], 3, "module action")
-    action = hopf.dense_tensor_from_triples(domain, (hopf_algebra.dim, dim, dim), act_entries)
+    action = hopf.sparse_tensor(domain, (hopf_algebra.dim, dim, dim), act_entries, 2)
     co_entries = _parse_entries(domain, mod["coaction"], 3, "module coaction")
     comod = cocyclic.comodule_from_triples(hopf_algebra, dim, co_entries)
     return cocyclic.AydModuleData(comod, action)
@@ -254,9 +266,9 @@ def load_smash_module(smash_data, spec):
         return total
     if isinstance(spec, dict) and "dim" in spec and "action" in spec:
         domain = smash_data.algebra.domain
-        dim = _int_field(spec, "dim", "smash module spec")
+        dim = _dim_field(spec, "dim", "smash module spec")
         entries = _parse_entries(domain, spec["action"], 3, "smash module action")
-        action = hopf.dense_tensor_from_triples(domain, (smash_data.dim, dim, dim), entries)
+        action = hopf.sparse_tensor(domain, (smash_data.dim, dim, dim), entries, 2)
         return actions.smash_module(smash_data, dim, action)
     raise FormatError(f"cannot interpret smash module spec {spec!r}")
 
@@ -275,7 +287,7 @@ def load_lattice_file(path):
         if key not in doc:
             raise FormatError(f"lattice file needs '{key}'")
     h = load_hopf(QQ, doc["hopf"])
-    n = _int_field(doc, "ambient_dim", "lattice file")
+    n = _dim_field(doc, "ambient_dim", "lattice file")
     basis_cols = doc["basis"]
     if not isinstance(basis_cols, list) or not basis_cols:
         raise FormatError("lattice basis must be a nonempty list of columns")

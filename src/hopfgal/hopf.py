@@ -7,6 +7,12 @@ axioms at construction, the full Hopf axiom list through
 :func:`verify_hopf` (the builtin constructors and the file loader run
 it and refuse failing data).
 
+Structure tensors are stored once, sparse and canonical, as
+:func:`sparse_tensor` builds them: mult[i][j] is the tuple of (k, c)
+pairs of e_i e_j and comult[i] the tuple of (j, k, c) triples of
+Delta(e_i), each sorted by index with zeros dropped.  Unit and counit
+are dense coefficient vectors.
+
 Basis order is part of the data.  Tensor-square flattenings are always
 lexicographic with the left factor varying slowest.
 """
@@ -14,7 +20,6 @@ lexicographic with the left factor varying slowest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import linalg
 from .errors import (
@@ -28,40 +33,41 @@ from .linalg import Matrix
 from .reporting import CheckResult, VerificationReport
 
 
-_sparse = linalg.sparse_entries
-
-
-def dense_tensor_from_triples(domain, shape, triples):
-    """Dense nested tuple from sparse entries (i_1, .., i_k, coeff).
+def sparse_tensor(domain, shape, entries, lead):
+    """Canonical sparse tensor from entries (i_1, .., i_k, coeff).
 
     ``shape`` holds one bound per axis; an index at or past the bound of
-    its own axis is a format error.
+    its own axis is a format error.  The result is nested tuples over the
+    first ``lead`` axes.  Each innermost cell holds the remaining indices
+    with their coefficient, sorted by index, with repeated entries summed
+    and zeros dropped, so ``==`` decides equality of tensors.
     """
     arity = len(shape)
 
-    def build(depth):
-        if depth == arity:
-            return domain.zero
-        return [build(depth + 1) for _ in range(shape[depth])]
+    def terms():
+        for entry in entries:
+            if len(entry) != arity + 1:
+                raise FormatError(f"tensor entry {entry!r} has wrong length")
+            *idx, c = entry
+            if any((not isinstance(i, int)) or i < 0 or i >= n for i, n in zip(idx, shape)):
+                raise FormatError(f"index out of range in tensor entry {entry!r}")
+            yield tuple(idx), domain.normalize(c)
 
-    grid = build(0)
-    for entry in triples:
-        if len(entry) != arity + 1:
-            raise FormatError(f"tensor entry {entry!r} has wrong length")
-        *idx, c = entry
-        if any((not isinstance(i, int)) or i < 0 or i >= n for i, n in zip(idx, shape)):
-            raise FormatError(f"index out of range in tensor entry {entry!r}")
-        cell = grid
-        for i in idx[:-1]:
-            cell = cell[i]
-        cell[idx[-1]] = domain.add(cell[idx[-1]], domain.normalize(c))
+    cells = {}
+    for idx, c in sorted(linalg.sparse_sum(domain, terms()).items()):
+        cells.setdefault(idx[:lead], []).append(idx[lead:] + (c,))
 
-    def freeze(cell, depth):
-        if depth == arity:
-            return cell
-        return tuple(freeze(sub, depth + 1) for sub in cell)
+    def build(prefix):
+        if len(prefix) == lead:
+            return tuple(cells.get(prefix, ()))
+        return tuple(build(prefix + (i,)) for i in range(shape[len(prefix)]))
 
-    return freeze(grid, 0)
+    return build(())
+
+
+def matrix_from_triples(domain, n, entries):
+    """n x n matrix from entries (i, j, c): column i contains c in row j."""
+    return Matrix.from_sparse_cols(domain, n, sparse_tensor(domain, (n, n), entries, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +76,7 @@ def dense_tensor_from_triples(domain, shape, triples):
 
 @dataclass(frozen=True)
 class AlgebraData:
-    """Finite algebra: mult[i][j] is the coefficient vector of e_i * e_j."""
+    """Finite algebra: mult[i][j] holds the nonzero (k, c) pairs of e_i * e_j."""
 
     domain: object
     dim: int
@@ -81,11 +87,6 @@ class AlgebraData:
     def __post_init__(self):
         if len(self.labels) != self.dim or len(self.unit) != self.dim:
             raise ShapeError("label or unit length does not match dimension")
-        if len(self.mult) != self.dim or any(
-            len(row) != self.dim or any(len(v) != self.dim for v in row)
-            for row in self.mult
-        ):
-            raise ShapeError("multiplication tensor shape mismatch")
         witness = self.associativity_witness()
         if witness is not None:
             raise AxiomError("associativity", witness)
@@ -105,12 +106,6 @@ class AlgebraData:
         object.__setattr__(obj, "unit", unit)
         return obj
 
-    @cached_property
-    def mult_sparse(self):
-        """mult_sparse[i][j]: the nonzero (k, c) pairs of e_i * e_j."""
-        zero = self.domain.zero
-        return tuple(tuple(tuple(_sparse(v, zero)) for v in row) for row in self.mult)
-
     # vector arithmetic in the algebra ------------------------------------
 
     def mul_vec(self, u, v):
@@ -123,28 +118,28 @@ class AlgebraData:
                 if b == dom.zero:
                     continue
                 c = dom.mul(a, b)
-                for k, w in self.mult_sparse[i][j]:
+                for k, w in self.mult[i][j]:
                     out[k] = dom.add(out[k], dom.mul(c, w))
         return tuple(out)
 
     def left_mult_matrix(self, vec):
         """Matrix of x -> vec * x (columns are images of basis vectors)."""
-        mul, zero, sparse = self.domain.mul, self.domain.zero, self.mult_sparse
+        mul, zero, mult = self.domain.mul, self.domain.zero, self.mult
         terms = (
             ((k, j), mul(a, w))
             for i, a in enumerate(vec) if a != zero
             for j in range(self.dim)
-            for k, w in sparse[i][j]
+            for k, w in mult[i][j]
         )
         return Matrix.from_entries(self.domain, self.dim, self.dim, terms)
 
     def right_mult_matrix(self, vec):
-        mul, zero, sparse = self.domain.mul, self.domain.zero, self.mult_sparse
+        mul, zero, mult = self.domain.mul, self.domain.zero, self.mult
         terms = (
             ((k, i), mul(a, w))
             for j, a in enumerate(vec) if a != zero
             for i in range(self.dim)
-            for k, w in sparse[i][j]
+            for k, w in mult[i][j]
         )
         return Matrix.from_entries(self.domain, self.dim, self.dim, terms)
 
@@ -159,17 +154,17 @@ class AlgebraData:
 
     def associativity_witness(self):
         dom = self.domain
-        sparse = self.mult_sparse
+        mult = self.mult
         for i in range(self.dim):
             for j in range(self.dim):
                 for k in range(self.dim):
                     left = [dom.zero] * self.dim
-                    for t, c in sparse[i][j]:
-                        for u, w in sparse[t][k]:
+                    for t, c in mult[i][j]:
+                        for u, w in mult[t][k]:
                             left[u] = dom.add(left[u], dom.mul(c, w))
                     right = [dom.zero] * self.dim
-                    for t, c in sparse[j][k]:
-                        for u, w in sparse[i][t]:
+                    for t, c in mult[j][k]:
+                        for u, w in mult[i][t]:
                             right[u] = dom.add(right[u], dom.mul(c, w))
                     if left != right:
                         return (i, j, k)
@@ -197,7 +192,9 @@ class AlgebraData:
             return ("unit",)
         for a in range(self.dim):
             for b in range(self.dim):
-                if linalg.combination(dom, self.mult[a][b], mats, n, n) != mats[a] @ mats[b]:
+                cell = self.mult[a][b]
+                coeffs, terms = [c for _, c in cell], [mats[k] for k, _ in cell]
+                if linalg.combination(dom, coeffs, terms, n, n) != mats[a] @ mats[b]:
                     return (a, b)
         return None
 
@@ -206,7 +203,7 @@ class AlgebraData:
 
 
 def algebra_from_triples(domain, dim, labels, mult_triples, unit):
-    mult = dense_tensor_from_triples(domain, (dim, dim, dim), mult_triples)
+    mult = sparse_tensor(domain, (dim, dim, dim), mult_triples, 2)
     return AlgebraData(
         domain,
         dim,
@@ -224,11 +221,12 @@ def algebra_from_triples(domain, dim, labels, mult_triples, unit):
 class HopfAlgebraData:
     """Hopf structure on top of an AlgebraData.
 
-    comult[i][j][k] is the coefficient of e_j (x) e_k in Delta(e_i);
-    counit is a coefficient vector; antipode is the matrix whose column
-    i is the image of e_i.  No Hopf axioms are enforced here, so tests
-    can build corrupted instances; `build_hopf` and every builtin
-    constructor run :func:`verify_hopf` and raise on failure.
+    comult[i] holds the nonzero (j, k, c) triples of Delta(e_i), c being
+    the coefficient of e_j (x) e_k; counit is a coefficient vector;
+    antipode is the matrix whose column i is the image of e_i.  No Hopf
+    axioms are enforced here, so tests can build corrupted instances;
+    `build_hopf` and every builtin constructor run :func:`verify_hopf`
+    and raise on failure.
     """
 
     algebra: AlgebraData
@@ -240,10 +238,6 @@ class HopfAlgebraData:
         n = self.algebra.dim
         if len(self.counit) != n:
             raise ShapeError("counit length mismatch")
-        if len(self.comult) != n or any(
-            len(g) != n or any(len(row) != n for row in g) for g in self.comult
-        ):
-            raise ShapeError("comultiplication tensor shape mismatch")
         if self.antipode.nrows != n or self.antipode.ncols != n:
             raise ShapeError("antipode shape mismatch")
 
@@ -259,25 +253,13 @@ class HopfAlgebraData:
     def labels(self):
         return self.algebra.labels
 
-    @cached_property
-    def _comult_lists(self):
-        zero = self.domain.zero
-        return tuple(
-            tuple((j, k, c) for j, row in enumerate(g) for k, c in enumerate(row) if c != zero)
-            for g in self.comult
-        )
-
-    def comult_sparse(self, i):
-        """The nonzero (j, k, c) triples of Delta(e_i)."""
-        return self._comult_lists[i]
-
     def comult_vec(self, vec):
         """Delta of a general element as a dict (j, k) -> coeff."""
         mul, zero = self.domain.mul, self.domain.zero
         return linalg.sparse_sum(
             self.domain,
             (((j, k), mul(a, c)) for i, a in enumerate(vec) if a != zero
-             for j, k, c in self.comult_sparse(i)),
+             for j, k, c in self.comult[i]),
         )
 
     def counit_vec(self, vec):
@@ -288,13 +270,7 @@ class HopfAlgebraData:
         return acc
 
     def is_cocommutative(self):
-        n = self.dim
-        return all(
-            self.comult[i][j][k] == self.comult[i][k][j]
-            for i in range(n)
-            for j in range(n)
-            for k in range(j + 1)
-        )
+        return all(tuple(sorted((k, j, c) for j, k, c in g)) == g for g in self.comult)
 
     def format_element(self, vec):
         return self.algebra.format_element(vec)
@@ -318,12 +294,12 @@ def verify_hopf(h):
     # coassociativity: (Delta (x) id) Delta = (id (x) Delta) Delta
     witness = None
     for i in range(n):
-        delta = h.comult_sparse(i)
+        delta = h.comult[i]
         left = linalg.sparse_sum(
-            dom, (((a, b, k), mul(c, c2)) for j, k, c in delta for a, b, c2 in h.comult_sparse(j))
+            dom, (((a, b, k), mul(c, c2)) for j, k, c in delta for a, b, c2 in h.comult[j])
         )
         right = linalg.sparse_sum(
-            dom, (((j, a, b), mul(c, c2)) for j, k, c in delta for a, b, c2 in h.comult_sparse(k))
+            dom, (((j, a, b), mul(c, c2)) for j, k, c in delta for a, b, c2 in h.comult[k])
         )
         if left != right:
             witness = (i,)
@@ -335,7 +311,7 @@ def verify_hopf(h):
     for i in range(n):
         left = [zero] * n
         right = [zero] * n
-        for j, k, c in h.comult_sparse(i):
+        for j, k, c in h.comult[i]:
             left[k] = dom.add(left[k], dom.mul(c, h.counit[j]))
             right[j] = dom.add(right[j], dom.mul(c, h.counit[k]))
         e_i = list(linalg.unit_vec(dom, n, i))
@@ -356,13 +332,15 @@ def verify_hopf(h):
     if witness is None:
         for i in range(n):
             for j in range(n):
-                lhs = h.comult_vec(alg.mult[i][j])
-                rhs = _square_product(alg, h.comult_sparse(i), h.comult_sparse(j))
+                lhs = linalg.sparse_sum(dom, (
+                    ((u, v), mul(a, c)) for k, a in alg.mult[i][j] for u, v, c in h.comult[k]
+                ))
+                rhs = _square_product(alg, h.comult[i], h.comult[j])
                 if lhs != {(u, v): c for u, v, c in rhs}:
                     witness = (i, j)
                     break
                 eps = zero
-                for k, c in alg.mult_sparse[i][j]:
+                for k, c in alg.mult[i][j]:
                     eps = dom.add(eps, dom.mul(c, h.counit[k]))
                 if eps != dom.mul(h.counit[i], h.counit[j]):
                     witness = (i, j)
@@ -376,7 +354,7 @@ def verify_hopf(h):
     for i in range(n):
         left = [zero] * n
         right = [zero] * n
-        for j, k, c in h.comult_sparse(i):
+        for j, k, c in h.comult[i]:
             alpha_j = h.antipode.col(j)
             term = alg.mul_vec(alpha_j, linalg.unit_vec(dom, n, k))
             for t, v in enumerate(term):
@@ -398,17 +376,17 @@ def _square_product(alg, u, v):
     """Product in alg (x) alg of two elements given as (a, b, c) triples.
 
     Uses (e_a (x) e_b)(e_c (x) e_d) = e_a e_c (x) e_b e_d and returns the
-    nonzero (s, t, c) triples of the product.
+    nonzero (s, t, c) triples of the product, sorted by (s, t).
     """
-    mul, sparse = alg.domain.mul, alg.mult_sparse
+    mul, mult = alg.domain.mul, alg.mult
     terms = (
         ((s, t), mul(mul(c1, c2), mul(w1, w2)))
         for a, b, c1 in u
         for c, d, c2 in v
-        for s, w1 in sparse[a][c]
-        for t, w2 in sparse[b][d]
+        for s, w1 in mult[a][c]
+        for t, w2 in mult[b][d]
     )
-    return [(s, t, c) for (s, t), c in linalg.sparse_sum(alg.domain, terms).items()]
+    return tuple((s, t, c) for (s, t), c in sorted(linalg.sparse_sum(alg.domain, terms).items()))
 
 
 def _check(name, witness):
@@ -428,13 +406,11 @@ def build_hopf(algebra, comult, counit, antipode):
 def hopf_from_triples(domain, dim, labels, mult, unit, comult, counit, antipode):
     """Hopf algebra from sparse structure constants (validated)."""
     alg = algebra_from_triples(domain, dim, labels, mult, unit)
-    comult_dense = dense_tensor_from_triples(domain, (dim, dim, dim), comult)
-    anti = dense_tensor_from_triples(domain, (dim, dim), antipode)
     return build_hopf(
         alg,
-        comult_dense,
+        sparse_tensor(domain, (dim, dim, dim), comult, 1),
         tuple(domain.normalize(v) for v in counit),
-        Matrix.from_cols(domain, anti, dim),
+        matrix_from_triples(domain, dim, antipode),
     )
 
 
@@ -537,7 +513,7 @@ def taft(domain, n, q, labels=None):
     unit = linalg.unit_vec(domain, dim, idx(0, 0))
     # verify_hopf in build_hopf below runs the algebra axiom scans
     alg = AlgebraData._unchecked(
-        domain, dim, tuple(labels), dense_tensor_from_triples(domain, (dim, dim, dim), mult), unit
+        domain, dim, tuple(labels), sparse_tensor(domain, (dim, dim, dim), mult, 2), unit
     )
 
     # Delta(g^a x^b) = Delta(g)^a Delta(x)^b, multiplied out in H (x) H
@@ -545,14 +521,11 @@ def taft(domain, n, q, labels=None):
     delta_g = [(idx(1, 0), idx(1, 0), one)]
     delta_x = [(idx(0, 1), idx(0, 0), one), (idx(1, 0), idx(0, 1), one)]
     comult = [None] * dim
-    delta_ga = [(idx(0, 0), idx(0, 0), one)]
+    delta_ga = ((idx(0, 0), idx(0, 0), one),)
     for a in range(n):
         vec = delta_ga
         for b in range(n):
-            grid = [[domain.zero] * dim for _ in range(dim)]
-            for u, v, c in vec:
-                grid[u][v] = c
-            comult[idx(a, b)] = tuple(tuple(row) for row in grid)
+            comult[idx(a, b)] = vec
             vec = _square_product(alg, vec, delta_x)
         delta_ga = _square_product(alg, delta_ga, delta_g)
 
@@ -594,17 +567,19 @@ def dual(h):
         raise UnsupportedDomainError("dual needs a field domain")
     n = h.dim
     labels = tuple(f"{lab}*" for lab in h.labels)
-    mult = tuple(
-        tuple(tuple(h.comult[k][i][j] for k in range(n)) for j in range(n))
-        for i in range(n)
+    shape = (n, n, n)
+    # e_i* e_j* contains comult[k]'s coefficient of e_i (x) e_j on e_k*
+    mult = sparse_tensor(
+        dom, shape, ((i, j, k, c) for k, g in enumerate(h.comult) for i, j, c in g), 2
     )
     unit = tuple(h.counit)
     # verify_hopf in build_hopf below runs the algebra axiom scans
     alg = AlgebraData._unchecked(dom, n, labels, mult, unit)
-    comult = tuple(
-        tuple(tuple(h.algebra.mult[j][k][i] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    # Delta(e_i*) contains mult[j][k]'s coefficient of e_i on e_j* (x) e_k*
+    comult = sparse_tensor(dom, shape, (
+        (i, j, k, c)
+        for j, row in enumerate(h.algebra.mult) for k, cell in enumerate(row) for i, c in cell
+    ), 1)
     counit = tuple(h.algebra.unit)
     antipode = h.antipode.transpose()
     return build_hopf(alg, comult, counit, antipode)

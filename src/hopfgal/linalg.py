@@ -27,16 +27,32 @@ from .errors import (
 # scalar domains
 
 
+# Miller-Rabin with the prime bases 2..41 decides primality exactly for
+# every n below this bound (Sorenson and Webster, Math. Comp. 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin test; exact for n < PRIME_BOUND."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -109,6 +125,10 @@ class PrimeField(Domain):
     name = "Fp"
 
     def __init__(self, p):
+        if p >= PRIME_BOUND:
+            raise UnsupportedDomainError(
+                f"p = {p} is too large: primality is decided only below {PRIME_BOUND}"
+            )
         if not _is_prime(p):
             raise UnsupportedDomainError(f"{p} is not prime")
         self.p = p
@@ -268,6 +288,14 @@ class Matrix:
         for (i, j), c in terms:
             rows[i][j] = add(rows[i][j], c)
         return cls._make(domain, rows, ncols)
+
+    @classmethod
+    def from_sparse_cols(cls, domain, nrows, cols):
+        """Matrix whose column j holds the (row, coeff) pairs cols[j], already
+        domain values."""
+        return cls.from_entries(
+            domain, nrows, len(cols), (((i, j), c) for j, col in enumerate(cols) for i, c in col)
+        )
 
     # basic queries ---------------------------------------------------------
 
@@ -798,10 +826,6 @@ def sparse_sum(domain, terms):
 
 def vec_scale(domain, c, v):
     return tuple(domain.mul(c, x) for x in v)
-
-
-def zero_vec(domain, n):
-    return (domain.zero,) * n
 
 
 def unit_vec(domain, n, i):

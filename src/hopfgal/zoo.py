@@ -155,8 +155,8 @@ def divided_power_hopf(p=2):
     alg = hopf.algebra_from_triples(
         dom, 2, ("1", "d"), [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)], (1, 0)
     )
-    comult = hopf.dense_tensor_from_triples(
-        dom, (2, 2, 2), [(0, 0, 0, 1), (1, 1, 0, 1), (1, 0, 1, 1)]
+    comult = hopf.sparse_tensor(
+        dom, (2, 2, 2), [(0, 0, 0, 1), (1, 1, 0, 1), (1, 0, 1, 1)], 1
     )
     return hopf.build_hopf(alg, comult, (1, 0), Matrix.identity(dom, 2))
 
@@ -218,11 +218,7 @@ def sweedler_regular_action():
     algebra, so the raw container is returned without the algebra laws.
     """
     h = hopf.sweedler(QQ)
-    return actions.ModuleAlgebraData(
-        h,
-        h.algebra,
-        tuple(tuple(h.algebra.mult[a][s] for s in range(4)) for a in range(4)),
-    )
+    return actions.ModuleAlgebraData(h, h.algebra, h.algebra.mult)
 
 
 def extension_registry():
@@ -267,19 +263,14 @@ def graded_line_comodule_algebra_q(strongly_graded=True):
 
 def group_like_ayd(h, action="trivial"):
     """M = KG with the group-like coaction and a trivial or regular action."""
-    dom = h.domain
     n = h.dim
     comod = cocyclic.regular_comodule(h)
     if action == "trivial":
-        act = tuple(
-            tuple(
-                tuple(h.counit[a] if m2 == m else dom.zero for m2 in range(n))
-                for m in range(n)
-            )
-            for a in range(n)
+        act = hopf.sparse_tensor(
+            h.domain, (n, n, n), [(a, m, m, h.counit[a]) for a in range(n) for m in range(n)], 2
         )
     elif action == "regular":
-        act = tuple(tuple(h.algebra.mult[a][m] for m in range(n)) for a in range(n))
+        act = h.algebra.mult
     else:
         raise ValueError(f"unknown action kind {action!r}")
     return cocyclic.AydModuleData(comod, act)

@@ -9,6 +9,7 @@ enumeration where feasible.  Slow but obviously correct at desk scale.
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from hopfgal.errors import FormatError
 from hopfgal.hopf import AlgebraData
 from hopfgal.linalg import sparse_entries
 
@@ -45,6 +46,18 @@ def minor_rank(rows, nonzero=lambda v: v != 0):
     return 0
 
 
+def trial_division_is_prime(n):
+    """Primality by trial division up to the square root (small n only)."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def mod_p_nonzero(p):
     return lambda v: v % p != 0
 
@@ -73,10 +86,45 @@ def frac(a, b=1):
     return Fraction(a, b)
 
 
-def tensor_square_algebra(alg):
-    """The algebra A (x) A on the lexicographic product basis, as a dense table.
+def dense_tensor_from_triples(domain, shape, triples):
+    """Dense nested tuple from sparse entries (i_1, .., i_k, coeff).
 
-    Its multiplication tensor has dim(A)^6 cells; keep dim(A) <= 16.
+    ``shape`` holds one bound per axis; an index at or past the bound of
+    its own axis is a format error.  The reference for the canonical
+    sparse tensors of :func:`hopfgal.hopf.sparse_tensor`.
+    """
+    arity = len(shape)
+
+    def build(depth):
+        if depth == arity:
+            return domain.zero
+        return [build(depth + 1) for _ in range(shape[depth])]
+
+    grid = build(0)
+    for entry in triples:
+        if len(entry) != arity + 1:
+            raise FormatError(f"tensor entry {entry!r} has wrong length")
+        *idx, c = entry
+        if any((not isinstance(i, int)) or i < 0 or i >= n for i, n in zip(idx, shape)):
+            raise FormatError(f"index out of range in tensor entry {entry!r}")
+        cell = grid
+        for i in idx[:-1]:
+            cell = cell[i]
+        cell[idx[-1]] = domain.add(cell[idx[-1]], domain.normalize(c))
+
+    def freeze(cell, depth):
+        if depth == arity:
+            return cell
+        return tuple(freeze(sub, depth + 1) for sub in cell)
+
+    return freeze(grid, 0)
+
+
+def tensor_square_algebra(alg):
+    """The algebra A (x) A on the lexicographic product basis, as a full table.
+
+    Every product of two basis elements is computed as a dense vector of
+    length dim(A)^2, dim(A)^6 cells in all; keep dim(A) <= 16.
     """
     dom = alg.domain
     n = alg.dim
@@ -87,10 +135,10 @@ def tensor_square_algebra(alg):
             for c in range(n):
                 for d in range(n):
                     out = [dom.zero] * dim
-                    for u, w1 in sparse_entries(alg.mult[a][c], dom.zero):
-                        for v, w2 in sparse_entries(alg.mult[b][d], dom.zero):
+                    for u, w1 in alg.mult[a][c]:
+                        for v, w2 in alg.mult[b][d]:
                             out[u * n + v] = dom.add(out[u * n + v], dom.mul(w1, w2))
-                    mult[a * n + b][c * n + d] = tuple(out)
+                    mult[a * n + b][c * n + d] = tuple(sparse_entries(out, dom.zero))
     unit = [dom.zero] * dim
     for i, a in enumerate(alg.unit):
         for j, b in enumerate(alg.unit):
@@ -103,12 +151,12 @@ def tensor_square_algebra(alg):
 
 
 def dense_product(alg, u, v):
-    """u * v in alg, read from the dense multiplication tensor."""
+    """u * v in alg for dense vectors u and v, summed term by term."""
     dom = alg.domain
     out = [dom.zero] * alg.dim
     for i, a in sparse_entries(u, dom.zero):
         for j, b in sparse_entries(v, dom.zero):
             c = dom.mul(a, b)
-            for k, w in sparse_entries(alg.mult[i][j], dom.zero):
+            for k, w in alg.mult[i][j]:
                 out[k] = dom.add(out[k], dom.mul(c, w))
     return tuple(out)

@@ -31,14 +31,11 @@ def test_affine_shift_is_not_a_module_algebra():
     # sigma(x) = x + 1 breaks multiplicativity: (x+1)^2 != sigma(x^2) = -1
     h = zoo.qc2()
     alg = ext("gaussian").algebra
-    bad = actions.ModuleAlgebraData(
-        h,
-        alg,
-        (
-            ((1, 0), (0, 1)),  # identity acts trivially
-            ((1, 0), (1, 1)),  # sigma(1) = 1, sigma(x) = 1 + x
-        ),
-    )
+    action = hopf.sparse_tensor(QQ, (2, 2, 2), [
+        (0, 0, 0, 1), (0, 1, 1, 1),  # identity acts trivially
+        (1, 0, 0, 1), (1, 1, 0, 1), (1, 1, 1, 1),  # sigma(1) = 1, sigma(x) = 1 + x
+    ], 2)
+    bad = actions.ModuleAlgebraData(h, alg, action)
     report = actions.verify_module_algebra(bad)
     assert not report.passed
     assert report.check("module-algebra-law").witness == (1, 1, 1)
@@ -67,7 +64,7 @@ def test_smash_structure_gaussian():
     assert sm.dim == 4
     assert sm.algebra.labels == ("1#1", "1#s", "x#1", "x#s")
     # (x#s)(x#1) = x sigma(x) # s = 1#s, expanded by hand
-    assert sm.algebra.mult[3][2] == (0, Fraction(1), 0, 0)
+    assert sm.algebra.mult[3][2] == ((1, Fraction(1)),)
     # the unit is 1#1
     assert sm.algebra.unit == (Fraction(1), 0, 0, 0)
 
@@ -227,7 +224,7 @@ def test_total_integral_properties_on_tame_registry():
 
 
 def trivial_module(h):
-    return tuple(((h.counit[a],),) for a in range(h.dim))
+    return tuple((((0, h.counit[a]),),) for a in range(h.dim))
 
 
 def test_homology_trivial_modules():

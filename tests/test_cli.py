@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from hopfgal import cli
+from hopfgal import cli, hopf
 
 PKG_SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -182,6 +182,12 @@ def test_env_var_dimension_bound(fixtures):
     assert proc.returncode == 3
 
 
+def test_non_integer_env_var_bound_is_input_error(fixtures, capsys, monkeypatch):
+    monkeypatch.setenv("HOPFGAL_MAX_DIM", "abc")
+    assert cli.main(["verify", fx(fixtures, "hopf_qc2.json")]) == 2
+    assert "HOPFGAL_MAX_DIM must be an integer" in capsys.readouterr().err
+
+
 def test_bar_shift_pass_and_precondition(fixtures):
     proc = run_cli(
         [
@@ -285,9 +291,13 @@ GAUSSIAN_S_ACTION = [
 ]
 
 
-def _with_extra_action_entry(name, entry):
+def _fixture_doc(name):
     with open(os.path.join(os.path.dirname(__file__), "fixtures", name)) as handle:
-        doc = json.load(handle)
+        return json.load(handle)
+
+
+def _with_extra_action_entry(name, entry):
+    doc = _fixture_doc(name)
     doc["module"]["action"].append(entry)
     return doc
 
@@ -399,45 +409,92 @@ def test_non_object_document_is_input_error(tmp_path, fixtures, capsys, command,
     assert "must hold a JSON object" in capsys.readouterr().err
 
 
-# A nested section must be a JSON object, and an integer field a JSON integer:
-# anything else is an input error, never a traceback or a silent truncation.
+# A nested section must be a JSON object, an integer field a JSON integer, a
+# dimension at least 1 and a scalar an element of the field: anything else is
+# an input error, never a traceback, a silent truncation or an empty verdict.
+# `path` names the field of `base` that is set to `value` (nothing when empty).
 TAFT_F5 = {"field": {"kind": "Fp", "p": 5}, "builtin": {"name": "taft", "n": 2, "q": "4"}}
 AYD_CYCLIC = ["cyclic", "comodalg_graded_f3.json", "--module", "doc.json", "--levels", "1"]
+EXT_F4_NO_ACTION = {**_fixture_doc("ext_f4.json"), "action": []}
+OBJECT, INTEGER = "must hold a JSON object", "must be a JSON integer"
 NESTED_CASES = [
-    pytest.param(["tame", "doc.json"], "ext_f4.json", ("algebra",), 5, id="algebra-number"),
-    pytest.param(["tame", "doc.json"], "ext_f4.json", ("algebra",), [1], id="algebra-array"),
-    pytest.param(AYD_CYCLIC, "mod_kc2_ayd_f3.json", ("module",), 5, id="ayd-module-number"),
-    pytest.param(["homology", "doc.json"], "mod_trivial_f2c2.json", ("module",), 5,
+    pytest.param(["tame", "doc.json"], "ext_f4.json", ("algebra",), 5, OBJECT,
+                 id="algebra-number"),
+    pytest.param(["tame", "doc.json"], "ext_f4.json", ("algebra",), [1], OBJECT,
+                 id="algebra-array"),
+    pytest.param(AYD_CYCLIC, "mod_kc2_ayd_f3.json", ("module",), 5, OBJECT,
+                 id="ayd-module-number"),
+    pytest.param(["homology", "doc.json"], "mod_trivial_f2c2.json", ("module",), 5, OBJECT,
                  id="module-number"),
-    pytest.param(["tame", "doc.json"], "ext_f4.json", ("algebra", "dim"), "abc", id="dim-string"),
-    pytest.param(["tame", "doc.json"], "ext_f4.json", ("algebra", "dim"), 2.7, id="dim-float"),
-    pytest.param(["tame", "doc.json"], "ext_f4.json", ("field", "p"), "2", id="p-string"),
+    pytest.param(["tame", "doc.json"], "ext_f4.json", ("algebra", "dim"), "abc", INTEGER,
+                 id="dim-string"),
+    pytest.param(["tame", "doc.json"], "ext_f4.json", ("algebra", "dim"), 2.7, INTEGER,
+                 id="dim-float"),
+    pytest.param(["tame", "doc.json"], "ext_f4.json", ("field", "p"), "2", INTEGER,
+                 id="p-string"),
     pytest.param(["homology", "doc.json"], "mod_trivial_f2c2.json", ("module", "dim"), True,
-                 id="module-dim-bool"),
-    pytest.param(AYD_CYCLIC, "mod_kc2_ayd_f3.json", ("module", "dim"), "2", id="ayd-dim-string"),
-    pytest.param(["verify", "doc.json"], TAFT_F5, ("builtin", "n"), 2.0, id="taft-n-float"),
-    pytest.param(["homology", "doc.json"], "lat_zi_qc2.json", ("ambient_dim",), 2.0,
+                 INTEGER, id="module-dim-bool"),
+    pytest.param(AYD_CYCLIC, "mod_kc2_ayd_f3.json", ("module", "dim"), "2", INTEGER,
+                 id="ayd-dim-string"),
+    pytest.param(["verify", "doc.json"], TAFT_F5, ("builtin", "n"), 2.0, INTEGER,
+                 id="taft-n-float"),
+    pytest.param(["homology", "doc.json"], "lat_zi_qc2.json", ("ambient_dim",), 2.0, INTEGER,
                  id="ambient-dim-float"),
+    pytest.param(["homology", "doc.json"], "mod_trivial_f2c2.json", ("module",),
+                 {"dim": -1, "action": []}, "must be at least 1", id="module-dim-negative"),
+    pytest.param(["tame", "doc.json"], EXT_F4_NO_ACTION, ("algebra",),
+                 {"dim": 0, "mult": [], "unit": []}, "must be at least 1", id="algebra-dim-zero"),
+    pytest.param(["tame", "doc.json"], "ext_f4.json", ("algebra", "mult"), [[0, 0, 0, "abc"]],
+                 "scalar 'abc' is not an element of F2", id="scalar-unparsable"),
+    pytest.param(AYD_CYCLIC, "mod_kc2_ayd_f3.json", ("module", "action"), [[0, 0, 0, "1/3"]],
+                 "scalar '1/3' is not an element of F3", id="scalar-no-value-in-field"),
+    pytest.param(["assoc-order", "doc.json", "--candidates", "a,b"], "lat_zi_qc2.json", (), None,
+                 "candidate 'a,b' is not a vector over Q", id="inline-candidate-unparsable"),
+    pytest.param(["verify", "doc.json"], TAFT_F5, ("field", "p"), 3317044064679887385961981,
+                 "is too large", id="p-past-primality-bound"),
 ]
 
 
-@pytest.mark.parametrize("command,base,path,value", NESTED_CASES)
+@pytest.mark.parametrize("command,base,path,value,message", NESTED_CASES)
 def test_malformed_nested_field_is_input_error(tmp_path, fixtures, capsys, command, base,
-                                               path, value):
+                                               path, value, message):
     doc = json.loads((fixtures / base).read_text()) if isinstance(base, str) else base
     doc = json.loads(json.dumps(doc))
     section = doc
     for key in path[:-1]:
         section = section[key]
-    section[path[-1]] = value
+    if path:
+        section[path[-1]] = value
     (tmp_path / "doc.json").write_text(json.dumps(doc))
     args = [
         str(tmp_path / a) if a == "doc.json" else fx(fixtures, a) if a.endswith(".json") else a
         for a in command
     ]
     assert cli.main(args) == 2
-    err = capsys.readouterr().err
-    assert "must hold a JSON object" in err or "must be a JSON integer" in err
+    assert message in capsys.readouterr().err
+
+
+def test_verify_over_a_large_prime(tmp_path, capsys):
+    # 10^18 + 3 is prime; trial division up to its square root never finished
+    one = {
+        "field": {"kind": "Fp", "p": 1000000000000000003},
+        "dim": 1, "mult": [[0, 0, 0, "1"]], "unit": ["1"],
+        "comult": [[0, 0, 0, "1"]], "counit": ["1"], "antipode": [[0, 0, "1"]],
+    }
+    (tmp_path / "one.json").write_text(json.dumps(one))
+    assert cli.main(["verify", str(tmp_path / "one.json")]) == 0
+    assert "all axioms pass" in capsys.readouterr().out
+
+
+def test_unexpected_exception_exits_4(fixtures, capsys, monkeypatch):
+    def broken(h):
+        raise RuntimeError("broken check")
+
+    monkeypatch.setattr(hopf, "verify_hopf", broken)
+    assert cli.main(["verify", fx(fixtures, "hopf_qc2.json")]) == 4
+    captured = capsys.readouterr()
+    assert "internal error: RuntimeError: broken check" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", [

@@ -1,12 +1,13 @@
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hopfgal import cocyclic, hopf, zoo
+from hopfgal import hopf, zoo
 from hopfgal.errors import AxiomError, FormatError, UnsupportedDomainError
-from hopfgal.linalg import GF, QQ, ZZ, Matrix, sparse_entries
+from hopfgal.linalg import GF, QQ, ZZ, Matrix
 
 import oracles
 
@@ -62,7 +63,7 @@ def test_hand_checked_sweedler_relations():
     # direct substitution oracle: mu (alpha (x) id) Delta(x) must be 0
     sw = hopf.sweedler(QQ)
     # Delta(x) = x (x) 1 + g (x) x; alpha(x) = -gx, alpha(g) = g
-    assert sw.comult_sparse(2) == ((1, 2, Fraction(1)), (2, 0, Fraction(1)))
+    assert sw.comult[2] == ((1, 2, Fraction(1)), (2, 0, Fraction(1)))
     assert sw.antipode.col(2) == (0, 0, 0, Fraction(-1))
     left = sw.algebra.mul_vec(sw.antipode.col(2), (1, 0, 0, 0))
     right = sw.algebra.mul_vec(sw.antipode.col(1), (0, 0, 1, 0))
@@ -110,7 +111,10 @@ def test_taft_3_2_f7():
 
 
 def taft_comult_in_dense_square(h, n):
-    """Delta of the Taft monomials g^a x^b, multiplied out in the dense H (x) H."""
+    """Delta of the Taft monomials g^a x^b, multiplied out in the full H (x) H table.
+
+    Each Delta is returned as its (j, k, c) triples in flattened order.
+    """
     dom, dim = h.domain, h.dim
     square = oracles.tensor_square_algebra(h.algebra)
 
@@ -130,7 +134,9 @@ def taft_comult_in_dense_square(h, n):
                 vec = oracles.dense_product(square, vec, delta_g)
             for _ in range(b):
                 vec = oracles.dense_product(square, vec, delta_x)
-            comult[b * n + a] = tuple(vec[i * dim:(i + 1) * dim] for i in range(dim))
+            comult[b * n + a] = tuple(
+                divmod(p, dim) + (c,) for p, c in enumerate(vec) if c != dom.zero
+            )
     return tuple(comult)
 
 
@@ -162,23 +168,84 @@ def test_taft_scales_past_dimension_16(p, n, q):
     assert hopf.verify_hopf(h).passed
 
 
+def canonical_reference(domain, shape, entries, lead):
+    """The canonical form read cell by cell off the dense reference tensor."""
+    dense = oracles.dense_tensor_from_triples(domain, shape, entries)
+
+    def value(idx):
+        cell = dense
+        for i in idx:
+            cell = cell[i]
+        return cell
+
+    def build(prefix):
+        if len(prefix) == lead:
+            rest = itertools.product(*(range(n) for n in shape[lead:]))
+            return tuple(
+                idx + (value(prefix + idx),) for idx in rest if value(prefix + idx) != domain.zero
+            )
+        return tuple(build(prefix + (i,)) for i in range(shape[len(prefix)]))
+
+    return build(())
+
+
+@st.composite
+def tensor_inputs(draw):
+    """Entry lists with indices up to one past each axis, some repeated negated."""
+    domain = draw(st.sampled_from([QQ, GF(5)]))
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)))
+    lead = draw(st.integers(1, len(shape) - 1))
+    index = st.tuples(*(st.one_of(st.integers(0, n - 1), st.just(n)) for n in shape))
+    coeff = st.fractions(-2, 2, max_denominator=3)
+    entries = draw(st.lists(st.tuples(index, coeff).map(lambda e: e[0] + (e[1],)), max_size=8))
+    if entries:
+        cancel = draw(st.lists(st.sampled_from(entries), max_size=3))
+        entries += [e[:-1] + (-e[-1],) for e in cancel]
+    return domain, shape, lead, entries
+
+
+def _built_or_error(build, *args):
+    try:
+        return build(*args)
+    except FormatError as exc:
+        return str(exc)
+
+
+@given(tensor_inputs())
+@example((QQ, (2, 2, 2), 2, [(0, 1, 1, 1), (0, 1, 1, Fraction(1, 2)), (1, 0, 0, 1)]))
+@example((GF(5), (2, 2, 2), 1, [(1, 0, 1, 2), (0, 0, 0, 1), (1, 0, 1, 3)]))
+@example((QQ, (2, 3, 2), 2, [(0, 0, 0, 1), (2, 0, 0, 1)]))
+@example((QQ, (2, 3, 2), 2, [(0, 3, 0, 1)]))
+@example((GF(5), (2, 3, 2), 1, [(0, 0, 2, 1)]))
+@example((QQ, (2, 2), 1, [(0, 1, 1), (0, 1)]))
+@example((QQ, (2, 2), 1, [(0, True, 1), (0, "1", 1)]))
+def test_sparse_tensor_matches_dense_reference(case):
+    domain, shape, lead, entries = case
+    expected = _built_or_error(canonical_reference, domain, shape, entries, lead)
+    assert _built_or_error(hopf.sparse_tensor, domain, shape, entries, lead) == expected
+
+
+def test_sparse_tensor_sums_repeats_and_drops_zeros():
+    entries = [(0, 1, 1, 1), (0, 1, 0, 3), (0, 1, 1, Fraction(1, 2)), (1, 0, 1, 2), (1, 0, 1, -2)]
+    tensor = hopf.sparse_tensor(QQ, (2, 2, 2), entries, 2)
+    assert tensor == (((), ((0, 3), (1, Fraction(3, 2)))), ((), ()))
+    by_first = hopf.sparse_tensor(QQ, (2, 2, 2), entries, 1)
+    assert by_first == (((1, 0, 3), (1, 1, Fraction(3, 2))), ())
+
+
 @pytest.mark.parametrize("name", list(builtin_zoo()))
 def test_sparse_views_match_dense_tensors(name):
+    # each stored tensor equals the canonical form read off the dense tensor it encodes
     h = builtin_zoo()[name]
-    zero = h.domain.zero
-    n = h.dim
-    for alg in (h.algebra, hopf.dual(h).algebra):
-        assert alg.mult_sparse == tuple(
-            tuple(tuple(sparse_entries(alg.mult[i][j], zero)) for j in range(n))
-            for i in range(n)
-        )
-    for i in range(n):
-        flat = sparse_entries([c for row in h.comult[i] for c in row], zero)
-        assert h.comult_sparse(i) == tuple((k // n, k % n, c) for k, c in flat)
-    comodule = cocyclic.regular_comodule(h)
-    for m in range(n):
-        flat = sparse_entries([c for row in comodule.coaction[m] for c in row], zero)
-        assert comodule.coaction_sparse(m) == tuple((k // n, k % n, c) for k, c in flat)
+    shape = (h.dim,) * 3
+    for g in (h, hopf.dual(h)):
+        mult = [
+            (i, j, k, c)
+            for i, row in enumerate(g.algebra.mult) for j, cell in enumerate(row) for k, c in cell
+        ]
+        assert g.algebra.mult == canonical_reference(h.domain, shape, mult, 2)
+        comult = [(i, j, k, c) for i, cell in enumerate(g.comult) for j, k, c in cell]
+        assert g.comult == canonical_reference(h.domain, shape, comult, 1)
 
 
 def test_taft_rejects_non_primitive_root():
@@ -195,9 +262,7 @@ def test_dual_group_algebra_is_pointwise_product():
     # transpose of Delta(g) = g (x) g by hand: delta_a delta_b = [a = b] delta_a
     for a in range(2):
         for b in range(2):
-            expected = tuple(
-                Fraction(1) if (a == b and k == a) else Fraction(0) for k in range(2)
-            )
+            expected = ((a, Fraction(1)),) if a == b else ()
             assert d.algebra.mult[a][b] == expected
 
 

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from hopfgal.errors import ShapeError, SingularMatrixError, UnsupportedDomainError
 from hopfgal.linalg import (
     GF,
+    PRIME_BOUND,
     QQ,
     ZZ,
     Matrix,
+    _is_prime,
     combination,
     det,
     echelon_basis,
@@ -49,6 +51,20 @@ def test_prime_field_normalization():
 def test_prime_field_rejects_composite():
     with pytest.raises(UnsupportedDomainError):
         GF(6)
+
+
+def test_miller_rabin_matches_trial_division():
+    assert [n for n in range(10 ** 4) if _is_prime(n)] == [
+        n for n in range(10 ** 4) if oracles.trial_division_is_prime(n)
+    ]
+    # Carmichael numbers pass Fermat's test to every coprime base
+    assert not _is_prime(561) and not _is_prime(41041)
+    assert _is_prime(10 ** 18 + 3) and not _is_prime(10 ** 18 + 1)
+
+
+def test_prime_field_refuses_p_past_the_primality_bound():
+    with pytest.raises(UnsupportedDomainError, match="too large"):
+        GF(PRIME_BOUND)
 
 
 def test_floats_rejected_everywhere():
