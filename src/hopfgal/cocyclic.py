@@ -37,24 +37,9 @@ from .errors import (
     ResourceBoundError,
     ShapeError,
 )
-from .linalg import Matrix, sparse_entries as _sparse  # noqa: F401 (read by perfbench/tests)
+from .linalg import ColumnMap, Matrix, sparse_entries as _sparse  # noqa: F401 (read by perfbench/tests)
 
 DEFAULT_MAX_DIM = 5000
-
-
-def _decompose(flat, dims):
-    out = []
-    for d in reversed(dims):
-        flat, r = divmod(flat, d)
-        out.append(r)
-    return tuple(reversed(out))
-
-
-def _compose(idx, dims):
-    flat = 0
-    for i, d in zip(idx, dims):
-        flat = flat * d + i
-    return flat
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +402,9 @@ def cotensor(x, m):
 # the cyclic-type operators
 
 
-def _mult_matrix(alg):
+def _mult_map(alg):
     """S (x) S -> S, column (a, b) = a * b."""
-    return Matrix.from_sparse_cols(alg.domain, alg.dim, [cell for row in alg.mult for cell in row])
+    return ColumnMap(alg.domain, alg.dim, [cell for row in alg.mult for cell in row])
 
 
 def _level_dim(S, M, n):
@@ -430,19 +415,21 @@ def cyclic_matrix(S, M, n):
     """t_n: rotate the last slot to the front through its coaction legs."""
     dom = S.domain
     ds, dm = S.dim, M.dim
-    dims = [ds] * (n + 1) + [dm]
-    total = _level_dim(S, M, n)
-    mul = dom.mul
-
-    def terms():
-        for flat in range(total):
-            idx = _decompose(flat, dims)
-            slots, mi = idx[:-1], idx[-1]
-            for s0, h, c in S.comodule.coaction[slots[-1]]:
-                for m2, w in M.action[h][mi]:
-                    yield (_compose((s0,) + slots[:-1] + (m2,), dims), flat), mul(c, w)
-
-    return Matrix.from_entries(dom, total, total, terms())
+    inner = ds ** n  # the slots before the last one, flattened
+    # rotated[s * dm + m]: the (s0, m2) pairs of the image of slot value s and
+    # coefficient m, in ascending order
+    rotated = [
+        sorted(linalg.sparse_sum(dom, (
+            ((s0, m2), dom.mul(c, w))
+            for s0, h, c in S.comodule.coaction[s] for m2, w in M.action[h][m]
+        )).items())
+        for s in range(ds) for m in range(dm)
+    ]
+    cols = []
+    for rest in range(inner):
+        for pairs in rotated:
+            cols.append(tuple(((s0 * inner + rest) * dm + m2, c) for (s0, m2), c in pairs))
+    return ColumnMap(dom, _level_dim(S, M, n), cols)
 
 
 def face_matrix(S, M, n, i):
@@ -454,7 +441,7 @@ def face_matrix(S, M, n, i):
     if i == n:
         return face_matrix(S, M, n, 0) @ cyclic_matrix(S, M, n)
     ds = S.dim
-    return linalg.on_slot(S.domain, ds ** i, _mult_matrix(S.algebra), ds ** (n - 1 - i) * M.dim)
+    return linalg.on_slot(ds ** i, _mult_map(S.algebra), ds ** (n - 1 - i) * M.dim)
 
 
 def degeneracy_matrix(S, M, n, i):
@@ -462,8 +449,8 @@ def degeneracy_matrix(S, M, n, i):
     if not 0 <= i <= n:
         raise ShapeError(f"degeneracy index {i} out of range at level {n}")
     ds = S.dim
-    unit_col = Matrix.from_cols(S.domain, [S.algebra.unit], ds)
-    return linalg.on_slot(S.domain, ds ** (i + 1), unit_col, ds ** (n - i) * M.dim)
+    unit = tuple((k, u) for k, u in enumerate(S.algebra.unit) if u)
+    return linalg.on_slot(ds ** (i + 1), ColumnMap(S.domain, ds, [unit]), ds ** (n - i) * M.dim)
 
 
 @dataclass(frozen=True)
@@ -472,11 +459,11 @@ class CyclicLevelData:
     dim: int
     faces: tuple  # d_0 .. d_n for level >= 1, empty at level 0
     degeneracies: tuple  # s_0 .. s_n
-    cyclic: Matrix
+    cyclic: ColumnMap
 
 
 def cyclic_level(S, M, n, max_dim=DEFAULT_MAX_DIM):
-    """All operator matrices at level n, bounded by max_dim."""
+    """All operators at level n, as ColumnMaps, bounded by max_dim."""
     if S.hopf != M.hopf:
         raise ShapeError("S and M must live over one Hopf algebra")
     dim = _level_dim(S, M, n)
@@ -536,7 +523,7 @@ def check_cyclic_identities(S, M, n, max_dim=DEFAULT_MAX_DIM):
         above = tuple(face_matrix(S, M, n + 1, i) for i in range(n + 2))
         # i < j or i > j + 1 needs n >= 1, so level n - 1 exists whenever it is read
         degens_below = tuple(degeneracy_matrix(S, M, n - 1, k) for k in range(n))
-        ident = Matrix.identity(dom, level.dim)
+        ident = ColumnMap.identity(dom, level.dim)
         for j in range(n + 1):
             s_j = level.degeneracies[j]
             for i in range(n + 2):
@@ -579,18 +566,16 @@ def check_cyclic_identities(S, M, n, max_dim=DEFAULT_MAX_DIM):
     # cyclicity on the cotensor
     power = tensor_power_comodule(S.comodule, n + 1)
     basis = cotensor(power, M.comodule)
-    t = level.cyclic
-    tpow = Matrix.identity(dom, level.dim)
-    for _ in range(n + 1):
+    t = tpow = level.cyclic
+    for _ in range(n):
         tpow = t @ tpow
     cyc_witness = None
     for k, vec in enumerate(basis):
         if tpow.apply(vec) != vec:
             cyc_witness = (k,)
             break
-    preserved = all(
-        linalg.in_span(dom, basis, t.apply(vec)) for vec in basis
-    )
+    in_basis_span = linalg.span_test(dom, basis)
+    preserved = all(in_basis_span(t.apply(vec)) for vec in basis)
 
     return CyclicIdentityReport(
         level=n,
@@ -614,7 +599,7 @@ def t_complex(S, M, top, max_dim=DEFAULT_MAX_DIM):
             raise ResourceBoundError(f"level {k} has dimension {d} > bound {max_dim}")
         dims.append(d)
     diffs = tuple(
-        _alternating_sum(S.domain, [face_matrix(S, M, k, i) for i in range(k + 1)], 0)
+        _alternating_sum(S.domain, [face_matrix(S, M, k, i) for i in range(k + 1)], 0).to_dense()
         for k in range(1, top + 1)
     )
     return ChainComplexData(tuple(dims), diffs)
@@ -623,7 +608,7 @@ def t_complex(S, M, top, max_dim=DEFAULT_MAX_DIM):
 def _alternating_sum(dom, faces, first):
     """Sum of (-1)^i faces[i - first]: a (partial) bar or face differential."""
     signs = [dom.one if i % 2 == 0 else dom.neg(dom.one) for i in range(first, first + len(faces))]
-    return linalg.combination(dom, signs, faces, faces[0].nrows, faces[0].ncols)
+    return ColumnMap.combination(dom, signs, faces, faces[0].nrows, faces[0].ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +661,6 @@ def bar_complex(alg, s_action, top, max_dim=DEFAULT_MAX_DIM):
     when i = n; the differential is the alternating sum from i = 1.
     The b.b = 0 identity is asserted by the complex constructor.
     """
-    dom = alg.domain
     ds = alg.dim
     dm = len(s_action[0]) if s_action else 0
     witness = actions_mod.verify_module_over_algebra(alg, s_action)
@@ -688,20 +672,23 @@ def bar_complex(alg, s_action, top, max_dim=DEFAULT_MAX_DIM):
         if d > max_dim:
             raise ResourceBoundError(f"bar degree {n} has dimension {d} > bound {max_dim}")
         dims.append(d)
+    diffs = tuple(d.to_dense() for d in _bar_differentials(alg, s_action, dm, top))
+    return ChainComplexData(tuple(dims), diffs)
 
-    act_mat = Matrix.from_sparse_cols(dom, dm, [cell for block in s_action for cell in block])
-    mult = _mult_matrix(alg)
+
+def _bar_differentials(alg, s_action, dm, top):
+    """b_1 .. b_top of the bar complex of `bar_complex`, as ColumnMaps."""
+    dom = alg.domain
+    ds = alg.dim
+    act = ColumnMap(dom, dm, [cell for block in s_action for cell in block])
+    mult = _mult_map(alg)
 
     def face(n, i):
         if i == n:
-            return linalg.on_slot(dom, ds ** (n - 1), act_mat, 1)
-        return linalg.on_slot(dom, ds ** (i - 1), mult, ds ** (n - 1 - i) * dm)
+            return linalg.on_slot(ds ** (n - 1), act, 1)
+        return linalg.on_slot(ds ** (i - 1), mult, ds ** (n - 1 - i) * dm)
 
-    diffs = tuple(
-        _alternating_sum(dom, [face(n, i) for i in range(1, n + 1)], 1)
-        for n in range(1, top + 1)
-    )
-    return ChainComplexData(tuple(dims), diffs)
+    return [_alternating_sum(dom, [face(n, i) for i in range(1, n + 1)], 1) for n in range(1, top + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -752,15 +739,16 @@ def bar_shift_check(d, module, top, max_dim=DEFAULT_MAX_DIM):
     # informational: does the iso intertwine the multiplication faces
     compat = []
     if morita.bijective:
-        phi = linalg.invert(morita.matrix)  # M -> S (x) M^H
-        bar_m = bar_complex(d.algebra, module.s_action(), top, max_dim)
-        mult = _mult_matrix(d.algebra)
+        phi = ColumnMap.from_dense(linalg.invert(morita.matrix))  # M -> S (x) M^H
+        # a validated smash module restricts to an S-module along s -> s # 1_H
+        bar_m = _bar_differentials(d.algebra, module.s_action(), dm, top)
+        mult = _mult_map(d.algebra)
         for n in range(1, top + 1):
-            iso_lo = linalg.on_slot(dom, ds ** (n - 1), phi, 1)
-            iso_hi = linalg.on_slot(dom, ds ** n, phi, 1)
+            iso_lo = linalg.on_slot(ds ** (n - 1), phi, 1)
+            iso_hi = linalg.on_slot(ds ** n, phi, 1)
             # partial bar differential on S^(x)(n+1) (x) M^H: faces 1..n only
-            faces = [linalg.on_slot(dom, ds ** (i - 1), mult, ds ** (n - i) * k) for i in range(1, n + 1)]
-            compat.append(_alternating_sum(dom, faces, 1) @ iso_hi == iso_lo @ bar_m.differential(n))
+            faces = [linalg.on_slot(ds ** (i - 1), mult, ds ** (n - i) * k) for i in range(1, n + 1)]
+            compat.append(_alternating_sum(dom, faces, 1) @ iso_hi == iso_lo @ bar_m[n - 1])
     else:
         compat = [False] * top
 

@@ -53,6 +53,16 @@ def _dim_field(obj, key, what):
     return value
 
 
+def _labels_field(obj, key, what):
+    """obj[key] as a tuple of string labels; None when absent or empty."""
+    value = obj.get(key)
+    if not value:
+        return None
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise FormatError(f"{what} '{key}' must be a list of strings, not {value!r}")
+    return tuple(value)
+
+
 def parse_field(obj):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FormatError("field spec must be an object with a 'kind'")
@@ -109,12 +119,12 @@ def load_algebra(domain, obj, what="algebra"):
         if key not in obj:
             raise FormatError(f"{what} needs '{key}'")
     dim = _dim_field(obj, "dim", what)
-    labels = obj.get("basis") or [f"e{i}" for i in range(dim)]
+    labels = _labels_field(obj, "basis", what) or tuple(f"e{i}" for i in range(dim))
     if len(labels) != dim:
         raise FormatError(f"{what} basis labels must match dim")
     mult = _parse_entries(domain, obj["mult"], 3, f"{what} mult")
     unit = _parse_vector(domain, obj["unit"], dim, f"{what} unit")
-    return hopf.algebra_from_triples(domain, dim, tuple(labels), mult, unit)
+    return hopf.algebra_from_triples(domain, dim, labels, mult, unit)
 
 
 def load_hopf(domain, obj, validate=True):
@@ -131,8 +141,7 @@ def load_hopf(domain, obj, validate=True):
             table = obj.get("table")
             if not isinstance(table, list):
                 raise FormatError("group_algebra needs a 'table'")
-            labels = obj.get("labels")
-            return hopf.group_algebra(domain, table, tuple(labels) if labels else None)
+            return hopf.group_algebra(domain, table, _labels_field(obj, "labels", "group_algebra"))
         if name == "sweedler":
             return hopf.sweedler(domain)
         if name == "taft":

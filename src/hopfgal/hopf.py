@@ -422,7 +422,8 @@ def check_group_table(table):
     """Validates a multiplication table (identity at 0); returns inverses."""
     n = len(table)
     for i, row in enumerate(table):
-        if len(row) != n or any((not isinstance(v, int)) or v < 0 or v >= n for v in row):
+        if (not isinstance(row, (list, tuple)) or len(row) != n
+                or any((not isinstance(v, int)) or v < 0 or v >= n for v in row)):
             raise FormatError(f"row {i} of the group table is malformed")
     for i in range(n):
         if table[0][i] != i or table[i][0] != i:

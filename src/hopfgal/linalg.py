@@ -1,4 +1,4 @@
-"""Exact scalar domains and dense linear algebra.
+"""Exact scalar domains, dense linear algebra and sparse linear maps.
 
 Scalars live in one of three domains: the rationals, a prime field, or
 the integers.  Rationals are `fractions.Fraction` (always reduced with
@@ -370,16 +370,16 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ShapeError(f"cannot compose {self.nrows}x{self.ncols} with {other.nrows}x{other.ncols}")
         dom = self.domain
-        add, mul, zero = dom.add, dom.mul, dom.zero
-        out = [[zero] * other.ncols for _ in range(self.nrows)]
+        add, mul = dom.add, dom.mul
+        out = [[dom.zero] * other.ncols for _ in range(self.nrows)]
         brows = other.rows
         for i, row in enumerate(self.rows):
             out_i = out[i]
             for k, a in enumerate(row):
-                if a == zero:
+                if not a:
                     continue
                 for j, b in enumerate(brows[k]):
-                    if b != zero:
+                    if b:
                         out_i[j] = add(out_i[j], mul(a, b))
         return Matrix._make(dom, out, other.ncols)
 
@@ -388,13 +388,14 @@ class Matrix:
         if len(vec) != self.ncols:
             raise ShapeError("vector length mismatch")
         dom = self.domain
-        add, mul, zero = dom.add, dom.mul, dom.zero
+        add, mul = dom.add, dom.mul
+        vec = [dom.normalize(b) for b in vec]
         out = []
         for row in self.rows:
-            acc = zero
+            acc = dom.zero
             for a, b in zip(row, vec):
-                if a != zero and b != zero:
-                    acc = add(acc, mul(a, dom.normalize(b)))
+                if a and b:
+                    acc = add(acc, mul(a, b))
             out.append(acc)
         return tuple(out)
 
@@ -439,38 +440,16 @@ class Matrix:
         )
 
 
-def on_slot(domain, left, a, right):
-    """I_left (x) a (x) I_right, built by index arithmetic.
-
-    This is the one place that fixes the slot layout of tensor
-    operators: flattening is lexicographic with the left slot slowest,
-    so column (l, j, r) of the result is column j of a placed at rows
-    (l, i, r).
-    """
-    zero = domain.zero
-    ncols = left * a.ncols * right
-    rows = []
-    for l in range(left):
-        for arow in a.rows:
-            placed = [((l * a.ncols + j) * right, v) for j, v in enumerate(arow) if v != zero]
-            for r in range(right):
-                row = [zero] * ncols
-                for base, v in placed:
-                    row[base + r] = v
-                rows.append(row)
-    return Matrix._make(domain, rows, ncols)
-
-
 def combination(domain, coeffs, mats, nrows, ncols):
     """Sum of c_k * mats[k] over the nonzero c_k; the zero matrix when none."""
-    zero, add, mul = domain.zero, domain.add, domain.mul
-    rows = [[zero] * ncols for _ in range(nrows)]
+    add, mul = domain.add, domain.mul
+    rows = [[domain.zero] * ncols for _ in range(nrows)]
     for c, m in zip(coeffs, mats):
-        if c == zero:
+        if not c:
             continue
         for out, mrow in zip(rows, m.rows):
             for j, v in enumerate(mrow):
-                if v != zero:
+                if v:
                     out[j] = add(out[j], mul(c, v))
     return Matrix._make(domain, rows, ncols)
 
@@ -487,6 +466,120 @@ def stack(matrices):
 
 
 # ---------------------------------------------------------------------------
+# sparse linear maps
+
+
+class ColumnMap:
+    """Immutable sparse linear map over one scalar domain, held by columns.
+
+    ``cols[j]`` is the canonical tuple of the (row, coeff) pairs of column
+    j: rows ascending, no zero coefficient, coefficients already domain
+    values.  That is the stored form of the structure constants
+    (`hopf.sparse_tensor`), so two maps are equal exactly when their
+    column tuples are.  Every domain here has no zero divisors, so a
+    nonzero multiple of a canonical column is canonical.
+    """
+
+    __slots__ = ("domain", "nrows", "ncols", "cols")
+
+    def __init__(self, domain, nrows, cols):
+        self.domain = domain
+        self.nrows = nrows
+        self.cols = tuple(cols)
+        self.ncols = len(self.cols)
+
+    @classmethod
+    def identity(cls, domain, n):
+        one = domain.one
+        return cls(domain, n, [((j, one),) for j in range(n)])
+
+    @classmethod
+    def from_dense(cls, m):
+        return cls(m.domain, m.nrows, [
+            tuple((i, v) for i, v in enumerate(col) if v) for col in m.cols()
+        ])
+
+    @classmethod
+    def combination(cls, domain, coeffs, maps, nrows, ncols):
+        """Sum of c_k * maps[k] over the nonzero c_k; the zero map when none."""
+        mul = domain.mul
+        terms = [(c, m.cols) for c, m in zip(coeffs, maps) if c]
+        return cls(domain, nrows, [
+            _column(domain, ((i, mul(c, a)) for c, cols in terms for i, a in cols[j]))
+            for j in range(ncols)
+        ])
+
+    def to_dense(self):
+        return Matrix.from_sparse_cols(self.domain, self.nrows, self.cols)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, ColumnMap)
+            and self.domain == other.domain
+            and self.nrows == other.nrows
+            and self.cols == other.cols
+        )
+
+    def __repr__(self):
+        return f"ColumnMap({self.domain.name}, {self.nrows}x{self.ncols}: {self.cols})"
+
+    def __matmul__(self, other):
+        """self after other: column j is the sum of b * self.cols[k] over (k, b)
+        in other.cols[j], so a one-entry column costs one lookup."""
+        if self.domain != other.domain:
+            raise DomainMismatchError(f"{self.domain.name} vs {other.domain.name}")
+        if self.ncols != other.nrows:
+            raise ShapeError(f"cannot compose {self.nrows}x{self.ncols} with {other.nrows}x{other.ncols}")
+        dom = self.domain
+        mul, one = dom.mul, dom.one
+        left = self.cols
+        out = []
+        for col in other.cols:
+            if len(col) == 1:
+                k, b = col[0]
+                out.append(left[k] if b == one else tuple((i, mul(b, a)) for i, a in left[k]))
+            else:
+                out.append(_column(dom, ((i, mul(b, a)) for k, b in col for i, a in left[k])))
+        return ColumnMap(dom, self.nrows, out)
+
+    def apply(self, vec):
+        """Image of a vector of domain values, as a tuple of length nrows."""
+        if len(vec) != self.ncols:
+            raise ShapeError("vector length mismatch")
+        dom = self.domain
+        add, mul = dom.add, dom.mul
+        out = [dom.zero] * self.nrows
+        for x, col in zip(vec, self.cols):
+            if x:
+                for i, a in col:
+                    out[i] = add(out[i], mul(a, x))
+        return tuple(out)
+
+
+def _column(domain, terms):
+    """Canonical column of (row, coeff) terms: repeats summed, zeros dropped."""
+    return tuple(sorted(sparse_sum(domain, terms).items()))
+
+
+def on_slot(left, a, right):
+    """I_left (x) a (x) I_right for a ColumnMap a, built by index arithmetic.
+
+    This is the one place that fixes the slot layout of tensor
+    operators: flattening is lexicographic with the left slot slowest,
+    so column (l, j, r) of the result is column j of a placed at rows
+    (l, i, r).
+    """
+    spread = [tuple((i * right, v) for i, v in col) for col in a.cols]
+    block = a.nrows * right
+    cols = []
+    for l in range(left):
+        for col in spread:
+            for base in range(l * block, l * block + right):
+                cols.append(tuple((base + i, v) for i, v in col))
+    return ColumnMap(a.domain, left * block, cols)
+
+
+# ---------------------------------------------------------------------------
 # field elimination
 
 
@@ -497,14 +590,13 @@ def rref(m):
     """
     require_field(m.domain, "row reduction")
     dom = m.domain
-    zero = dom.zero
     rows = [list(r) for r in m.rows]
     pivots = []
     pr = 0
     for pc in range(m.ncols):
         sel = None
         for r in range(pr, m.nrows):
-            if rows[r][pc] != zero:
+            if rows[r][pc]:
                 sel = r
                 break
         if sel is None:
@@ -513,7 +605,7 @@ def rref(m):
         inv_p = dom.inv(rows[pr][pc])
         rows[pr] = [dom.mul(inv_p, v) for v in rows[pr]]
         for r in range(m.nrows):
-            if r != pr and rows[r][pc] != zero:
+            if r != pr and rows[r][pc]:
                 f = rows[r][pc]
                 rows[r] = [dom.sub(a, dom.mul(f, b)) for a, b in zip(rows[r], rows[pr])]
         pivots.append(pc)
@@ -542,8 +634,9 @@ def kernel_basis(m):
         v[f] = dom.one
         for i, p in enumerate(pivots):
             v[p] = dom.neg(R.rows[i][f])
-        vecs.append(tuple(v))
-    return echelon_basis(dom, vecs)
+        vecs.append(v)
+    # the vectors are domain values already, so they are not normalized again
+    return _row_basis(Matrix._make(dom, vecs, m.ncols)) if vecs else ()
 
 
 def echelon_basis(domain, vectors):
@@ -551,7 +644,12 @@ def echelon_basis(domain, vectors):
     vectors = [tuple(v) for v in vectors]
     if not vectors:
         return ()
-    R, pivots = rref(Matrix(domain, vectors))
+    return _row_basis(Matrix(domain, vectors))
+
+
+def _row_basis(m):
+    """Nonzero rows of the RREF of m: the canonical basis of its row span."""
+    R, pivots = rref(m)
     return tuple(R.rows[i] for i in range(len(pivots)))
 
 
@@ -560,22 +658,37 @@ def column_space_basis(m):
     return echelon_basis(m.domain, [m.col(j) for j in range(m.ncols)])
 
 
+def span_test(domain, basis):
+    """Membership test for the span of an RREF basis, as `echelon_basis` gives.
+
+    Each b_k is 1 at its pivot p_k, where every other b_i is 0, so v lies
+    in the span exactly when v == sum of v[p_k] * b_k.  The pivots and
+    nonzero entries are read once; the test takes vectors of domain values.
+    """
+    add, mul = domain.add, domain.mul
+    rows = [tuple((j, x) for j, x in enumerate(b) if x) for b in basis]
+
+    def contains(vec):
+        out = [domain.zero] * len(vec)
+        for row in rows:
+            c = vec[row[0][0]]
+            if c:
+                for j, x in row:
+                    out[j] = add(out[j], mul(c, x))
+        return out == list(vec)
+
+    return contains
+
+
 def in_span(domain, basis, vec):
-    """Membership of vec in the span of an echelonized basis."""
-    vec = [domain.normalize(v) for v in vec]
-    for b in basis:
-        lead = next((j for j, x in enumerate(b) if x != domain.zero), None)
-        if lead is None:
-            continue
-        if vec[lead] != domain.zero:
-            f = domain.div(vec[lead], b[lead])
-            vec = [domain.sub(a, domain.mul(f, c)) for a, c in zip(vec, b)]
-    return all(v == domain.zero for v in vec)
+    """Membership of vec in the span of an RREF basis."""
+    return span_test(domain, basis)([domain.normalize(v) for v in vec])
 
 
 def span_le(domain, basis_a, basis_b):
-    """Whether span(basis_a) is contained in span(basis_b)."""
-    return all(in_span(domain, basis_b, v) for v in basis_a)
+    """Whether span(basis_a) is contained in span(RREF basis_b)."""
+    contains = span_test(domain, basis_b)
+    return all(contains(v) for v in basis_a)
 
 
 def span_eq(domain, basis_a, basis_b):
@@ -821,7 +934,7 @@ def sparse_sum(domain, terms):
     out = {}
     for key, c in terms:
         out[key] = add(out.get(key, zero), c)
-    return {key: c for key, c in out.items() if c != zero}
+    return {key: c for key, c in out.items() if c}
 
 
 def vec_scale(domain, c, v):

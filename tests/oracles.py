@@ -9,9 +9,10 @@ enumeration where feasible.  Slow but obviously correct at desk scale.
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from hopfgal.errors import FormatError
+from hopfgal import cocyclic
+from hopfgal.errors import FormatError, ShapeError
 from hopfgal.hopf import AlgebraData
-from hopfgal.linalg import sparse_entries
+from hopfgal.linalg import Matrix, sparse_entries
 
 
 def leibniz_det(rows):
@@ -160,3 +161,141 @@ def dense_product(alg, u, v):
             for k, w in alg.mult[i][j]:
                 out[k] = dom.add(out[k], dom.mul(c, w))
     return tuple(out)
+
+
+# dense cyclic-family operators --------------------------------------------------
+#
+# The references for the sparse ColumnMap operators of `cocyclic`: every
+# operator is a dense Matrix, slots are placed row by row, and the identity
+# checks compose, compare and apply dense matrices.
+
+
+def dense_on_slot(domain, left, a, right):
+    """I_left (x) a (x) I_right as a dense Matrix, row by row."""
+    zero = domain.zero
+    ncols = left * a.ncols * right
+    rows = []
+    for l in range(left):
+        for arow in a.rows:
+            placed = [((l * a.ncols + j) * right, v) for j, v in enumerate(arow) if v != zero]
+            for r in range(right):
+                row = [zero] * ncols
+                for base, v in placed:
+                    row[base + r] = v
+                rows.append(row)
+    return Matrix._make(domain, rows, ncols)
+
+
+def _dense_mult_matrix(alg):
+    return Matrix.from_sparse_cols(alg.domain, alg.dim, [cell for row in alg.mult for cell in row])
+
+
+def dense_cyclic_matrix(S, M, n):
+    """t_n from the slot tuple of each basis vector of level n."""
+    dom = S.domain
+    dims = [S.dim] * (n + 1) + [M.dim]
+    total = S.dim ** (n + 1) * M.dim
+
+    def flat(idx):
+        out = 0
+        for i, d in zip(idx, dims):
+            out = out * d + i
+        return out
+
+    terms = []
+    for col in range(total):
+        idx, rest = [], col
+        for d in reversed(dims):
+            rest, r = divmod(rest, d)
+            idx.append(r)
+        idx.reverse()
+        slots, mi = idx[:-1], idx[-1]
+        for s0, h, c in S.comodule.coaction[slots[-1]]:
+            for m2, w in M.action[h][mi]:
+                terms.append(((flat([s0] + slots[:-1] + [m2]), col), dom.mul(c, w)))
+    return Matrix.from_entries(dom, total, total, terms)
+
+
+def dense_face_matrix(S, M, n, i):
+    if i == n:
+        return dense_face_matrix(S, M, n, 0) @ dense_cyclic_matrix(S, M, n)
+    ds = S.dim
+    return dense_on_slot(S.domain, ds ** i, _dense_mult_matrix(S.algebra), ds ** (n - 1 - i) * M.dim)
+
+
+def dense_degeneracy_matrix(S, M, n, i):
+    ds = S.dim
+    unit_col = Matrix.from_cols(S.domain, [S.algebra.unit], ds)
+    return dense_on_slot(S.domain, ds ** (i + 1), unit_col, ds ** (n - i) * M.dim)
+
+
+def echelon_in_span(domain, basis, vec):
+    """Membership in the span of an echelon basis by elimination."""
+    vec = list(vec)
+    for b in basis:
+        lead = next((j for j, x in enumerate(b) if x != domain.zero), None)
+        if lead is None:
+            continue
+        if vec[lead] != domain.zero:
+            f = domain.div(vec[lead], b[lead])
+            vec = [domain.sub(a, domain.mul(f, c)) for a, c in zip(vec, b)]
+    return all(v == domain.zero for v in vec)
+
+
+def dense_cyclic_identities(S, M, n):
+    """The CyclicIdentityReport of `cocyclic.check_cyclic_identities`, from
+    dense operators, with the same order of checks and so the same witnesses."""
+    if S.hopf != M.hopf:
+        raise ShapeError("S and M must live over one Hopf algebra")
+    dom = S.domain
+    dim = S.dim ** (n + 1) * M.dim
+    faces = [dense_face_matrix(S, M, n, i) for i in range(n + 1)] if n >= 1 else []
+    degens = [dense_degeneracy_matrix(S, M, n, i) for i in range(n + 1)]
+    witness = None
+    if n >= 2:
+        below = [dense_face_matrix(S, M, n - 1, i) for i in range(n)]
+        pairs = [(i, j) for j in range(1, n + 1) for i in range(j)]
+        witness = next((("d.d", i, j) for i, j in pairs
+                        if below[i] @ faces[j] != below[j - 1] @ faces[i]), None)
+    if witness is None:
+        above = [dense_face_matrix(S, M, n + 1, i) for i in range(n + 2)]
+        degens_below = [dense_degeneracy_matrix(S, M, n - 1, k) for k in range(n)]
+        ident = Matrix.identity(dom, dim)
+
+        def holds(i, j):
+            lhs = above[i] @ degens[j]
+            if i == j or i == j + 1:
+                return lhs == ident
+            if i < j:
+                return lhs == degens_below[j - 1] @ faces[i]
+            return lhs == degens_below[j] @ faces[i - 1]
+
+        pairs = [(i, j) for j in range(n + 1) for i in range(n + 2)]
+        witness = next((("d.s", i, j) for i, j in pairs if not holds(i, j)), None)
+    if witness is None:
+        pairs = [(i, j) for j in range(n + 1) for i in range(j + 1)]
+        witness = next((
+            ("s.s", i, j) for i, j in pairs
+            if dense_degeneracy_matrix(S, M, n + 1, i) @ degens[j]
+            != dense_degeneracy_matrix(S, M, n + 1, j + 1) @ degens[i]
+        ), None)
+    rotation_ok = n == 0 or (
+        faces[n] @ dense_cyclic_matrix(S, M, n) == dense_cyclic_matrix(S, M, n - 1) @ faces[n - 1]
+    )
+    basis = cocyclic.cotensor(cocyclic.tensor_power_comodule(S.comodule, n + 1), M.comodule)
+    t = dense_cyclic_matrix(S, M, n)
+    tpow = Matrix.identity(dom, dim)
+    for _ in range(n + 1):
+        tpow = t @ tpow
+    cyc_witness = next(((k,) for k, vec in enumerate(basis) if tpow.apply(vec) != vec), None)
+    return cocyclic.CyclicIdentityReport(
+        level=n,
+        dim=dim,
+        cotensor_dim=len(basis),
+        simplicial_ok=witness is None,
+        simplicial_witness=witness,
+        rotation_ok=rotation_ok,
+        cyclicity_ok=cyc_witness is None,
+        cyclicity_witness=cyc_witness,
+        t_preserves_cotensor=all(echelon_in_span(dom, basis, t.apply(vec)) for vec in basis),
+    )

@@ -452,6 +452,12 @@ NESTED_CASES = [
                  "candidate 'a,b' is not a vector over Q", id="inline-candidate-unparsable"),
     pytest.param(["verify", "doc.json"], TAFT_F5, ("field", "p"), 3317044064679887385961981,
                  "is too large", id="p-past-primality-bound"),
+    pytest.param(["verify", "doc.json"], "hopf_sweedler_bad_antipode.json", ("basis",), 5,
+                 "'basis' must be a list of strings", id="basis-number"),
+    pytest.param(["verify", "doc.json"], "hopf_f2c2.json", ("builtin", "table"), [5, 6],
+                 "row 0 of the group table is malformed", id="group-table-rows-numbers"),
+    pytest.param(["verify", "doc.json"], "hopf_f2c2.json", ("builtin", "labels"), 7,
+                 "'labels' must be a list of strings", id="group-labels-number"),
 ]
 
 

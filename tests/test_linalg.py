@@ -4,12 +4,18 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hopfgal.errors import ShapeError, SingularMatrixError, UnsupportedDomainError
+from hopfgal.errors import (
+    DomainMismatchError,
+    ShapeError,
+    SingularMatrixError,
+    UnsupportedDomainError,
+)
 from hopfgal.linalg import (
     GF,
     PRIME_BOUND,
     QQ,
     ZZ,
+    ColumnMap,
     Matrix,
     _is_prime,
     combination,
@@ -195,7 +201,8 @@ def slot_operands(draw):
 def test_on_slot_matches_kron_with_identities(operands):
     domain, left, a, right = operands
     expected = Matrix.identity(domain, left).kron(a).kron(Matrix.identity(domain, right))
-    assert on_slot(domain, left, a, right) == expected
+    # from_dense is canonical, so this also checks that rows come out ascending
+    assert on_slot(left, ColumnMap.from_dense(a), right) == ColumnMap.from_dense(expected)
 
 
 @st.composite
@@ -239,6 +246,50 @@ def test_combination_matches_scale_and_add(coeffs, a, b, c):
     expected = a.scale(coeffs[0]) + b.scale(coeffs[1]) + c.scale(coeffs[2])
     coeffs = [GF(5).normalize(x) for x in coeffs]
     assert combination(GF(5), coeffs, [a, b, c], 2, 3) == expected
+
+
+@st.composite
+def column_map_operands(draw):
+    """a (r x k), b (k x c), a2 shaped like a, a vector of length k and two
+    coefficients, over Q or F_5."""
+    domain = draw(st.sampled_from([QQ, GF(5)]))
+    r, k, c = (draw(st.integers(1, 3)) for _ in range(3))
+    a, b, a2 = (draw(small_matrix(domain, *shape)) for shape in ((r, k), (k, c), (r, k)))
+    vec = tuple(domain.normalize(x) for x in draw(st.lists(small_entries, min_size=k, max_size=k)))
+    coeffs = [domain.normalize(x) for x in draw(st.lists(small_entries, min_size=2, max_size=2))]
+    return a, b, a2, vec, coeffs
+
+
+# In both examples a @ b, a.apply(vec) and 1 * a - 1 * a2 cancel to zero.
+@given(column_map_operands())
+@example((Matrix(QQ, [[1, 1]]), Matrix(QQ, [[1, 2], [-1, 0]]), Matrix(QQ, [[1, 1]]),
+          (Fraction(1), Fraction(-1)), [Fraction(1), Fraction(-1)]))
+@example((Matrix(GF(5), [[1, 2], [0, 1]]), Matrix(GF(5), [[3], [1]]),
+          Matrix(GF(5), [[1, 2], [0, 1]]), (3, 1), [1, 4]))
+def test_column_map_matches_dense_matrix(operands):
+    a, b, a2, vec, coeffs = operands
+    dom = a.domain
+    sa, sb, sa2 = (ColumnMap.from_dense(m) for m in (a, b, a2))
+    assert sa.to_dense() == a
+    # from_dense is canonical, so these also check that zeros are dropped
+    assert sa @ sb == ColumnMap.from_dense(a @ b)
+    assert (sa @ sb).to_dense() == a @ b
+    assert sa.apply(vec) == a.apply(vec)
+    assert (sa == sa2) == (a == a2)
+    dense = combination(dom, coeffs, [a, a2], a.nrows, a.ncols)
+    assert ColumnMap.combination(dom, coeffs, [sa, sa2], a.nrows, a.ncols) == ColumnMap.from_dense(dense)
+    assert ColumnMap.identity(dom, a.ncols).to_dense() == Matrix.identity(dom, a.ncols)
+    assert sa @ ColumnMap.identity(dom, a.ncols) == sa
+
+
+def test_column_map_rejects_mismatched_operands():
+    a = ColumnMap.identity(QQ, 2)
+    with pytest.raises(ShapeError):
+        a @ ColumnMap.identity(QQ, 3)
+    with pytest.raises(ShapeError):
+        a.apply((1, 2, 3))
+    with pytest.raises(DomainMismatchError):
+        a @ ColumnMap.identity(GF(5), 2)
 
 
 # Keys (i, j) with i < 3 are drawn freely; key CANCELLED gets c and -c, so
