@@ -3,8 +3,11 @@
 The pair (H, S) is stored as an action tensor act[h][s] holding the
 nonzero (t, c) pairs of e_h . e_s, sorted by t, in the canonical form
 :func:`hopf.sparse_tensor` builds; modules over S#H and S use the same
-layout.  The comodule structure on S that the second Galois map needs
-is obtained from the action through the finite dual: sigma(t) =
+layout.  Each block act[h] is read, without a copy, as the columns of
+a `linalg.ColumnMap` (:func:`action_maps`, :func:`acting_map`); a map
+is densified only where elimination needs it (kernels, ranks, solves,
+column spans).  The comodule structure on S that the second Galois map
+needs is obtained from the action through the finite dual: sigma(t) =
 sum_a (e_a . t) (x) e_a*, with the pairing fixed as evaluation on the
 stored bases.
 """
@@ -21,7 +24,7 @@ from .errors import (
     ShapeError,
 )
 from .hopf import AlgebraData, HopfAlgebraData
-from .linalg import Matrix, sparse_entries as _sparse  # noqa: F401 (read by perfbench/tests)
+from .linalg import ColumnMap, Matrix, sparse_entries as _sparse  # noqa: F401 (read by perfbench/tests)
 from .reporting import CheckResult, VerificationReport
 
 
@@ -41,23 +44,16 @@ class ModuleAlgebraData:
     def domain(self):
         return self.hopf.domain
 
-    def action_matrix(self, hvec):
-        """Matrix of s -> hvec . s for a general element of H."""
-        return acting_matrix(self.domain, self.action, self.algebra.dim, hvec)
 
-    def basis_action_matrix(self, a):
-        return Matrix.from_sparse_cols(self.domain, self.algebra.dim, self.action[a])
-
-
-def action_matrices(domain, action, dim):
-    """One matrix per basis element of the acting algebra; action[a][m] holds
-    the (t, c) pairs of e_a . e_m."""
-    return [Matrix.from_sparse_cols(domain, dim, block) for block in action]
+def action_maps(domain, action, dim):
+    """One ColumnMap per basis element of the acting algebra: action[a][m]
+    holds the (t, c) pairs of e_a . e_m, which is column m of the map."""
+    return [ColumnMap(domain, dim, block) for block in action]
 
 
-def acting_matrix(domain, action, dim, hvec):
-    """Matrix of v -> hvec . v for a general element hvec of the acting algebra."""
-    return linalg.combination(domain, hvec, action_matrices(domain, action, dim), dim, dim)
+def acting_map(domain, action, dim, hvec):
+    """ColumnMap of v -> hvec . v for a general element hvec of the acting algebra."""
+    return ColumnMap.combination(domain, hvec, action_maps(domain, action, dim), dim, dim)
 
 
 def module_algebra(hopf, algebra, action_triples):
@@ -80,7 +76,7 @@ def verify_module_over_algebra(alg, action):
     when (a b) . m = a . (b . m) and 1 . m = m hold, else an index pair.
     """
     dim = len(action[0]) if action else 0
-    return alg.representation_witness(action_matrices(alg.domain, action, dim))
+    return alg.representation_witness(action_maps(alg.domain, action, dim))
 
 
 def verify_module(h, action):
@@ -98,9 +94,9 @@ def verify_module_algebra(d):
     checks = [CheckResult("module-law", module_witness is None, module_witness)]
 
     witness = None
-    for a in range(h.dim):
+    for a, act in enumerate(action_maps(dom, d.action, alg.dim)):
         target = linalg.vec_scale(dom, h.counit[a], alg.unit)
-        if d.basis_action_matrix(a).apply(alg.unit) != target:
+        if act.apply(alg.unit) != target:
             witness = (a, "unit")
             break
         for s in range(alg.dim):
@@ -133,18 +129,7 @@ def verify_module_algebra(d):
 
 def invariants(d):
     """Canonical echelon basis of S^H = {s : h s = counit(h) s}."""
-    return fixed_points(d.hopf, d.action)
-
-
-def fixed_points(h, action):
-    """V^H for a plain H-module given by an action tensor."""
-    dom = h.domain
-    dim = len(action[0]) if action else 0
-    ident = Matrix.identity(dom, dim)
-    blocks = [
-        act - ident.scale(e) for act, e in zip(action_matrices(dom, action, dim), h.counit)
-    ]
-    return linalg.kernel_basis(linalg.stack(blocks))
+    return hopf_mod.fixed_points(d.hopf, d.action)
 
 
 def is_faithful(d):
@@ -163,8 +148,8 @@ def is_faithful(d):
 def integral_image(d):
     """Echelon basis of I.S, the image of the integral's action."""
     integral = hopf_mod.left_integrals(d.hopf).basis[0]
-    act = d.action_matrix(integral)
-    return linalg.column_space_basis(act)
+    act = acting_map(d.domain, d.action, d.algebra.dim, integral)
+    return linalg.column_space_basis(act.to_dense())
 
 
 # ---------------------------------------------------------------------------
@@ -433,16 +418,15 @@ class TotalIntegralResult:
         return self.present
 
 
-def dual_action_matrix(h, a):
-    """Matrix of f -> (e_a -> f) on H* where (h -> f)(x) = f(x h).
+def dual_action(h):
+    """Action tensor of f -> (h -> f) on H*, where (h -> f)(x) = f(x h).
 
     This is the left H-module structure making H* free of rank one.
     """
-    dom = h.domain
-    n = h.dim
+    n, mult = h.dim, h.algebra.mult
     # e_a -> e_i* = sum_j mult[j][a][i] e_j*
-    terms = (((j, i), c) for j in range(n) for i, c in h.algebra.mult[j][a])
-    return Matrix.from_entries(dom, n, n, terms)
+    entries = ((a, i, j, c) for j in range(n) for a in range(n) for i, c in mult[j][a])
+    return hopf_mod.sparse_tensor(h.domain, (n, n, n), entries, 2)
 
 
 def total_integral_map(d):
@@ -469,14 +453,11 @@ def total_integral_map(d):
         return TotalIntegralResult(False, None, None, obstruction)
 
     h = d.hopf
-    n = h.dim
+    n, ds = h.dim, d.algebra.dim
     integral = hopf_mod.left_integrals(h).basis[0]
-    dual_mats = [dual_action_matrix(h, a) for a in range(n)]
-
-    def harpoon_matrix(t_vec):
-        """Columns a: e_a -> t."""
-        cols = [m.apply(t_vec) for m in dual_mats]
-        return Matrix.from_cols(dom, cols, n)
+    harpoon = dual_action(h)
+    dual_maps = action_maps(dom, harpoon, n)
+    maps = action_maps(dom, d.action, ds)
 
     def candidates():
         for i in range(n):
@@ -491,7 +472,7 @@ def total_integral_map(d):
 
     free = None
     for t0 in candidates():
-        phi = harpoon_matrix(t0)
+        phi = Matrix.from_cols(dom, [m.apply(t0) for m in dual_maps], n)  # columns e_a -> t0
         if linalg.rank(phi) == n:
             free = (t0, phi)
             break
@@ -500,7 +481,7 @@ def total_integral_map(d):
     t0, phi = free
 
     # integral -> t0 is an invariant element, necessarily c * counit
-    lam_t0 = linalg.combination(dom, integral, dual_mats, n, n).apply(t0)
+    lam_t0 = acting_map(dom, harpoon, n, integral).apply(t0)
     ratio = None
     for v, e in zip(lam_t0, h.counit):
         if e != dom.zero:
@@ -510,23 +491,21 @@ def total_integral_map(d):
         raise InconsistencyError("integral image of the free generator is not a counit multiple")
     phi = phi.scale(dom.inv(ratio))  # now phi maps h to h -> t with integral -> t = counit
 
-    z = linalg.solve(d.action_matrix(integral), d.algebra.unit)
+    z = linalg.solve(acting_map(dom, d.action, ds, integral).to_dense(), d.algebra.unit)
     if z is None:
         raise InconsistencyError("tame extension but integral . z = 1 has no solution")
 
     # g(e_a -> t) = e_a . z, so as a matrix g = Z . phi^{-1}
-    zcols = [d.basis_action_matrix(a).apply(z) for a in range(n)]
-    zmat = Matrix.from_cols(dom, zcols, d.algebra.dim)
+    zmat = Matrix.from_cols(dom, [m.apply(z) for m in maps], ds)
     g = zmat @ linalg.invert(phi)
 
     # verify H-linearity and normalization exactly
     unit_dual = tuple(h.counit)
     if g.apply(unit_dual) != tuple(d.algebra.unit):
         raise InconsistencyError("constructed total integral has g(1) != 1")
-    for a in range(n):
-        left = g @ dual_mats[a]
-        right = d.basis_action_matrix(a) @ g
-        if left != right:
+    g_map = ColumnMap.from_dense(g)
+    for dual_map, act in zip(dual_maps, maps):
+        if g_map @ dual_map != act @ g_map:
             raise InconsistencyError("constructed total integral is not H-linear")
     return TotalIntegralResult(True, g, z, None)
 
@@ -556,10 +535,9 @@ def hopfological_homology_module(h, action):
     if witness is not None:
         raise InconsistencyError(f"module law fails at {witness}")
     dim = len(action[0]) if action else 0
-    fixed = fixed_points(h, action)
+    fixed = hopf_mod.fixed_points(h, action)
     integral = hopf_mod.left_integrals(h).basis[0]
-    act = acting_matrix(dom, action, dim, integral)
-    image = linalg.column_space_basis(act)
+    image = linalg.column_space_basis(acting_map(dom, action, dim, integral).to_dense())
     if not linalg.span_le(dom, image, fixed):
         raise InconsistencyError("I.V is not contained in V^H")
     return ModuleHomology(
@@ -670,7 +648,7 @@ def direct_sum_smash_modules(m1, m2):
 def fixed_points_smash(module):
     """M^H inside a smash module, as a canonical echelon basis."""
     d = module.smash.base
-    return fixed_points(d.hopf, module.h_action())
+    return hopf_mod.fixed_points(d.hopf, module.h_action())
 
 
 @dataclass(frozen=True)
@@ -704,5 +682,5 @@ def evaluation_map(domain, s_action, dim, vectors):
     Columns are ordered (s, w) with s slowest; the result carries its
     rank and bijectivity verdict.
     """
-    cols = [mat.apply(w) for mat in action_matrices(domain, s_action, dim) for w in vectors]
+    cols = [act.apply(w) for act in action_maps(domain, s_action, dim) for w in vectors]
     return GaloisMap.of(Matrix.from_cols(domain, cols, dim))

@@ -207,11 +207,13 @@ def run_cyclic(args):
         raise FormatError("the cyclic command needs --module")
     M = files.load_ayd_module(S.hopf, args.module)
     max_dim = args.max_dim
-    for n in range(top + 1):
+    # the level-top identities build the faces and degeneracies of level top + 1
+    for n in range(top + 2):
         dim = cocyclic._level_dim(S, M, n)
         if dim > max_dim:
+            built_by = f" (the level {top} identities build it)" if n > top else ""
             raise ResourceBoundError(
-                f"level {n} has dimension {dim} > bound {max_dim}"
+                f"level {n} has dimension {dim} > bound {max_dim}{built_by}"
             )
     ayd_ok, ayd_witness = cocyclic.ayd_check(M)
     stable_ok = False

@@ -164,8 +164,7 @@ def hopfological_homology_comodule(c):
     coinv = coinvariants(c)
     dual_h, action = comodule_to_module(c)
     lam = hopf_mod.left_integrals(dual_h).basis[0]
-    act = actions_mod.acting_matrix(dom, action, c.dim, lam)
-    image = linalg.column_space_basis(act)
+    image = linalg.column_space_basis(actions_mod.acting_map(dom, action, c.dim, lam).to_dense())
     if not linalg.span_le(dom, image, coinv):
         raise InconsistencyError("I.M is not contained in M^coH")
     return ComoduleHomology(len(coinv), len(image), len(coinv) - len(image))

@@ -53,6 +53,14 @@ def _dim_field(obj, key, what):
     return value
 
 
+def _list_field(obj, key, what):
+    """obj[key] as a JSON list; an empty list when absent."""
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise FormatError(f"{what} '{key}' must be a list, not {value!r}")
+    return value
+
+
 def _labels_field(obj, key, what):
     """obj[key] as a tuple of string labels; None when absent or empty."""
     value = obj.get(key)
@@ -266,7 +274,9 @@ def load_smash_module(smash_data, spec):
             return actions.algebra_smash_module(smash_data)
         raise FormatError(f"unknown smash module name {spec!r}")
     if isinstance(spec, dict) and "sum" in spec:
-        parts = [load_smash_module(smash_data, part) for part in spec["sum"]]
+        parts = [
+            load_smash_module(smash_data, part) for part in _list_field(spec, "sum", "smash module")
+        ]
         if not parts:
             raise FormatError("empty smash module sum")
         total = parts[0]
@@ -320,7 +330,7 @@ def load_lattice_file(path):
         hopf=h, lattice=lattice, action=tuple(action), unit=unit, algebra=algebra
     )
     candidates = []
-    for cand in doc.get("candidates", []):
+    for cand in _list_field(doc, "candidates", "lattice file"):
         candidates.append(_parse_vector(QQ, cand, n, "candidate"))
     return module, candidates
 

@@ -15,10 +15,14 @@ are dense coefficient vectors.
 
 Basis order is part of the data.  Tensor-square flattenings are always
 lexicographic with the left factor varying slowest.
+
+Integrals are the invariants (:func:`fixed_points`) of the left regular
+action, whose tensor is mult itself, and of the right regular action.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import linalg
@@ -29,7 +33,7 @@ from .errors import (
     ShapeError,
     UnsupportedDomainError,
 )
-from .linalg import Matrix
+from .linalg import ColumnMap, Matrix
 from .reporting import CheckResult, VerificationReport
 
 
@@ -67,7 +71,7 @@ def sparse_tensor(domain, shape, entries, lead):
 
 def matrix_from_triples(domain, n, entries):
     """n x n matrix from entries (i, j, c): column i contains c in row j."""
-    return Matrix.from_sparse_cols(domain, n, sparse_tensor(domain, (n, n), entries, 1))
+    return ColumnMap(domain, n, sparse_tensor(domain, (n, n), entries, 1)).to_dense()
 
 
 # ---------------------------------------------------------------------------
@@ -122,27 +126,6 @@ class AlgebraData:
                     out[k] = dom.add(out[k], dom.mul(c, w))
         return tuple(out)
 
-    def left_mult_matrix(self, vec):
-        """Matrix of x -> vec * x (columns are images of basis vectors)."""
-        mul, zero, mult = self.domain.mul, self.domain.zero, self.mult
-        terms = (
-            ((k, j), mul(a, w))
-            for i, a in enumerate(vec) if a != zero
-            for j in range(self.dim)
-            for k, w in mult[i][j]
-        )
-        return Matrix.from_entries(self.domain, self.dim, self.dim, terms)
-
-    def right_mult_matrix(self, vec):
-        mul, zero, mult = self.domain.mul, self.domain.zero, self.mult
-        terms = (
-            ((k, i), mul(a, w))
-            for j, a in enumerate(vec) if a != zero
-            for i in range(self.dim)
-            for k, w in mult[i][j]
-        )
-        return Matrix.from_entries(self.domain, self.dim, self.dim, terms)
-
     def is_commutative(self):
         return all(
             self.mult[i][j] == self.mult[j][i]
@@ -180,21 +163,22 @@ class AlgebraData:
                 return (j,)
         return None
 
-    def representation_witness(self, mats):
-        """Witness that e_a -> mats[a] is not a unital algebra map, or None.
+    def representation_witness(self, maps):
+        """Witness that e_a -> maps[a] is not a unital algebra map, or None.
 
-        Returns ("unit",) when the unit does not act as the identity and
-        (a, b) when e_a e_b does not act as mats[a] @ mats[b].
+        maps are square ColumnMaps.  Returns ("unit",) when the unit does
+        not act as the identity and (a, b) when e_a e_b does not act as
+        maps[a] @ maps[b].
         """
         dom = self.domain
-        n = mats[0].nrows
-        if linalg.combination(dom, self.unit, mats, n, n) != Matrix.identity(dom, n):
+        n = maps[0].nrows
+        if ColumnMap.combination(dom, self.unit, maps, n, n) != ColumnMap.identity(dom, n):
             return ("unit",)
         for a in range(self.dim):
             for b in range(self.dim):
                 cell = self.mult[a][b]
-                coeffs, terms = [c for _, c in cell], [mats[k] for k, _ in cell]
-                if linalg.combination(dom, coeffs, terms, n, n) != mats[a] @ mats[b]:
+                coeffs, terms = [c for _, c in cell], [maps[k] for k, _ in cell]
+                if ColumnMap.combination(dom, coeffs, terms, n, n) != maps[a] @ maps[b]:
                     return (a, b)
         return None
 
@@ -600,20 +584,35 @@ class IntegralSpace:
         return len(self.basis)
 
 
-def _integral_space(h, side):
+def fixed_points(h, action):
+    """Canonical echelon basis of V^H = {v : e_a v = counit(e_a) v for all a}.
+
+    action[a][m] holds the (t, c) pairs of e_a . e_m.  V^H is the kernel
+    of the stacked system of the maps v -> e_a v - counit(e_a) v.
+    """
     dom = h.domain
-    linalg.require_field(dom, "integral computation")
-    n = h.dim
-    blocks = []
-    for a in range(n):
-        basis_a = linalg.unit_vec(dom, n, a)
-        if side == "left":
-            mult = h.algebra.left_mult_matrix(basis_a)
-        else:
-            mult = h.algebra.right_mult_matrix(basis_a)
-        shift = Matrix.identity(dom, n).scale(h.counit[a])
-        blocks.append(mult - shift)
-    basis = linalg.kernel_basis(linalg.stack(blocks))
+    dim = len(action[0]) if action else 0
+    terms = (
+        ((a * dim + t, m), c)
+        for a, block in enumerate(action) for m, col in enumerate(block) for t, c in col
+    )
+    shifts = (
+        ((a * dim + m, m), dom.neg(e)) for a, e in enumerate(h.counit) if e for m in range(dim)
+    )
+    stacked = Matrix.from_entries(dom, len(action) * dim, dim, itertools.chain(terms, shifts))
+    return linalg.kernel_basis(stacked)
+
+
+def _integral_space(h, side):
+    """Integrals are the invariants of H acting on itself: on the left
+    by e_a . e_i = e_a e_i, on the right by e_a . e_i = e_i e_a."""
+    linalg.require_field(h.domain, "integral computation")
+    mult, n = h.algebra.mult, h.dim
+    if side == "left":
+        action = mult
+    else:
+        action = tuple(tuple(mult[i][a] for i in range(n)) for a in range(n))
+    basis = fixed_points(h, action)
     if len(basis) != 1:
         raise InconsistencyError(
             f"{side} integral space has dimension {len(basis)}, not 1; "

@@ -14,7 +14,7 @@ lattice modulo the image of the integral.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import actions as actions_mod
@@ -25,7 +25,7 @@ from .errors import (
     PreconditionError,
     ShapeError,
 )
-from .linalg import QQ, ZZ, Matrix
+from .linalg import QQ, ZZ, ColumnMap, Matrix
 
 
 def _lcm(a, b):
@@ -114,10 +114,11 @@ def standard_lattice(n, tag="module-lattice"):
 class LatticeModuleData:
     """A lattice with an H-action on its ambient Q-space.
 
-    ``action`` holds one ambient matrix per basis element of H; the
-    module law is verified on the ambient space at construction.  The
-    optional algebra encodes the multiplication of the ambient S for
-    the rational cross-check.
+    ``action`` holds one ambient matrix per basis element of H, and
+    ``maps`` the same maps as ColumnMaps, built once; the module law is
+    verified on the ambient space at construction.  The optional
+    algebra encodes the multiplication of the ambient S for the
+    rational cross-check.
     """
 
     hopf: hopf_mod.HopfAlgebraData
@@ -125,6 +126,7 @@ class LatticeModuleData:
     action: tuple
     unit: tuple
     algebra: hopf_mod.AlgebraData | None = None
+    maps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.lattice.ambient_dim
@@ -137,15 +139,17 @@ class LatticeModuleData:
                 raise ShapeError("ambient action matrix shape mismatch")
         if len(self.unit) != n:
             raise ShapeError("unit vector length mismatch")
-        witness = self.hopf.algebra.representation_witness(self.action)
+        object.__setattr__(self, "maps", tuple(ColumnMap.from_dense(m) for m in self.action))
+        witness = self.hopf.algebra.representation_witness(self.maps)
         if witness == ("unit",):
             raise InconsistencyError("unit of H does not act as the identity")
         if witness is not None:
             raise InconsistencyError(f"ambient action violates the module law at {witness}")
 
     def action_of(self, hvec):
+        """ColumnMap of the ambient action of a general element of H."""
         n = self.lattice.ambient_dim
-        return linalg.combination(QQ, hvec, self.action, n, n)
+        return ColumnMap.combination(QQ, hvec, self.maps, n, n)
 
 
 @dataclass(frozen=True)
@@ -182,7 +186,7 @@ def associated_order(h, module):
     for j, gen in enumerate(lat.generators()):
         images = []
         for a in range(m):
-            moved = module.action[a].apply(gen)
+            moved = module.maps[a].apply(gen)
             coords = lat.coords(moved)
             if coords is None:
                 raise ShapeError(
@@ -441,28 +445,20 @@ def tame_check_integral(order, module):
         == IntegerLattice.from_generators(lat.rank, [unit_coords])
     )
     rank_equal = order.rank == lat.rank
-    rows = []
-    for u in range(lat.ambient_dim):
-        for v in range(lat.ambient_dim):
-            rows.append([module.action[a].rows[u][v] for a in range(h.dim)])
-    faithful = linalg.rank(Matrix(QQ, rows)) == h.dim
+    n = lat.ambient_dim
+    # action entries (a, v, u, c): e_a . e_v contains c e_u
+    entries = [
+        (a, v, u, c) for a, m in enumerate(module.maps) for v, col in enumerate(m.cols) for u, c in col
+    ]
+    terms = (((u * n + v, a), c) for a, v, u, c in entries)
+    faithful = linalg.rank(Matrix.from_entries(QQ, n * n, h.dim, terms)) == h.dim
 
     tame = quotient_trivial and fixed_is_base and rank_equal and faithful
     primes = sorted({p for f in factors for p in _prime_factors(f)})
 
     rational_tame = None
     if module.algebra is not None:
-        ma = actions_mod.module_algebra(
-            h,
-            module.algebra,
-            [
-                (a, s, t, module.action[a].rows[t][s])
-                for a in range(h.dim)
-                for s in range(lat.ambient_dim)
-                for t in range(lat.ambient_dim)
-                if module.action[a].rows[t][s] != 0
-            ],
-        )
+        ma = actions_mod.module_algebra(h, module.algebra, entries)
         rational_tame = actions_mod.classify_extension(ma).tame
 
     return TameLatticeReport(

@@ -289,14 +289,6 @@ class Matrix:
             rows[i][j] = add(rows[i][j], c)
         return cls._make(domain, rows, ncols)
 
-    @classmethod
-    def from_sparse_cols(cls, domain, nrows, cols):
-        """Matrix whose column j holds the (row, coeff) pairs cols[j], already
-        domain values."""
-        return cls.from_entries(
-            domain, nrows, len(cols), (((i, j), c) for j, col in enumerate(cols) for i, c in col)
-        )
-
     # basic queries ---------------------------------------------------------
 
     def entry(self, i, j):
@@ -440,20 +432,6 @@ class Matrix:
         )
 
 
-def combination(domain, coeffs, mats, nrows, ncols):
-    """Sum of c_k * mats[k] over the nonzero c_k; the zero matrix when none."""
-    add, mul = domain.add, domain.mul
-    rows = [[domain.zero] * ncols for _ in range(nrows)]
-    for c, m in zip(coeffs, mats):
-        if not c:
-            continue
-        for out, mrow in zip(rows, m.rows):
-            for j, v in enumerate(mrow):
-                if v:
-                    out[j] = add(out[j], mul(c, v))
-    return Matrix._make(domain, rows, ncols)
-
-
 def stack(matrices):
     """Vertical stack of matrices with equal column counts, in one pass."""
     matrices = list(matrices)
@@ -510,7 +488,11 @@ class ColumnMap:
         ])
 
     def to_dense(self):
-        return Matrix.from_sparse_cols(self.domain, self.nrows, self.cols)
+        """The dense Matrix of the map, for elimination."""
+        return Matrix.from_entries(
+            self.domain, self.nrows, self.ncols,
+            (((i, j), c) for j, col in enumerate(self.cols) for i, c in col),
+        )
 
     def __eq__(self, other):
         return (

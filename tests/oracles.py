@@ -12,7 +12,7 @@ from itertools import combinations, permutations
 from hopfgal import cocyclic
 from hopfgal.errors import FormatError, ShapeError
 from hopfgal.hopf import AlgebraData
-from hopfgal.linalg import Matrix, sparse_entries
+from hopfgal.linalg import ColumnMap, Matrix, kernel_basis, sparse_entries, stack, unit_vec
 
 
 def leibniz_det(rows):
@@ -163,6 +163,88 @@ def dense_product(alg, u, v):
     return tuple(out)
 
 
+# dense actions ------------------------------------------------------------------
+#
+# The references for the ColumnMap actions of `hopf` and `actions`: every
+# action is a dense Matrix, combined and composed entry by entry.
+
+
+def combination(domain, coeffs, mats, nrows, ncols):
+    """Sum of c_k * mats[k] over the nonzero c_k; the zero matrix when none."""
+    add, mul = domain.add, domain.mul
+    rows = [[domain.zero] * ncols for _ in range(nrows)]
+    for c, m in zip(coeffs, mats):
+        if not c:
+            continue
+        for out, mrow in zip(rows, m.rows):
+            for j, v in enumerate(mrow):
+                if v:
+                    out[j] = add(out[j], mul(c, v))
+    return Matrix._make(domain, rows, ncols)
+
+
+def left_mult_matrix(alg, vec):
+    """Matrix of x -> vec * x (columns are images of basis vectors)."""
+    mul, zero, mult = alg.domain.mul, alg.domain.zero, alg.mult
+    terms = (
+        ((k, j), mul(a, w))
+        for i, a in enumerate(vec) if a != zero
+        for j in range(alg.dim)
+        for k, w in mult[i][j]
+    )
+    return Matrix.from_entries(alg.domain, alg.dim, alg.dim, terms)
+
+
+def right_mult_matrix(alg, vec):
+    """Matrix of x -> x * vec."""
+    mul, zero, mult = alg.domain.mul, alg.domain.zero, alg.mult
+    terms = (
+        ((k, i), mul(a, w))
+        for j, a in enumerate(vec) if a != zero
+        for i in range(alg.dim)
+        for k, w in mult[i][j]
+    )
+    return Matrix.from_entries(alg.domain, alg.dim, alg.dim, terms)
+
+
+def dense_action_matrices(domain, action, dim):
+    """One dense matrix per block of an action tensor: column m of block a
+    holds the (t, c) pairs of e_a . e_m."""
+    return [
+        Matrix.from_entries(domain, dim, dim, (((t, m), c) for m, col in enumerate(block) for t, c in col))
+        for block in action
+    ]
+
+
+def dense_fixed_points(h, mats):
+    """Kernel of the stacked e_a - counit(e_a) I, block by block."""
+    dom = h.domain
+    n = mats[0].nrows
+    ident = Matrix.identity(dom, n)
+    return kernel_basis(stack([m - ident.scale(e) for m, e in zip(mats, h.counit)]))
+
+
+def dense_integrals(h, side):
+    """Integral basis from the stacked left (or right) multiplications."""
+    mult = left_mult_matrix if side == "left" else right_mult_matrix
+    return dense_fixed_points(h, [mult(h.algebra, unit_vec(h.domain, h.dim, a)) for a in range(h.dim)])
+
+
+def dense_representation_witness(alg, mats):
+    """The witness of `AlgebraData.representation_witness` on dense matrices."""
+    dom = alg.domain
+    n = mats[0].nrows
+    if combination(dom, alg.unit, mats, n, n) != Matrix.identity(dom, n):
+        return ("unit",)
+    for a in range(alg.dim):
+        for b in range(alg.dim):
+            cell = alg.mult[a][b]
+            coeffs, terms = [c for _, c in cell], [mats[k] for k, _ in cell]
+            if combination(dom, coeffs, terms, n, n) != mats[a] @ mats[b]:
+                return (a, b)
+    return None
+
+
 # dense cyclic-family operators --------------------------------------------------
 #
 # The references for the sparse ColumnMap operators of `cocyclic`: every
@@ -187,7 +269,7 @@ def dense_on_slot(domain, left, a, right):
 
 
 def _dense_mult_matrix(alg):
-    return Matrix.from_sparse_cols(alg.domain, alg.dim, [cell for row in alg.mult for cell in row])
+    return ColumnMap(alg.domain, alg.dim, [cell for row in alg.mult for cell in row]).to_dense()
 
 
 def dense_cyclic_matrix(S, M, n):

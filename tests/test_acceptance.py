@@ -132,9 +132,12 @@ def test_criterion_5_total_integral():
         assert result.present == rep.tame, name
         if result.present:
             g = result.matrix
-            assert g.apply(tuple(d.hopf.counit)) == tuple(d.algebra.unit), name
-            for a in range(d.hopf.dim):
-                assert g @ actions.dual_action_matrix(d.hopf, a) == d.basis_action_matrix(a) @ g, name
+            h = d.hopf
+            dual_maps = actions.action_maps(h.domain, actions.dual_action(h), h.dim)
+            maps = actions.action_maps(h.domain, d.action, d.algebra.dim)
+            assert g.apply(tuple(h.counit)) == tuple(d.algebra.unit), name
+            for a in range(h.dim):
+                assert g @ dual_maps[a].to_dense() == maps[a].to_dense() @ g, name
     report(5, "total integral map present iff tame, exact H-linearity")
 
 

@@ -212,12 +212,29 @@ def test_total_integral_properties_on_tame_registry():
         if result.present:
             g = result.matrix
             h = d.hopf
+            dual_maps = actions.action_maps(h.domain, actions.dual_action(h), h.dim)
+            maps = actions.action_maps(h.domain, d.action, d.algebra.dim)
             # g(1) = 1 and H-linearity, checked against the raw action
             assert g.apply(tuple(h.counit)) == tuple(d.algebra.unit), name
             for a in range(h.dim):
-                left = g @ actions.dual_action_matrix(h, a)
-                right = d.basis_action_matrix(a) @ g
+                left = g @ dual_maps[a].to_dense()
+                right = maps[a].to_dense() @ g
                 assert left == right, name
+
+
+@pytest.mark.parametrize("name", list(zoo.extension_registry()))
+def test_module_actions_match_dense_oracle(name):
+    d = ext(name)
+    dom, ds = d.domain, d.algebra.dim
+    mats = oracles.dense_action_matrices(dom, d.action, ds)
+    assert actions.action_maps(dom, d.action, ds) == [linalg.ColumnMap.from_dense(m) for m in mats]
+    assert actions.invariants(d) == oracles.dense_fixed_points(d.hopf, mats)
+    assert actions.verify_module(d.hopf, d.action) is None
+    assert oracles.dense_representation_witness(d.hopf.algebra, mats) is None
+    integral = hopf.left_integrals(d.hopf).basis[0]
+    acting = oracles.combination(dom, integral, mats, ds, ds)
+    assert actions.acting_map(dom, d.action, ds, integral).to_dense() == acting
+    assert actions.integral_image(d) == linalg.column_space_basis(acting)
 
 
 # hopfological homology ----------------------------------------------------------

@@ -167,6 +167,16 @@ def test_cyclic_resource_bound_four_dimensional(fixtures):
     assert proc.returncode == 0
 
 
+def test_cyclic_bound_covers_the_level_above(fixtures, capsys):
+    # the level 4 identities build level 5 faces and degeneracies: 2^7 = 128 > 64
+    args = ["cyclic", fx(fixtures, "comodalg_graded_f3.json"),
+            "--module", fx(fixtures, "mod_kc2_ayd_f3.json"), "--max-dim", "64"]
+    assert cli.main(args + ["--levels", "4"]) == 3
+    err = capsys.readouterr().err
+    assert "level 5 has dimension 128 > bound 64 (the level 4 identities build it)" in err
+    assert cli.main(args + ["--levels", "3"]) == 0
+
+
 def test_env_var_dimension_bound(fixtures):
     proc = run_cli(
         [
@@ -458,6 +468,13 @@ NESTED_CASES = [
                  "row 0 of the group table is malformed", id="group-table-rows-numbers"),
     pytest.param(["verify", "doc.json"], "hopf_f2c2.json", ("builtin", "labels"), 7,
                  "'labels' must be a list of strings", id="group-labels-number"),
+    pytest.param(["bar-shift", "ext_gaussian.json", "--module", "doc.json", "--levels", "1"],
+                 "smashmod_sum.json", ("smash_module", "sum"), 5,
+                 "smash module 'sum' must be a list", id="smash-sum-number"),
+    pytest.param(["homology", "doc.json"], "lat_zi_qc2.json", ("candidates",), 5,
+                 "'candidates' must be a list", id="candidates-number"),
+    pytest.param(["assoc-order", "doc.json", "--candidates"], "lat_zi_qc2.json", ("candidates",),
+                 5, "'candidates' must be a list", id="candidates-number-assoc-order"),
 ]
 
 

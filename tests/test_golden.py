@@ -30,6 +30,9 @@ COMMANDS = CLI_COMMANDS + [
     ["cyclic", "comodalg_graded_f3.json", "--module", "mod_kc2_swap_f3.json", "--levels", "1"],
     # j not bijective: the bar-shift precondition fails, exit 1
     ["bar-shift", "ext_trivial.json", "--module", "smashmod_regular.json", "--levels", "2"],
+    # integrals of a 9-dimensional algebra, neither commutative nor cocommutative
+    ["integrals", "hopf_taft3_f7.json"],
+    ["integrals", "hopf_taft3_dual_f7.json"],
 ]
 CASES = [(command, form) for command in COMMANDS for form in ("json", "txt")]
 

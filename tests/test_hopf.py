@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hopfgal import hopf, zoo
+from hopfgal import actions, hopf, linalg, zoo
 from hopfgal.errors import AxiomError, FormatError, UnsupportedDomainError
 from hopfgal.linalg import GF, QQ, ZZ, Matrix
 
@@ -325,6 +325,83 @@ def test_larson_sweedler_dimensions_across_builtins():
     for name, h in builtin_zoo().items():
         assert hopf.left_integrals(h).dim == 1, name
         assert hopf.right_integrals(h).dim == 1, name
+
+
+# actions as ColumnMaps against the dense builders ----------------------------------
+
+
+def zoo_and_duals():
+    for name, h in builtin_zoo().items():
+        yield name, h
+        yield f"{name}*", hopf.dual(h)
+
+
+def regular_actions(h):
+    """H on itself: e_a . e_i = e_a e_i on the left, e_i e_a on the right."""
+    n, mult = h.dim, h.algebra.mult
+    return {"left": mult, "right": tuple(tuple(mult[i][a] for i in range(n)) for a in range(n))}
+
+
+def trivial_action(h, dim):
+    """e_a . v = counit(e_a) v on a space of dimension dim."""
+    return tuple(
+        tuple(((m, e),) if e else () for m in range(dim)) for e in h.counit
+    )
+
+
+@pytest.mark.parametrize("name,h", list(zoo_and_duals()), ids=[n for n, _ in zoo_and_duals()])
+def test_fixed_points_and_integrals_match_dense_oracle(name, h):
+    dom = h.domain
+    for side, action in regular_actions(h).items():
+        mult = oracles.left_mult_matrix if side == "left" else oracles.right_mult_matrix
+        mats = oracles.dense_action_matrices(dom, action, h.dim)
+        assert mats == [mult(h.algebra, linalg.unit_vec(dom, h.dim, a)) for a in range(h.dim)]
+        dense = oracles.dense_integrals(h, side)
+        assert hopf.fixed_points(h, action) == dense == oracles.dense_fixed_points(h, mats)
+        space = hopf.left_integrals(h) if side == "left" else hopf.right_integrals(h)
+        assert space.basis == dense
+    for dim in (1, 3):
+        action = trivial_action(h, dim)
+        dense = oracles.dense_fixed_points(h, oracles.dense_action_matrices(dom, action, dim))
+        assert hopf.fixed_points(h, action) == dense
+        assert len(dense) == dim
+
+
+def witness_cases(h):
+    """Lawful actions of H, an action whose unit fails, and one that fails
+    at a pair: the identity is added to the block of a basis element b
+    outside the support of the unit, so the unit still acts as the
+    identity while e_b e_b no longer acts as the square of its block."""
+    dom, n = h.domain, h.dim
+    regular = regular_actions(h)
+    left = regular["left"]
+    cases = {"left-regular": (left, n), "trivial": (trivial_action(h, 2), 2),
+             "right-regular": (regular["right"], n), "zero": ((((),) * n,) * n, n)}
+    free = [b for b in range(n) if not h.algebra.unit[b]]
+    if free:
+        shifted = tuple(
+            tuple(sorted(linalg.sparse_sum(dom, col + ((m, dom.one),)).items()))
+            for m, col in enumerate(left[free[0]])
+        )
+        cases["shifted-block"] = (tuple(shifted if a == free[0] else left[a] for a in range(n)), n)
+    return cases
+
+
+@pytest.mark.parametrize("name,h", list(zoo_and_duals()), ids=[n for n, _ in zoo_and_duals()])
+def test_representation_witness_matches_dense_oracle(name, h):
+    dom = h.domain
+    witnesses = {}
+    for case, (action, dim) in witness_cases(h).items():
+        witness = h.algebra.representation_witness(actions.action_maps(dom, action, dim))
+        dense = oracles.dense_action_matrices(dom, action, dim)
+        assert witness == oracles.dense_representation_witness(h.algebra, dense), case
+        witnesses[case] = witness
+    assert witnesses["left-regular"] is None and witnesses["trivial"] is None
+    assert witnesses["zero"] == ("unit",)
+    # the right regular action is a left action exactly when H is commutative
+    assert (witnesses["right-regular"] is None) == h.algebra.is_commutative()
+    if "shifted-block" in witnesses:
+        assert len(witnesses["shifted-block"]) == 2
 
 
 # semisimplicity and structure ----------------------------------------------------

@@ -18,7 +18,6 @@ from hopfgal.linalg import (
     ColumnMap,
     Matrix,
     _is_prime,
-    combination,
     det,
     echelon_basis,
     hermite_normal_form,
@@ -236,8 +235,11 @@ def test_stack_rejects_column_mismatch():
 
 def test_combination_of_zero_coefficients_is_zero_matrix():
     mats = [Matrix(QQ, [[1, 2, 3], [4, 5, 6]]), Matrix(QQ, [[0, 1, 0], [1, 0, 1]])]
-    assert combination(QQ, [0, 0], mats, 2, 3) == Matrix.zeros(QQ, 2, 3)
-    assert combination(GF(5), [], [], 2, 3) == Matrix.zeros(GF(5), 2, 3)
+    assert oracles.combination(QQ, [0, 0], mats, 2, 3) == Matrix.zeros(QQ, 2, 3)
+    assert oracles.combination(GF(5), [], [], 2, 3) == Matrix.zeros(GF(5), 2, 3)
+    maps = [ColumnMap.from_dense(m) for m in mats]
+    assert ColumnMap.combination(QQ, [0, 0], maps, 2, 3) == ColumnMap(QQ, 2, [()] * 3)
+    assert ColumnMap.combination(GF(5), [], [], 2, 3).to_dense() == Matrix.zeros(GF(5), 2, 3)
 
 
 @given(st.lists(small_entries, min_size=3, max_size=3), small_matrix(GF(5), 2, 3),
@@ -245,7 +247,9 @@ def test_combination_of_zero_coefficients_is_zero_matrix():
 def test_combination_matches_scale_and_add(coeffs, a, b, c):
     expected = a.scale(coeffs[0]) + b.scale(coeffs[1]) + c.scale(coeffs[2])
     coeffs = [GF(5).normalize(x) for x in coeffs]
-    assert combination(GF(5), coeffs, [a, b, c], 2, 3) == expected
+    assert oracles.combination(GF(5), coeffs, [a, b, c], 2, 3) == expected
+    maps = [ColumnMap.from_dense(m) for m in (a, b, c)]
+    assert ColumnMap.combination(GF(5), coeffs, maps, 2, 3).to_dense() == expected
 
 
 @st.composite
@@ -276,7 +280,7 @@ def test_column_map_matches_dense_matrix(operands):
     assert (sa @ sb).to_dense() == a @ b
     assert sa.apply(vec) == a.apply(vec)
     assert (sa == sa2) == (a == a2)
-    dense = combination(dom, coeffs, [a, a2], a.nrows, a.ncols)
+    dense = oracles.combination(dom, coeffs, [a, a2], a.nrows, a.ncols)
     assert ColumnMap.combination(dom, coeffs, [sa, sa2], a.nrows, a.ncols) == ColumnMap.from_dense(dense)
     assert ColumnMap.identity(dom, a.ncols).to_dense() == Matrix.identity(dom, a.ncols)
     assert sa @ ColumnMap.identity(dom, a.ncols) == sa
