@@ -222,8 +222,9 @@ def run_cyclic(args):
     per_level = []
     all_ok = True
     warning = None
+    window = cocyclic.LevelWindow(S, M, max_dim)
     for n in range(top + 1):
-        rep = cocyclic.check_cyclic_identities(S, M, n, max_dim)
+        rep = cocyclic.check_cyclic_identities(S, M, n, max_dim, window)
         per_level.append(
             {
                 "level": n,

@@ -21,6 +21,15 @@ coaction legs, acting on the coefficients by the H-leg.  The operators
 fail cyclicity on the full space; t restricted to the cotensor
 subspace with stable anti-Yetter-Drinfeld coefficients satisfies
 t^(n+1) = id, and that restriction is what the identity checks verify.
+
+The level-n checks read levels n - 1, n and n + 1.  A command that
+checks several levels keeps one `LevelWindow`, which builds each level
+and each tensor power S^(x)(n+1) once.  The level-n check drops the
+levels below n before it builds level n + 1, keeping only the level
+n - 1 degeneracies it still reads, so at most two whole levels and
+those degeneracies are held.  The window is
+the only store: it lives for one command, and no state here outlives it.
+The cotensor system is eliminated sparsely (`linalg.kernel_map`).
 """
 
 from __future__ import annotations
@@ -60,16 +69,13 @@ class ComoduleData:
 
     def __post_init__(self):
         dom = self.hopf.domain
-        zero = dom.zero
+        mul, counit = dom.mul, self.hopf.counit
         # counit law: (id (x) counit) rho = id
         for m in range(self.dim):
-            out = [zero] * self.dim
-            for m2, h, c in self.coaction[m]:
-                out[m2] = dom.add(out[m2], dom.mul(c, self.hopf.counit[h]))
-            if out != list(linalg.unit_vec(dom, self.dim, m)):
+            out = linalg.sparse_sum(dom, ((m2, mul(c, counit[h])) for m2, h, c in self.coaction[m]))
+            if out != {m: dom.one}:
                 raise AxiomError("comodule-counit", (m,))
         # coassociativity: (rho (x) id) rho = (id (x) Delta) rho
-        mul = dom.mul
         for m in range(self.dim):
             rho = self.coaction[m]
             left = linalg.sparse_sum(dom, (
@@ -356,28 +362,24 @@ def module_algebra_to_comodule_algebra(d):
     return ComoduleAlgebraData(d.algebra, comod)
 
 
-def tensor_power_comodule(c, k):
-    """S^(x)k as a right comodule; legs multiply in H."""
-    if k < 1:
-        raise ShapeError("tensor power needs k >= 1")
-    h = c.hopf
-    mul = c.domain.mul
-    current = c
-    for _ in range(k - 1):
-        triples = [
-            (x * c.dim + s, x0 * c.dim + s0, hh, mul(mul(c1, c2), w))
-            for x in range(current.dim)
-            for x0, h1, c1 in current.coaction[x]
-            for s in range(c.dim)
-            for s0, h2, c2 in c.coaction[s]
-            for hh, w in h.algebra.mult[h1][h2]
-        ]
-        current = comodule_from_triples(h, current.dim * c.dim, triples)
-    return current
+def tensor_comodule(x, c):
+    """X (x) C as a right comodule; legs multiply in H."""
+    mul = x.domain.mul
+    h_mult = x.hopf.algebra.mult
+    triples = [
+        (xi * c.dim + s, x0 * c.dim + s0, hh, mul(mul(c1, c2), w))
+        for xi in range(x.dim)
+        for x0, h1, c1 in x.coaction[xi]
+        for s in range(c.dim)
+        for s0, h2, c2 in c.coaction[s]
+        for hh, w in h_mult[h1][h2]
+    ]
+    return comodule_from_triples(x.hopf, x.dim * c.dim, triples)
 
 
 def cotensor(x, m):
-    """Canonical basis of the cotensor equalizer inside X (x) M.
+    """Canonical basis of the cotensor equalizer inside X (x) M, as the
+    columns of a ColumnMap.
 
     Kernel of (rho_X (x) id_M) - (id_X (x) rho_M), both sides swapped to
     the common target X (x) M (x) H.
@@ -394,7 +396,7 @@ def cotensor(x, m):
         (((xi * dm + m0) * dh + h, xi * dm + mi), dom.neg(c))
         for xi in range(x.dim) for mi in range(dm) for m0, h, c in m.coaction[mi]
     ]
-    return linalg.kernel_basis(Matrix.from_entries(dom, x.dim * dm * dh, x.dim * dm, terms))
+    return linalg.kernel_map(ColumnMap.from_entries(dom, x.dim * dm * dh, x.dim * dm, terms))
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +464,14 @@ class CyclicLevelData:
 
 
 def cyclic_level(S, M, n, max_dim=DEFAULT_MAX_DIM):
-    """All operators at level n, as ColumnMaps, bounded by max_dim."""
+    """All operators at level n, as ColumnMaps, bounded by max_dim.
+
+    Each operator is built once: d_n is d_0 t_n, from this level's own
+    d_0 and t_n.  The maps of a level hold each distinct column once:
+    faces and degeneracies carry about one entry per column and repeat
+    their columns across the level, so a held level takes well under
+    half the memory of separate copies.
+    """
     if S.hopf != M.hopf:
         raise ShapeError("S and M must live over one Hopf algebra")
     dim = _level_dim(S, M, n)
@@ -470,9 +479,54 @@ def cyclic_level(S, M, n, max_dim=DEFAULT_MAX_DIM):
         raise ResourceBoundError(
             f"level {n} has dimension {dim} > bound {max_dim}"
         )
-    faces = tuple(face_matrix(S, M, n, i) for i in range(n + 1)) if n >= 1 else ()
+    t = cyclic_matrix(S, M, n)
+    faces = ()
+    if n >= 1:
+        faces = tuple(face_matrix(S, M, n, i) for i in range(n))
+        faces += (faces[0] @ t,)
     degens = tuple(degeneracy_matrix(S, M, n, i) for i in range(n + 1))
-    return CyclicLevelData(n, dim, faces, degens, cyclic_matrix(S, M, n))
+    pool = {}
+
+    def shared(m):
+        return ColumnMap(m.domain, m.nrows, [pool.setdefault(c, c) for c in m.cols])
+
+    return CyclicLevelData(n, dim, tuple(map(shared, faces)), tuple(map(shared, degens)), shared(t))
+
+
+class LevelWindow:
+    """The cyclic levels one command reads, each built once.
+
+    The level-n identities read levels n - 1, n and n + 1 and the tensor
+    power S^(x)(n+1) of level n.  The window builds a level on first use
+    (S^(x)(n+2) as S^(x)(n+1) (x) S when that power is held); the
+    level-n check drops the levels below n before it builds level n + 1.
+    A window lives for one command: nothing here outlives the caller
+    that made it.
+    """
+
+    def __init__(self, S, M, max_dim=DEFAULT_MAX_DIM):
+        self.S = S
+        self.M = M
+        self.max_dim = max_dim
+        self._levels = {}
+        self._powers = {}
+
+    def level(self, n):
+        if n not in self._levels:
+            self._levels[n] = cyclic_level(self.S, self.M, n, self.max_dim)
+        return self._levels[n]
+
+    def power(self, n):
+        """S^(x)(n+1) as a right comodule."""
+        if n not in self._powers:
+            c = self.S.comodule
+            self._powers[n] = c if n == 0 else tensor_comodule(self.power(n - 1), c)
+        return self._powers[n]
+
+    def drop_below(self, n):
+        for store in (self._levels, self._powers):
+            for k in [k for k in store if k < n]:
+                del store[k]
 
 
 @dataclass(frozen=True)
@@ -492,7 +546,7 @@ class CyclicIdentityReport:
         return (self.simplicial_ok, self.rotation_ok, self.cyclicity_ok)
 
 
-def check_cyclic_identities(S, M, n, max_dim=DEFAULT_MAX_DIM):
+def check_cyclic_identities(S, M, n, max_dim=DEFAULT_MAX_DIM, window=None):
     """Three-part verdict at level n.
 
     (a) the presimplicial and degeneracy identities on the full space,
@@ -501,32 +555,64 @@ def check_cyclic_identities(S, M, n, max_dim=DEFAULT_MAX_DIM):
     theorem only for stable anti-Yetter-Drinfeld coefficients; callers
     check those once (`ayd_check`, `stability_check`) and downgrade a
     (c) failure to informational when they do not hold.
+
+    Levels n - 1 .. n + 1 come from `window`, a `LevelWindow` over these
+    very S and M and this max_dim that a caller checking several levels
+    keeps; without one the check builds its own.  Every level built is
+    bounded by max_dim, level n + 1 included.
     """
-    level = cyclic_level(S, M, n, max_dim)
+    if window is None:
+        window = LevelWindow(S, M, max_dim)
+    elif window.S is not S or window.M is not M or window.max_dim != max_dim:
+        raise ShapeError("the level window holds the levels of other operators")
+    level = window.level(n)
+    below = window.level(n - 1) if n >= 1 else None
     dom = S.domain
-    witness = None
+
+    # rotation relation
+    rotation_ok = n == 0 or (
+        level.faces[n] @ level.cyclic == below.cyclic @ level.faces[n - 1]
+    )
+
+    # cyclicity on the cotensor, whose echelon basis is the columns of B
+    B = cotensor(window.power(n), M.comodule)
+    t = level.cyclic
+    tB = moved = t @ B
+    for _ in range(n):
+        moved = t @ moved
+    cyc_witness = next(((k,) for k, (a, b) in enumerate(zip(moved.cols, B.cols)) if a != b), None)
+    # B's column k is 1 at its pivot, where the other columns are 0, so v lies
+    # in the span exactly when v = B (v read at the pivots)
+    at_pivots = [()] * level.dim
+    for k, col in enumerate(B.cols):
+        at_pivots[col[0][0]] = ((k, dom.one),)
+    preserved = B @ (ColumnMap(dom, B.ncols, at_pivots) @ tB) == tB
+    del moved, tB, at_pivots
 
     # presimplicial: d_i d_j = d_{j-1} d_i for i < j (needs level >= 2)
+    witness = None
     if n >= 2:
-        below = tuple(face_matrix(S, M, n - 1, i) for i in range(n))
         for j in range(1, n + 1):
             for i in range(j):
-                if below[i] @ level.faces[j] != below[j - 1] @ level.faces[i]:
+                if below.faces[i] @ level.faces[j] != below.faces[j - 1] @ level.faces[i]:
                     witness = ("d.d", i, j)
                     break
             if witness:
                 break
 
-    # degeneracy identities with sources at level n
+    # degeneracy identities with sources at level n.  Only the degeneracies
+    # of level n - 1 are read from here on, so the rest of that level goes
+    # before level n + 1 is built.
+    degens_below = below.degeneracies if n >= 1 else ()
+    del below
+    window.drop_below(n)
     if witness is None:
-        above = tuple(face_matrix(S, M, n + 1, i) for i in range(n + 2))
-        # i < j or i > j + 1 needs n >= 1, so level n - 1 exists whenever it is read
-        degens_below = tuple(degeneracy_matrix(S, M, n - 1, k) for k in range(n))
+        above = window.level(n + 1)
         ident = ColumnMap.identity(dom, level.dim)
         for j in range(n + 1):
             s_j = level.degeneracies[j]
             for i in range(n + 2):
-                lhs = above[i] @ s_j
+                lhs = above.faces[i] @ s_j
                 if i == j or i == j + 1:
                     ok = lhs == ident
                 elif i < j:
@@ -539,14 +625,10 @@ def check_cyclic_identities(S, M, n, max_dim=DEFAULT_MAX_DIM):
             if witness:
                 break
         if witness is None:
-            # The level n + 1 degeneracies are the largest operators here, so
-            # they are not all kept at once: each s_(j+1) is built once per j.
-            del above, degens_below
             for j in range(n + 1):
-                s_next = degeneracy_matrix(S, M, n + 1, j + 1)
                 for i in range(j + 1):
-                    lhs = degeneracy_matrix(S, M, n + 1, i) @ level.degeneracies[j]
-                    rhs = s_next @ level.degeneracies[i]
+                    lhs = above.degeneracies[i] @ level.degeneracies[j]
+                    rhs = above.degeneracies[j + 1] @ level.degeneracies[i]
                     if lhs != rhs:
                         witness = ("s.s", i, j)
                         break
@@ -554,32 +636,10 @@ def check_cyclic_identities(S, M, n, max_dim=DEFAULT_MAX_DIM):
                     break
     simplicial_ok = witness is None
 
-    # rotation relation
-    if n >= 1:
-        lhs = level.faces[n] @ level.cyclic
-        rhs = cyclic_matrix(S, M, n - 1) @ level.faces[n - 1]
-        rotation_ok = lhs == rhs
-    else:
-        rotation_ok = True
-
-    # cyclicity on the cotensor
-    power = tensor_power_comodule(S.comodule, n + 1)
-    basis = cotensor(power, M.comodule)
-    t = tpow = level.cyclic
-    for _ in range(n):
-        tpow = t @ tpow
-    cyc_witness = None
-    for k, vec in enumerate(basis):
-        if tpow.apply(vec) != vec:
-            cyc_witness = (k,)
-            break
-    in_basis_span = linalg.span_test(dom, basis)
-    preserved = all(in_basis_span(t.apply(vec)) for vec in basis)
-
     return CyclicIdentityReport(
         level=n,
         dim=level.dim,
-        cotensor_dim=len(basis),
+        cotensor_dim=B.ncols,
         simplicial_ok=simplicial_ok,
         simplicial_witness=witness,
         rotation_ok=rotation_ok,
@@ -726,9 +786,13 @@ def bar_shift_check(d, module, top, max_dim=DEFAULT_MAX_DIM):
     dm, k = morita.dim_module, morita.dim_fixed
     dims_m = tuple(ds ** n * dm for n in range(top + 1))
     dims_f = tuple(ds ** (n + 1) * k for n in range(top + 1))
-    for value in dims_m + dims_f:
-        if value > max_dim:
-            raise ResourceBoundError(f"bar degree dimension {value} > bound {max_dim}")
+    # dims_f[n] is degree n + 1 of B(S, M^H)
+    for name, dims, shift in (("B(S, M)", dims_m, 0), ("B(S, M^H)", dims_f, 1)):
+        for n, value in enumerate(dims):
+            if value > max_dim:
+                raise ResourceBoundError(
+                    f"bar degree {n + shift} of {name} has dimension {value} > bound {max_dim}"
+                )
     dims_match = dims_m == dims_f
 
     # rank(I (x) phi) = rank(I) rank(phi), so each degree's iso is
@@ -885,9 +949,13 @@ def t_shift_check(m, top, max_dim=DEFAULT_MAX_DIM):
     ds = S.dim
     dims_m = tuple(ds ** (n + 1) * m.dim for n in range(top + 1))
     dims_c = tuple(ds ** (n + 2) * len(mco) for n in range(top + 1))
-    for value in dims_m + dims_c:
-        if value > max_dim:
-            raise ResourceBoundError(f"T-level dimension {value} > bound {max_dim}")
+    # dims_c[n] is T-level n + 1 of T(S, M^coH)
+    for name, dims, shift in (("T(S, M)", dims_m, 0), ("T(S, M^coH)", dims_c, 1)):
+        for n, value in enumerate(dims):
+            if value > max_dim:
+                raise ResourceBoundError(
+                    f"T-level {n + shift} of {name} has dimension {value} > bound {max_dim}"
+                )
     return TShiftReport(
         top=top,
         gamma_rank=gamma.rank,

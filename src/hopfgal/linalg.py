@@ -8,7 +8,9 @@ repository-wide; every routine below is exact.
 
 Row reduction uses one fixed pivoting rule (first nonzero column,
 topmost row, pivot normalized to 1 over a field) so that kernel bases,
-echelon forms and normal forms are reproducible across runs.
+echelon forms and normal forms are reproducible across runs.  Kernels
+are eliminated by sparse rows (`kernel_map`); `rref` is dense and serves
+rank, solving and echelon bases.
 """
 
 from __future__ import annotations
@@ -478,6 +480,14 @@ class ColumnMap:
         ])
 
     @classmethod
+    def from_entries(cls, domain, nrows, ncols, terms):
+        """Sum ((row, col), coeff) terms of domain values into a map."""
+        cols = [[] for _ in range(ncols)]
+        for (i, j), c in sparse_sum(domain, terms).items():
+            cols[j].append((i, c))
+        return cls(domain, nrows, [tuple(sorted(col)) for col in cols])
+
+    @classmethod
     def combination(cls, domain, coeffs, maps, nrows, ncols):
         """Sum of c_k * maps[k] over the nonzero c_k; the zero map when none."""
         mul = domain.mul
@@ -603,22 +613,80 @@ def rank(m):
     return len(pivots)
 
 
-def kernel_basis(m):
-    """Canonical echelon basis of the kernel of a field-domain map."""
-    require_field(m.domain, "kernel computation")
+def _sparse_rref(domain, rows):
+    """Reduced echelon rows of the span of sparse rows, as {pivot: {col: coeff}}.
+
+    Each row is an iterable of (col, coeff) pairs of domain values.  Every
+    stored row has 1 at its pivot, its lowest column, and 0 at every other
+    pivot, so a new row is reduced by one subtraction per pivot it meets;
+    a new pivot is then cleared from the rows stored before it.  The
+    reduced echelon form is unique, so the result equals `rref`'s.
+    """
+    sub, mul, zero = domain.sub, domain.mul, domain.zero
+
+    def subtract(row, f, other):
+        """row -= f * other, in place, dropping the entries that cancel."""
+        for c, v in other.items():
+            x = sub(row.get(c, zero), mul(f, v))
+            if x:
+                row[c] = x
+            else:
+                del row[c]
+
+    pivots = {}
+    for terms in rows:
+        r = {c: v for c, v in terms if v}
+        for p in [c for c in r if c in pivots]:
+            subtract(r, r[p], pivots[p])
+        if not r:
+            continue
+        p = min(r)
+        inv = domain.inv(r[p])
+        r = {c: mul(inv, v) for c, v in r.items()}
+        for row in pivots.values():
+            if p in row:
+                subtract(row, row[p], r)
+        pivots[p] = r
+    return pivots
+
+
+def kernel_map(m):
+    """Canonical echelon basis of the kernel of a field-domain map, as the
+    columns of a ColumnMap; m is a Matrix or a ColumnMap.
+
+    The rows of m are eliminated sparsely; each free column f gives the
+    kernel vector e_f - sum of R[i][f] e_(p_i), and those vectors are
+    reduced the same way to the canonical echelon basis.
+    """
     dom = m.domain
-    R, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.ncols) if j not in pivot_set]
-    vecs = []
-    for f in free:
-        v = [dom.zero] * m.ncols
-        v[f] = dom.one
-        for i, p in enumerate(pivots):
-            v[p] = dom.neg(R.rows[i][f])
-        vecs.append(v)
-    # the vectors are domain values already, so they are not normalized again
-    return _row_basis(Matrix._make(dom, vecs, m.ncols)) if vecs else ()
+    require_field(dom, "kernel computation")
+    if isinstance(m, ColumnMap):
+        rows = [[] for _ in range(m.nrows)]
+        for j, col in enumerate(m.cols):
+            for i, c in col:
+                rows[i].append((j, c))
+    else:
+        rows = (enumerate(r) for r in m.rows)
+    pivots = _sparse_rref(dom, rows)
+    free = {f: {f: dom.one} for f in range(m.ncols) if f not in pivots}
+    for p, row in pivots.items():
+        for c, v in row.items():
+            if c != p:
+                free[c][p] = dom.neg(v)
+    basis = _sparse_rref(dom, (vec.items() for vec in free.values()))
+    return ColumnMap(dom, m.ncols, [tuple(sorted(basis[p].items())) for p in sorted(basis)])
+
+
+def kernel_basis(m):
+    """Canonical echelon basis of the kernel of a field-domain map, as vectors."""
+    zero = m.domain.zero
+    out = []
+    for col in kernel_map(m).cols:
+        vec = [zero] * m.ncols
+        for i, c in col:
+            vec[i] = c
+        out.append(tuple(vec))
+    return tuple(out)
 
 
 def echelon_basis(domain, vectors):
@@ -626,12 +694,7 @@ def echelon_basis(domain, vectors):
     vectors = [tuple(v) for v in vectors]
     if not vectors:
         return ()
-    return _row_basis(Matrix(domain, vectors))
-
-
-def _row_basis(m):
-    """Nonzero rows of the RREF of m: the canonical basis of its row span."""
-    R, pivots = rref(m)
+    R, pivots = rref(Matrix(domain, vectors))
     return tuple(R.rows[i] for i in range(len(pivots)))
 
 

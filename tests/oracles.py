@@ -12,7 +12,7 @@ from itertools import combinations, permutations
 from hopfgal import cocyclic
 from hopfgal.errors import FormatError, ShapeError
 from hopfgal.hopf import AlgebraData
-from hopfgal.linalg import ColumnMap, Matrix, kernel_basis, sparse_entries, stack, unit_vec
+from hopfgal.linalg import ColumnMap, Matrix, echelon_basis, rref, sparse_entries, stack, unit_vec
 
 
 def leibniz_det(rows):
@@ -216,12 +216,27 @@ def dense_action_matrices(domain, action, dim):
     ]
 
 
+def dense_kernel_basis(m):
+    """Canonical echelon basis of the kernel of a dense field Matrix: the
+    free-column vectors of its dense RREF, brought to echelon form."""
+    dom = m.domain
+    R, pivots = rref(m)
+    vecs = []
+    for f in (j for j in range(m.ncols) if j not in pivots):
+        v = [dom.zero] * m.ncols
+        v[f] = dom.one
+        for i, p in enumerate(pivots):
+            v[p] = dom.neg(R.rows[i][f])
+        vecs.append(v)
+    return echelon_basis(dom, vecs)
+
+
 def dense_fixed_points(h, mats):
     """Kernel of the stacked e_a - counit(e_a) I, block by block."""
     dom = h.domain
     n = mats[0].nrows
     ident = Matrix.identity(dom, n)
-    return kernel_basis(stack([m - ident.scale(e) for m, e in zip(mats, h.counit)]))
+    return dense_kernel_basis(stack([m - ident.scale(e) for m, e in zip(mats, h.counit)]))
 
 
 def dense_integrals(h, side):
@@ -311,6 +326,38 @@ def dense_degeneracy_matrix(S, M, n, i):
     return dense_on_slot(S.domain, ds ** (i + 1), unit_col, ds ** (n - i) * M.dim)
 
 
+def tensor_power_comodule(c, k):
+    """C^(x)k as a right comodule, rebuilt from C: legs multiply in H."""
+    mul = c.domain.mul
+    current = c
+    for _ in range(k - 1):
+        triples = [
+            (x * c.dim + s, x0 * c.dim + s0, hh, mul(mul(c1, c2), w))
+            for x in range(current.dim)
+            for x0, h1, c1 in current.coaction[x]
+            for s in range(c.dim)
+            for s0, h2, c2 in c.coaction[s]
+            for hh, w in c.hopf.algebra.mult[h1][h2]
+        ]
+        current = cocyclic.comodule_from_triples(c.hopf, current.dim * c.dim, triples)
+    return current
+
+
+def dense_cotensor(x, m):
+    """Kernel of (rho_X (x) id_M) - (id_X (x) rho_M) by dense elimination."""
+    dom = x.domain
+    dh = x.hopf.dim
+    dm = m.dim
+    terms = [
+        (((x0 * dm + mi) * dh + h, xi * dm + mi), c)
+        for xi in range(x.dim) for mi in range(dm) for x0, h, c in x.coaction[xi]
+    ] + [
+        (((xi * dm + m0) * dh + h, xi * dm + mi), dom.neg(c))
+        for xi in range(x.dim) for mi in range(dm) for m0, h, c in m.coaction[mi]
+    ]
+    return dense_kernel_basis(Matrix.from_entries(dom, x.dim * dm * dh, x.dim * dm, terms))
+
+
 def echelon_in_span(domain, basis, vec):
     """Membership in the span of an echelon basis by elimination."""
     vec = list(vec)
@@ -364,7 +411,7 @@ def dense_cyclic_identities(S, M, n):
     rotation_ok = n == 0 or (
         faces[n] @ dense_cyclic_matrix(S, M, n) == dense_cyclic_matrix(S, M, n - 1) @ faces[n - 1]
     )
-    basis = cocyclic.cotensor(cocyclic.tensor_power_comodule(S.comodule, n + 1), M.comodule)
+    basis = dense_cotensor(tensor_power_comodule(S.comodule, n + 1), M.comodule)
     t = dense_cyclic_matrix(S, M, n)
     tpow = Matrix.identity(dom, dim)
     for _ in range(n + 1):

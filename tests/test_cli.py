@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from hopfgal import cli, hopf
+from hopfgal import cli, cocyclic, hopf
 
 PKG_SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -175,6 +176,33 @@ def test_cyclic_bound_covers_the_level_above(fixtures, capsys):
     err = capsys.readouterr().err
     assert "level 5 has dimension 128 > bound 64 (the level 4 identities build it)" in err
     assert cli.main(args + ["--levels", "3"]) == 0
+
+
+def test_cyclic_builds_each_operator_once_per_command(fixtures, monkeypatch, capsys):
+    builds = collections.Counter()
+    for name in ("face_matrix", "degeneracy_matrix", "cyclic_matrix"):
+        def counted(S, M, n, *index, _name=name, _build=getattr(cocyclic, name)):
+            builds[(_name, n, *index)] += 1
+            return _build(S, M, n, *index)
+        monkeypatch.setattr(cocyclic, name, counted)
+    args = ["cyclic", fx(fixtures, "comodalg_graded_f3.json"),
+            "--module", fx(fixtures, "mod_kc2_ayd_f3.json"), "--levels", "5"]
+    assert cli.main(args) == 0
+    first = collections.Counter(builds)
+    # the level 5 identities read the faces and degeneracies of level 6
+    assert {level for _, level, *_ in first} == set(range(7))
+    assert max(first.values()) == 1
+    # no operator outlives a command: a second one builds them all again
+    builds.clear()
+    assert cli.main(args) == 0
+    assert builds == first
+
+
+def test_bar_shift_refusal_names_the_degree(fixtures, capsys):
+    args = ["bar-shift", fx(fixtures, "ext_gaussian.json"),
+            "--module", fx(fixtures, "smashmod_sum.json"), "--levels", "3", "--max-dim", "16"]
+    assert cli.main(args) == 3
+    assert "bar degree 2 of B(S, M) has dimension 24 > bound 16" in capsys.readouterr().err
 
 
 def test_env_var_dimension_bound(fixtures):

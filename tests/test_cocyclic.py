@@ -11,6 +11,7 @@ from hopfgal.errors import (
     HopfgalError,
     PreconditionError,
     ResourceBoundError,
+    ShapeError,
 )
 from hopfgal.linalg import QQ, ColumnMap, Matrix
 
@@ -184,14 +185,14 @@ def test_cotensor_degree_matching():
     M = ayd_trivial(3)
     basis = cocyclic.cotensor(S.comodule, M.comodule)
     # hand oracle: legs match exactly on 1 (x) e and x (x) s
-    assert basis == ((1, 0, 0, 0), (0, 0, 0, 1))
+    assert basis == ColumnMap(S.domain, 4, [((0, 1),), ((3, 1),)])
 
 
 def test_cotensor_with_trivial_coefficient():
     S = graded(3)
     trivial = cocyclic.trivial_comodule(S.hopf, 1)
     basis = cocyclic.cotensor(S.comodule, trivial)
-    assert basis == ((1, 0),)  # only the degree-e slot survives
+    assert basis == ColumnMap(S.domain, 2, [((0, 1),)])  # only the degree-e slot survives
 
 
 # cyclic levels --------------------------------------------------------------------
@@ -261,14 +262,46 @@ def test_operators_match_dense_oracles(case):
             assert d.to_dense() == oracles.dense_face_matrix(S, M, n, i), (n, i)
         for i, s in enumerate(level.degeneracies):
             assert s.to_dense() == oracles.dense_degeneracy_matrix(S, M, n, i), (n, i)
+        # the maps of a level hold each distinct column once
+        cols = [c for m in (*level.faces, *level.degeneracies, level.cyclic) for c in m.cols]
+        assert len({id(c) for c in cols}) == len(set(cols)), n
 
 
 @pytest.mark.parametrize("case", DENSE_ORACLE_CASES)
 def test_identity_reports_match_dense_oracle(case):
     S, M = DENSE_ORACLE_CASES[case]()
+    window = cocyclic.LevelWindow(S, M)
     for n in range(5):
         rep = cocyclic.check_cyclic_identities(S, M, n)
         assert rep == oracles.dense_cyclic_identities(S, M, n), n
+        assert cocyclic.check_cyclic_identities(S, M, n, window=window) == rep, n
+
+
+def test_level_window_serves_only_its_own_operators():
+    window = cocyclic.LevelWindow(graded(3), ayd_trivial(3))
+    with pytest.raises(ShapeError):
+        cocyclic.check_cyclic_identities(graded(3), ayd_swap(3), 0, window=window)
+    with pytest.raises(ShapeError):
+        cocyclic.check_cyclic_identities(graded(3), ayd_trivial(3), 0, 64, window)
+
+
+@pytest.mark.parametrize("case", [*DENSE_ORACLE_CASES, "sweedler"])
+def test_cotensor_matches_dense_oracle(case):
+    # Sweedler's comodules have multi-term coactions, and its level 3
+    # system (4096 x 1024) is past a dense elimination in this suite
+    if case == "sweedler":
+        sw = hopf.sweedler(QQ)
+        S, M, top = cocyclic.regular_comodule(sw), cocyclic.regular_comodule(sw), 2
+    else:
+        S, M = DENSE_ORACLE_CASES[case]()
+        S, M, top = S.comodule, M.comodule, 5
+    power = S
+    for n in range(top + 1):
+        if n:
+            power = cocyclic.tensor_comodule(power, S)
+        assert power == oracles.tensor_power_comodule(S, n + 1), n
+        basis = cocyclic.cotensor(power, M)
+        assert tuple(basis.to_dense().cols()) == oracles.dense_cotensor(power, M), n
 
 
 def test_multi_term_operators_match_dense_oracles():
@@ -408,6 +441,12 @@ def test_t_shift_strongly_graded():
         relV = cocyclic.cofree_relative_module(S, 2)
         rep2 = cocyclic.t_shift_check(relV, 2)
         assert rep2.evaluation_bijective and rep2.dims_match
+
+
+def test_t_shift_refusal_names_the_level():
+    rel = cocyclic.algebra_as_relative_module(graded(3))
+    with pytest.raises(ResourceBoundError, match=r"^T-level 3 of T\(S, M\) has dimension 32 > bound 16$"):
+        cocyclic.t_shift_check(rel, 3, max_dim=16)
 
 
 def test_t_shift_rejects_non_strongly_graded():

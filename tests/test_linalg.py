@@ -25,6 +25,7 @@ from hopfgal.linalg import (
     integer_kernel_basis,
     invert,
     kernel_basis,
+    kernel_map,
     on_slot,
     rank,
     rref,
@@ -330,11 +331,79 @@ def test_sparse_sum_and_from_entries_match_dense_reference(case):
     m = Matrix.from_entries(domain, 4, 2, terms)
     assert m == Matrix(domain, [[totals[(i, j)] for j in range(2)] for i in range(4)])
     assert m.entry(*CANCELLED) == domain.zero
+    assert ColumnMap.from_entries(domain, 4, 2, terms) == ColumnMap.from_dense(m)
 
 
 def test_from_entries_without_terms_is_zero_matrix():
     assert Matrix.from_entries(GF(5), 2, 3, []) == Matrix.zeros(GF(5), 2, 3)
     assert sparse_sum(QQ, []) == {}
+
+
+# kernels of sparse maps ------------------------------------------------------------------
+
+
+def column_map(domain, nrows, ncols, entries):
+    terms = [(key, domain.normalize(c)) for key, c in entries]
+    return ColumnMap.from_entries(domain, nrows, ncols, terms)
+
+
+@st.composite
+def sparse_systems(draw):
+    """A map of shape up to 9 x 9 over Q, F_2 or F_5, mostly zeros; half the
+    draws factor through at most 3 dimensions, so their kernels are large."""
+    domain = draw(st.sampled_from([QQ, GF(2), GF(5)]))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+
+    def draw_map(nrows, ncols):
+        values = draw(st.lists(entry, min_size=nrows * ncols, max_size=nrows * ncols))
+        return column_map(domain, nrows, ncols, [
+            ((k // ncols, k % ncols), v) for k, v in enumerate(values)
+        ])
+
+    nrows, ncols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    if draw(st.booleans()):
+        inner = draw(st.integers(0, 3))
+        return draw_map(nrows, inner) @ draw_map(inner, ncols)
+    return draw_map(nrows, ncols)
+
+
+@given(sparse_systems())
+def test_kernel_matches_dense_kernel(m):
+    dense = oracles.dense_kernel_basis(m.to_dense())
+    assert kernel_basis(m) == kernel_basis(m.to_dense()) == dense
+    assert kernel_map(m) == ColumnMap(m.domain, m.ncols, [
+        tuple((i, x) for i, x in enumerate(v) if x) for v in dense
+    ])
+
+
+# name: (domain, nrows, ncols, ((row, col), coeff) entries, kernel dimension)
+KERNEL_EXAMPLES = {
+    "zero": (QQ, 3, 4, [], 4),
+    "identity": (GF(5), 4, 4, [((i, i), 1) for i in range(4)], 0),
+    "zero-row-and-column": (GF(2), 3, 3, [((0, 0), 1), ((0, 2), 1), ((2, 0), 1)], 1),
+    "full-rank-wide": (QQ, 3, 5, [((0, 0), 1), ((0, 4), 3), ((1, 1), 2), ((1, 2), 1),
+                                  ((2, 0), 2), ((2, 3), 1), ((2, 4), -1)], 2),
+    "full-rank-tall": (GF(5), 5, 3, [((0, 0), 1), ((1, 0), 2), ((1, 1), 1), ((2, 1), 1),
+                                     ((2, 2), 1), ((4, 0), 3), ((4, 2), 1)], 0),
+    # column 1 gets 2 and -2 in row 0, so it is zero and e_1 lies in the kernel
+    "cancelled-column": (QQ, 2, 3, [((0, 1), 2), ((0, 0), 1), ((0, 1), -2), ((1, 2), 1),
+                                    ((1, 0), 1)], 1),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_EXAMPLES)
+def test_kernel_examples(name):
+    domain, nrows, ncols, entries, nullity = KERNEL_EXAMPLES[name]
+    m = column_map(domain, nrows, ncols, entries)
+    basis = kernel_basis(m)
+    assert basis == kernel_basis(m.to_dense()) == oracles.dense_kernel_basis(m.to_dense())
+    assert len(basis) == nullity
+    assert all(not any(m.apply(v)) for v in basis)
+
+
+def test_kernel_of_a_column_map_requires_field():
+    with pytest.raises(UnsupportedDomainError):
+        kernel_map(ColumnMap.identity(ZZ, 2))
 
 
 @given(small_matrix(QQ, 3, 4))
