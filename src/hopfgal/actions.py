@@ -142,14 +142,14 @@ def is_faithful(d):
         for a in range(dh) for v in range(ds)
         for u, c in d.action[a][v]
     )
-    return linalg.rank(Matrix.from_entries(dom, ds * ds, dh, terms)) == dh
+    return linalg.rank(ColumnMap.from_entries(dom, ds * ds, dh, terms)) == dh
 
 
 def integral_image(d):
     """Echelon basis of I.S, the image of the integral's action."""
     integral = hopf_mod.left_integrals(d.hopf).basis[0]
     act = acting_map(d.domain, d.action, d.algebra.dim, integral)
-    return linalg.column_space_basis(act.to_dense())
+    return linalg.column_space_basis(act)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +491,7 @@ def total_integral_map(d):
         raise InconsistencyError("integral image of the free generator is not a counit multiple")
     phi = phi.scale(dom.inv(ratio))  # now phi maps h to h -> t with integral -> t = counit
 
-    z = linalg.solve(acting_map(dom, d.action, ds, integral).to_dense(), d.algebra.unit)
+    z = linalg.solve(acting_map(dom, d.action, ds, integral), d.algebra.unit)
     if z is None:
         raise InconsistencyError("tame extension but integral . z = 1 has no solution")
 
@@ -537,7 +537,7 @@ def hopfological_homology_module(h, action):
     dim = len(action[0]) if action else 0
     fixed = hopf_mod.fixed_points(h, action)
     integral = hopf_mod.left_integrals(h).basis[0]
-    image = linalg.column_space_basis(acting_map(dom, action, dim, integral).to_dense())
+    image = linalg.column_space_basis(acting_map(dom, action, dim, integral))
     if not linalg.span_le(dom, image, fixed):
         raise InconsistencyError("I.V is not contained in V^H")
     return ModuleHomology(

@@ -57,7 +57,7 @@ def _witness_list(witness):
 
 def run_verify(args):
     try:
-        domain, h = files.load_hopf_file(args.path, validate=False)
+        domain, h = files.load_hopf_file(args.path, args.max_dim, validate=False)
     except AxiomError as exc:
         doc = _doc(
             "verify",
@@ -75,8 +75,8 @@ def run_verify(args):
     return doc, 0 if report.passed else 1
 
 
-def _load_valid_hopf(path):
-    domain, h = files.load_hopf_file(path, validate=False)
+def _load_valid_hopf(path, max_dim):
+    domain, h = files.load_hopf_file(path, max_dim, validate=False)
     report = hopf.verify_hopf(h)
     if not report.passed:
         bad = report.failures()[0]
@@ -87,7 +87,7 @@ def _load_valid_hopf(path):
 
 
 def run_integrals(args):
-    domain, h = _load_valid_hopf(args.path)
+    domain, h = _load_valid_hopf(args.path, args.max_dim)
     left = hopf.left_integrals(h)
     right = hopf.right_integrals(h)
     doc = _doc(
@@ -130,7 +130,7 @@ def _extension_dict(domain, report):
 
 
 def run_extension(args, command):
-    data = files.load_extension_file(args.path)
+    data = files.load_extension_file(args.path, args.max_dim)
     if data["module_algebra"] is None:
         raise FormatError(f"the {command} command needs an extension with an 'action'")
     d = data["module_algebra"]
@@ -162,7 +162,7 @@ def run_extension(args, command):
 
 def run_homology(args):
     if files.is_lattice_document(args.path):
-        module, _ = files.load_lattice_file(args.path)
+        module, _ = files.load_lattice_file(args.path, args.max_dim)
         order_kind = args.order or "group-ring"
         if order_kind == "group-ring":
             order = lattices.group_ring_order(module.hopf)
@@ -180,7 +180,7 @@ def run_homology(args):
             obstructed_primes=list(report.obstructed_primes),
         )
         return doc, 0
-    h, dim, action = files.load_module_file(args.path)
+    h, dim, action = files.load_module_file(args.path, args.max_dim)
     hom = actions.hopfological_homology_module(h, action)
     doc = _doc(
         "homology",
@@ -201,11 +201,11 @@ def _levels(args):
 
 def run_cyclic(args):
     top = _levels(args)
-    data = files.load_extension_file(args.path)
+    data = files.load_extension_file(args.path, args.max_dim)
     S = data["comodule_algebra"]
     if args.module is None:
         raise FormatError("the cyclic command needs --module")
-    M = files.load_ayd_module(S.hopf, args.module)
+    M = files.load_ayd_module(S.hopf, args.module, args.max_dim)
     max_dim = args.max_dim
     # the level-top identities build the faces and degeneracies of level top + 1
     for n in range(top + 2):
@@ -265,14 +265,14 @@ def run_cyclic(args):
 
 def run_bar_shift(args):
     top = _levels(args)
-    data = files.load_extension_file(args.path)
+    data = files.load_extension_file(args.path, args.max_dim)
     if data["module_algebra"] is None:
         raise FormatError("bar-shift needs an extension with an 'action'")
     d = data["module_algebra"]
     if args.module is None:
         raise FormatError("the bar-shift command needs --module")
     sm = actions.smash(d)
-    module = files.load_smash_module_file(sm, args.module)
+    module = files.load_smash_module_file(sm, args.module, args.max_dim)
     try:
         rep = cocyclic.bar_shift_check(d, module, top, args.max_dim)
     except PreconditionError as exc:
@@ -321,7 +321,7 @@ def _parse_inline_candidates(spec, dim):
 
 
 def run_assoc_order(args):
-    module, file_candidates = files.load_lattice_file(args.path)
+    module, file_candidates = files.load_lattice_file(args.path, args.max_dim)
     h = module.hopf
     order_kind = args.order or "associated"
     if order_kind == "group-ring":

@@ -149,7 +149,7 @@ def coinvariants(c):
         ((m * dh + h, m), dom.neg(u)) for m in range(c.dim)
         for h, u in enumerate(c.hopf.algebra.unit) if u != dom.zero
     ]
-    return linalg.kernel_basis(Matrix.from_entries(dom, c.dim * dh, c.dim, terms))
+    return linalg.kernel_basis(ColumnMap.from_entries(dom, c.dim * dh, c.dim, terms))
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ def hopfological_homology_comodule(c):
     coinv = coinvariants(c)
     dual_h, action = comodule_to_module(c)
     lam = hopf_mod.left_integrals(dual_h).basis[0]
-    image = linalg.column_space_basis(actions_mod.acting_map(dom, action, c.dim, lam).to_dense())
+    image = linalg.column_space_basis(actions_mod.acting_map(dom, action, c.dim, lam))
     if not linalg.span_le(dom, image, coinv):
         raise InconsistencyError("I.M is not contained in M^coH")
     return ComoduleHomology(len(coinv), len(image), len(coinv) - len(image))

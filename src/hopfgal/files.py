@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 
 from . import actions, cocyclic, hopf, lattices
-from .errors import FormatError, HopfgalError
+from .errors import FormatError, HopfgalError, ResourceBoundError
 from .linalg import GF, QQ, ZZ, Matrix
 
 
@@ -45,11 +45,14 @@ def _int_field(obj, key, what):
     return value
 
 
-def _dim_field(obj, key, what):
-    """obj[key] as a dimension: a JSON integer of at least 1."""
+def _dim_field(obj, key, what, max_dim):
+    """obj[key] as a dimension: a JSON integer from 1 to max_dim, checked
+    before anything of that size is built."""
     value = _int_field(obj, key, what)
     if value < 1:
         raise FormatError(f"{what} '{key}' must be at least 1, not {value}")
+    if value > max_dim:
+        raise ResourceBoundError(f"{what} '{key}' {value} > bound {max_dim}")
     return value
 
 
@@ -121,12 +124,12 @@ def _parse_entries(domain, entries, arity, what):
     return out
 
 
-def load_algebra(domain, obj, what="algebra"):
+def load_algebra(domain, obj, max_dim, what="algebra"):
     _require_object(obj, what)
     for key in ("dim", "mult", "unit"):
         if key not in obj:
             raise FormatError(f"{what} needs '{key}'")
-    dim = _dim_field(obj, "dim", what)
+    dim = _dim_field(obj, "dim", what, max_dim)
     labels = _labels_field(obj, "basis", what) or tuple(f"e{i}" for i in range(dim))
     if len(labels) != dim:
         raise FormatError(f"{what} basis labels must match dim")
@@ -135,7 +138,7 @@ def load_algebra(domain, obj, what="algebra"):
     return hopf.algebra_from_triples(domain, dim, labels, mult, unit)
 
 
-def load_hopf(domain, obj, validate=True):
+def load_hopf(domain, obj, max_dim, validate=True):
     """Hopf algebra from a builtin spec or explicit structure constants.
 
     With validate=False the explicit route returns unchecked data so
@@ -159,12 +162,12 @@ def load_hopf(domain, obj, validate=True):
         if name == "dual":
             if "of" not in obj:
                 raise FormatError("dual needs 'of'")
-            return hopf.dual(load_hopf(domain, obj["of"]))
+            return hopf.dual(load_hopf(domain, obj["of"], max_dim))
         raise FormatError(f"unknown builtin {name!r}")
     for key in ("comult", "counit", "antipode"):
         if key not in obj:
             raise FormatError(f"explicit hopf data needs '{key}'")
-    alg = load_algebra(domain, obj, "hopf algebra")
+    alg = load_algebra(domain, obj, max_dim, "hopf algebra")
     n = alg.dim
     comult = hopf.sparse_tensor(
         domain, (n, n, n), _parse_entries(domain, obj["comult"], 3, "comult"), 1
@@ -190,16 +193,16 @@ def load_document(path):
     return _require_object(doc, path)
 
 
-def load_hopf_file(path, validate=True):
+def load_hopf_file(path, max_dim, validate=True):
     doc = load_document(path)
     if "field" not in doc:
         raise FormatError("file needs a 'field'")
     domain = parse_field(doc["field"])
     spec = doc.get("builtin", doc)
-    return domain, load_hopf(domain, spec, validate=validate)
+    return domain, load_hopf(domain, spec, max_dim, validate=validate)
 
 
-def load_extension_file(path):
+def load_extension_file(path, max_dim):
     """Extension file: hopf + algebra + action and/or coaction.
 
     Returns a dict with the parsed pieces; the comodule-algebra route
@@ -211,8 +214,8 @@ def load_extension_file(path):
         if key not in doc:
             raise FormatError(f"extension file needs '{key}'")
     domain = parse_field(doc["field"])
-    h = load_hopf(domain, doc["hopf"])
-    alg = load_algebra(domain, doc["algebra"])
+    h = load_hopf(domain, doc["hopf"], max_dim)
+    alg = load_algebra(domain, doc["algebra"], max_dim)
     out = {"domain": domain, "hopf": h, "algebra": alg,
            "module_algebra": None, "comodule_algebra": None, "converted": False}
     if "action" in doc:
@@ -232,24 +235,24 @@ def load_extension_file(path):
     return out
 
 
-def load_module_file(path):
+def load_module_file(path, max_dim):
     """Module file for the homology command: hopf + module action."""
     doc = load_document(path)
     for key in ("field", "hopf", "module"):
         if key not in doc:
             raise FormatError(f"module file needs '{key}'")
     domain = parse_field(doc["field"])
-    h = load_hopf(domain, doc["hopf"])
+    h = load_hopf(domain, doc["hopf"], max_dim)
     mod = _require_object(doc["module"], "module spec")
     if "dim" not in mod or "action" not in mod:
         raise FormatError("module spec needs 'dim' and 'action'")
-    dim = _dim_field(mod, "dim", "module spec")
+    dim = _dim_field(mod, "dim", "module spec", max_dim)
     entries = _parse_entries(domain, mod["action"], 3, "module action")
     action = hopf.sparse_tensor(domain, (h.dim, dim, dim), entries, 2)
     return h, dim, action
 
 
-def load_ayd_module(hopf_algebra, path):
+def load_ayd_module(hopf_algebra, path, max_dim):
     """AYD coefficient file: dim + action + coaction over a given H."""
     doc = load_document(path)
     mod = _require_object(doc.get("module", doc), "AYD module spec")
@@ -257,7 +260,7 @@ def load_ayd_module(hopf_algebra, path):
         if key not in mod:
             raise FormatError(f"AYD module file needs '{key}'")
     domain = hopf_algebra.domain
-    dim = _dim_field(mod, "dim", "AYD module spec")
+    dim = _dim_field(mod, "dim", "AYD module spec", max_dim)
     act_entries = _parse_entries(domain, mod["action"], 3, "module action")
     action = hopf.sparse_tensor(domain, (hopf_algebra.dim, dim, dim), act_entries, 2)
     co_entries = _parse_entries(domain, mod["coaction"], 3, "module coaction")
@@ -265,7 +268,7 @@ def load_ayd_module(hopf_algebra, path):
     return cocyclic.AydModuleData(comod, action)
 
 
-def load_smash_module(smash_data, spec):
+def load_smash_module(smash_data, spec, max_dim):
     """Smash-module spec: 'regular', 'algebra', {'sum': [...]} or explicit."""
     if isinstance(spec, str):
         if spec == "regular":
@@ -275,7 +278,8 @@ def load_smash_module(smash_data, spec):
         raise FormatError(f"unknown smash module name {spec!r}")
     if isinstance(spec, dict) and "sum" in spec:
         parts = [
-            load_smash_module(smash_data, part) for part in _list_field(spec, "sum", "smash module")
+            load_smash_module(smash_data, part, max_dim)
+            for part in _list_field(spec, "sum", "smash module")
         ]
         if not parts:
             raise FormatError("empty smash module sum")
@@ -285,28 +289,28 @@ def load_smash_module(smash_data, spec):
         return total
     if isinstance(spec, dict) and "dim" in spec and "action" in spec:
         domain = smash_data.algebra.domain
-        dim = _dim_field(spec, "dim", "smash module spec")
+        dim = _dim_field(spec, "dim", "smash module spec", max_dim)
         entries = _parse_entries(domain, spec["action"], 3, "smash module action")
         action = hopf.sparse_tensor(domain, (smash_data.dim, dim, dim), entries, 2)
         return actions.smash_module(smash_data, dim, action)
     raise FormatError(f"cannot interpret smash module spec {spec!r}")
 
 
-def load_smash_module_file(smash_data, path):
+def load_smash_module_file(smash_data, path, max_dim):
     doc = load_document(path)
     if "smash_module" not in doc:
         raise FormatError("smash module file needs 'smash_module'")
-    return load_smash_module(smash_data, doc["smash_module"])
+    return load_smash_module(smash_data, doc["smash_module"], max_dim)
 
 
-def load_lattice_file(path):
+def load_lattice_file(path, max_dim):
     """Lattice file: rational Hopf algebra, ambient basis, action matrices."""
     doc = load_document(path)
     for key in ("hopf", "ambient_dim", "basis", "action"):
         if key not in doc:
             raise FormatError(f"lattice file needs '{key}'")
-    h = load_hopf(QQ, doc["hopf"])
-    n = _dim_field(doc, "ambient_dim", "lattice file")
+    h = load_hopf(QQ, doc["hopf"], max_dim)
+    n = _dim_field(doc, "ambient_dim", "lattice file", max_dim)
     basis_cols = doc["basis"]
     if not isinstance(basis_cols, list) or not basis_cols:
         raise FormatError("lattice basis must be a nonempty list of columns")
@@ -325,7 +329,7 @@ def load_lattice_file(path):
     unit = _parse_vector(QQ, doc.get("unit", ["1"] + ["0"] * (n - 1)), n, "unit")
     algebra = None
     if "algebra" in doc:
-        algebra = load_algebra(QQ, doc["algebra"])
+        algebra = load_algebra(QQ, doc["algebra"], max_dim)
     module = lattices.LatticeModuleData(
         hopf=h, lattice=lattice, action=tuple(action), unit=unit, algebra=algebra
     )

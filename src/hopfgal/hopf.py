@@ -599,7 +599,7 @@ def fixed_points(h, action):
     shifts = (
         ((a * dim + m, m), dom.neg(e)) for a, e in enumerate(h.counit) if e for m in range(dim)
     )
-    stacked = Matrix.from_entries(dom, len(action) * dim, dim, itertools.chain(terms, shifts))
+    stacked = ColumnMap.from_entries(dom, len(action) * dim, dim, itertools.chain(terms, shifts))
     return linalg.kernel_basis(stacked)
 
 
@@ -650,7 +650,7 @@ def is_local(h):
     """
     dom = h.domain
     linalg.require_field(dom, "localness check")
-    eps = Matrix(dom, [list(h.counit)])
+    eps = ColumnMap(dom, 1, [((0, e),) if e else () for e in h.counit])
     radical = list(linalg.kernel_basis(eps))
     current = radical
     for _ in range(h.dim + 1):

@@ -451,7 +451,7 @@ def tame_check_integral(order, module):
         (a, v, u, c) for a, m in enumerate(module.maps) for v, col in enumerate(m.cols) for u, c in col
     ]
     terms = (((u * n + v, a), c) for a, v, u, c in entries)
-    faithful = linalg.rank(Matrix.from_entries(QQ, n * n, h.dim, terms)) == h.dim
+    faithful = linalg.rank(ColumnMap.from_entries(QQ, n * n, h.dim, terms)) == h.dim
 
     tame = quotient_trivial and fixed_is_base and rank_equal and faithful
     primes = sorted({p for f in factors for p in _prime_factors(f)})

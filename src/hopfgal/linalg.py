@@ -6,11 +6,12 @@ positive denominator), prime-field elements are ints in ``[0, p)`` and
 integers are arbitrary-precision ints.  Floating point is banned
 repository-wide; every routine below is exact.
 
-Row reduction uses one fixed pivoting rule (first nonzero column,
-topmost row, pivot normalized to 1 over a field) so that kernel bases,
-echelon forms and normal forms are reproducible across runs.  Kernels
-are eliminated by sparse rows (`kernel_map`); `rref` is dense and serves
-rank, solving and echelon bases.
+Over a field there is one row reduction, `rref`: it reduces the sparse
+rows of a Matrix or a ColumnMap to the reduced row echelon form, and
+rank, kernels, echelon bases, solving and inversion all read its result.
+That form is unique, so kernel and echelon bases are canonical; the
+integer normal forms fix one pivoting rule (first nonzero column,
+topmost row), so they too are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -424,15 +425,6 @@ class Matrix:
     def stack_below(self, other):
         return stack([self, other])
 
-    def stack_right(self, other):
-        self._check_domain(other)
-        if self.nrows != other.nrows:
-            raise ShapeError("row count mismatch")
-        return Matrix._make(
-            self.domain, [r1 + r2 for r1, r2 in zip(self.rows, other.rows)],
-            self.ncols + other.ncols,
-        )
-
 
 def stack(matrices):
     """Vertical stack of matrices with equal column counts, in one pass."""
@@ -503,6 +495,14 @@ class ColumnMap:
             self.domain, self.nrows, self.ncols,
             (((i, j), c) for j, col in enumerate(self.cols) for i, c in col),
         )
+
+    def transpose(self):
+        """The transposed map: its columns are the rows of this one."""
+        rows = [[] for _ in range(self.nrows)]
+        for j, col in enumerate(self.cols):
+            for i, c in col:
+                rows[i].append((j, c))
+        return ColumnMap(self.domain, self.ncols, map(tuple, rows))
 
     def __eq__(self, other):
         return (
@@ -576,53 +576,22 @@ def on_slot(left, a, right):
 
 
 def rref(m):
-    """Reduced row echelon form with the canonical pivot rule.
+    """Reduced row echelon form of a field-domain map, as {pivot: {col: coeff}}.
 
-    Returns (echelon Matrix, tuple of pivot columns).
+    m is a Matrix or a ColumnMap; its rows are reduced as sparse rows.
+    Every stored row has 1 at its pivot, its lowest column, and 0 at every
+    other pivot, so a new row is reduced by one subtraction per pivot it
+    meets; a new pivot is then cleared from the rows stored before it.
+    The reduced echelon form is unique, so the result does not depend on
+    the order of the rows.
     """
-    require_field(m.domain, "row reduction")
-    dom = m.domain
-    rows = [list(r) for r in m.rows]
-    pivots = []
-    pr = 0
-    for pc in range(m.ncols):
-        sel = None
-        for r in range(pr, m.nrows):
-            if rows[r][pc]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        rows[pr], rows[sel] = rows[sel], rows[pr]
-        inv_p = dom.inv(rows[pr][pc])
-        rows[pr] = [dom.mul(inv_p, v) for v in rows[pr]]
-        for r in range(m.nrows):
-            if r != pr and rows[r][pc]:
-                f = rows[r][pc]
-                rows[r] = [dom.sub(a, dom.mul(f, b)) for a, b in zip(rows[r], rows[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == m.nrows:
-            break
-    return Matrix._make(dom, rows, m.ncols), tuple(pivots)
-
-
-def rank(m):
-    """Rank over a field via exact Gaussian elimination."""
-    _, pivots = rref(m)
-    return len(pivots)
-
-
-def _sparse_rref(domain, rows):
-    """Reduced echelon rows of the span of sparse rows, as {pivot: {col: coeff}}.
-
-    Each row is an iterable of (col, coeff) pairs of domain values.  Every
-    stored row has 1 at its pivot, its lowest column, and 0 at every other
-    pivot, so a new row is reduced by one subtraction per pivot it meets;
-    a new pivot is then cleared from the rows stored before it.  The
-    reduced echelon form is unique, so the result equals `rref`'s.
-    """
+    domain = m.domain
+    require_field(domain, "row reduction")
     sub, mul, zero = domain.sub, domain.mul, domain.zero
+    if isinstance(m, ColumnMap):
+        rows = m.transpose().cols
+    else:
+        rows = (enumerate(row) for row in m.rows)
 
     def subtract(row, f, other):
         """row -= f * other, in place, dropping the entries that cancel."""
@@ -650,57 +619,68 @@ def _sparse_rref(domain, rows):
     return pivots
 
 
+def rank(m):
+    """Rank of a field-domain Matrix or ColumnMap."""
+    return len(rref(m))
+
+
+def _dense(domain, ncols, rows):
+    """Sparse rows of (col, coeff) pairs as dense tuples of length ncols."""
+    zero = domain.zero
+    out = []
+    for row in rows:
+        vec = [zero] * ncols
+        for c, v in row:
+            vec[c] = v
+        out.append(tuple(vec))
+    return tuple(out)
+
+
+def _echelon_rows(echelon):
+    """The rows of an `rref` result by ascending pivot, as (col, coeff) pairs."""
+    return [tuple(sorted(echelon[p].items())) for p in sorted(echelon)]
+
+
+def _column_echelon(m):
+    """Canonical echelon basis of the column span of m, as sparse vectors."""
+    return _echelon_rows(rref(m.transpose()))
+
+
 def kernel_map(m):
     """Canonical echelon basis of the kernel of a field-domain map, as the
     columns of a ColumnMap; m is a Matrix or a ColumnMap.
 
-    The rows of m are eliminated sparsely; each free column f gives the
-    kernel vector e_f - sum of R[i][f] e_(p_i), and those vectors are
-    reduced the same way to the canonical echelon basis.
+    Each free column f of the RREF R gives the kernel vector
+    e_f - sum of R[i][f] e_(p_i); those vectors are reduced again to the
+    canonical echelon basis.
     """
     dom = m.domain
     require_field(dom, "kernel computation")
-    if isinstance(m, ColumnMap):
-        rows = [[] for _ in range(m.nrows)]
-        for j, col in enumerate(m.cols):
-            for i, c in col:
-                rows[i].append((j, c))
-    else:
-        rows = (enumerate(r) for r in m.rows)
-    pivots = _sparse_rref(dom, rows)
+    pivots = rref(m)
     free = {f: {f: dom.one} for f in range(m.ncols) if f not in pivots}
     for p, row in pivots.items():
         for c, v in row.items():
             if c != p:
                 free[c][p] = dom.neg(v)
-    basis = _sparse_rref(dom, (vec.items() for vec in free.values()))
-    return ColumnMap(dom, m.ncols, [tuple(sorted(basis[p].items())) for p in sorted(basis)])
+    vectors = ColumnMap(dom, m.ncols, [tuple(sorted(vec.items())) for vec in free.values()])
+    return ColumnMap(dom, m.ncols, _column_echelon(vectors))
 
 
 def kernel_basis(m):
     """Canonical echelon basis of the kernel of a field-domain map, as vectors."""
-    zero = m.domain.zero
-    out = []
-    for col in kernel_map(m).cols:
-        vec = [zero] * m.ncols
-        for i, c in col:
-            vec[i] = c
-        out.append(tuple(vec))
-    return tuple(out)
+    return _dense(m.domain, m.ncols, kernel_map(m).cols)
 
 
 def echelon_basis(domain, vectors):
     """Canonical (RREF) basis of the span of the given vectors."""
-    vectors = [tuple(v) for v in vectors]
-    if not vectors:
-        return ()
-    R, pivots = rref(Matrix(domain, vectors))
-    return tuple(R.rows[i] for i in range(len(pivots)))
+    m = Matrix(domain, vectors)
+    return _dense(domain, m.ncols, _echelon_rows(rref(m)))
 
 
 def column_space_basis(m):
-    """Canonical echelon basis of the column span (vectors of length nrows)."""
-    return echelon_basis(m.domain, [m.col(j) for j in range(m.ncols)])
+    """Canonical echelon basis of the column span (vectors of length nrows);
+    m is a Matrix or a ColumnMap."""
+    return _dense(m.domain, m.nrows, _column_echelon(m))
 
 
 def span_test(domain, basis):
@@ -740,35 +720,45 @@ def span_eq(domain, basis_a, basis_b):
     return echelon_basis(domain, basis_a) == echelon_basis(domain, basis_b)
 
 
+def _augmented(m, cols):
+    """The ColumnMap [m | cols] of a Matrix or ColumnMap m and extra columns."""
+    if isinstance(m, Matrix):
+        m = ColumnMap.from_dense(m)
+    return ColumnMap(m.domain, m.nrows, m.cols + tuple(cols))
+
+
 def invert(m):
-    """Exact two-sided inverse of a square full-rank field matrix."""
+    """Exact two-sided inverse of a square full-rank field map, as a Matrix;
+    m is a Matrix or a ColumnMap."""
     require_field(m.domain, "inversion")
-    if not m.is_square():
+    n = m.ncols
+    if m.nrows != n:
         raise ShapeError("only square matrices can be inverted")
-    aug = m.stack_right(Matrix.identity(m.domain, m.nrows))
-    R, pivots = rref(aug)
-    r = sum(1 for p in pivots if p < m.ncols)
-    if r < m.ncols:
-        raise SingularMatrixError(f"matrix of rank {r} < {m.ncols} is singular", r)
-    return Matrix._make(m.domain, [row[m.ncols:] for row in R.rows], m.ncols)
+    R = rref(_augmented(m, ColumnMap.identity(m.domain, n).cols))
+    r = sum(1 for p in R if p < n)
+    if r < n:
+        raise SingularMatrixError(f"matrix of rank {r} < {n} is singular", r)
+    inverse = _dense(m.domain, 2 * n, (R[p].items() for p in range(n)))
+    return Matrix._make(m.domain, [row[n:] for row in inverse], n)
 
 
 def solve(m, b):
-    """One exact solution of m x = b, or None when inconsistent.
+    """One exact solution of m x = b, or None when inconsistent; m is a
+    Matrix or a ColumnMap.
 
     Free variables are set to zero, so the answer is canonical.
     """
-    require_field(m.domain, "linear solve")
+    dom = m.domain
+    require_field(dom, "linear solve")
     if len(b) != m.nrows:
         raise ShapeError("right-hand side length mismatch")
-    dom = m.domain
-    aug = m.stack_right(Matrix.from_cols(dom, [b], m.nrows))
-    R, pivots = rref(aug)
-    if any(p == m.ncols for p in pivots):
+    b = [dom.normalize(v) for v in b]
+    R = rref(_augmented(m, [tuple((i, v) for i, v in enumerate(b) if v)]))
+    if m.ncols in R:
         return None
     x = [dom.zero] * m.ncols
-    for i, p in enumerate(pivots):
-        x[p] = R.rows[i][m.ncols]
+    for p, row in R.items():
+        x[p] = row.get(m.ncols, dom.zero)
     return tuple(x)
 
 

@@ -3,7 +3,11 @@
 These deliberately avoid the elimination routines of the package:
 determinants come from the Leibniz permutation expansion, ranks from
 the largest nonvanishing minor, and equation solving from brute
-enumeration where feasible.  Slow but obviously correct at desk scale.
+enumeration where feasible.  Over a field, `dense_rref` is a dense
+Gauss-Jordan elimination on whole rows, the differential reference for
+the package's one sparse-row `linalg.rref`; the dense kernel, echelon
+basis, solve and inverse below are read from it.  Slow but obviously
+correct at desk scale.
 """
 
 from fractions import Fraction
@@ -12,7 +16,7 @@ from itertools import combinations, permutations
 from hopfgal import cocyclic
 from hopfgal.errors import FormatError, ShapeError
 from hopfgal.hopf import AlgebraData
-from hopfgal.linalg import ColumnMap, Matrix, echelon_basis, rref, sparse_entries, stack, unit_vec
+from hopfgal.linalg import ColumnMap, Matrix, sparse_entries, stack, unit_vec
 
 
 def leibniz_det(rows):
@@ -216,11 +220,76 @@ def dense_action_matrices(domain, action, dim):
     ]
 
 
+def dense_rref(m):
+    """Reduced row echelon form of a field Matrix by dense Gauss-Jordan
+    elimination (first nonzero column, topmost row, pivot scaled to 1).
+
+    Returns (echelon Matrix, tuple of pivot columns).
+    """
+    dom = m.domain
+    rows = [list(r) for r in m.rows]
+    pivots = []
+    pr = 0
+    for pc in range(m.ncols):
+        sel = next((r for r in range(pr, m.nrows) if rows[r][pc] != dom.zero), None)
+        if sel is None:
+            continue
+        rows[pr], rows[sel] = rows[sel], rows[pr]
+        inv_p = dom.inv(rows[pr][pc])
+        rows[pr] = [dom.mul(inv_p, v) for v in rows[pr]]
+        for r in range(m.nrows):
+            if r != pr and rows[r][pc] != dom.zero:
+                f = rows[r][pc]
+                rows[r] = [dom.sub(a, dom.mul(f, b)) for a, b in zip(rows[r], rows[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == m.nrows:
+            break
+    return Matrix(dom, rows) if rows else Matrix.zeros(dom, 0, m.ncols), tuple(pivots)
+
+
+def dense_echelon_basis(domain, vectors):
+    """The nonzero rows of the dense RREF of the given vectors."""
+    vectors = [tuple(v) for v in vectors]
+    if not vectors:
+        return ()
+    R, pivots = dense_rref(Matrix(domain, vectors))
+    return tuple(R.rows[: len(pivots)])
+
+
+def _augment(m, cols):
+    """The dense Matrix [m | cols] of a Matrix m and extra columns."""
+    return Matrix(m.domain, [row + tuple(c[i] for c in cols) for i, row in enumerate(m.rows)])
+
+
+def dense_solve(m, b):
+    """m x = b from the dense RREF of [m | b], free variables 0; None when
+    the last column is a pivot."""
+    R, pivots = dense_rref(_augment(m, [tuple(b)]))
+    if m.ncols in pivots:
+        return None
+    x = [m.domain.zero] * m.ncols
+    for i, p in enumerate(pivots):
+        x[p] = R.rows[i][m.ncols]
+    return tuple(x)
+
+
+def dense_inverse(m):
+    """(inverse, rank) from the dense RREF of [m | I]; the inverse is None
+    when m is singular."""
+    n = m.nrows
+    R, pivots = dense_rref(_augment(m, Matrix.identity(m.domain, n).cols()))
+    r = sum(1 for p in pivots if p < n)
+    if r < n:
+        return None, r
+    return Matrix(m.domain, [row[n:] for row in R.rows]), r
+
+
 def dense_kernel_basis(m):
     """Canonical echelon basis of the kernel of a dense field Matrix: the
     free-column vectors of its dense RREF, brought to echelon form."""
     dom = m.domain
-    R, pivots = rref(m)
+    R, pivots = dense_rref(m)
     vecs = []
     for f in (j for j in range(m.ncols) if j not in pivots):
         v = [dom.zero] * m.ncols
@@ -228,7 +297,7 @@ def dense_kernel_basis(m):
         for i, p in enumerate(pivots):
             v[p] = dom.neg(R.rows[i][f])
         vecs.append(v)
-    return echelon_basis(dom, vecs)
+    return dense_echelon_basis(dom, vecs)
 
 
 def dense_fixed_points(h, mats):

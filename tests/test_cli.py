@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -506,9 +507,9 @@ NESTED_CASES = [
 ]
 
 
-@pytest.mark.parametrize("command,base,path,value,message", NESTED_CASES)
-def test_malformed_nested_field_is_input_error(tmp_path, fixtures, capsys, command, base,
-                                               path, value, message):
+def run_on_changed_doc(tmp_path, fixtures, command, base, path, value):
+    """Exit code of `command` run in process, with doc.json the fixture `base`
+    (or a document) whose field at `path` is set to `value`."""
     doc = json.loads((fixtures / base).read_text()) if isinstance(base, str) else base
     doc = json.loads(json.dumps(doc))
     section = doc
@@ -521,8 +522,39 @@ def test_malformed_nested_field_is_input_error(tmp_path, fixtures, capsys, comma
         str(tmp_path / a) if a == "doc.json" else fx(fixtures, a) if a.endswith(".json") else a
         for a in command
     ]
-    assert cli.main(args) == 2
+    return cli.main(args)
+
+
+@pytest.mark.parametrize("command,base,path,value,message", NESTED_CASES)
+def test_malformed_nested_field_is_input_error(tmp_path, fixtures, capsys, command, base,
+                                               path, value, message):
+    assert run_on_changed_doc(tmp_path, fixtures, command, base, path, value) == 2
     assert message in capsys.readouterr().err
+
+
+HUGE = 10 ** 9
+
+
+@pytest.mark.parametrize("command,base,path,value,message", [
+    pytest.param(["homology", "doc.json"], "mod_trivial_f2c2.json", ("module", "dim"), HUGE,
+                 "module spec 'dim'", id="module-dim"),
+    pytest.param(AYD_CYCLIC, "mod_kc2_ayd_f3.json", ("module", "dim"), HUGE,
+                 "AYD module spec 'dim'", id="ayd-module-dim"),
+    pytest.param(["bar-shift", "ext_gaussian.json", "--module", "doc.json", "--levels", "1"],
+                 "smashmod_sum.json", ("smash_module",), {"dim": HUGE, "action": []},
+                 "smash module spec 'dim'", id="smash-module-dim"),
+    pytest.param(["tame", "doc.json"], "ext_f4.json", ("algebra", "dim"), HUGE,
+                 "algebra 'dim'", id="algebra-dim"),
+    pytest.param(["homology", "doc.json"], "lat_zi_qc2.json", ("ambient_dim",), HUGE,
+                 "lattice file 'ambient_dim'", id="lattice-ambient-dim"),
+])
+def test_input_dimension_past_the_bound_is_refused_before_allocation(
+        tmp_path, fixtures, capsys, command, base, path, value, message):
+    # the tensors of a 10^9-dimensional input would never finish allocating
+    start = time.perf_counter()
+    assert run_on_changed_doc(tmp_path, fixtures, command, base, path, value) == 3
+    assert time.perf_counter() - start < 2.0
+    assert f"{message} {HUGE} > bound 5000" in capsys.readouterr().err
 
 
 def test_verify_over_a_large_prime(tmp_path, capsys):

@@ -18,6 +18,7 @@ from hopfgal.linalg import (
     ColumnMap,
     Matrix,
     _is_prime,
+    column_space_basis,
     det,
     echelon_basis,
     hermite_normal_form,
@@ -348,7 +349,7 @@ def column_map(domain, nrows, ncols, entries):
 
 
 @st.composite
-def sparse_systems(draw):
+def sparse_systems(draw, square=False):
     """A map of shape up to 9 x 9 over Q, F_2 or F_5, mostly zeros; half the
     draws factor through at most 3 dimensions, so their kernels are large."""
     domain = draw(st.sampled_from([QQ, GF(2), GF(5)]))
@@ -360,7 +361,8 @@ def sparse_systems(draw):
             ((k // ncols, k % ncols), v) for k, v in enumerate(values)
         ])
 
-    nrows, ncols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    nrows = draw(st.integers(0, 9))
+    ncols = nrows if square else draw(st.integers(0, 9))
     if draw(st.booleans()):
         inner = draw(st.integers(0, 3))
         return draw_map(nrows, inner) @ draw_map(inner, ncols)
@@ -374,6 +376,45 @@ def test_kernel_matches_dense_kernel(m):
     assert kernel_map(m) == ColumnMap(m.domain, m.ncols, [
         tuple((i, x) for i, x in enumerate(v) if x) for v in dense
     ])
+
+
+@given(sparse_systems())
+def test_rank_and_echelon_bases_match_dense_rref(m):
+    dense = m.to_dense()
+    R, pivots = oracles.dense_rref(dense)
+    assert rank(m) == rank(dense) == len(pivots)
+    assert echelon_basis(m.domain, dense.rows) == oracles.dense_echelon_basis(m.domain, dense.rows)
+    columns = oracles.dense_echelon_basis(m.domain, dense.cols())
+    assert column_space_basis(m) == column_space_basis(dense) == columns
+    assert rref(m) == rref(dense) == {
+        p: {j: x for j, x in enumerate(R.rows[i]) if x} for i, p in enumerate(pivots)
+    }
+
+
+@given(sparse_systems(), st.data())
+def test_solve_matches_dense_rref(m, data):
+    entry = st.sampled_from([0, 1, -1, 2])
+    dom, dense = m.domain, m.to_dense()
+    x = [dom.normalize(v) for v in data.draw(st.lists(entry, min_size=m.ncols, max_size=m.ncols))]
+    consistent = m.apply(x)
+    other = data.draw(st.lists(entry, min_size=m.nrows, max_size=m.nrows))
+    for b in (consistent, other):
+        expected = oracles.dense_solve(dense, [dom.normalize(v) for v in b])
+        assert solve(m, b) == solve(dense, b) == expected
+    assert oracles.dense_solve(dense, consistent) is not None
+
+
+@given(sparse_systems(square=True))
+def test_invert_matches_dense_rref(m):
+    dense = m.to_dense()
+    inverse, r = oracles.dense_inverse(dense)
+    for form in (m, dense):
+        if inverse is None:
+            with pytest.raises(SingularMatrixError) as err:
+                invert(form)
+            assert err.value.rank == r
+        else:
+            assert invert(form) == inverse
 
 
 # name: (domain, nrows, ncols, ((row, col), coeff) entries, kernel dimension)
@@ -528,9 +569,9 @@ def test_echelon_basis_is_canonical():
 
 
 def test_rref_pivot_normalization():
-    R, pivots = rref(Matrix(QQ, [[0, 2, 4], [0, 1, 2]]))
-    assert pivots == (1,)
-    assert R.rows[0] == (Fraction(0), Fraction(1), Fraction(2))
+    # one pivot, in column 1, whose row is (0, 1, 2)
+    m = Matrix(QQ, [[0, 2, 4], [0, 1, 2]])
+    assert rref(m) == rref(ColumnMap.from_dense(m)) == {1: {1: Fraction(1), 2: Fraction(2)}}
 
 
 def test_det_integer_matches_oracle():
