@@ -4,9 +4,10 @@ The pair (H, S) is stored as an action tensor act[h][s] holding the
 nonzero (t, c) pairs of e_h . e_s, sorted by t, in the canonical form
 :func:`hopf.sparse_tensor` builds; modules over S#H and S use the same
 layout.  Each block act[h] is read, without a copy, as the columns of
-a `linalg.ColumnMap` (:func:`action_maps`, :func:`acting_map`); a map
-is densified only where elimination needs it (kernels, ranks, solves,
-column spans).  The comodule structure on S that the second Galois map
+a `linalg.ColumnMap` (:func:`action_maps`, :func:`acting_map`).  Every
+linear map here is a ColumnMap, the Galois maps, the Morita evaluation
+map and the total integral included; `linalg` eliminates it by its
+sparse rows.  The comodule structure on S that the second Galois map
 needs is obtained from the action through the finite dual: sigma(t) =
 sum_a (e_a . t) (x) e_a*, with the pairing fixed as evaluation on the
 stored bases.
@@ -24,7 +25,7 @@ from .errors import (
     ShapeError,
 )
 from .hopf import AlgebraData, HopfAlgebraData
-from .linalg import ColumnMap, Matrix, sparse_entries as _sparse  # noqa: F401 (read by perfbench/tests)
+from .linalg import ColumnMap, sparse_entries as _sparse  # noqa: F401 (read by perfbench/tests)
 from .reporting import CheckResult, VerificationReport
 
 
@@ -212,7 +213,7 @@ def smash(d):
 
 @dataclass(frozen=True)
 class GaloisMap:
-    matrix: Matrix
+    matrix: ColumnMap
     rank: int
     bijective: bool
 
@@ -224,7 +225,7 @@ class GaloisMap:
 
 
 def galois_map_j(d):
-    """Matrix of j : S#H -> End(S), j(s (x) h)(t) = s (h . t).
+    """The map j : S#H -> End(S), j(s (x) h)(t) = s (h . t).
 
     Rows are indexed by End(S) basis (u, v) = u*dim(S)+v, columns by
     s*dim(H)+h; bijectivity is full rank on a square matrix.
@@ -240,11 +241,11 @@ def galois_map_j(d):
         for t, w in d.action[a][v]
         for u, w2 in d.algebra.mult[i][t]
     )
-    return GaloisMap.of(Matrix.from_entries(dom, ds * ds, ds * dh, terms))
+    return GaloisMap.of(ColumnMap.from_entries(dom, ds * ds, ds * dh, terms))
 
 
 def galois_map_gamma(d):
-    """Matrix of gamma : S (x) S -> S (x) H*, s (x) t -> (s (x) 1) sigma(t).
+    """The map gamma : S (x) S -> S (x) H*, s (x) t -> (s (x) 1) sigma(t).
 
     sigma is the coaction induced by the action through the dual basis.
     Rows are (u, a) = u*dim(H)+a, columns (i, j) = i*dim(S)+j.
@@ -260,7 +261,7 @@ def galois_map_gamma(d):
         for t, w in d.action[a][j]
         for u, w2 in d.algebra.mult[i][t]
     )
-    return GaloisMap.of(Matrix.from_entries(dom, ds * dh, ds * ds, terms))
+    return GaloisMap.of(ColumnMap.from_entries(dom, ds * dh, ds * ds, terms))
 
 
 def gamma_is_algebra_map(d):
@@ -272,15 +273,12 @@ def gamma_is_algebra_map(d):
     if not gamma.bijective:
         raise PreconditionError("gamma is not bijective, the algebra-map lemma does not apply")
     dom = d.domain
-    mul, zero = dom.mul, dom.zero
+    mul = dom.mul
     ds, dh = d.algebra.dim, d.hopf.dim
     s_mult = d.algebra.mult
     dual_mult = hopf_mod.dual(d.hopf).algebra.mult
     # gamma(x (x) y) as (u, a, coeff) triples: coefficient of e_u (x) e_a*
-    images = [
-        [(p // dh, p % dh, v) for p, v in enumerate(gamma.matrix.col(col)) if v != zero]
-        for col in range(ds * ds)
-    ]
+    images = [[(p // dh, p % dh, v) for p, v in col] for col in gamma.matrix.cols]
 
     for x in range(ds):
         for y in range(ds):
@@ -410,7 +408,7 @@ def classify_extension(d):
 @dataclass(frozen=True)
 class TotalIntegralResult:
     present: bool
-    matrix: Matrix | None
+    matrix: ColumnMap | None
     z: tuple | None
     obstruction: str | None
 
@@ -472,7 +470,7 @@ def total_integral_map(d):
 
     free = None
     for t0 in candidates():
-        phi = Matrix.from_cols(dom, [m.apply(t0) for m in dual_maps], n)  # columns e_a -> t0
+        phi = ColumnMap.from_cols(dom, n, [m.apply(t0) for m in dual_maps])  # columns e_a -> t0
         if linalg.rank(phi) == n:
             free = (t0, phi)
             break
@@ -489,23 +487,23 @@ def total_integral_map(d):
             break
     if ratio is None or list(lam_t0) != list(linalg.vec_scale(dom, ratio, h.counit)) or ratio == dom.zero:
         raise InconsistencyError("integral image of the free generator is not a counit multiple")
-    phi = phi.scale(dom.inv(ratio))  # now phi maps h to h -> t with integral -> t = counit
+    # now phi maps h to h -> t with integral -> t = counit
+    phi = ColumnMap.combination(dom, [dom.inv(ratio)], [phi], n, n)
 
     z = linalg.solve(acting_map(dom, d.action, ds, integral), d.algebra.unit)
     if z is None:
         raise InconsistencyError("tame extension but integral . z = 1 has no solution")
 
     # g(e_a -> t) = e_a . z, so as a matrix g = Z . phi^{-1}
-    zmat = Matrix.from_cols(dom, [m.apply(z) for m in maps], ds)
+    zmat = ColumnMap.from_cols(dom, ds, [m.apply(z) for m in maps])
     g = zmat @ linalg.invert(phi)
 
     # verify H-linearity and normalization exactly
     unit_dual = tuple(h.counit)
     if g.apply(unit_dual) != tuple(d.algebra.unit):
         raise InconsistencyError("constructed total integral has g(1) != 1")
-    g_map = ColumnMap.from_dense(g)
     for dual_map, act in zip(dual_maps, maps):
-        if g_map @ dual_map != act @ g_map:
+        if g @ dual_map != act @ g:
             raise InconsistencyError("constructed total integral is not H-linear")
     return TotalIntegralResult(True, g, z, None)
 
@@ -653,7 +651,7 @@ def fixed_points_smash(module):
 
 @dataclass(frozen=True)
 class MoritaReport:
-    matrix: Matrix
+    matrix: ColumnMap
     bijective: bool
     dim_module: int
     dim_fixed: int
@@ -683,4 +681,4 @@ def evaluation_map(domain, s_action, dim, vectors):
     rank and bijectivity verdict.
     """
     cols = [act.apply(w) for act in action_maps(domain, s_action, dim) for w in vectors]
-    return GaloisMap.of(Matrix.from_cols(domain, cols, dim))
+    return GaloisMap.of(ColumnMap.from_cols(domain, dim, cols))

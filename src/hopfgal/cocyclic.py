@@ -46,7 +46,7 @@ from .errors import (
     ResourceBoundError,
     ShapeError,
 )
-from .linalg import ColumnMap, Matrix, sparse_entries as _sparse  # noqa: F401 (read by perfbench/tests)
+from .linalg import ColumnMap, sparse_entries as _sparse  # noqa: F401 (read by perfbench/tests)
 
 DEFAULT_MAX_DIM = 5000
 
@@ -162,18 +162,11 @@ class ComoduleHomology:
 def hopfological_homology_comodule(c):
     """dim M^coH / (integral of the dual acting on M).
 
-    The integral acts through the module structure the dictionary
-    induces over dual(H); its image is asserted to lie inside the
-    coinvariants.
+    M^coH is the fixed space of the dual(H)-action the dictionary induces
+    (`comodule_to_module`), so this is the homology of that module.
     """
-    dom = c.domain
-    coinv = coinvariants(c)
-    dual_h, action = comodule_to_module(c)
-    lam = hopf_mod.left_integrals(dual_h).basis[0]
-    image = linalg.column_space_basis(actions_mod.acting_map(dom, action, c.dim, lam))
-    if not linalg.span_le(dom, image, coinv):
-        raise InconsistencyError("I.M is not contained in M^coH")
-    return ComoduleHomology(len(coinv), len(image), len(coinv) - len(image))
+    hom = actions_mod.hopfological_homology_module(*comodule_to_module(c))
+    return ComoduleHomology(hom.dim_fixed, hom.dim_image, hom.dim_h0)
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +205,11 @@ class AydModuleData:
 def _left_legs(ayd_or_comodule, antipode_inv):
     """Left-coaction legs (h, m0, coeff) of each basis vector."""
     c = ayd_or_comodule
-    dom = c.domain
-    out = []
-    for m in range(c.dim):
-        legs = []
-        for m0, h1, coeff in c.coaction[m]:
-            for hh, w in enumerate(antipode_inv.col(h1)):
-                if w != dom.zero:
-                    legs.append((hh, m0, dom.mul(coeff, w)))
-        out.append(legs)
-    return out
+    mul, inv_cols = c.domain.mul, antipode_inv.cols
+    return [
+        [(hh, m0, mul(coeff, w)) for m0, h1, coeff in c.coaction[m] for hh, w in inv_cols[h1]]
+        for m in range(c.dim)
+    ]
 
 
 def ayd_check(m):
@@ -235,11 +223,9 @@ def ayd_check(m):
     dom = m.domain
     if not hopf_mod.antipode_bijective(h):
         raise PreconditionError("the AYD check needs a bijective antipode")
-    alpha = h.antipode
-    alpha_inv = linalg.invert(alpha)
-    legs = _left_legs(m.comodule, alpha_inv)
+    alpha = h.antipode.cols
+    legs = _left_legs(m.comodule, linalg.invert(h.antipode))
     n = h.dim
-    zero = dom.zero
 
     # Delta^2 legs of each basis element of H
     delta2 = []
@@ -251,7 +237,6 @@ def ayd_check(m):
         delta2.append(terms)
 
     mul, mult = dom.mul, h.algebra.mult
-    alpha_cols = [[(s, w) for s, w in enumerate(alpha.col(k)) if w != zero] for k in range(n)]
 
     def rhs_terms(a, v):
         for a1, a2, a3, c in delta2[a]:
@@ -259,7 +244,7 @@ def ayd_check(m):
                 # h_(1) v_(-1) alpha(h_(3)) in H
                 hvec = linalg.sparse_sum(dom, (
                     (k, mul(w1, mul(w2, w3)))
-                    for t, w1 in mult[a1][hh] for s, w2 in alpha_cols[a3] for k, w3 in mult[t][s]
+                    for t, w1 in mult[a1][hh] for s, w2 in alpha[a3] for k, w3 in mult[t][s]
                 ))
                 cw = mul(c, w)
                 for hi, hv in hvec.items():
@@ -283,8 +268,7 @@ def stability_check(m):
     ok, witness = ayd_check(m)
     if not ok:
         raise PreconditionError(f"stability needs the AYD law; it fails at {witness}")
-    alpha_inv = linalg.invert(h.antipode)
-    legs = _left_legs(m.comodule, alpha_inv)
+    legs = _left_legs(m.comodule, linalg.invert(h.antipode))
     for v in range(m.dim):
         out = [dom.zero] * m.dim
         for hh, m0, w in legs[v]:
@@ -658,7 +642,7 @@ def t_complex(S, M, top, max_dim=DEFAULT_MAX_DIM):
             raise ResourceBoundError(f"level {k} has dimension {d} > bound {max_dim}")
         dims.append(d)
     diffs = tuple(
-        _alternating_sum(S.domain, [face_matrix(S, M, k, i) for i in range(k + 1)], 0).to_dense()
+        _alternating_sum(S.domain, [face_matrix(S, M, k, i) for i in range(k + 1)], 0)
         for k in range(1, top + 1)
     )
     return ChainComplexData(tuple(dims), diffs)
@@ -676,7 +660,7 @@ def _alternating_sum(dom, faces, first):
 
 @dataclass(frozen=True)
 class ChainComplexData:
-    """Non-negatively graded complex; differentials[k] is b_{k+1}."""
+    """Non-negatively graded complex; differentials[k] is b_{k+1}, a ColumnMap."""
 
     dims: tuple
     differentials: tuple
@@ -688,8 +672,7 @@ class ChainComplexData:
             if b.nrows != self.dims[k - 1] or b.ncols != self.dims[k]:
                 raise ShapeError(f"differential b_{k} has the wrong shape")
         for k in range(len(self.differentials) - 1):
-            prod = self.differentials[k] @ self.differentials[k + 1]
-            if not prod.is_zero():
+            if any((self.differentials[k] @ self.differentials[k + 1]).cols):
                 raise InconsistencyError(f"b_{k + 1} b_{k + 2} != 0")
 
     @property
@@ -700,16 +683,12 @@ class ChainComplexData:
         return self.differentials[n - 1]
 
     def homology_dims(self):
-        """Dimensions of H_0 .. H_{top-1} (the top degree needs b_{top+1})."""
-        out = []
-        for k in range(self.top):
-            if k == 0:
-                kernel = self.dims[0]
-            else:
-                kernel = len(linalg.kernel_basis(self.differential(k)))
-            image = linalg.rank(self.differential(k + 1))
-            out.append(kernel - image)
-        return tuple(out)
+        """Dimensions of H_0 .. H_{top-1} (the top degree needs b_{top+1}).
+
+        By rank-nullity, dim H_k = dims[k] - rank b_k - rank b_{k+1}.
+        """
+        ranks = [0] + [linalg.rank(b) for b in self.differentials]
+        return tuple(self.dims[k] - ranks[k] - ranks[k + 1] for k in range(self.top))
 
 
 def bar_complex(alg, s_action, top, max_dim=DEFAULT_MAX_DIM):
@@ -731,8 +710,7 @@ def bar_complex(alg, s_action, top, max_dim=DEFAULT_MAX_DIM):
         if d > max_dim:
             raise ResourceBoundError(f"bar degree {n} has dimension {d} > bound {max_dim}")
         dims.append(d)
-    diffs = tuple(d.to_dense() for d in _bar_differentials(alg, s_action, dm, top))
-    return ChainComplexData(tuple(dims), diffs)
+    return ChainComplexData(tuple(dims), tuple(_bar_differentials(alg, s_action, dm, top)))
 
 
 def _bar_differentials(alg, s_action, dm, top):
@@ -802,7 +780,7 @@ def bar_shift_check(d, module, top, max_dim=DEFAULT_MAX_DIM):
     # informational: does the iso intertwine the multiplication faces
     compat = []
     if morita.bijective:
-        phi = ColumnMap.from_dense(linalg.invert(morita.matrix))  # M -> S (x) M^H
+        phi = linalg.invert(morita.matrix)  # M -> S (x) M^H
         # a validated smash module restricts to an S-module along s -> s # 1_H
         bar_m = _bar_differentials(d.algebra, module.s_action(), dm, top)
         mult = _mult_map(d.algebra)
@@ -842,7 +820,7 @@ def galois_map_gamma_comodule(S):
         for t0, h, c in S.comodule.coaction[j]
         for u, w in S.algebra.mult[i][t0]
     )
-    return actions_mod.GaloisMap.of(Matrix.from_entries(dom, ds * dh, ds * ds, terms))
+    return actions_mod.GaloisMap.of(ColumnMap.from_entries(dom, ds * dh, ds * ds, terms))
 
 
 @dataclass(frozen=True)

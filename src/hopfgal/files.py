@@ -28,7 +28,7 @@ import json
 
 from . import actions, cocyclic, hopf, lattices
 from .errors import FormatError, HopfgalError, ResourceBoundError
-from .linalg import GF, QQ, ZZ, Matrix
+from .linalg import GF, QQ, ZZ, ColumnMap
 
 
 def _require_object(value, what):
@@ -54,6 +54,13 @@ def _dim_field(obj, key, what, max_dim):
     if value > max_dim:
         raise ResourceBoundError(f"{what} '{key}' {value} > bound {max_dim}")
     return value
+
+
+def _bound_builtin(what, dim, max_dim):
+    """Refuse a builtin Hopf algebra whose dimension passes max_dim, before
+    any of it is built."""
+    if dim > max_dim:
+        raise ResourceBoundError(f"{what} has dimension {dim} > bound {max_dim}")
 
 
 def _list_field(obj, key, what):
@@ -118,7 +125,7 @@ def _parse_entries(domain, entries, arity, what):
         if not isinstance(entry, list) or len(entry) != arity + 1:
             raise FormatError(f"{what} entry {entry!r} must have {arity + 1} items")
         idx = entry[:-1]
-        if any(not isinstance(i, int) for i in idx):
+        if any(type(i) is not int for i in idx):
             raise FormatError(f"{what} entry {entry!r} has non-integer indices")
         out.append(tuple(idx) + (_parse_scalar(domain, entry[-1]),))
     return out
@@ -152,13 +159,18 @@ def load_hopf(domain, obj, max_dim, validate=True):
             table = obj.get("table")
             if not isinstance(table, list):
                 raise FormatError("group_algebra needs a 'table'")
+            _bound_builtin(f"group_algebra 'table' of order {len(table)}", len(table), max_dim)
             return hopf.group_algebra(domain, table, _labels_field(obj, "labels", "group_algebra"))
         if name == "sweedler":
+            _bound_builtin("sweedler", 4, max_dim)
             return hopf.sweedler(domain)
         if name == "taft":
             if "n" not in obj or "q" not in obj:
                 raise FormatError("taft needs 'n' and 'q'")
-            return hopf.taft(domain, _int_field(obj, "n", "taft"), _parse_scalar(domain, obj["q"]))
+            n = _int_field(obj, "n", "taft")
+            # n < 2 is refused by hopf.taft as malformed
+            _bound_builtin(f"taft 'n' {n}", n * n if n >= 2 else 0, max_dim)
+            return hopf.taft(domain, n, _parse_scalar(domain, obj["q"]))
         if name == "dual":
             if "of" not in obj:
                 raise FormatError("dual needs 'of'")
@@ -325,7 +337,8 @@ def load_lattice_file(path, max_dim):
     for m in mats:
         if not isinstance(m, list) or len(m) != n:
             raise FormatError("action matrix must have ambient_dim rows")
-        action.append(Matrix(QQ, [_parse_vector(QQ, row, n, "action row") for row in m]))
+        rows = [_parse_vector(QQ, row, n, "action row") for row in m]
+        action.append(ColumnMap.from_cols(QQ, n, zip(*rows)))
     unit = _parse_vector(QQ, doc.get("unit", ["1"] + ["0"] * (n - 1)), n, "unit")
     algebra = None
     if "algebra" in doc:

@@ -2,7 +2,7 @@
 
 An algebra is a multiplication tensor plus a unit vector on a labelled
 basis; a Hopf algebra adds a comultiplication tensor, a counit vector
-and an explicit antipode matrix.  Axioms are checked eagerly: algebra
+and an explicit antipode, a `linalg.ColumnMap`.  Axioms are checked eagerly: algebra
 axioms at construction, the full Hopf axiom list through
 :func:`verify_hopf` (the builtin constructors and the file loader run
 it and refuse failing data).
@@ -10,8 +10,9 @@ it and refuse failing data).
 Structure tensors are stored once, sparse and canonical, as
 :func:`sparse_tensor` builds them: mult[i][j] is the tuple of (k, c)
 pairs of e_i e_j and comult[i] the tuple of (j, k, c) triples of
-Delta(e_i), each sorted by index with zeros dropped.  Unit and counit
-are dense coefficient vectors.
+Delta(e_i), each sorted by index with zeros dropped; the antipode's
+column i holds the (j, c) pairs of alpha(e_i) in the same form.  Unit
+and counit are dense coefficient vectors.
 
 Basis order is part of the data.  Tensor-square flattenings are always
 lexicographic with the left factor varying slowest.
@@ -33,7 +34,7 @@ from .errors import (
     ShapeError,
     UnsupportedDomainError,
 )
-from .linalg import ColumnMap, Matrix
+from .linalg import ColumnMap
 from .reporting import CheckResult, VerificationReport
 
 
@@ -70,8 +71,8 @@ def sparse_tensor(domain, shape, entries, lead):
 
 
 def matrix_from_triples(domain, n, entries):
-    """n x n matrix from entries (i, j, c): column i contains c in row j."""
-    return ColumnMap(domain, n, sparse_tensor(domain, (n, n), entries, 1)).to_dense()
+    """n x n ColumnMap from entries (i, j, c): column i contains c in row j."""
+    return ColumnMap(domain, n, sparse_tensor(domain, (n, n), entries, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +208,7 @@ class HopfAlgebraData:
 
     comult[i] holds the nonzero (j, k, c) triples of Delta(e_i), c being
     the coefficient of e_j (x) e_k; counit is a coefficient vector;
-    antipode is the matrix whose column i is the image of e_i.  No Hopf
+    antipode is the ColumnMap whose column i is the image of e_i.  No Hopf
     axioms are enforced here, so tests can build corrupted instances;
     `build_hopf` and every builtin constructor run :func:`verify_hopf`
     and raise on failure.
@@ -216,7 +217,7 @@ class HopfAlgebraData:
     algebra: AlgebraData
     comult: tuple
     counit: tuple
-    antipode: Matrix
+    antipode: ColumnMap
 
     def __post_init__(self):
         n = self.algebra.dim
@@ -335,19 +336,17 @@ def verify_hopf(h):
 
     # antipode: mu (alpha (x) id) Delta = unit . counit = mu (id (x) alpha) Delta
     witness = None
+    alpha, mult = h.antipode.cols, alg.mult
     for i in range(n):
-        left = [zero] * n
-        right = [zero] * n
-        for j, k, c in h.comult[i]:
-            alpha_j = h.antipode.col(j)
-            term = alg.mul_vec(alpha_j, linalg.unit_vec(dom, n, k))
-            for t, v in enumerate(term):
-                left[t] = dom.add(left[t], dom.mul(c, v))
-            alpha_k = h.antipode.col(k)
-            term = alg.mul_vec(linalg.unit_vec(dom, n, j), alpha_k)
-            for t, v in enumerate(term):
-                right[t] = dom.add(right[t], dom.mul(c, v))
-        target = list(linalg.vec_scale(dom, h.counit[i], alg.unit))
+        left = linalg.sparse_sum(dom, (
+            (u, mul(mul(c, v), w))
+            for j, k, c in h.comult[i] for t, v in alpha[j] for u, w in mult[t][k]
+        ))
+        right = linalg.sparse_sum(dom, (
+            (u, mul(mul(c, v), w))
+            for j, k, c in h.comult[i] for t, v in alpha[k] for u, w in mult[j][t]
+        ))
+        target = linalg.sparse_sum(dom, ((u, mul(h.counit[i], a)) for u, a in enumerate(alg.unit)))
         if left != target or right != target:
             witness = (i,)
             break
@@ -407,7 +406,7 @@ def check_group_table(table):
     n = len(table)
     for i, row in enumerate(table):
         if (not isinstance(row, (list, tuple)) or len(row) != n
-                or any((not isinstance(v, int)) or v < 0 or v >= n for v in row)):
+                or any(type(v) is not int or v < 0 or v >= n for v in row)):
             raise FormatError(f"row {i} of the group table is malformed")
     for i in range(n):
         if table[0][i] != i or table[i][0] != i:
@@ -536,7 +535,7 @@ def taft(domain, n, q, labels=None):
                 vec = alg.mul_vec(vec, alpha_g)
             cols.append(vec)
     # cols were produced in (b, a) loop order which matches idx(a, b) = b*n + a
-    antipode = Matrix.from_cols(domain, cols, dim)
+    antipode = ColumnMap.from_cols(domain, dim, cols)
 
     return build_hopf(alg, tuple(comult), counit, antipode)
 
@@ -639,7 +638,7 @@ def is_semisimple(h):
 def antipode_bijective(h):
     if h.domain.is_field:
         return linalg.rank(h.antipode) == h.dim
-    return abs(linalg.det(h.antipode)) == 1
+    return abs(linalg.det(h.antipode.to_dense())) == 1
 
 
 def is_local(h):

@@ -14,7 +14,7 @@ lattice modulo the image of the integral.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import actions as actions_mod
@@ -114,10 +114,9 @@ def standard_lattice(n, tag="module-lattice"):
 class LatticeModuleData:
     """A lattice with an H-action on its ambient Q-space.
 
-    ``action`` holds one ambient matrix per basis element of H, and
-    ``maps`` the same maps as ColumnMaps, built once; the module law is
-    verified on the ambient space at construction.  The optional
-    algebra encodes the multiplication of the ambient S for the
+    ``action`` holds one ambient ColumnMap per basis element of H; the
+    module law is verified on the ambient space at construction.  The
+    optional algebra encodes the multiplication of the ambient S for the
     rational cross-check.
     """
 
@@ -126,7 +125,6 @@ class LatticeModuleData:
     action: tuple
     unit: tuple
     algebra: hopf_mod.AlgebraData | None = None
-    maps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.lattice.ambient_dim
@@ -139,8 +137,7 @@ class LatticeModuleData:
                 raise ShapeError("ambient action matrix shape mismatch")
         if len(self.unit) != n:
             raise ShapeError("unit vector length mismatch")
-        object.__setattr__(self, "maps", tuple(ColumnMap.from_dense(m) for m in self.action))
-        witness = self.hopf.algebra.representation_witness(self.maps)
+        witness = self.hopf.algebra.representation_witness(self.action)
         if witness == ("unit",):
             raise InconsistencyError("unit of H does not act as the identity")
         if witness is not None:
@@ -149,7 +146,7 @@ class LatticeModuleData:
     def action_of(self, hvec):
         """ColumnMap of the ambient action of a general element of H."""
         n = self.lattice.ambient_dim
-        return ColumnMap.combination(QQ, hvec, self.maps, n, n)
+        return ColumnMap.combination(QQ, hvec, self.action, n, n)
 
 
 @dataclass(frozen=True)
@@ -186,7 +183,7 @@ def associated_order(h, module):
     for j, gen in enumerate(lat.generators()):
         images = []
         for a in range(m):
-            moved = module.maps[a].apply(gen)
+            moved = module.action[a].apply(gen)
             coords = lat.coords(moved)
             if coords is None:
                 raise ShapeError(
@@ -448,7 +445,7 @@ def tame_check_integral(order, module):
     n = lat.ambient_dim
     # action entries (a, v, u, c): e_a . e_v contains c e_u
     entries = [
-        (a, v, u, c) for a, m in enumerate(module.maps) for v, col in enumerate(m.cols) for u, c in col
+        (a, v, u, c) for a, m in enumerate(module.action) for v, col in enumerate(m.cols) for u, c in col
     ]
     terms = (((u * n + v, a), c) for a, v, u, c in entries)
     faithful = linalg.rank(ColumnMap.from_entries(QQ, n * n, h.dim, terms)) == h.dim

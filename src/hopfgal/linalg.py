@@ -1,4 +1,4 @@
-"""Exact scalar domains, dense linear algebra and sparse linear maps.
+"""Exact scalar domains, sparse linear maps and the integer normal forms.
 
 Scalars live in one of three domains: the rationals, a prime field, or
 the integers.  Rationals are `fractions.Fraction` (always reduced with
@@ -6,8 +6,12 @@ positive denominator), prime-field elements are ints in ``[0, p)`` and
 integers are arbitrary-precision ints.  Floating point is banned
 repository-wide; every routine below is exact.
 
+A linear map over a field is a `ColumnMap`, held by its sparse columns.
+`Matrix` is the dense row form where rows are the algorithm: the
+integer normal forms (HNF, SNF), `det` and the bases of lattices.
+
 Over a field there is one row reduction, `rref`: it reduces the sparse
-rows of a Matrix or a ColumnMap to the reduced row echelon form, and
+rows of a ColumnMap or a Matrix to the reduced row echelon form, and
 rank, kernels, echelon bases, solving and inversion all read its result.
 That form is unique, so kernel and echelon bases are canonical; the
 integer normal forms fix one pivoting rule (first nonzero column,
@@ -227,7 +231,8 @@ def require_field(domain, what="this operation"):
 
 
 class Matrix:
-    """Immutable dense matrix over one scalar domain.
+    """Immutable dense matrix over one scalar domain: the row form of the
+    integer normal forms, `det` and lattice bases.
 
     Rows are tuples; ``nrows`` is the codomain dimension and ``ncols``
     the domain dimension of the linear map the matrix represents.
@@ -294,21 +299,11 @@ class Matrix:
 
     # basic queries ---------------------------------------------------------
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
-    def row(self, i):
-        return self.rows[i]
-
     def col(self, j):
         return tuple(r[j] for r in self.rows)
 
     def cols(self):
         return [self.col(j) for j in range(self.ncols)]
-
-    def is_zero(self):
-        z = self.domain.zero
-        return all(v == z for row in self.rows for v in row)
 
     def is_square(self):
         return self.nrows == self.ncols
@@ -378,22 +373,6 @@ class Matrix:
                         out_i[j] = add(out_i[j], mul(a, b))
         return Matrix._make(dom, out, other.ncols)
 
-    def apply(self, vec):
-        """Matrix-vector product; vec has length ncols."""
-        if len(vec) != self.ncols:
-            raise ShapeError("vector length mismatch")
-        dom = self.domain
-        add, mul = dom.add, dom.mul
-        vec = [dom.normalize(b) for b in vec]
-        out = []
-        for row in self.rows:
-            acc = dom.zero
-            for a, b in zip(row, vec):
-                if a and b:
-                    acc = add(acc, mul(a, b))
-            out.append(acc)
-        return tuple(out)
-
     def transpose(self):
         if not self.rows:
             return Matrix.zeros(self.domain, self.ncols, self.nrows)
@@ -421,9 +400,6 @@ class Matrix:
     def over(self, domain):
         """Reinterpret entries in another domain (e.g. lift Z to Q)."""
         return Matrix(domain, self.rows)
-
-    def stack_below(self, other):
-        return stack([self, other])
 
 
 def stack(matrices):
@@ -466,10 +442,19 @@ class ColumnMap:
         return cls(domain, n, [((j, one),) for j in range(n)])
 
     @classmethod
+    def from_cols(cls, domain, nrows, cols):
+        """The map whose column j is the dense vector cols[j] of length nrows."""
+        out = []
+        for col in cols:
+            if len(col) != nrows:
+                raise ShapeError("column length mismatch")
+            values = map(domain.normalize, col)
+            out.append(tuple((i, v) for i, v in enumerate(values) if v))
+        return cls(domain, nrows, out)
+
+    @classmethod
     def from_dense(cls, m):
-        return cls(m.domain, m.nrows, [
-            tuple((i, v) for i, v in enumerate(col) if v) for col in m.cols()
-        ])
+        return cls.from_cols(m.domain, m.nrows, m.cols())
 
     @classmethod
     def from_entries(cls, domain, nrows, ncols, terms):
@@ -490,11 +475,15 @@ class ColumnMap:
         ])
 
     def to_dense(self):
-        """The dense Matrix of the map, for elimination."""
+        """The dense Matrix of the map."""
         return Matrix.from_entries(
             self.domain, self.nrows, self.ncols,
             (((i, j), c) for j, col in enumerate(self.cols) for i, c in col),
         )
+
+    def col(self, j):
+        """Column j as a dense vector of length nrows."""
+        return _dense(self.domain, self.nrows, [self.cols[j]])[0]
 
     def transpose(self):
         """The transposed map: its columns are the rows of this one."""
@@ -705,11 +694,6 @@ def span_test(domain, basis):
     return contains
 
 
-def in_span(domain, basis, vec):
-    """Membership of vec in the span of an RREF basis."""
-    return span_test(domain, basis)([domain.normalize(v) for v in vec])
-
-
 def span_le(domain, basis_a, basis_b):
     """Whether span(basis_a) is contained in span(RREF basis_b)."""
     contains = span_test(domain, basis_b)
@@ -728,8 +712,12 @@ def _augmented(m, cols):
 
 
 def invert(m):
-    """Exact two-sided inverse of a square full-rank field map, as a Matrix;
-    m is a Matrix or a ColumnMap."""
+    """Exact two-sided inverse of a square full-rank field map, as a
+    ColumnMap; m is a ColumnMap or a Matrix.
+
+    Row i of the RREF of [m | I] is 1 at pivot i, and its entries past
+    column n are row i of the inverse.
+    """
     require_field(m.domain, "inversion")
     n = m.ncols
     if m.nrows != n:
@@ -738,8 +726,12 @@ def invert(m):
     r = sum(1 for p in R if p < n)
     if r < n:
         raise SingularMatrixError(f"matrix of rank {r} < {n} is singular", r)
-    inverse = _dense(m.domain, 2 * n, (R[p].items() for p in range(n)))
-    return Matrix._make(m.domain, [row[n:] for row in inverse], n)
+    cols = [[] for _ in range(n)]
+    for i in range(n):
+        for c, v in R[i].items():
+            if c >= n:
+                cols[c - n].append((i, v))
+    return ColumnMap(m.domain, n, map(tuple, cols))
 
 
 def solve(m, b):

@@ -9,7 +9,7 @@ extensions, and the graded-line comodule algebras.
 from __future__ import annotations
 
 from . import actions, cocyclic, hopf, lattices
-from .linalg import GF, QQ, Matrix
+from .linalg import GF, QQ, ColumnMap
 
 
 # group tables (identity at index 0) ----------------------------------------
@@ -158,7 +158,7 @@ def divided_power_hopf(p=2):
     comult = hopf.sparse_tensor(
         dom, (2, 2, 2), [(0, 0, 0, 1), (1, 1, 0, 1), (1, 0, 1, 1)], 1
     )
-    return hopf.build_hopf(alg, comult, (1, 0), Matrix.identity(dom, 2))
+    return hopf.build_hopf(alg, comult, (1, 0), ColumnMap.identity(dom, 2))
 
 
 def truncated_polynomial_extension():
@@ -289,7 +289,7 @@ def gaussian_integers_lattice():
     return lattices.LatticeModuleData(
         hopf=qc2(),
         lattice=lattices.standard_lattice(2),
-        action=(Matrix.identity(QQ, 2), Matrix(QQ, [[1, 0], [0, -1]])),
+        action=(ColumnMap.identity(QQ, 2), ColumnMap.from_cols(QQ, 2, [(1, 0), (0, -1)])),
         unit=(1, 0),
         algebra=alg,
     )
@@ -305,7 +305,7 @@ def eisenstein_integers_lattice():
     return lattices.LatticeModuleData(
         hopf=qc2(),
         lattice=lattices.standard_lattice(2),
-        action=(Matrix.identity(QQ, 2), Matrix(QQ, [[1, -1], [0, -1]])),
+        action=(ColumnMap.identity(QQ, 2), ColumnMap.from_cols(QQ, 2, [(1, 0), (-1, -1)])),
         unit=(1, 0),
         algebra=alg,
     )

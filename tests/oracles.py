@@ -6,8 +6,10 @@ the largest nonvanishing minor, and equation solving from brute
 enumeration where feasible.  Over a field, `dense_rref` is a dense
 Gauss-Jordan elimination on whole rows, the differential reference for
 the package's one sparse-row `linalg.rref`; the dense kernel, echelon
-basis, solve and inverse below are read from it.  Slow but obviously
-correct at desk scale.
+basis, solve and inverse below are read from it.  `dense_apply` and
+`dense_antipode_witness` apply and check maps by their dense rows and
+columns, the references for the package's sparse `ColumnMap`s.  Slow
+but obviously correct at desk scale.
 """
 
 from fractions import Fraction
@@ -170,7 +172,43 @@ def dense_product(alg, u, v):
 # dense actions ------------------------------------------------------------------
 #
 # The references for the ColumnMap actions of `hopf` and `actions`: every
-# action is a dense Matrix, combined and composed entry by entry.
+# action is a dense Matrix, combined, composed and applied entry by entry.
+
+
+def dense_apply(m, vec):
+    """The image of vec under a dense Matrix, row by row."""
+    if len(vec) != m.ncols:
+        raise ShapeError("vector length mismatch")
+    dom = m.domain
+    vec = [dom.normalize(b) for b in vec]
+    out = []
+    for row in m.rows:
+        acc = dom.zero
+        for a, b in zip(row, vec):
+            acc = dom.add(acc, dom.mul(a, b))
+        out.append(acc)
+    return tuple(out)
+
+
+def dense_antipode_witness(h):
+    """The antipode witness of `hopf.verify_hopf`, from the dense columns of
+    the antipode: the first i where mu (alpha (x) id) Delta(e_i) or
+    mu (id (x) alpha) Delta(e_i) differs from counit(e_i) 1, else None."""
+    alg, dom, n = h.algebra, h.domain, h.dim
+    alpha = h.antipode.to_dense()
+    for i in range(n):
+        left = [dom.zero] * n
+        right = [dom.zero] * n
+        for j, k, c in h.comult[i]:
+            lterm = dense_product(alg, alpha.col(j), unit_vec(dom, n, k))
+            rterm = dense_product(alg, unit_vec(dom, n, j), alpha.col(k))
+            for t in range(n):
+                left[t] = dom.add(left[t], dom.mul(c, lterm[t]))
+                right[t] = dom.add(right[t], dom.mul(c, rterm[t]))
+        target = [dom.mul(h.counit[i], u) for u in alg.unit]
+        if left != target or right != target:
+            return (i,)
+    return None
 
 
 def combination(domain, coeffs, mats, nrows, ncols):
@@ -485,7 +523,7 @@ def dense_cyclic_identities(S, M, n):
     tpow = Matrix.identity(dom, dim)
     for _ in range(n + 1):
         tpow = t @ tpow
-    cyc_witness = next(((k,) for k, vec in enumerate(basis) if tpow.apply(vec) != vec), None)
+    cyc_witness = next(((k,) for k, vec in enumerate(basis) if dense_apply(tpow, vec) != vec), None)
     return cocyclic.CyclicIdentityReport(
         level=n,
         dim=dim,
@@ -495,5 +533,5 @@ def dense_cyclic_identities(S, M, n):
         rotation_ok=rotation_ok,
         cyclicity_ok=cyc_witness is None,
         cyclicity_witness=cyc_witness,
-        t_preserves_cotensor=all(echelon_in_span(dom, basis, t.apply(vec)) for vec in basis),
+        t_preserves_cotensor=all(echelon_in_span(dom, basis, dense_apply(t, vec)) for vec in basis),
     )

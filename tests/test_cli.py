@@ -453,6 +453,10 @@ def test_non_object_document_is_input_error(tmp_path, fixtures, capsys, command,
 # an input error, never a traceback, a silent truncation or an empty verdict.
 # `path` names the field of `base` that is set to `value` (nothing when empty).
 TAFT_F5 = {"field": {"kind": "Fp", "p": 5}, "builtin": {"name": "taft", "n": 2, "q": "4"}}
+ONE_DIM_HOPF = {
+    "field": {"kind": "Q"}, "dim": 1, "mult": [[0, 0, 0, "1"]], "unit": ["1"],
+    "comult": [[0, 0, 0, "1"]], "counit": ["1"], "antipode": [[0, 0, "1"]],
+}
 AYD_CYCLIC = ["cyclic", "comodalg_graded_f3.json", "--module", "doc.json", "--levels", "1"]
 EXT_F4_NO_ACTION = {**_fixture_doc("ext_f4.json"), "action": []}
 OBJECT, INTEGER = "must hold a JSON object", "must be a JSON integer"
@@ -495,6 +499,11 @@ NESTED_CASES = [
                  "'basis' must be a list of strings", id="basis-number"),
     pytest.param(["verify", "doc.json"], "hopf_f2c2.json", ("builtin", "table"), [5, 6],
                  "row 0 of the group table is malformed", id="group-table-rows-numbers"),
+    pytest.param(["verify", "doc.json"], "hopf_f2c2.json", ("builtin", "table"),
+                 [[False, True], [True, False]], "row 0 of the group table is malformed",
+                 id="group-table-bools"),
+    pytest.param(["verify", "doc.json"], ONE_DIM_HOPF, ("mult",), [[False, False, False, "1"]],
+                 "has non-integer indices", id="mult-index-bools"),
     pytest.param(["verify", "doc.json"], "hopf_f2c2.json", ("builtin", "labels"), 7,
                  "'labels' must be a list of strings", id="group-labels-number"),
     pytest.param(["bar-shift", "ext_gaussian.json", "--module", "doc.json", "--levels", "1"],
@@ -555,6 +564,32 @@ def test_input_dimension_past_the_bound_is_refused_before_allocation(
     assert run_on_changed_doc(tmp_path, fixtures, command, base, path, value) == 3
     assert time.perf_counter() - start < 2.0
     assert f"{message} {HUGE} > bound 5000" in capsys.readouterr().err
+
+
+TAFT_F41 = {"field": {"kind": "Fp", "p": 41}, "builtin": {"name": "taft", "n": 5, "q": "10"}}
+C3_TABLE = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+
+
+@pytest.mark.parametrize("command,base,path,value,message", [
+    pytest.param(["verify", "doc.json", "--max-dim", "10"], TAFT_F41, (), None,
+                 "taft 'n' 5 has dimension 25 > bound 10", id="taft"),
+    pytest.param(["verify", "doc.json", "--max-dim", "10"], TAFT_F41, ("builtin",),
+                 {"name": "dual", "of": TAFT_F41["builtin"]},
+                 "taft 'n' 5 has dimension 25 > bound 10", id="dual-of-taft"),
+    pytest.param(["verify", "doc.json"], TAFT_F5, ("builtin", "n"), HUGE,
+                 f"taft 'n' {HUGE} has dimension {HUGE * HUGE} > bound 5000", id="taft-huge-n"),
+    pytest.param(["verify", "doc.json", "--max-dim", "2"], "hopf_f2c2.json", ("builtin",),
+                 {"name": "group_algebra", "table": C3_TABLE},
+                 "group_algebra 'table' of order 3 has dimension 3 > bound 2", id="group-algebra"),
+    pytest.param(["integrals", "doc.json", "--max-dim", "3"], "hopf_sweedler.json", (), None,
+                 "sweedler has dimension 4 > bound 3", id="sweedler"),
+])
+def test_builtin_past_the_bound_is_refused_before_building(
+        tmp_path, fixtures, capsys, command, base, path, value, message):
+    start = time.perf_counter()
+    assert run_on_changed_doc(tmp_path, fixtures, command, base, path, value) == 3
+    assert time.perf_counter() - start < 2.0
+    assert message in capsys.readouterr().err
 
 
 def test_verify_over_a_large_prime(tmp_path, capsys):

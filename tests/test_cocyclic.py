@@ -121,6 +121,30 @@ def test_coinvariants_examples():
     assert cocyclic.coinvariants(reg) == ((Fraction(1), Fraction(0)),)
 
 
+# The comodules of the coinvariant tests: a grading, trivial coactions, the
+# regular comodules of a group algebra and of Sweedler's algebra (multi-leg
+# coactions), a tensor square, the AYD coefficients and the zero comodule.
+COMODULE_CASES = {
+    "grading-f3": lambda: cocyclic.comodule_from_triples(
+        zoo.fpc2(3), 2, [(0, 0, 0, 1), (1, 1, 1, 1)]),
+    "trivial-f3": lambda: cocyclic.trivial_comodule(zoo.fpc2(3), 2),
+    "trivial-dual-f2c2": lambda: cocyclic.trivial_comodule(hopf.dual(zoo.fpc2(2)), 1),
+    "regular-qc2": lambda: cocyclic.regular_comodule(zoo.qc2()),
+    "regular-sweedler": lambda: cocyclic.regular_comodule(hopf.sweedler(QQ)),
+    "regular-sweedler-squared": lambda: cocyclic.tensor_comodule(
+        cocyclic.regular_comodule(hopf.sweedler(QQ)), cocyclic.regular_comodule(hopf.sweedler(QQ))),
+    "ayd-swap-f3": lambda: ayd_swap(3).comodule,
+    "graded-line-f3": lambda: graded(3).comodule,
+    "zero-qc2": lambda: cocyclic.trivial_comodule(zoo.qc2(), 0),
+}
+
+
+@pytest.mark.parametrize("case", COMODULE_CASES)
+def test_coinvariants_are_fixed_points_of_the_dual_action(case):
+    c = COMODULE_CASES[case]()
+    assert cocyclic.coinvariants(c) == hopf.fixed_points(*cocyclic.comodule_to_module(c))
+
+
 def test_comodule_homology_cofree_vanishes():
     hom = cocyclic.hopfological_homology_comodule(cocyclic.regular_comodule(hopf.sweedler(QQ)))
     assert hom.dim_h0 == 0
@@ -322,6 +346,17 @@ def test_multi_term_operators_match_dense_oracles():
 def test_t_complex_differential_squares_to_zero():
     tc = cocyclic.t_complex(graded(3), ayd_trivial(3), 3)
     assert tc.dims == (4, 8, 16, 32)  # b.b = 0 enforced by the constructor
+    assert tc.homology_dims() == dense_homology_dims(tc) == (4, 0, 0)
+    # not strongly graded: homology in every degree below the top
+    tc = cocyclic.t_complex(graded(3, False), ayd_trivial(3), 3)
+    assert tc.homology_dims() == dense_homology_dims(tc) == (4, 2, 2)
+
+
+def dense_homology_dims(cx):
+    """dim ker b_k - dim im b_{k+1} from dense kernels and dense RREFs."""
+    b = [None] + [d.to_dense() for d in cx.differentials]
+    kernels = [cx.dims[0]] + [len(oracles.dense_kernel_basis(d)) for d in b[1:]]
+    return tuple(kernels[k] - len(oracles.dense_rref(b[k + 1])[1]) for k in range(cx.top))
 
 
 def test_identities_over_noncommutative_base():
@@ -371,7 +406,7 @@ def test_bar_differential_signs():
     bar = cocyclic.bar_complex(S, regular_s_action(S), 1)
     unit = [linalg.unit_vec(QQ, 2, k) for k in range(2)]
     act = Matrix.from_cols(QQ, [S.mul_vec(unit[s], unit[m]) for s in range(2) for m in range(2)], 2)
-    assert bar.differential(1) == -act
+    assert bar.differential(1).to_dense() == -act
 
 
 def test_bar_differentials_match_dense_oracle():
@@ -384,14 +419,16 @@ def test_bar_differentials_match_dense_oracle():
         faces = [oracles.dense_on_slot(QQ, 2 ** (i - 1), mult, 2 ** (n - 1 - i) * 2)
                  for i in range(1, n)] + [oracles.dense_on_slot(QQ, 2 ** (n - 1), act, 1)]
         signs = [(-1) ** i for i in range(1, n + 1)]
-        assert bar.differential(n) == oracles.combination(QQ, signs, faces, faces[0].nrows, faces[0].ncols)
+        dense = oracles.combination(QQ, signs, faces, faces[0].nrows, faces[0].ncols)
+        assert bar.differential(n).to_dense() == dense
+    assert bar.homology_dims() == dense_homology_dims(bar)
 
 
 def test_chain_complex_rejects_nonzero_bb():
     with pytest.raises(HopfgalError):
         cocyclic.ChainComplexData(
             (1, 1, 1),
-            (Matrix(QQ, [[1]]), Matrix(QQ, [[1]])),
+            (ColumnMap.identity(QQ, 1), ColumnMap.identity(QQ, 1)),
         )
 
 

@@ -33,6 +33,9 @@ COMMANDS = CLI_COMMANDS + [
     # integrals of a 9-dimensional algebra, neither commutative nor cocommutative
     ["integrals", "hopf_taft3_f7.json"],
     ["integrals", "hopf_taft3_dual_f7.json"],
+    # every Hopf axiom, the antipode identity included, on the same two algebras
+    ["verify", "hopf_taft3_f7.json"],
+    ["verify", "hopf_taft3_dual_f7.json"],
     # the shape of the benchmark's cyclic op: levels 0-5, each level built once
     ["cyclic", "comodalg_graded_f3.json", "--module", "mod_kc2_ayd_f3.json", "--levels", "5"],
 ]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hopfgal import actions, hopf, linalg, zoo
 from hopfgal.errors import AxiomError, FormatError, UnsupportedDomainError
-from hopfgal.linalg import GF, QQ, ZZ, Matrix
+from hopfgal.linalg import GF, QQ, ZZ, ColumnMap, Matrix
 
 import oracles
 
@@ -51,7 +51,7 @@ def test_corrupted_antipode_witnessed_at_x():
     sw = hopf.sweedler(QQ)
     cols = [sw.antipode.col(j) for j in range(4)]
     cols[2] = tuple(-v for v in cols[2])  # flip alpha(x) = -gx to gx
-    bad = hopf.HopfAlgebraData(sw.algebra, sw.comult, sw.counit, Matrix.from_cols(QQ, cols, 4))
+    bad = hopf.HopfAlgebraData(sw.algebra, sw.comult, sw.counit, ColumnMap.from_cols(QQ, 4, cols))
     report = hopf.verify_hopf(bad)
     assert not report.passed
     failures = report.failures()
@@ -69,6 +69,46 @@ def test_hand_checked_sweedler_relations():
     right = sw.algebra.mul_vec(sw.antipode.col(1), (0, 0, 1, 0))
     total = tuple(a + b for a, b in zip(left, right))
     assert total == (0, 0, 0, 0)
+
+
+@functools.lru_cache(maxsize=1)
+def antipode_cases():
+    """Every builtin and its dual, by name."""
+    builtins = {
+        "QC2": zoo.qc2(),
+        "F2C2": zoo.fpc2(2),
+        "C3(F7)": hopf.group_algebra(GF(7), zoo.cyclic_table(3)),
+        "sweedler(Q)": hopf.sweedler(QQ),
+        "sweedler(F5)": hopf.sweedler(GF(5)),
+        "taft(3,2,F7)": hopf.taft(GF(7), 3, 2),
+        "taft(4,2,F5)": hopf.taft(GF(5), 4, 2),
+        "divided-power(F2)": zoo.divided_power_hopf(),
+    }
+    return {**builtins, **{f"dual({name})": hopf.dual(h) for name, h in builtins.items()}}
+
+
+def with_antipode_column_corrupted(h, j):
+    """h with 1 added to the entry of its antipode at row j + 1 (mod dim) of column j."""
+    dom, n = h.domain, h.dim
+    cols = [list(h.antipode.col(k)) for k in range(n)]
+    cols[j][(j + 1) % n] = dom.add(cols[j][(j + 1) % n], dom.one)
+    return hopf.HopfAlgebraData(h.algebra, h.comult, h.counit, ColumnMap.from_cols(dom, n, cols))
+
+
+def antipode_check(h):
+    return next(c for c in hopf.verify_hopf(h).checks if c.name == "antipode")
+
+
+@pytest.mark.parametrize("name", list(antipode_cases()))
+def test_antipode_witness_matches_dense_oracle(name):
+    h = antipode_cases()[name]
+    check = antipode_check(h)
+    assert check.passed and oracles.dense_antipode_witness(h) is None
+    for j in range(h.dim):
+        bad = with_antipode_column_corrupted(h, j)
+        check = antipode_check(bad)
+        assert not check.passed, j
+        assert check.witness == oracles.dense_antipode_witness(bad), j
 
 
 # builtins ----------------------------------------------------------------------
@@ -424,7 +464,8 @@ def test_group_algebra_semisimple_iff_p_does_not_divide_order(p, name):
 def test_cocommutative_antipode_is_involution():
     for name, h in builtin_zoo().items():
         if h.is_cocommutative():
-            assert h.antipode @ h.antipode == Matrix.identity(h.domain, h.dim), name
+            alpha = h.antipode.to_dense()
+            assert alpha @ alpha == Matrix.identity(h.domain, h.dim), name
 
 
 def test_antipode_bijective():
@@ -432,14 +473,14 @@ def test_antipode_bijective():
     assert hopf.antipode_bijective(hopf.sweedler(QQ))
     sw = hopf.sweedler(QQ)
     zeroed = hopf.HopfAlgebraData(
-        sw.algebra, sw.comult, sw.counit, Matrix.zeros(QQ, 4, 4)
+        sw.algebra, sw.comult, sw.counit, ColumnMap(QQ, 4, [()] * 4)
     )
     assert not hopf.antipode_bijective(zeroed)
 
 
 def test_antipode_rank_matches_minor_oracle():
     sw = hopf.sweedler(GF(5))
-    rows = [list(r) for r in sw.antipode.rows]
+    rows = [list(r) for r in sw.antipode.to_dense().rows]
     assert oracles.minor_rank(rows, oracles.mod_p_nonzero(5)) == 4
     assert hopf.antipode_bijective(sw)
     # taft antipode: monomial matrix (one nonzero per row and column),
@@ -447,8 +488,8 @@ def test_antipode_rank_matches_minor_oracle():
     t = builtin_zoo()["taft(3,2,F7)"]
     for j in range(9):
         assert sum(1 for v in t.antipode.col(j) if v != 0) == 1
-    for i in range(9):
-        assert sum(1 for v in t.antipode.rows[i] if v != 0) == 1
+    for row in t.antipode.to_dense().rows:
+        assert sum(1 for v in row if v != 0) == 1
     assert hopf.antipode_bijective(t)
 
 

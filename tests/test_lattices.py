@@ -5,7 +5,7 @@ import pytest
 
 from hopfgal import hopf, lattices, zoo
 from hopfgal.errors import PreconditionError
-from hopfgal.linalg import QQ, Matrix
+from hopfgal.linalg import QQ, ColumnMap
 
 import oracles
 
@@ -73,7 +73,7 @@ def test_associated_order_trivial_hopf():
     module = lattices.LatticeModuleData(
         hopf=h,
         lattice=lattices.standard_lattice(1),
-        action=(Matrix.identity(QQ, 1),),
+        action=(ColumnMap.identity(QQ, 1),),
         unit=(1,),
     )
     order = lattices.associated_order(h, module)
@@ -213,7 +213,7 @@ def test_unfaithful_action_has_no_associated_order_lattice():
     trivial = lattices.LatticeModuleData(
         hopf=zoo.qc2(),
         lattice=lattices.standard_lattice(2),
-        action=(Matrix.identity(QQ, 2), Matrix.identity(QQ, 2)),
+        action=(ColumnMap.identity(QQ, 2), ColumnMap.identity(QQ, 2)),
         unit=(1, 0),
     )
     with pytest.raises(InconsistencyError):
