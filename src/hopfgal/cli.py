@@ -55,9 +55,16 @@ def _witness_list(witness):
 # commands
 
 
+def _load_hopf_report(path, max_dim):
+    """The Hopf data in `path` and its axiom report: the report the builtin
+    constructors kept, or one `verify_hopf` run on explicit data."""
+    domain, h = files.load_hopf_file(path, max_dim, validate=False)
+    return domain, h, h.report if h.report is not None else hopf.verify_hopf(h)
+
+
 def run_verify(args):
     try:
-        domain, h = files.load_hopf_file(args.path, args.max_dim, validate=False)
+        _, _, report = _load_hopf_report(args.path, args.max_dim)
     except AxiomError as exc:
         doc = _doc(
             "verify",
@@ -66,7 +73,6 @@ def run_verify(args):
             passed=False,
         )
         return doc, 1
-    report = hopf.verify_hopf(h)
     checks = [
         {"name": c.name, "passed": c.passed, "witness": _witness_list(c.witness)}
         for c in report.checks
@@ -76,8 +82,7 @@ def run_verify(args):
 
 
 def _load_valid_hopf(path, max_dim):
-    domain, h = files.load_hopf_file(path, max_dim, validate=False)
-    report = hopf.verify_hopf(h)
+    domain, h, report = _load_hopf_report(path, max_dim)
     if not report.passed:
         bad = report.failures()[0]
         raise FormatError(
@@ -548,14 +553,21 @@ def build_parser():
     return parser
 
 
-def _env_max_dim():
-    env = os.environ.get("HOPFGAL_MAX_DIM")
-    if not env:
-        return DEFAULT_MAX_DIM
-    try:
-        return int(env)
-    except ValueError:
-        raise FormatError(f"HOPFGAL_MAX_DIM must be an integer, not {env!r}") from None
+def _max_dim(args):
+    """The dimension bound: --max-dim, else HOPFGAL_MAX_DIM, else the
+    default; a bound below 1 is an input error."""
+    name, value = "--max-dim", args.max_dim
+    if value is None:
+        name, env = "HOPFGAL_MAX_DIM", os.environ.get("HOPFGAL_MAX_DIM")
+        if not env:
+            return DEFAULT_MAX_DIM
+        try:
+            value = int(env)
+        except ValueError:
+            raise FormatError(f"HOPFGAL_MAX_DIM must be an integer, not {env!r}") from None
+    if value < 1:
+        raise FormatError(f"{name} must be at least 1, not {value}")
+    return value
 
 
 def main(argv=None):
@@ -563,8 +575,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        if args.max_dim is None:
-            args.max_dim = _env_max_dim()
+        args.max_dim = _max_dim(args)
         doc, code = args.func(args)
     except ResourceBoundError as exc:
         print(f"resource bound exceeded: {exc}", file=sys.stderr)

@@ -202,6 +202,8 @@ def load_document(path):
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError(f"{path} is nested too deeply to read") from exc
     return _require_object(doc, path)
 
 

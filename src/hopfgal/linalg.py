@@ -567,45 +567,55 @@ def on_slot(left, a, right):
 def rref(m):
     """Reduced row echelon form of a field-domain map, as {pivot: {col: coeff}}.
 
-    m is a Matrix or a ColumnMap; its rows are reduced as sparse rows.
-    Every stored row has 1 at its pivot, its lowest column, and 0 at every
-    other pivot, so a new row is reduced by one subtraction per pivot it
-    meets; a new pivot is then cleared from the rows stored before it.
-    The reduced echelon form is unique, so the result does not depend on
-    the order of the rows.
+    m is a Matrix or a ColumnMap; its rows are reduced as sparse rows, one
+    `echelon_insert` each.  The reduced echelon form is unique, so the
+    result does not depend on the order of the rows.
     """
     domain = m.domain
     require_field(domain, "row reduction")
-    sub, mul, zero = domain.sub, domain.mul, domain.zero
     if isinstance(m, ColumnMap):
         rows = m.transpose().cols
     else:
         rows = (enumerate(row) for row in m.rows)
-
-    def subtract(row, f, other):
-        """row -= f * other, in place, dropping the entries that cancel."""
-        for c, v in other.items():
-            x = sub(row.get(c, zero), mul(f, v))
-            if x:
-                row[c] = x
-            else:
-                del row[c]
-
     pivots = {}
     for terms in rows:
-        r = {c: v for c, v in terms if v}
-        for p in [c for c in r if c in pivots]:
-            subtract(r, r[p], pivots[p])
-        if not r:
-            continue
-        p = min(r)
-        inv = domain.inv(r[p])
-        r = {c: mul(inv, v) for c, v in r.items()}
-        for row in pivots.values():
-            if p in row:
-                subtract(row, row[p], r)
-        pivots[p] = r
+        echelon_insert(domain, pivots, terms)
     return pivots
+
+
+def _subtract(domain, row, f, other):
+    """row -= f * other, in place, dropping the entries that cancel."""
+    sub, mul, zero = domain.sub, domain.mul, domain.zero
+    for c, v in other.items():
+        x = sub(row.get(c, zero), mul(f, v))
+        if x:
+            row[c] = x
+        else:
+            del row[c]
+
+
+def echelon_insert(domain, pivots, terms):
+    """Add the row of (col, coeff) terms to a reduced echelon form in place;
+    returns the row's new pivot, or None when the row lies in the span.
+
+    ``pivots`` maps each pivot to its row {col: coeff}.  Every stored row
+    has 1 at its pivot, its lowest column, and 0 at every other pivot, so
+    the new row is reduced by one subtraction per pivot it meets; a new
+    pivot is then cleared from the rows stored before it.
+    """
+    r = {c: v for c, v in terms if v}
+    for p in [c for c in r if c in pivots]:
+        _subtract(domain, r, r[p], pivots[p])
+    if not r:
+        return None
+    p = min(r)
+    inv, mul = domain.inv(r[p]), domain.mul
+    r = {c: mul(inv, v) for c, v in r.items()}
+    for row in pivots.values():
+        if p in row:
+            _subtract(domain, row, row[p], r)
+    pivots[p] = r
+    return p
 
 
 def rank(m):

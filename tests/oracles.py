@@ -8,16 +8,18 @@ Gauss-Jordan elimination on whole rows, the differential reference for
 the package's one sparse-row `linalg.rref`; the dense kernel, echelon
 basis, solve and inverse below are read from it.  `dense_apply` and
 `dense_antipode_witness` apply and check maps by their dense rows and
-columns, the references for the package's sparse `ColumnMap`s.  Slow
-but obviously correct at desk scale.
+columns, the references for the package's sparse `ColumnMap`s.  The
+full axiom scans check associativity, the bialgebra law and group
+tables on every basis triple or pair, the references for the package's
+checks on generating sets.  Slow but obviously correct at desk scale.
 """
 
+from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from hopfgal import cocyclic
 from hopfgal.errors import FormatError, ShapeError
-from hopfgal.hopf import AlgebraData
 from hopfgal.linalg import ColumnMap, Matrix, sparse_entries, stack, unit_vec
 
 
@@ -127,8 +129,13 @@ def dense_tensor_from_triples(domain, shape, triples):
     return freeze(grid, 0)
 
 
+# an algebra as its table: mult[i][j] holds the (k, c) pairs of e_i e_j
+TableAlgebra = namedtuple("TableAlgebra", "domain dim labels mult unit")
+
+
 def tensor_square_algebra(alg):
-    """The algebra A (x) A on the lexicographic product basis, as a full table.
+    """The algebra A (x) A on the lexicographic product basis, as a full
+    TableAlgebra.
 
     Every product of two basis elements is computed as a dense vector of
     length dim(A)^2, dim(A)^6 cells in all; keep dim(A) <= 16.
@@ -153,8 +160,7 @@ def tensor_square_algebra(alg):
     labels = tuple(
         f"{alg.labels[i]}(x){alg.labels[j]}" for i in range(n) for j in range(n)
     )
-    # associativity is inherited from alg, so the axiom scan is skipped
-    return AlgebraData._unchecked(dom, dim, labels, tuple(tuple(r) for r in mult), tuple(unit))
+    return TableAlgebra(dom, dim, labels, tuple(tuple(r) for r in mult), tuple(unit))
 
 
 def dense_product(alg, u, v):
@@ -167,6 +173,123 @@ def dense_product(alg, u, v):
             for k, w in alg.mult[i][j]:
                 out[k] = dom.add(out[k], dom.mul(c, w))
     return tuple(out)
+
+
+# full axiom scans ---------------------------------------------------------------
+#
+# The references for the generating-set reductions of `hopf`: every law is
+# checked on every basis pair or triple, in lexicographic order, with dense
+# products read off the dense structure tensors.
+
+
+def _dense_mul(domain, grid, u, v):
+    """u * v for dense vectors, from the dense table grid[i][j][k]."""
+    out = [domain.zero] * len(grid)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            if a and b:
+                c = domain.mul(a, b)
+                for k, w in enumerate(grid[i][j]):
+                    out[k] = domain.add(out[k], domain.mul(c, w))
+    return out
+
+
+def algebra_axiom_failure(domain, dim, triples, unit):
+    """The first algebra axiom the mult entries (i, j, k, c) and unit fail.
+
+    ("associativity", (i, j, k)) for the first triple in lexicographic
+    order with (e_i e_j) e_k != e_i (e_j e_k); else ("unit", (j,)) for the
+    first j with 1 e_j != e_j or e_j 1 != e_j; else None.
+    """
+    grid = dense_tensor_from_triples(domain, (dim, dim, dim), triples)
+    unit = [domain.normalize(u) for u in unit]
+    basis = [list(unit_vec(domain, dim, i)) for i in range(dim)]
+    for i, j, k in product(range(dim), repeat=3):
+        left = _dense_mul(domain, grid, grid[i][j], basis[k])
+        if left != _dense_mul(domain, grid, basis[i], grid[j][k]):
+            return ("associativity", (i, j, k))
+    for j in range(dim):
+        if not _dense_mul(domain, grid, unit, basis[j]) == basis[j] == _dense_mul(
+                domain, grid, basis[j], unit):
+            return ("unit", (j,))
+    return None
+
+
+def group_associativity_witness(table):
+    """The first (i, j, k) with (ij)k != i(jk) in a multiplication table."""
+    n = len(table)
+    for i, j, k in product(range(n), repeat=3):
+        if table[table[i][j]][k] != table[i][table[j][k]]:
+            return (i, j, k)
+    return None
+
+
+def _sum(domain, terms):
+    total = domain.zero
+    for t in terms:
+        total = domain.add(total, t)
+    return total
+
+
+def bialgebra_witness(h):
+    """The bialgebra witness of `hopf.verify_hopf` from the full loop:
+    ("unit",) when Delta(1) != 1 (x) 1 or counit(1) != 1, else the first
+    (i, j) with Delta(e_i e_j) != Delta(e_i) Delta(e_j) or
+    counit(e_i e_j) != counit(e_i) counit(e_j), else None."""
+    dom, n = h.domain, h.dim
+    grid = dense_tensor_from_triples(
+        dom, (n, n, n), [(i, j, k, c) for i in range(n) for j in range(n)
+                         for k, c in h.algebra.mult[i][j]])
+    delta = dense_tensor_from_triples(
+        dom, (n, n, n), [(i, j, k, c) for i in range(n) for j, k, c in h.comult[i]])
+
+    def comult(vec):
+        return [[_sum(dom, (dom.mul(a, delta[t][j][k]) for t, a in enumerate(vec)))
+                 for k in range(n)] for j in range(n)]
+
+    def counit(vec):
+        return _sum(dom, (dom.mul(a, e) for a, e in zip(vec, h.counit)))
+
+    def square_mul(x, y):
+        out = [[dom.zero] * n for _ in range(n)]
+        for a, b, c, d in product(range(n), repeat=4):
+            if x[a][b] and y[c][d]:
+                coeff = dom.mul(x[a][b], y[c][d])
+                for s, w1 in enumerate(grid[a][c]):
+                    for t, w2 in enumerate(grid[b][d]):
+                        out[s][t] = dom.add(out[s][t], dom.mul(coeff, dom.mul(w1, w2)))
+        return out
+
+    unit = list(h.algebra.unit)
+    if comult(unit) != [[dom.mul(a, b) for b in unit] for a in unit] or counit(unit) != dom.one:
+        return ("unit",)
+    basis = [list(unit_vec(dom, n, i)) for i in range(n)]
+    for i, j in product(range(n), repeat=2):
+        if (comult(grid[i][j]) != square_mul(comult(basis[i]), comult(basis[j]))
+                or counit(grid[i][j]) != dom.mul(h.counit[i], h.counit[j])):
+            return (i, j)
+    return None
+
+
+def word_span_dim(alg, generators):
+    """Dimension of the span of the unit, the e_s for s in generators and
+    their left-bracketed products, by dense products and dense echelon
+    bases."""
+    dom, n = alg.domain, alg.dim
+    grid = dense_tensor_from_triples(
+        dom, (n, n, n), [(i, j, k, c) for i in range(n) for j in range(n)
+                         for k, c in alg.mult[i][j]])
+    gens = [list(unit_vec(dom, n, s)) for s in generators]
+    words = [list(alg.unit)] + gens
+    span = dense_echelon_basis(dom, words)
+    for word in words:
+        for g in gens:
+            new = _dense_mul(dom, grid, word, g)
+            grown = dense_echelon_basis(dom, list(span) + [new])
+            if len(grown) > len(span):
+                span = grown
+                words.append(new)
+    return len(span)
 
 
 # dense actions ------------------------------------------------------------------

@@ -227,6 +227,21 @@ def test_non_integer_env_var_bound_is_input_error(fixtures, capsys, monkeypatch)
     assert "HOPFGAL_MAX_DIM must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_non_positive_dimension_bound_is_input_error(fixtures, capsys, monkeypatch, source,
+                                                     value):
+    args = ["homology", fx(fixtures, "mod_trivial_f2c2.json")]
+    if source == "flag":
+        args += ["--max-dim", value]
+        name = "--max-dim"
+    else:
+        monkeypatch.setenv("HOPFGAL_MAX_DIM", value)
+        name = "HOPFGAL_MAX_DIM"
+    assert cli.main(args) == 2
+    assert f"input error: {name} must be at least 1, not {value}" in capsys.readouterr().err
+
+
 def test_bar_shift_pass_and_precondition(fixtures):
     proc = run_cli(
         [
@@ -436,16 +451,21 @@ NON_OBJECT_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("text", ["[1]", "5"], ids=["array", "number"])
+@pytest.mark.parametrize("text,message", [
+    pytest.param("[1]", "must hold a JSON object", id="array"),
+    pytest.param("5", "must hold a JSON object", id="number"),
+    # past the interpreter's recursion limit the JSON decoder raises RecursionError
+    pytest.param("[" * 100000 + "]" * 100000, "nested too deeply", id="nested-100000-deep"),
+])
 @pytest.mark.parametrize("command", NON_OBJECT_COMMANDS)
-def test_non_object_document_is_input_error(tmp_path, fixtures, capsys, command, text):
+def test_non_object_document_is_input_error(tmp_path, fixtures, capsys, command, text, message):
     (tmp_path / "doc.json").write_text(text)
     args = [
         str(tmp_path / a) if a == "doc.json" else fx(fixtures, a) if a.endswith(".json") else a
         for a in command
     ]
     assert cli.main(args) == 2
-    assert "must hold a JSON object" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 # A nested section must be a JSON object, an integer field a JSON integer, a
@@ -613,6 +633,33 @@ def test_unexpected_exception_exits_4(fixtures, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "internal error: RuntimeError: broken check" in captured.err
     assert captured.out == ""
+
+
+TAFT4_F5 = {"field": {"kind": "Fp", "p": 5}, "builtin": {"name": "taft", "n": 4, "q": "2"}}
+DUAL_TAFT4_F5 = {"field": {"kind": "Fp", "p": 5},
+                 "builtin": {"name": "dual", "of": TAFT4_F5["builtin"]}}
+
+
+@pytest.mark.parametrize("command,doc,calls", [
+    pytest.param("verify", TAFT4_F5, 1, id="verify-taft"),
+    pytest.param("integrals", TAFT4_F5, 1, id="integrals-taft"),
+    # one for the inner Taft algebra, one for its dual
+    pytest.param("integrals", DUAL_TAFT4_F5, 2, id="integrals-dual-taft"),
+    pytest.param("verify", "hopf_sweedler_bad_antipode.json", 1, id="verify-explicit"),
+])
+def test_each_hopf_algebra_is_verified_once_per_command(tmp_path, fixtures, capsys, monkeypatch,
+                                                       command, doc, calls):
+    seen = []
+    verify = hopf.verify_hopf
+
+    def counted(h):
+        seen.append(h.dim)
+        return verify(h)
+
+    monkeypatch.setattr(hopf, "verify_hopf", counted)
+    code = run_on_changed_doc(tmp_path, fixtures, [command, "doc.json"], doc, (), None)
+    assert code == (1 if command == "verify" and isinstance(doc, str) else 0)
+    assert len(seen) == calls
 
 
 @pytest.mark.parametrize("command", [

@@ -525,3 +525,188 @@ def test_malformed_triple_reports_offender():
     with pytest.raises(FormatError) as err:
         hopf.algebra_from_triples(QQ, 2, ("a", "b"), [(0, 0, 5, 1)], (1, 0))
     assert "(0, 0, 5" in str(err.value).replace("[", "(")
+
+
+# generating sets: Light's test and the bialgebra rows against the full loops ----
+#
+# Each refusal must carry the witness of the full lexicographic scan, and each
+# acceptance must be one the full scan makes too.
+
+C6_TABLE = zoo.cyclic_table(6)
+GROUP_TABLES = {
+    "C5": zoo.cyclic_table(5),
+    "C6": C6_TABLE,
+    "V4": [[i ^ j for j in range(4)] for i in range(4)],
+    # S3 as permutations of {0, 1, 2}, the identity first
+    "S3": (lambda perms: [
+        [perms.index(tuple(p[q[x]] for x in range(3))) for q in perms] for p in perms
+    ])([(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)]),
+}
+
+
+@st.composite
+def group_tables(draw):
+    """A group table with its non-identity elements relabelled, and often one
+    cell past the identity row and column overwritten; or a random table
+    with the identity at 0."""
+    if draw(st.integers(0, 3)) == 0:
+        n = draw(st.integers(2, 5))
+        cells = draw(st.lists(st.integers(0, n - 1), min_size=(n - 1) ** 2, max_size=(n - 1) ** 2))
+        return [list(range(n))] + [
+            [i] + cells[(i - 1) * (n - 1):i * (n - 1)] for i in range(1, n)
+        ]
+    table = GROUP_TABLES[draw(st.sampled_from(sorted(GROUP_TABLES)))]
+    n = len(table)
+    label = [0] + draw(st.permutations(range(1, n)))
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[label[i]][label[j]] = label[table[i][j]]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+        out[i][j] = draw(st.integers(0, n - 1))
+    return out
+
+
+def construction_failure(domain, dim, triples, unit):
+    """(check, witness) of the AxiomError that building the algebra raises, or None."""
+    try:
+        hopf.algebra_from_triples(domain, dim, [f"e{i}" for i in range(dim)], triples, unit)
+    except AxiomError as exc:
+        return exc.check, exc.witness
+    return None
+
+
+def table_failure(table):
+    try:
+        hopf.check_group_table(table)
+    except AxiomError as exc:
+        return exc.check, exc.witness
+    return None
+
+
+@given(group_tables())
+def test_group_table_light_test_matches_full_scan(table):
+    n = len(table)
+    inverse = next((i for i, row in enumerate(table) if 0 not in row), None)
+    witness = oracles.group_associativity_witness(table)
+    if inverse is not None:
+        expected = ("group-inverse", (inverse,))
+    else:
+        expected = None if witness is None else ("group-associativity", witness)
+    assert table_failure(table) == expected
+    # the group algebra decides the same question on its own basis
+    triples = [(i, j, table[i][j], 1) for i in range(n) for j in range(n)]
+    unit = linalg.unit_vec(GF(5), n, 0)
+    assert construction_failure(GF(5), n, triples, unit) == oracles.algebra_axiom_failure(
+        GF(5), n, triples, unit)
+
+
+@st.composite
+def twisted_group_algebras(draw):
+    """e_g e_h = c(g, h) e_gh over F_7, with c the coboundary of a random
+    f (f(1) = 1), which is associative, or that c with one value past the
+    identity row and column rescaled."""
+    table = GROUP_TABLES[draw(st.sampled_from(sorted(GROUP_TABLES)))]
+    n = len(table)
+    dom = GF(7)
+    f = [1] + draw(st.lists(st.integers(1, 6), min_size=n - 1, max_size=n - 1))
+    twist = {(g, h): dom.div(dom.mul(f[g], f[h]), f[table[g][h]]) for g in range(n) for h in range(n)}
+    if draw(st.booleans()):
+        g, h = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+        twist[g, h] = dom.mul(twist[g, h], draw(st.integers(2, 6)))
+    return n, [(g, h, table[g][h], twist[g, h]) for g in range(n) for h in range(n)]
+
+
+@given(twisted_group_algebras())
+def test_twisted_group_algebra_light_test_matches_full_scan(case):
+    n, triples = case
+    unit = linalg.unit_vec(GF(7), n, 0)
+    assert construction_failure(GF(7), n, triples, unit) == oracles.algebra_axiom_failure(
+        GF(7), n, triples, unit)
+
+
+@functools.lru_cache(maxsize=1)
+def reduction_cases():
+    return {
+        "sweedler(Q)": hopf.sweedler(QQ),
+        "taft(3,2,F7)": hopf.taft(GF(7), 3, 2),
+        "C6(F5)": hopf.group_algebra(GF(5), C6_TABLE),
+    }
+
+
+def test_reduction_cases_take_the_generating_set_path():
+    # otherwise the tests below would compare the full loop with itself
+    gens = {name: h.algebra.generators for name, h in reduction_cases().items()}
+    assert gens == {"sweedler(Q)": (1, 2), "taft(3,2,F7)": (1, 3), "C6(F5)": (1,)}
+
+
+@given(st.sampled_from(sorted(["sweedler(Q)", "taft(3,2,F7)", "C6(F5)"])), st.data())
+def test_corrupted_mult_cell_light_test_matches_full_scan(name, data):
+    h = reduction_cases()[name]
+    alg, dom, n = h.algebra, h.domain, h.dim
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    k, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(-3, 3))
+    keep = data.draw(st.booleans())
+    triples = [
+        (a, b, t, w) for a in range(n) for b in range(n) for t, w in alg.mult[a][b]
+        if keep or (a, b) != (i, j)
+    ] + [(i, j, k, c)]
+    assert construction_failure(dom, n, triples, alg.unit) == oracles.algebra_axiom_failure(
+        dom, n, triples, alg.unit)
+
+
+@given(st.sampled_from(sorted(["sweedler(Q)", "taft(3,2,F7)", "C6(F5)"])), st.data())
+def test_corrupted_comult_cell_bialgebra_rows_match_full_loop(name, data):
+    h = reduction_cases()[name]
+    dom, n = h.domain, h.dim
+    i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    c = data.draw(st.integers(-3, 3))
+    keep = data.draw(st.booleans())
+    triples = [
+        (a, u, v, w) for a in range(n) for u, v, w in h.comult[a] if keep or a != i
+    ] + [(i, j, k, c)]
+    comult = hopf.sparse_tensor(dom, (n, n, n), triples, 1)
+    bad = hopf.HopfAlgebraData(h.algebra, comult, h.counit, h.antipode)
+    assert hopf.verify_hopf(bad).check("bialgebra").witness == oracles.bialgebra_witness(bad)
+
+
+@pytest.mark.parametrize("name", sorted(antipode_cases()))
+def test_generating_set_words_span_the_algebra(name):
+    alg = antipode_cases()[name].algebra
+    if alg.generators is not None:
+        assert len(alg.generators) + 1 < alg.dim
+        assert oracles.word_span_dim(alg, alg.generators) == alg.dim
+
+
+def test_greedy_generators_of_taft_and_cyclic_groups():
+    # {g, x} for Taft, one generator for a cyclic group
+    assert hopf.taft(GF(5), 4, 2).algebra.generators == (1, 4)
+    assert hopf.group_algebra(GF(5), zoo.cyclic_table(128)).algebra.generators == (1,)
+    # two idempotents and the unit span F_5^3: no cheaper than the full scan
+    assert hopf.dual(hopf.group_algebra(GF(5), zoo.cyclic_table(3))).algebra.generators is None
+
+
+@pytest.mark.parametrize("table,gens", [
+    (zoo.cyclic_table(128), (1,)),
+    (C6_TABLE, (1,)),
+    (GROUP_TABLES["S3"], (1, 3)),
+    (GROUP_TABLES["V4"], (1, 2)),
+    (zoo.cyclic_table(2), None),
+], ids=["C128", "C6", "S3", "V4", "C2"])
+def test_greedy_generators_of_group_tables(table, gens):
+    assert hopf.group_generators(table) == gens
+
+
+def test_light_test_needs_the_unit():
+    # basis 1, a, b: a a = b, and 1 is a left unit, but a 1 = a + b.  The
+    # words of a span only a and b; a passes Light's test while 1 fails it,
+    # at ((a 1) 1 = a + 2b) != (a (1 1) = a + b)
+    triples = [(0, 0, 0, 1), (0, 1, 1, 1), (0, 2, 2, 1), (1, 0, 1, 1), (1, 0, 2, 1),
+               (2, 0, 2, 1), (1, 1, 2, 1)]
+    unit = (1, 0, 0)
+    mult = hopf.sparse_tensor(QQ, (3, 3, 3), triples, 2)
+    assert hopf.generating_set(QQ, mult, unit) == (1,)
+    expected = oracles.algebra_axiom_failure(QQ, 3, triples, unit)
+    assert expected == ("associativity", (1, 0, 0))
+    assert construction_failure(QQ, 3, triples, unit) == expected
