@@ -212,7 +212,7 @@ def run_cyclic(args):
         raise FormatError("the cyclic command needs --module")
     M = files.load_ayd_module(S.hopf, args.module, args.max_dim)
     max_dim = args.max_dim
-    # the level-top identities build the faces and degeneracies of level top + 1
+    # the level-top identities build one operator of level top + 1, its last face d_0 t
     for n in range(top + 2):
         dim = cocyclic._level_dim(S, M, n)
         if dim > max_dim:

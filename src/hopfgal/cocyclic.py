@@ -22,14 +22,14 @@ fail cyclicity on the full space; t restricted to the cotensor
 subspace with stable anti-Yetter-Drinfeld coefficients satisfies
 t^(n+1) = id, and that restriction is what the identity checks verify.
 
-The level-n checks read levels n - 1, n and n + 1.  A command that
-checks several levels keeps one `LevelWindow`, which builds each level
-and each tensor power S^(x)(n+1) once.  The level-n check drops the
-levels below n before it builds level n + 1, keeping only the level
-n - 1 degeneracies it still reads, so at most two whole levels and
-those degeneracies are held.  The window is
-the only store: it lives for one command, and no state here outlives it.
-The cotensor system is eliminated sparsely (`linalg.kernel_map`).
+The level-n checks read the faces and degeneracies of levels n - 1 and
+n and the last face d_0 t of level n + 1.  A command that checks several
+levels keeps one `LevelWindow`, which builds each operator and each
+tensor power S^(x)(n+1) on first read, once.  The level-n check drops
+the levels below n, apart from the level n - 1 degeneracies it still
+reads, before it reads level n + 1.  The window is the only store: it
+lives for one command, and no state here outlives it.  The cotensor
+system is eliminated sparsely (`linalg.kernel_map`).
 """
 
 from __future__ import annotations
@@ -418,13 +418,12 @@ def cyclic_matrix(S, M, n):
 
 
 def face_matrix(S, M, n, i):
-    """d_i at level n (n >= 1): multiply slots i, i+1, or rotate when i = n."""
+    """d_i at level n for i < n: multiply slots i, i+1.  The last face is
+    d_0 t_n, which `LevelWindow.face` composes."""
     if not 1 <= n:
         raise ShapeError("faces exist at level >= 1")
-    if not 0 <= i <= n:
+    if not 0 <= i < n:
         raise ShapeError(f"face index {i} out of range at level {n}")
-    if i == n:
-        return face_matrix(S, M, n, 0) @ cyclic_matrix(S, M, n)
     ds = S.dim
     return linalg.on_slot(ds ** i, _mult_map(S.algebra), ds ** (n - 1 - i) * M.dim)
 
@@ -448,57 +447,63 @@ class CyclicLevelData:
 
 
 def cyclic_level(S, M, n, max_dim=DEFAULT_MAX_DIM):
-    """All operators at level n, as ColumnMaps, bounded by max_dim.
-
-    Each operator is built once: d_n is d_0 t_n, from this level's own
-    d_0 and t_n.  The maps of a level hold each distinct column once:
-    faces and degeneracies carry about one entry per column and repeat
-    their columns across the level, so a held level takes well under
-    half the memory of separate copies.
-    """
-    if S.hopf != M.hopf:
-        raise ShapeError("S and M must live over one Hopf algebra")
-    dim = _level_dim(S, M, n)
-    if dim > max_dim:
-        raise ResourceBoundError(
-            f"level {n} has dimension {dim} > bound {max_dim}"
-        )
-    t = cyclic_matrix(S, M, n)
-    faces = ()
-    if n >= 1:
-        faces = tuple(face_matrix(S, M, n, i) for i in range(n))
-        faces += (faces[0] @ t,)
-    degens = tuple(degeneracy_matrix(S, M, n, i) for i in range(n + 1))
-    pool = {}
-
-    def shared(m):
-        return ColumnMap(m.domain, m.nrows, [pool.setdefault(c, c) for c in m.cols])
-
-    return CyclicLevelData(n, dim, tuple(map(shared, faces)), tuple(map(shared, degens)), shared(t))
+    """Every operator of level n, read from a fresh `LevelWindow`."""
+    window = LevelWindow(S, M, max_dim)
+    return CyclicLevelData(
+        n,
+        _level_dim(S, M, n),
+        tuple(window.face(n, i) for i in range(n + 1)) if n >= 1 else (),
+        tuple(window.degeneracy(n, i) for i in range(n + 1)),
+        window.cyclic(n),
+    )
 
 
 class LevelWindow:
-    """The cyclic levels one command reads, each built once.
+    """The cyclic operators one command reads, each built on first read, once.
 
-    The level-n identities read levels n - 1, n and n + 1 and the tensor
-    power S^(x)(n+1) of level n.  The window builds a level on first use
-    (S^(x)(n+2) as S^(x)(n+1) (x) S when that power is held); the
-    level-n check drops the levels below n before it builds level n + 1.
-    A window lives for one command: nothing here outlives the caller
-    that made it.
+    `face(n, i)`, `degeneracy(n, i)` and `cyclic(n)` hold an operator
+    from its first read on; the last face d_n is d_0 t_n, composed from
+    the window's own d_0 and t_n.  The operators of a level share one
+    column pool, so a level holds each distinct column once: faces and
+    degeneracies repeat their columns across the level.  A level is
+    bounded by max_dim when its first operator is read.  A window lives
+    for one command: nothing here outlives the caller that made it.
     """
 
     def __init__(self, S, M, max_dim=DEFAULT_MAX_DIM):
+        if S.hopf != M.hopf:
+            raise ShapeError("S and M must live over one Hopf algebra")
         self.S = S
         self.M = M
         self.max_dim = max_dim
-        self._levels = {}
+        self._operators = {}  # (kind, level, index) -> ColumnMap
+        self._pools = {}  # level -> {column: column}
         self._powers = {}
 
-    def level(self, n):
-        if n not in self._levels:
-            self._levels[n] = cyclic_level(self.S, self.M, n, self.max_dim)
-        return self._levels[n]
+    def _held(self, key, build):
+        op = self._operators.get(key)
+        if op is None:
+            n = key[1]
+            if n not in self._pools:
+                dim = _level_dim(self.S, self.M, n)
+                if dim > self.max_dim:
+                    raise ResourceBoundError(f"level {n} has dimension {dim} > bound {self.max_dim}")
+                self._pools[n] = {}
+            built, pool = build(), self._pools[n]
+            op = ColumnMap(built.domain, built.nrows, [pool.setdefault(c, c) for c in built.cols])
+            self._operators[key] = op
+        return op
+
+    def face(self, n, i):
+        if i == n >= 1:
+            return self._held(("d", n, i), lambda: self.face(n, 0) @ self.cyclic(n))
+        return self._held(("d", n, i), lambda: face_matrix(self.S, self.M, n, i))
+
+    def degeneracy(self, n, i):
+        return self._held(("s", n, i), lambda: degeneracy_matrix(self.S, self.M, n, i))
+
+    def cyclic(self, n):
+        return self._held(("t", n, 0), lambda: cyclic_matrix(self.S, self.M, n))
 
     def power(self, n):
         """S^(x)(n+1) as a right comodule."""
@@ -508,7 +513,10 @@ class LevelWindow:
         return self._powers[n]
 
     def drop_below(self, n):
-        for store in (self._levels, self._powers):
+        """Forget every operator, pool and tensor power below level n."""
+        for key in [k for k in self._operators if k[1] < n]:
+            del self._operators[key]
+        for store in (self._pools, self._powers):
             for k in [k for k in store if k < n]:
                 del store[k]
 
@@ -540,91 +548,72 @@ def check_cyclic_identities(S, M, n, max_dim=DEFAULT_MAX_DIM, window=None):
     check those once (`ayd_check`, `stability_check`) and downgrade a
     (c) failure to informational when they do not hold.
 
-    Levels n - 1 .. n + 1 come from `window`, a `LevelWindow` over these
-    very S and M and this max_dim that a caller checking several levels
-    keeps; without one the check builds its own.  Every level built is
-    bounded by max_dim, level n + 1 included.
+    (a) checks only the pairs that can fail.  The faces d_i with i < n
+    are I (x) m (x) I and the degeneracies I (x) eta (x) I, for the
+    multiplication m and unit eta of S.  On disjoint slots two such
+    operators commute by the interchange law (A (x) I)(I (x) B) =
+    A (x) B; on adjacent slots their identities are the associativity
+    and unit of S, which `AlgebraData` enforces.  So every d_i d_j with
+    j < n, every d_i s_j with i <= n and every s_i s_j holds, and only
+    d_i d_n (i < n) and d_(n+1) s_j are checked, in the order of the
+    full loops (j outer): a skipped pair cannot fail, so the witness is
+    the first failing pair of the full set.
+
+    The operators come from `window`, a `LevelWindow` over these very S
+    and M and this max_dim that a caller checking several levels keeps;
+    without one the check builds its own.  Every level read is bounded
+    by max_dim, level n + 1 included.
     """
     if window is None:
         window = LevelWindow(S, M, max_dim)
     elif window.S is not S or window.M is not M or window.max_dim != max_dim:
         raise ShapeError("the level window holds the levels of other operators")
-    level = window.level(n)
-    below = window.level(n - 1) if n >= 1 else None
+    face, degeneracy = window.face, window.degeneracy
+    t = window.cyclic(n)
+    dim = _level_dim(S, M, n)
     dom = S.domain
 
     # rotation relation
-    rotation_ok = n == 0 or (
-        level.faces[n] @ level.cyclic == below.cyclic @ level.faces[n - 1]
-    )
+    rotation_ok = n == 0 or face(n, n) @ t == window.cyclic(n - 1) @ face(n, n - 1)
 
     # cyclicity on the cotensor, whose echelon basis is the columns of B
     B = cotensor(window.power(n), M.comodule)
-    t = level.cyclic
     tB = moved = t @ B
     for _ in range(n):
         moved = t @ moved
     cyc_witness = next(((k,) for k, (a, b) in enumerate(zip(moved.cols, B.cols)) if a != b), None)
     # B's column k is 1 at its pivot, where the other columns are 0, so v lies
     # in the span exactly when v = B (v read at the pivots)
-    at_pivots = [()] * level.dim
+    at_pivots = [()] * dim
     for k, col in enumerate(B.cols):
         at_pivots[col[0][0]] = ((k, dom.one),)
     preserved = B @ (ColumnMap(dom, B.ncols, at_pivots) @ tB) == tB
     del moved, tB, at_pivots
 
-    # presimplicial: d_i d_j = d_{j-1} d_i for i < j (needs level >= 2)
-    witness = None
-    if n >= 2:
-        for j in range(1, n + 1):
-            for i in range(j):
-                if below.faces[i] @ level.faces[j] != below.faces[j - 1] @ level.faces[i]:
-                    witness = ("d.d", i, j)
-                    break
-            if witness:
-                break
+    # presimplicial: d_i d_n = d_(n-1) d_i for i < n (needs level >= 2)
+    witness = next((
+        ("d.d", i, n) for i in range(n)
+        if face(n - 1, i) @ face(n, n) != face(n - 1, n - 1) @ face(n, i)
+    ), None) if n >= 2 else None
 
-    # degeneracy identities with sources at level n.  Only the degeneracies
-    # of level n - 1 are read from here on, so the rest of that level goes
-    # before level n + 1 is built.
-    degens_below = below.degeneracies if n >= 1 else ()
-    del below
+    # d_(n+1) s_j = id for j = n, and s_j d_n for j < n.  Only the
+    # degeneracies of level n - 1 are read from here on, so the rest of
+    # that level goes before level n + 1 is read.
+    degens_below = [degeneracy(n - 1, j) for j in range(n)] if witness is None else ()
     window.drop_below(n)
     if witness is None:
-        above = window.level(n + 1)
-        ident = ColumnMap.identity(dom, level.dim)
-        for j in range(n + 1):
-            s_j = level.degeneracies[j]
-            for i in range(n + 2):
-                lhs = above.faces[i] @ s_j
-                if i == j or i == j + 1:
-                    ok = lhs == ident
-                elif i < j:
-                    ok = lhs == degens_below[j - 1] @ level.faces[i]
-                else:  # i > j + 1
-                    ok = lhs == degens_below[j] @ level.faces[i - 1]
-                if not ok:
-                    witness = ("d.s", i, j)
-                    break
-            if witness:
-                break
-        if witness is None:
-            for j in range(n + 1):
-                for i in range(j + 1):
-                    lhs = above.degeneracies[i] @ level.degeneracies[j]
-                    rhs = above.degeneracies[j + 1] @ level.degeneracies[i]
-                    if lhs != rhs:
-                        witness = ("s.s", i, j)
-                        break
-                if witness:
-                    break
-    simplicial_ok = witness is None
+        last_above = face(n + 1, n + 1)
+        witness = next((
+            ("d.s", n + 1, j) for j in range(n + 1)
+            if last_above @ degeneracy(n, j)
+            != (ColumnMap.identity(dom, dim) if j == n else degens_below[j] @ face(n, n))
+        ), None)
 
     return CyclicIdentityReport(
         level=n,
-        dim=level.dim,
+        dim=dim,
         cotensor_dim=B.ncols,
-        simplicial_ok=simplicial_ok,
+        simplicial_ok=witness is None,
         simplicial_witness=witness,
         rotation_ok=rotation_ok,
         cyclicity_ok=cyc_witness is None,
@@ -641,8 +630,9 @@ def t_complex(S, M, top, max_dim=DEFAULT_MAX_DIM):
         if d > max_dim:
             raise ResourceBoundError(f"level {k} has dimension {d} > bound {max_dim}")
         dims.append(d)
+    window = LevelWindow(S, M, max_dim)
     diffs = tuple(
-        _alternating_sum(S.domain, [face_matrix(S, M, k, i) for i in range(k + 1)], 0)
+        _alternating_sum(S.domain, [window.face(k, i) for i in range(k + 1)], 0)
         for k in range(1, top + 1)
     )
     return ChainComplexData(tuple(dims), diffs)

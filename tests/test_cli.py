@@ -170,7 +170,7 @@ def test_cyclic_resource_bound_four_dimensional(fixtures):
 
 
 def test_cyclic_bound_covers_the_level_above(fixtures, capsys):
-    # the level 4 identities build level 5 faces and degeneracies: 2^7 = 128 > 64
+    # the level 4 identities build the last face of level 5: 2^7 = 128 > 64
     args = ["cyclic", fx(fixtures, "comodalg_graded_f3.json"),
             "--module", fx(fixtures, "mod_kc2_ayd_f3.json"), "--max-dim", "64"]
     assert cli.main(args + ["--levels", "4"]) == 3
@@ -190,8 +190,9 @@ def test_cyclic_builds_each_operator_once_per_command(fixtures, monkeypatch, cap
             "--module", fx(fixtures, "mod_kc2_ayd_f3.json"), "--levels", "5"]
     assert cli.main(args) == 0
     first = collections.Counter(builds)
-    # the level 5 identities read the faces and degeneracies of level 6
+    # the level 5 identities read only the last face d_0 t_6 of level 6
     assert {level for _, level, *_ in first} == set(range(7))
+    assert {key for key in first if key[1] == 6} == {("face_matrix", 6, 0), ("cyclic_matrix", 6)}
     assert max(first.values()) == 1
     # no operator outlives a command: a second one builds them all again
     builds.clear()

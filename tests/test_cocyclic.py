@@ -2,7 +2,7 @@ import functools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hopfgal import actions, cocyclic, hopf, linalg, zoo
@@ -13,9 +13,10 @@ from hopfgal.errors import (
     ResourceBoundError,
     ShapeError,
 )
-from hopfgal.linalg import QQ, ColumnMap, Matrix
+from hopfgal.linalg import GF, QQ, ColumnMap, Matrix, on_slot
 
 import oracles
+from test_hopf import group_tables, twisted_group_algebras
 
 
 @functools.lru_cache(maxsize=None)
@@ -222,6 +223,47 @@ def test_cotensor_with_trivial_coefficient():
 # cyclic levels --------------------------------------------------------------------
 
 
+@st.composite
+def validated_algebras(draw):
+    """A group algebra of a random group table over Q or F_5, or a twisted
+    group algebra over F_7, drawn until one passes construction."""
+    if draw(st.booleans()):
+        table = draw(group_tables())
+        dom, n = draw(st.sampled_from([QQ, GF(5)])), len(table)
+        triples = [(i, j, table[i][j], 1) for i in range(n) for j in range(n)]
+    else:
+        dom, (n, triples) = GF(7), draw(twisted_group_algebras())
+    try:
+        return hopf.algebra_from_triples(dom, n, [f"e{i}" for i in range(n)], triples,
+                                         linalg.unit_vec(dom, n, 0))
+    except AxiomError:
+        assume(False)
+
+
+# The reductions behind the cyclic identity checks: on adjacent slots, faces
+# and degeneracies (on_slot builds of the multiplication m and unit eta of a
+# validated S) satisfy m (m (x) I) = m (I (x) m) and m (eta (x) I) = I =
+# m (I (x) eta), in any context I_left (x) - (x) I_right.
+@given(validated_algebras(), st.integers(1, 2), st.integers(1, 2))
+def test_on_slot_faces_reduce_by_associativity_and_unit(alg, left, right):
+    dom, ds = alg.domain, alg.dim
+    m = cocyclic._mult_map(alg)
+    eta = ColumnMap(dom, ds, [tuple((k, u) for k, u in enumerate(alg.unit) if u)])
+
+    def composed(a, a_left, a_right, b, b_left, b_right):
+        product = on_slot(a_left, a, a_right) @ on_slot(b_left, b, b_right)
+        dense = (oracles.dense_on_slot(dom, a_left, a.to_dense(), a_right)
+                 @ oracles.dense_on_slot(dom, b_left, b.to_dense(), b_right))
+        assert product == ColumnMap.from_dense(dense)
+        return product
+
+    assert (composed(m, left, right, m, left, ds * right)
+            == composed(m, left, right, m, left * ds, right))
+    identity = ColumnMap.identity(dom, left * ds * right)
+    assert composed(m, left, right, eta, left, ds * right) == identity
+    assert composed(m, left, right, eta, left * ds, right) == identity
+
+
 def test_level_one_cyclic_operator_is_rotation_for_trivial_action():
     S = graded(3)
     M = ayd_trivial(3)
@@ -299,6 +341,38 @@ def test_identity_reports_match_dense_oracle(case):
         rep = cocyclic.check_cyclic_identities(S, M, n)
         assert rep == oracles.dense_cyclic_identities(S, M, n), n
         assert cocyclic.check_cyclic_identities(S, M, n, window=window) == rep, n
+
+
+def with_column_replaced(t, level, n, k, row):
+    """t with column k set to e_row when it is the operator of `level`."""
+    if n != level:
+        return t
+    cols = list(t.cols)
+    cols[k] = ((row, t.domain.one),)
+    return ColumnMap(t.domain, t.nrows, cols)
+
+
+# Validated S passes every identity, so no fixture yields a simplicial witness.
+# A corrupted t breaks the last faces it enters, and the check of only the
+# pairs with a last face must still name the first failing pair of all pairs,
+# which the dense oracle checks.
+@given(st.sampled_from(["ayd", "swap", "not-strongly-graded"]), st.sampled_from([2, 3]),
+       st.data())
+@settings(max_examples=12)
+def test_corrupted_cyclic_operator_witnesses_match_dense_oracle(case, level, data):
+    S, M = DENSE_ORACLE_CASES[case]()
+    dim = S.dim ** (level + 1) * M.dim
+    k, row = data.draw(st.integers(0, dim - 1)), data.draw(st.integers(0, dim - 1))
+    sparse, dense = cocyclic.cyclic_matrix, oracles.dense_cyclic_matrix
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cocyclic, "cyclic_matrix",
+                   lambda S, M, n: with_column_replaced(sparse(S, M, n), level, n, k, row))
+        mp.setattr(oracles, "dense_cyclic_matrix", lambda S, M, n: with_column_replaced(
+            ColumnMap.from_dense(dense(S, M, n)), level, n, k, row).to_dense())
+        window = cocyclic.LevelWindow(S, M)
+        for n in range(5):
+            rep = cocyclic.check_cyclic_identities(S, M, n, window=window)
+            assert rep == oracles.dense_cyclic_identities(S, M, n), n
 
 
 def test_level_window_serves_only_its_own_operators():

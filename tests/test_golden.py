@@ -38,6 +38,11 @@ COMMANDS = CLI_COMMANDS + [
     ["verify", "hopf_taft3_dual_f7.json"],
     # the shape of the benchmark's cyclic op: levels 0-5, each level built once
     ["cyclic", "comodalg_graded_f3.json", "--module", "mod_kc2_ayd_f3.json", "--levels", "5"],
+    # levels past the dense oracle's level 4, and fixtures other than the benchmark's:
+    # not strongly graded, non-AYD coefficients, and the Klein-four grading
+    ["cyclic", "comodalg_graded_f3_nsg.json", "--module", "mod_kc2_ayd_f3.json", "--levels", "6"],
+    ["cyclic", "comodalg_graded_f3.json", "--module", "mod_kc2_swap_f3.json", "--levels", "6"],
+    ["cyclic", "comodalg_klein_f3.json", "--module", "mod_kc2_swap_f3.json", "--levels", "3"],
 ]
 CASES = [(command, form) for command in COMMANDS for form in ("json", "txt")]
 

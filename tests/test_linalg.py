@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -204,6 +205,28 @@ def test_on_slot_matches_kron_with_identities(operands):
     expected = Matrix.identity(domain, left).kron(a).kron(Matrix.identity(domain, right))
     # from_dense is canonical, so this also checks that rows come out ascending
     assert on_slot(left, ColumnMap.from_dense(a), right) == ColumnMap.from_dense(expected)
+
+
+@st.composite
+def interchange_operands(draw):
+    domain = draw(st.sampled_from([QQ, GF(5)]))
+    a, b = (draw(small_matrix(domain, draw(st.integers(1, 3)), draw(st.integers(1, 3))))
+            for _ in range(2))
+    left, middle, right = (draw(st.integers(1, 2)) for _ in range(3))
+    return domain, left, a, middle, b, right
+
+
+# The lemma behind the reduced cyclic identity checks: operators on
+# disjoint slots commute, (A (x) I)(I (x) B) = A (x) B = (I (x) B)(A (x) I).
+@given(interchange_operands())
+def test_on_slot_interchange_law(operands):
+    domain, left, a, middle, b, right = operands
+    A, B = ColumnMap.from_dense(a), ColumnMap.from_dense(b)
+    b_first = on_slot(left, A, middle * b.nrows * right) @ on_slot(left * a.ncols * middle, B, right)
+    a_first = on_slot(left * a.nrows * middle, B, right) @ on_slot(left, A, middle * b.ncols * right)
+    eye = functools.partial(Matrix.identity, domain)
+    expected = eye(left).kron(a).kron(eye(middle)).kron(b).kron(eye(right))
+    assert b_first == a_first == ColumnMap.from_dense(expected)
 
 
 @st.composite
