@@ -10,19 +10,24 @@ both output forms deterministic.
 Exit codes: 0 success or expectation met, 1 theorem-level mismatch,
 2 input error, 3 resource bound exceeded, 4 internal error (an
 unexpected Python exception, reported on stderr with its traceback).
+
+Only `files`, `hopf` and `linalg` are imported with this module; each
+command imports the layers it reads (`actions`, `cocyclic`, `lattices`)
+when it runs, so a command pays only for its own layers.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
-import traceback
 
-from . import actions, cocyclic, files, hopf, lattices, linalg
+from . import files, hopf, linalg
 from .errors import (
+    DEFAULT_MAX_DIM,
     AxiomError,
     FormatError,
     HopfgalError,
@@ -31,7 +36,6 @@ from .errors import (
 )
 
 SCHEMA_VERSION = "1"
-DEFAULT_MAX_DIM = cocyclic.DEFAULT_MAX_DIM
 DEFAULT_LEVELS = 4
 
 
@@ -104,7 +108,7 @@ def run_integrals(args):
         left_integral_vector=_fmt_vec(domain, left.basis[0]),
         right_integral=h.format_element(right.basis[0]),
         right_integral_vector=_fmt_vec(domain, right.basis[0]),
-        semisimple=hopf.is_semisimple(h),
+        semisimple=hopf.is_semisimple(h, left),
     )
     return doc, 0
 
@@ -134,7 +138,11 @@ def _extension_dict(domain, report):
     }
 
 
-def run_extension(args, command):
+def run_extension(args):
+    """The galois and tame commands; they differ only in their name."""
+    from . import actions
+
+    command = args.command
     data = files.load_extension_file(args.path, args.max_dim)
     if data["module_algebra"] is None:
         raise FormatError(f"the {command} command needs an extension with an 'action'")
@@ -167,6 +175,8 @@ def run_extension(args, command):
 
 def run_homology(args):
     if files.is_lattice_document(args.path):
+        from . import lattices
+
         module, _ = files.load_lattice_file(args.path, args.max_dim)
         order_kind = args.order or "group-ring"
         if order_kind == "group-ring":
@@ -185,6 +195,8 @@ def run_homology(args):
             obstructed_primes=list(report.obstructed_primes),
         )
         return doc, 0
+    from . import actions
+
     h, dim, action = files.load_module_file(args.path, args.max_dim)
     hom = actions.hopfological_homology_module(h, action)
     doc = _doc(
@@ -205,9 +217,15 @@ def _levels(args):
 
 
 def run_cyclic(args):
+    from . import cocyclic
+
     top = _levels(args)
     data = files.load_extension_file(args.path, args.max_dim)
     S = data["comodule_algebra"]
+    # without a coaction, S is the module algebra read through the duality dictionary
+    converted = S is None
+    if converted:
+        S = cocyclic.module_algebra_to_comodule_algebra(data["module_algebra"])
     if args.module is None:
         raise FormatError("the cyclic command needs --module")
     M = files.load_ayd_module(S.hopf, args.module, args.max_dim)
@@ -258,7 +276,7 @@ def run_cyclic(args):
         args.path,
         module=args.module,
         levels=top,
-        converted_from_action=data["converted"],
+        converted_from_action=converted,
         ayd=ayd_ok,
         ayd_witness=_witness_list(ayd_witness),
         stable=stable_ok,
@@ -269,6 +287,8 @@ def run_cyclic(args):
 
 
 def run_bar_shift(args):
+    from . import actions, cocyclic
+
     top = _levels(args)
     data = files.load_extension_file(args.path, args.max_dim)
     if data["module_algebra"] is None:
@@ -326,6 +346,8 @@ def _parse_inline_candidates(spec, dim):
 
 
 def run_assoc_order(args):
+    from . import lattices
+
     module, file_candidates = files.load_lattice_file(args.path, args.max_dim)
     h = module.hopf
     order_kind = args.order or "associated"
@@ -508,14 +530,30 @@ def render_human(doc):
 # argument parsing and dispatch
 
 
+# the handler of each command, looked up in this module's namespace when the
+# command runs: the cached parser holds no function, and a patched run_* runs
+HANDLERS = {
+    "verify": "run_verify",
+    "integrals": "run_integrals",
+    "galois": "run_extension",
+    "tame": "run_extension",
+    "homology": "run_homology",
+    "cyclic": "run_cyclic",
+    "bar-shift": "run_bar_shift",
+    "assoc-order": "run_assoc_order",
+}
+
+
+@functools.cache
 def build_parser():
+    """The one argument parser of the process; parsing only reads it."""
     parser = argparse.ArgumentParser(
         prog="hopfgal",
         description="Exact verification of Hopf-algebraic extensions at desk scale.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
+    def add(name, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("path", help="input JSON file")
         p.add_argument("--json", action="store_true", help="print the canonical JSON report")
@@ -525,23 +563,22 @@ def build_parser():
             default=None,
             help="per-level dimension bound (default 5000, env HOPFGAL_MAX_DIM)",
         )
-        p.set_defaults(func=func)
         return p
 
-    add("verify", run_verify, help="check all Hopf axioms of an algebra file")
-    add("integrals", run_integrals, help="print the one-dimensional integral spaces")
+    add("verify", help="check all Hopf axioms of an algebra file")
+    add("integrals", help="print the one-dimensional integral spaces")
     for name in ("galois", "tame"):
-        p = add(name, lambda a, n=name: run_extension(a, n), help="classify an extension file")
+        p = add(name, help="classify an extension file")
         p.add_argument("--expect", choices=["tame", "hopf-galois", "neither"], default=None)
-    p = add("homology", run_homology, help="Hopfological homology of a module or lattice file")
+    p = add("homology", help="Hopfological homology of a module or lattice file")
     p.add_argument("--order", choices=["group-ring", "associated"], default=None)
-    p = add("cyclic", run_cyclic, help="face/degeneracy/cyclic identity checks")
+    p = add("cyclic", help="face/degeneracy/cyclic identity checks")
     p.add_argument("--module", default=None, help="AYD coefficient file")
     p.add_argument("--levels", type=int, default=DEFAULT_LEVELS)
-    p = add("bar-shift", run_bar_shift, help="degreewise bar-shift verification")
+    p = add("bar-shift", help="degreewise bar-shift verification")
     p.add_argument("--module", default=None, help="smash module file")
     p.add_argument("--levels", type=int, default=DEFAULT_LEVELS)
-    p = add("assoc-order", run_assoc_order, help="associated order pipeline over Z")
+    p = add("assoc-order", help="associated order pipeline over Z")
     p.add_argument("--order", choices=["group-ring", "associated"], default=None)
     p.add_argument(
         "--candidates",
@@ -571,12 +608,11 @@ def _max_dim(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
         args.max_dim = _max_dim(args)
-        doc, code = args.func(args)
+        doc, code = globals()[HANDLERS[args.command]](args)
     except ResourceBoundError as exc:
         print(f"resource bound exceeded: {exc}", file=sys.stderr)
         return 3
@@ -590,6 +626,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
+        import traceback
+
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc()
         return 4

@@ -40,6 +40,7 @@ from . import actions as actions_mod
 from . import hopf as hopf_mod
 from . import linalg
 from .errors import (
+    DEFAULT_MAX_DIM,
     AxiomError,
     InconsistencyError,
     PreconditionError,
@@ -47,8 +48,6 @@ from .errors import (
     ShapeError,
 )
 from .linalg import ColumnMap, sparse_entries as _sparse  # noqa: F401 (read by perfbench/tests)
-
-DEFAULT_MAX_DIM = 5000
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the default dimension bound."""
+
+# the per-level dimension bound when neither --max-dim nor HOPFGAL_MAX_DIM sets one
+DEFAULT_MAX_DIM = 5000
 
 
 class HopfgalError(Exception):

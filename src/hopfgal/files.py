@@ -20,15 +20,18 @@ Hopf algebras are either explicit or builtin:
 {"name": "group_algebra", "table": [[...]], "labels": [...]},
 {"name": "sweedler"}, {"name": "taft", "n": 3, "q": "2"},
 {"name": "dual", "of": {...}}.
+
+Each loader imports the layer it builds into (`actions`, `cocyclic`,
+`lattices`) when it runs, so reading a Hopf algebra loads none of them.
 """
 
 from __future__ import annotations
 
 import json
 
-from . import actions, cocyclic, hopf, lattices
+from . import hopf
 from .errors import FormatError, HopfgalError, ResourceBoundError
-from .linalg import GF, QQ, ZZ, ColumnMap
+from .linalg import GF, QQ, ZZ, ColumnMap, require_field
 
 
 def _require_object(value, what):
@@ -219,9 +222,11 @@ def load_hopf_file(path, max_dim, validate=True):
 def load_extension_file(path, max_dim):
     """Extension file: hopf + algebra + action and/or coaction.
 
-    Returns a dict with the parsed pieces; the comodule-algebra route
-    is marked converted=True when it was obtained from a module-algebra
-    action through the duality dictionary.
+    Returns a dict with the parsed pieces.  The comodule algebra is None
+    without a coaction: the cyclic command converts the module algebra
+    through the duality dictionary itself.  That dictionary needs a field,
+    the one way it can refuse a validated module algebra, so an action
+    without a coaction over Z is refused here, for every command.
     """
     doc = load_document(path)
     for key in ("field", "hopf", "algebra"):
@@ -231,19 +236,20 @@ def load_extension_file(path, max_dim):
     h = load_hopf(domain, doc["hopf"], max_dim)
     alg = load_algebra(domain, doc["algebra"], max_dim)
     out = {"domain": domain, "hopf": h, "algebra": alg,
-           "module_algebra": None, "comodule_algebra": None, "converted": False}
+           "module_algebra": None, "comodule_algebra": None}
     if "action" in doc:
+        from . import actions
+
         entries = _parse_entries(domain, doc["action"], 3, "action")
         out["module_algebra"] = actions.module_algebra(h, alg, entries)
     if "coaction" in doc:
+        from . import cocyclic
+
         entries = _parse_entries(domain, doc["coaction"], 3, "coaction")
         comod = cocyclic.comodule_from_triples(h, alg.dim, entries)
         out["comodule_algebra"] = cocyclic.ComoduleAlgebraData(alg, comod)
     elif out["module_algebra"] is not None:
-        out["comodule_algebra"] = cocyclic.module_algebra_to_comodule_algebra(
-            out["module_algebra"]
-        )
-        out["converted"] = True
+        require_field(domain, "module/comodule dictionary")
     if out["module_algebra"] is None and out["comodule_algebra"] is None:
         raise FormatError("extension file needs 'action' or 'coaction'")
     return out
@@ -268,6 +274,8 @@ def load_module_file(path, max_dim):
 
 def load_ayd_module(hopf_algebra, path, max_dim):
     """AYD coefficient file: dim + action + coaction over a given H."""
+    from . import cocyclic
+
     doc = load_document(path)
     mod = _require_object(doc.get("module", doc), "AYD module spec")
     for key in ("dim", "action", "coaction"):
@@ -284,6 +292,8 @@ def load_ayd_module(hopf_algebra, path, max_dim):
 
 def load_smash_module(smash_data, spec, max_dim):
     """Smash-module spec: 'regular', 'algebra', {'sum': [...]} or explicit."""
+    from . import actions
+
     if isinstance(spec, str):
         if spec == "regular":
             return actions.regular_smash_module(smash_data)
@@ -319,6 +329,8 @@ def load_smash_module_file(smash_data, path, max_dim):
 
 def load_lattice_file(path, max_dim):
     """Lattice file: rational Hopf algebra, ambient basis, action matrices."""
+    from . import lattices
+
     doc = load_document(path)
     for key in ("hopf", "ambient_dim", "basis", "action"):
         if key not in doc:

@@ -33,7 +33,8 @@ Basis order is part of the data.  Tensor-square flattenings are always
 lexicographic with the left factor varying slowest.
 
 Integrals are the invariants (:func:`fixed_points`) of the left regular
-action, whose tensor is mult itself, and of the right regular action.
+action, whose tensor is mult itself, and of the right regular action,
+decided on the algebra's generating set.
 """
 
 from __future__ import annotations
@@ -723,35 +724,45 @@ class IntegralSpace:
         return len(self.basis)
 
 
-def fixed_points(h, action):
+def fixed_points(h, action, rows=None):
     """Canonical echelon basis of V^H = {v : e_a v = counit(e_a) v for all a}.
 
     action[a][m] holds the (t, c) pairs of e_a . e_m.  V^H is the kernel
-    of the stacked system of the maps v -> e_a v - counit(e_a) v.
+    of the stacked system of the maps v -> e_a v - counit(e_a) v, over
+    the a in `rows` (every basis index when None).  Rows that generate H
+    as an algebra suffice: for each v, the h with h v = counit(h) v form
+    a subalgebra that holds the unit, as (ab) v = a (counit(b) v) =
+    counit(ab) v.  The same holds when H acts on the right, as in the
+    right regular action.
     """
     dom = h.domain
-    dim = len(action[0]) if action else 0
+    rows = range(len(action)) if rows is None else rows
+    dim = len(action[rows[0]]) if rows else 0
     terms = (
-        ((a * dim + t, m), c)
-        for a, block in enumerate(action) for m, col in enumerate(block) for t, c in col
+        ((k * dim + t, m), c)
+        for k, a in enumerate(rows) for m, col in enumerate(action[a]) for t, c in col
     )
     shifts = (
-        ((a * dim + m, m), dom.neg(e)) for a, e in enumerate(h.counit) if e for m in range(dim)
+        ((k * dim + m, m), dom.neg(h.counit[a]))
+        for k, a in enumerate(rows) if h.counit[a] for m in range(dim)
     )
-    stacked = ColumnMap.from_entries(dom, len(action) * dim, dim, itertools.chain(terms, shifts))
+    stacked = ColumnMap.from_entries(dom, len(rows) * dim, dim, itertools.chain(terms, shifts))
     return linalg.kernel_basis(stacked)
 
 
 def _integral_space(h, side):
     """Integrals are the invariants of H acting on itself: on the left
-    by e_a . e_i = e_a e_i, on the right by e_a . e_i = e_i e_a."""
+    by e_a . e_i = e_a e_i, on the right by e_a . e_i = e_i e_a.  Only the
+    algebra's generators act (see `fixed_points`); all of H when it has
+    none."""
     linalg.require_field(h.domain, "integral computation")
     mult, n = h.algebra.mult, h.dim
+    rows = h.algebra.generators or range(n)
     if side == "left":
         action = mult
     else:
-        action = tuple(tuple(mult[i][a] for i in range(n)) for a in range(n))
-    basis = fixed_points(h, action)
+        action = {a: tuple(mult[i][a] for i in range(n)) for a in rows}
+    basis = fixed_points(h, action, rows)
     if len(basis) != 1:
         raise InconsistencyError(
             f"{side} integral space has dimension {len(basis)}, not 1; "
@@ -769,9 +780,11 @@ def right_integrals(h):
     return _integral_space(h, "right")
 
 
-def is_semisimple(h):
-    """Larson-Sweedler / Maschke criterion: counit of the integral is nonzero."""
-    integral = left_integrals(h).basis[0]
+def is_semisimple(h, left=None):
+    """Larson-Sweedler / Maschke criterion: counit of the integral is nonzero.
+
+    `left` is the left integral space when the caller has it already."""
+    integral = (left if left is not None else left_integrals(h)).basis[0]
     return h.counit_vec(integral) != h.domain.zero
 
 

@@ -671,3 +671,147 @@ def test_negative_levels_are_input_error(fixtures, capsys, command):
     args = [fx(fixtures, a) if a.endswith(".json") else a for a in command]
     assert cli.main(args + ["--levels", "-1"]) == 2
     assert "--levels must be 0 or more" in capsys.readouterr().err
+
+
+def test_integrals_solves_each_integral_space_once(fixtures, capsys, monkeypatch):
+    sides = []
+    solve = hopf._integral_space
+
+    def counted(h, side):
+        sides.append(side)
+        return solve(h, side)
+
+    monkeypatch.setattr(hopf, "_integral_space", counted)
+    assert cli.main(["integrals", fx(fixtures, "hopf_sweedler.json")]) == 0
+    assert "semisimple: false" in capsys.readouterr().out
+    assert sorted(sides) == ["left", "right"]
+
+
+# per-command imports and the one parser ------------------------------------------
+
+LAYERS = {"hopfgal.actions", "hopfgal.cocyclic", "hopfgal.lattices"}
+# runs one command, then prints the hopfgal layers it loaded as the last stdout line
+LOADED_LAYERS = (
+    "import json, sys\n"
+    "from hopfgal import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m in %r)))\n"
+    "sys.exit(code)\n" % sorted(LAYERS)
+)
+
+
+LOADED_BY_COMMAND = [
+    (["verify", "hopf_sweedler.json"], set()),
+    (["integrals", "hopf_qc2.json"], set()),
+    (["tame", "ext_f4.json"], {"hopfgal.actions"}),
+    (["galois", "ext_gaussian.json"], {"hopfgal.actions"}),
+    (["homology", "mod_trivial_f2c2.json"], {"hopfgal.actions"}),
+    (["homology", "lat_zi_qc2.json"], {"hopfgal.actions", "hopfgal.lattices"}),
+    (["cyclic", "comodalg_graded_f3.json", "--module", "mod_kc2_ayd_f3.json"],
+     {"hopfgal.actions", "hopfgal.cocyclic"}),
+    (["bar-shift", "ext_gaussian.json", "--module", "smashmod_sum.json"],
+     {"hopfgal.actions", "hopfgal.cocyclic"}),
+]
+
+
+@pytest.mark.parametrize("command,loaded", LOADED_BY_COMMAND,
+                         ids=["-".join(c[:2]) for c, _ in LOADED_BY_COMMAND])
+def test_a_fresh_command_loads_only_its_layers(fixtures, command, loaded):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = PKG_SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", LOADED_LAYERS, *materialize(fixtures, command)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout.splitlines()[-1])) == loaded
+
+
+def _stderr_without_elapsed(text):
+    return [line for line in text.splitlines() if not line.startswith("# elapsed:")]
+
+
+# one per command, with a theorem-level mismatch and an input error among them
+IN_TURN = [
+    ["verify", "hopf_sweedler.json"],
+    ["tame", "ext_f4.json", "--expect", "tame", "--json"],
+    ["verify", "hopf_sweedler_bad_antipode.json"],
+    ["integrals", "hopf_qc2.json", "--json"],
+    ["galois", "ext_trivial.json", "--expect", "tame"],
+    ["homology", "lat_zi_qc2.json"],
+    ["cyclic", "comodalg_graded_f3.json", "--module", "mod_kc2_ayd_f3.json", "--levels", "2"],
+    ["verify", "malformed.json"],
+    ["bar-shift", "ext_gaussian.json", "--module", "smashmod_sum.json", "--levels", "2"],
+    ["assoc-order", "lat_zi_qc2.json", "--candidates"],
+    ["verify", "hopf_sweedler.json"],
+]
+
+
+def test_commands_in_turn_in_one_process_match_fresh_processes(fixtures, capsys):
+    for command in IN_TURN:
+        args = materialize(fixtures, command)
+        code = cli.main(args)
+        captured = capsys.readouterr()
+        fresh = run_cli(args)
+        assert (captured.out, code) == (fresh.stdout, fresh.returncode), command
+        assert _stderr_without_elapsed(captured.err) == _stderr_without_elapsed(fresh.stderr)
+
+
+def test_a_handler_patched_after_the_parser_is_built_runs(fixtures, capsys, monkeypatch):
+    path = fx(fixtures, "hopf_sweedler.json")
+    assert cli.main(["verify", path]) == 0
+    calls = []
+
+    def patched(args):
+        calls.append(args.path)
+        return cli._doc("verify", args.path, checks=[], passed=False), 1
+
+    monkeypatch.setattr(cli, "run_verify", patched)
+    assert cli.main(["verify", path]) == 1
+    assert calls == [path]
+    assert "axiom failure" in capsys.readouterr().out
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("command", [
+    ["tame", "ext_z.json"],
+    ["galois", "ext_z.json"],
+    ["bar-shift", "ext_z.json", "--module", "smashmod_sum.json"],
+    ["cyclic", "ext_z.json", "--module", "mod_kc2_ayd_f3.json"],
+], ids=lambda c: c[0])
+def test_z_domain_extension_is_refused_by_the_dictionary_field_check(tmp_path, fixtures, capsys,
+                                                                    command):
+    doc = json.loads((fixtures / "ext_gaussian.json").read_text())
+    doc["field"] = {"kind": "Z"}
+    (tmp_path / "ext_z.json").write_text(json.dumps(doc))
+    args = [str(tmp_path / a) if a == "ext_z.json" else fx(fixtures, a) if a.endswith(".json")
+            else a for a in command]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _stderr_without_elapsed(captured.err) == [
+        "error: module/comodule dictionary needs a field, not Z; use the integer normal-form "
+        "routines for Z"
+    ]
+
+
+def test_cyclic_converts_an_action_only_extension(tmp_path, fixtures, capsys):
+    # the graded line of comodalg_graded_f3 as a kC2-module algebra, s.x = -x, with
+    # trivial coefficients over dual(kC2): delta_s acts as 0, rho(m) = m (x) 1
+    doc = json.loads((fixtures / "comodalg_graded_f3.json").read_text())
+    del doc["coaction"]
+    doc["action"] = [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 0, "1"], [1, 1, 1, "2"]]
+    module = {"module": {"dim": 2, "action": [[0, 0, 0, "1"], [0, 1, 1, "1"]],
+                         "coaction": [[0, 0, 0, "1"], [0, 0, 1, "1"], [1, 1, 0, "1"],
+                                      [1, 1, 1, "1"]]}}
+    (tmp_path / "ext.json").write_text(json.dumps(doc))
+    (tmp_path / "mod.json").write_text(json.dumps(module))
+    args = ["cyclic", str(tmp_path / "ext.json"), "--module", str(tmp_path / "mod.json"),
+            "--levels", "3", "--json"]
+    assert cli.main(args) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["converted_from_action"] is True
+    assert (report["ayd"], report["stable"]) == (True, True)
+    assert [level["cotensor_dim"] for level in report["per_level"]] == [2, 4, 8, 16]
+    args = ["cyclic", fx(fixtures, "comodalg_graded_f3.json"),
+            "--module", fx(fixtures, "mod_kc2_ayd_f3.json"), "--levels", "0", "--json"]
+    assert cli.main(args) == 0
+    assert json.loads(capsys.readouterr().out)["converted_from_action"] is False

@@ -407,6 +407,48 @@ def test_fixed_points_and_integrals_match_dense_oracle(name, h):
         assert len(dense) == dim
 
 
+@functools.lru_cache(maxsize=1)
+def integral_cases():
+    """Every builtin and its dual, over Q and F_p."""
+    cases = dict(zoo_and_duals())
+    for name, h in (("taft(4,2,F5)", hopf.taft(GF(5), 4, 2)),
+                    ("S3(Q)", hopf.group_algebra(QQ, zoo.GROUP_TABLES["S3"])),
+                    ("Q8(F3)", hopf.group_algebra(GF(3), zoo.GROUP_TABLES["Q8"]))):
+        cases[name], cases[f"{name}*"] = h, hopf.dual(h)
+    return cases
+
+
+def test_integral_cases_take_the_generating_set_path():
+    # otherwise the test below would compare the full stack with itself
+    gens = {name: h.algebra.generators for name, h in integral_cases().items()
+            if h.algebra.generators is not None}
+    assert {"sweedler(Q)", "taft(3,2,F7)", "taft(4,2,F5)", "taft(4,2,F5)*", "S3(Q)",
+            "Q8(F3)"} <= set(gens)
+
+
+@pytest.mark.parametrize("name", sorted(integral_cases()))
+def test_integrals_on_generators_match_full_stack(name):
+    h = integral_cases()[name]
+    assert hopf.left_integrals(h).basis == oracles.full_integrals(h, "left")
+    assert hopf.right_integrals(h).basis == oracles.full_integrals(h, "right")
+
+
+@st.composite
+def group_algebras(draw):
+    """The group algebra, or its dual, of a relabelled group table over Q or F_p."""
+    table = relabelled_table(draw, zoo.GROUP_TABLES)
+    h = hopf.group_algebra(draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)])), table)
+    return hopf.dual(h) if draw(st.booleans()) else h
+
+
+@given(group_algebras())
+def test_group_algebra_integrals_on_generators_match_full_stack(h):
+    left = hopf.left_integrals(h)
+    assert left.basis == oracles.full_integrals(h, "left")
+    assert hopf.right_integrals(h).basis == oracles.full_integrals(h, "right")
+    assert hopf.is_semisimple(h, left) == hopf.is_semisimple(h)
+
+
 def witness_cases(h):
     """Lawful actions of H, an action whose unit fails, and one that fails
     at a pair: the identity is added to the block of a basis element b
@@ -544,6 +586,18 @@ GROUP_TABLES = {
 }
 
 
+def relabelled_table(draw, tables):
+    """One of `tables` with its non-identity elements relabelled."""
+    table = tables[draw(st.sampled_from(sorted(tables)))]
+    n = len(table)
+    label = [0] + draw(st.permutations(range(1, n)))
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[label[i]][label[j]] = label[table[i][j]]
+    return out
+
+
 @st.composite
 def group_tables(draw):
     """A group table with its non-identity elements relabelled, and often one
@@ -555,13 +609,8 @@ def group_tables(draw):
         return [list(range(n))] + [
             [i] + cells[(i - 1) * (n - 1):i * (n - 1)] for i in range(1, n)
         ]
-    table = GROUP_TABLES[draw(st.sampled_from(sorted(GROUP_TABLES)))]
-    n = len(table)
-    label = [0] + draw(st.permutations(range(1, n)))
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            out[label[i]][label[j]] = label[table[i][j]]
+    out = relabelled_table(draw, GROUP_TABLES)
+    n = len(out)
     if draw(st.booleans()):
         i, j = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
         out[i][j] = draw(st.integers(0, n - 1))
