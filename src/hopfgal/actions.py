@@ -344,21 +344,19 @@ def classify_extension(d):
     """
     dom = d.domain
     linalg.require_field(dom, "extension classification")
-    inv = invariants(d)
+    homology = hopfological_homology_module(d.hopf, d.action)
+    inv, image = homology.fixed_basis, homology.image_basis
     base_line = linalg.echelon_basis(dom, [d.algebra.unit])
     inv_is_base = linalg.span_eq(dom, inv, base_line)
     faithful = is_faithful(d)
     rank_equal = d.algebra.dim == d.hopf.dim
-    image = integral_image(d)
-    if not linalg.span_le(dom, image, inv):
-        raise InconsistencyError("I.S is not contained in S^H; corrupted action data")
     integral_surjective = linalg.span_eq(dom, image, base_line)
     j = galois_map_j(d)
     gamma = galois_map_gamma(d)
     commutative = d.algebra.is_commutative()
     cocommutative = d.hopf.is_cocommutative()
     local = hopf_mod.is_local(d.hopf)
-    semisimple = hopf_mod.is_semisimple(d.hopf)
+    semisimple = hopf_mod.is_semisimple(d.hopf, homology.left_integrals)
 
     is_extension = inv_is_base
     tame = is_extension and rank_equal and faithful and integral_surjective
@@ -519,13 +517,15 @@ class ModuleHomology:
     dim_h0: int
     fixed_basis: tuple
     image_basis: tuple
+    left_integrals: hopf_mod.IntegralSpace
 
 
 def hopfological_homology_module(h, action):
     """dim V^H / I V for a verified H-module action tensor.
 
     I V is always inside V^H (the integral absorbs the action); that
-    inclusion is asserted on every run.
+    inclusion is asserted on every run.  The left integral space it
+    solves for I is kept in the result.
     """
     dom = h.domain
     linalg.require_field(dom, "hopfological homology")
@@ -534,8 +534,8 @@ def hopfological_homology_module(h, action):
         raise InconsistencyError(f"module law fails at {witness}")
     dim = len(action[0]) if action else 0
     fixed = hopf_mod.fixed_points(h, action)
-    integral = hopf_mod.left_integrals(h).basis[0]
-    image = linalg.column_space_basis(acting_map(dom, action, dim, integral))
+    left = hopf_mod.left_integrals(h)
+    image = linalg.column_space_basis(acting_map(dom, action, dim, left.basis[0]))
     if not linalg.span_le(dom, image, fixed):
         raise InconsistencyError("I.V is not contained in V^H")
     return ModuleHomology(
@@ -544,6 +544,7 @@ def hopfological_homology_module(h, action):
         dim_h0=len(fixed) - len(image),
         fixed_basis=fixed,
         image_basis=image,
+        left_integrals=left,
     )
 
 

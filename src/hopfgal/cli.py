@@ -158,12 +158,11 @@ def run_extension(args):
             expect_met = report.hopf_galois
         else:
             expect_met = not report.tame and not report.hopf_galois
-    homology = actions.hopfological_homology_module(d.hopf, d.action)
     doc = _doc(
         command,
         args.path,
         extension=ext,
-        homology_dim=homology.dim_h0,
+        homology_dim=len(report.invariants_basis) - len(report.integral_image_basis),
         expect=expect,
         expect_met=expect_met,
     )
@@ -174,10 +173,11 @@ def run_extension(args):
 
 
 def run_homology(args):
-    if files.is_lattice_document(args.path):
+    data = files.load_document(args.path)
+    if "ambient_dim" in data and "basis" in data:
         from . import lattices
 
-        module, _ = files.load_lattice_file(args.path, args.max_dim)
+        module, _ = files.load_lattice(data, args.max_dim)
         order_kind = args.order or "group-ring"
         if order_kind == "group-ring":
             order = lattices.group_ring_order(module.hopf)
@@ -197,7 +197,7 @@ def run_homology(args):
         return doc, 0
     from . import actions
 
-    h, dim, action = files.load_module_file(args.path, args.max_dim)
+    h, dim, action = files.load_module(data, args.max_dim)
     hom = actions.hopfological_homology_module(h, action)
     doc = _doc(
         "homology",
@@ -376,10 +376,9 @@ def run_assoc_order(args):
         doc["integral_generator"] = None
         doc["tame"] = None
         return doc, 0
-    generator, _ = lattices.lattice_integrals(order)
     tame = lattices.tame_check_integral(order, module)
-    doc["integral_generator"] = h.format_element(generator)
-    doc["integral_generator_vector"] = _fmt_vec(linalg.QQ, generator)
+    doc["integral_generator"] = h.format_element(tame.integral_generator)
+    doc["integral_generator_vector"] = _fmt_vec(linalg.QQ, tame.integral_generator)
     doc["tame"] = {
         "tame": tame.tame,
         "fixed_rank": tame.fixed_rank,

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 
 from . import hopf
-from .errors import FormatError, HopfgalError, ResourceBoundError
+from .errors import FormatError, ResourceBoundError
 from .linalg import GF, QQ, ZZ, ColumnMap, require_field
 
 
@@ -255,9 +255,8 @@ def load_extension_file(path, max_dim):
     return out
 
 
-def load_module_file(path, max_dim):
-    """Module file for the homology command: hopf + module action."""
-    doc = load_document(path)
+def load_module(doc, max_dim):
+    """Module document for the homology command: hopf + module action."""
     for key in ("field", "hopf", "module"):
         if key not in doc:
             raise FormatError(f"module file needs '{key}'")
@@ -328,10 +327,13 @@ def load_smash_module_file(smash_data, path, max_dim):
 
 
 def load_lattice_file(path, max_dim):
-    """Lattice file: rational Hopf algebra, ambient basis, action matrices."""
+    return load_lattice(load_document(path), max_dim)
+
+
+def load_lattice(doc, max_dim):
+    """Lattice document: rational Hopf algebra, ambient basis, action matrices."""
     from . import lattices
 
-    doc = load_document(path)
     for key in ("hopf", "ambient_dim", "basis", "action"):
         if key not in doc:
             raise FormatError(f"lattice file needs '{key}'")
@@ -364,11 +366,3 @@ def load_lattice_file(path, max_dim):
     for cand in _list_field(doc, "candidates", "lattice file"):
         candidates.append(_parse_vector(QQ, cand, n, "candidate"))
     return module, candidates
-
-
-def is_lattice_document(path):
-    try:
-        doc = load_document(path)
-    except HopfgalError:
-        return False
-    return "ambient_dim" in doc and "basis" in doc

@@ -1,10 +1,11 @@
-"""Z-lattice realizations: associated orders, Hopf orders, integral tameness.
+"""Z-lattices: associated orders, Hopf orders, integral tameness.
 
-Lattices live in an ambient Q-vector space and are stored by a
-canonical basis: scale the generators to integer vectors, take the row
-Hermite normal form, divide the scale back out.  Membership, equality
-and quotient invariants all reduce to that normal form, so every
-verdict here is reproducible bit for bit.
+A lattice L in Q^n is held by its scale, the least d with d.L inside
+Z^n, and the nonzero rows of the Hermite normal form of d.L.  Both
+depend on L alone, so two lattices are equal exactly when their fields
+are, and every verdict here is reproducible bit for bit.  Membership
+and coordinates solve through a `ColumnMap` of the generators; dense
+`Matrix` appears only over Z.
 
 The base principal ideal domain is Z only; obstructions at individual
 primes are reported through the Smith invariant factors of the fixed
@@ -28,86 +29,52 @@ from .errors import (
 from .linalg import QQ, ZZ, ColumnMap, Matrix
 
 
-def _lcm(a, b):
-    return abs(a * b) // math.gcd(a, b)
-
-
-def _denominator_scale(vectors):
-    d = 1
-    for v in vectors:
-        for x in v:
-            d = _lcm(d, Fraction(x).denominator)
-    return d
-
-
 @dataclass(frozen=True)
 class IntegerLattice:
-    """Full- or partial-rank lattice in Q^n with a canonical basis.
+    """Full- or partial-rank lattice L in Q^n, held canonically.
 
-    ``basis`` is a Q-matrix whose columns are the canonical generators
-    (Hermite form of the scaled generator rows, rescaled back).
+    ``scale`` is the least d with d.L inside Z^n: the lcm of the
+    denominators of any generating set.  ``rows`` are the nonzero rows
+    of the Hermite normal form of d.L, as tuples of ints.
     """
 
     ambient_dim: int
-    basis: Matrix
-    tag: str = "module-lattice"
+    scale: int
+    rows: tuple
 
     @classmethod
-    def from_generators(cls, ambient_dim, vectors, tag="module-lattice"):
+    def from_generators(cls, ambient_dim, vectors):
         vectors = [tuple(QQ.normalize(x) for x in v) for v in vectors]
         for v in vectors:
             if len(v) != ambient_dim:
                 raise ShapeError("generator length mismatch")
-        vectors = [v for v in vectors if any(x != 0 for x in v)]
-        if not vectors:
-            return cls(ambient_dim, Matrix.zeros(QQ, ambient_dim, 0), tag)
-        scale = _denominator_scale(vectors)
+        scale = math.lcm(*(x.denominator for v in vectors for x in v))
         integer_rows = [[int(x * scale) for x in v] for v in vectors]
         h, _ = linalg.hermite_normal_form(Matrix(ZZ, integer_rows))
-        rows = [r for r in h.rows if any(v != 0 for v in r)]
-        cols = [tuple(Fraction(x, scale) for x in r) for r in rows]
-        return cls(ambient_dim, Matrix.from_cols(QQ, cols, ambient_dim), tag)
+        return cls(ambient_dim, scale, tuple(r for r in h.rows if any(r)))
 
     @property
     def rank(self):
-        return self.basis.ncols
+        return len(self.rows)
 
     def generators(self):
-        return [self.basis.col(j) for j in range(self.rank)]
+        return [tuple(Fraction(x, self.scale) for x in r) for r in self.rows]
 
     def coords(self, vec):
         """Rational coordinates of vec in the lattice basis, or None."""
-        vec = tuple(QQ.normalize(x) for x in vec)
-        return linalg.solve(self.basis, vec)
+        gens = ColumnMap.from_cols(QQ, self.ambient_dim, self.generators())
+        return linalg.solve(gens, vec)
 
     def contains(self, vec):
         x = self.coords(vec)
-        return x is not None and all(Fraction(v).denominator == 1 for v in x)
+        return x is not None and all(v.denominator == 1 for v in x)
 
     def contains_lattice(self, other):
         return all(self.contains(g) for g in other.generators())
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntegerLattice)
-            and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
-        )
 
-    def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
-
-    def scaled(self, q):
-        q = QQ.normalize(q)
-        return IntegerLattice(
-            self.ambient_dim,
-            self.basis.scale(q),
-            self.tag,
-        )
-
-
-def standard_lattice(n, tag="module-lattice"):
-    return IntegerLattice(n, Matrix.identity(QQ, n), tag)
+def standard_lattice(n):
+    return IntegerLattice(n, 1, tuple(linalg.unit_vec(ZZ, n, i) for i in range(n)))
 
 
 @dataclass(frozen=True)
@@ -163,7 +130,7 @@ class OrderData:
 
 def group_ring_order(h):
     """The Z-span of the stored basis of H (e.g. ZG inside QG)."""
-    return OrderData(h, standard_lattice(h.dim, tag="order-in-hopf-algebra"))
+    return OrderData(h, standard_lattice(h.dim))
 
 
 def associated_order(h, module):
@@ -197,11 +164,10 @@ def associated_order(h, module):
         raise InconsistencyError(
             "associated order is not a lattice; the action is not faithful"
         )
-    g = row_lattice.basis.transpose()  # rows = canonical generators
+    # rows = canonical generators
+    g = ColumnMap.from_cols(QQ, m, row_lattice.generators()).transpose()
     inv = linalg.invert(g)
-    order_lattice = IntegerLattice.from_generators(
-        m, [inv.col(j) for j in range(m)], tag="order-in-hopf-algebra"
-    )
+    order_lattice = IntegerLattice.from_generators(m, [inv.col(j) for j in range(m)])
     order = OrderData(h, order_lattice)
     if not order_lattice.contains(h.algebra.unit):
         raise InconsistencyError("associated order does not contain 1")
@@ -323,13 +289,13 @@ def lattice_integrals(order):
             continue
         step = Fraction(x.denominator, abs(x.numerator))
         scale = step if scale is None else Fraction(
-            _lcm(scale.numerator, step.numerator),
+            math.lcm(scale.numerator, step.numerator),
             math.gcd(scale.denominator, step.denominator),
         )
     if scale is None:
         raise InconsistencyError("zero integral")
     generator = tuple(QQ.mul(scale, v) for v in integral)
-    lattice = IntegerLattice.from_generators(h.dim, [generator], tag="order-in-hopf-algebra")
+    lattice = IntegerLattice.from_generators(h.dim, [generator])
     # h . generator = counit(h) generator for every order generator, exactly
     for u in order.lattice.generators():
         lhs = h.algebra.mul_vec(u, generator)

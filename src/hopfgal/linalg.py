@@ -7,8 +7,10 @@ integers are arbitrary-precision ints.  Floating point is banned
 repository-wide; every routine below is exact.
 
 A linear map over a field is a `ColumnMap`, held by its sparse columns.
-`Matrix` is the dense row form where rows are the algorithm: the
-integer normal forms (HNF, SNF), `det` and the bases of lattices.
+`Matrix` is the dense row form of integer matrices, where rows are the
+algorithm: the integer normal forms (HNF, SNF) and `det`.  The library
+builds no `Matrix` over a field; the field routines still accept one,
+read through its rows.
 
 Over a field there is one row reduction, `rref`: it reduces the sparse
 rows of a ColumnMap or a Matrix to the reduced row echelon form, and
@@ -98,9 +100,6 @@ class Domain:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def is_zero(self, a):
-        return a == self.zero
 
     def __repr__(self):
         return self.name
@@ -232,7 +231,7 @@ def require_field(domain, what="this operation"):
 
 class Matrix:
     """Immutable dense matrix over one scalar domain: the row form of the
-    integer normal forms, `det` and lattice bases.
+    integer normal forms and `det`.
 
     Rows are tuples; ``nrows`` is the codomain dimension and ``ncols``
     the domain dimension of the linear map the matrix represents.
@@ -304,9 +303,6 @@ class Matrix:
 
     def cols(self):
         return [self.col(j) for j in range(self.ncols)]
-
-    def is_square(self):
-        return self.nrows == self.ncols
 
     def __eq__(self, other):
         return (
@@ -396,10 +392,6 @@ class Matrix:
         if not out:
             return Matrix.zeros(dom, self.nrows * other.nrows, self.ncols * other.ncols)
         return Matrix._make(dom, out, self.ncols * other.ncols)
-
-    def over(self, domain):
-        """Reinterpret entries in another domain (e.g. lift Z to Q)."""
-        return Matrix(domain, self.rows)
 
 
 def stack(matrices):
@@ -672,8 +664,9 @@ def kernel_basis(m):
 
 def echelon_basis(domain, vectors):
     """Canonical (RREF) basis of the span of the given vectors."""
-    m = Matrix(domain, vectors)
-    return _dense(domain, m.ncols, _echelon_rows(rref(m)))
+    vectors = list(vectors)
+    length = len(vectors[0]) if vectors else 0
+    return column_space_basis(ColumnMap.from_cols(domain, length, vectors))
 
 
 def column_space_basis(m):
@@ -764,33 +757,6 @@ def solve(m, b):
     return tuple(x)
 
 
-def det(m):
-    """Exact determinant; integer matrices give an int."""
-    if not m.is_square():
-        raise ShapeError("determinant of a non-square matrix")
-    dom = m.domain
-    if dom.is_field:
-        work = [list(r) for r in m.rows]
-        n = m.nrows
-        result = dom.one
-        for c in range(n):
-            sel = next((r for r in range(c, n) if work[r][c] != dom.zero), None)
-            if sel is None:
-                return dom.zero
-            if sel != c:
-                work[c], work[sel] = work[sel], work[c]
-                result = dom.neg(result)
-            result = dom.mul(result, work[c][c])
-            inv_p = dom.inv(work[c][c])
-            for r in range(c + 1, n):
-                if work[r][c] != dom.zero:
-                    f = dom.mul(work[r][c], inv_p)
-                    work[r] = [dom.sub(a, dom.mul(f, p)) for a, p in zip(work[r], work[c])]
-        return result
-    value = det(m.over(QQ))
-    return ZZ.normalize(value)
-
-
 # ---------------------------------------------------------------------------
 # integer normal forms
 
@@ -861,6 +827,37 @@ def hermite_normal_form(m):
         if pr == nrows:
             break
     return Matrix._make(ZZ, work, ncols), Matrix._make(ZZ, u, nrows)
+
+
+def det(m):
+    """Determinant of a square integer Matrix, by fraction-free elimination.
+
+    Bareiss (Math. Comp. 1968): step k sets each entry (i, j) below and
+    right of the pivot to (a_ij a_kk - a_ik a_kj) / p, where p is the
+    previous pivot.  The new entry is a minor of m, so the division is
+    exact and every entry stays an int.  A zero pivot is swapped with the
+    first nonzero entry below it, which negates the result.
+    """
+    _require_integer(m)
+    n = m.nrows
+    if m.ncols != n:
+        raise ShapeError("determinant of a non-square matrix")
+    work = [list(r) for r in m.rows]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not work[k][k]:
+            sel = next((r for r in range(k + 1, n) if work[r][k]), None)
+            if sel is None:
+                return 0
+            work[k], work[sel] = work[sel], work[k]
+            sign = -sign
+        pivot, row_k = work[k][k], work[k]
+        for row in work[k + 1:]:
+            a = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - a * row_k[j]) // prev
+        prev = pivot
+    return sign * work[-1][-1] if n else 1
 
 
 def integer_kernel_basis(m):

@@ -12,17 +12,30 @@ columns, the references for the package's sparse `ColumnMap`s.  The
 full axiom scans check associativity, the bialgebra law and group
 tables on every basis triple or pair, and `full_integrals` stacks the
 integral system over every basis element: the references for the
-package's checks on generating sets.  Slow but obviously correct at
-desk scale.
+package's checks on generating sets.  `ReferenceLattice` holds a
+lattice by its canonical generators as the columns of a dense Q-Matrix,
+the reference for `lattices.IntegerLattice`, which holds integer
+Hermite rows and a scale.  Slow but obviously correct at desk scale.
 """
 
 from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import gcd
 
 from hopfgal import cocyclic, hopf
 from hopfgal.errors import FormatError, ShapeError
-from hopfgal.linalg import ColumnMap, Matrix, sparse_entries, stack, unit_vec
+from hopfgal.linalg import (
+    QQ,
+    ZZ,
+    ColumnMap,
+    Matrix,
+    hermite_normal_form,
+    sparse_entries,
+    stack,
+    unit_vec,
+)
 
 
 def leibniz_det(rows):
@@ -672,3 +685,47 @@ def dense_cyclic_identities(S, M, n):
         cyclicity_witness=cyc_witness,
         t_preserves_cotensor=all(echelon_in_span(dom, basis, dense_apply(t, vec)) for vec in basis),
     )
+
+
+@dataclass(frozen=True)
+class ReferenceLattice:
+    """A lattice in Q^n held as a dense Q-Matrix whose columns are its
+    canonical generators: the Hermite form of the generator rows scaled
+    to integers, divided by the scale again.  Coordinates come from the
+    dense `dense_solve`."""
+
+    ambient_dim: int
+    basis: Matrix
+
+    @classmethod
+    def from_generators(cls, ambient_dim, vectors):
+        vectors = [tuple(QQ.normalize(x) for x in v) for v in vectors]
+        for v in vectors:
+            if len(v) != ambient_dim:
+                raise ShapeError("generator length mismatch")
+        vectors = [v for v in vectors if any(x != 0 for x in v)]
+        if not vectors:
+            return cls(ambient_dim, Matrix.zeros(QQ, ambient_dim, 0))
+        scale = 1
+        for v in vectors:
+            for x in v:
+                scale = scale * x.denominator // gcd(scale, x.denominator)
+        integer_rows = [[int(x * scale) for x in v] for v in vectors]
+        h, _ = hermite_normal_form(Matrix(ZZ, integer_rows))
+        rows = [r for r in h.rows if any(v != 0 for v in r)]
+        cols = [tuple(Fraction(x, scale) for x in r) for r in rows]
+        return cls(ambient_dim, Matrix.from_cols(QQ, cols, ambient_dim))
+
+    @property
+    def rank(self):
+        return self.basis.ncols
+
+    def generators(self):
+        return [self.basis.col(j) for j in range(self.rank)]
+
+    def coords(self, vec):
+        return dense_solve(self.basis, [QQ.normalize(x) for x in vec])
+
+    def contains(self, vec):
+        x = self.coords(vec)
+        return x is not None and all(Fraction(v).denominator == 1 for v in x)

@@ -111,7 +111,7 @@ def test_criterion_4_associated_order_pipeline():
     zi = zoo.gaussian_integers_lattice()
     order = lattices.associated_order(zoo.qc2(), zi)
     expected = lattices.IntegerLattice.from_generators(
-        2, [(1, 0), (Fraction(1, 2), Fraction(1, 2))], tag="order-in-hopf-algebra"
+        2, [(1, 0), (Fraction(1, 2), Fraction(1, 2))]
     )
     assert order.lattice == expected  # canonical Hermite representative
     assert lattices.is_hopf_order(order).is_hopf_order

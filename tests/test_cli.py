@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from hopfgal import cli, cocyclic, hopf
+from hopfgal import cli, cocyclic, files, hopf
 
 PKG_SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -685,6 +685,45 @@ def test_integrals_solves_each_integral_space_once(fixtures, capsys, monkeypatch
     assert cli.main(["integrals", fx(fixtures, "hopf_sweedler.json")]) == 0
     assert "semisimple: false" in capsys.readouterr().out
     assert sorted(sides) == ["left", "right"]
+    # the classification and the homology dimension read one left integral space
+    for command, name in (("tame", "ext_f4.json"), ("galois", "ext_gaussian.json")):
+        sides.clear()
+        assert cli.main([command, fx(fixtures, name)]) == 0
+        assert "classification: tame+hopf-galois" in capsys.readouterr().out
+        assert sides == ["left"], command
+
+
+def test_assoc_order_takes_the_integral_generator_from_the_tame_report(fixtures, capsys,
+                                                                      monkeypatch):
+    from hopfgal import lattices
+
+    calls = collections.Counter()
+    for name in ("is_hopf_order", "lattice_integrals"):
+        def counted(order, _name=name, _fn=getattr(lattices, name)):
+            calls[_name] += 1
+            return _fn(order)
+
+        monkeypatch.setattr(lattices, name, counted)
+    assert cli.main(["assoc-order", fx(fixtures, "lat_zi_qc2.json"), "--candidates"]) == 0
+    assert "integral generator: 1/2*1 + 1/2*s" in capsys.readouterr().out
+    # the command, the tame check and the freeness check; the last two
+    # each find the integral generator once
+    assert calls == {"is_hopf_order": 3, "lattice_integrals": 2}
+
+
+@pytest.mark.parametrize("name", ["mod_trivial_f2c2.json", "lat_zi_qc2.json"])
+def test_homology_reads_its_input_once(fixtures, capsys, monkeypatch, name):
+    paths = []
+    load = files.load_document
+
+    def counted(path):
+        paths.append(path)
+        return load(path)
+
+    monkeypatch.setattr(files, "load_document", counted)
+    assert cli.main(["homology", fx(fixtures, name)]) == 0
+    assert capsys.readouterr().out.startswith("hopfgal homology:")
+    assert paths == [fx(fixtures, name)]
 
 
 # per-command imports and the one parser ------------------------------------------

@@ -21,6 +21,7 @@ import pytest
 from test_acceptance import CLI_COMMANDS
 
 from hopfgal import cli
+from hopfgal.linalg import ZZ, Matrix
 
 FIXDIR = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN = FIXDIR / "golden"
@@ -43,13 +44,23 @@ COMMANDS = CLI_COMMANDS + [
     ["cyclic", "comodalg_graded_f3_nsg.json", "--module", "mod_kc2_ayd_f3.json", "--levels", "6"],
     ["cyclic", "comodalg_graded_f3.json", "--module", "mod_kc2_swap_f3.json", "--levels", "6"],
     ["cyclic", "comodalg_klein_f3.json", "--module", "mod_kc2_swap_f3.json", "--levels", "3"],
+    # the lattice commands with the other order, the other fixture and each candidate source
+    ["homology", "lat_zi_qc2.json", "--order", "associated"],
+    ["homology", "lat_zzeta3_qc2.json", "--order", "group-ring"],
+    ["homology", "lat_zzeta3_qc2.json", "--order", "associated"],
+    ["assoc-order", "lat_zzeta3_qc2.json", "--candidates"],
+    ["assoc-order", "lat_zi_qc2.json", "--order", "group-ring", "--candidates"],
+    ["assoc-order", "lat_zi_qc2.json", "--candidates", "1,0;0,1;1,1"],
 ]
 CASES = [(command, form) for command in COMMANDS for form in ("json", "txt")]
 
 
 def case_name(command, form):
     parts = [a.replace(".json", "").lstrip("-") for a in command]
-    return "_".join(parts).replace("-", "_") + "." + form
+    name = "_".join(parts)
+    for char in "-,;":
+        name = name.replace(char, "_")
+    return name + "." + form
 
 
 def run_in_fixdir(command, form):
@@ -77,6 +88,28 @@ def test_report_matches_golden(command, form):
     code, stdout = run_in_fixdir(command, form)
     assert code == load_exit_codes()[name]
     assert stdout == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_library_builds_dense_matrices_over_z_only(monkeypatch):
+    # dense Matrix is the integer type: every one the commands build is over Z
+    domains = []
+    init, make = Matrix.__init__, Matrix._make.__func__
+
+    def counted_init(self, domain, rows):
+        domains.append(domain)
+        init(self, domain, rows)
+
+    def counted_make(cls, domain, rows, ncols=None):
+        domains.append(domain)
+        return make(cls, domain, rows, ncols)
+
+    monkeypatch.setattr(Matrix, "__init__", counted_init)
+    monkeypatch.setattr(Matrix, "_make", classmethod(counted_make))
+    for command in COMMANDS:
+        run_in_fixdir(command, "json")
+    # the lattice commands build integer matrices, so the wrappers saw some
+    assert domains
+    assert [d for d in domains if d is not ZZ] == []
 
 
 def write_golden():

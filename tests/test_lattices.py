@@ -2,6 +2,8 @@ import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hopfgal import hopf, lattices, zoo
 from hopfgal.errors import PreconditionError
@@ -42,6 +44,100 @@ def test_membership_via_coordinates():
     assert lat.coords((4, 3)) == (Fraction(2), Fraction(1))
 
 
+# the lattice against the dense Q-Matrix reference: rational generator sets of
+# up to five vectors in Q^1..Q^4, with denominators up to 6
+
+FRACTIONS = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4, 6]))
+
+
+@st.composite
+def generator_sets(draw, max_size=5):
+    n = draw(st.integers(1, 4))
+    vector = st.lists(FRACTIONS, min_size=n, max_size=n).map(tuple)
+    return n, draw(st.lists(vector, max_size=max_size))
+
+
+def combine(u, v, k):
+    return tuple(a + k * b for a, b in zip(u, v))
+
+
+@given(generator_sets(), st.data())
+def test_lattice_matches_reference(case, data):
+    n, vectors = case
+    ours = lattices.IntegerLattice.from_generators(n, vectors)
+    ref = oracles.ReferenceLattice.from_generators(n, vectors)
+    assert ours.rank == ref.rank
+    assert ours.generators() == ref.generators()
+    gens = ref.generators()
+    probes = list(vectors) + gens + [tuple(x / 2 for x in g) for g in gens]
+    probes += data.draw(st.lists(st.lists(FRACTIONS, min_size=n, max_size=n), max_size=3))
+    for vec in probes:
+        assert ours.coords(vec) == ref.coords(vec), vec
+        assert ours.contains(vec) == ref.contains(vec), vec
+
+
+@st.composite
+def regenerated(draw, vectors):
+    """Another generating set drawn from `vectors`, and whether each step
+    keeps the lattice: permutations and integer combinations do; a rational
+    multiple of one vector or an extra vector with a new denominator
+    usually does not."""
+    vectors = list(vectors)
+    keeps = True
+    for _ in range(draw(st.integers(1, 3))):
+        step = draw(st.sampled_from(["permute", "add", "append", "rescale", "extra"]))
+        if step == "permute":
+            vectors = draw(st.permutations(vectors))
+        elif step == "add" and len(vectors) >= 2:
+            i, j = draw(st.lists(st.integers(0, len(vectors) - 1), min_size=2, max_size=2,
+                                 unique=True))
+            vectors[i] = combine(vectors[i], vectors[j], draw(st.integers(-3, 3)))
+        elif step == "append" and vectors:
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(vectors),
+                                   max_size=len(vectors)))
+            total = tuple(0 for _ in vectors[0])
+            for k, v in zip(coeffs, vectors):
+                total = combine(total, v, k)
+            vectors.append(total)
+        elif step == "rescale" and vectors:
+            i = draw(st.integers(0, len(vectors) - 1))
+            q = draw(FRACTIONS.filter(bool))
+            vectors[i] = tuple(q * x for x in vectors[i])
+            keeps = keeps and q in (1, -1)
+        elif step == "extra" and vectors:
+            d = draw(st.sampled_from([2, 3, 5]))
+            vectors.append(tuple(x / d for x in draw(st.sampled_from(vectors))))
+            keeps = False
+    return vectors, keeps
+
+
+@given(generator_sets(), st.data())
+def test_lattice_equality_matches_reference(case, data):
+    n, vectors = case
+    others, keeps = data.draw(regenerated(vectors))
+    a = lattices.IntegerLattice.from_generators(n, vectors)
+    b = lattices.IntegerLattice.from_generators(n, others)
+    expected = (oracles.ReferenceLattice.from_generators(n, vectors)
+                == oracles.ReferenceLattice.from_generators(n, others))
+    assert (a == b) == expected
+    if keeps:
+        assert a == b
+    if a == b:
+        assert hash(a) == hash(b)
+        assert a.contains_lattice(b) and b.contains_lattice(a)
+
+
+def test_scale_is_the_least_common_denominator():
+    # one lattice from two generating sets, with a redundant third generator
+    a = lattices.IntegerLattice.from_generators(2, [(half(), 0), (Fraction(1, 4), 1)])
+    b = lattices.IntegerLattice.from_generators(2, [(half(), 0), (Fraction(-1, 4), -1), (1, 2)])
+    assert a == b and a.scale == 4
+    assert a.rows == ((1, 4), (0, 8))
+    assert lattices.IntegerLattice.from_generators(2, [(2, 0), (0, 4)]).scale == 1
+    assert lattices.standard_lattice(3) == lattices.IntegerLattice.from_generators(
+        3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+
 # associated orders ----------------------------------------------------------------
 
 
@@ -50,14 +146,14 @@ def test_associated_order_gaussian_hand_oracle():
     # Hermite form of the condition rows gives the dual basis by hand
     order = lattices.associated_order(zoo.qc2(), zi())
     expected = lattices.IntegerLattice.from_generators(
-        2, [(1, 0), (half(), half())], tag="order-in-hopf-algebra"
+        2, [(1, 0), (half(), half())]
     )
     assert order.lattice == expected
 
 
 def test_associated_order_eisenstein_is_group_ring():
     order = lattices.associated_order(zoo.qc2(), zzeta3())
-    assert order.lattice == lattices.standard_lattice(2, tag="order-in-hopf-algebra")
+    assert order.lattice == lattices.standard_lattice(2)
 
 
 def test_associated_order_contains_group_ring():
@@ -102,7 +198,7 @@ def test_half_sigma_is_not_multiplicatively_closed():
     bad = lattices.OrderData(
         zoo.qc2(),
         lattices.IntegerLattice.from_generators(
-            2, [(1, 0), (0, half())], tag="order-in-hopf-algebra"
+            2, [(1, 0), (0, half())]
         ),
     )
     report = lattices.is_hopf_order(bad)

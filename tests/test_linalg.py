@@ -610,6 +610,58 @@ def test_det_integer_matches_oracle():
     assert det(Matrix(ZZ, rows)) == oracles.leibniz_det(rows)
 
 
+@st.composite
+def det_cases(draw):
+    """Square integer matrices up to 5x5, many zeros; some made singular by a
+    multiple of another row, some with a zero first pivot that forces a swap."""
+    n = draw(st.integers(0, 5))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["random", "singular", "swap"]))
+    if kind == "singular" and n >= 2:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        k = draw(st.integers(-3, 3))
+        rows[i] = [k * v for v in rows[j]]
+    elif kind == "swap" and n >= 2:
+        rows[0][0] = 0
+    return rows
+
+
+@given(det_cases())
+@example([])
+@example([[-7]])
+@example([[0]])
+@example([[0, 1], [1, 0]])
+# the second pivot vanishes after the first step, so the swap happens at step 1
+@example([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+@example([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+def test_bareiss_det_matches_leibniz(rows):
+    m = Matrix(ZZ, rows) if rows else Matrix.zeros(ZZ, 0, 0)
+    assert det(m) == oracles.leibniz_det(rows)
+
+
+def test_det_refuses_non_square_and_field_matrices():
+    with pytest.raises(ShapeError):
+        det(Matrix(ZZ, [[1, 2]]))
+    with pytest.raises(UnsupportedDomainError):
+        det(Matrix(QQ, [[1]]))
+
+
+@given(st.integers(1, 3).flatmap(lambda r: st.integers(1, 4).flatmap(
+    lambda c: st.lists(st.lists(st.integers(-4, 4), min_size=c, max_size=c),
+                       min_size=r, max_size=r))))
+def test_integer_kernel_basis_is_a_saturated_kernel_basis(rows):
+    # properties of the lattice the basis spans, whatever transform the HNF used
+    m = Matrix(ZZ, rows)
+    basis = integer_kernel_basis(m)
+    for b in basis:
+        assert all(sum(a * x for a, x in zip(row, b)) == 0 for row in rows)
+    assert len(basis) == m.ncols - oracles.minor_rank(rows)
+    if basis:
+        assert oracles.minor_rank(basis) == len(basis)
+        assert set(smith_normal_form(Matrix(ZZ, basis))) == {1}
+
+
 @given(
     st.lists(
         st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=4, max_size=4
