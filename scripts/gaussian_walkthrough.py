@@ -34,7 +34,7 @@ def describe(label, order, module, candidates):
     print("  tame:", report.tame)
     print("  rational (field) classification tame:", report.rational_tame)
     if report.tame:
-        free = lattices.free_rank_one_generator(order, module, candidates)
+        free = lattices.free_rank_one_generator(order, module, report, candidates)
         if free.generator is None:
             print("  free generator: none among candidates (inconclusive)")
         else:

@@ -108,7 +108,7 @@ def run_integrals(args):
         left_integral_vector=_fmt_vec(domain, left.basis[0]),
         right_integral=h.format_element(right.basis[0]),
         right_integral_vector=_fmt_vec(domain, right.basis[0]),
-        semisimple=hopf.is_semisimple(h, left),
+        semisimple=hopf.is_semisimple(h),
     )
     return doc, 0
 
@@ -398,7 +398,7 @@ def run_assoc_order(args):
             candidates = _parse_inline_candidates(args.candidates, module.lattice.ambient_dim)
     if candidates:
         if tame.tame:
-            result = lattices.free_rank_one_generator(order, module, candidates)
+            result = lattices.free_rank_one_generator(order, module, tame, candidates)
             doc["free_generator"] = (
                 None
                 if result.generator is None

@@ -58,51 +58,64 @@ from .linalg import ColumnMap, sparse_entries as _sparse  # noqa: F401 (read by 
 class ComoduleData:
     """Right H-comodule; coaction[m] holds the nonzero (m', h, c) triples of rho(e_m).
 
-    Coassociativity and the counit law are enforced at construction, so
-    an instance is always a genuine comodule.
+    A plain record: no law is decided here.  Data read from outside
+    enters through :func:`comodule_from_triples`, which decides the
+    counit and coassociativity laws.  The derived comodules (regular,
+    trivial, tensor products, the dictionary image of a module, the
+    cofree relative modules) are built as records, since they are
+    comodules by construction: a tensor product of comodules is a
+    comodule, and so is the dual coaction of a module.
     """
 
     hopf: hopf_mod.HopfAlgebraData
     dim: int
     coaction: tuple
 
-    def __post_init__(self):
-        dom = self.hopf.domain
-        mul, counit = dom.mul, self.hopf.counit
-        # counit law: (id (x) counit) rho = id
-        for m in range(self.dim):
-            out = linalg.sparse_sum(dom, ((m2, mul(c, counit[h])) for m2, h, c in self.coaction[m]))
-            if out != {m: dom.one}:
-                raise AxiomError("comodule-counit", (m,))
-        # coassociativity: (rho (x) id) rho = (id (x) Delta) rho
-        for m in range(self.dim):
-            rho = self.coaction[m]
-            left = linalg.sparse_sum(dom, (
-                ((m3, h2, h), mul(c, c2))
-                for m2, h, c in rho for m3, h2, c2 in self.coaction[m2]
-            ))
-            right = linalg.sparse_sum(dom, (
-                ((m2, j, k), mul(c, c2))
-                for m2, h, c in rho for j, k, c2 in self.hopf.comult[h]
-            ))
-            if left != right:
-                raise AxiomError("comodule-coassociativity", (m,))
-
     @property
     def domain(self):
         return self.hopf.domain
 
 
+def _comodule(hopf, dim, triples):
+    """The comodule record of (m, m', h, c) entries, in canonical form."""
+    return ComoduleData(
+        hopf, dim, hopf_mod.sparse_tensor(hopf.domain, (dim, dim, hopf.dim), triples, 1)
+    )
+
+
 def comodule_from_triples(hopf, dim, triples):
-    coaction = hopf_mod.sparse_tensor(hopf.domain, (dim, dim, hopf.dim), triples, 1)
-    return ComoduleData(hopf, dim, coaction)
+    """Validated comodule from coaction entries (m, m', h, c).
+
+    Decides the counit law on every m, then coassociativity on every m,
+    and raises AxiomError at the first failing m.
+    """
+    c = _comodule(hopf, dim, triples)
+    dom = hopf.domain
+    mul, counit = dom.mul, hopf.counit
+    # counit law: (id (x) counit) rho = id
+    for m in range(dim):
+        out = linalg.sparse_sum(dom, ((m2, mul(w, counit[h])) for m2, h, w in c.coaction[m]))
+        if out != {m: dom.one}:
+            raise AxiomError("comodule-counit", (m,))
+    # coassociativity: (rho (x) id) rho = (id (x) Delta) rho
+    for m in range(dim):
+        rho = c.coaction[m]
+        left = linalg.sparse_sum(dom, (
+            ((m3, h2, h), mul(w, w2))
+            for m2, h, w in rho for m3, h2, w2 in c.coaction[m2]
+        ))
+        right = linalg.sparse_sum(dom, (
+            ((m2, j, k), mul(w, w2))
+            for m2, h, w in rho for j, k, w2 in hopf.comult[h]
+        ))
+        if left != right:
+            raise AxiomError("comodule-coassociativity", (m,))
+    return c
 
 
 def trivial_comodule(hopf, dim):
     unit = hopf.algebra.unit
-    return comodule_from_triples(
-        hopf, dim, [(m, m, h, u) for m in range(dim) for h, u in enumerate(unit)]
-    )
+    return _comodule(hopf, dim, [(m, m, h, u) for m in range(dim) for h, u in enumerate(unit)])
 
 
 def regular_comodule(hopf):
@@ -111,29 +124,22 @@ def regular_comodule(hopf):
 
 
 def module_to_comodule(h, action):
-    """Right dual(H)-comodule from an H-action: rho(m) = sum (e_a . m) (x) e_a*."""
+    """Right dual(H)-comodule from a verified H-action: rho(m) = sum (e_a . m) (x) e_a*."""
     linalg.require_field(h.domain, "module/comodule dictionary")
-    witness = actions_mod.verify_module(h, action)
-    if witness is not None:
-        raise InconsistencyError(f"module law fails at {witness}")
     dim = len(action[0]) if action else 0
     triples = [
         (m, m2, a, c) for a, block in enumerate(action) for m, cell in enumerate(block)
         for m2, c in cell
     ]
-    return comodule_from_triples(hopf_mod.dual(h), dim, triples)
+    return _comodule(hopf_mod.dual(h), dim, triples)
 
 
 def comodule_to_module(c):
     """Action tensor of dual(hopf) on the comodule: f . m = f(m_(1)) m_(0)."""
-    dual_h = hopf_mod.dual(c.hopf)
     action = hopf_mod.sparse_tensor(c.domain, (c.hopf.dim, c.dim, c.dim), (
         (a, m, m2, coeff) for m, rho in enumerate(c.coaction) for m2, a, coeff in rho
     ), 2)
-    witness = actions_mod.verify_module(dual_h, action)
-    if witness is not None:
-        raise InconsistencyError(f"dictionary produced a non-module at {witness}")
-    return dual_h, action
+    return hopf_mod.dual(c.hopf), action
 
 
 def coinvariants(c):
@@ -357,7 +363,7 @@ def tensor_comodule(x, c):
         for s0, h2, c2 in c.coaction[s]
         for hh, w in h_mult[h1][h2]
     ]
-    return comodule_from_triples(x.hopf, x.dim * c.dim, triples)
+    return _comodule(x.hopf, x.dim * c.dim, triples)
 
 
 def cotensor(x, m):
@@ -814,39 +820,16 @@ def galois_map_gamma_comodule(S):
 
 @dataclass(frozen=True)
 class RelativeHopfModuleData:
-    """Left S-module in the category of right H-comodules."""
+    """Left S-module in the category of right H-comodules.
+
+    A plain record.  Its two constructors derive it from a validated
+    comodule algebra S, and S and S (x) V are relative Hopf modules for
+    every comodule algebra S, so no law is decided here.
+    """
 
     comod_algebra: ComoduleAlgebraData
     comodule: ComoduleData
     s_action: tuple  # s_action[s][m] image vectors
-
-    def __post_init__(self):
-        S = self.comod_algebra
-        if self.comodule.hopf != S.hopf:
-            raise ShapeError("module and algebra comodules live over different Hopf algebras")
-        witness = actions_mod.verify_module_over_algebra(S.algebra, self.s_action)
-        if witness is not None:
-            raise InconsistencyError(f"S-module law fails at {witness}")
-        dom = S.domain
-        mul = dom.mul
-        comod, h_mult = self.comodule, S.hopf.algebra.mult
-        # rho(s . m) = s^(0) m^(0) (x) s^(1) m^(1)
-        for s in range(S.dim):
-            for m in range(comod.dim):
-                lhs = linalg.sparse_sum(dom, (
-                    ((m3, h), mul(c, w))
-                    for m2, c in self.s_action[s][m]
-                    for m3, h, w in comod.coaction[m2]
-                ))
-                rhs = linalg.sparse_sum(dom, (
-                    ((mi, hh), mul(mul(c1, c2), mul(w1, w2)))
-                    for s0, h1, c1 in S.comodule.coaction[s]
-                    for m0, h2, c2 in comod.coaction[m]
-                    for hh, w2 in h_mult[h1][h2]
-                    for mi, w1 in self.s_action[s0][m0]
-                ))
-                if lhs != rhs:
-                    raise AxiomError("relative-hopf-module", (s, m))
 
     @property
     def dim(self):
@@ -870,7 +853,7 @@ def cofree_relative_module(S, extra_dim):
         (s, m, u * extra_dim + m % extra_dim, w)
         for s in range(S.dim) for m in range(dim) for u, w in S.algebra.mult[s][m // extra_dim]
     ), 2)
-    comod = comodule_from_triples(S.hopf, dim, (
+    comod = _comodule(S.hopf, dim, (
         (m, s0 * extra_dim + m % extra_dim, h, c)
         for m in range(dim) for s0, h, c in S.comodule.coaction[m // extra_dim]
     ))

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 
 from . import hopf
-from .errors import FormatError, ResourceBoundError
+from .errors import FormatError, InconsistencyError, ResourceBoundError
 from .linalg import GF, QQ, ZZ, ColumnMap, require_field
 
 
@@ -256,7 +256,14 @@ def load_extension_file(path, max_dim):
 
 
 def load_module(doc, max_dim):
-    """Module document for the homology command: hopf + module action."""
+    """Module document for the homology command: hopf + module action.
+
+    A module file's action enters the program here only, so this is
+    where its module law is decided, after the field that hopfological
+    homology needs is checked.
+    """
+    from . import actions
+
     for key in ("field", "hopf", "module"):
         if key not in doc:
             raise FormatError(f"module file needs '{key}'")
@@ -268,6 +275,10 @@ def load_module(doc, max_dim):
     dim = _dim_field(mod, "dim", "module spec", max_dim)
     entries = _parse_entries(domain, mod["action"], 3, "module action")
     action = hopf.sparse_tensor(domain, (h.dim, dim, dim), entries, 2)
+    require_field(domain, "hopfological homology")
+    witness = actions.verify_module(h, action)
+    if witness is not None:
+        raise InconsistencyError(f"module law fails at {witness}")
     return h, dim, action
 
 

@@ -34,7 +34,8 @@ lexicographic with the left factor varying slowest.
 
 Integrals are the invariants (:func:`fixed_points`) of the left regular
 action, whose tensor is mult itself, and of the right regular action,
-decided on the algebra's generating set.
+decided on the algebra's generating set.  Each side is solved at most
+once per Hopf algebra object and kept on it, as the axiom report is.
 """
 
 from __future__ import annotations
@@ -302,7 +303,9 @@ class HopfAlgebraData:
     axioms are enforced here, so tests can build corrupted instances;
     `build_hopf` and every builtin constructor run :func:`verify_hopf`,
     raise on failure and keep the passing report as ``report``, which is
-    None on data that has not been verified.
+    None on data that has not been verified.  ``integrals`` holds each
+    side's integral space from its first solve on (:func:`left_integrals`,
+    :func:`right_integrals`), so no side is solved twice for one object.
     """
 
     algebra: AlgebraData
@@ -310,6 +313,7 @@ class HopfAlgebraData:
     counit: tuple
     antipode: ColumnMap
     report: VerificationReport | None = field(default=None, init=False, repr=False, compare=False)
+    integrals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.algebra.dim
@@ -771,21 +775,26 @@ def _integral_space(h, side):
     return IntegralSpace(side, basis)
 
 
+def _held_integrals(h, side):
+    """The `side` integral space of h, solved on first read and kept on h."""
+    space = h.integrals.get(side)
+    if space is None:
+        space = h.integrals[side] = _integral_space(h, side)
+    return space
+
+
 def left_integrals(h):
     """Basis of {t : h t = counit(h) t}; one-dimensional over a field."""
-    return _integral_space(h, "left")
+    return _held_integrals(h, "left")
 
 
 def right_integrals(h):
-    return _integral_space(h, "right")
+    return _held_integrals(h, "right")
 
 
-def is_semisimple(h, left=None):
-    """Larson-Sweedler / Maschke criterion: counit of the integral is nonzero.
-
-    `left` is the left integral space when the caller has it already."""
-    integral = (left if left is not None else left_integrals(h)).basis[0]
-    return h.counit_vec(integral) != h.domain.zero
+def is_semisimple(h):
+    """Larson-Sweedler / Maschke criterion: counit of the integral is nonzero."""
+    return h.counit_vec(left_integrals(h).basis[0]) != h.domain.zero
 
 
 def antipode_bijective(h):

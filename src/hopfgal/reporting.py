@@ -10,7 +10,6 @@ class CheckResult:
     name: str
     passed: bool
     witness: tuple | None = None
-    detail: str = ""
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,10 @@ columns, the references for the package's sparse `ColumnMap`s.  The
 full axiom scans check associativity, the bialgebra law and group
 tables on every basis triple or pair, and `full_integrals` stacks the
 integral system over every basis element: the references for the
-package's checks on generating sets.  `ReferenceLattice` holds a
+package's checks on generating sets.  The comodule law, the relative
+Hopf module law and the closure of an associated order are checked by
+full loops, the references for the structures the package derives
+without a check.  `ReferenceLattice` holds a
 lattice by its canonical generators as the columns of a dense Q-Matrix,
 the reference for `lattices.IntegerLattice`, which holds integer
 Hermite rows and a scale.  Slow but obviously correct at desk scale.
@@ -514,6 +517,90 @@ def dense_representation_witness(alg, mats):
             coeffs, terms = [c for _, c in cell], [mats[k] for k, _ in cell]
             if combination(dom, coeffs, terms, n, n) != mats[a] @ mats[b]:
                 return (a, b)
+    return None
+
+
+# comodule, relative-module and associated-order laws ----------------------------
+#
+# The full loops of the laws that the package decides only where data enters.
+# Derived comodules, relative Hopf modules and associated orders satisfy them
+# by a theorem and are built without a check; these are the references the
+# derived structures are tested against.
+
+
+def _collect(domain, terms):
+    """Nonzero totals of (key, coeff) terms, as a dict."""
+    out = {}
+    for key, c in terms:
+        out[key] = domain.add(out.get(key, domain.zero), c)
+    return {k: v for k, v in out.items() if v != domain.zero}
+
+
+def comodule_law_witness(c):
+    """("comodule-counit", (m,)) at the first m with (id (x) counit) rho(e_m)
+    != e_m, else ("comodule-coassociativity", (m,)) at the first m with
+    (rho (x) id) rho(e_m) != (id (x) Delta) rho(e_m), else None."""
+    dom, h = c.domain, c.hopf
+    mul = dom.mul
+    for m in range(c.dim):
+        out = _collect(dom, ((m2, mul(w, h.counit[a])) for m2, a, w in c.coaction[m]))
+        if out != {m: dom.one}:
+            return ("comodule-counit", (m,))
+    for m in range(c.dim):
+        rho = c.coaction[m]
+        left = _collect(dom, (
+            ((m3, a2, a), mul(w, w2)) for m2, a, w in rho for m3, a2, w2 in c.coaction[m2]
+        ))
+        right = _collect(dom, (
+            ((m2, j, k), mul(w, w2)) for m2, a, w in rho for j, k, w2 in h.comult[a]
+        ))
+        if left != right:
+            return ("comodule-coassociativity", (m,))
+    return None
+
+
+def relative_module_witness(m):
+    """("S-module", w) when the S-action of a relative Hopf module fails the
+    module law at w, else ("relative-hopf-module", (s, v)) at the first pair
+    with rho(e_s . e_v) != rho(e_s) rho(e_v), else None."""
+    S, comod = m.comod_algebra, m.comodule
+    dom = S.domain
+    mul = dom.mul
+    witness = dense_representation_witness(
+        S.algebra, dense_action_matrices(dom, m.s_action, m.dim))
+    if witness is not None:
+        return ("S-module", witness)
+    h_mult = S.hopf.algebra.mult
+    for s in range(S.dim):
+        for v in range(m.dim):
+            lhs = _collect(dom, (
+                ((v3, a), mul(c, w)) for v2, c in m.s_action[s][v] for v3, a, w in comod.coaction[v2]
+            ))
+            rhs = _collect(dom, (
+                ((vi, a), mul(mul(c1, c2), mul(w1, w2)))
+                for s0, a1, c1 in S.comodule.coaction[s]
+                for v0, a2, c2 in comod.coaction[v]
+                for a, w2 in h_mult[a1][a2]
+                for vi, w1 in m.s_action[s0][v0]
+            ))
+            if lhs != rhs:
+                return ("relative-hopf-module", (s, v))
+    return None
+
+
+def order_closure_witness(order):
+    """("unit",) when 1 lies outside the order, else the first (i, j) whose
+    product of canonical generators leaves it, else None; membership and
+    products through `ReferenceLattice` and `dense_product`."""
+    ref = ReferenceLattice.from_generators(order.lattice.ambient_dim, order.lattice.generators())
+    alg = order.hopf.algebra
+    if not ref.contains(alg.unit):
+        return ("unit",)
+    gens = ref.generators()
+    for i, u in enumerate(gens):
+        for j, v in enumerate(gens):
+            if not ref.contains(dense_product(alg, u, v)):
+                return (i, j)
     return None
 
 

@@ -119,7 +119,7 @@ def test_criterion_4_associated_order_pipeline():
     assert generator == (Fraction(1, 2), Fraction(1, 2))
     rep = lattices.tame_check_integral(order, zi)
     assert rep.tame
-    result = lattices.free_rank_one_generator(order, zi, [(1, 0), (0, 1), (1, 1)])
+    result = lattices.free_rank_one_generator(order, zi, rep, [(1, 0), (0, 1), (1, 1)])
     assert result.generator == (Fraction(1), Fraction(1))  # 1 + i
     assert abs(result.determinant) == 1  # unimodular certificate
     report(4, "associated order pipeline for Z[i]")

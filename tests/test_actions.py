@@ -2,6 +2,8 @@ import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hopfgal import actions, hopf, linalg, zoo
 from hopfgal.errors import PreconditionError
@@ -301,6 +303,29 @@ def test_morita_needs_bijective_j():
     sm = actions.smash(d)
     with pytest.raises(PreconditionError):
         actions.morita_decomposition(actions.regular_smash_module(sm))
+
+
+@functools.lru_cache(maxsize=None)
+def registry_smash(name):
+    return actions.smash(ext(name))
+
+
+@given(
+    st.sampled_from(sorted(zoo.extension_registry())),
+    st.lists(st.sampled_from(["regular", "algebra"]), min_size=1, max_size=3),
+)
+@example("gaussian", ["algebra", "regular"])
+def test_derived_smash_modules_satisfy_the_module_law(name, parts):
+    # S#H and S are S#H-modules, and so is a direct sum of modules
+    sm = registry_smash(name)
+    build = {"regular": actions.regular_smash_module, "algebra": actions.algebra_smash_module}
+    module = build[parts[0]](sm)
+    for part in parts[1:]:
+        module = actions.direct_sum_smash_modules(module, build[part](sm))
+    maps = actions.action_maps(module.domain, module.action, module.dim)
+    assert sm.algebra.representation_witness(maps) is None
+    mats = oracles.dense_action_matrices(module.domain, module.action, module.dim)
+    assert oracles.dense_representation_witness(sm.algebra, mats) is None
 
 
 def test_morita_dimension_formula_across_registry():

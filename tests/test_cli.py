@@ -706,9 +706,9 @@ def test_assoc_order_takes_the_integral_generator_from_the_tame_report(fixtures,
         monkeypatch.setattr(lattices, name, counted)
     assert cli.main(["assoc-order", fx(fixtures, "lat_zi_qc2.json"), "--candidates"]) == 0
     assert "integral generator: 1/2*1 + 1/2*s" in capsys.readouterr().out
-    # the command, the tame check and the freeness check; the last two
-    # each find the integral generator once
-    assert calls == {"is_hopf_order": 3, "lattice_integrals": 2}
+    # the command and the one tame check, which finds the integral generator;
+    # the freeness check reads the tame report
+    assert calls == {"is_hopf_order": 2, "lattice_integrals": 1}
 
 
 @pytest.mark.parametrize("name", ["mod_trivial_f2c2.json", "lat_zi_qc2.json"])
@@ -854,3 +854,33 @@ def test_cyclic_converts_an_action_only_extension(tmp_path, fixtures, capsys):
             "--module", fx(fixtures, "mod_kc2_ayd_f3.json"), "--levels", "0", "--json"]
     assert cli.main(args) == 0
     assert json.loads(capsys.readouterr().out)["converted_from_action"] is False
+
+
+# where each law is decided ---------------------------------------------------------
+#
+# Each module or comodule law is decided once, where its data enters: a
+# module file, an explicit smash-module spec, an AYD module file and the
+# coaction of an extension file.  The exit code and the first stderr line
+# of a refusal at each of those boundaries are pinned here.
+
+@pytest.mark.parametrize("command,code,first_line", [
+    pytest.param(["homology", "mod_badlaw_f2c2.json"], 2,
+                 "error: module law fails at (1, 1)", id="homology-module-law"),
+    pytest.param(["homology", "mod_badlaw_zc2.json"], 2,
+                 "error: hopfological homology needs a field, not Z; use the integer "
+                 "normal-form routines for Z", id="homology-field-first"),
+    pytest.param(["bar-shift", "ext_gaussian.json", "--module", "smashmod_badlaw.json"], 2,
+                 "error: smash module law fails at (1, 1)", id="bar-shift-smash-module-law"),
+    pytest.param(["cyclic", "comodalg_graded_f3.json", "--module", "mod_ayd_noaction_f3.json"], 2,
+                 "error: module law fails at ('unit',)", id="cyclic-ayd-module-law"),
+    pytest.param(["cyclic", "comodalg_badcounit_f3.json", "--module", "mod_kc2_ayd_f3.json"], 1,
+                 "axiom failure: comodule-counit fails at (1,)", id="cyclic-comodule-counit"),
+])
+@pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+def test_each_law_is_refused_where_its_data_enters(fixtures, capsys, command, code, first_line,
+                                                   form):
+    args = [fx(fixtures, a) if a.endswith(".json") else a for a in command]
+    assert cli.main(args + form) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == first_line

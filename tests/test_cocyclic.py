@@ -2,7 +2,7 @@ import functools
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hopfgal import actions, cocyclic, hopf, linalg, zoo
@@ -16,7 +16,7 @@ from hopfgal.errors import (
 from hopfgal.linalg import GF, QQ, ColumnMap, Matrix, on_slot
 
 import oracles
-from test_hopf import group_tables, twisted_group_algebras
+from test_hopf import group_algebras, group_tables, twisted_group_algebras
 
 
 @functools.lru_cache(maxsize=None)
@@ -63,8 +63,109 @@ def test_fuzzed_coactions_rejected_or_lawful(entries):
         c = cocyclic.comodule_from_triples(h, 2, entries)
     except HopfgalError:
         return
-    # accepted data re-verifies: rebuilding from its own tensor succeeds
-    cocyclic.ComoduleData(h, 2, c.coaction)
+    # accepted data satisfies every comodule law
+    assert oracles.comodule_law_witness(c) is None
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 3), st.integers(-1, 1)),
+        max_size=6,
+    )
+)
+def test_comodule_from_triples_refuses_exactly_what_the_oracle_refuses(entries):
+    # Sweedler's algebra: noncommutative, with multi-leg comultiplications
+    h = hopf.sweedler(QQ)
+    witness = oracles.comodule_law_witness(cocyclic._comodule(h, 2, entries))
+    try:
+        cocyclic.comodule_from_triples(h, 2, entries)
+    except AxiomError as exc:
+        assert (exc.check, exc.witness) == witness
+    else:
+        assert witness is None
+
+
+# derived comodules and relative Hopf modules ---------------------------------------
+#
+# Built without a check: each is lawful by a theorem, and the full loops of
+# `oracles` confirm it.
+
+# Fixture comodules grouped by their Hopf algebra, so that any of a group
+# tensor together.  Sweedler's regular comodule is noncommutative with
+# multi-leg coactions.
+@functools.lru_cache(maxsize=None)
+def comodule_groups():
+    sw = hopf.sweedler(QQ)
+    f3 = zoo.fpc2(3)
+    return (
+        (cocyclic.regular_comodule(sw), cocyclic.trivial_comodule(sw, 2),
+         zoo.group_like_ayd(sw, action="regular").comodule),
+        (graded(3).comodule, ayd_swap(3).comodule, cocyclic.regular_comodule(f3),
+         cocyclic.trivial_comodule(f3, 1)),
+        (zoo.graded_line_comodule_algebra_q().comodule, cocyclic.regular_comodule(zoo.qc2())),
+    )
+
+
+@given(st.integers(0, 2), st.lists(st.integers(0, 3), min_size=1, max_size=3))
+@example(0, [0, 0, 0])
+@example(0, [2, 0, 1])
+def test_tensor_powers_are_comodules(group, picks):
+    comodules = comodule_groups()[group]
+    power = comodules[picks[0] % len(comodules)]
+    for pick in picks[1:]:
+        power = cocyclic.tensor_comodule(power, comodules[pick % len(comodules)])
+    assert oracles.comodule_law_witness(power) is None
+
+
+@given(group_algebras(), st.integers(0, 3))
+def test_regular_and_trivial_comodules_are_comodules(h, dim):
+    assert oracles.comodule_law_witness(cocyclic.regular_comodule(h)) is None
+    assert oracles.comodule_law_witness(cocyclic.trivial_comodule(h, dim)) is None
+
+
+@pytest.mark.parametrize("h", [hopf.sweedler(QQ), hopf.taft(GF(7), 3, 2)],
+                         ids=["sweedler", "taft3-f7"])
+def test_regular_and_trivial_comodules_of_noncommutative_algebras(h):
+    assert oracles.comodule_law_witness(cocyclic.regular_comodule(h)) is None
+    assert oracles.comodule_law_witness(cocyclic.trivial_comodule(h, 2)) is None
+
+
+@pytest.mark.parametrize("name", sorted(zoo.extension_registry()))
+def test_dictionary_image_of_every_extension_is_a_comodule(name):
+    d = zoo.extension_registry()[name]
+    c = cocyclic.module_to_comodule(d.hopf, d.action)
+    assert oracles.comodule_law_witness(c) is None
+    # the dictionary image of the regular module of H as well
+    c = cocyclic.module_to_comodule(d.hopf, d.hopf.algebra.mult)
+    assert oracles.comodule_law_witness(c) is None
+
+
+def comodule_algebras():
+    """Comodule algebras: gradings, Sweedler's regular coaction, and the
+    converted module algebras of the registry."""
+    sw = hopf.sweedler(QQ)
+    out = {
+        "graded-f3": graded(3),
+        "graded-f3-nsg": graded(3, strongly=False),
+        "graded-f2": graded(2),
+        "graded-q": zoo.graded_line_comodule_algebra_q(),
+        "sweedler-regular": cocyclic.ComoduleAlgebraData(sw.algebra, cocyclic.regular_comodule(sw)),
+    }
+    for name, d in zoo.extension_registry().items():
+        out[f"converted-{name}"] = cocyclic.module_algebra_to_comodule_algebra(d)
+    return out
+
+
+COMODULE_ALGEBRAS = comodule_algebras()
+
+
+@given(st.sampled_from(sorted(COMODULE_ALGEBRAS)), st.integers(1, 3))
+@example("sweedler-regular", 2)
+def test_relative_module_constructors_are_relative_hopf_modules(name, extra_dim):
+    S = COMODULE_ALGEBRAS[name]
+    for m in (cocyclic.algebra_as_relative_module(S), cocyclic.cofree_relative_module(S, extra_dim)):
+        assert oracles.relative_module_witness(m) is None
+        assert oracles.comodule_law_witness(m.comodule) is None
 
 
 # dictionaries --------------------------------------------------------------------

@@ -11,6 +11,7 @@ Regenerate the files, only when a change is meant to alter a report,
 with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import collections
 import contextlib
 import io
 import json
@@ -20,7 +21,7 @@ import pathlib
 import pytest
 from test_acceptance import CLI_COMMANDS
 
-from hopfgal import cli
+from hopfgal import cli, hopf
 from hopfgal.linalg import ZZ, Matrix
 
 FIXDIR = pathlib.Path(__file__).parent / "fixtures"
@@ -110,6 +111,24 @@ def test_library_builds_dense_matrices_over_z_only(monkeypatch):
     # the lattice commands build integer matrices, so the wrappers saw some
     assert domains
     assert [d for d in domains if d is not ZZ] == []
+
+
+def test_no_integral_space_is_solved_twice(monkeypatch):
+    # each side of each Hopf algebra object is solved at most once and kept on
+    # the object; the objects stay referenced, so no identity is reused
+    solves = []
+    solve = hopf._integral_space
+
+    def counted(h, side):
+        solves.append((h, side))
+        return solve(h, side)
+
+    monkeypatch.setattr(hopf, "_integral_space", counted)
+    for command in COMMANDS:
+        run_in_fixdir(command, "json")
+    counts = collections.Counter((id(h), side) for h, side in solves)
+    assert counts, "the golden commands solve integral spaces"
+    assert max(counts.values()) == 1
 
 
 def write_golden():

@@ -2,7 +2,7 @@ import functools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from hopfgal import hopf, lattices, zoo
@@ -176,6 +176,70 @@ def test_associated_order_trivial_hopf():
     assert order.lattice.generators() == [(Fraction(1),)]
 
 
+def regular_c3_module(basis):
+    """QC3 acting on Q^3 by its regular representation, on the lattice
+    spanned by `basis`."""
+    h = hopf.group_algebra(QQ, zoo.cyclic_table(3))
+    return lattices.LatticeModuleData(
+        hopf=h,
+        lattice=lattices.IntegerLattice.from_generators(3, basis),
+        action=tuple(ColumnMap(QQ, 3, block) for block in h.algebra.mult),
+        unit=(1, 0, 0),
+    )
+
+
+def conjugation_module(basis):
+    """QC2 acting on Q(i) = Q^2 by complex conjugation, on the lattice
+    spanned by `basis`."""
+    return lattices.LatticeModuleData(
+        hopf=zoo.qc2(),
+        lattice=lattices.IntegerLattice.from_generators(2, basis),
+        action=zi().action,
+        unit=(1, 0),
+    )
+
+
+fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@given(
+    st.one_of(
+        st.lists(st.lists(fractions, min_size=2, max_size=2), min_size=2, max_size=2).map(
+            lambda rows: (conjugation_module, rows)),
+        st.lists(st.lists(fractions, min_size=3, max_size=3), min_size=3, max_size=3).map(
+            lambda rows: (regular_c3_module, rows)),
+    )
+)
+def test_associated_orders_are_unital_and_closed(case):
+    # {h : h.L <= L} is a unital subalgebra once the module law holds
+    build, rows = case
+    assume(oracles.leibniz_det(rows) != 0)
+    module = build(rows)
+    order = lattices.associated_order(module.hopf, module)
+    assert oracles.order_closure_witness(order) is None
+    if lattices.is_hopf_order(order).is_hopf_order:
+        assert_integral_generator(order)
+
+
+def assert_integral_generator(order):
+    """The lattice integral generator is a nonzero multiple of the fully
+    stacked left integral, and lies in the order."""
+    generator, _ = lattices.lattice_integrals(order)
+    (integral,) = oracles.full_integrals(order.hopf, "left")
+    k = next(i for i, x in enumerate(integral) if x != 0)
+    ratio = Fraction(generator[k]) / integral[k]
+    assert ratio != 0 and generator == tuple(ratio * x for x in integral)
+    assert order.lattice.contains(generator)
+
+
+@pytest.mark.parametrize("module", [zi, zzeta3], ids=["zi", "zzeta3"])
+def test_fixture_associated_orders_are_unital_and_closed(module):
+    order = lattices.associated_order(zoo.qc2(), module())
+    assert oracles.order_closure_witness(order) is None
+    assert_integral_generator(order)
+    assert_integral_generator(lattices.group_ring_order(zoo.qc2()))
+
+
 # Hopf order checks ----------------------------------------------------------------
 
 
@@ -283,7 +347,8 @@ def test_image_always_in_fixed_lattice():
 
 def test_free_generator_one_plus_i():
     order = lattices.associated_order(zoo.qc2(), zi())
-    result = lattices.free_rank_one_generator(order, zi(), [(1, 0), (0, 1), (1, 1)])
+    tame = lattices.tame_check_integral(order, zi())
+    result = lattices.free_rank_one_generator(order, zi(), tame, [(1, 0), (0, 1), (1, 1)])
     assert result.generator == (Fraction(1), Fraction(1))
     assert abs(result.determinant) == 1
     # the certificate matrix columns are 1 . z and e . z in Z[i]-coordinates
@@ -292,7 +357,8 @@ def test_free_generator_one_plus_i():
 
 def test_free_generator_zeta3():
     order = lattices.group_ring_order(zoo.qc2())
-    result = lattices.free_rank_one_generator(order, zzeta3(), [(0, 1)])
+    tame = lattices.tame_check_integral(order, zzeta3())
+    result = lattices.free_rank_one_generator(order, zzeta3(), tame, [(0, 1)])
     assert result.generator == (Fraction(0), Fraction(1))
 
 
@@ -317,13 +383,14 @@ def test_unfaithful_action_has_no_associated_order_lattice():
 
 
 def test_free_generator_requires_tame():
+    order = lattices.group_ring_order(zoo.qc2())
+    tame = lattices.tame_check_integral(order, zi())
     with pytest.raises(PreconditionError):
-        lattices.free_rank_one_generator(
-            lattices.group_ring_order(zoo.qc2()), zi(), [(1, 1)]
-        )
+        lattices.free_rank_one_generator(order, zi(), tame, [(1, 1)])
 
 
 def test_free_generator_inconclusive_absence():
     order = lattices.associated_order(zoo.qc2(), zi())
-    result = lattices.free_rank_one_generator(order, zi(), [(1, 0)])
+    tame = lattices.tame_check_integral(order, zi())
+    result = lattices.free_rank_one_generator(order, zi(), tame, [(1, 0)])
     assert result.generator is None
