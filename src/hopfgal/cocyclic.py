@@ -290,47 +290,15 @@ def stability_check(m):
 
 @dataclass(frozen=True)
 class ComoduleAlgebraData:
-    """Algebra S with a right coaction that is an algebra map."""
+    """Algebra S with a right coaction that is an algebra map.
+
+    A record: :func:`comodule_algebra` decides the law of data from
+    outside, and the dictionary image of a module algebra takes it from
+    the module-algebra law.
+    """
 
     algebra: hopf_mod.AlgebraData
     comodule: ComoduleData
-
-    def __post_init__(self):
-        if self.algebra.dim != self.comodule.dim:
-            raise ShapeError("algebra and comodule dimensions differ")
-        dom = self.algebra.domain
-        zero, mul = dom.zero, dom.mul
-        c = self.comodule
-        h = c.hopf
-        # rho(1) = 1 (x) 1
-        unit_img = linalg.sparse_sum(dom, (
-            ((m2, hh), mul(coeff, w))
-            for m, coeff in enumerate(self.algebra.unit) if coeff != zero
-            for m2, hh, w in c.coaction[m]
-        ))
-        expected = linalg.sparse_sum(dom, (
-            ((m, hh), mul(a, b))
-            for m, a in enumerate(self.algebra.unit) for hh, b in enumerate(h.algebra.unit)
-        ))
-        if unit_img != expected:
-            raise AxiomError("comodule-algebra-unit", ())
-        # rho(s t) = rho(s) rho(t)
-        s_mult, h_mult = self.algebra.mult, h.algebra.mult
-        for s in range(c.dim):
-            for t in range(c.dim):
-                lhs = linalg.sparse_sum(dom, (
-                    ((m2, hh), mul(coeff, w))
-                    for m, coeff in s_mult[s][t] for m2, hh, w in c.coaction[m]
-                ))
-                rhs = linalg.sparse_sum(dom, (
-                    ((u, hh), mul(mul(c1, c2), mul(w1, w2)))
-                    for s0, h1, c1 in c.coaction[s]
-                    for t0, h2, c2 in c.coaction[t]
-                    for u, w1 in s_mult[s0][t0]
-                    for hh, w2 in h_mult[h1][h2]
-                ))
-                if lhs != rhs:
-                    raise AxiomError("comodule-algebra-mult", (s, t))
 
     @property
     def hopf(self):
@@ -345,10 +313,52 @@ class ComoduleAlgebraData:
         return self.algebra.domain
 
 
+def comodule_algebra(hopf, algebra, triples):
+    """Validated comodule algebra from coaction entries (s, s', h, c).
+
+    Decides the comodule laws, then rho(1) = 1 (x) 1, then
+    rho(e_s e_t) = rho(e_s) rho(e_t) on each pair (s, t) in turn, and
+    raises AxiomError at the first failure.
+    """
+    c = comodule_from_triples(hopf, algebra.dim, triples)
+    dom = algebra.domain
+    zero, mul = dom.zero, dom.mul
+    # rho(1) = 1 (x) 1
+    unit_img = linalg.sparse_sum(dom, (
+        ((m2, hh), mul(coeff, w))
+        for m, coeff in enumerate(algebra.unit) if coeff != zero
+        for m2, hh, w in c.coaction[m]
+    ))
+    expected = linalg.sparse_sum(dom, (
+        ((m, hh), mul(a, b))
+        for m, a in enumerate(algebra.unit) for hh, b in enumerate(hopf.algebra.unit)
+    ))
+    if unit_img != expected:
+        raise AxiomError("comodule-algebra-unit", ())
+    # rho(s t) = rho(s) rho(t)
+    s_mult, h_mult = algebra.mult, hopf.algebra.mult
+    for s in range(c.dim):
+        for t in range(c.dim):
+            lhs = linalg.sparse_sum(dom, (
+                ((m2, hh), mul(coeff, w))
+                for m, coeff in s_mult[s][t] for m2, hh, w in c.coaction[m]
+            ))
+            rhs = linalg.sparse_sum(dom, (
+                ((u, hh), mul(mul(c1, c2), mul(w1, w2)))
+                for s0, h1, c1 in c.coaction[s]
+                for t0, h2, c2 in c.coaction[t]
+                for u, w1 in s_mult[s0][t0]
+                for hh, w2 in h_mult[h1][h2]
+            ))
+            if lhs != rhs:
+                raise AxiomError("comodule-algebra-mult", (s, t))
+    return ComoduleAlgebraData(algebra, c)
+
+
 def module_algebra_to_comodule_algebra(d):
-    """Comodule-algebra over dual(H) from an H-module algebra (flagged by callers)."""
-    comod = module_to_comodule(d.hopf, d.action)
-    return ComoduleAlgebraData(d.algebra, comod)
+    """Comodule algebra over dual(H) from an H-module algebra (flagged by
+    callers), built without a check: the module-algebra law implies it."""
+    return ComoduleAlgebraData(d.algebra, module_to_comodule(d.hopf, d.action))
 
 
 def tensor_comodule(x, c):
@@ -558,11 +568,11 @@ def check_cyclic_identities(S, M, n, max_dim=DEFAULT_MAX_DIM, window=None):
     multiplication m and unit eta of S.  On disjoint slots two such
     operators commute by the interchange law (A (x) I)(I (x) B) =
     A (x) B; on adjacent slots their identities are the associativity
-    and unit of S, which `AlgebraData` enforces.  So every d_i d_j with
-    j < n, every d_i s_j with i <= n and every s_i s_j holds, and only
-    d_i d_n (i < n) and d_(n+1) s_j are checked, in the order of the
-    full loops (j outer): a skipped pair cannot fail, so the witness is
-    the first failing pair of the full set.
+    and unit of S, which `hopf.algebra_from_triples` decided.  So every
+    d_i d_j with j < n, every d_i s_j with i <= n and every s_i s_j
+    holds, and only d_i d_n (i < n) and d_(n+1) s_j are checked, in the
+    order of the full loops (j outer): a skipped pair cannot fail, so
+    the witness is the first failing pair of the full set.
 
     The operators come from `window`, a `LevelWindow` over these very S
     and M and this max_dim that a caller checking several levels keeps;

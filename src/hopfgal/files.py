@@ -246,8 +246,7 @@ def load_extension_file(path, max_dim):
         from . import cocyclic
 
         entries = _parse_entries(domain, doc["coaction"], 3, "coaction")
-        comod = cocyclic.comodule_from_triples(h, alg.dim, entries)
-        out["comodule_algebra"] = cocyclic.ComoduleAlgebraData(alg, comod)
+        out["comodule_algebra"] = cocyclic.comodule_algebra(h, alg, entries)
     elif out["module_algebra"] is not None:
         require_field(domain, "module/comodule dictionary")
     if out["module_algebra"] is None and out["comodule_algebra"] is None:

@@ -4,13 +4,13 @@ An algebra is a multiplication tensor plus a unit vector on a labelled
 basis; a Hopf algebra adds a comultiplication tensor, a counit vector
 and an explicit antipode, a `linalg.ColumnMap`.
 
-Each axiom is checked once per object.  Constructing an `AlgebraData`
-decides associativity and the unit axiom and raises on failure, so every
-instance is a unital associative algebra.  :func:`verify_hopf` checks
-the coalgebra, bialgebra and antipode axioms and takes the two algebra
-verdicts from the algebra.  :func:`build_hopf`, which the builtin
-constructors and the file loader use, runs it once, refuses failing
-data and keeps the report for the caller.
+Each law is decided once, where its data enters.  `AlgebraData` is a
+record; :func:`algebra_from_triples`, which the file loader, the
+builtins and `zoo` use, decides associativity and the unit axiom.
+:func:`verify_hopf` checks the other Hopf axioms, and
+:func:`build_hopf` runs it once, refuses failing data and keeps the
+report for the caller.  :func:`dual` transposes a verified algebra
+without a check and takes its report.
 
 Associativity and the bialgebra law are decided on a generating set.
 The elements that satisfy either law for all partners form a subalgebra
@@ -40,6 +40,7 @@ once per Hopf algebra object and kept on it, as the axiom report is.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -100,11 +101,9 @@ def matrix_from_triples(domain, n, entries):
 class AlgebraData:
     """Finite algebra: mult[i][j] holds the nonzero (k, c) pairs of e_i * e_j.
 
-    Construction decides associativity and the unit axiom and raises
-    AxiomError on failure, so every instance is a unital associative
-    algebra.  ``generators`` is the generating set that decided
-    associativity (see :func:`generating_set`), or None when the full scan
-    did.
+    A record: :func:`algebra_from_triples` decides the laws of data from
+    outside, and derived algebras (a dual, a smash product S#H) take
+    their laws from the validated data they are built from.
     """
 
     domain: object
@@ -112,20 +111,11 @@ class AlgebraData:
     labels: tuple
     mult: tuple
     unit: tuple
-    generators: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if len(self.labels) != self.dim or len(self.unit) != self.dim:
-            raise ShapeError("label or unit length does not match dimension")
-        object.__setattr__(
-            self, "generators", generating_set(self.domain, self.mult, self.unit)
-        )
-        witness = self.associativity_witness()
-        if witness is not None:
-            raise AxiomError("associativity", witness)
-        witness = self.unit_witness()
-        if witness is not None:
-            raise AxiomError("unit", witness)
+    @functools.cached_property
+    def generators(self):
+        """:func:`generating_set` of the algebra, worked out on first read."""
+        return generating_set(self.domain, self.mult, self.unit)
 
     # vector arithmetic in the algebra ------------------------------------
 
@@ -185,12 +175,9 @@ class AlgebraData:
         )
 
     def unit_witness(self):
-        dom = self.domain
         for j in range(self.dim):
-            left = self.mul_vec(self.unit, linalg.unit_vec(dom, self.dim, j))
-            right = self.mul_vec(linalg.unit_vec(dom, self.dim, j), self.unit)
-            e_j = linalg.unit_vec(dom, self.dim, j)
-            if left != e_j or right != e_j:
+            e_j = linalg.unit_vec(self.domain, self.dim, j)
+            if not self.mul_vec(self.unit, e_j) == e_j == self.mul_vec(e_j, self.unit):
                 return (j,)
         return None
 
@@ -218,14 +205,21 @@ class AlgebraData:
 
 
 def algebra_from_triples(domain, dim, labels, mult_triples, unit):
+    """Validated algebra from entries (i, j, k, c) of e_i e_j and a unit
+    vector: decides associativity, then the unit axiom, and raises
+    AxiomError at the first failure."""
     mult = sparse_tensor(domain, (dim, dim, dim), mult_triples, 2)
-    return AlgebraData(
-        domain,
-        dim,
-        tuple(labels),
-        mult,
-        tuple(domain.normalize(v) for v in unit),
-    )
+    labels, unit = tuple(labels), tuple(domain.normalize(v) for v in unit)
+    if len(labels) != dim or len(unit) != dim:
+        raise ShapeError("label or unit length does not match dimension")
+    alg = AlgebraData(domain, dim, labels, mult, unit)
+    witness = alg.associativity_witness()
+    if witness is not None:
+        raise AxiomError("associativity", witness)
+    witness = alg.unit_witness()
+    if witness is not None:
+        raise AxiomError("unit", witness)
+    return alg
 
 
 def _product(domain, mult, u, v):
@@ -362,10 +356,12 @@ def verify_hopf(h):
     bialgebra compatibility and the antipode identity.
 
     Each failing check carries one witnessing basis index tuple.  The
-    algebra axioms pass by construction of h.algebra.  The bialgebra law
-    is checked on the rows of the algebra's generators: the set of a with
-    Delta(ab) = Delta(a) Delta(b) and counit(ab) = counit(a) counit(b) for
-    all b is a subspace closed under products, and it holds the unit once
+    algebra axioms were decided when h.algebra was built by
+    :func:`algebra_from_triples`, or follow from the data it was derived
+    from, so both pass here.  The bialgebra law is checked on the rows
+    of the algebra's generators: the set of a with Delta(ab) =
+    Delta(a) Delta(b) and counit(ab) = counit(a) counit(b) for all b is
+    a subspace closed under products, and it holds the unit once
     Delta(1) = 1 (x) 1 and counit(1) = 1, so those rows decide the law
     (see `generating_set`).  When they refuse, the full loop finds the
     first failing (i, j).
@@ -374,7 +370,6 @@ def verify_hopf(h):
     dom = alg.domain
     n = alg.dim
     zero, mul = dom.zero, dom.mul
-    # an AlgebraData is associative and unital, or construction raised
     checks = [_check("associativity", None), _check("unit", None)]
 
     # coassociativity: (Delta (x) id) Delta = (id (x) Delta) Delta
@@ -641,9 +636,7 @@ def taft(domain, n, q, labels=None):
                     coeff = qpow[b * c]
                     mult.append((idx(a, b), idx(c, d), idx((a + c) % n, b + d), coeff))
     unit = linalg.unit_vec(domain, dim, idx(0, 0))
-    alg = AlgebraData(
-        domain, dim, tuple(labels), sparse_tensor(domain, (dim, dim, dim), mult, 2), unit
-    )
+    alg = algebra_from_triples(domain, dim, labels, mult, unit)
 
     # Delta(g^a x^b) = Delta(g)^a Delta(x)^b, multiplied out in H (x) H
     one = domain.one
@@ -686,16 +679,19 @@ def taft(domain, n, q, labels=None):
 
 
 def dual(h):
-    """Dual Hopf algebra on the dual basis.
+    """Dual Hopf algebra on the dual basis, built as a transposition.
 
     Multiplication is the transpose of the comultiplication, and so on.
-    The dual is checked as its own object: its algebra axioms when its
-    `AlgebraData` is built, on generators of the dual algebra, and the
-    rest by the one `verify_hopf` run in `build_hopf`.
+    Every axiom of dual(H) is the transpose of an axiom of H, so the dual
+    is built without a check and takes H's report.  An h without a report
+    is verified first, by :func:`build_hopf`, which raises its first failure.
     """
     dom = h.domain
     if not dom.is_field:
         raise UnsupportedDomainError("dual needs a field domain")
+    report = h.report
+    if report is None:
+        report = build_hopf(h.algebra, h.comult, h.counit, h.antipode).report
     n = h.dim
     labels = tuple(f"{lab}*" for lab in h.labels)
     shape = (n, n, n)
@@ -709,9 +705,9 @@ def dual(h):
         (i, j, k, c)
         for j, row in enumerate(h.algebra.mult) for k, cell in enumerate(row) for i, c in cell
     ), 1)
-    counit = tuple(h.algebra.unit)
-    antipode = h.antipode.transpose()
-    return build_hopf(alg, comult, counit, antipode)
+    d = HopfAlgebraData(alg, comult, tuple(h.algebra.unit), h.antipode.transpose())
+    object.__setattr__(d, "report", report)
+    return d
 
 
 # ---------------------------------------------------------------------------

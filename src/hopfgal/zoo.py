@@ -247,8 +247,7 @@ def graded_line_comodule_algebra(p, strongly_graded=True):
     if strongly_graded:
         mult.append((1, 1, 0, 1))
     alg = hopf.algebra_from_triples(dom, 2, ("1", "x"), mult, (1, 0))
-    comod = cocyclic.comodule_from_triples(h, 2, [(0, 0, 0, 1), (1, 1, 1, 1)])
-    return cocyclic.ComoduleAlgebraData(alg, comod)
+    return cocyclic.comodule_algebra(h, alg, [(0, 0, 0, 1), (1, 1, 1, 1)])
 
 
 def graded_line_comodule_algebra_q(strongly_graded=True):
@@ -257,8 +256,7 @@ def graded_line_comodule_algebra_q(strongly_graded=True):
     if strongly_graded:
         mult.append((1, 1, 0, 1))
     alg = hopf.algebra_from_triples(QQ, 2, ("1", "x"), mult, (1, 0))
-    comod = cocyclic.comodule_from_triples(h, 2, [(0, 0, 0, 1), (1, 1, 1, 1)])
-    return cocyclic.ComoduleAlgebraData(alg, comod)
+    return cocyclic.comodule_algebra(h, alg, [(0, 0, 0, 1), (1, 1, 1, 1)])
 
 
 def group_like_ayd(h, action="trivial"):

@@ -12,10 +12,12 @@ columns, the references for the package's sparse `ColumnMap`s.  The
 full axiom scans check associativity, the bialgebra law and group
 tables on every basis triple or pair, and `full_integrals` stacks the
 integral system over every basis element: the references for the
-package's checks on generating sets.  The comodule law, the relative
-Hopf module law and the closure of an associated order are checked by
-full loops, the references for the structures the package derives
-without a check.  `ReferenceLattice` holds a
+package's checks on generating sets.  The comodule law, the
+comodule-algebra law, the relative Hopf module law and the closure of
+an associated order are checked by full loops; with the algebra axioms,
+they are the references for the structures the package derives without
+a check (the dual of a Hopf algebra, S#H, the dictionary comodule
+algebra).  `ReferenceLattice` holds a
 lattice by its canonical generators as the columns of a dense Q-Matrix,
 the reference for `lattices.IntegerLattice`, which holds integer
 Hermite rows and a scale.  Slow but obviously correct at desk scale.
@@ -210,6 +212,12 @@ def _dense_mul(domain, grid, u, v):
                 for k, w in enumerate(grid[i][j]):
                     out[k] = domain.add(out[k], domain.mul(c, w))
     return out
+
+
+def mult_triples(alg):
+    """The entries (i, j, k, c) of an algebra's multiplication table."""
+    return [(i, j, k, c) for i, row in enumerate(alg.mult) for j, cell in enumerate(row)
+            for k, c in cell]
 
 
 def algebra_axiom_failure(domain, dim, triples, unit):
@@ -523,9 +531,9 @@ def dense_representation_witness(alg, mats):
 # comodule, relative-module and associated-order laws ----------------------------
 #
 # The full loops of the laws that the package decides only where data enters.
-# Derived comodules, relative Hopf modules and associated orders satisfy them
-# by a theorem and are built without a check; these are the references the
-# derived structures are tested against.
+# Derived comodules, comodule algebras, relative Hopf modules and associated
+# orders satisfy them by a theorem and are built without a check; these are
+# the references the derived structures are tested against.
 
 
 def _collect(domain, terms):
@@ -556,6 +564,45 @@ def comodule_law_witness(c):
         ))
         if left != right:
             return ("comodule-coassociativity", (m,))
+    return None
+
+
+def comodule_algebra_witness(S):
+    """("comodule-algebra-unit", ()) when rho(1) != 1 (x) 1, else
+    ("comodule-algebra-mult", (s, t)) at the first pair with
+    rho(e_s e_t) != rho(e_s) rho(e_t), else None.
+
+    rho is read as a dense dim(S) x dim(H) grid per basis vector, and
+    products are taken cell by cell in S (x) H."""
+    dom, h, c = S.domain, S.hopf, S.comodule
+    n, dh = S.dim, h.dim
+    s_grid = dense_tensor_from_triples(dom, (n, n, n), mult_triples(S.algebra))
+    h_grid = dense_tensor_from_triples(dom, (dh, dh, dh), mult_triples(h.algebra))
+
+    def rho(vec):
+        out = [[dom.zero] * dh for _ in range(n)]
+        for m, a in enumerate(vec):
+            for m2, b, w in c.coaction[m]:
+                out[m2][b] = dom.add(out[m2][b], dom.mul(a, w))
+        return out
+
+    def square_mul(x, y):
+        out = [[dom.zero] * dh for _ in range(n)]
+        for s0, t0, a1, a2 in product(range(n), range(n), range(dh), range(dh)):
+            coeff = dom.mul(x[s0][a1], y[t0][a2])
+            if coeff:
+                for u, b in product(range(n), range(dh)):
+                    w = dom.mul(s_grid[s0][t0][u], h_grid[a1][a2][b])
+                    out[u][b] = dom.add(out[u][b], dom.mul(coeff, w))
+        return out
+
+    one = [[dom.mul(a, b) for b in h.algebra.unit] for a in S.algebra.unit]
+    if rho(S.algebra.unit) != one:
+        return ("comodule-algebra-unit", ())
+    basis = [unit_vec(dom, n, s) for s in range(n)]
+    for s, t in product(range(n), repeat=2):
+        if rho(s_grid[s][t]) != square_mul(rho(basis[s]), rho(basis[t])):
+            return ("comodule-algebra-mult", (s, t))
     return None
 
 

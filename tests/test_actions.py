@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hopfgal import actions, hopf, linalg, zoo
-from hopfgal.errors import PreconditionError
+from hopfgal.errors import AxiomError, PreconditionError
 from hopfgal.linalg import QQ
 
 import oracles
@@ -74,6 +74,31 @@ def test_smash_structure_gaussian():
 def test_smash_is_associative_by_construction():
     sm = actions.smash(ext("f4-frobenius"))
     assert sm.algebra.associativity_witness() is None
+
+
+@pytest.mark.parametrize("name", sorted(zoo.extension_registry()))
+def test_smash_product_passes_the_full_algebra_scan(name):
+    # S#H is built without a check: S is an H-module algebra
+    alg = actions.smash(ext(name)).algebra
+    assert oracles.algebra_axiom_failure(
+        alg.domain, alg.dim, oracles.mult_triples(alg), alg.unit) is None
+
+
+@given(st.sampled_from(sorted(zoo.extension_registry())), st.data())
+def test_corrupted_smash_product_is_refused_at_the_oracle_witness(name, data):
+    # the validating constructor on S#H with one multiplication cell replaced
+    alg = actions.smash(ext(name)).algebra
+    n, dom = alg.dim, alg.domain
+    i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    c = data.draw(st.integers(-2, 2))
+    triples = [t for t in oracles.mult_triples(alg) if t[:2] != (i, j)] + [(i, j, k, c)]
+    expected = oracles.algebra_axiom_failure(dom, n, triples, alg.unit)
+    try:
+        hopf.algebra_from_triples(dom, n, alg.labels, triples, alg.unit)
+    except AxiomError as exc:
+        assert (exc.check, exc.witness) == expected
+    else:
+        assert expected is None
 
 
 # Galois maps -------------------------------------------------------------------

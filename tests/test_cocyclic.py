@@ -159,6 +159,52 @@ def comodule_algebras():
 COMODULE_ALGEBRAS = comodule_algebras()
 
 
+@pytest.mark.parametrize("name", sorted(zoo.extension_registry()))
+def test_dictionary_image_of_every_extension_is_a_comodule_algebra(name):
+    # built without a check: the module-algebra law of the extension implies it
+    S = cocyclic.module_algebra_to_comodule_algebra(zoo.extension_registry()[name])
+    assert oracles.comodule_algebra_witness(S) is None
+
+
+@st.composite
+def graded_algebras(draw):
+    """A Hopf algebra k C_m, an algebra S and the coaction entries of a
+    grading of S by C_m: always a comodule, and a comodule algebra only
+    when the degrees add under the product of S and the unit has degree 0.
+
+    S is k[t]/(t^n) or k C_n, n = 2..4.  The degrees are i * step on the
+    i-th basis element, which adds for the powers of t, and often one of
+    them is overwritten."""
+    dom = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+    m, n = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        mult = [(i, j, i + j, 1) for i in range(n) for j in range(n) if i + j < n]
+    else:
+        mult = [(i, j, (i + j) % n, 1) for i in range(n) for j in range(n)]
+    step = draw(st.integers(0, m - 1))
+    degrees = [i * step % m for i in range(n)]
+    if draw(st.booleans()):
+        degrees[draw(st.integers(0, n - 1))] = draw(st.integers(0, m - 1))
+    alg = hopf.algebra_from_triples(
+        dom, n, [f"e{i}" for i in range(n)], mult, linalg.unit_vec(dom, n, 0))
+    h = hopf.group_algebra(dom, zoo.cyclic_table(m))
+    return h, alg, [(s, s, degrees[s], 1) for s in range(n)]
+
+
+@given(graded_algebras())
+def test_comodule_algebra_refuses_exactly_what_the_oracle_refuses(case):
+    h, alg, triples = case
+    record = cocyclic.ComoduleAlgebraData(alg, cocyclic._comodule(h, alg.dim, triples))
+    witness = oracles.comodule_algebra_witness(record)
+    try:
+        S = cocyclic.comodule_algebra(h, alg, triples)
+    except AxiomError as exc:
+        assert (exc.check, exc.witness) == witness
+    else:
+        assert witness is None
+        assert S == record
+
+
 @given(st.sampled_from(sorted(COMODULE_ALGEBRAS)), st.integers(1, 3))
 @example("sweedler-regular", 2)
 def test_relative_module_constructors_are_relative_hopf_modules(name, extra_dim):

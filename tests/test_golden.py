@@ -38,6 +38,8 @@ COMMANDS = CLI_COMMANDS + [
     # every Hopf axiom, the antipode identity included, on the same two algebras
     ["verify", "hopf_taft3_f7.json"],
     ["verify", "hopf_taft3_dual_f7.json"],
+    # the dual of a corrupted explicit algebra: the inner algebra's failure, exit 1
+    ["verify", "hopf_sweedler_bad_antipode_dual.json"],
     # the shape of the benchmark's cyclic op: levels 0-5, each level built once
     ["cyclic", "comodalg_graded_f3.json", "--module", "mod_kc2_ayd_f3.json", "--levels", "5"],
     # levels past the dense oracle's level 4, and fixtures other than the benchmark's:

@@ -678,6 +678,85 @@ def test_twisted_group_algebra_light_test_matches_full_scan(case):
         GF(7), n, triples, unit)
 
 
+# dual as a transposition -----------------------------------------------------------
+#
+# dual(H) takes H's report without a check of its own; a full check of the
+# dual record must agree with that report.
+
+
+@st.composite
+def verified_hopf_algebras(draw):
+    """A builtin or its dual (over Q, F_2, F_5 or F_7), or the group algebra,
+    or its dual, of a relabelled group table over Q or F_p."""
+    if draw(st.booleans()):
+        return antipode_cases()[draw(st.sampled_from(sorted(antipode_cases())))]
+    return draw(group_algebras())
+
+
+@given(verified_hopf_algebras())
+def test_dual_report_matches_a_full_check_of_the_dual(h):
+    d = hopf.dual(h)
+    alg = d.algebra
+    assert d.report is not None
+    assert oracles.algebra_axiom_failure(
+        d.domain, d.dim, oracles.mult_triples(alg), alg.unit) is None
+    assert d.report == hopf.verify_hopf(d)
+    dd = hopf.dual(d)
+    assert (dd.algebra.mult, dd.algebra.unit, dd.comult, dd.counit, dd.antipode) == (
+        h.algebra.mult, h.algebra.unit, h.comult, h.counit, h.antipode)
+
+
+@st.composite
+def unverified_hopf_data(draw):
+    """The structure constants of a verified Hopf algebra with one comult
+    cell, counit entry or antipode column replaced, as unverified data; or a
+    twisted group algebra over F_7 with the group coalgebra, a bialgebra
+    only when the twist is 1."""
+    if draw(st.booleans()):
+        n, triples = draw(twisted_group_algebras())
+        dom = GF(7)
+        table = {(g, k): gk for g, k, gk, _ in triples}
+        inverse = [next(k for k in range(n) if table[g, k] == 0) for g in range(n)]
+        alg = hopf.AlgebraData(dom, n, tuple(f"e{i}" for i in range(n)),
+                               hopf.sparse_tensor(dom, (n, n, n), triples, 2),
+                               linalg.unit_vec(dom, n, 0))
+        comult = hopf.sparse_tensor(dom, (n, n, n), [(g, g, g, 1) for g in range(n)], 1)
+        antipode = hopf.matrix_from_triples(dom, n, [(g, inverse[g], 1) for g in range(n)])
+        return alg, comult, (dom.one,) * n, antipode
+    h = draw(verified_hopf_algebras())
+    dom, n = h.domain, h.dim
+    comult, counit, antipode = h.comult, h.counit, h.antipode
+    i = draw(st.integers(0, n - 1))
+    cell = tuple(draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2)), max_size=2)))
+    part = draw(st.sampled_from(["comult", "counit", "antipode"]))
+    if part == "comult":
+        comult = hopf.sparse_tensor(dom, (n, n, n), [
+            (a, u, v, w) for a in range(n) for u, v, w in comult[a] if a != i
+        ] + [(i,) + e for e in cell], 1)
+    elif part == "counit":
+        counit = counit[:i] + (dom.normalize(draw(st.integers(-2, 2))),) + counit[i + 1:]
+    else:
+        antipode = hopf.matrix_from_triples(dom, n, [
+            (k, t, c) for k in range(n) for t, c in antipode.cols[k] if k != i
+        ] + [(i, u, w) for u, _, w in cell])
+    return h.algebra, comult, counit, antipode
+
+
+@given(unverified_hopf_data())
+def test_dual_of_unverified_data_raises_what_build_hopf_raises(parts):
+    try:
+        expected = hopf.build_hopf(*parts).report
+    except AxiomError as exc:
+        expected = (exc.check, exc.witness)
+    bad = hopf.HopfAlgebraData(*parts)
+    try:
+        got = hopf.dual(bad).report
+    except AxiomError as exc:
+        got = (exc.check, exc.witness)
+    assert got == expected
+
+
 @functools.lru_cache(maxsize=1)
 def reduction_cases():
     return {
