@@ -6,21 +6,22 @@ and an explicit antipode, a `linalg.ColumnMap`.
 
 Each law is decided once, where its data enters.  `AlgebraData` is a
 record; :func:`algebra_from_triples`, which the file loader, the
-builtins and `zoo` use, decides associativity and the unit axiom.
+builtins and `zoo` use, decides associativity and the unit axiom, and a
+group algebra takes both from its table (:func:`check_group_table`).
 :func:`verify_hopf` checks the other Hopf axioms, and
 :func:`build_hopf` runs it once, refuses failing data and keeps the
 report for the caller.  :func:`dual` transposes a verified algebra
 without a check and takes its report.
 
-Associativity and the bialgebra law are decided on a generating set.
-The elements that satisfy either law for all partners form a subalgebra
-(Light's associativity test, see :func:`generating_set`), so checking
-the unit and a few greedily chosen basis generators S decides the law
-exactly: dim^2 (|S| + 1) triples instead of dim^3 for associativity,
-|S| rows instead of dim for the bialgebra law.  A refusal reruns the
-full lexicographic scan, so a witness is always the first failing index
-tuple in that order.  `check_group_table` applies the same argument to
-a group table.
+Associativity, the module law and the bialgebra law are decided on a
+generating set.  The mult rows are the maps L_x, left multiplication by
+e_x, and associativity says L_(x b) = L_x L_b for all x and b.  The b
+for which that holds, and the a for which the module or bialgebra law
+holds for all b, form subalgebras (Light's associativity test, see
+:func:`generating_set`), so checking the unit and a few greedily chosen
+basis generators S decides each law exactly.  A refusal reruns the full
+lexicographic scan, so a witness is always the first failing index
+tuple in that order.  `check_group_table` does the same on a table.
 
 Structure tensors are stored once, sparse and canonical, as
 :func:`sparse_tensor` builds them: mult[i][j] is the tuple of (k, c)
@@ -146,33 +147,29 @@ class AlgebraData:
         """The first (i, j, k) in lexicographic order with
         (e_i e_j) e_k != e_i (e_j e_k), or None.
 
-        Light's test on the unit and ``generators`` decides the question;
-        the full scan runs only when that test refuses, to find the
-        witness, or when there are no generators to test.
+        Column k of L_x is mult[x][k].  Light's test checks L_(x b) =
+        L_x L_b for every x, for b the unit and each of ``generators``; the
+        full scan compares L_(e_i e_j) with L_i L_j column by column and
+        runs only on refusal, to find the witness, or without generators.
         """
         dom, n, mult = self.domain, self.dim, self.mult
-        basis = [((i, dom.one),) for i in range(n)]
+        left = [ColumnMap(dom, n, row) for row in mult]
+        tested = None
         if self.generators is not None:
+            # column x of right[t] is e_x e_t; L_b and R_b of each tested b
+            right = [ColumnMap(dom, n, col) for col in zip(*mult)]
             unit = tuple((t, c) for t, c in enumerate(self.unit) if c)
-            tested = [unit] + [basis[s] for s in self.generators]
-            if all(self._associates(a, basis) for a in tested):
-                return None
-        for i, j, k in itertools.product(range(n), repeat=3):
-            left = _product(dom, mult, mult[i][j], basis[k])
-            if left != _product(dom, mult, basis[i], mult[j][k]):
-                return (i, j, k)
-        return None
+            tested = [(_image(b, left), _image(b, right))
+                      for b in [unit] + [((s, dom.one),) for s in self.generators]]
 
-    def _associates(self, a, basis):
-        """Whether (x a) y == x (a y) for all basis elements x and y, for a
-        sparse vector a of (index, coeff) pairs."""
-        dom, n, mult = self.domain, self.dim, self.mult
-        left = [_product(dom, mult, basis[i], a).items() for i in range(n)]
-        right = [_product(dom, mult, a, basis[k]).items() for k in range(n)]
-        return all(
-            _product(dom, mult, left[i], basis[k]) == _product(dom, mult, basis[i], right[k])
-            for i in range(n) for k in range(n)
-        )
+        def failures():
+            for i, j in itertools.product(range(n), repeat=2):
+                lhs, rhs = _image(mult[i][j], left).cols, (left[i] @ left[j]).cols
+                if lhs != rhs:
+                    yield (i, j, next(k for k in range(n) if lhs[k] != rhs[k]))
+
+        return _decide_on_generators(
+            tested, lambda b, x: _image(b[1].cols[x], left) == left[x] @ b[0], n, failures())
 
     def unit_witness(self):
         for j in range(self.dim):
@@ -186,19 +183,16 @@ class AlgebraData:
 
         maps are square ColumnMaps.  Returns ("unit",) when the unit does
         not act as the identity and (a, b) when e_a e_b does not act as
-        maps[a] @ maps[b].
+        maps[a] @ maps[b].  The rows a of ``generators`` decide the law:
+        the a that satisfy it for all b form a subalgebra.
         """
         dom = self.domain
         n = maps[0].nrows
         if ColumnMap.combination(dom, self.unit, maps, n, n) != ColumnMap.identity(dom, n):
             return ("unit",)
-        for a in range(self.dim):
-            for b in range(self.dim):
-                cell = self.mult[a][b]
-                coeffs, terms = [c for _, c in cell], [maps[k] for k, _ in cell]
-                if ColumnMap.combination(dom, coeffs, terms, n, n) != maps[a] @ maps[b]:
-                    return (a, b)
-        return None
+        return _decide_on_generators(
+            self.generators,
+            lambda a, b: _image(self.mult[a][b], maps) == maps[a] @ maps[b], self.dim)
 
     def format_element(self, vec):
         return linalg.format_vector(self.domain, self.labels, vec)
@@ -222,6 +216,29 @@ def algebra_from_triples(domain, dim, labels, mult_triples, unit):
     return alg
 
 
+def _image(vec, maps):
+    """The combination of maps[k] with the coefficients of a sparse vector
+    of (k, c) pairs: the image of that element under e_k -> maps[k]."""
+    m = maps[0]
+    return ColumnMap.combination(
+        m.domain, [c for _, c in vec], [maps[k] for k, _ in vec], m.nrows, m.ncols)
+
+
+def _decide_on_generators(tested, holds, n, failures=None):
+    """The first failure of a law closed under products, or None.
+
+    When holds(a, b) for every a in `tested`, a generating set (see
+    `generating_set`) or None, and every b < n, the law holds.  Otherwise
+    the witness is the first of `failures`, the refusals of the full
+    lexicographic loop: by default the pairs (a, b) where holds fails.
+    """
+    if tested is not None and all(holds(a, b) for a in tested for b in range(n)):
+        return None
+    if failures is None:
+        failures = ((a, b) for a, b in itertools.product(range(n), repeat=2) if not holds(a, b))
+    return next(failures, None)
+
+
 def _product(domain, mult, u, v):
     """Product of two sparse vectors of (index, coeff) pairs, as a dict of
     its nonzero coefficients."""
@@ -235,14 +252,15 @@ def generating_set(domain, mult, unit):
     """Basis indices S whose words span the algebra, for Light's test.
 
     The words are the unit, each e_s and their left-bracketed products
-    (.. (e_s1 e_s2) ..) e_sk.  Let A be the set of a with (x a) y = x (a y)
-    for all x and y.  A is a subspace, and for a, b in A
-    (x (ab)) y = ((xa) b) y = (xa)(by) = x (a (by)) = x ((ab) y),
+    (.. (e_s1 e_s2) ..) e_sk.  Let A be the set of b with L_(x b) = L_x L_b,
+    i.e. (x b) y = x (b y), for all x, L_x being left multiplication by
+    e_x.  A is a subspace, and for a, b in A
+    L_(x (ab)) = L_((xa) b) = L_(xa) L_b = L_x L_a L_b = L_x L_(ab),
     so A is closed under products: if the unit and every e_s lie in A, so
     does every word, and A is the whole algebra.  Testing the unit and S
-    thus decides associativity exactly, in dim^2 (|S| + 1) products instead
-    of dim^3, whether or not the unit axiom holds.  The same closure
-    argument serves every law that is closed under products.
+    thus decides associativity exactly, in (|S| + 1) dim compositions of
+    maps instead of dim^2, whether or not the unit axiom holds.  The same
+    closure argument serves every law that is closed under products.
 
     S is found greedily: e_c joins S when it is not in the span of the
     words of the indices before it, and the span grows by one
@@ -410,10 +428,8 @@ def verify_hopf(h):
         witness = ("unit",)
     if witness is None and h.counit_vec(alg.unit) != dom.one:
         witness = ("unit",)
-    if witness is None and (
-        alg.generators is None or _bialgebra_witness(h, alg.generators) is not None
-    ):
-        witness = _bialgebra_witness(h, range(n))
+    if witness is None:
+        witness = _decide_on_generators(alg.generators, functools.partial(_bialgebra_holds, h), n)
     checks.append(_check("bialgebra", witness))
 
     # antipode: mu (alpha (x) id) Delta = unit . counit = mu (id (x) alpha) Delta
@@ -437,25 +453,21 @@ def verify_hopf(h):
     return VerificationReport(tuple(checks))
 
 
-def _bialgebra_witness(h, rows):
-    """The first (i, j), i in rows, with Delta(e_i e_j) != Delta(e_i) Delta(e_j)
-    or counit(e_i e_j) != counit(e_i) counit(e_j), or None."""
+def _bialgebra_holds(h, i, j):
+    """Whether Delta(e_i e_j) = Delta(e_i) Delta(e_j) and
+    counit(e_i e_j) = counit(e_i) counit(e_j)."""
     alg, dom = h.algebra, h.domain
     mul = dom.mul
-    for i in rows:
-        for j in range(alg.dim):
-            lhs = linalg.sparse_sum(dom, (
-                ((u, v), mul(a, c)) for k, a in alg.mult[i][j] for u, v, c in h.comult[k]
-            ))
-            rhs = _square_product(alg, h.comult[i], h.comult[j])
-            if lhs != {(u, v): c for u, v, c in rhs}:
-                return (i, j)
-            eps = dom.zero
-            for k, c in alg.mult[i][j]:
-                eps = dom.add(eps, dom.mul(c, h.counit[k]))
-            if eps != dom.mul(h.counit[i], h.counit[j]):
-                return (i, j)
-    return None
+    lhs = linalg.sparse_sum(dom, (
+        ((u, v), mul(a, c)) for k, a in alg.mult[i][j] for u, v, c in h.comult[k]
+    ))
+    rhs = _square_product(alg, h.comult[i], h.comult[j])
+    if lhs != {(u, v): c for u, v, c in rhs}:
+        return False
+    eps = dom.zero
+    for k, c in alg.mult[i][j]:
+        eps = dom.add(eps, dom.mul(c, h.counit[k]))
+    return eps == dom.mul(h.counit[i], h.counit[j])
 
 
 def _square_product(alg, u, v):
@@ -495,17 +507,6 @@ def build_hopf(algebra, comult, counit, antipode):
     return h
 
 
-def hopf_from_triples(domain, dim, labels, mult, unit, comult, counit, antipode):
-    """Hopf algebra from sparse structure constants (validated)."""
-    alg = algebra_from_triples(domain, dim, labels, mult, unit)
-    return build_hopf(
-        alg,
-        sparse_tensor(domain, (dim, dim, dim), comult, 1),
-        tuple(domain.normalize(v) for v in counit),
-        matrix_from_triples(domain, dim, antipode),
-    )
-
-
 # ---------------------------------------------------------------------------
 # builtin constructors
 
@@ -530,15 +531,14 @@ def check_group_table(table):
             raise AxiomError("group-inverse", (i,))
     # Light's test, as for algebras: the a with (xa)y = x(ay) for all x, y
     # form a submagma that holds the identity
-    gens = group_generators(table)
-    if gens is not None and all(
-        table[table[i][a]][k] == table[i][table[a][k]]
-        for a in gens for i in range(n) for k in range(n)
-    ):
-        return inverses
-    for i, j, k in itertools.product(range(n), repeat=3):
-        if table[table[i][j]][k] != table[i][table[j][k]]:
-            raise AxiomError("group-associativity", (i, j, k))
+    def associates(i, j, k):
+        return table[table[i][j]][k] == table[i][table[j][k]]
+
+    witness = _decide_on_generators(
+        group_generators(table), lambda a, i: all(associates(i, a, k) for k in range(n)), n,
+        (w for w in itertools.product(range(n), repeat=3) if not associates(*w)))
+    if witness is not None:
+        raise AxiomError("group-associativity", witness)
     return inverses
 
 
@@ -569,17 +569,22 @@ def group_generators(table):
 
 
 def group_algebra(domain, table, labels=None):
-    """Group algebra with Delta(g) = g (x) g, counit 1, antipode g^-1."""
+    """Group algebra with Delta(g) = g (x) g, counit 1, antipode g^-1.
+
+    Its algebra is a record: it takes associativity and its unit from the
+    table, which `check_group_table` decides."""
     inverses = check_group_table(table)
     n = len(table)
     if labels is None:
         labels = ("1",) + tuple(f"g{i}" for i in range(1, n))
-    mult = [(i, j, table[i][j], domain.one) for i in range(n) for j in range(n)]
-    comult = [(i, i, i, domain.one) for i in range(n)]
-    counit = [domain.one] * n
-    antipode = [(i, inverses[i], domain.one) for i in range(n)]
-    unit = linalg.unit_vec(domain, n, 0)
-    return hopf_from_triples(domain, n, labels, mult, unit, comult, counit, antipode)
+    if len(labels) != n:
+        raise ShapeError("label or unit length does not match dimension")
+    one = domain.one
+    mult = tuple(tuple(((k, one),) for k in row) for row in table)
+    alg = AlgebraData(domain, n, tuple(labels), mult, linalg.unit_vec(domain, n, 0))
+    comult = tuple(((i, i, one),) for i in range(n))
+    antipode = ColumnMap(domain, n, [((g, one),) for g in inverses])
+    return build_hopf(alg, comult, (one,) * n, antipode)
 
 
 def sweedler(domain):

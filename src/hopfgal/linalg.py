@@ -458,9 +458,14 @@ class ColumnMap:
 
     @classmethod
     def combination(cls, domain, coeffs, maps, nrows, ncols):
-        """Sum of c_k * maps[k] over the nonzero c_k; the zero map when none."""
+        """Sum of c_k * maps[k] over the nonzero c_k; the zero map when none.
+        One term keeps its map's columns, scaled unless c_k is one."""
         mul = domain.mul
         terms = [(c, m.cols) for c, m in zip(coeffs, maps) if c]
+        if len(terms) == 1:
+            (c, cols), = terms
+            return cls(domain, nrows, cols if c == domain.one else [
+                tuple((i, mul(c, a)) for i, a in col) for col in cols])
         return cls(domain, nrows, [
             _column(domain, ((i, mul(c, a)) for c, cols in terms for i, a in cols[j]))
             for j in range(ncols)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 from fractions import Fraction
 
@@ -489,6 +490,20 @@ def test_representation_witness_matches_dense_oracle(name, h):
         assert len(witnesses["shifted-block"]) == 2
 
 
+def test_module_law_is_decided_on_every_generator():
+    # Sweedler's algebra on itself with x acting as L_x + 1 and gx as
+    # L_g (L_x + 1): multiplicative in the rows of 1 and g, so only the row
+    # of the last generator, x, refuses the law
+    alg = hopf.sweedler(QQ).algebra
+    assert alg.generators == (1, 2)
+    left = [ColumnMap(QQ, 4, row) for row in alg.mult]
+    x = ColumnMap.combination(QQ, [1, 1], [left[2], ColumnMap.identity(QQ, 4)], 4, 4)
+    maps = [left[0], left[1], x, left[1] @ x]
+    witness = alg.representation_witness(maps)
+    assert witness == oracles.dense_representation_witness(alg, [m.to_dense() for m in maps])
+    assert witness == (2, 1)
+
+
 # semisimplicity and structure ----------------------------------------------------
 
 
@@ -778,13 +793,87 @@ def test_corrupted_mult_cell_light_test_matches_full_scan(name, data):
     alg, dom, n = h.algebra, h.domain, h.dim
     i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
     k, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(-3, 3))
-    keep = data.draw(st.booleans())
-    triples = [
+    triples = with_mult_cell(alg, i, j, k, c, data.draw(st.booleans()))
+    assert construction_failure(dom, n, triples, alg.unit) == oracles.algebra_axiom_failure(
+        dom, n, triples, alg.unit)
+
+
+def with_mult_cell(alg, i, j, k, c, keep):
+    """The mult entries of alg with (i, j, k, c) added to the cell (i, j),
+    or, unless keep, put in its place."""
+    n = alg.dim
+    return [
         (a, b, t, w) for a in range(n) for b in range(n) for t, w in alg.mult[a][b]
         if keep or (a, b) != (i, j)
     ] + [(i, j, k, c)]
-    assert construction_failure(dom, n, triples, alg.unit) == oracles.algebra_axiom_failure(
-        dom, n, triples, alg.unit)
+
+
+@st.composite
+def mult_tensors(draw):
+    """(domain, dim, mult entries, unit): Sweedler over Q, Taft 3 over F_7 or
+    C_6 over F_5 with one mult cell changed, or a random sparse tensor over
+    Q, F_p or Z, often with e_0 as a two-sided identity so that a generating
+    set exists."""
+    if draw(st.booleans()):
+        alg = reduction_cases()[draw(st.sampled_from(sorted(reduction_cases())))].algebra
+        n = alg.dim
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        cell = with_mult_cell(alg, i, j, k, draw(st.integers(-3, 3)), draw(st.booleans()))
+        return alg.domain, n, cell, alg.unit
+    dom = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5), ZZ]))
+    n = draw(st.integers(1, 4))
+    index = st.integers(0, n - 1)
+    triples = draw(st.lists(st.tuples(index, index, index, st.integers(-2, 2)), max_size=3 * n))
+    if draw(st.booleans()):
+        identity = [(0, j, j, 1) for j in range(n)] + [(j, 0, j, 1) for j in range(1, n)]
+        return dom, n, identity + triples, linalg.unit_vec(dom, n, 0)
+    return dom, n, triples, draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+
+
+# e_0 e_0 = 2 e_0: the first failing pair (0, 0) differs in every column but 0
+@example((QQ, 4, with_mult_cell(hopf.sweedler(QQ).algebra, 0, 0, 0, 2, False), (1, 0, 0, 0)))
+@example((GF(7), 9, with_mult_cell(hopf.taft(GF(7), 3, 2).algebra, 0, 0, 0, 2, False),
+          linalg.unit_vec(GF(7), 9, 0)))
+@given(mult_tensors())
+def test_associativity_witness_matches_the_dense_oracle(case):
+    dom, n, triples, unit = case
+    mult = hopf.sparse_tensor(dom, (n, n, n), triples, 2)
+    alg = hopf.AlgebraData(dom, n, tuple(f"e{i}" for i in range(n)), mult,
+                           tuple(map(dom.normalize, unit)))
+    failure = oracles.algebra_axiom_failure(dom, n, triples, unit)
+    expected = failure[1] if failure and failure[0] == "associativity" else None
+    assert alg.associativity_witness() == expected
+
+
+def test_taft_light_test_composes_the_stored_mult_rows(monkeypatch):
+    # the maps L_x are the stored mult rows: Light's test on T_4 composes them
+    # (|S| + 1) dim times, S = {g, x}, and multiplies no sparse vectors
+    calls, inside = collections.Counter(), [False]
+
+    def scoped(fn, flag):
+        def wrapper(*args):
+            outer, inside[0] = inside[0], flag
+            try:
+                return fn(*args)
+            finally:
+                inside[0] = outer
+        return wrapper
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += inside[0]
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(hopf.AlgebraData, "associativity_witness",
+                        scoped(hopf.AlgebraData.associativity_witness, True))
+    # the generating set is worked out on first read, inside the scan
+    monkeypatch.setattr(hopf, "generating_set", scoped(hopf.generating_set, False))
+    monkeypatch.setattr(hopf, "_product", counted("_product", hopf._product))
+    monkeypatch.setattr(ColumnMap, "__matmul__", counted("matmul", ColumnMap.__matmul__))
+    h = hopf.taft(GF(13), 4, 5)
+    assert h.algebra.generators == (1, 4)
+    assert (calls["_product"], calls["matmul"]) == (0, (2 + 1) * 16)
 
 
 @given(st.sampled_from(sorted(["sweedler(Q)", "taft(3,2,F7)", "C6(F5)"])), st.data())
