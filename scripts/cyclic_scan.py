@@ -19,7 +19,7 @@ from hopfgal import cocyclic, zoo
 
 
 def scan(label, S, M, top):
-    ok, witness = cocyclic.ayd_check(M)
+    ok, witness = M.ayd
     stable = False
     if ok:
         stable, _ = cocyclic.stability_check(M)

@@ -238,7 +238,7 @@ def run_cyclic(args):
             raise ResourceBoundError(
                 f"level {n} has dimension {dim} > bound {max_dim}{built_by}"
             )
-    ayd_ok, ayd_witness = cocyclic.ayd_check(M)
+    ayd_ok, ayd_witness = M.ayd
     stable_ok = False
     if ayd_ok:
         stable_ok, _ = cocyclic.stability_check(M)

@@ -34,6 +34,7 @@ system is eliminated sparsely (`linalg.kernel_map`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import actions as actions_mod
@@ -180,7 +181,12 @@ def hopfological_homology_comodule(c):
 
 @dataclass(frozen=True)
 class AydModuleData:
-    """A module and a comodule over one H; AYD laws checked by the ops."""
+    """A module and a comodule over one H; AYD laws checked by the ops.
+
+    The AYD verdict is decided on first read of ``ayd`` and kept, as a
+    Hopf algebra keeps its integrals: `stability_check` and a command
+    that reports both read it, so one module is decided once.
+    """
 
     comodule: ComoduleData
     action: tuple  # action[h][m] = (m', c) pairs, over the same H
@@ -206,15 +212,21 @@ class AydModuleData:
     def domain(self):
         return self.comodule.domain
 
+    @functools.cached_property
+    def ayd(self):
+        """:func:`ayd_check` of the module, decided on first read."""
+        return ayd_check(self)
 
-def _left_legs(ayd_or_comodule, antipode_inv):
-    """Left-coaction legs (h, m0, coeff) of each basis vector."""
-    c = ayd_or_comodule
-    mul, inv_cols = c.domain.mul, antipode_inv.cols
-    return [
-        [(hh, m0, mul(coeff, w)) for m0, h1, coeff in c.coaction[m] for hh, w in inv_cols[h1]]
-        for m in range(c.dim)
-    ]
+    @functools.cached_property
+    def left_legs(self):
+        """Left-coaction legs (h, m0, coeff) of each basis vector, read
+        from the right coaction through the inverse antipode."""
+        mul, inv_cols = self.domain.mul, linalg.invert(self.hopf.antipode).cols
+        return [
+            [(hh, m0, mul(coeff, w)) for m0, h1, coeff in self.comodule.coaction[m]
+             for hh, w in inv_cols[h1]]
+            for m in range(self.dim)
+        ]
 
 
 def ayd_check(m):
@@ -229,7 +241,7 @@ def ayd_check(m):
     if not hopf_mod.antipode_bijective(h):
         raise PreconditionError("the AYD check needs a bijective antipode")
     alpha = h.antipode.cols
-    legs = _left_legs(m.comodule, linalg.invert(h.antipode))
+    legs = m.left_legs
     n = h.dim
 
     # Delta^2 legs of each basis element of H
@@ -267,16 +279,15 @@ def ayd_check(m):
 
 
 def stability_check(m):
-    """Stability v_(-1) . v_(0) = v for all basis vectors, with witness."""
-    h = m.hopf
+    """Stability v_(-1) . v_(0) = v for all basis vectors, with witness;
+    reads the AYD verdict kept on m."""
     dom = m.domain
-    ok, witness = ayd_check(m)
+    ok, witness = m.ayd
     if not ok:
         raise PreconditionError(f"stability needs the AYD law; it fails at {witness}")
-    legs = _left_legs(m.comodule, linalg.invert(h.antipode))
     for v in range(m.dim):
         out = [dom.zero] * m.dim
-        for hh, m0, w in legs[v]:
+        for hh, m0, w in m.left_legs[v]:
             for mi, mv in m.action[hh][m0]:
                 out[mi] = dom.add(out[mi], dom.mul(w, mv))
         if out != list(linalg.unit_vec(dom, m.dim, v)):
@@ -560,7 +571,7 @@ def check_cyclic_identities(S, M, n, max_dim=DEFAULT_MAX_DIM, window=None):
     (b) the rotation relation d_n t_n = t_{n-1} d_{n-1} on the full
     space, and (c) t_n^(n+1) = id on the cotensor subspace.  (c) is a
     theorem only for stable anti-Yetter-Drinfeld coefficients; callers
-    check those once (`ayd_check`, `stability_check`) and downgrade a
+    check those once (``M.ayd``, `stability_check`) and downgrade a
     (c) failure to informational when they do not hold.
 
     (a) checks only the pairs that can fail.  The faces d_i with i < n

@@ -28,7 +28,10 @@ Structure tensors are stored once, sparse and canonical, as
 pairs of e_i e_j and comult[i] the tuple of (j, k, c) triples of
 Delta(e_i), each sorted by index with zeros dropped; the antipode's
 column i holds the (j, c) pairs of alpha(e_i) in the same form.  Unit
-and counit are dense coefficient vectors.
+and counit are dense coefficient vectors.  `sparse_tensor` checks and
+sums entries from outside (files, `zoo`); :func:`taft` writes its
+multiplication cells and :func:`dual` transposes H's tensors straight
+into that form.
 
 Basis order is part of the data.  Tensor-square flattenings are always
 lexicographic with the left factor varying slowest.
@@ -206,7 +209,12 @@ def algebra_from_triples(domain, dim, labels, mult_triples, unit):
     labels, unit = tuple(labels), tuple(domain.normalize(v) for v in unit)
     if len(labels) != dim or len(unit) != dim:
         raise ShapeError("label or unit length does not match dimension")
-    alg = AlgebraData(domain, dim, labels, mult, unit)
+    return _checked_algebra(AlgebraData(domain, dim, labels, mult, unit))
+
+
+def _checked_algebra(alg):
+    """alg itself once associativity and then the unit axiom hold; raises
+    AxiomError at the first failure."""
     witness = alg.associativity_witness()
     if witness is not None:
         raise AxiomError("associativity", witness)
@@ -631,17 +639,18 @@ def taft(domain, n, q, labels=None):
     for _ in range(n * n):
         qpow.append(domain.mul(qpow[-1], q))
 
-    mult = []
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    if b + d >= n:
-                        continue
-                    coeff = qpow[b * c]
-                    mult.append((idx(a, b), idx(c, d), idx((a + c) % n, b + d), coeff))
+    # (g^a x^b)(g^c x^d) = q^(bc) g^(a+c) x^(b+d), and 0 once b + d >= n:
+    # each cell holds one canonical pair or none, so the tensor is built
+    # directly in its stored form, by basis index
+    mult = tuple(
+        tuple(
+            ((idx((a + c) % n, b + d), qpow[b * c]),) if b + d < n else ()
+            for d in range(n) for c in range(n)
+        )
+        for b in range(n) for a in range(n)
+    )
     unit = linalg.unit_vec(domain, dim, idx(0, 0))
-    alg = algebra_from_triples(domain, dim, labels, mult, unit)
+    alg = _checked_algebra(AlgebraData(domain, dim, tuple(labels), mult, unit))
 
     # Delta(g^a x^b) = Delta(g)^a Delta(x)^b, multiplied out in H (x) H
     one = domain.one
@@ -699,17 +708,22 @@ def dual(h):
         report = build_hopf(h.algebra, h.comult, h.counit, h.antipode).report
     n = h.dim
     labels = tuple(f"{lab}*" for lab in h.labels)
-    shape = (n, n, n)
+    # H's tensors are canonical, so reading them in index order appends each
+    # cell's entries sorted and once: the transposes come out canonical.
     # e_i* e_j* contains comult[k]'s coefficient of e_i (x) e_j on e_k*
-    mult = sparse_tensor(
-        dom, shape, ((i, j, k, c) for k, g in enumerate(h.comult) for i, j, c in g), 2
-    )
+    cells = [[[] for _ in range(n)] for _ in range(n)]
+    for k, g in enumerate(h.comult):
+        for i, j, c in g:
+            cells[i][j].append((k, c))
+    mult = tuple(tuple(map(tuple, row)) for row in cells)
     alg = AlgebraData(dom, n, labels, mult, tuple(h.counit))
     # Delta(e_i*) contains mult[j][k]'s coefficient of e_i on e_j* (x) e_k*
-    comult = sparse_tensor(dom, shape, (
-        (i, j, k, c)
-        for j, row in enumerate(h.algebra.mult) for k, cell in enumerate(row) for i, c in cell
-    ), 1)
+    cells = [[] for _ in range(n)]
+    for j, row in enumerate(h.algebra.mult):
+        for k, cell in enumerate(row):
+            for i, c in cell:
+                cells[i].append((j, k, c))
+    comult = tuple(map(tuple, cells))
     d = HopfAlgebraData(alg, comult, tuple(h.algebra.unit), h.antipode.transpose())
     object.__setattr__(d, "report", report)
     return d

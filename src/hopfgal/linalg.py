@@ -15,14 +15,21 @@ read through its rows.
 Over a field there is one row reduction, `rref`: it reduces the sparse
 rows of a ColumnMap or a Matrix to the reduced row echelon form, and
 rank, kernels, echelon bases, solving and inversion all read its result.
-That form is unique, so kernel and echelon bases are canonical; the
-integer normal forms fix one pivoting rule (first nonzero column,
-topmost row), so they too are reproducible across runs.
+It runs in two passes.  `echelon_insert` reduces each incoming row by
+the stored pivots it meets, in increasing column order, and stores it
+in echelon form; no stored row is touched again.  One back-substitution
+from the highest pivot down then clears the pivot columns, each row
+visiting only the pivot columns it holds.  So a system whose rows stay
+sparse is eliminated in time about linear in its nonzeros.  The reduced
+form is unique, so kernel and echelon bases are canonical; the integer
+normal forms fix one pivoting rule (first nonzero column, topmost row),
+so they too are reproducible across runs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .errors import (
     DomainMismatchError,
@@ -545,15 +552,22 @@ def on_slot(left, a, right):
     This is the one place that fixes the slot layout of tensor
     operators: flattening is lexicographic with the left slot slowest,
     so column (l, j, r) of the result is column j of a placed at rows
-    (l, i, r).
+    (l, i, r).  A one-entry column of a, as in the multiplication of a
+    monomial algebra and in the unit, gives `right` one-entry columns
+    at consecutive rows, built from a range.
     """
-    spread = [tuple((i * right, v) for i, v in col) for col in a.cols]
     block = a.nrows * right
     cols = []
     for l in range(left):
-        for col in spread:
-            for base in range(l * block, l * block + right):
-                cols.append(tuple((base + i, v) for i, v in col))
+        offset = l * block
+        for col in a.cols:
+            if len(col) == 1:
+                (i, v), = col
+                start = offset + i * right
+                cols += [((k, v),) for k in range(start, start + right)]
+            else:
+                spread = [(offset + i * right, v) for i, v in col]
+                cols += [tuple((base + r, v) for base, v in spread) for r in range(right)]
     return ColumnMap(a.domain, left * block, cols)
 
 
@@ -564,9 +578,13 @@ def on_slot(left, a, right):
 def rref(m):
     """Reduced row echelon form of a field-domain map, as {pivot: {col: coeff}}.
 
-    m is a Matrix or a ColumnMap; its rows are reduced as sparse rows, one
-    `echelon_insert` each.  The reduced echelon form is unique, so the
-    result does not depend on the order of the rows.
+    m is a Matrix or a ColumnMap; its rows go into an echelon form, one
+    `echelon_insert` each, and one back-substitution then reduces it:
+    from the highest pivot down, each row subtracts the reduced rows of
+    the pivot columns it holds.  A reduced row is 0 at every other
+    pivot, so those subtractions add no pivot column, and each row is
+    reduced once.  The reduced echelon form is unique, so the result
+    does not depend on the order of the rows.
     """
     domain = m.domain
     require_field(domain, "row reduction")
@@ -577,6 +595,10 @@ def rref(m):
     pivots = {}
     for terms in rows:
         echelon_insert(domain, pivots, terms)
+    for p in sorted(pivots, reverse=True):
+        row = pivots[p]
+        for q in [c for c in row if c in pivots and c != p]:
+            _subtract(domain, row, row[q], pivots[q])
     return pivots
 
 
@@ -592,26 +614,46 @@ def _subtract(domain, row, f, other):
 
 
 def echelon_insert(domain, pivots, terms):
-    """Add the row of (col, coeff) terms to a reduced echelon form in place;
+    """Add the row of (col, coeff) terms to an echelon form in place;
     returns the row's new pivot, or None when the row lies in the span.
 
-    ``pivots`` maps each pivot to its row {col: coeff}.  Every stored row
-    has 1 at its pivot, its lowest column, and 0 at every other pivot, so
-    the new row is reduced by one subtraction per pivot it meets; a new
-    pivot is then cleared from the rows stored before it.
+    ``pivots`` maps each pivot to its row {col: coeff}, which is 1 at
+    its pivot, its lowest column, and 0 at every pivot stored before
+    it.  The new row is reduced by the stored pivots it meets in
+    increasing column order, popped from a heap: the row of pivot p
+    adds columns above p only, so each pivot is met at most once, and
+    the new pivot columns it adds join the heap.  What is left is scaled
+    to 1 at its lowest column and stored; no earlier row is cleared, so
+    the stored rows are an echelon basis of the span and `rref`
+    back-substitutes once at the end.
     """
     r = {c: v for c, v in terms if v}
-    for p in [c for c in r if c in pivots]:
-        _subtract(domain, r, r[p], pivots[p])
+    heap = [c for c in r if c in pivots]
+    if heap:
+        heapify(heap)
+        sub, mul, zero = domain.sub, domain.mul, domain.zero
+        while heap:
+            p = heappop(heap)
+            f = r.get(p)
+            if f is None:  # pushed twice, already cleared
+                continue
+            for c, v in pivots[p].items():
+                x = r.get(c)
+                if x is None:
+                    r[c] = sub(zero, mul(f, v))
+                    if c in pivots:
+                        heappush(heap, c)
+                else:
+                    x = sub(x, mul(f, v))
+                    if x:
+                        r[c] = x
+                    else:
+                        del r[c]
     if not r:
         return None
     p = min(r)
     inv, mul = domain.inv(r[p]), domain.mul
-    r = {c: mul(inv, v) for c, v in r.items()}
-    for row in pivots.values():
-        if p in row:
-            _subtract(domain, row, row[p], r)
-    pivots[p] = r
+    pivots[p] = {c: mul(inv, v) for c, v in r.items()}
     return p
 
 
@@ -637,29 +679,33 @@ def _echelon_rows(echelon):
     return [tuple(sorted(echelon[p].items())) for p in sorted(echelon)]
 
 
-def _column_echelon(m):
-    """Canonical echelon basis of the column span of m, as sparse vectors."""
-    return _echelon_rows(rref(m.transpose()))
-
-
 def kernel_map(m):
     """Canonical echelon basis of the kernel of a field-domain map, as the
     columns of a ColumnMap; m is a Matrix or a ColumnMap.
 
-    Each free column f of the RREF R gives the kernel vector
-    e_f - sum of R[i][f] e_(p_i); those vectors are reduced again to the
-    canonical echelon basis.
+    m is eliminated with its columns in reversed order, so each row R_i
+    of the RREF holds its pivot p_i at its highest column and its other
+    nonzeros below it, in free columns.  Each free column f gives the
+    kernel vector v_f = e_f - sum of R_i[f] e_(p_i), and R_i[f] is
+    nonzero only for p_i > f.  So v_f is 1 at its lowest entry f, and
+    every other v_g is 0 at f, which is neither g nor a pivot.  The v_f
+    by ascending f are therefore the reduced echelon basis of the
+    kernel, which is unique, and they need no second elimination.
     """
     dom = m.domain
     require_field(dom, "kernel computation")
-    pivots = rref(m)
-    free = {f: {f: dom.one} for f in range(m.ncols) if f not in pivots}
-    for p, row in pivots.items():
+    if isinstance(m, Matrix):
+        m = ColumnMap.from_dense(m)
+    last = m.ncols - 1
+    pivots = rref(ColumnMap(dom, m.nrows, m.cols[::-1]))
+    free = {f: [(f, dom.one)] for f in range(m.ncols) if last - f not in pivots}
+    neg = dom.neg
+    for q, row in pivots.items():
+        p = last - q
         for c, v in row.items():
-            if c != p:
-                free[c][p] = dom.neg(v)
-    vectors = ColumnMap(dom, m.ncols, [tuple(sorted(vec.items())) for vec in free.values()])
-    return ColumnMap(dom, m.ncols, _column_echelon(vectors))
+            if c != q:
+                free[last - c].append((p, neg(v)))
+    return ColumnMap(dom, m.ncols, [tuple(sorted(vec)) for vec in free.values()])
 
 
 def kernel_basis(m):
@@ -677,7 +723,7 @@ def echelon_basis(domain, vectors):
 def column_space_basis(m):
     """Canonical echelon basis of the column span (vectors of length nrows);
     m is a Matrix or a ColumnMap."""
-    return _dense(m.domain, m.nrows, _column_echelon(m))
+    return _dense(m.domain, m.nrows, _echelon_rows(rref(m.transpose())))
 
 
 def span_test(domain, basis):

@@ -318,6 +318,31 @@ def word_span_dim(alg, generators):
     return len(span)
 
 
+def dense_generating_set(alg):
+    """The greedy generating set of `hopf.generating_set`, from its
+    definition: index c joins S when e_c lies outside the smallest
+    subspace that holds the unit and the e_s of S so far and is closed
+    under right multiplication by them; None when |S| + 1 reaches the
+    dimension.  Spans are dense echelon bases, products dense."""
+    dom, n = alg.domain, alg.dim
+    grid = dense_tensor_from_triples(
+        dom, (n, n, n), [(i, j, k, c) for i in range(n) for j in range(n)
+                         for k, c in alg.mult[i][j]])
+    gens, span = [], dense_echelon_basis(dom, [alg.unit])
+    for c in range(n):
+        grown = dense_echelon_basis(dom, list(span) + [unit_vec(dom, n, c)])
+        if len(grown) == len(span):
+            continue
+        gens.append(c)
+        if len(gens) + 1 >= n:
+            return None
+        while len(grown) > len(span):
+            span = grown
+            grown = dense_echelon_basis(dom, list(span) + [
+                _dense_mul(dom, grid, w, unit_vec(dom, n, g)) for w in span for g in gens])
+    return tuple(gens) if len(gens) + 1 < n else None
+
+
 # dense actions ------------------------------------------------------------------
 #
 # The references for the ColumnMap actions of `hopf` and `actions`: every

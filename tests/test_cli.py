@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from hopfgal import cli, cocyclic, files, hopf
+from hopfgal import cli, cocyclic, files, hopf, linalg
 
 PKG_SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -686,6 +686,26 @@ def test_each_algebra_law_is_decided_where_its_data_enters(tmp_path, fixtures, c
         args = action_only_cyclic(tmp_path, fixtures) + ["--levels", "2"]
     assert cli.main(args) == 0
     assert calls == {"algebra_from_triples": 1, "associativity_witness": 1}
+
+
+@pytest.mark.parametrize("module", ["mod_kc2_ayd_f3.json", "mod_kc2_swap_f3.json"])
+def test_ayd_law_is_decided_once_per_cyclic_command(fixtures, capsys, monkeypatch, module):
+    # the verdict is kept on M, and stability, checked only when the law
+    # holds, reads it; the left legs, and the inverse antipode they come
+    # from, are worked out once too
+    calls = collections.Counter()
+    for owner, name in ((cocyclic, "ayd_check"), (linalg, "invert")):
+        def counted(*args, _name=name, _fn=getattr(owner, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    args = ["cyclic", fx(fixtures, "comodalg_graded_f3.json"), "--module", fx(fixtures, module),
+            "--levels", "2", "--json"]
+    cli.main(args)
+    report = json.loads(capsys.readouterr().out)
+    assert report["ayd"] == (module == "mod_kc2_ayd_f3.json")
+    assert calls == {"ayd_check": 1, "invert": 1}
 
 
 @pytest.mark.parametrize("command", [

@@ -209,6 +209,37 @@ def test_taft_scales_past_dimension_16(p, n, q):
     assert hopf.verify_hopf(h).passed
 
 
+@pytest.mark.parametrize("domain,n,q", [(QQ, 2, -1), (GF(3), 2, 2), (GF(7), 3, 2), (GF(5), 4, 2),
+                                         (GF(11), 5, 3), (GF(7), 6, 3)], ids=lambda v: str(v))
+def test_taft_and_dual_tensors_are_what_sparse_tensor_makes(domain, n, q):
+    # taft builds its mult cells, and dual transposes H's tensors, without
+    # passing their own entries through sparse_tensor; the results must be
+    # the canonical tensors that sparse_tensor makes of the same entries
+    h = hopf.taft(domain, n, q)
+    dim, q = n * n, domain.normalize(q)
+    shape = (dim, dim, dim)
+
+    def idx(a, b):
+        return b * n + a
+
+    def power(k):
+        return functools.reduce(domain.mul, [q] * k, domain.one)
+
+    # (g^a x^b)(g^c x^d) = q^(bc) g^(a+c) x^(b+d), zero once b + d >= n
+    assert h.algebra.mult == hopf.sparse_tensor(domain, shape, [
+        (idx(a, b), idx(c, d), idx((a + c) % n, b + d), power(b * c))
+        for a, b, c, d in itertools.product(range(n), repeat=4) if b + d < n
+    ], 2)
+    for x in (h, hopf.dual(h)):
+        d = hopf.dual(x)
+        assert d.algebra.mult == hopf.sparse_tensor(domain, shape, [
+            (i, j, k, c) for k, g in enumerate(x.comult) for i, j, c in g], 2)
+        assert d.comult == hopf.sparse_tensor(domain, shape, [
+            (i, j, k, c) for j, row in enumerate(x.algebra.mult)
+            for k, cell in enumerate(row) for i, c in cell], 1)
+    assert hopf.dual(hopf.dual(h)).algebra.mult == h.algebra.mult
+
+
 def canonical_reference(domain, shape, entries, lead):
     """The canonical form read cell by cell off the dense reference tensor."""
     dense = oracles.dense_tensor_from_triples(domain, shape, entries)

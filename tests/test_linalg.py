@@ -2,9 +2,10 @@ import functools
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hopfgal import hopf
 from hopfgal.errors import (
     DomainMismatchError,
     ShapeError,
@@ -18,10 +19,12 @@ from hopfgal.linalg import (
     ZZ,
     ColumnMap,
     Matrix,
+    PrimeField,
     _is_prime,
     column_space_basis,
     det,
     echelon_basis,
+    echelon_insert,
     hermite_normal_form,
     integer_kernel_basis,
     invert,
@@ -445,6 +448,114 @@ def test_invert_matches_dense_rref(m):
             assert err.value.rank == r
         else:
             assert invert(form) == ColumnMap.from_dense(inverse)
+
+
+@st.composite
+def permuted_sparse_systems(draw):
+    """A map of shape up to 40 x 40 over Q, F_2 or F_5 and the same map
+    with its rows permuted.  Its columns are scattered sparse entries,
+    cotensor-shaped pairs c e_a - c e_b (one entry, or none, when the two
+    meet), or a product through at most 4 dimensions, which leaves the
+    rank small and the kernel large."""
+    domain = draw(st.sampled_from([QQ, GF(2), GF(5)]))
+    nrows, ncols = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(["scattered", "cotensor", "product"]))
+    rnd = draw(st.randoms(use_true_random=False))
+    density = rnd.choice([0.03, 0.1, 0.3])
+    coeffs = [1, -1, 2, -3]
+
+    def scattered(nrows, ncols):
+        return column_map(domain, nrows, ncols, [
+            ((i, j), rnd.choice(coeffs))
+            for i in range(nrows) for j in range(ncols) if rnd.random() < density
+        ])
+
+    if kind == "product":
+        inner = rnd.randrange(5)
+        m = scattered(nrows, inner) @ scattered(inner, ncols)
+    elif kind == "cotensor" and nrows:
+        entries = []
+        for j in range(ncols):
+            c = rnd.choice(coeffs)
+            entries += [((rnd.randrange(nrows), j), c), ((rnd.randrange(nrows), j), -c)]
+        m = column_map(domain, nrows, ncols, entries)
+    else:
+        m = scattered(nrows, ncols)
+    order = list(range(nrows))
+    rnd.shuffle(order)
+    permuted = ColumnMap(domain, nrows, [
+        tuple(sorted((order[i], v) for i, v in col)) for col in m.cols])
+    return m, permuted
+
+
+@settings(max_examples=60)
+@given(permuted_sparse_systems())
+def test_elimination_of_permuted_sparse_systems_matches_dense_rref(systems):
+    m, permuted = systems
+    dense = m.to_dense()
+    R, pivots = oracles.dense_rref(dense)
+    expected = {p: {j: x for j, x in enumerate(R.rows[i]) if x} for i, p in enumerate(pivots)}
+    assert rref(m) == rref(permuted) == expected
+    assert rank(m) == rank(permuted) == len(pivots)
+    kernel = ColumnMap(m.domain, m.ncols, [
+        tuple((i, x) for i, x in enumerate(v) if x) for v in oracles.dense_kernel_basis(dense)
+    ])
+    assert kernel_map(m) == kernel_map(permuted) == kernel
+    columns = oracles.dense_echelon_basis(m.domain, dense.cols())
+    assert column_space_basis(m) == columns
+    assert column_space_basis(permuted) == oracles.dense_echelon_basis(
+        m.domain, permuted.to_dense().cols())
+
+
+@st.composite
+def sparse_algebra_tables(draw):
+    """Structure constants of dimension 1 to 7 over Q, F_2 or F_5, no law
+    assumed: each product is zero, one basis vector or a cotensor-shaped
+    pair c e_a - c e_b, and the unit vector is drawn too."""
+    domain = draw(st.sampled_from([QQ, GF(2), GF(5)]))
+    n = draw(st.integers(1, 7))
+    rnd = draw(st.randoms(use_true_random=False))
+    coeffs = [1, -1, 2]
+    entries = []
+    for i in range(n):
+        for j in range(n):
+            c, size = rnd.choice(coeffs), rnd.choice([0, 1, 1, 2])
+            entries += [(i, j, rnd.randrange(n), c), (i, j, rnd.randrange(n), -c)][:size]
+    mult = hopf.sparse_tensor(domain, (n, n, n), entries, 2)
+    unit = tuple(domain.normalize(rnd.choice([0, 0, 1, -1])) for _ in range(n))
+    return hopf.AlgebraData(domain, n, tuple(f"e{i}" for i in range(n)), mult, unit)
+
+
+@settings(max_examples=60)
+@given(sparse_algebra_tables())
+def test_generating_set_matches_the_dense_greedy_set(alg):
+    gens = hopf.generating_set(alg.domain, alg.mult, alg.unit)
+    assert gens == oracles.dense_generating_set(alg)
+    if gens is not None:
+        assert oracles.word_span_dim(alg, gens) == alg.dim
+
+
+def test_echelon_insert_meets_each_pivot_once():
+    # stored rows e_i + e_(i+1), not reduced, and the row e_0 + .. + e_29,
+    # which is their sum over the even i.  In increasing column order the
+    # even pivots clear it, each with one subtraction of 2 products, and
+    # the odd columns cancel on the way.  Popped from the top down, each
+    # pivot would add the column above it back, to be met again.
+    class CountingField(PrimeField):
+        products = 0
+
+        def mul(self, a, b):
+            CountingField.products += 1
+            return super().mul(a, b)
+
+    field, n = CountingField(7), 30
+    pivots = {}
+    for i in range(n):
+        assert echelon_insert(field, pivots, [(i, 1), (i + 1, 1)]) == i
+    CountingField.products = 0
+    assert echelon_insert(field, pivots, [(c, 1) for c in range(n)]) is None
+    assert CountingField.products == n
+    assert len(pivots) == n
 
 
 # name: (domain, nrows, ncols, ((row, col), coeff) entries, kernel dimension)
