@@ -4,7 +4,7 @@ The pair (H, S) is stored as an action tensor act[h][s] holding the
 nonzero (t, c) pairs of e_h . e_s, sorted by t, in the canonical form
 :func:`hopf.sparse_tensor` builds; modules over S#H and S use the same
 layout.  Each block act[h] is read, without a copy, as the columns of
-a `linalg.ColumnMap` (:func:`action_maps`, :func:`acting_map`).  Every
+a `linalg.ColumnMap` (`hopf.action_maps`, :func:`acting_map`).  Every
 linear map here is a ColumnMap, the Galois maps, the Morita evaluation
 map and the total integral included; `linalg` eliminates it by its
 sparse rows.  The comodule structure on S that the second Galois map
@@ -15,8 +15,6 @@ stored bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import hopf as hopf_mod
 from . import linalg
 from .errors import (
@@ -24,12 +22,12 @@ from .errors import (
     PreconditionError,
     ShapeError,
 )
-from .hopf import AlgebraData, HopfAlgebraData
+from .hopf import AlgebraData, HopfAlgebraData, action_maps, verify_module_over_algebra
 from .linalg import ColumnMap, sparse_entries as _sparse  # noqa: F401 (read by perfbench/tests)
-from .reporting import CheckResult, VerificationReport
+from .reporting import CheckResult, VerificationReport, record
 
 
-@dataclass(frozen=True)
+@record
 class ModuleAlgebraData:
     """An algebra S with an H-action candidate; laws checked separately."""
 
@@ -44,12 +42,6 @@ class ModuleAlgebraData:
     @property
     def domain(self):
         return self.hopf.domain
-
-
-def action_maps(domain, action, dim):
-    """One ColumnMap per basis element of the acting algebra: action[a][m]
-    holds the (t, c) pairs of e_a . e_m, which is column m of the map."""
-    return [ColumnMap(domain, dim, block) for block in action]
 
 
 def acting_map(domain, action, dim, hvec):
@@ -68,16 +60,6 @@ def module_algebra(hopf, algebra, action_triples):
         bad = report.failures()[0]
         raise InconsistencyError(f"{bad.name} fails at {bad.witness}")
     return data
-
-
-def verify_module_over_algebra(alg, action):
-    """Witness for the module law of an algebra action on a vector space.
-
-    action[a][m] holds the (t, c) pairs of e_a . e_m; returns None
-    when (a b) . m = a . (b . m) and 1 . m = m hold, else an index pair.
-    """
-    dim = len(action[0]) if action else 0
-    return alg.representation_witness(action_maps(alg.domain, action, dim))
 
 
 def verify_module(h, action):
@@ -157,7 +139,7 @@ def integral_image(d):
 # smash product
 
 
-@dataclass(frozen=True)
+@record
 class SmashProductData:
     algebra: AlgebraData
     base: ModuleAlgebraData
@@ -204,7 +186,7 @@ def smash(d):
 # Galois maps
 
 
-@dataclass(frozen=True)
+@record
 class GaloisMap:
     matrix: ColumnMap
     rank: int
@@ -301,7 +283,7 @@ def gamma_is_algebra_map(d):
 # classification
 
 
-@dataclass(frozen=True)
+@record
 class ExtensionReport:
     invariants_basis: tuple
     invariants_are_base: bool
@@ -396,7 +378,7 @@ def classify_extension(d):
 # total integral (Prop D1 recipe)
 
 
-@dataclass(frozen=True)
+@record
 class TotalIntegralResult:
     present: bool
     matrix: ColumnMap | None
@@ -503,7 +485,7 @@ def total_integral_map(d):
 # Hopfological homology of a module
 
 
-@dataclass(frozen=True)
+@record
 class ModuleHomology:
     dim_fixed: int
     dim_image: int
@@ -541,7 +523,7 @@ def hopfological_homology_module(h, action):
 # modules over the smash product
 
 
-@dataclass(frozen=True)
+@record
 class SmashModuleData:
     """Left S#H-module given by an action tensor over the smash basis.
 
@@ -646,7 +628,7 @@ def fixed_points_smash(module):
     return hopf_mod.fixed_points(d.hopf, module.h_action())
 
 
-@dataclass(frozen=True)
+@record
 class MoritaReport:
     matrix: ColumnMap
     bijective: bool

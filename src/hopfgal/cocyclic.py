@@ -30,14 +30,17 @@ the levels below n, apart from the level n - 1 degeneracies it still
 reads, before it reads level n + 1.  The window is the only store: it
 lives for one command, and no state here outlives it.  The cotensor
 system is eliminated sparsely (`linalg.kernel_map`).
+
+The four functions that need :mod:`actions` (the homology of a
+comodule, the bar shift, gamma of a comodule algebra and the T-shift)
+import it themselves, so a `cyclic` command never loads it; the module
+laws here are decided by `hopf.verify_module_over_algebra`.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
-from . import actions as actions_mod
 from . import hopf as hopf_mod
 from . import linalg
 from .errors import (
@@ -49,13 +52,14 @@ from .errors import (
     ShapeError,
 )
 from .linalg import ColumnMap, sparse_entries as _sparse  # noqa: F401 (read by perfbench/tests)
+from .reporting import record
 
 
 # ---------------------------------------------------------------------------
 # comodules
 
 
-@dataclass(frozen=True)
+@record
 class ComoduleData:
     """Right H-comodule; coaction[m] holds the nonzero (m', h, c) triples of rho(e_m).
 
@@ -158,7 +162,7 @@ def coinvariants(c):
     return linalg.kernel_basis(ColumnMap.from_entries(dom, c.dim * dh, c.dim, terms))
 
 
-@dataclass(frozen=True)
+@record
 class ComoduleHomology:
     dim_coinvariants: int
     dim_image: int
@@ -171,7 +175,9 @@ def hopfological_homology_comodule(c):
     M^coH is the fixed space of the dual(H)-action the dictionary induces
     (`comodule_to_module`), so this is the homology of that module.
     """
-    hom = actions_mod.hopfological_homology_module(*comodule_to_module(c))
+    from . import actions
+
+    hom = actions.hopfological_homology_module(*comodule_to_module(c))
     return ComoduleHomology(hom.dim_fixed, hom.dim_image, hom.dim_h0)
 
 
@@ -179,7 +185,7 @@ def hopfological_homology_comodule(c):
 # anti-Yetter-Drinfeld data
 
 
-@dataclass(frozen=True)
+@record
 class AydModuleData:
     """A module and a comodule over one H; AYD laws checked by the ops.
 
@@ -192,7 +198,7 @@ class AydModuleData:
     action: tuple  # action[h][m] = (m', c) pairs, over the same H
 
     def __post_init__(self):
-        witness = actions_mod.verify_module(self.comodule.hopf, self.action)
+        witness = hopf_mod.verify_module_over_algebra(self.comodule.hopf.algebra, self.action)
         if witness is not None:
             raise InconsistencyError(f"module law fails at {witness}")
         if len(self.action) != self.comodule.hopf.dim or any(
@@ -299,7 +305,7 @@ def stability_check(m):
 # comodule algebras and cotensor products
 
 
-@dataclass(frozen=True)
+@record
 class ComoduleAlgebraData:
     """Algebra S with a right coaction that is an algebra map.
 
@@ -463,7 +469,7 @@ def degeneracy_matrix(S, M, n, i):
     return linalg.on_slot(ds ** (i + 1), ColumnMap(S.domain, ds, [unit]), ds ** (n - i) * M.dim)
 
 
-@dataclass(frozen=True)
+@record
 class CyclicLevelData:
     level: int
     dim: int
@@ -547,7 +553,7 @@ class LevelWindow:
                 del store[k]
 
 
-@dataclass(frozen=True)
+@record
 class CyclicIdentityReport:
     level: int
     dim: int
@@ -674,7 +680,7 @@ def _alternating_sum(dom, faces, first):
 # chain complexes and the bar construction
 
 
-@dataclass(frozen=True)
+@record
 class ChainComplexData:
     """Non-negatively graded complex; differentials[k] is b_{k+1}, a ColumnMap."""
 
@@ -717,7 +723,7 @@ def bar_complex(alg, s_action, top, max_dim=DEFAULT_MAX_DIM):
     """
     ds = alg.dim
     dm = len(s_action[0]) if s_action else 0
-    witness = actions_mod.verify_module_over_algebra(alg, s_action)
+    witness = hopf_mod.verify_module_over_algebra(alg, s_action)
     if witness is not None:
         raise InconsistencyError(f"S-module law fails at {witness}")
     dims = []
@@ -748,7 +754,7 @@ def _bar_differentials(alg, s_action, dm, top):
 # shift checks
 
 
-@dataclass(frozen=True)
+@record
 class BarShiftReport:
     top: int
     dims_module: tuple
@@ -769,14 +775,16 @@ def bar_shift_check(d, module, top, max_dim=DEFAULT_MAX_DIM):
     faces of the two bar complexes (the coefficient module M^H carries
     no S-action, so its top face is not part of the comparison).
     """
-    j = actions_mod.galois_map_j(d)
+    from . import actions
+
+    j = actions.galois_map_j(d)
     if not j.bijective:
         raise PreconditionError(
             "bar shift needs the Morita lemma hypothesis: j : S#H -> End(S) bijective"
         )
     dom = d.domain
     ds = d.algebra.dim
-    morita = actions_mod.morita_decomposition(module)
+    morita = actions.morita_decomposition(module)
     dm, k = morita.dim_module, morita.dim_fixed
     dims_m = tuple(ds ** n * dm for n in range(top + 1))
     dims_f = tuple(ds ** (n + 1) * k for n in range(top + 1))
@@ -827,6 +835,8 @@ def bar_shift_check(d, module, top, max_dim=DEFAULT_MAX_DIM):
 
 def galois_map_gamma_comodule(S):
     """gamma for a comodule algebra: S (x) S -> S (x) H, s (x) t -> s t^(0) (x) t^(1)."""
+    from . import actions
+
     dom = S.domain
     ds, dh = S.dim, S.hopf.dim
     terms = (
@@ -836,10 +846,10 @@ def galois_map_gamma_comodule(S):
         for t0, h, c in S.comodule.coaction[j]
         for u, w in S.algebra.mult[i][t0]
     )
-    return actions_mod.GaloisMap.of(ColumnMap.from_entries(dom, ds * dh, ds * ds, terms))
+    return actions.GaloisMap.of(ColumnMap.from_entries(dom, ds * dh, ds * ds, terms))
 
 
-@dataclass(frozen=True)
+@record
 class RelativeHopfModuleData:
     """Left S-module in the category of right H-comodules.
 
@@ -881,7 +891,7 @@ def cofree_relative_module(S, extra_dim):
     return RelativeHopfModuleData(S, comod, action)
 
 
-@dataclass(frozen=True)
+@record
 class TShiftReport:
     top: int
     gamma_rank: int
@@ -902,6 +912,8 @@ def t_shift_check(m, top, max_dim=DEFAULT_MAX_DIM):
     S (x) M^co -> M is bijective and compares level dimensions of
     T(S, M) against T(S, M^co) shifted by one.
     """
+    from . import actions
+
     S = m.comod_algebra
     gamma = galois_map_gamma_comodule(S)
     if not gamma.bijective:
@@ -915,7 +927,7 @@ def t_shift_check(m, top, max_dim=DEFAULT_MAX_DIM):
     coinv_base = linalg.span_eq(dom, s_coinv, base)
 
     mco = coinvariants(m.comodule)
-    ev_bij = actions_mod.evaluation_map(dom, m.s_action, m.dim, mco).bijective
+    ev_bij = actions.evaluation_map(dom, m.s_action, m.dim, mco).bijective
 
     ds = S.dim
     dims_m = tuple(ds ** (n + 1) * m.dim for n in range(top + 1))

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 
 from . import linalg
 from .errors import (
@@ -57,7 +56,7 @@ from .errors import (
     UnsupportedDomainError,
 )
 from .linalg import ColumnMap
-from .reporting import CheckResult, VerificationReport
+from .reporting import CheckResult, VerificationReport, record
 
 
 def sparse_tensor(domain, shape, entries, lead):
@@ -101,7 +100,7 @@ def matrix_from_triples(domain, n, entries):
 # algebras
 
 
-@dataclass(frozen=True)
+@record
 class AlgebraData:
     """Finite algebra: mult[i][j] holds the nonzero (k, c) pairs of e_i * e_j.
 
@@ -224,6 +223,23 @@ def _checked_algebra(alg):
     return alg
 
 
+def action_maps(domain, action, dim):
+    """One ColumnMap per basis element of the acting algebra: action[a][m]
+    holds the (t, c) pairs of e_a . e_m, which is column m of the map."""
+    return [ColumnMap(domain, dim, block) for block in action]
+
+
+def verify_module_over_algebra(alg, action):
+    """Witness for the module law of an algebra action on a vector space.
+
+    action[a][m] holds the (t, c) pairs of e_a . e_m; returns None
+    when (a b) . m = a . (b . m) and 1 . m = m hold, else an index pair
+    (see :meth:`AlgebraData.representation_witness`).
+    """
+    dim = len(action[0]) if action else 0
+    return alg.representation_witness(action_maps(alg.domain, action, dim))
+
+
 def _image(vec, maps):
     """The combination of maps[k] with the coefficients of a sparse vector
     of (k, c) pairs: the image of that element under e_k -> maps[k]."""
@@ -313,7 +329,7 @@ def generating_set(domain, mult, unit):
 # Hopf algebras
 
 
-@dataclass(frozen=True)
+@record
 class HopfAlgebraData:
     """Hopf structure on top of an AlgebraData.
 
@@ -326,14 +342,13 @@ class HopfAlgebraData:
     None on data that has not been verified.  ``integrals`` holds each
     side's integral space from its first solve on (:func:`left_integrals`,
     :func:`right_integrals`), so no side is solved twice for one object.
+    Neither is a field: both stay out of ``==``, the hash and the repr.
     """
 
     algebra: AlgebraData
     comult: tuple
     counit: tuple
     antipode: ColumnMap
-    report: VerificationReport | None = field(default=None, init=False, repr=False, compare=False)
-    integrals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.algebra.dim
@@ -341,6 +356,8 @@ class HopfAlgebraData:
             raise ShapeError("counit length mismatch")
         if self.antipode.nrows != n or self.antipode.ncols != n:
             raise ShapeError("antipode shape mismatch")
+        object.__setattr__(self, "report", None)
+        object.__setattr__(self, "integrals", {})
 
     @property
     def domain(self):
@@ -733,7 +750,7 @@ def dual(h):
 # integrals
 
 
-@dataclass(frozen=True)
+@record
 class IntegralSpace:
     side: str
     basis: tuple

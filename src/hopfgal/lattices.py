@@ -15,7 +15,6 @@ lattice modulo the image of the integral.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import actions as actions_mod
@@ -27,9 +26,10 @@ from .errors import (
     ShapeError,
 )
 from .linalg import QQ, ZZ, ColumnMap, Matrix
+from .reporting import record
 
 
-@dataclass(frozen=True)
+@record
 class IntegerLattice:
     """Full- or partial-rank lattice L in Q^n, held canonically.
 
@@ -77,7 +77,7 @@ def standard_lattice(n):
     return IntegerLattice(n, 1, tuple(linalg.unit_vec(ZZ, n, i) for i in range(n)))
 
 
-@dataclass(frozen=True)
+@record
 class LatticeModuleData:
     """A lattice with an H-action on its ambient Q-space.
 
@@ -116,7 +116,7 @@ class LatticeModuleData:
         return ColumnMap.combination(QQ, hvec, self.action, n, n)
 
 
-@dataclass(frozen=True)
+@record
 class OrderData:
     """A lattice inside a rational Hopf algebra, in H-coordinates."""
 
@@ -172,7 +172,7 @@ def associated_order(h, module):
     return OrderData(h, order_lattice)
 
 
-@dataclass(frozen=True)
+@record
 class HopfOrderReport:
     contains_unit: bool
     mult_closed: bool
@@ -292,7 +292,7 @@ def lattice_integrals(order):
     return generator, IntegerLattice.from_generators(h.dim, [generator])
 
 
-@dataclass(frozen=True)
+@record
 class TameLatticeReport:
     fixed_rank: int
     fixed_is_base: bool
@@ -426,7 +426,7 @@ def tame_check_integral(order, module):
     )
 
 
-@dataclass(frozen=True)
+@record
 class FreeGeneratorResult:
     generator: tuple | None
     certificate: Matrix | None

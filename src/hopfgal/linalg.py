@@ -505,6 +505,9 @@ class ColumnMap:
             and self.cols == other.cols
         )
 
+    def __hash__(self):
+        return hash((self.nrows, self.cols))
+
     def __repr__(self):
         return f"ColumnMap({self.domain.name}, {self.nrows}x{self.ncols}: {self.cols})"
 

@@ -774,13 +774,16 @@ def test_homology_reads_its_input_once(fixtures, capsys, monkeypatch, name):
 # per-command imports and the one parser ------------------------------------------
 
 LAYERS = {"hopfgal.actions", "hopfgal.cocyclic", "hopfgal.lattices"}
-# runs one command, then prints the hopfgal layers it loaded as the last stdout line
+# what generating record methods from source would load; no command loads them
+CODE_GENERATORS = {"dataclasses", "inspect"}
+# runs one command, then prints the hopfgal layers (and code generators) it
+# loaded as the last stdout line
 LOADED_LAYERS = (
     "import json, sys\n"
     "from hopfgal import cli\n"
     "code = cli.main(sys.argv[1:])\n"
     "print(json.dumps(sorted(m for m in sys.modules if m in %r)))\n"
-    "sys.exit(code)\n" % sorted(LAYERS)
+    "sys.exit(code)\n" % sorted(LAYERS | CODE_GENERATORS)
 )
 
 
@@ -792,7 +795,7 @@ LOADED_BY_COMMAND = [
     (["homology", "mod_trivial_f2c2.json"], {"hopfgal.actions"}),
     (["homology", "lat_zi_qc2.json"], {"hopfgal.actions", "hopfgal.lattices"}),
     (["cyclic", "comodalg_graded_f3.json", "--module", "mod_kc2_ayd_f3.json"],
-     {"hopfgal.actions", "hopfgal.cocyclic"}),
+     {"hopfgal.cocyclic"}),
     (["bar-shift", "ext_gaussian.json", "--module", "smashmod_sum.json"],
      {"hopfgal.actions", "hopfgal.cocyclic"}),
 ]
@@ -807,6 +810,48 @@ def test_a_fresh_command_loads_only_its_layers(fixtures, command, loaded):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert set(json.loads(proc.stdout.splitlines()[-1])) == loaded
+
+
+# imports the modules named on the command line under an audit hook, then
+# runs a probe named hopfgal.probe that builds a namedtuple, and prints the
+# modules that asked for source text to be compiled: a "<string>" compile
+# whose nearest caller in a hopfgal.* module is not behind an import, so a
+# standard-library module that generates code in its own body is not counted
+GENERATED_CODE = r"""
+import importlib, json, sys
+asked = []
+def hook(event, args):
+    if event != "compile" or args[1] != "<string>":
+        return
+    frame = sys._getframe(1)
+    while frame and not frame.f_code.co_filename.startswith("<frozen importlib"):
+        if frame.f_globals.get("__name__", "").startswith("hopfgal"):
+            asked.append(frame.f_globals["__name__"])
+            return
+        frame = frame.f_back
+sys.addaudithook(hook)
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+modules = list(asked)
+exec("import collections\nP = collections.namedtuple('P', 'a b')", {"__name__": "hopfgal.probe"})
+print(json.dumps([modules, asked[len(modules):]]))
+"""
+
+
+def test_importing_hopfgal_compiles_no_generated_code():
+    # every record class comes from `reporting.record`, whose methods are
+    # closures; a dataclass or NamedTuple would compile generated source here
+    package = os.path.join(PKG_SRC, "hopfgal")
+    names = sorted("hopfgal" if f == "__init__.py" else "hopfgal." + f[:-3]
+                   for f in os.listdir(package) if f.endswith(".py"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = PKG_SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", GENERATED_CODE, *names],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    modules, probe = json.loads(proc.stdout)
+    assert "hopfgal.cocyclic" in names and probe  # the hook sees a namedtuple
+    assert modules == []
 
 
 def _stderr_without_elapsed(text):
