@@ -28,8 +28,12 @@ levels keeps one `LevelWindow`, which builds each operator and each
 tensor power S^(x)(n+1) on first read, once.  The level-n check drops
 the levels below n, apart from the level n - 1 degeneracies it still
 reads, before it reads level n + 1.  The window is the only store: it
-lives for one command, and no state here outlives it.  The cotensor
-system is eliminated sparsely (`linalg.kernel_map`).
+lives for one command, and no state here outlives it.  Its one table of
+unit columns serves every level, so the operators, which hold mostly
+one-entry coefficient-one columns, take them as slices or by index and
+compare them by identity.  The cotensor system leaves out one row
+block that the counit law makes redundant, and is eliminated sparsely
+(`linalg.kernel_map`).
 
 The four functions that need :mod:`actions` (the homology of a
 comodule, the bar shift, gamma of a comodule algebra and the T-shift)
@@ -40,6 +44,7 @@ laws here are decided by `hopf.verify_module_over_algebra`.
 from __future__ import annotations
 
 import functools
+import itertools
 
 from . import hopf as hopf_mod
 from . import linalg
@@ -379,40 +384,56 @@ def module_algebra_to_comodule_algebra(d):
 
 
 def tensor_comodule(x, c):
-    """X (x) C as a right comodule; legs multiply in H."""
-    mul = x.domain.mul
+    """X (x) C as a right comodule; legs multiply in H.
+
+    The coaction is built in its canonical form, one basis vector at a
+    time: the legs of x_i (x) c_s are summed by (m', h) and sorted.  The
+    coefficients are products of the canonical coefficients of x, c and
+    H, so none needs the entry checks of `hopf.sparse_tensor`.
+    """
+    dom, dc = x.domain, c.dim
+    mul = dom.mul
     h_mult = x.hopf.algebra.mult
-    triples = [
-        (xi * c.dim + s, x0 * c.dim + s0, hh, mul(mul(c1, c2), w))
-        for xi in range(x.dim)
-        for x0, h1, c1 in x.coaction[xi]
-        for s in range(c.dim)
-        for s0, h2, c2 in c.coaction[s]
-        for hh, w in h_mult[h1][h2]
-    ]
-    return _comodule(x.hopf, x.dim * c.dim, triples)
+    coaction = tuple([
+        tuple((m2, hh, w) for (m2, hh), w in sorted(linalg.sparse_sum(dom, (
+            ((x0 * dc + s0, hh), mul(mul(c1, c2), w))
+            for x0, h1, c1 in legs for s0, h2, c2 in c.coaction[s] for hh, w in h_mult[h1][h2]
+        )).items()))
+        for legs in x.coaction for s in range(dc)
+    ])
+    return ComoduleData(x.hopf, x.dim * dc, coaction)
 
 
 def cotensor(x, m):
     """Canonical basis of the cotensor equalizer inside X (x) M, as the
     columns of a ColumnMap.
 
-    Kernel of (rho_X (x) id_M) - (id_X (x) rho_M), both sides swapped to
-    the common target X (x) M (x) H.
+    The equalizer is the kernel of Phi = (rho_X (x) id_M) - (id_X (x)
+    rho_M), both sides swapped to the common target X (x) M (x) H.  By
+    the counit law of both comodules, (id (x) id (x) counit) Phi =
+    id - id = 0: for each h* with counit(e_h*) != 0, the row block of h*
+    is -counit(e_h*)^-1 times the sum of counit(e_h) times the block of
+    h over h != h*.  So the system leaves out the block of the first
+    such h* (there is one, as counit(1) = 1) and keeps (dim H - 1)/dim H
+    of its rows, with the same kernel and therefore the same canonical
+    basis.  It is built column by column, rows renumbered past h*.
     """
     if x.hopf != m.hopf:
         raise ShapeError("cotensor needs comodules over one Hopf algebra")
     dom = x.domain
-    dh = x.hopf.dim
-    dm = m.dim
-    terms = [
-        (((x0 * dm + mi) * dh + h, xi * dm + mi), c)
-        for xi in range(x.dim) for mi in range(dm) for x0, h, c in x.coaction[xi]
-    ] + [
-        (((xi * dm + m0) * dh + h, xi * dm + mi), dom.neg(c))
-        for xi in range(x.dim) for mi in range(dm) for m0, h, c in m.coaction[mi]
+    dh, dm = x.hopf.dim, m.dim
+    skip = next(h for h, e in enumerate(x.hopf.counit) if e)
+    width = dh - 1
+    block = [h - (h > skip) for h in range(dh)]  # the row offset of h in a block
+    neg = dom.neg
+    cols = [
+        tuple(sorted(linalg.sparse_sum(dom, itertools.chain(
+            (((x0 * dm + mi) * width + block[h], c) for x0, h, c in x_legs if h != skip),
+            (((xi * dm + m0) * width + block[h], neg(c)) for m0, h, c in m_legs if h != skip),
+        )).items()))
+        for xi, x_legs in enumerate(x.coaction) for mi, m_legs in enumerate(m.coaction)
     ]
-    return linalg.kernel_map(ColumnMap.from_entries(dom, x.dim * dm * dh, x.dim * dm, terms))
+    return linalg.kernel_map(ColumnMap(dom, x.dim * dm * width, cols))
 
 
 # ---------------------------------------------------------------------------
@@ -428,45 +449,62 @@ def _level_dim(S, M, n):
     return S.dim ** (n + 1) * M.dim
 
 
-def cyclic_matrix(S, M, n):
-    """t_n: rotate the last slot to the front through its coaction legs."""
+def cyclic_matrix(S, M, n, table=None):
+    """t_n: rotate the last slot to the front through its coaction legs.
+
+    Column (rest, s, m), rest the slots before the last one, is the
+    image of slot value s and coefficient m moved by rest * dim M rows.
+    With a `table`, a one-entry coefficient-one image gives a unit column
+    of it, by index, and every other column is shared through it.
+    """
     dom = S.domain
     ds, dm = S.dim, M.dim
-    inner = ds ** n  # the slots before the last one, flattened
-    # rotated[s * dm + m]: the (s0, m2) pairs of the image of slot value s and
-    # coefficient m, in ascending order
-    rotated = [
-        sorted(linalg.sparse_sum(dom, (
+    step = ds ** n * dm  # rows between consecutive values of the front slot
+    dim = ds * step
+    # placed[s * dm + m]: the image of slot value s and coefficient m with
+    # rest = 0, as ascending (row, coeff) pairs
+    placed = [
+        [(s0 * step + m2, c) for (s0, m2), c in sorted(linalg.sparse_sum(dom, (
             ((s0, m2), dom.mul(c, w))
             for s0, h, c in S.comodule.coaction[s] for m2, w in M.action[h][m]
-        )).items())
+        )).items())]
         for s in range(ds) for m in range(dm)
     ]
-    cols = []
-    for rest in range(inner):
-        for pairs in rotated:
-            cols.append(tuple(((s0 * inner + rest) * dm + m2, c) for (s0, m2), c in pairs))
-    return ColumnMap(dom, _level_dim(S, M, n), cols)
+    shifts = range(0, step, dm)
+    if table is None:
+        cols = [tuple((i + shift, c) for i, c in spread) for shift in shifts for spread in placed]
+    else:
+        table.reserve(dim)
+        units, one, share = table.units, dom.one, table.share
+        cols = [
+            units[spread[0][0] + shift] if len(spread) == 1 and spread[0][1] == one
+            else share(tuple((i + shift, c) for i, c in spread))
+            for shift in shifts for spread in placed
+        ]
+    return ColumnMap(dom, dim, cols)
 
 
-def face_matrix(S, M, n, i):
-    """d_i at level n for i < n: multiply slots i, i+1.  The last face is
-    d_0 t_n, which `LevelWindow.face` composes."""
+def face_matrix(S, M, n, i, table=None):
+    """d_i at level n for i < n: multiply slots i, i+1, with the columns
+    of `table` (see `linalg.on_slot`).  The last face is d_0 t_n, which
+    `LevelWindow.face` composes."""
     if not 1 <= n:
         raise ShapeError("faces exist at level >= 1")
     if not 0 <= i < n:
         raise ShapeError(f"face index {i} out of range at level {n}")
     ds = S.dim
-    return linalg.on_slot(ds ** i, _mult_map(S.algebra), ds ** (n - 1 - i) * M.dim)
+    return linalg.on_slot(ds ** i, _mult_map(S.algebra), ds ** (n - 1 - i) * M.dim, table)
 
 
-def degeneracy_matrix(S, M, n, i):
-    """s_i at level n: insert the unit of S after slot i."""
+def degeneracy_matrix(S, M, n, i, table=None):
+    """s_i at level n: insert the unit of S after slot i, with the columns
+    of `table` (see `linalg.on_slot`)."""
     if not 0 <= i <= n:
         raise ShapeError(f"degeneracy index {i} out of range at level {n}")
     ds = S.dim
     unit = tuple((k, u) for k, u in enumerate(S.algebra.unit) if u)
-    return linalg.on_slot(ds ** (i + 1), ColumnMap(S.domain, ds, [unit]), ds ** (n - i) * M.dim)
+    return linalg.on_slot(ds ** (i + 1), ColumnMap(S.domain, ds, [unit]), ds ** (n - i) * M.dim,
+                          table)
 
 
 @record
@@ -495,11 +533,16 @@ class LevelWindow:
 
     `face(n, i)`, `degeneracy(n, i)` and `cyclic(n)` hold an operator
     from its first read on; the last face d_n is d_0 t_n, composed from
-    the window's own d_0 and t_n.  The operators of a level share one
-    column pool, so a level holds each distinct column once: faces and
-    degeneracies repeat their columns across the level.  A level is
-    bounded by max_dim when its first operator is read.  A window lives
-    for one command: nothing here outlives the caller that made it.
+    the window's own d_0 and t_n.  The builders take their columns from
+    one `linalg.ColumnTable` per level, and the tables of every level
+    share the command's one list of unit columns ((k, one),).  The faces
+    and degeneracies take their unit columns from it as slices, t by
+    index, and the last face returns the columns of d_0 or takes new
+    ones from the table.  So each unit column of a command is one
+    object, and a level holds each of its other distinct columns once.
+    A level is bounded by max_dim when its first operator is read.  A
+    window lives for one command: nothing here outlives the caller that
+    made it.
     """
 
     def __init__(self, S, M, max_dim=DEFAULT_MAX_DIM):
@@ -509,33 +552,35 @@ class LevelWindow:
         self.M = M
         self.max_dim = max_dim
         self._operators = {}  # (kind, level, index) -> ColumnMap
-        self._pools = {}  # level -> {column: column}
+        self._units = []  # the unit columns of every level's table
+        self._tables = {}  # level -> linalg.ColumnTable
         self._powers = {}
 
     def _held(self, key, build):
+        """The operator of key, built by build(table) on first read."""
         op = self._operators.get(key)
         if op is None:
             n = key[1]
-            if n not in self._pools:
+            table = self._tables.get(n)
+            if table is None:
                 dim = _level_dim(self.S, self.M, n)
                 if dim > self.max_dim:
                     raise ResourceBoundError(f"level {n} has dimension {dim} > bound {self.max_dim}")
-                self._pools[n] = {}
-            built, pool = build(), self._pools[n]
-            op = ColumnMap(built.domain, built.nrows, [pool.setdefault(c, c) for c in built.cols])
-            self._operators[key] = op
+                table = self._tables[n] = linalg.ColumnTable(self.S.domain, self._units)
+            op = self._operators[key] = build(table)
         return op
 
     def face(self, n, i):
         if i == n >= 1:
-            return self._held(("d", n, i), lambda: self.face(n, 0) @ self.cyclic(n))
-        return self._held(("d", n, i), lambda: face_matrix(self.S, self.M, n, i))
+            return self._held(("d", n, i), lambda table: self.face(n, 0).compose(self.cyclic(n), table))
+        return self._held(("d", n, i), lambda table: face_matrix(self.S, self.M, n, i, table=table))
 
     def degeneracy(self, n, i):
-        return self._held(("s", n, i), lambda: degeneracy_matrix(self.S, self.M, n, i))
+        return self._held(
+            ("s", n, i), lambda table: degeneracy_matrix(self.S, self.M, n, i, table=table))
 
     def cyclic(self, n):
-        return self._held(("t", n, 0), lambda: cyclic_matrix(self.S, self.M, n))
+        return self._held(("t", n, 0), lambda table: cyclic_matrix(self.S, self.M, n, table=table))
 
     def power(self, n):
         """S^(x)(n+1) as a right comodule."""
@@ -545,10 +590,10 @@ class LevelWindow:
         return self._powers[n]
 
     def drop_below(self, n):
-        """Forget every operator, pool and tensor power below level n."""
+        """Forget every operator, column table and tensor power below level n."""
         for key in [k for k in self._operators if k[1] < n]:
             del self._operators[key]
-        for store in (self._pools, self._powers):
+        for store in (self._tables, self._powers):
             for k in [k for k in store if k < n]:
                 del store[k]
 

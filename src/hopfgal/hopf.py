@@ -83,12 +83,19 @@ def sparse_tensor(domain, shape, entries, lead):
     for idx, c in sorted(linalg.sparse_sum(domain, terms()).items()):
         cells.setdefault(idx[:lead], []).append(idx[lead:] + (c,))
 
-    def build(prefix):
-        if len(prefix) == lead:
-            return tuple(cells.get(prefix, ()))
-        return tuple(build(prefix + (i,)) for i in range(shape[len(prefix)]))
+    return _nested(cells, shape[:lead], ())
 
-    return build(())
+
+def _nested(cells, axes, prefix):
+    """The cells under `prefix`, as tuples nested over the axes past it.
+
+    A module function rather than a recursive closure: a closure that
+    calls itself is a reference cycle, which would keep `cells` alive
+    until the cyclic garbage collector runs.
+    """
+    if len(prefix) == len(axes):
+        return tuple(cells.get(prefix, ()))
+    return tuple([_nested(cells, axes, prefix + (i,)) for i in range(axes[len(prefix)])])
 
 
 def matrix_from_triples(domain, n, entries):
@@ -174,11 +181,21 @@ class AlgebraData:
             tested, lambda b, x: _image(b[1].cols[x], left) == left[x] @ b[0], n, failures())
 
     def unit_witness(self):
-        for j in range(self.dim):
-            e_j = linalg.unit_vec(self.domain, self.dim, j)
-            if not self.mul_vec(self.unit, e_j) == e_j == self.mul_vec(e_j, self.unit):
-                return (j,)
-        return None
+        """The first j with 1 e_j != e_j or e_j 1 != e_j, or None.
+
+        Column j of the left multiplication map L_1 is 1 e_j, and column
+        j of the right one R_1 is e_j 1, so both are compared with the
+        identity column by column.
+        """
+        dom, n, mult = self.domain, self.dim, self.mult
+        unit = [(t, c) for t, c in enumerate(self.unit) if c]
+        coeffs = [c for _, c in unit]
+        left = ColumnMap.combination(
+            dom, coeffs, [ColumnMap(dom, n, mult[t]) for t, _ in unit], n, n).cols
+        right = ColumnMap.combination(
+            dom, coeffs, [ColumnMap(dom, n, [row[t] for row in mult]) for t, _ in unit], n, n).cols
+        one = dom.one
+        return next(((j,) for j in range(n) if not left[j] == ((j, one),) == right[j]), None)
 
     def representation_witness(self, maps):
         """Witness that e_a -> maps[a] is not a unital algebra map, or None.
@@ -690,21 +707,17 @@ def taft(domain, n, q, labels=None):
 
     # antipode: alpha(g) = g^-1, alpha(x) = -g^-1 x = -g^{n-1} x,
     # extended as an anti-homomorphism: alpha(g^a x^b) = alpha(x)^b alpha(g)^a
-    alpha_g = linalg.unit_vec(domain, dim, idx((n - 1) % n, 0))
-    alpha_x = [domain.zero] * dim
-    alpha_x[idx(n - 1, 1)] = domain.neg(domain.one)
-    alpha_x = tuple(alpha_x)
+    alpha_g = ((idx(n - 1, 0), one),)
+    alpha_x = ((idx(n - 1, 1), domain.neg(one)),)
     cols = []
     for b in range(n):
         for a in range(n):
-            vec = alg.unit
-            for _ in range(b):
-                vec = alg.mul_vec(vec, alpha_x)
-            for _ in range(a):
-                vec = alg.mul_vec(vec, alpha_g)
+            vec = ((idx(0, 0), one),)
+            for factor in [alpha_x] * b + [alpha_g] * a:
+                vec = tuple(sorted(_product(domain, mult, vec, factor).items()))
             cols.append(vec)
     # cols were produced in (b, a) loop order which matches idx(a, b) = b*n + a
-    antipode = ColumnMap.from_cols(domain, dim, cols)
+    antipode = ColumnMap(domain, dim, cols)
 
     return build_hopf(alg, tuple(comult), counit, antipode)
 

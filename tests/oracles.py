@@ -195,6 +195,32 @@ def dense_product(alg, u, v):
     return tuple(out)
 
 
+def dense_unit_witness(alg):
+    """The first j with 1 e_j != e_j or e_j 1 != e_j, by dense products:
+    the reference for `AlgebraData.unit_witness`."""
+    for j in range(alg.dim):
+        e_j = unit_vec(alg.domain, alg.dim, j)
+        if not dense_product(alg, alg.unit, e_j) == e_j == dense_product(alg, e_j, alg.unit):
+            return (j,)
+    return None
+
+
+def dense_taft_antipode(h, n):
+    """The antipode of the Taft algebra h of dimension n^2 as dense columns:
+    alpha(g^a x^b) = alpha(x)^b alpha(g)^a, multiplied out by dense products."""
+    dom = h.domain
+    alpha_g = unit_vec(dom, h.dim, n - 1)
+    alpha_x = tuple(dom.neg(dom.one) if k == n + n - 1 else dom.zero for k in range(h.dim))
+    cols = []
+    for b in range(n):
+        for a in range(n):
+            vec = h.algebra.unit
+            for factor in [alpha_x] * b + [alpha_g] * a:
+                vec = dense_product(h.algebra, vec, factor)
+            cols.append(vec)
+    return cols
+
+
 # full axiom scans ---------------------------------------------------------------
 #
 # The references for the generating-set reductions of `hopf`: every law is
@@ -742,20 +768,26 @@ def dense_degeneracy_matrix(S, M, n, i):
     return dense_on_slot(S.domain, ds ** (i + 1), unit_col, ds ** (n - i) * M.dim)
 
 
-def tensor_power_comodule(c, k):
-    """C^(x)k as a right comodule, rebuilt from C: legs multiply in H."""
+def tensor_comodule(x, c):
+    """X (x) C as a validated right comodule from its coaction entries, which
+    `hopf.sparse_tensor` sums and sorts: legs multiply in H."""
     mul = c.domain.mul
+    triples = [
+        (xi * c.dim + s, x0 * c.dim + s0, hh, mul(mul(c1, c2), w))
+        for xi in range(x.dim)
+        for x0, h1, c1 in x.coaction[xi]
+        for s in range(c.dim)
+        for s0, h2, c2 in c.coaction[s]
+        for hh, w in c.hopf.algebra.mult[h1][h2]
+    ]
+    return cocyclic.comodule_from_triples(c.hopf, x.dim * c.dim, triples)
+
+
+def tensor_power_comodule(c, k):
+    """C^(x)k as a right comodule, rebuilt from C."""
     current = c
     for _ in range(k - 1):
-        triples = [
-            (x * c.dim + s, x0 * c.dim + s0, hh, mul(mul(c1, c2), w))
-            for x in range(current.dim)
-            for x0, h1, c1 in current.coaction[x]
-            for s in range(c.dim)
-            for s0, h2, c2 in c.coaction[s]
-            for hh, w in c.hopf.algebra.mult[h1][h2]
-        ]
-        current = cocyclic.comodule_from_triples(c.hopf, current.dim * c.dim, triples)
+        current = tensor_comodule(current, c)
     return current
 
 

@@ -1,4 +1,5 @@
 import collections
+import gc
 import json
 import os
 import subprocess
@@ -179,12 +180,29 @@ def test_cyclic_bound_covers_the_level_above(fixtures, capsys):
     assert cli.main(args + ["--levels", "3"]) == 0
 
 
+# A cyclic command frees what it builds by reference counting alone: a
+# reference cycle waits for the garbage collector, which a faster command
+# runs less often, so its memory would outlive the command.
+def test_a_cyclic_command_leaves_no_reference_cycles(fixtures, capsys):
+    args = ["cyclic", fx(fixtures, "comodalg_graded_f3.json"),
+            "--module", fx(fixtures, "mod_kc2_ayd_f3.json"), "--levels", "5"]
+    assert cli.main(args) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert cli.main(args) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
 def test_cyclic_builds_each_operator_once_per_command(fixtures, monkeypatch, capsys):
     builds = collections.Counter()
     for name in ("face_matrix", "degeneracy_matrix", "cyclic_matrix"):
-        def counted(S, M, n, *index, _name=name, _build=getattr(cocyclic, name)):
+        def counted(S, M, n, *index, _name=name, _build=getattr(cocyclic, name), **table):
             builds[(_name, n, *index)] += 1
-            return _build(S, M, n, *index)
+            return _build(S, M, n, *index, **table)
         monkeypatch.setattr(cocyclic, name, counted)
     args = ["cyclic", fx(fixtures, "comodalg_graded_f3.json"),
             "--module", fx(fixtures, "mod_kc2_ayd_f3.json"), "--levels", "5"]

@@ -1,4 +1,5 @@
 import functools
+import math
 import sys
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from hopfgal.errors import (
 from hopfgal.linalg import GF, QQ, ColumnMap, Matrix, on_slot
 
 import oracles
-from test_hopf import group_algebras, group_tables, twisted_group_algebras
+from test_hopf import group_algebras, group_tables, relabelled_table, twisted_group_algebras
 
 
 @functools.lru_cache(maxsize=None)
@@ -495,29 +496,44 @@ def test_level_bound():
         cocyclic.cyclic_level(S, M, 3, max_dim=16)
 
 
+@functools.lru_cache(maxsize=None)
+def scaled_square(p, c):
+    """The graded line with x^2 = c over F_p, so the faces hold one-entry
+    columns with coefficient c."""
+    alg = hopf.algebra_from_triples(GF(p), 2, ("1", "x"),
+                                    [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, c)], (1, 0))
+    return cocyclic.comodule_algebra(zoo.fpc2(p), alg, [(0, 0, 0, 1), (1, 1, 1, 1)])
+
+
 # Fixtures of the differential tests: AYD and non-AYD (swap) coefficients, a
-# comodule algebra that is not strongly graded, and the version over Q.
+# comodule algebra that is not strongly graded, one whose faces hold columns
+# with coefficient 2, and the version over Q.
 DENSE_ORACLE_CASES = {
     "ayd": lambda: (graded(3), ayd_trivial(3)),
     "swap": lambda: (graded(3), ayd_swap(3)),
     "not-strongly-graded": lambda: (graded(3, False), ayd_trivial(3)),
+    "scaled-square": lambda: (scaled_square(5, 2), zoo.group_like_ayd(zoo.fpc2(5))),
     "q": lambda: (zoo.graded_line_comodule_algebra_q(), zoo.group_like_ayd(zoo.qc2())),
 }
+
+
+def assert_level_matches_dense_oracles(S, M, n):
+    level = cocyclic.cyclic_level(S, M, n)
+    assert level.cyclic.to_dense() == oracles.dense_cyclic_matrix(S, M, n), n
+    for i, d in enumerate(level.faces):
+        assert d.to_dense() == oracles.dense_face_matrix(S, M, n, i), (n, i)
+    for i, s in enumerate(level.degeneracies):
+        assert s.to_dense() == oracles.dense_degeneracy_matrix(S, M, n, i), (n, i)
+    # the maps of a level hold each distinct column once
+    cols = [c for m in (*level.faces, *level.degeneracies, level.cyclic) for c in m.cols]
+    assert len({id(c) for c in cols}) == len(set(cols)), n
 
 
 @pytest.mark.parametrize("case", DENSE_ORACLE_CASES)
 def test_operators_match_dense_oracles(case):
     S, M = DENSE_ORACLE_CASES[case]()
     for n in range(5):
-        level = cocyclic.cyclic_level(S, M, n)
-        assert level.cyclic.to_dense() == oracles.dense_cyclic_matrix(S, M, n), n
-        for i, d in enumerate(level.faces):
-            assert d.to_dense() == oracles.dense_face_matrix(S, M, n, i), (n, i)
-        for i, s in enumerate(level.degeneracies):
-            assert s.to_dense() == oracles.dense_degeneracy_matrix(S, M, n, i), (n, i)
-        # the maps of a level hold each distinct column once
-        cols = [c for m in (*level.faces, *level.degeneracies, level.cyclic) for c in m.cols]
-        assert len({id(c) for c in cols}) == len(set(cols)), n
+        assert_level_matches_dense_oracles(S, M, n)
 
 
 @pytest.mark.parametrize("case", DENSE_ORACLE_CASES)
@@ -553,7 +569,8 @@ def test_corrupted_cyclic_operator_witnesses_match_dense_oracle(case, level, dat
     sparse, dense = cocyclic.cyclic_matrix, oracles.dense_cyclic_matrix
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cocyclic, "cyclic_matrix",
-                   lambda S, M, n: with_column_replaced(sparse(S, M, n), level, n, k, row))
+                   lambda S, M, n, **table: with_column_replaced(sparse(S, M, n, **table), level,
+                                                                 n, k, row))
         mp.setattr(oracles, "dense_cyclic_matrix", lambda S, M, n: with_column_replaced(
             ColumnMap.from_dense(dense(S, M, n)), level, n, k, row).to_dense())
         window = cocyclic.LevelWindow(S, M)
@@ -589,17 +606,62 @@ def test_cotensor_matches_dense_oracle(case):
         assert tuple(basis.to_dense().cols()) == oracles.dense_cotensor(power, M), n
 
 
+@st.composite
+def cotensor_cases(draw):
+    """The tensor factors of X and the comodule M, over one Hopf algebra:
+    the group algebra of a random group table over Q or F_p (random
+    gradings, the regular and the trivial comodules), its dual, Sweedler's
+    algebra or Taft 3 over F_7 (the regular and the trivial comodules; the
+    regular coactions of the last two have several terms)."""
+    kind = draw(st.sampled_from(["group", "dual", "sweedler", "taft3"]))
+    if kind == "sweedler":
+        h = hopf.sweedler(QQ)
+    elif kind == "taft3":
+        h = hopf.taft(GF(7), 3, 2)
+    else:
+        h = hopf.group_algebra(draw(st.sampled_from([QQ, GF(2), GF(5)])),
+                               relabelled_table(draw, zoo.GROUP_TABLES))
+        h = hopf.dual(h) if kind == "dual" else h
+    comodules = [cocyclic.regular_comodule(h), cocyclic.trivial_comodule(h, draw(st.integers(1, 2)))]
+    if kind == "group":
+        degrees = draw(st.lists(st.integers(0, h.dim - 1), min_size=1, max_size=3))
+        comodules.append(cocyclic.comodule_from_triples(
+            h, len(degrees), [(m, m, g, 1) for m, g in enumerate(degrees)]))
+    pick = st.sampled_from(comodules)
+    factors, m = [draw(pick)], draw(pick)
+    for _ in range(draw(st.integers(0, 2))):
+        factor = draw(pick)
+        if math.prod(f.dim for f in factors) * factor.dim * m.dim * h.dim <= 600:
+            factors.append(factor)
+    return factors, m
+
+
+# The cotensor system leaves out the row block of one h with counit(e_h) != 0;
+# the kernel must still be the one of the full system, with several-term
+# coactions and with counit(e_h) = 0 on part of the basis (Sweedler, Taft).
+@given(cotensor_cases())
+@example(([cocyclic.regular_comodule(hopf.sweedler(QQ))] * 2,
+          cocyclic.regular_comodule(hopf.sweedler(QQ))))
+@example(([cocyclic.regular_comodule(hopf.taft(GF(7), 3, 2))],
+          cocyclic.trivial_comodule(hopf.taft(GF(7), 3, 2), 1)))
+@settings(max_examples=40, deadline=None)
+def test_cotensor_of_random_comodules_matches_dense_oracle(case):
+    factors, m = case
+    x = reference = factors[0]
+    for factor in factors[1:]:
+        x, reference = cocyclic.tensor_comodule(x, factor), oracles.tensor_comodule(reference, factor)
+        assert x == reference
+    assert tuple(cocyclic.cotensor(x, m).to_dense().cols()) == oracles.dense_cotensor(x, m)
+
+
 def test_multi_term_operators_match_dense_oracles():
     # Sweedler's regular coaction has two legs on x, so t and d_n have
-    # columns with several entries
+    # columns with several entries, some of which d_n sums to one entry
     sw = hopf.sweedler(QQ)
     S = cocyclic.ComoduleAlgebraData(sw.algebra, cocyclic.regular_comodule(sw))
     M = zoo.group_like_ayd(sw, action="regular")
     for n in range(3):
-        level = cocyclic.cyclic_level(S, M, n)
-        assert level.cyclic.to_dense() == oracles.dense_cyclic_matrix(S, M, n), n
-        for i, d in enumerate(level.faces):
-            assert d.to_dense() == oracles.dense_face_matrix(S, M, n, i), (n, i)
+        assert_level_matches_dense_oracles(S, M, n)
     for n in range(2):
         assert cocyclic.check_cyclic_identities(S, M, n) == oracles.dense_cyclic_identities(S, M, n)
 

@@ -238,6 +238,8 @@ def test_taft_and_dual_tensors_are_what_sparse_tensor_makes(domain, n, q):
             (i, j, k, c) for j, row in enumerate(x.algebra.mult)
             for k, cell in enumerate(row) for i, c in cell], 1)
     assert hopf.dual(hopf.dual(h)).algebra.mult == h.algebra.mult
+    # the antipode columns are sparse products; the dense ones must agree
+    assert h.antipode == ColumnMap.from_cols(domain, dim, oracles.dense_taft_antipode(h, n))
 
 
 def canonical_reference(domain, shape, entries, lead):
@@ -610,6 +612,33 @@ def test_random_multiplication_tensors_rejected_or_associative(entries):
         return
     assert alg.associativity_witness() is None
     assert alg.unit_witness() is None
+
+
+@st.composite
+def unit_law_cases(draw):
+    """The algebra record of a group table over Q or F_5, with its unit
+    often replaced by a random vector or one cell of the identity's row
+    or column overwritten; the laws are not decided."""
+    table = draw(group_tables())
+    dom, n = draw(st.sampled_from([QQ, GF(5)])), len(table)
+    cells = {(i, j): ((table[i][j], dom.one),) for i in range(n) for j in range(n)}
+    unit = linalg.unit_vec(dom, n, 0)
+    change = draw(st.sampled_from(["none", "unit", "cell"]))
+    if change == "unit":
+        unit = tuple(dom.normalize(v) for v in draw(
+            st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+    elif change == "cell":
+        j = draw(st.integers(0, n - 1))
+        entries = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(-2, 2)), max_size=2))
+        cell = tuple(sorted(linalg.sparse_sum(dom, ((k, dom.normalize(c)) for k, c in entries)).items()))
+        cells[(0, j) if draw(st.booleans()) else (j, 0)] = cell
+    mult = tuple(tuple(cells[i, j] for j in range(n)) for i in range(n))
+    return hopf.AlgebraData(dom, n, tuple(f"e{i}" for i in range(n)), mult, unit)
+
+
+@given(unit_law_cases())
+def test_unit_witness_matches_dense_products(alg):
+    assert alg.unit_witness() == oracles.dense_unit_witness(alg)
 
 
 def test_malformed_triple_reports_offender():

@@ -18,6 +18,7 @@ from hopfgal.linalg import (
     QQ,
     ZZ,
     ColumnMap,
+    ColumnTable,
     Matrix,
     PrimeField,
     _is_prime,
@@ -208,6 +209,82 @@ def test_on_slot_matches_kron_with_identities(operands):
     expected = Matrix.identity(domain, left).kron(a).kron(Matrix.identity(domain, right))
     # from_dense is canonical, so this also checks that rows come out ascending
     assert on_slot(left, ColumnMap.from_dense(a), right) == ColumnMap.from_dense(expected)
+
+
+def mixed_column_maps(domain, nrows, ncols):
+    """ColumnMaps whose columns are drawn empty, one-entry with coefficient
+    one, one-entry with another coefficient, or with several entries."""
+    coeffs = st.sampled_from([2, 3, -1]).map(domain.normalize)
+
+    @st.composite
+    def column(draw):
+        kind = draw(st.sampled_from(["empty", "unit", "scaled", "several"]))
+        if kind == "empty":
+            return ()
+        if kind == "several" and nrows > 1:
+            rows = draw(st.lists(st.integers(0, nrows - 1), min_size=2, max_size=3, unique=True))
+            return tuple(sorted((i, draw(coeffs)) for i in rows))
+        return ((draw(st.integers(0, nrows - 1)), domain.one if kind == "unit" else draw(coeffs)),)
+
+    return st.lists(column(), min_size=ncols, max_size=ncols).map(
+        lambda cols: ColumnMap(domain, nrows, cols))
+
+
+def assert_shared(table, *maps):
+    """Every column of the maps is the table's column: equal columns are one object."""
+    cols = [c for m in maps for c in m.cols]
+    assert len({id(c) for c in cols}) == len(set(cols))
+    assert all(table.share(c) is c for c in cols)
+
+
+@st.composite
+def mixed_slot_operands(draw):
+    domain = draw(st.sampled_from([QQ, GF(5)]))
+    a, b = (draw(mixed_column_maps(domain, draw(st.integers(1, 3)), draw(st.integers(1, 3))))
+            for _ in range(2))
+    return domain, a, b, draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+
+# Maps built with one table take their unit columns from it and share every
+# other column through it, whatever the coefficients and column lengths.
+@given(mixed_slot_operands())
+@example((GF(5), ColumnMap(GF(5), 2, [((0, 1),), ((1, 2),), ((0, 1), (1, 4)), ()]),
+          ColumnMap(GF(5), 2, [((1, 2),), ((0, 1), (1, 4))]), 2, 1))
+def test_on_slot_with_a_table_matches_dense_oracle(operands):
+    domain, a, b, left, right = operands
+    table = ColumnTable(domain)
+    maps = []
+    for m in (a, b, a):
+        built = on_slot(left, m, right, table)
+        assert built.to_dense() == oracles.dense_on_slot(domain, left, m.to_dense(), right)
+        assert built == on_slot(left, m, right)
+        maps.append(built)
+    assert_shared(table, *maps)
+
+
+@st.composite
+def mixed_composition_operands(draw):
+    domain = draw(st.sampled_from([QQ, GF(5)]))
+    r, k, c = (draw(st.integers(1, 4)) for _ in range(3))
+    return draw(mixed_column_maps(domain, r, k)), draw(mixed_column_maps(domain, k, c))
+
+
+# Empty, one-entry and multi-entry columns on either side of a composition;
+# with a table, the columns that are not the left factor's come from it.
+@given(mixed_composition_operands())
+@example((ColumnMap(QQ, 2, [((0, Fraction(1)),), ((0, Fraction(-1)),)]),
+          ColumnMap(QQ, 2, [(), ((0, Fraction(1)), (1, Fraction(1))), ((1, Fraction(-1)),)])))
+def test_compositions_of_mixed_columns_match_dense_product(operands):
+    a, b = operands
+    expected = ColumnMap.from_dense(a.to_dense() @ b.to_dense())
+    assert a @ b == expected
+    table = ColumnTable(a.domain)
+    composed = a.compose(b, table)
+    assert composed == expected
+    assert all(c is a.cols[col[0][0]] for c, col in zip(composed.cols, b.cols)
+               if len(col) == 1 and col[0][1] == a.domain.one)
+    assert_shared(table, *(ColumnMap(a.domain, a.nrows, [c]) for c, col in zip(composed.cols, b.cols)
+                          if not (len(col) == 1 and col[0][1] == a.domain.one)))
 
 
 @st.composite
