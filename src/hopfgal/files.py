@@ -102,6 +102,8 @@ def parse_field(obj):
 def _parse_scalar(domain, value):
     if isinstance(value, float):
         raise FormatError(f"floating point scalar {value!r} rejected; use strings")
+    if isinstance(value, bool):  # a subclass of int, so test it first
+        raise FormatError(f"boolean scalar {value!r} rejected; use strings")
     if isinstance(value, str):
         try:
             return domain.parse(value)

@@ -1,10 +1,14 @@
 """Exact scalar domains, sparse linear maps and the integer normal forms.
 
 Scalars live in one of three domains: the rationals, a prime field, or
-the integers.  Rationals are `fractions.Fraction` (always reduced with
-positive denominator), prime-field elements are ints in ``[0, p)`` and
-integers are arbitrary-precision ints.  Floating point is banned
-repository-wide; every routine below is exact.
+the integers.  Rationals are always `fractions.Fraction` (reduced, with
+positive denominator), never ints, so ``/`` stays exact; prime-field
+elements are ints in ``[0, p)`` and integers are arbitrary-precision
+ints.  `QQ` shares one Fraction per small integer, and it adds,
+subtracts and negates integral operands on their numerators as ints, so
+sums of the constants 0 and +-1 that most structure tensors hold cost
+no gcd and no new object.  Floating point is banned repository-wide;
+every routine below is exact.
 
 A linear map over a field is a `ColumnMap`, held by its sparse columns.
 `Matrix` is the dense row form of integer matrices, where rows are the
@@ -112,25 +116,92 @@ class Domain:
         return self.name
 
 
+# One shared Fraction per small integer, like CPython's small-int cache:
+# every integral Q value in this range that QQ returns is the table's
+# object, so tuple and dict comparisons of such values stop at the
+# identity test instead of calling Fraction.__eq__.
+_SMALL_BOUND = 256
+_SMALL = tuple(Fraction(n) for n in range(-_SMALL_BOUND, _SMALL_BOUND + 1))
+
+
+def _integral(n):
+    """The Fraction n for an int n: the table's object when n is small."""
+    if -_SMALL_BOUND <= n <= _SMALL_BOUND:
+        return _SMALL[n + _SMALL_BOUND]
+    return Fraction(n)
+
+
+def _shared(x):
+    """The Fraction x, as the table's object when it is a small integer."""
+    if x._denominator == 1 and -_SMALL_BOUND <= x._numerator <= _SMALL_BOUND:
+        return _SMALL[x._numerator + _SMALL_BOUND]
+    return x
+
+
 class RationalField(Domain):
+    """Q: values are always reduced `Fraction`s.  Sums, differences and
+    negatives of integral operands take an int path (no gcd, no
+    normalizing constructor); every small integral result is the shared
+    table object, and raw ints passed in are read as the Fractions they
+    equal."""
+
     is_field = True
     characteristic = 0
     name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = _SMALL[_SMALL_BOUND]
+    one = _SMALL[_SMALL_BOUND + 1]
 
     def normalize(self, value):
+        if type(value) is Fraction:
+            return _shared(value)
+        if type(value) is int:
+            return _integral(value)
         if isinstance(value, float):
             raise UnsupportedDomainError("floating point is not allowed")
-        return Fraction(value)
+        return _shared(Fraction(value))
 
     def parse(self, text):
-        return Fraction(text)
+        return _shared(Fraction(text))
+
+    def add(self, a, b):
+        try:
+            if a._denominator == 1 == b._denominator:
+                return _integral(a._numerator + b._numerator)
+        except AttributeError:
+            return self.add(self.normalize(a), self.normalize(b))
+        return _shared(a + b)
+
+    def sub(self, a, b):
+        try:
+            if a._denominator == 1 == b._denominator:
+                return _integral(a._numerator - b._numerator)
+        except AttributeError:
+            return self.sub(self.normalize(a), self.normalize(b))
+        return _shared(a - b)
+
+    def mul(self, a, b):
+        # Products keep Fraction arithmetic for now: ROADMAP item 5(c) says
+        # why, and when the int path comes here too.
+        try:
+            return _shared(a * b)
+        except AttributeError:
+            return self.mul(self.normalize(a), self.normalize(b))
+
+    def neg(self, a):
+        try:
+            if a._denominator == 1:
+                return _integral(-a._numerator)
+        except AttributeError:
+            return self.neg(self.normalize(a))
+        return -a
 
     def inv(self, a):
-        if a == 0:
+        a = self.normalize(a)
+        if a._numerator == 0:
             raise ZeroDivisionError("inverse of 0 in Q")
-        return Fraction(1) / a
+        if a._denominator == 1 and a._numerator in (1, -1):
+            return a
+        return _shared(Fraction(a._denominator, a._numerator))
 
 
 class PrimeField(Domain):

@@ -530,6 +530,11 @@ NESTED_CASES = [
                  "scalar 'abc' is not an element of F2", id="scalar-unparsable"),
     pytest.param(AYD_CYCLIC, "mod_kc2_ayd_f3.json", ("module", "action"), [[0, 0, 0, "1/3"]],
                  "scalar '1/3' is not an element of F3", id="scalar-no-value-in-field"),
+    # bool is a subclass of int: `true` must not read as the scalar 1
+    pytest.param(["galois", "doc.json"], "ext_gaussian.json", ("algebra", "mult", 0, 3), True,
+                 "boolean scalar True rejected", id="scalar-bool-mult"),
+    pytest.param(["galois", "doc.json"], "ext_gaussian.json", ("algebra", "unit"),
+                 [True, False], "boolean scalar True rejected", id="scalar-bool-unit"),
     pytest.param(["assoc-order", "doc.json", "--candidates", "a,b"], "lat_zi_qc2.json", (), None,
                  "candidate 'a,b' is not a vector over Q", id="inline-candidate-unparsable"),
     pytest.param(["verify", "doc.json"], TAFT_F5, ("field", "p"), 3317044064679887385961981,

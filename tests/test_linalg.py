@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hopfgal import hopf
+from hopfgal import hopf, linalg
 from hopfgal.errors import (
     DomainMismatchError,
     ShapeError,
@@ -88,6 +88,70 @@ def test_floats_rejected_everywhere():
 @given(st.fractions(max_denominator=40), st.fractions(max_denominator=40))
 def test_exact_addition_roundtrip(a, b):
     assert QQ.sub(QQ.add(a, b), b) == a
+
+
+# Q values for the differential test: integral Fractions inside and outside
+# the shared table, non-integral ones, and raw ints passed through the API
+TABLE = linalg._SMALL_BOUND
+q_operands = st.one_of(
+    st.integers(-TABLE, TABLE).map(Fraction),
+    st.integers(-10 ** 30, 10 ** 30).map(Fraction),
+    st.fractions(max_denominator=60),
+    st.fractions(min_value=-TABLE, max_value=TABLE, max_denominator=3),
+    st.integers(-2 * TABLE, 2 * TABLE),
+)
+q_texts = st.one_of(
+    st.integers(-2 * TABLE, 2 * TABLE).map(str),
+    st.fractions(max_denominator=60).map(str),
+    st.tuples(st.integers(-600, 600), st.integers(1, 12)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.sampled_from(["+7", " 3 ", "-0", "007", "1e2", "-2.5", "1_000", "4/-2"]),
+)
+
+
+def assert_q_value(result, expected):
+    """`result` is the Fraction `expected`, and the table's object when it
+    is integral and inside the table."""
+    assert type(result) is Fraction
+    assert result == expected
+    if expected.denominator == 1 and -TABLE <= expected <= TABLE:
+        assert result is linalg._integral(int(expected))
+
+
+@given(q_operands, q_operands)
+@example(Fraction(TABLE), Fraction(1))  # the sum leaves the table
+@example(Fraction(1, 2), Fraction(1, 2))  # non-integral operands, integral sum
+@example(3, 4)
+def test_q_domain_matches_fraction_arithmetic(a, b):
+    fa, fb = Fraction(a), Fraction(b)
+    assert_q_value(QQ.add(a, b), fa + fb)
+    assert_q_value(QQ.sub(a, b), fa - fb)
+    assert_q_value(QQ.mul(a, b), fa * fb)
+    assert_q_value(QQ.neg(a), -fa)
+    assert_q_value(QQ.normalize(a), fa)
+    if fb:
+        assert_q_value(QQ.inv(b), 1 / fb)
+        assert_q_value(QQ.div(a, b), fa / fb)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            QQ.inv(b)
+
+
+@given(q_texts)
+@example("abc")
+@example("1/0")
+def test_q_parse_matches_fraction(text):
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            QQ.parse(text)
+    else:
+        assert_q_value(QQ.parse(text), expected)
+
+
+def test_q_constants_are_the_shared_objects():
+    assert QQ.zero is linalg._integral(0) and QQ.one is linalg._integral(1)
+    assert QQ.parse("1") is QQ.one and QQ.normalize(0) is QQ.zero
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50))
