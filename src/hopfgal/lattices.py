@@ -4,7 +4,7 @@ A lattice L in Q^n is held by its scale, the least d with d.L inside
 Z^n, and the nonzero rows of the Hermite normal form of d.L.  Both
 depend on L alone, so two lattices are equal exactly when their fields
 are, and every verdict here is reproducible bit for bit.  Membership
-and coordinates solve through a `ColumnMap` of the generators; dense
+and coordinates come by substitution down the Hermite rows; dense
 `Matrix` appears only over Z.
 
 The base principal ideal domain is Z only; obstructions at individual
@@ -61,9 +61,17 @@ class IntegerLattice:
         return [tuple(Fraction(x, self.scale) for x in r) for r in self.rows]
 
     def coords(self, vec):
-        """Rational coordinates of vec in the lattice basis, or None."""
-        gens = ColumnMap.from_cols(QQ, self.ambient_dim, self.generators())
-        return linalg.solve(gens, vec)
+        """Rational coordinates of vec in the lattice basis, or None, by
+        substitution down the echelon Hermite rows."""
+        if len(vec) != self.ambient_dim:
+            raise ShapeError("right-hand side length mismatch")
+        rest, coords = [QQ.normalize(v) for v in vec], []
+        for row in self.rows:
+            p = next(i for i, a in enumerate(row) if a)
+            x = rest[p] / row[p]  # on the integer row: x * scale on the generator
+            rest = [r - x * a if a else r for r, a in zip(rest, row)]
+            coords.append(QQ.normalize(x * self.scale))
+        return None if any(rest) else tuple(coords)
 
     def contains(self, vec):
         x = self.coords(vec)

@@ -17,7 +17,9 @@ comodule-algebra law, the relative Hopf module law and the closure of
 an associated order are checked by full loops; with the algebra axioms,
 they are the references for the structures the package derives without
 a check (the dual of a Hopf algebra, S#H, the dictionary comodule
-algebra).  `ReferenceLattice` holds a
+algebra).  `bar_shift_compat` builds the degreewise compatibility of
+the bar shift that the package takes from the Morita lemma.
+`ReferenceLattice` holds a
 lattice by its canonical generators as the columns of a dense Q-Matrix,
 the reference for `lattices.IntegerLattice`, which holds integer
 Hermite rows and a scale.  Slow but obviously correct at desk scale.
@@ -876,6 +878,35 @@ def dense_cyclic_identities(S, M, n):
         cyclicity_witness=cyc_witness,
         t_preserves_cotensor=all(echelon_in_span(dom, basis, dense_apply(t, vec)) for vec in basis),
     )
+
+
+def bar_shift_compat(d, module, top):
+    """Degreewise differential compatibility of the bar shift, built out:
+    for n = 1..top, whether I (x) phi, phi the inverse of the Morita map
+    S (x) M^H -> M, intertwines the bar differential of B(S, M) in
+    degree n with faces 1..n of B(S, M^H) in degree n + 1.  [False] * top
+    when the Morita map is not bijective.  phi comes from the dense
+    `dense_inverse`; faces and differentials are the package's sparse
+    ones.  The reference for `cocyclic.bar_shift_check`, which takes
+    the verdict from the Morita lemma instead."""
+    from hopfgal import actions, linalg
+
+    morita = actions.morita_decomposition(module)
+    if not morita.bijective:
+        return [False] * top
+    dom = d.domain
+    ds, dm, k = d.algebra.dim, morita.dim_module, morita.dim_fixed
+    phi = ColumnMap.from_dense(dense_inverse(morita.matrix.to_dense())[0])  # M -> S (x) M^H
+    bar_m = cocyclic._bar_differentials(d.algebra, module.s_action(), dm, top)
+    mult = cocyclic._mult_map(d.algebra)
+    compat = []
+    for n in range(1, top + 1):
+        iso_lo = linalg.on_slot(ds ** (n - 1), phi, 1)
+        iso_hi = linalg.on_slot(ds ** n, phi, 1)
+        # partial bar differential on S^(x)(n+1) (x) M^H: faces 1..n only
+        faces = [linalg.on_slot(ds ** (i - 1), mult, ds ** (n - i) * k) for i in range(1, n + 1)]
+        compat.append(cocyclic._alternating_sum(dom, faces, 1) @ iso_hi == iso_lo @ bar_m[n - 1])
+    return compat
 
 
 @dataclass(frozen=True)

@@ -789,6 +789,63 @@ def test_bar_shift_precondition():
         cocyclic.bar_shift_check(d, actions.regular_smash_module(sm), 2)
 
 
+GALOIS_EXTENSIONS = sorted(
+    name for name, d in zoo.extension_registry().items() if actions.galois_map_j(d).bijective
+)
+
+
+@functools.lru_cache(maxsize=None)
+def registry_smash(name):
+    d = zoo.extension_registry()[name]
+    return d, actions.smash(d)
+
+
+def rebased_smash_module(module, P):
+    """The module in the basis of P's columns: each action matrix A becomes
+    P^-1 A P, and the result enters through the validating constructor."""
+    dom = module.domain
+    P_inv, _ = oracles.dense_inverse(P)
+    entries = (
+        (a, m, t, c)
+        for a, A in enumerate(oracles.dense_action_matrices(dom, module.action, module.dim))
+        for m, col in enumerate((P_inv @ A @ P).cols())
+        for t, c in enumerate(col) if c
+    )
+    action = hopf.sparse_tensor(dom, (module.smash.dim, module.dim, module.dim), entries, 2)
+    return actions.smash_module(module.smash, module.dim, action)
+
+
+@given(
+    st.sampled_from(GALOIS_EXTENSIONS),
+    st.lists(st.sampled_from(["regular", "algebra"]), min_size=1, max_size=3),
+    st.integers(0, 4),
+    st.data(),
+)
+@example("gaussian", ["algebra", "regular"], 4, None)
+def test_bar_shift_compat_oracle_holds_where_morita_is_bijective(name, parts, top, data):
+    # the degreewise compatibility, built out, holds in every degree exactly
+    # where bar_shift_check takes it from the Morita lemma
+    d, sm = registry_smash(name)
+    build = {"regular": actions.regular_smash_module, "algebra": actions.algebra_smash_module}
+    module = build[parts[0]](sm)
+    for part in parts[1:]:
+        module = actions.direct_sum_smash_modules(module, build[part](sm))
+    if data is not None:
+        # a random basis P = L U, with L and U unit triangular, mixes the summands
+        n, dom = module.dim, module.domain
+        draw = [dom.normalize(data.draw(st.integers(-2, 2))) for _ in range(n * n)]
+        L = Matrix(dom, [[draw[i * n + j] if j < i else dom.one if j == i else dom.zero
+                          for j in range(n)] for i in range(n)])
+        U = Matrix(dom, [[draw[i * n + j] if j > i else dom.one if j == i else dom.zero
+                          for j in range(n)] for i in range(n)])
+        module = rebased_smash_module(module, L @ U)
+    rep = cocyclic.bar_shift_check(d, module, top)
+    compat = oracles.bar_shift_compat(d, module, top)
+    if rep.morita_bijective:
+        assert compat == [True] * top
+    assert rep.differential_compat == tuple(compat)
+
+
 def test_t_shift_strongly_graded():
     for p in (3, 2):
         S = graded(p)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from hopfgal import hopf, lattices, zoo
-from hopfgal.errors import PreconditionError
+from hopfgal import hopf, lattices, linalg, zoo
+from hopfgal.errors import PreconditionError, ShapeError
 from hopfgal.linalg import QQ, ColumnMap
 
 import oracles
@@ -74,6 +74,34 @@ def test_lattice_matches_reference(case, data):
     for vec in probes:
         assert ours.coords(vec) == ref.coords(vec), vec
         assert ours.contains(vec) == ref.contains(vec), vec
+
+
+@given(generator_sets(), st.data())
+def test_coords_match_a_linear_solve(case, data):
+    # substitution down the Hermite rows agrees with solving against the
+    # generators: rank-deficient and zero lattices, and vectors outside the span
+    n, vectors = case
+    if data.draw(st.booleans()):
+        vectors = vectors + [tuple(2 * x for x in v) for v in vectors[:1]] + [(0,) * n]
+    lat = lattices.IntegerLattice.from_generators(n, vectors)
+    gens = ColumnMap.from_cols(QQ, n, lat.generators())
+    probes = [tuple(sum(g[i] for g in lat.generators()) for i in range(n)), (0,) * n]
+    probes += [tuple(v) for v in vectors]
+    probes += data.draw(st.lists(st.lists(FRACTIONS, min_size=n, max_size=n), max_size=4))
+    probes += data.draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n), max_size=2))
+    for vec in probes:
+        x = lat.coords(vec)
+        assert x == linalg.solve(gens, vec), vec
+        assert x is None or all(QQ.normalize(v) is v for v in x)
+    with pytest.raises(ShapeError):
+        lat.coords((0,) * (n + 1))
+
+
+def test_coords_of_the_zero_lattice():
+    lat = lattices.IntegerLattice.from_generators(3, [])
+    assert lat.rank == 0
+    assert lat.coords((0, 0, 0)) == ()
+    assert lat.coords((0, Fraction(1, 2), 0)) is None
 
 
 @st.composite
