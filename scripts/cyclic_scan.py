@@ -24,9 +24,8 @@ def scan(label, S, M, top):
     if ok:
         stable, _ = cocyclic.stability_check(M)
     print(f"== {label}: ayd {ok} (witness {witness}), stable {stable}")
-    window = cocyclic.LevelWindow(S, M)
     for n in range(top + 1):
-        rep = cocyclic.check_cyclic_identities(S, M, n, window=window)
+        rep = cocyclic.check_cyclic_identities(S, M, n)
         print(
             f"  level {n}: dim {rep.dim:3} cotensor {rep.cotensor_dim:3} | "
             f"simplicial {rep.simplicial_ok} rotation {rep.rotation_ok} "

@@ -773,20 +773,20 @@ class IntegralSpace:
         return len(self.basis)
 
 
-def fixed_points(h, action, rows=None):
+def fixed_points(h, action):
     """Canonical echelon basis of V^H = {v : e_a v = counit(e_a) v for all a}.
 
-    action[a][m] holds the (t, c) pairs of e_a . e_m.  V^H is the kernel
-    of the stacked system of the maps v -> e_a v - counit(e_a) v, over
-    the a in `rows` (every basis index when None).  Rows that generate H
-    as an algebra suffice: for each v, the h with h v = counit(h) v form
-    a subalgebra that holds the unit, as (ab) v = a (counit(b) v) =
-    counit(ab) v.  The same holds when H acts on the right, as in the
-    right regular action.
+    action[a][m] holds the (t, c) pairs of e_a . e_m, for every a of the
+    algebra's generators (every basis index when it has none).  V^H is
+    the kernel of the stacked system of the maps v -> e_a v - counit(e_a) v
+    over those a.  Generators of H as an algebra suffice: for each v, the
+    h with h v = counit(h) v form a subalgebra that holds the unit, as
+    (ab) v = a (counit(b) v) = counit(ab) v.  The same holds when H acts
+    on the right, as in the right regular action.
     """
     dom = h.domain
-    rows = range(len(action)) if rows is None else rows
-    dim = len(action[rows[0]]) if rows else 0
+    rows = h.algebra.generators or range(h.dim)
+    dim = len(action[rows[0]])
     terms = (
         ((k * dim + t, m), c)
         for k, a in enumerate(rows) for m, col in enumerate(action[a]) for t, c in col
@@ -806,12 +806,12 @@ def _integral_space(h, side):
     none."""
     linalg.require_field(h.domain, "integral computation")
     mult, n = h.algebra.mult, h.dim
-    rows = h.algebra.generators or range(n)
     if side == "left":
         action = mult
     else:
+        rows = h.algebra.generators or range(n)
         action = {a: tuple(mult[i][a] for i in range(n)) for a in rows}
-    basis = fixed_points(h, action, rows)
+    basis = fixed_points(h, action)
     if len(basis) != 1:
         raise InconsistencyError(
             f"{side} integral space has dimension {len(basis)}, not 1; "

@@ -585,11 +585,10 @@ class ColumnMap:
     def __repr__(self):
         return f"ColumnMap({self.domain.name}, {self.nrows}x{self.ncols}: {self.cols})"
 
-    def compose(self, other, table=None):
+    def __matmul__(self, other):
         """self after other: column j is the sum of b * self.cols[k] over (k, b)
         in other.cols[j], so a one-entry column costs one lookup, and a
-        coefficient-one one gives self's column object itself.  With a
-        `ColumnTable`, every other column comes from the table."""
+        coefficient-one one gives self's column object itself."""
         if self.domain != other.domain:
             raise DomainMismatchError(f"{self.domain.name} vs {other.domain.name}")
         if self.ncols != other.nrows:
@@ -597,27 +596,16 @@ class ColumnMap:
         dom = self.domain
         mul, one = dom.mul, dom.one
         left = self.cols
-        share = None
-        if table is not None:
-            table.reserve(self.nrows)
-            share = table.share
         out = []
         for col in other.cols:
             if len(col) == 1:
                 k, b = col[0]
-                if b == one:
-                    out.append(left[k])
-                    continue
-                new = tuple((i, mul(b, a)) for i, a in left[k])
+                out.append(left[k] if b == one else tuple((i, mul(b, a)) for i, a in left[k]))
             elif col:
-                new = _column(dom, ((i, mul(b, a)) for k, b in col for i, a in left[k]))
+                out.append(_column(dom, ((i, mul(b, a)) for k, b in col for i, a in left[k])))
             else:
                 out.append(())
-                continue
-            out.append(new if share is None else share(new))
         return ColumnMap(dom, self.nrows, out)
-
-    __matmul__ = compose
 
     def apply(self, vec):
         """Image of a vector of domain values, as a tuple of length nrows."""
@@ -638,38 +626,7 @@ def _column(domain, terms):
     return tuple(sorted(sparse_sum(domain, terms).items()))
 
 
-class ColumnTable:
-    """Columns held once across the maps that one caller builds.
-
-    ``units[k]`` is the unit column ((k, one),) for every k below the
-    size `reserve` grew the table to; builders take those as a slice or
-    an index, with no lookup.  `share` returns the table's column equal
-    to any canonical column: a unit column from ``units``, any other
-    held on first sight.  So equal columns from one table are one
-    object, and ``==`` on maps built from it compares most columns by
-    identity.  Tables may share one list of unit columns.
-    """
-
-    __slots__ = ("one", "units", "_held")
-
-    def __init__(self, domain, units=None):
-        self.one = domain.one
-        self.units = [] if units is None else units
-        self._held = {}
-
-    def reserve(self, n):
-        """Grow ``units`` to hold the unit columns of rows below n."""
-        units, one = self.units, self.one
-        if len(units) < n:
-            units += [((k, one),) for k in range(len(units), n)]
-
-    def share(self, col):
-        if len(col) == 1 and col[0][1] == self.one:
-            return self.units[col[0][0]]
-        return self._held.setdefault(col, col)
-
-
-def on_slot(left, a, right, table=None):
+def on_slot(left, a, right):
     """I_left (x) a (x) I_right for a ColumnMap a, built by index arithmetic.
 
     This is the one place that fixes the slot layout of tensor
@@ -677,16 +634,9 @@ def on_slot(left, a, right, table=None):
     so column (l, j, r) of the result is column j of a placed at rows
     (l, i, r).  A one-entry column of a, as in the multiplication of a
     monomial algebra and in the unit, gives `right` one-entry columns
-    at consecutive rows.  With a `table`, those of coefficient one are a
-    slice of its unit columns and every other column is shared through
-    it; without one, every column is a new tuple.
+    at consecutive rows.
     """
     block = a.nrows * right
-    one = a.domain.one
-    units = share = None
-    if table is not None:
-        table.reserve(left * block)
-        units, share = table.units, table.share
     cols = []
     for l in range(left):
         offset = l * block
@@ -694,14 +644,10 @@ def on_slot(left, a, right, table=None):
             if len(col) == 1:
                 (i, v), = col
                 start = offset + i * right
-                if v == one and units is not None:
-                    cols += units[start:start + right]
-                    continue
-                new = [((k, v),) for k in range(start, start + right)]
+                cols += [((k, v),) for k in range(start, start + right)]
             else:
                 spread = [(offset + i * right, v) for i, v in col]
-                new = [tuple((base + r, v) for base, v in spread) for r in range(right)]
-            cols += new if share is None else map(share, new)
+                cols += [tuple((base + r, v) for base, v in spread) for r in range(right)]
     return ColumnMap(a.domain, left * block, cols)
 
 

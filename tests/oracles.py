@@ -10,9 +10,9 @@ basis, solve and inverse below are read from it.  `dense_apply` and
 `dense_antipode_witness` apply and check maps by their dense rows and
 columns, the references for the package's sparse `ColumnMap`s.  The
 full axiom scans check associativity, the bialgebra law and group
-tables on every basis triple or pair, and `full_integrals` stacks the
-integral system over every basis element: the references for the
-package's checks on generating sets.  The comodule law, the
+tables on every basis triple or pair, and `dense_integrals` and
+`dense_fixed_points` stack their systems over every basis element: the
+references for the package's checks on generating sets.  The comodule law, the
 comodule-algebra law, the relative Hopf module law and the closure of
 an associated order are checked by full loops; with the algebra axioms,
 they are the references for the structures the package derives without
@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd
 
-from hopfgal import cocyclic, hopf
+from hopfgal import cocyclic
 from hopfgal.errors import FormatError, ShapeError
 from hopfgal.linalg import (
     QQ,
@@ -552,18 +552,6 @@ def dense_integrals(h, side):
     """Integral basis from the stacked left (or right) multiplications."""
     mult = left_mult_matrix if side == "left" else right_mult_matrix
     return dense_fixed_points(h, [mult(h.algebra, unit_vec(h.domain, h.dim, a)) for a in range(h.dim)])
-
-
-def full_integrals(h, side):
-    """Integral basis from the sparse system stacked over every basis
-    element a, not only the generators: the fixed points of the whole left
-    (e_a . e_i = e_a e_i) or right (e_a . e_i = e_i e_a) regular action."""
-    n, mult = h.dim, h.algebra.mult
-    if side == "left":
-        action = mult
-    else:
-        action = tuple(tuple(mult[i][a] for i in range(n)) for a in range(n))
-    return hopf.fixed_points(h, action)
 
 
 def dense_representation_witness(alg, mats):

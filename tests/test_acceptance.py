@@ -20,6 +20,8 @@ import pytest
 from hopfgal import actions, cocyclic, hopf, lattices, linalg, zoo
 from hopfgal.linalg import GF, QQ, Matrix
 
+import oracles
+
 FIXDIR = os.path.join(os.path.dirname(__file__), "fixtures")
 PKG_SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -154,6 +156,8 @@ def test_criterion_6_cyclic_identities():
             assert rep.simplicial_ok, (S.domain.name, n)
             assert rep.rotation_ok, (S.domain.name, n)
             assert rep.cyclicity_ok, (S.domain.name, n)
+            # the full pair loops and t^(n+1) composed, densely
+            assert rep == oracles.dense_cyclic_identities(S, M, n), (S.domain.name, n)
     report(6, "face/degeneracy/rotation identities and cotensor cyclicity")
 
 

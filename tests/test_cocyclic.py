@@ -13,7 +13,6 @@ from hopfgal.errors import (
     HopfgalError,
     PreconditionError,
     ResourceBoundError,
-    ShapeError,
 )
 from hopfgal.linalg import GF, QQ, ColumnMap, Matrix, on_slot
 
@@ -377,7 +376,6 @@ def test_cotensor_kernel_work_is_linear_in_its_nonzeros(monkeypatch):
     # 9, and grows with the level; the rows of this system stay sparse,
     # so linear elimination runs the same few dozen at every level.
     S, M = graded(3), ayd_trivial(3)
-    window = cocyclic.LevelWindow(S, M, 10 ** 5)
     linalg_file, kernel_map = linalg.__file__, linalg.kernel_map
     lines, nonzeros = [0], [0]
 
@@ -401,7 +399,7 @@ def test_cotensor_kernel_work_is_linear_in_its_nonzeros(monkeypatch):
     per_nonzero = {}
     for level in (7, 9):
         lines[0] = nonzeros[0] = 0
-        basis = cocyclic.cotensor(window.power(level), M.comodule)
+        basis = cocyclic.cotensor(cocyclic.tensor_power(S.comodule, level + 1), M.comodule)
         assert basis.ncols == 2 ** (level + 1)
         per_nonzero[level] = lines[0] / nonzeros[0]
     assert per_nonzero[9] <= 1.1 * per_nonzero[7]
@@ -455,18 +453,17 @@ def test_on_slot_faces_reduce_by_associativity_and_unit(alg, left, right):
 def test_level_one_cyclic_operator_is_rotation_for_trivial_action():
     S = graded(3)
     M = ayd_trivial(3)
-    level = cocyclic.cyclic_level(S, M, 1)
-    t = level.cyclic
+    t = cocyclic.cyclic_matrix(S, M, 1)
     # with a trivial action the coaction leg is absorbed and t swaps slots
-    assert (t @ t).to_dense() == Matrix.identity(S.domain, level.dim)
+    assert (t @ t).to_dense() == Matrix.identity(S.domain, t.nrows)
 
 
 def test_degeneracies_are_split_injections():
     S = graded(3)
     M = ayd_trivial(3)
     for n in range(3):
-        level = cocyclic.cyclic_level(S, M, n)
-        for s in level.degeneracies:
+        for i in range(n + 1):
+            s = cocyclic.degeneracy_matrix(S, M, n, i)
             assert linalg.rank(s.to_dense()) == s.ncols
 
 
@@ -492,8 +489,11 @@ def test_identities_swap_coefficients_cyclicity_fails():
 def test_level_bound():
     S = graded(3)
     M = ayd_trivial(3)
-    with pytest.raises(ResourceBoundError):
-        cocyclic.cyclic_level(S, M, 3, max_dim=16)
+    with pytest.raises(ResourceBoundError, match=r"^level 3 has dimension 32 > bound 16$"):
+        cocyclic.check_cyclic_identities(S, M, 3, max_dim=16)
+    # the level 2 identities reach level 3
+    with pytest.raises(ResourceBoundError, match=r"^level 3 has dimension 32 > bound 16$"):
+        cocyclic.check_cyclic_identities(S, M, 2, max_dim=16)
 
 
 @functools.lru_cache(maxsize=None)
@@ -518,15 +518,13 @@ DENSE_ORACLE_CASES = {
 
 
 def assert_level_matches_dense_oracles(S, M, n):
-    level = cocyclic.cyclic_level(S, M, n)
-    assert level.cyclic.to_dense() == oracles.dense_cyclic_matrix(S, M, n), n
-    for i, d in enumerate(level.faces):
-        assert d.to_dense() == oracles.dense_face_matrix(S, M, n, i), (n, i)
-    for i, s in enumerate(level.degeneracies):
+    assert cocyclic.cyclic_matrix(S, M, n).to_dense() == oracles.dense_cyclic_matrix(S, M, n), n
+    for i in range(n + 1):
+        if n >= 1:
+            d = cocyclic.face_matrix(S, M, n, i)
+            assert d.to_dense() == oracles.dense_face_matrix(S, M, n, i), (n, i)
+        s = cocyclic.degeneracy_matrix(S, M, n, i)
         assert s.to_dense() == oracles.dense_degeneracy_matrix(S, M, n, i), (n, i)
-    # the maps of a level hold each distinct column once
-    cols = [c for m in (*level.faces, *level.degeneracies, level.cyclic) for c in m.cols]
-    assert len({id(c) for c in cols}) == len(set(cols)), n
 
 
 @pytest.mark.parametrize("case", DENSE_ORACLE_CASES)
@@ -539,11 +537,101 @@ def test_operators_match_dense_oracles(case):
 @pytest.mark.parametrize("case", DENSE_ORACLE_CASES)
 def test_identity_reports_match_dense_oracle(case):
     S, M = DENSE_ORACLE_CASES[case]()
-    window = cocyclic.LevelWindow(S, M)
     for n in range(5):
         rep = cocyclic.check_cyclic_identities(S, M, n)
         assert rep == oracles.dense_cyclic_identities(S, M, n), n
-        assert cocyclic.check_cyclic_identities(S, M, n, window=window) == rep, n
+
+
+@st.composite
+def cyclic_cases(draw, reach, cap):
+    """A validated comodule algebra S and AYD-type coefficients M over one
+    Hopf algebra H, and a level n in 0..3, lowered until level n + reach
+    has dimension at most cap.
+
+    H is the group algebra of a random group table over Q or F_p, its
+    dual, Sweedler's algebra or Taft 3 over F_7.  S is H's regular
+    comodule algebra, or k[t]/(t^m) with the trivial coaction or, over a
+    group algebra, the random grading deg t^i = g^i.  M is H's regular
+    comodule with the trivial action, the regular action (the swap on
+    kC_2), or one dimension with the trivial action and coaction."""
+    kind = draw(st.sampled_from(["group", "dual", "sweedler", "taft3"]))
+    if kind == "sweedler":
+        h = hopf.sweedler(QQ)
+    elif kind == "taft3":
+        h = hopf.taft(GF(7), 3, 2)
+    else:
+        table = relabelled_table(draw, zoo.GROUP_TABLES)
+        h = hopf.group_algebra(draw(st.sampled_from([QQ, GF(2), GF(5)])), table)
+        h = hopf.dual(h) if kind == "dual" else h
+    dom = h.domain
+    s_kind = draw(st.sampled_from(["regular", "trivial"] + ["graded"] * (kind == "group")))
+    if s_kind == "regular":
+        S = cocyclic.ComoduleAlgebraData(h.algebra, cocyclic.regular_comodule(h))
+    else:
+        m = draw(st.integers(2, 3))
+        alg = hopf.algebra_from_triples(dom, m, [f"t{i}" for i in range(m)], [
+            (i, j, i + j, 1) for i in range(m) for j in range(m) if i + j < m
+        ], linalg.unit_vec(dom, m, 0))
+        if s_kind == "trivial":
+            triples = [(i, i, a, u) for i in range(m) for a, u in enumerate(h.algebra.unit)]
+        else:
+            g, degrees = draw(st.integers(0, h.dim - 1)), [0]
+            for _ in range(m - 1):
+                degrees.append(table[degrees[-1]][g])
+            triples = [(i, i, degrees[i], 1) for i in range(m)]
+        S = cocyclic.comodule_algebra(h, alg, triples)
+    m_kind = draw(st.sampled_from(["trivial", "regular", "one"]))
+    if m_kind == "one":
+        action = hopf.sparse_tensor(
+            dom, (h.dim, 1, 1), [(a, 0, 0, e) for a, e in enumerate(h.counit)], 2)
+        M = cocyclic.AydModuleData(cocyclic.trivial_comodule(h, 1), action)
+    else:
+        M = zoo.group_like_ayd(h, action=m_kind)
+    n = draw(st.integers(0, 3))
+    while n and S.dim ** (n + reach + 1) * M.dim > cap:
+        n -= 1
+    assume(S.dim ** (n + reach + 1) * M.dim <= cap)
+    return S, M, n
+
+
+def sweedler_regular():
+    """Sweedler's algebra over itself, with the regular action: the legs of
+    its tensor powers do not commute, nor do they act commutingly."""
+    sw = hopf.sweedler(QQ)
+    return (cocyclic.ComoduleAlgebraData(sw.algebra, cocyclic.regular_comodule(sw)),
+            zoo.group_like_ayd(sw, action="regular"))
+
+
+# t_n^(n+1) equals its closed form on the whole level, not only on the
+# cotensor: in noncommutative H (Sweedler, Taft 3, S3, D4, Q8) the legs of
+# X = S^(x)(n+1) must multiply in slot order for it to hold.
+@given(cyclic_cases(reach=0, cap=512))
+@example((*sweedler_regular(), 2))
+@settings(max_examples=40, deadline=None)
+def test_closed_form_of_t_to_the_n_plus_1_matches_dense_compositions(case):
+    S, M, n = case
+    dom, dim = S.domain, S.dim ** (n + 1) * M.dim
+    t = oracles.dense_cyclic_matrix(S, M, n)
+    power = Matrix.identity(dom, dim)
+    for _ in range(n + 1):
+        power = t @ power
+    X = cocyclic.tensor_power(S.comodule, n + 1)
+    closed = ColumnMap(dom, dim, [cocyclic.cyclic_power(X, M, col)
+                                  for col in ColumnMap.identity(dom, dim).cols])
+    assert closed.to_dense() == power
+
+
+# The simplicial and rotation identities the report takes from the lemma:
+# the full pair loops of the dense oracle pass on validated S and M, and the
+# whole report, cyclicity and its witness included, is the oracle's.
+@given(cyclic_cases(reach=2, cap=512))
+@example((*sweedler_regular(), 1))
+@settings(max_examples=25, deadline=None)
+def test_full_identity_loops_pass_on_validated_data(case):
+    S, M, n = case
+    expected = oracles.dense_cyclic_identities(S, M, n)
+    assert expected.simplicial_ok and expected.rotation_ok, expected.simplicial_witness
+    assert cocyclic.check_cyclic_identities(S, M, n) == expected
 
 
 def with_column_replaced(t, level, n, k, row):
@@ -555,10 +643,10 @@ def with_column_replaced(t, level, n, k, row):
     return ColumnMap(t.domain, t.nrows, cols)
 
 
-# Validated S passes every identity, so no fixture yields a simplicial witness.
-# A corrupted t breaks the last faces it enters, and the check of only the
-# pairs with a last face must still name the first failing pair of all pairs,
-# which the dense oracle checks.
+# The lemma and the closed form hold only for a t built by its formula, so
+# the report reads t only where it decides that t maps the cotensor into
+# itself.  With one column of t corrupted, that verdict must still be the
+# dense oracle's, level by level.
 @given(st.sampled_from(["ayd", "swap", "not-strongly-graded"]), st.sampled_from([2, 3]),
        st.data())
 @settings(max_examples=12)
@@ -569,22 +657,14 @@ def test_corrupted_cyclic_operator_witnesses_match_dense_oracle(case, level, dat
     sparse, dense = cocyclic.cyclic_matrix, oracles.dense_cyclic_matrix
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cocyclic, "cyclic_matrix",
-                   lambda S, M, n, **table: with_column_replaced(sparse(S, M, n, **table), level,
-                                                                 n, k, row))
+                   lambda S, M, n: with_column_replaced(sparse(S, M, n), level, n, k, row))
         mp.setattr(oracles, "dense_cyclic_matrix", lambda S, M, n: with_column_replaced(
             ColumnMap.from_dense(dense(S, M, n)), level, n, k, row).to_dense())
-        window = cocyclic.LevelWindow(S, M)
         for n in range(5):
-            rep = cocyclic.check_cyclic_identities(S, M, n, window=window)
-            assert rep == oracles.dense_cyclic_identities(S, M, n), n
-
-
-def test_level_window_serves_only_its_own_operators():
-    window = cocyclic.LevelWindow(graded(3), ayd_trivial(3))
-    with pytest.raises(ShapeError):
-        cocyclic.check_cyclic_identities(graded(3), ayd_swap(3), 0, window=window)
-    with pytest.raises(ShapeError):
-        cocyclic.check_cyclic_identities(graded(3), ayd_trivial(3), 0, 64, window)
+            rep = cocyclic.check_cyclic_identities(S, M, n)
+            expected = oracles.dense_cyclic_identities(S, M, n)
+            assert rep.t_preserves_cotensor == expected.t_preserves_cotensor, n
+            assert (rep.dim, rep.cotensor_dim) == (expected.dim, expected.cotensor_dim), n
 
 
 @pytest.mark.parametrize("case", [*DENSE_ORACLE_CASES, "sweedler"])

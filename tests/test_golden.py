@@ -22,7 +22,7 @@ from fractions import Fraction
 import pytest
 from test_acceptance import CLI_COMMANDS
 
-from hopfgal import cli, hopf, linalg
+from hopfgal import actions, cli, hopf, linalg
 from hopfgal.linalg import ZZ, Matrix
 
 FIXDIR = pathlib.Path(__file__).parent / "fixtures"
@@ -167,7 +167,8 @@ def test_integral_rationals_build_few_fractions(monkeypatch, command, budget):
 # Kernels these commands no longer call: bar_shift_check takes differential
 # compatibility from the Morita lemma instead of inverting the Morita map
 # and building every degree, and lattice coordinates come by substitution
-# down the Hermite rows instead of a solve per vector.
+# down the Hermite rows instead of a solve per vector.  bar-shift builds
+# and eliminates j once, for the Morita decomposition and its precondition.
 KERNELS_NOT_CALLED = [
     pytest.param(["bar-shift", "ext_gaussian.json", "--module", "smashmod_sum.json",
                   "--levels", "3"], "invert", id="bar-shift"),
@@ -187,9 +188,14 @@ def test_command_does_not_call_the_kernel(monkeypatch, command, kernel):
         return original(*args)
 
     monkeypatch.setattr(linalg, kernel, counted)
+    j_builds = []
+    galois_map_j = actions.galois_map_j
+    monkeypatch.setattr(actions, "galois_map_j", lambda d: j_builds.append(d) or galois_map_j(d))
     code, _ = run_in_fixdir(command, "json")
     assert code == 0
     assert len(calls) == 0
+    if command[0] == "bar-shift":
+        assert len(j_builds) == 1
 
 
 def write_golden():
