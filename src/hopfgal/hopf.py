@@ -13,15 +13,19 @@ group algebra takes both from its table (:func:`check_group_table`).
 report for the caller.  :func:`dual` transposes a verified algebra
 without a check and takes its report.
 
-Associativity, the module law and the bialgebra law are decided on a
+Associativity, the module law and every Hopf axiom are decided on a
 generating set.  The mult rows are the maps L_x, left multiplication by
 e_x, and associativity says L_(x b) = L_x L_b for all x and b.  The b
 for which that holds, and the a for which the module or bialgebra law
 holds for all b, form subalgebras (Light's associativity test, see
 :func:`generating_set`), so checking the unit and a few greedily chosen
-basis generators S decides each law exactly.  A refusal reruns the full
-lexicographic scan, so a witness is always the first failing index
-tuple in that order.  `check_group_table` does the same on a table.
+basis generators S decides each law exactly; the unit needs no test
+once the unit axiom holds.  In a bialgebra, the rows where
+coassociativity, the counit axiom or, for an anti-algebra map alpha with
+alpha(1) = 1, the antipode identity holds form subalgebras too (see
+:func:`verify_hopf`), so S decides those laws as well.  A refusal reruns
+the full lexicographic scan, so a witness is always the first failing
+index tuple in that order.  `check_group_table` does the same on a table.
 
 Structure tensors are stored once, sparse and canonical, as
 :func:`sparse_tensor` builds them: mult[i][j] is the tuple of (k, c)
@@ -157,9 +161,11 @@ class AlgebraData:
         (e_i e_j) e_k != e_i (e_j e_k), or None.
 
         Column k of L_x is mult[x][k].  Light's test checks L_(x b) =
-        L_x L_b for every x, for b the unit and each of ``generators``; the
-        full scan compares L_(e_i e_j) with L_i L_j column by column and
-        runs only on refusal, to find the witness, or without generators.
+        L_x L_b for every x, for b each of ``generators`` and, unless the
+        unit axiom holds, the unit; when it holds, L_1 is the identity and
+        L_(x 1) = L_x = L_x L_1 needs no test.  The full scan compares
+        L_(e_i e_j) with L_i L_j column by column and runs only on refusal,
+        to find the witness, or without generators.
         """
         dom, n, mult = self.domain, self.dim, self.mult
         left = [ColumnMap(dom, n, row) for row in mult]
@@ -167,9 +173,10 @@ class AlgebraData:
         if self.generators is not None:
             # column x of right[t] is e_x e_t; L_b and R_b of each tested b
             right = [ColumnMap(dom, n, col) for col in zip(*mult)]
-            unit = tuple((t, c) for t, c in enumerate(self.unit) if c)
-            tested = [(_image(b, left), _image(b, right))
-                      for b in [unit] + [((s, dom.one),) for s in self.generators]]
+            words = [((s, dom.one),) for s in self.generators]
+            if self.unit_witness() is not None:
+                words.insert(0, tuple((t, c) for t, c in enumerate(self.unit) if c))
+            tested = [(_image(b, left), _image(b, right)) for b in words]
 
         def failures():
             for i, j in itertools.product(range(n), repeat=2):
@@ -300,8 +307,9 @@ def generating_set(domain, mult, unit):
     so A is closed under products: if the unit and every e_s lie in A, so
     does every word, and A is the whole algebra.  Testing the unit and S
     thus decides associativity exactly, in (|S| + 1) dim compositions of
-    maps instead of dim^2, whether or not the unit axiom holds.  The same
-    closure argument serves every law that is closed under products.
+    maps instead of dim^2, whether or not the unit axiom holds; when it
+    holds, the unit lies in A by itself and |S| dim compositions do.  The
+    same closure argument serves every law that is closed under products.
 
     S is found greedily: e_c joins S when it is not in the span of the
     words of the indices before it, and the span grows by one
@@ -415,84 +423,128 @@ def verify_hopf(h):
     """Full axiom report: associativity, unit, coassociativity, counit,
     bialgebra compatibility and the antipode identity.
 
-    Each failing check carries one witnessing basis index tuple.  The
-    algebra axioms were decided when h.algebra was built by
-    :func:`algebra_from_triples`, or follow from the data it was derived
-    from, so both pass here.  The bialgebra law is checked on the rows
-    of the algebra's generators: the set of a with Delta(ab) =
-    Delta(a) Delta(b) and counit(ab) = counit(a) counit(b) for all b is
-    a subspace closed under products, and it holds the unit once
-    Delta(1) = 1 (x) 1 and counit(1) = 1, so those rows decide the law
-    (see `generating_set`).  When they refuse, the full loop finds the
-    first failing (i, j).
+    Each failing check carries one witnessing basis index tuple, the
+    first failure of the full loop in index order.  The algebra axioms
+    were decided when h.algebra was built by :func:`algebra_from_triples`,
+    or follow from the data it was derived from, so both pass here.
+    Every other law is decided on the rows of the algebra's generators
+    (see `generating_set`), the set of rows where it holds being a
+    subalgebra that holds the unit; when a row or a gate below refuses,
+    or there are no generators, the full loop finds the witness.
+
+    The bialgebra law is decided first: the a with Delta(ab) =
+    Delta(a) Delta(b) and counit(ab) = counit(a) counit(b) for all b form
+    a subspace closed under products, which holds the unit once
+    Delta(1) = 1 (x) 1 and counit(1) = 1.  When the law holds, Delta and
+    the counit are unital algebra maps, and so are (Delta (x) id) Delta,
+    (id (x) Delta) Delta, (counit (x) id) Delta, (id (x) counit) Delta and
+    id.  The equalizer {a : f(a) = g(a)} of two unital algebra maps f, g
+    is a subalgebra that holds 1, so the generator rows decide
+    coassociativity and the counit axiom.
+
+    In a bialgebra, an anti-algebra map alpha with alpha(1) = 1 is an
+    antipode once the antipode identity holds on generators (Montgomery,
+    Hopf Algebras and Their Actions on Rings, CBMS 82, 1993, Prop. 1.5.10):
+    when alpha(a_1) a_2 = counit(a) 1 and alpha(b_1) b_2 = counit(b) 1,
+    alpha((ab)_1) (ab)_2 = alpha(b_1) alpha(a_1) a_2 b_2 = counit(ab) 1,
+    and the same holds on the other side, and the identity holds at 1.
+    Anti-multiplicativity is itself decided on generators: the a with
+    alpha(a x) = alpha(x) alpha(a) for all x, i.e. alpha L_a =
+    R_alpha(a) alpha with R_y right multiplication by y, form a subalgebra,
+    which holds 1 once alpha(1) = 1.  So alpha(1) = 1 and those two
+    compositions per generator gate the antipode's generator rows.
     """
     alg = h.algebra
-    dom = alg.domain
     n = alg.dim
-    zero, mul = dom.zero, dom.mul
-    checks = [_check("associativity", None), _check("unit", None)]
+    unit = [(t, c) for t, c in enumerate(alg.unit) if c]
+    bialgebra = _bialgebra_witness(h, unit)
+    rows = alg.generators if bialgebra is None else None
+    antipode_rows = rows if rows is not None and _antimultiplicative(h, rows, unit) else None
+    return VerificationReport((
+        _check("associativity", None),
+        _check("unit", None),
+        _check("coassociativity",
+               _first_failing_row(rows, functools.partial(_coassociative_at, h), n)),
+        _check("counit", _first_failing_row(rows, functools.partial(_counital_at, h), n)),
+        _check("bialgebra", bialgebra),
+        _check("antipode",
+               _first_failing_row(antipode_rows, functools.partial(_antipode_at, h, unit), n)),
+    ))
 
-    # coassociativity: (Delta (x) id) Delta = (id (x) Delta) Delta
-    witness = None
-    for i in range(n):
-        delta = h.comult[i]
-        left = linalg.sparse_sum(
-            dom, (((a, b, k), mul(c, c2)) for j, k, c in delta for a, b, c2 in h.comult[j])
-        )
-        right = linalg.sparse_sum(
-            dom, (((j, a, b), mul(c, c2)) for j, k, c in delta for a, b, c2 in h.comult[k])
-        )
-        if left != right:
-            witness = (i,)
-            break
-    checks.append(_check("coassociativity", witness))
 
-    # counit axiom
-    witness = None
-    for i in range(n):
-        left = [zero] * n
-        right = [zero] * n
-        for j, k, c in h.comult[i]:
-            left[k] = dom.add(left[k], dom.mul(c, h.counit[j]))
-            right[j] = dom.add(right[j], dom.mul(c, h.counit[k]))
-        e_i = list(linalg.unit_vec(dom, n, i))
-        if left != e_i or right != e_i:
-            witness = (i,)
-            break
-    checks.append(_check("counit", witness))
+def _first_failing_row(rows, holds, n):
+    """(i,) for the first i < n where holds(i) fails, or None.  When every
+    row of `rows`, generators or None, holds, the law holds and no other
+    row is read."""
+    if rows is not None and all(map(holds, rows)):
+        return None
+    return next(((i,) for i in range(n) if not holds(i)), None)
 
-    # bialgebra compatibility: Delta and counit are algebra maps
-    witness = None
-    unit_tensor = linalg.sparse_sum(
-        dom, (((i, j), mul(a, b)) for i, a in enumerate(alg.unit) for j, b in enumerate(alg.unit))
-    )
-    if h.comult_vec(alg.unit) != unit_tensor:
-        witness = ("unit",)
-    if witness is None and h.counit_vec(alg.unit) != dom.one:
-        witness = ("unit",)
-    if witness is None:
-        witness = _decide_on_generators(alg.generators, functools.partial(_bialgebra_holds, h), n)
-    checks.append(_check("bialgebra", witness))
 
-    # antipode: mu (alpha (x) id) Delta = unit . counit = mu (id (x) alpha) Delta
-    witness = None
-    alpha, mult = h.antipode.cols, alg.mult
-    for i in range(n):
-        left = linalg.sparse_sum(dom, (
-            (u, mul(mul(c, v), w))
-            for j, k, c in h.comult[i] for t, v in alpha[j] for u, w in mult[t][k]
-        ))
-        right = linalg.sparse_sum(dom, (
-            (u, mul(mul(c, v), w))
-            for j, k, c in h.comult[i] for t, v in alpha[k] for u, w in mult[j][t]
-        ))
-        target = linalg.sparse_sum(dom, ((u, mul(h.counit[i], a)) for u, a in enumerate(alg.unit)))
-        if left != target or right != target:
-            witness = (i,)
-            break
-    checks.append(_check("antipode", witness))
+def _coassociative_at(h, i):
+    """Whether (Delta (x) id) Delta(e_i) = (id (x) Delta) Delta(e_i)."""
+    dom, comult = h.domain, h.comult
+    mul = dom.mul
+    delta = comult[i]
+    left = linalg.sparse_sum(
+        dom, (((a, b, k), mul(c, c2)) for j, k, c in delta for a, b, c2 in comult[j]))
+    right = linalg.sparse_sum(
+        dom, (((j, a, b), mul(c, c2)) for j, k, c in delta for a, b, c2 in comult[k]))
+    return left == right
 
-    return VerificationReport(tuple(checks))
+
+def _counital_at(h, i):
+    """Whether (counit (x) id) Delta(e_i) = e_i = (id (x) counit) Delta(e_i)."""
+    dom, counit, delta = h.domain, h.counit, h.comult[i]
+    mul = dom.mul
+    e_i = {i: dom.one}
+    return (linalg.sparse_sum(dom, ((k, mul(c, counit[j])) for j, k, c in delta)) == e_i
+            and linalg.sparse_sum(dom, ((j, mul(c, counit[k])) for j, k, c in delta)) == e_i)
+
+
+def _antipode_at(h, unit, i):
+    """Whether mu (alpha (x) id) Delta(e_i) = counit(e_i) 1 =
+    mu (id (x) alpha) Delta(e_i); unit holds the nonzero (t, c) of 1."""
+    dom, alpha, mult, delta = h.domain, h.antipode.cols, h.algebra.mult, h.comult[i]
+    mul = dom.mul
+    target = linalg.sparse_sum(dom, ((u, mul(h.counit[i], a)) for u, a in unit))
+    return (linalg.sparse_sum(dom, (
+        (u, mul(mul(c, v), w)) for j, k, c in delta for t, v in alpha[j] for u, w in mult[t][k]
+    )) == target and linalg.sparse_sum(dom, (
+        (u, mul(mul(c, v), w)) for j, k, c in delta for t, v in alpha[k] for u, w in mult[j][t]
+    )) == target)
+
+
+def _antimultiplicative(h, rows, unit):
+    """Whether alpha(1) = 1 and alpha L_a = R_alpha(e_a) alpha for each a in
+    rows, L_y and R_y being left and right multiplication by y: alpha is
+    then an anti-algebra map when rows generate (see `verify_hopf`)."""
+    dom, n, mult, alpha = h.domain, h.dim, h.algebra.mult, h.antipode
+    mul = dom.mul
+    one = linalg.sparse_sum(dom, ((u, mul(c, v)) for t, c in unit for u, v in alpha.cols[t]))
+    if one != dict(unit):
+        return False
+    for a in rows:
+        image = alpha.cols[a]
+        # column x of R_t is e_x e_t
+        right = [ColumnMap(dom, n, [row[t] for row in mult]) for t, _ in image]
+        if (alpha @ ColumnMap(dom, n, mult[a])
+                != ColumnMap.combination(dom, [c for _, c in image], right, n, n) @ alpha):
+            return False
+    return True
+
+
+def _bialgebra_witness(h, unit):
+    """("unit",) when Delta(1) != 1 (x) 1 or counit(1) != 1, else the first
+    (i, j) with Delta(e_i e_j) != Delta(e_i) Delta(e_j) or counit(e_i e_j) !=
+    counit(e_i) counit(e_j), decided on generators (see `verify_hopf`), or
+    None; unit holds the nonzero (t, c) of 1."""
+    alg, dom = h.algebra, h.domain
+    mul = dom.mul
+    unit_tensor = linalg.sparse_sum(dom, (((i, j), mul(a, b)) for i, a in unit for j, b in unit))
+    if h.comult_vec(alg.unit) != unit_tensor or h.counit_vec(alg.unit) != dom.one:
+        return ("unit",)
+    return _decide_on_generators(alg.generators, functools.partial(_bialgebra_holds, h), alg.dim)
 
 
 def _bialgebra_holds(h, i, j):
@@ -503,8 +555,7 @@ def _bialgebra_holds(h, i, j):
     lhs = linalg.sparse_sum(dom, (
         ((u, v), mul(a, c)) for k, a in alg.mult[i][j] for u, v, c in h.comult[k]
     ))
-    rhs = _square_product(alg, h.comult[i], h.comult[j])
-    if lhs != {(u, v): c for u, v, c in rhs}:
+    if lhs != _square_sum(alg, h.comult[i], h.comult[j]):
         return False
     eps = dom.zero
     for k, c in alg.mult[i][j]:
@@ -512,21 +563,25 @@ def _bialgebra_holds(h, i, j):
     return eps == dom.mul(h.counit[i], h.counit[j])
 
 
-def _square_product(alg, u, v):
-    """Product in alg (x) alg of two elements given as (a, b, c) triples.
+def _square_sum(alg, u, v):
+    """Product in alg (x) alg of two elements given as (a, b, c) triples, as
+    a dict (s, t) -> c of its nonzero coefficients.
 
-    Uses (e_a (x) e_b)(e_c (x) e_d) = e_a e_c (x) e_b e_d and returns the
-    nonzero (s, t, c) triples of the product, sorted by (s, t).
+    Uses (e_a (x) e_b)(e_c (x) e_d) = e_a e_c (x) e_b e_d.
     """
     mul, mult = alg.domain.mul, alg.mult
-    terms = (
+    return linalg.sparse_sum(alg.domain, (
         ((s, t), mul(mul(c1, c2), mul(w1, w2)))
         for a, b, c1 in u
         for c, d, c2 in v
         for s, w1 in mult[a][c]
         for t, w2 in mult[b][d]
-    )
-    return tuple((s, t, c) for (s, t), c in sorted(linalg.sparse_sum(alg.domain, terms).items()))
+    ))
+
+
+def _square_product(alg, u, v):
+    """The nonzero (s, t, c) triples of `_square_sum`, sorted by (s, t)."""
+    return tuple((s, t, c) for (s, t), c in sorted(_square_sum(alg, u, v).items()))
 
 
 def _check(name, witness):

@@ -543,6 +543,8 @@ class ColumnMap:
         One term keeps its map's columns, scaled unless c_k is one."""
         mul = domain.mul
         terms = [(c, m.cols) for c, m in zip(coeffs, maps) if c]
+        if not terms:
+            return cls(domain, nrows, [()] * ncols)
         if len(terms) == 1:
             (c, cols), = terms
             return cls(domain, nrows, cols if c == domain.one else [

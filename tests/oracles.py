@@ -9,8 +9,9 @@ the package's one sparse-row `linalg.rref`; the dense kernel, echelon
 basis, solve and inverse below are read from it.  `dense_apply` and
 `dense_antipode_witness` apply and check maps by their dense rows and
 columns, the references for the package's sparse `ColumnMap`s.  The
-full axiom scans check associativity, the bialgebra law and group
-tables on every basis triple or pair, and `dense_integrals` and
+full axiom scans check associativity, coassociativity, the counit
+axiom, the bialgebra law and group tables on every basis triple, pair
+or row, and `dense_integrals` and
 `dense_fixed_points` stack their systems over every basis element: the
 references for the package's checks on generating sets.  The comodule law, the
 comodule-algebra law, the relative Hopf module law and the closure of
@@ -322,6 +323,52 @@ def bialgebra_witness(h):
         if (comult(grid[i][j]) != square_mul(comult(basis[i]), comult(basis[j]))
                 or counit(grid[i][j]) != dom.mul(h.counit[i], h.counit[j])):
             return (i, j)
+    return None
+
+
+def _dense_comult(h):
+    """Delta as a dense n x n x n grid: delta[i][j][k] is the coefficient of
+    e_j (x) e_k in Delta(e_i)."""
+    n = h.dim
+    return dense_tensor_from_triples(
+        h.domain, (n, n, n), [(i, j, k, c) for i in range(n) for j, k, c in h.comult[i]])
+
+
+def coassociativity_witness(h):
+    """The coassociativity witness of `hopf.verify_hopf` from the full loop:
+    the first (i,) with (Delta (x) id) Delta(e_i) != (id (x) Delta) Delta(e_i),
+    both as dense n x n x n grids, else None."""
+    dom, n = h.domain, h.dim
+    delta = _dense_comult(h)
+    for i in range(n):
+        left = [[[dom.zero] * n for _ in range(n)] for _ in range(n)]
+        right = [[[dom.zero] * n for _ in range(n)] for _ in range(n)]
+        for j, k in product(range(n), repeat=2):
+            c = delta[i][j][k]
+            if not c:
+                continue
+            for a, b in product(range(n), repeat=2):
+                left[a][b][k] = dom.add(left[a][b][k], dom.mul(c, delta[j][a][b]))
+                right[j][a][b] = dom.add(right[j][a][b], dom.mul(c, delta[k][a][b]))
+        if left != right:
+            return (i,)
+    return None
+
+
+def counit_witness(h):
+    """The counit witness of `hopf.verify_hopf` from the full loop: the
+    first (i,) where (counit (x) id) Delta(e_i) or (id (x) counit) Delta(e_i)
+    differs from e_i as a dense vector, else None."""
+    dom, n = h.domain, h.dim
+    delta = _dense_comult(h)
+    for i in range(n):
+        left = [_sum(dom, (dom.mul(h.counit[j], delta[i][j][k]) for j in range(n)))
+                for k in range(n)]
+        right = [_sum(dom, (dom.mul(delta[i][j][k], h.counit[k]) for k in range(n)))
+                 for j in range(n)]
+        e_i = list(unit_vec(dom, n, i))
+        if left != e_i or right != e_i:
+            return (i,)
     return None
 
 

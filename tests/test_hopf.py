@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hopfgal import actions, hopf, linalg, zoo
 from hopfgal.errors import AxiomError, FormatError, UnsupportedDomainError
 from hopfgal.linalg import GF, QQ, ZZ, ColumnMap, Matrix
+from hopfgal.reporting import CheckResult, VerificationReport
 
 import oracles
 
@@ -907,7 +908,8 @@ def test_associativity_witness_matches_the_dense_oracle(case):
 
 def test_taft_light_test_composes_the_stored_mult_rows(monkeypatch):
     # the maps L_x are the stored mult rows: Light's test on T_4 composes them
-    # (|S| + 1) dim times, S = {g, x}, and multiplies no sparse vectors
+    # |S| dim times, S = {g, x}, and multiplies no sparse vectors; the unit
+    # axiom holds, so the unit is not among the tested words
     calls, inside = collections.Counter(), [False]
 
     def scoped(fn, flag):
@@ -933,7 +935,7 @@ def test_taft_light_test_composes_the_stored_mult_rows(monkeypatch):
     monkeypatch.setattr(ColumnMap, "__matmul__", counted("matmul", ColumnMap.__matmul__))
     h = hopf.taft(GF(13), 4, 5)
     assert h.algebra.generators == (1, 4)
-    assert (calls["_product"], calls["matmul"]) == (0, (2 + 1) * 16)
+    assert (calls["_product"], calls["matmul"]) == (0, 2 * 16)
 
 
 @given(st.sampled_from(sorted(["sweedler(Q)", "taft(3,2,F7)", "C6(F5)"])), st.data())
@@ -949,6 +951,98 @@ def test_corrupted_comult_cell_bialgebra_rows_match_full_loop(name, data):
     comult = hopf.sparse_tensor(dom, (n, n, n), triples, 1)
     bad = hopf.HopfAlgebraData(h.algebra, comult, h.counit, h.antipode)
     assert hopf.verify_hopf(bad).check("bialgebra").witness == oracles.bialgebra_witness(bad)
+
+
+def oracle_report(h):
+    """The report of `hopf.verify_hopf` from the full-loop oracles; the
+    algebra axioms hold on every case here."""
+    witnesses = [
+        ("associativity", None),
+        ("unit", None),
+        ("coassociativity", oracles.coassociativity_witness(h)),
+        ("counit", oracles.counit_witness(h)),
+        ("bialgebra", oracles.bialgebra_witness(h)),
+        ("antipode", oracles.dense_antipode_witness(h)),
+    ]
+    return VerificationReport(tuple(CheckResult(name, w is None, w) for name, w in witnesses))
+
+
+@st.composite
+def corrupted_hopf_algebras(draw):
+    """A case of `reduction_cases` or `antipode_cases` with one comult cell,
+    counit entry or antipode column changed; or C_6 over F_5 with the
+    group-like Delta(g^a) = g^(ja) (x) g^(ka), counit 1 and alpha(g^a) =
+    g^(ma), whose Delta and counit are algebra maps and alpha an
+    anti-algebra map for every j, k and m, so that every law past the
+    bialgebra law is decided on the generator g."""
+    part = draw(st.sampled_from(["group-like", "comult", "counit", "antipode"]))
+    if part == "group-like":
+        h = reduction_cases()["C6(F5)"]
+        dom, j, k, m = h.domain, *(draw(st.integers(0, 5)) for _ in range(3))
+        comult = tuple(((j * a % 6, k * a % 6, dom.one),) for a in range(6))
+        antipode = ColumnMap(dom, 6, [((m * a % 6, dom.one),) for a in range(6)])
+        return hopf.HopfAlgebraData(h.algebra, comult, h.counit, antipode)
+    cases = {**antipode_cases(), **reduction_cases()}
+    h = cases[draw(st.sampled_from(sorted(cases)))]
+    dom, n = h.domain, h.dim
+    counit, antipode = h.counit, h.antipode
+    i = draw(st.integers(0, n - 1))
+    if part == "comult":
+        j, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        return with_comult_cell(h, i, j, k, draw(st.integers(-2, 2)))
+    if part == "counit":
+        counit = counit[:i] + (dom.add(counit[i], dom.normalize(draw(st.integers(-2, 2)))),) \
+            + counit[i + 1:]
+    else:
+        col = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(-2, 2)), max_size=2))
+        antipode = hopf.matrix_from_triples(dom, n, [
+            (a, t, c) for a in range(n) for t, c in antipode.cols[a] if a != i
+        ] + [(i, t, c) for t, c in col])
+    return hopf.HopfAlgebraData(h.algebra, h.comult, counit, antipode)
+
+
+def with_comult_cell(h, i, j, k, c):
+    """h with c added to the coefficient of e_j (x) e_k in Delta(e_i)."""
+    n = h.dim
+    return hopf.HopfAlgebraData(h.algebra, hopf.sparse_tensor(h.domain, (n, n, n), [
+        (a, u, v, w) for a in range(n) for u, v, w in h.comult[a]
+    ] + [(i, j, k, c)], 1), h.counit, h.antipode)
+
+
+# Delta(gx) gains gx (x) gx: the bialgebra law fails, and with it the
+# generator rows g and x, where coassociativity still holds, decide nothing
+@example(with_comult_cell(hopf.sweedler(QQ), 3, 3, 3, 1))
+# alpha(g) = g, which the gate passes (C_6 is abelian), fails the antipode
+# identity only on the rows g^a with 2a != 0 mod 6
+@example(hopf.HopfAlgebraData(
+    reduction_cases()["C6(F5)"].algebra, reduction_cases()["C6(F5)"].comult,
+    reduction_cases()["C6(F5)"].counit, ColumnMap.identity(GF(5), 6)))
+@given(corrupted_hopf_algebras())
+def test_corrupted_hopf_data_report_matches_the_full_loops(bad):
+    assert hopf.verify_hopf(bad) == oracle_report(bad)
+
+
+def test_taft_decides_the_coalgebra_and_antipode_laws_on_the_generator_rows(monkeypatch):
+    # once the bialgebra law holds, T_4 reads the coassociativity, counit and
+    # antipode laws on its generators g and x only, after alpha(1) = 1 and
+    # two compositions per generator for anti-multiplicativity
+    h = hopf.taft(GF(13), 4, 5)
+    assert h.algebra.generators == (1, 4)
+    rows = collections.defaultdict(list)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            rows[name].append(args[-1])
+            return fn(*args)
+        return wrapper
+
+    for name in ("_coassociative_at", "_counital_at", "_antipode_at"):
+        monkeypatch.setattr(hopf, name, counted(name, getattr(hopf, name)))
+    monkeypatch.setattr(ColumnMap, "__matmul__", counted("matmul", ColumnMap.__matmul__))
+    assert hopf.verify_hopf(h).passed
+    assert {name: len(seen) if name == "matmul" else seen for name, seen in rows.items()} == {
+        "_coassociative_at": [1, 4], "_counital_at": [1, 4], "_antipode_at": [1, 4],
+        "matmul": 2 * 2}
 
 
 @pytest.mark.parametrize("name", sorted(antipode_cases()))
