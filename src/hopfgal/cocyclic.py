@@ -24,9 +24,9 @@ t^(n+1) = id, and that restriction is what the identity checks verify.
 
 On a validated S and M the simplicial and rotation identities are a
 lemma (see `check_cyclic_identities`), and t^(n+1) has a closed form
-on X (x) M, X = S^(x)(n+1): so the level-n check builds X, the cotensor
-basis and t_n once each, and no face or degeneracy.  Each level is
-built afresh; nothing here outlives the call that built it.  The
+on X (x) M, X = S^(x)(n+1): so the level-n check builds the cotensor
+basis and t_n once each, and no face or degeneracy.  Only X outlives
+it: S keeps it, to build the next power from (`tensor_power`).  The
 cotensor system leaves out one row block that the counit law makes
 redundant, and is eliminated sparsely (`linalg.kernel_map`).
 
@@ -39,7 +39,6 @@ laws here are decided by `hopf.verify_module_over_algebra`.
 from __future__ import annotations
 
 import functools
-import itertools
 
 from . import hopf as hopf_mod
 from . import linalg
@@ -79,6 +78,11 @@ class ComoduleData:
     @property
     def domain(self):
         return self.hopf.domain
+
+    @functools.cached_property
+    def last_power(self):
+        """[(k, C^(x)k)] of the last power k >= 2 `tensor_power` built, or []."""
+        return []
 
 
 def _comodule(hopf, dim, triples):
@@ -400,10 +404,15 @@ def tensor_comodule(x, c):
 
 
 def tensor_power(c, k):
-    """C^(x)k as a right comodule, k >= 1: the legs multiply in slot order."""
-    power = c
-    for _ in range(k - 1):
+    """C^(x)k as a right comodule, k >= 1: the legs multiply in slot order.
+    C keeps the last power k >= 2 built (`last_power`, read once, as threads
+    may share C), and higher ones start from it: each is built once."""
+    held = c.last_power
+    j, power = next((kp for kp in held[:1] if kp[0] <= k), (1, c))
+    for _ in range(k - j):
         power = tensor_comodule(power, c)
+    if k > 1:
+        held[:] = [(k, power)]
     return power
 
 
@@ -419,7 +428,9 @@ def cotensor(x, m):
     h over h != h*.  So the system leaves out the block of the first
     such h* (there is one, as counit(1) = 1) and keeps (dim H - 1)/dim H
     of its rows, with the same kernel and therefore the same canonical
-    basis.  It is built column by column, rows renumbered past h*.
+    basis.  It is built column by column, rows renumbered past h*: column
+    (x_i, m_i) holds the rows of x_i's legs, placed once per x_i, plus
+    those of m_i's, placed once per m_i, which meet them in rows (x_i, m_i, h).
     """
     if x.hopf != m.hopf:
         raise ShapeError("cotensor needs comodules over one Hopf algebra")
@@ -428,14 +439,20 @@ def cotensor(x, m):
     skip = next(h for h, e in enumerate(x.hopf.counit) if e)
     width = dh - 1
     block = [h - (h > skip) for h in range(dh)]  # the row offset of h in a block
-    neg = dom.neg
-    cols = [
-        tuple(sorted(linalg.sparse_sum(dom, itertools.chain(
-            (((x0 * dm + mi) * width + block[h], c) for x0, h, c in x_legs if h != skip),
-            (((xi * dm + m0) * width + block[h], neg(c)) for m0, h, c in m_legs if h != skip),
-        )).items()))
-        for xi, x_legs in enumerate(x.coaction) for mi, m_legs in enumerate(m.coaction)
-    ]
+    neg, add = dom.neg, dom.add
+    m_rows = [[(m0 * width + block[h], neg(c)) for m0, h, c in legs if h != skip] for legs in m.coaction]
+    cols = []
+    for xi, legs in enumerate(x.coaction):
+        x_rows = [(x0 * dm * width + block[h], c) for x0, h, c in legs if h != skip]
+        at = xi * dm * width
+        for mi, rows in enumerate(m_rows):
+            col = {r + mi * width: c for r, c in x_rows}
+            for r, c in rows:
+                r += at
+                c = add(col.pop(r), c) if r in col else c
+                if c:
+                    col[r] = c
+            cols.append(tuple(sorted(col.items())))
     return linalg.kernel_map(ColumnMap(dom, x.dim * dm * width, cols))
 
 
@@ -732,15 +749,16 @@ def bar_shift_check(d, module, top, max_dim=DEFAULT_MAX_DIM):
         ) from exc
     ds = d.algebra.dim
     dm, k = morita.dim_module, morita.dim_fixed
-    dims_m = tuple(ds ** n * dm for n in range(top + 1))
-    dims_f = tuple(ds ** (n + 1) * k for n in range(top + 1))
-    # dims_f[n] is degree n + 1 of B(S, M^H)
-    for name, dims, shift in (("B(S, M)", dims_m, 0), ("B(S, M^H)", dims_f, 1)):
-        for n, value in enumerate(dims):
+    # degree by degree, stopping at the first one past the bound
+    for name, value, shift in (("B(S, M)", dm, 0), ("B(S, M^H)", ds * k, 1)):
+        for n in range(top + 1):
             if value > max_dim:
                 raise ResourceBoundError(
                     f"bar degree {n + shift} of {name} has dimension {value} > bound {max_dim}"
                 )
+            value *= ds
+    dims_m = tuple(ds ** n * dm for n in range(top + 1))
+    dims_f = tuple(ds ** (n + 1) * k for n in range(top + 1))  # degrees 1 .. top + 1
     return BarShiftReport(
         top=top,
         dims_module=dims_m,

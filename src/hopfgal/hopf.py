@@ -171,12 +171,13 @@ class AlgebraData:
         left = [ColumnMap(dom, n, row) for row in mult]
         tested = None
         if self.generators is not None:
-            # column x of right[t] is e_x e_t; L_b and R_b of each tested b
-            right = [ColumnMap(dom, n, col) for col in zip(*mult)]
             words = [((s, dom.one),) for s in self.generators]
             if self.unit_witness() is not None:
                 words.insert(0, tuple((t, c) for t, c in enumerate(self.unit) if c))
-            tested = [(_image(b, left), _image(b, right)) for b in words]
+            # L_b and R_b of each tested b; R_t (column x: e_x e_t) only for the t of b
+            tested = [(_image(b, left), ColumnMap.combination(
+                dom, [c for _, c in b], [ColumnMap(dom, n, [row[t] for row in mult]) for t, _ in b],
+                n, n)) for b in words]
 
         def failures():
             for i, j in itertools.product(range(n), repeat=2):

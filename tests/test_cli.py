@@ -217,11 +217,43 @@ def test_cyclic_builds_each_operator_once_per_command(fixtures, monkeypatch, cap
     assert builds == first
 
 
+def test_cyclic_builds_each_tensor_power_once_per_command(fixtures, monkeypatch, capsys):
+    built = []
+    build = cocyclic.tensor_comodule
+    monkeypatch.setattr(cocyclic, "tensor_comodule", lambda x, c: built.append(x.dim) or build(x, c))
+    args = ["cyclic", fx(fixtures, "comodalg_graded_f3.json"),
+            "--module", fx(fixtures, "mod_kc2_ayd_f3.json"), "--levels", "5"]
+    assert cli.main(args) == 0
+    # S^(x)2 .. S^(x)6 for levels 1..5, each from the power below it
+    assert built == [2, 4, 8, 16, 32]
+    # the powers live on the command's S: a second command builds its own
+    built.clear()
+    assert cli.main(args) == 0
+    assert built == [2, 4, 8, 16, 32]
+    capsys.readouterr()
+
+
 def test_bar_shift_refusal_names_the_degree(fixtures, capsys):
     args = ["bar-shift", fx(fixtures, "ext_gaussian.json"),
             "--module", fx(fixtures, "smashmod_sum.json"), "--levels", "3", "--max-dim", "16"]
     assert cli.main(args) == 3
     assert "bar degree 2 of B(S, M) has dimension 24 > bound 16" in capsys.readouterr().err
+
+
+# The bound stops `bar-shift` at the first degree past it, so the number of
+# levels asked for costs nothing past that degree.
+def test_bar_shift_bound_applies_before_the_degrees_are_built(fixtures, capsys):
+    args = ["bar-shift", fx(fixtures, "ext_gaussian.json"),
+            "--module", fx(fixtures, "smashmod_sum.json"), "--levels"]
+
+    def refusal(levels):
+        assert cli.main(args + [str(levels)]) == 3
+        return [line for line in capsys.readouterr().err.splitlines()
+                if not line.startswith("# elapsed")]
+
+    expected = refusal(20)
+    assert "bar degree 10 of B(S, M) has dimension 6144 > bound 5000" in expected[0]
+    assert refusal(10 ** 8) == expected
 
 
 def test_env_var_dimension_bound(fixtures):

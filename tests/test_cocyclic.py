@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -734,6 +735,19 @@ def test_cotensor_of_random_comodules_matches_dense_oracle(case):
     assert tuple(cocyclic.cotensor(x, m).to_dense().cols()) == oracles.dense_cotensor(x, m)
 
 
+# A comodule keeps the last tensor power it built and starts higher ones from
+# it; each must be the power rebuilt from C, whatever order they are read in.
+@given(cotensor_cases(), st.permutations(range(1, 6)))
+@example(([cocyclic.regular_comodule(hopf.sweedler(QQ))], None), [4, 1, 3, 2, 5])
+@example(([cocyclic.regular_comodule(hopf.taft(GF(7), 3, 2))], None), [2, 1, 3])
+@settings(max_examples=30, deadline=None)
+def test_tensor_powers_read_in_any_order_match_the_oracle(case, order):
+    c = case[0][0]  # the first tensor factor of a cotensor case
+    for k in order:
+        if c.dim ** k <= 256:
+            assert cocyclic.tensor_power(c, k) == oracles.tensor_power_comodule(c, k), k
+
+
 def test_multi_term_operators_match_dense_oracles():
     # Sweedler's regular coaction has two legs on x, so t and d_n have
     # columns with several entries, some of which d_n sums to one entry
@@ -860,6 +874,25 @@ def test_bar_shift_dims_table():
     rep = cocyclic.bar_shift_check(d, actions.regular_smash_module(sm), 4)
     assert rep.dims_module == (4, 8, 16, 32, 64)
     assert rep.dims_fixed == (4, 8, 16, 32, 64)
+
+
+# Each complex is bounded degree by degree, B(S, M) first over all degrees;
+# with a Morita map that is not bijective, B(S, M^H) can pass the bound first.
+@pytest.mark.parametrize("dims, bound, refusals", [
+    ((6, 3), 40, {2: None, 3: "3 of B(S, M) has dimension 48", 10 ** 8: "3 of B(S, M) has dimension 48"}),
+    ((1, 4), 16, {1: None, 2: "3 of B(S, M^H) has dimension 32", 4: "3 of B(S, M^H) has dimension 32",
+                  10 ** 8: "5 of B(S, M) has dimension 32"}),
+])
+def test_bar_shift_refuses_at_the_first_degree_past_the_bound(monkeypatch, dims, bound, refusals):
+    d = gaussian()  # dim S = 2
+    morita = actions.MoritaReport(None, False, *dims, ())
+    monkeypatch.setattr(actions, "morita_decomposition", lambda module: morita)
+    for top, refusal in refusals.items():
+        if refusal is None:
+            assert cocyclic.bar_shift_check(d, None, top, bound).top == top
+            continue
+        with pytest.raises(ResourceBoundError, match=re.escape(f"bar degree {refusal} > bound {bound}")):
+            cocyclic.bar_shift_check(d, None, top, bound)
 
 
 def test_bar_shift_precondition():
