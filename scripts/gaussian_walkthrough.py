@@ -20,7 +20,7 @@ def describe(label, order, module, candidates):
     h = order.hopf
     print(f"== {label}")
     print("  order basis:", [h.format_element(g) for g in order.lattice.generators()])
-    flags = lattices.is_hopf_order(order)
+    flags = order.hopf_order
     print("  hopf order:", flags.is_hopf_order)
     if not flags.is_hopf_order:
         print("  failing flag:", flags.witness)

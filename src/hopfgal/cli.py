@@ -230,14 +230,17 @@ def run_cyclic(args):
         raise FormatError("the cyclic command needs --module")
     M = files.load_ayd_module(S.hopf, args.module, args.max_dim)
     max_dim = args.max_dim
-    # the level-top identities reach level top + 1 (the pairs d_(top+1) s_j), bounded too
-    for n in range(top + 2):
+    # the level-top identities reach level top + 1 (the pairs d_(top+1) s_j), bounded too;
+    # level n has dimension dim(S)^(n+1) dim(M), so only a 1-dimensional S gets past level max_dim
+    for n in range(min(top + 2, max_dim + 1)):
         dim = cocyclic._level_dim(S, M, n)
         if dim > max_dim:
             built_by = f" (the level {top} identities build it)" if n > top else ""
             raise ResourceBoundError(
                 f"level {n} has dimension {dim} > bound {max_dim}{built_by}"
             )
+    if top + 1 > max_dim:
+        raise ResourceBoundError(f"--levels {top} builds {top + 1} levels > bound {max_dim}")
     ayd_ok, ayd_witness = M.ayd
     stable_ok = False
     if ayd_ok:
@@ -352,7 +355,7 @@ def run_assoc_order(args):
         order = lattices.group_ring_order(h)
     else:
         order = lattices.associated_order(h, module)
-    hopf_order = lattices.is_hopf_order(order)
+    hopf_order = order.hopf_order
     doc = _doc(
         "assoc-order",
         args.path,

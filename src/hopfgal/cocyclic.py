@@ -32,8 +32,9 @@ redundant, and is eliminated sparsely (`linalg.kernel_map`).
 
 The four functions that need :mod:`actions` (the homology of a
 comodule, the bar shift, gamma of a comodule algebra and the T-shift)
-import it themselves, so a `cyclic` command never loads it; the module
-laws here are decided by `hopf.verify_module_over_algebra`.
+import it themselves, so a `cyclic` command never loads it.  Module laws
+are decided by `hopf.verify_module_over_algebra`, and comodule and
+comodule-algebra laws by the coalgebra-law predicates of :mod:`hopf`.
 """
 
 from __future__ import annotations
@@ -96,29 +97,18 @@ def comodule_from_triples(hopf, dim, triples):
     """Validated comodule from coaction entries (m, m', h, c).
 
     Decides the counit law on every m, then coassociativity on every m,
+    by the predicates that decide them for Delta (`hopf.verify_hopf`),
     and raises AxiomError at the first failing m.
     """
     c = _comodule(hopf, dim, triples)
-    dom = hopf.domain
-    mul, counit = dom.mul, hopf.counit
-    # counit law: (id (x) counit) rho = id
-    for m in range(dim):
-        out = linalg.sparse_sum(dom, ((m2, mul(w, counit[h])) for m2, h, w in c.coaction[m]))
-        if out != {m: dom.one}:
-            raise AxiomError("comodule-counit", (m,))
-    # coassociativity: (rho (x) id) rho = (id (x) Delta) rho
-    for m in range(dim):
-        rho = c.coaction[m]
-        left = linalg.sparse_sum(dom, (
-            ((m3, h2, h), mul(w, w2))
-            for m2, h, w in rho for m3, h2, w2 in c.coaction[m2]
-        ))
-        right = linalg.sparse_sum(dom, (
-            ((m2, j, k), mul(w, w2))
-            for m2, h, w in rho for j, k, w2 in hopf.comult[h]
-        ))
-        if left != right:
-            raise AxiomError("comodule-coassociativity", (m,))
+    for name, law, tensor in (
+        ("comodule-counit", hopf_mod._right_counital_at, hopf.counit),
+        ("comodule-coassociativity", hopf_mod._coassociative_at, hopf.comult),
+    ):
+        holds = functools.partial(law, hopf.domain, c.coaction, tensor)
+        witness = hopf_mod._first_failing_row(None, holds, dim)
+        if witness is not None:
+            raise AxiomError(name, witness)
     return c
 
 
@@ -152,18 +142,12 @@ def comodule_to_module(c):
 
 
 def coinvariants(c):
-    """Canonical echelon basis of {m : rho(m) = m (x) 1}."""
-    dom = c.domain
-    linalg.require_field(dom, "coinvariants")
-    dh = c.hopf.dim
-    terms = [
-        ((m2 * dh + h, m), coeff) for m in range(c.dim) for m2, h, coeff in c.coaction[m]
-    ]
-    terms += [
-        ((m * dh + h, m), dom.neg(u)) for m in range(c.dim)
-        for h, u in enumerate(c.hopf.algebra.unit) if u != dom.zero
-    ]
-    return linalg.kernel_basis(ColumnMap.from_entries(dom, c.dim * dh, c.dim, terms))
+    """Canonical echelon basis of {m : rho(m) = m (x) 1}: the fixed points
+    of the dual(H)-action the dictionary induces (`comodule_to_module`),
+    as f . m = f(m_(1)) m_(0) is f(1) m for every f exactly when
+    rho(m) = m (x) 1, and f(1) is the counit of dual(H)."""
+    linalg.require_field(c.domain, "coinvariants")
+    return hopf_mod.fixed_points(*comodule_to_module(c))
 
 
 @record
@@ -338,41 +322,24 @@ def comodule_algebra(hopf, algebra, triples):
     """Validated comodule algebra from coaction entries (s, s', h, c).
 
     Decides the comodule laws, then rho(1) = 1 (x) 1, then
-    rho(e_s e_t) = rho(e_s) rho(e_t) on each pair (s, t) in turn, and
-    raises AxiomError at the first failure.
+    rho(e_s e_t) = rho(e_s) rho(e_t), by the predicates that decide the
+    bialgebra law for Delta (`hopf.verify_hopf`), and raises AxiomError
+    at the first failure.  Once rho(1) = 1 (x) 1, the s that satisfy the
+    product law for every t form a subalgebra that holds 1, as
+    rho(s s' t) = rho(s) rho(s' t) = rho(s) rho(s') rho(t) = rho(s s') rho(t);
+    so the rows of the algebra's generators decide it, and a refusal
+    reruns the full loop for the first failing pair (s, t).
     """
     c = comodule_from_triples(hopf, algebra.dim, triples)
     dom = algebra.domain
-    zero, mul = dom.zero, dom.mul
-    # rho(1) = 1 (x) 1
-    unit_img = linalg.sparse_sum(dom, (
-        ((m2, hh), mul(coeff, w))
-        for m, coeff in enumerate(algebra.unit) if coeff != zero
-        for m2, hh, w in c.coaction[m]
-    ))
-    expected = linalg.sparse_sum(dom, (
-        ((m, hh), mul(a, b))
-        for m, a in enumerate(algebra.unit) for hh, b in enumerate(hopf.algebra.unit)
-    ))
-    if unit_img != expected:
+    unit, h_unit = ([(t, u) for t, u in enumerate(a.unit) if u] for a in (algebra, hopf.algebra))
+    if not hopf_mod._unital_coaction(dom, c.coaction, unit, h_unit):
         raise AxiomError("comodule-algebra-unit", ())
-    # rho(s t) = rho(s) rho(t)
-    s_mult, h_mult = algebra.mult, hopf.algebra.mult
-    for s in range(c.dim):
-        for t in range(c.dim):
-            lhs = linalg.sparse_sum(dom, (
-                ((m2, hh), mul(coeff, w))
-                for m, coeff in s_mult[s][t] for m2, hh, w in c.coaction[m]
-            ))
-            rhs = linalg.sparse_sum(dom, (
-                ((u, hh), mul(mul(c1, c2), mul(w1, w2)))
-                for s0, h1, c1 in c.coaction[s]
-                for t0, h2, c2 in c.coaction[t]
-                for u, w1 in s_mult[s0][t0]
-                for hh, w2 in h_mult[h1][h2]
-            ))
-            if lhs != rhs:
-                raise AxiomError("comodule-algebra-mult", (s, t))
+    witness = hopf_mod._decide_on_generators(algebra.generators, functools.partial(
+        hopf_mod._coaction_multiplicative, dom, algebra.mult, c.coaction, hopf.algebra.mult),
+        algebra.dim)
+    if witness is not None:
+        raise AxiomError("comodule-algebra-mult", witness)
     return ComoduleAlgebraData(algebra, c)
 
 
@@ -779,16 +746,7 @@ def galois_map_gamma_comodule(S):
     """gamma for a comodule algebra: S (x) S -> S (x) H, s (x) t -> s t^(0) (x) t^(1)."""
     from . import actions
 
-    dom = S.domain
-    ds, dh = S.dim, S.hopf.dim
-    terms = (
-        ((u * dh + h, i * ds + j), dom.mul(c, w))
-        for i in range(ds)
-        for j in range(ds)
-        for t0, h, c in S.comodule.coaction[j]
-        for u, w in S.algebra.mult[i][t0]
-    )
-    return actions.GaloisMap.of(ColumnMap.from_entries(dom, ds * dh, ds * ds, terms))
+    return actions._gamma_from_legs(S.algebra, S.comodule.coaction, S.hopf.dim)
 
 
 @record

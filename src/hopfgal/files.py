@@ -263,8 +263,6 @@ def load_module(doc, max_dim):
     where its module law is decided, after the field that hopfological
     homology needs is checked.
     """
-    from . import actions
-
     for key in ("field", "hopf", "module"):
         if key not in doc:
             raise FormatError(f"module file needs '{key}'")
@@ -277,7 +275,7 @@ def load_module(doc, max_dim):
     entries = _parse_entries(domain, mod["action"], 3, "module action")
     action = hopf.sparse_tensor(domain, (h.dim, dim, dim), entries, 2)
     require_field(domain, "hopfological homology")
-    witness = actions.verify_module(h, action)
+    witness = hopf.verify_module_over_algebra(h.algebra, action)
     if witness is not None:
         raise InconsistencyError(f"module law fails at {witness}")
     return h, dim, action

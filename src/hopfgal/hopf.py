@@ -26,6 +26,8 @@ alpha(1) = 1, the antipode identity holds form subalgebras too (see
 :func:`verify_hopf`), so S decides those laws as well.  A refusal reruns
 the full lexicographic scan, so a witness is always the first failing
 index tuple in that order.  `check_group_table` does the same on a table.
+The coalgebra laws are predicates on a coaction, Delta here and the
+coaction of a comodule (algebra) in `cocyclic`.
 
 Structure tensors are stored once, sparse and canonical, as
 :func:`sparse_tensor` builds them: mult[i][j] is the tuple of (k, c)
@@ -34,8 +36,8 @@ Delta(e_i), each sorted by index with zeros dropped; the antipode's
 column i holds the (j, c) pairs of alpha(e_i) in the same form.  Unit
 and counit are dense coefficient vectors.  `sparse_tensor` checks and
 sums entries from outside (files, `zoo`); :func:`taft` writes its
-multiplication cells and :func:`dual` transposes H's tensors straight
-into that form.
+multiplication cells, sharing equal ones, and :func:`dual` transposes
+H's tensors straight into that form.
 
 Basis order is part of the data.  Tensor-square flattenings are always
 lexicographic with the left factor varying slowest.
@@ -254,6 +256,16 @@ def action_maps(domain, action, dim):
     return [ColumnMap(domain, dim, block) for block in action]
 
 
+def representation_map(domain, action, dim):
+    """The map e_a -> (v -> e_a . v) into End(V), V of dimension dim: row
+    u * dim + v of column a holds the coefficient of e_u in e_a . e_v.  V
+    is faithful exactly when the map is injective."""
+    return ColumnMap(domain, dim * dim, [
+        tuple(sorted((u * dim + v, c) for v, col in enumerate(block) for u, c in col))
+        for block in action
+    ])
+
+
 def verify_module_over_algebra(alg, action):
     """Witness for the module law of an algebra action on a vector space.
 
@@ -455,7 +467,7 @@ def verify_hopf(h):
     which holds 1 once alpha(1) = 1.  So alpha(1) = 1 and those two
     compositions per generator gate the antipode's generator rows.
     """
-    alg = h.algebra
+    alg, dom = h.algebra, h.domain
     n = alg.dim
     unit = [(t, c) for t, c in enumerate(alg.unit) if c]
     bialgebra = _bialgebra_witness(h, unit)
@@ -464,8 +476,8 @@ def verify_hopf(h):
     return VerificationReport((
         _check("associativity", None),
         _check("unit", None),
-        _check("coassociativity",
-               _first_failing_row(rows, functools.partial(_coassociative_at, h), n)),
+        _check("coassociativity", _first_failing_row(
+            rows, functools.partial(_coassociative_at, dom, h.comult, h.comult), n)),
         _check("counit", _first_failing_row(rows, functools.partial(_counital_at, h), n)),
         _check("bialgebra", bialgebra),
         _check("antipode",
@@ -482,25 +494,52 @@ def _first_failing_row(rows, holds, n):
     return next(((i,) for i in range(n) if not holds(i)), None)
 
 
-def _coassociative_at(h, i):
-    """Whether (Delta (x) id) Delta(e_i) = (id (x) Delta) Delta(e_i)."""
-    dom, comult = h.domain, h.comult
+def _coassociative_at(dom, coaction, comult, i):
+    """Whether (rho (x) id) rho(e_i) = (id (x) Delta) rho(e_i) for a right
+    coaction rho, coaction[i] holding the (j, h, c) triples of rho(e_i) in
+    the layout of Delta: Delta coacts on H, and `cocyclic` passes the
+    coaction of a comodule to this and the predicates below."""
     mul = dom.mul
-    delta = comult[i]
+    rho = coaction[i]
     left = linalg.sparse_sum(
-        dom, (((a, b, k), mul(c, c2)) for j, k, c in delta for a, b, c2 in comult[j]))
+        dom, (((a, b, k), mul(c, c2)) for j, k, c in rho for a, b, c2 in coaction[j]))
     right = linalg.sparse_sum(
-        dom, (((j, a, b), mul(c, c2)) for j, k, c in delta for a, b, c2 in comult[k]))
+        dom, (((j, a, b), mul(c, c2)) for j, k, c in rho for a, b, c2 in comult[k]))
     return left == right
+
+
+def _right_counital_at(dom, coaction, counit, i):
+    """Whether (id (x) counit) rho(e_i) = e_i."""
+    mul = dom.mul
+    return linalg.sparse_sum(
+        dom, ((j, mul(c, counit[k])) for j, k, c in coaction[i])) == {i: dom.one}
 
 
 def _counital_at(h, i):
     """Whether (counit (x) id) Delta(e_i) = e_i = (id (x) counit) Delta(e_i)."""
-    dom, counit, delta = h.domain, h.counit, h.comult[i]
+    dom, counit = h.domain, h.counit
     mul = dom.mul
-    e_i = {i: dom.one}
-    return (linalg.sparse_sum(dom, ((k, mul(c, counit[j])) for j, k, c in delta)) == e_i
-            and linalg.sparse_sum(dom, ((j, mul(c, counit[k])) for j, k, c in delta)) == e_i)
+    return (linalg.sparse_sum(dom, ((k, mul(c, counit[j])) for j, k, c in h.comult[i]))
+            == {i: dom.one} and _right_counital_at(dom, h.comult, counit, i))
+
+
+def _unital_coaction(dom, coaction, unit, h_unit):
+    """Whether rho(1) = 1 (x) 1; unit and h_unit hold the nonzero (t, c)
+    of the units of the coacted algebra and of H."""
+    mul = dom.mul
+    return linalg.sparse_sum(dom, (
+        ((j, k), mul(c, w)) for t, c in unit for j, k, w in coaction[t]
+    )) == linalg.sparse_sum(dom, (((i, j), mul(a, b)) for i, a in unit for j, b in h_unit))
+
+
+def _coaction_multiplicative(dom, mult, coaction, h_mult, i, j):
+    """Whether rho(e_i e_j) = rho(e_i) rho(e_j) in A (x) H, mult and h_mult
+    being the multiplications of the coacted algebra A and of H."""
+    mul = dom.mul
+    lhs = linalg.sparse_sum(dom, (
+        ((u, v), mul(a, c)) for k, a in mult[i][j] for u, v, c in coaction[k]
+    ))
+    return lhs == _square_sum(dom, mult, h_mult, coaction[i], coaction[j])
 
 
 def _antipode_at(h, unit, i):
@@ -541,9 +580,7 @@ def _bialgebra_witness(h, unit):
     counit(e_i) counit(e_j), decided on generators (see `verify_hopf`), or
     None; unit holds the nonzero (t, c) of 1."""
     alg, dom = h.algebra, h.domain
-    mul = dom.mul
-    unit_tensor = linalg.sparse_sum(dom, (((i, j), mul(a, b)) for i, a in unit for j, b in unit))
-    if h.comult_vec(alg.unit) != unit_tensor or h.counit_vec(alg.unit) != dom.one:
+    if not _unital_coaction(dom, h.comult, unit, unit) or h.counit_vec(alg.unit) != dom.one:
         return ("unit",)
     return _decide_on_generators(alg.generators, functools.partial(_bialgebra_holds, h), alg.dim)
 
@@ -552,11 +589,7 @@ def _bialgebra_holds(h, i, j):
     """Whether Delta(e_i e_j) = Delta(e_i) Delta(e_j) and
     counit(e_i e_j) = counit(e_i) counit(e_j)."""
     alg, dom = h.algebra, h.domain
-    mul = dom.mul
-    lhs = linalg.sparse_sum(dom, (
-        ((u, v), mul(a, c)) for k, a in alg.mult[i][j] for u, v, c in h.comult[k]
-    ))
-    if lhs != _square_sum(alg, h.comult[i], h.comult[j]):
+    if not _coaction_multiplicative(dom, alg.mult, h.comult, alg.mult, i, j):
         return False
     eps = dom.zero
     for k, c in alg.mult[i][j]:
@@ -564,25 +597,27 @@ def _bialgebra_holds(h, i, j):
     return eps == dom.mul(h.counit[i], h.counit[j])
 
 
-def _square_sum(alg, u, v):
-    """Product in alg (x) alg of two elements given as (a, b, c) triples, as
-    a dict (s, t) -> c of its nonzero coefficients.
+def _square_sum(dom, mult, h_mult, u, v):
+    """Product in A (x) H of two elements given as (a, b, c) triples, as a
+    dict (s, t) -> c of its nonzero coefficients; mult and h_mult are the
+    multiplications of A and H.
 
     Uses (e_a (x) e_b)(e_c (x) e_d) = e_a e_c (x) e_b e_d.
     """
-    mul, mult = alg.domain.mul, alg.mult
-    return linalg.sparse_sum(alg.domain, (
+    mul = dom.mul
+    return linalg.sparse_sum(dom, (
         ((s, t), mul(mul(c1, c2), mul(w1, w2)))
         for a, b, c1 in u
         for c, d, c2 in v
         for s, w1 in mult[a][c]
-        for t, w2 in mult[b][d]
+        for t, w2 in h_mult[b][d]
     ))
 
 
 def _square_product(alg, u, v):
-    """The nonzero (s, t, c) triples of `_square_sum`, sorted by (s, t)."""
-    return tuple((s, t, c) for (s, t), c in sorted(_square_sum(alg, u, v).items()))
+    """The nonzero (s, t, c) triples of `_square_sum` in alg (x) alg, sorted."""
+    product = _square_sum(alg.domain, alg.mult, alg.mult, u, v)
+    return tuple((s, t, c) for (s, t), c in sorted(product.items()))
 
 
 def _check(name, witness):
@@ -731,10 +766,12 @@ def taft(domain, n, q, labels=None):
 
     # (g^a x^b)(g^c x^d) = q^(bc) g^(a+c) x^(b+d), and 0 once b + d >= n:
     # each cell holds one canonical pair or none, so the tensor is built
-    # directly in its stored form, by basis index
+    # directly in its stored form, by basis index.  As q^n = 1, the cells
+    # are the dim * n pairs (k, q^e) with e < n, each built once and shared
+    cells = [[((k, w),) for w in qpow[:n]] for k in range(dim)]
     mult = tuple(
         tuple(
-            ((idx((a + c) % n, b + d), qpow[b * c]),) if b + d < n else ()
+            cells[idx((a + c) % n, b + d)][b * c % n] if b + d < n else ()
             for d in range(n) for c in range(n)
         )
         for b in range(n) for a in range(n)
@@ -797,11 +834,11 @@ def dual(h):
     # H's tensors are canonical, so reading them in index order appends each
     # cell's entries sorted and once: the transposes come out canonical.
     # e_i* e_j* contains comult[k]'s coefficient of e_i (x) e_j on e_k*
-    cells = [[[] for _ in range(n)] for _ in range(n)]
+    cells = {}
     for k, g in enumerate(h.comult):
         for i, j, c in g:
-            cells[i][j].append((k, c))
-    mult = tuple(tuple(map(tuple, row)) for row in cells)
+            cells.setdefault((i, j), []).append((k, c))
+    mult = tuple(tuple(tuple(cells.get((i, j), ())) for j in range(n)) for i in range(n))
     alg = AlgebraData(dom, n, labels, mult, tuple(h.counit))
     # Delta(e_i*) contains mult[j][k]'s coefficient of e_i on e_j* (x) e_k*
     cells = [[] for _ in range(n)]

@@ -14,6 +14,7 @@ lattice modulo the image of the integral.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -73,9 +74,13 @@ class IntegerLattice:
             coords.append(QQ.normalize(x * self.scale))
         return None if any(rest) else tuple(coords)
 
-    def contains(self, vec):
+    def integer_coords(self, vec):
+        """The coordinates of vec as ints, or None when vec is outside L."""
         x = self.coords(vec)
-        return x is not None and all(v.denominator == 1 for v in x)
+        return None if x is None or any(v.denominator != 1 for v in x) else tuple(map(int, x))
+
+    def contains(self, vec):
+        return self.integer_coords(vec) is not None
 
     def contains_lattice(self, other):
         return all(self.contains(g) for g in other.generators())
@@ -134,6 +139,11 @@ class OrderData:
     @property
     def rank(self):
         return self.lattice.rank
+
+    @functools.cached_property
+    def hopf_order(self):
+        """:func:`is_hopf_order` of the order, decided on first read."""
+        return is_hopf_order(self)
 
 
 def group_ring_order(h):
@@ -276,7 +286,7 @@ def lattice_integrals(order):
     smallest positive rational multiple of the canonical integral that
     lies in the order, so it is a left integral itself.
     """
-    report = is_hopf_order(order)
+    report = order.hopf_order
     if not report.is_hopf_order:
         raise PreconditionError(f"integral lattice needs a Hopf order; failing flag {report.witness}")
     h = order.hopf
@@ -306,7 +316,6 @@ class TameLatticeReport:
     fixed_is_base: bool
     rank_equal: bool
     faithful: bool
-    image_in_fixed: bool
     invariant_factors: tuple  # nontrivial factors of S^A / J.S
     quotient_free_rank: int
     tame: bool
@@ -352,15 +361,12 @@ def tame_check_integral(order, module):
     integer_actions = []
     for u in order_gens:
         mat = module.action_of(u)
-        cols = []
-        for gen in lat.generators():
-            coords = lat.coords(mat.apply(gen))
-            if coords is None or any(Fraction(x).denominator != 1 for x in coords):
-                raise PreconditionError(
-                    "the order does not act integrally on the lattice "
-                    "(it is not inside the associated order)"
-                )
-            cols.append(tuple(int(x) for x in coords))
+        cols = [lat.integer_coords(mat.apply(gen)) for gen in lat.generators()]
+        if None in cols:
+            raise PreconditionError(
+                "the order does not act integrally on the lattice "
+                "(it is not inside the associated order)"
+            )
         integer_actions.append(Matrix.from_cols(ZZ, cols, lat.rank))
 
     # fixed lattice S^A as the saturated integer kernel
@@ -379,10 +385,8 @@ def tame_check_integral(order, module):
     for gen in lat.generators():
         coords = lat.coords(lam.apply(gen))
         image_cols.append(tuple(int(x) for x in coords))
+    # inside S^A, as the generator of J is a left integral: a (J s) = counit(a) J s
     image_lattice = IntegerLattice.from_generators(lat.rank, image_cols)
-    image_in_fixed = fixed_lattice.contains_lattice(image_lattice)
-    if not image_in_fixed:
-        raise InconsistencyError("J.S is not contained in S^A")
 
     # quotient S^A / J.S through Smith normal form
     factors = ()
@@ -403,19 +407,20 @@ def tame_check_integral(order, module):
         == IntegerLattice.from_generators(lat.rank, [unit_coords])
     )
     rank_equal = order.rank == lat.rank
+    action = [m.cols for m in module.action]
     n = lat.ambient_dim
-    # action entries (a, v, u, c): e_a . e_v contains c e_u
-    entries = [
-        (a, v, u, c) for a, m in enumerate(module.action) for v, col in enumerate(m.cols) for u, c in col
-    ]
-    terms = (((u * n + v, a), c) for a, v, u, c in entries)
-    faithful = linalg.rank(ColumnMap.from_entries(QQ, n * n, h.dim, terms)) == h.dim
+    faithful = linalg.rank(hopf_mod.representation_map(QQ, action, n)) == h.dim
 
     tame = quotient_trivial and fixed_is_base and rank_equal and faithful
     primes = sorted({p for f in factors for p in _prime_factors(f)})
 
     rational_tame = None
     if module.algebra is not None:
+        # action entries (a, v, u, c): e_a . e_v contains c e_u
+        entries = [
+            (a, v, u, c) for a, block in enumerate(action) for v, col in enumerate(block)
+            for u, c in col
+        ]
         ma = actions_mod.module_algebra(h, module.algebra, entries)
         rational_tame = actions_mod.classify_extension(ma).tame
 
@@ -424,7 +429,6 @@ def tame_check_integral(order, module):
         fixed_is_base=fixed_is_base,
         rank_equal=rank_equal,
         faithful=faithful,
-        image_in_fixed=image_in_fixed,
         invariant_factors=factors,
         quotient_free_rank=free_rank,
         tame=tame,
@@ -455,16 +459,8 @@ def free_rank_one_generator(order, module, tame, candidates):
     lat = module.lattice
     for count, z in enumerate(candidates, start=1):
         z = tuple(QQ.normalize(x) for x in z)
-        cols = []
-        ok = True
-        for u in order.lattice.generators():
-            moved = module.action_of(u).apply(z)
-            coords = lat.coords(moved)
-            if coords is None or any(Fraction(x).denominator != 1 for x in coords):
-                ok = False
-                break
-            cols.append(tuple(int(x) for x in coords))
-        if not ok or len(cols) != lat.rank:
+        cols = [lat.integer_coords(module.action_of(u).apply(z)) for u in order.lattice.generators()]
+        if None in cols or len(cols) != lat.rank:
             continue
         cert = Matrix.from_cols(ZZ, cols, lat.rank)
         d = linalg.det(cert)

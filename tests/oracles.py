@@ -20,6 +20,9 @@ they are the references for the structures the package derives without
 a check (the dual of a Hopf algebra, S#H, the dictionary comodule
 algebra).  `bar_shift_compat` builds the degreewise compatibility of
 the bar shift that the package takes from the Morita lemma.
+`dense_galois_j`, `dense_gamma`, `dense_faithful` and
+`dense_coinvariants` build the Galois maps, the faithfulness verdict
+and the coinvariants from their defining formulas, by dense products.
 `ReferenceLattice` holds a
 lattice by its canonical generators as the columns of a dense Q-Matrix,
 the reference for `lattices.IntegerLattice`, which holds integer
@@ -507,6 +510,64 @@ def dense_action_matrices(domain, action, dim):
     ]
 
 
+def dense_galois_j(d):
+    """j : S#H -> End(S), j(s (x) h)(t) = s (h . t), of a module algebra as
+    a dense Matrix: column s*dim(H)+h holds at row u*dim(S)+t the
+    coefficient of e_u in e_s (e_h . e_t), by dense products."""
+    dom, alg = d.domain, d.algebra
+    ds, dh = alg.dim, d.hopf.dim
+    mats = dense_action_matrices(dom, d.action, ds)
+    rows = [[dom.zero] * (ds * dh) for _ in range(ds * ds)]
+    for s, h, t in product(range(ds), range(dh), range(ds)):
+        image = dense_product(alg, unit_vec(dom, ds, s), mats[h].col(t))
+        for u, c in enumerate(image):
+            rows[u * ds + t][s * dh + h] = c
+    return Matrix(dom, rows)
+
+
+def dense_gamma(x):
+    """gamma : S (x) S -> S (x) K, s (x) t -> s t_(0) (x) t_(1), as a dense
+    Matrix with rows u*dim(K)+k and columns s*dim(S)+t, by dense products.
+
+    For a comodule algebra, K = H and t_(0) (x) t_(1) is rho(e_t); for a
+    module algebra, K = H* and it is sum_a (e_a . e_t) (x) e_a*, read off
+    the dense action matrices."""
+    dom, alg = x.domain, x.algebra
+    ds, dk = alg.dim, x.hopf.dim
+    if hasattr(x, "action"):
+        mats = dense_action_matrices(dom, x.action, ds)
+        legs = [[mats[k].col(t) for k in range(dk)] for t in range(ds)]
+    else:
+        grid = dense_tensor_from_triples(dom, (ds, ds, dk), [
+            (t, t0, k, c) for t in range(ds) for t0, k, c in x.comodule.coaction[t]])
+        legs = [[tuple(grid[t][t0][k] for t0 in range(ds)) for k in range(dk)]
+                for t in range(ds)]
+    rows = [[dom.zero] * (ds * ds) for _ in range(ds * dk)]
+    for s, t, k in product(range(ds), range(ds), range(dk)):
+        image = dense_product(alg, unit_vec(dom, ds, s), legs[t][k])
+        for u, c in enumerate(image):
+            rows[u * dk + k][s * ds + t] = c
+    return Matrix(dom, rows)
+
+
+def dense_faithful(d):
+    """Whether H -> End(S) is injective: whether the dense action matrices,
+    read as vectors, have the rank dim(H) in their dense RREF."""
+    mats = dense_action_matrices(d.domain, d.action, d.algebra.dim)
+    flat = Matrix.from_cols(d.domain, [[v for row in m.rows for v in row] for m in mats])
+    return len(dense_rref(flat)[1]) == len(mats)
+
+
+def dense_coinvariants(c):
+    """Canonical echelon basis of {m : rho(m) = m (x) 1}: the dense kernel
+    of the map e_m -> rho(e_m) - e_m (x) 1, rows m'*dim(H)+h."""
+    dom, dh = c.domain, c.hopf.dim
+    terms = [((m2 * dh + h, m), w) for m in range(c.dim) for m2, h, w in c.coaction[m]]
+    terms += [((m * dh + h, m), dom.neg(u)) for m in range(c.dim)
+              for h, u in enumerate(c.hopf.algebra.unit)]
+    return dense_kernel_basis(Matrix.from_entries(dom, c.dim * dh, c.dim, terms))
+
+
 def dense_rref(m):
     """Reduced row echelon form of a field Matrix by dense Gauss-Jordan
     elimination (first nonzero column, topmost row, pivot scaled to 1).
@@ -737,6 +798,27 @@ def order_closure_witness(order):
             if not ref.contains(dense_product(alg, u, v)):
                 return (i, j)
     return None
+
+
+def integral_image_in_fixed_lattice(module, generator):
+    """Whether J.S lies in S^A, J the integral line of an order A through
+    `generator`: each image of a canonical generator of the lattice lies
+    in the lattice (`ReferenceLattice`) and is fixed by H, e_a . v =
+    counit(e_a) v, by dense actions.  S^A is the lattice met with the
+    fixed space of H, which A spans."""
+    lat = module.lattice
+    n = lat.ambient_dim
+    ref = ReferenceLattice.from_generators(n, lat.generators())
+    mats = [m.to_dense() for m in module.action]
+    integral = combination(QQ, generator, mats, n, n)
+    for g in ref.generators():
+        v = dense_apply(integral, g)
+        if not ref.contains(v):
+            return False
+        if any(dense_apply(m, v) != tuple(QQ.mul(e, x) for x in v)
+               for m, e in zip(mats, module.hopf.counit)):
+            return False
+    return True
 
 
 # dense cyclic-family operators --------------------------------------------------

@@ -236,11 +236,11 @@ def test_criterion_9_structural_soundness():
 
     # inclusion invariants, zero violations across the instance sweep
     for name, d in registry().items():
-        inv = actions.invariants(d)
-        image = actions.integral_image(d)
-        assert linalg.span_le(d.domain, image, inv), name
+        hom = actions.hopfological_homology_module(d.hopf, d.action)
+        assert linalg.span_le(d.domain, hom.image_basis, hom.fixed_basis), name
     for name, order, module in lattice_cases():
-        assert lattices.tame_check_integral(order, module).image_in_fixed, name
+        generator = lattices.tame_check_integral(order, module).integral_generator
+        assert oracles.integral_image_in_fixed_lattice(module, generator), name
     report(9, "structural soundness: b.b = 0, double dual, round trips, inclusions")
 
 

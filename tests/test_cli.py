@@ -256,6 +256,33 @@ def test_bar_shift_bound_applies_before_the_degrees_are_built(fixtures, capsys):
     assert refusal(10 ** 8) == expected
 
 
+# With a one-dimensional S every cyclic level has the dimension of M, so only
+# the number of levels can bound the command; it is refused before any level.
+def test_cyclic_refuses_more_levels_than_the_bound_before_any_is_built(tmp_path, capsys,
+                                                                      monkeypatch):
+    c2 = {"name": "group_algebra", "table": [[0, 1], [1, 0]], "labels": ["e", "s"]}
+    point = {"field": {"kind": "Fp", "p": 3}, "hopf": c2, "coaction": [[0, 0, 0, "1"]],
+             "algebra": {"dim": 1, "basis": ["1"], "mult": [[0, 0, 0, "1"]], "unit": ["1"]}}
+    trivial = {"module": {"dim": 1, "action": [[0, 0, 0, "1"], [1, 0, 0, "1"]],
+                          "coaction": [[0, 0, 0, "1"]]}}
+    (tmp_path / "point.json").write_text(json.dumps(point))
+    (tmp_path / "trivial.json").write_text(json.dumps(trivial))
+    args = ["cyclic", str(tmp_path / "point.json"), "--module", str(tmp_path / "trivial.json")]
+    assert cli.main(args + ["--levels", "3", "--max-dim", "4"]) == 0
+    capsys.readouterr()
+    levels = []
+    check = cocyclic.check_cyclic_identities
+    monkeypatch.setattr(cocyclic, "check_cyclic_identities",
+                        lambda S, M, n, max_dim: levels.append(n) or check(S, M, n, max_dim))
+    assert cli.main(args + ["--levels", "4", "--max-dim", "4"]) == 3
+    assert "--levels 4 builds 5 levels > bound 4" in capsys.readouterr().err
+    start = time.perf_counter()
+    assert cli.main(args + ["--levels", str(10 ** 8), "--max-dim", "5000"]) == 3
+    assert time.perf_counter() - start < 1
+    assert "--levels 100000000 builds 100000001 levels > bound 5000" in capsys.readouterr().err
+    assert levels == []
+
+
 def test_env_var_dimension_bound(fixtures):
     proc = run_cli(
         [
@@ -805,9 +832,10 @@ def test_assoc_order_takes_the_integral_generator_from_the_tame_report(fixtures,
         monkeypatch.setattr(lattices, name, counted)
     assert cli.main(["assoc-order", fx(fixtures, "lat_zi_qc2.json"), "--candidates"]) == 0
     assert "integral generator: 1/2*1 + 1/2*s" in capsys.readouterr().out
-    # the command and the one tame check, which finds the integral generator;
-    # the freeness check reads the tame report
-    assert calls == {"is_hopf_order": 2, "lattice_integrals": 1}
+    # the order keeps its Hopf-order report, which the command and the one tame
+    # check, which finds the integral generator, both read; the freeness check
+    # reads the tame report
+    assert calls == {"is_hopf_order": 1, "lattice_integrals": 1}
 
 
 @pytest.mark.parametrize("name", ["mod_trivial_f2c2.json", "lat_zi_qc2.json"])

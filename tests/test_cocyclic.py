@@ -193,11 +193,45 @@ def graded_algebras(draw):
     return h, alg, [(s, s, degrees[s], 1) for s in range(n)]
 
 
-@given(graded_algebras())
+def sweedler_with_cell(s, j, h, c):
+    """Sweedler's algebra over Q and the coaction entries of Delta with the
+    coefficient of e_j (x) e_h in Delta(e_s) set to c."""
+    sw = hopf.sweedler(QQ)
+    triples = [(t, a, b, w) for t in range(4) for a, b, w in sw.comult[t] if (t, a, b) != (s, j, h)]
+    return sw, sw.algebra, triples + [(s, j, h, c)]
+
+
+@st.composite
+def sweedler_coactions(draw):
+    """Sweedler's regular comodule algebra with one coaction cell changed:
+    multi-leg coactions that the comodule laws or the comodule-algebra law
+    refuse, or that stay the regular comodule algebra."""
+    s, j, h = (draw(st.integers(0, 3)) for _ in range(3))
+    return sweedler_with_cell(s, j, h, draw(st.sampled_from([0, 1, -1, 2])))
+
+
+def klein_grading(degrees):
+    """k (C_2 x C_2) over F_5, basis 1, x, y, xy, with the C_3-grading of
+    the given degrees: two generators x and y."""
+    dom = GF(5)
+    klein = zoo.product_table(zoo.cyclic_table(2), zoo.cyclic_table(2))
+    alg = hopf.algebra_from_triples(dom, 4, ["1", "x", "y", "xy"], [
+        (i, j, k, 1) for i, row in enumerate(klein) for j, k in enumerate(row)
+    ], linalg.unit_vec(dom, 4, 0))
+    h = hopf.group_algebra(dom, zoo.cyclic_table(3))
+    return h, alg, [(s, s, degrees[s], 1) for s in range(4)]
+
+
+# rho(x) = x (x) 1 keeps the comodule laws, and rho(g x) = rho(g) rho(x) fails
+@example(sweedler_with_cell(2, 1, 2, 0))
+# deg y = 1 in C_3: the row of the first generator x holds, y y = 1 fails
+@example(klein_grading([0, 0, 1, 1]))
+@given(st.one_of(graded_algebras(), sweedler_coactions()))
 def test_comodule_algebra_refuses_exactly_what_the_oracle_refuses(case):
     h, alg, triples = case
     record = cocyclic.ComoduleAlgebraData(alg, cocyclic._comodule(h, alg.dim, triples))
-    witness = oracles.comodule_algebra_witness(record)
+    witness = (oracles.comodule_law_witness(record.comodule)
+               or oracles.comodule_algebra_witness(record))
     try:
         S = cocyclic.comodule_algebra(h, alg, triples)
     except AxiomError as exc:
@@ -292,7 +326,10 @@ COMODULE_CASES = {
 @pytest.mark.parametrize("case", COMODULE_CASES)
 def test_coinvariants_are_fixed_points_of_the_dual_action(case):
     c = COMODULE_CASES[case]()
-    assert cocyclic.coinvariants(c) == hopf.fixed_points(*cocyclic.comodule_to_module(c))
+    dual_h, action = cocyclic.comodule_to_module(c)
+    mats = oracles.dense_action_matrices(c.domain, action, c.dim)
+    coinvariants = oracles.dense_coinvariants(c)
+    assert cocyclic.coinvariants(c) == coinvariants == oracles.dense_fixed_points(dual_h, mats)
 
 
 def test_comodule_homology_cofree_vanishes():
@@ -990,6 +1027,48 @@ def test_gamma_comodule_matrix_rank():
     assert g.rank == 3 and not g.bijective
     g2 = cocyclic.galois_map_gamma_comodule(graded(3))
     assert g2.bijective
+
+
+def dictionary_module_algebra(S):
+    """The dual(H)-module algebra that the dictionary makes of a comodule algebra."""
+    dual_h, action = cocyclic.comodule_to_module(S.comodule)
+    return actions.ModuleAlgebraData(dual_h, S.algebra, action)
+
+
+@st.composite
+def galois_cases(draw):
+    """A module algebra and the comodule algebra the dictionary relates to
+    it: a registry extension and its image, or a comodule algebra graded
+    by C_m, S = k[t]/(t^n) or k C_n, and the k^(C_m)-module algebra it
+    gives."""
+    if draw(st.booleans()):
+        d = extension(draw(st.sampled_from(sorted(zoo.extension_registry()))))
+        return d, cocyclic.module_algebra_to_comodule_algebra(d)
+    h, alg, triples = draw(graded_algebras())
+    S = cocyclic.ComoduleAlgebraData(alg, cocyclic._comodule(h, alg.dim, triples))
+    assume(oracles.comodule_algebra_witness(S) is None)
+    return dictionary_module_algebra(S), S
+
+
+@functools.lru_cache(maxsize=None)
+def extension(name):
+    return zoo.extension_registry()[name]
+
+
+# the regular comodule algebra of Sweedler's algebra: multi-leg coactions, dim S = dim H
+@example((dictionary_module_algebra(COMODULE_ALGEBRAS["sweedler-regular"]),
+          COMODULE_ALGEBRAS["sweedler-regular"]))
+@given(galois_cases())
+def test_galois_maps_and_faithfulness_match_their_dense_oracles(case):
+    d, S = case
+    for galois, dense in (
+        (actions.galois_map_j(d), oracles.dense_galois_j(d)),
+        (actions.galois_map_gamma(d), oracles.dense_gamma(d)),
+        (cocyclic.galois_map_gamma_comodule(S), oracles.dense_gamma(S)),
+    ):
+        assert galois.matrix.to_dense() == dense
+        assert galois.rank == len(oracles.dense_rref(dense)[1])
+    assert actions.is_faithful(d) == oracles.dense_faithful(d)
 
 
 # converted module algebras ---------------------------------------------------------
