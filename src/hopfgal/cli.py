@@ -85,18 +85,8 @@ def run_verify(args):
     return doc, 0 if report.passed else 1
 
 
-def _load_valid_hopf(path, max_dim):
-    domain, h, report = _load_hopf_report(path, max_dim)
-    if not report.passed:
-        bad = report.failures()[0]
-        raise FormatError(
-            f"hopf data fails the {bad.name} axiom at witness {bad.witness}"
-        )
-    return domain, h
-
-
 def run_integrals(args):
-    domain, h = _load_valid_hopf(args.path, args.max_dim)
+    domain, h = files.load_hopf_file(args.path, args.max_dim)
     left = hopf.left_integrals(h)
     right = hopf.right_integrals(h)
     doc = _doc(

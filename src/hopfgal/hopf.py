@@ -42,10 +42,10 @@ H's tensors straight into that form.
 Basis order is part of the data.  Tensor-square flattenings are always
 lexicographic with the left factor varying slowest.
 
-Integrals are the invariants (:func:`fixed_points`) of the left regular
-action, whose tensor is mult itself, and of the right regular action,
-decided on the algebra's generating set.  Each side is solved at most
-once per Hopf algebra object and kept on it, as the axiom report is.
+Left integrals are the invariants (:func:`fixed_points`) of the left
+regular action, whose tensor is mult itself, solved at most once per Hopf
+algebra object and kept on it, as the axiom report is; right integrals
+are their antipode image (Larson-Sweedler), with no solve of their own.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from . import linalg
 from .errors import (
     AxiomError,
     FormatError,
-    InconsistencyError,
     ShapeError,
     UnsupportedDomainError,
 )
@@ -377,10 +376,10 @@ class HopfAlgebraData:
     axioms are enforced here, so tests can build corrupted instances;
     `build_hopf` and every builtin constructor run :func:`verify_hopf`,
     raise on failure and keep the passing report as ``report``, which is
-    None on data that has not been verified.  ``integrals`` holds each
-    side's integral space from its first solve on (:func:`left_integrals`,
-    :func:`right_integrals`), so no side is solved twice for one object.
-    Neither is a field: both stay out of ``==``, the hash and the repr.
+    None on data that has not been verified.  ``integrals`` holds the left
+    integral space from its first solve on (:func:`left_integrals`), so it
+    is not solved twice for one object.  Neither is a field: both stay
+    out of ``==``, the hash and the repr.
     """
 
     algebra: AlgebraData
@@ -874,8 +873,8 @@ def fixed_points(h, action):
     the kernel of the stacked system of the maps v -> e_a v - counit(e_a) v
     over those a.  Generators of H as an algebra suffice: for each v, the
     h with h v = counit(h) v form a subalgebra that holds the unit, as
-    (ab) v = a (counit(b) v) = counit(ab) v.  The same holds when H acts
-    on the right, as in the right regular action.
+    (ab) v = a (counit(b) v) = counit(ab) v.  The left integrals are the
+    fixed points of the left regular action, whose tensor is mult.
     """
     dom = h.domain
     rows = h.algebra.generators or range(h.dim)
@@ -892,53 +891,36 @@ def fixed_points(h, action):
     return linalg.kernel_basis(stacked)
 
 
-def _integral_space(h, side):
-    """Integrals are the invariants of H acting on itself: on the left
-    by e_a . e_i = e_a e_i, on the right by e_a . e_i = e_i e_a.  Only the
-    algebra's generators act (see `fixed_points`); all of H when it has
-    none."""
+def _integral_space(h):
+    """Left integrals are the invariants of H acting on itself by
+    e_a . e_i = e_a e_i, whose tensor is mult.  Only the algebra's
+    generators act (see `fixed_points`); all of H when it has none.  The
+    space is a line (Larson-Sweedler), so no dimension check follows."""
     linalg.require_field(h.domain, "integral computation")
-    mult, n = h.algebra.mult, h.dim
-    if side == "left":
-        action = mult
-    else:
-        rows = h.algebra.generators or range(n)
-        action = {a: tuple(mult[i][a] for i in range(n)) for a in rows}
-    basis = fixed_points(h, action)
-    if len(basis) != 1:
-        raise InconsistencyError(
-            f"{side} integral space has dimension {len(basis)}, not 1; "
-            "the Hopf data is corrupted"
-        )
-    return IntegralSpace(side, basis)
-
-
-def _held_integrals(h, side):
-    """The `side` integral space of h, solved on first read and kept on h."""
-    space = h.integrals.get(side)
-    if space is None:
-        space = h.integrals[side] = _integral_space(h, side)
-    return space
+    return IntegralSpace("left", fixed_points(h, h.algebra.mult))
 
 
 def left_integrals(h):
-    """Basis of {t : h t = counit(h) t}; one-dimensional over a field."""
-    return _held_integrals(h, "left")
+    """Basis of {t : h t = counit(h) t}, solved on first read and kept on h."""
+    space = h.integrals.get("left")
+    if space is None:
+        space = h.integrals["left"] = _integral_space(h)
+    return space
 
 
 def right_integrals(h):
-    return _held_integrals(h, "right")
+    """S(t) for the left integral t, scaled to a leading 1: the echelon
+    basis of the right integrals, as S(t) h = S(S^-1(h) t) = counit(h) S(t)
+    and S is bijective (Larson-Sweedler)."""
+    dom = h.domain
+    image = h.antipode.apply(left_integrals(h).basis[0])
+    lead = dom.inv(next(x for x in image if x != dom.zero))
+    return IntegralSpace("right", (tuple(dom.mul(lead, x) for x in image),))
 
 
 def is_semisimple(h):
     """Larson-Sweedler / Maschke criterion: counit of the integral is nonzero."""
     return h.counit_vec(left_integrals(h).basis[0]) != h.domain.zero
-
-
-def antipode_bijective(h):
-    if h.domain.is_field:
-        return linalg.rank(h.antipode) == h.dim
-    return abs(linalg.det(h.antipode.to_dense())) == 1
 
 
 def is_local(h):

@@ -230,27 +230,9 @@ def is_hopf_order(order):
         if not mult_closed:
             break
 
-    n = h.dim
-    tensor_gens = []
-    for u in gens:
-        for v in gens:
-            vec = [QQ.zero] * (n * n)
-            for a, ca in enumerate(u):
-                if ca == 0:
-                    continue
-                for b, cb in enumerate(v):
-                    if cb == 0:
-                        continue
-                    vec[a * n + b] = QQ.add(vec[a * n + b], QQ.mul(ca, cb))
-            tensor_gens.append(tuple(vec))
-    tensor_lattice = IntegerLattice.from_generators(n * n, tensor_gens)
     comult_stable = True
     for i, u in enumerate(gens):
-        image = h.comult_vec(u)
-        vec = [QQ.zero] * (n * n)
-        for (j, k), c in image.items():
-            vec[j * n + k] = c
-        if not tensor_lattice.contains(vec):
+        if not _in_square(lat, h.comult_vec(u)):
             comult_stable = False
             witness = witness or ("comult", i)
             break
@@ -279,6 +261,20 @@ def is_hopf_order(order):
     )
 
 
+def _in_square(lat, image):
+    """Whether the tensor with (j, k) -> c entries lies in L (x) L, L of
+    full rank.  As a matrix M it is G C G^T, G the generators of L as
+    columns, for C = G^-1 M G^-T; it lies in L (x) L exactly when C is
+    integral.  Coordinates of the columns of M give G^-1 M, and those of
+    its rows the rows of C."""
+    n = lat.ambient_dim
+    cols = [[QQ.zero] * n for _ in range(n)]
+    for (j, k), c in image.items():
+        cols[k][j] = c
+    half = [lat.coords(col) for col in cols]
+    return all(x.denominator == 1 for row in zip(*half) for x in lat.coords(row))
+
+
 def lattice_integrals(order):
     """Generator of J = (rational integral line) intersected with the order.
 
@@ -291,9 +287,8 @@ def lattice_integrals(order):
         raise PreconditionError(f"integral lattice needs a Hopf order; failing flag {report.witness}")
     h = order.hopf
     integral = hopf_mod.left_integrals(h).basis[0]
+    # a Hopf order has full rank and the integral is nonzero: scale gets set
     coords = order.lattice.coords(integral)
-    if coords is None:
-        raise InconsistencyError("integral does not lie in the rational span of the order")
     scale = None
     for x in coords:
         x = Fraction(x)
@@ -304,8 +299,6 @@ def lattice_integrals(order):
             math.lcm(scale.numerator, step.numerator),
             math.gcd(scale.denominator, step.denominator),
         )
-    if scale is None:
-        raise InconsistencyError("zero integral")
     generator = tuple(QQ.mul(scale, v) for v in integral)
     return generator, IntegerLattice.from_generators(h.dim, [generator])
 
@@ -372,9 +365,8 @@ def tame_check_integral(order, module):
     # fixed lattice S^A as the saturated integer kernel
     blocks = []
     for u, mat in zip(order_gens, integer_actions):
+        # integral: `lattice_integrals` has required the Hopf-order flags
         eps = h.counit_vec(u)
-        if Fraction(eps).denominator != 1:
-            raise PreconditionError("order counit values are not integral")
         blocks.append(mat - Matrix.identity(ZZ, lat.rank).scale(int(eps)))
     fixed_basis = linalg.integer_kernel_basis(linalg.stack(blocks))
     fixed_lattice = IntegerLattice.from_generators(lat.rank, fixed_basis)

@@ -180,7 +180,7 @@ class RationalField(Domain):
         return _shared(a - b)
 
     def mul(self, a, b):
-        # Products keep Fraction arithmetic for now: ROADMAP item 5(c) says
+        # Products keep Fraction arithmetic for now: ROADMAP item 3 says
         # why, and when the int path comes here too.
         try:
             return _shared(a * b)

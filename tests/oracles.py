@@ -800,6 +800,51 @@ def order_closure_witness(order):
     return None
 
 
+def comult_stability_witness(order):
+    """The first i whose canonical generator g_i has Delta(g_i) outside
+    L (x) L, else None: L (x) L is the `ReferenceLattice` of the n^2
+    products g_a (x) g_b, flattened with the left factor slowest, and
+    Delta(g_i) is summed from the dense comultiplication grid."""
+    h = order.hopf
+    n = h.dim
+    gens = ReferenceLattice.from_generators(n, order.lattice.generators()).generators()
+    square = ReferenceLattice.from_generators(
+        n * n, [tuple(QQ.mul(a, b) for a in u for b in v) for u in gens for v in gens])
+    delta = _dense_comult(h)
+    for i, u in enumerate(gens):
+        image = tuple(
+            _sum(QQ, (QQ.mul(c, delta[m][j][k]) for m, c in enumerate(u)))
+            for j in range(n) for k in range(n))
+        if not square.contains(image):
+            return i
+    return None
+
+
+def hopf_order_flags(order):
+    """The five closure flags of `lattices.HopfOrderReport` and its witness,
+    the first failure among mult, comult, counit and antipode in that order:
+    membership through `ReferenceLattice`, products by `dense_product`, the
+    antipode by `dense_apply`."""
+    h = order.hopf
+    ref = ReferenceLattice.from_generators(order.lattice.ambient_dim, order.lattice.generators())
+    gens = ref.generators()
+    mult = next(((i, j) for i, u in enumerate(gens) for j, v in enumerate(gens)
+                 if not ref.contains(dense_product(h.algebra, u, v))), None)
+    comult = comult_stability_witness(order)
+    counit = next((i for i, u in enumerate(gens)
+                   if _sum(QQ, (QQ.mul(a, e) for a, e in zip(u, h.counit))).denominator != 1),
+                  None)
+    alpha = h.antipode.to_dense()
+    antipode = next((i for i, u in enumerate(gens) if not ref.contains(dense_apply(alpha, u))),
+                    None)
+    failures = [("mult",) + mult if mult else None,
+                None if comult is None else ("comult", comult),
+                None if counit is None else ("counit", counit),
+                None if antipode is None else ("antipode", antipode)]
+    return (ref.contains(h.algebra.unit), mult is None, comult is None, counit is None,
+            antipode is None, next((f for f in failures if f), None))
+
+
 def integral_image_in_fixed_lattice(module, generator):
     """Whether J.S lies in S^A, J the integral line of an order A through
     `generator`: each image of a canonical generator of the lattice lies

@@ -800,23 +800,31 @@ def test_negative_levels_are_input_error(fixtures, capsys, command):
 
 
 def test_integrals_solves_each_integral_space_once(fixtures, capsys, monkeypatch):
-    sides = []
-    solve = hopf._integral_space
+    # one left solve per Hopf algebra object; the right integral is the
+    # antipode image of the left one and solves no fixed-point system
+    solves, systems = [], []
+    solve, fixed = hopf._integral_space, hopf.fixed_points
 
-    def counted(h, side):
-        sides.append(side)
-        return solve(h, side)
+    def counted(h):
+        solves.append(h)
+        return solve(h)
+
+    def counted_fixed(h, action):
+        systems.append(action)
+        return fixed(h, action)
 
     monkeypatch.setattr(hopf, "_integral_space", counted)
+    monkeypatch.setattr(hopf, "fixed_points", counted_fixed)
     assert cli.main(["integrals", fx(fixtures, "hopf_sweedler.json")]) == 0
     assert "semisimple: false" in capsys.readouterr().out
-    assert sorted(sides) == ["left", "right"]
+    assert len(solves) == 1
+    assert systems == [solves[0].algebra.mult]
     # the classification and the homology dimension read one left integral space
     for command, name in (("tame", "ext_f4.json"), ("galois", "ext_gaussian.json")):
-        sides.clear()
+        solves.clear()
         assert cli.main([command, fx(fixtures, name)]) == 0
         assert "classification: tame+hopf-galois" in capsys.readouterr().out
-        assert sides == ["left"], command
+        assert len(solves) == 1, command
 
 
 def test_assoc_order_takes_the_integral_generator_from_the_tame_report(fixtures, capsys,
@@ -1034,9 +1042,9 @@ def test_cyclic_converts_an_action_only_extension(tmp_path, fixtures, capsys):
 
 # where each law is decided ---------------------------------------------------------
 #
-# Each module or comodule law is decided once, where its data enters: a
-# module file, an explicit smash-module spec, an AYD module file and the
-# coaction of an extension file.  The exit code and the first stderr line
+# Each law is decided once, where its data enters: a module file, an
+# explicit smash-module spec, an AYD module file, the coaction of an
+# extension file and an explicit Hopf file.  The exit code and the first stderr line
 # of a refusal at each of those boundaries are pinned here.
 
 @pytest.mark.parametrize("command,code,first_line", [
@@ -1051,6 +1059,10 @@ def test_cyclic_converts_an_action_only_extension(tmp_path, fixtures, capsys):
                  "error: module law fails at ('unit',)", id="cyclic-ayd-module-law"),
     pytest.param(["cyclic", "comodalg_badcounit_f3.json", "--module", "mod_kc2_ayd_f3.json"], 1,
                  "axiom failure: comodule-counit fails at (1,)", id="cyclic-comodule-counit"),
+    pytest.param(["integrals", "hopf_sweedler_bad_antipode.json"], 1,
+                 "axiom failure: antipode fails at (2,)", id="integrals-hopf-axiom"),
+    pytest.param(["integrals", "hopf_sweedler_bad_antipode_dual.json"], 1,
+                 "axiom failure: antipode fails at (2,)", id="integrals-dual-hopf-axiom"),
 ])
 @pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
 def test_each_law_is_refused_where_its_data_enters(fixtures, capsys, command, code, first_line,

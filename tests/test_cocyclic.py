@@ -878,14 +878,6 @@ def test_bar_differentials_match_dense_oracle():
     assert bar.homology_dims() == dense_homology_dims(bar)
 
 
-def test_chain_complex_rejects_nonzero_bb():
-    with pytest.raises(HopfgalError):
-        cocyclic.ChainComplexData(
-            (1, 1, 1),
-            (ColumnMap.identity(QQ, 1), ColumnMap.identity(QQ, 1)),
-        )
-
-
 # shifts ---------------------------------------------------------------------------
 
 

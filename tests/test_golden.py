@@ -117,21 +117,41 @@ def test_library_builds_dense_matrices_over_z_only(monkeypatch):
 
 
 def test_no_integral_space_is_solved_twice(monkeypatch):
-    # each side of each Hopf algebra object is solved at most once and kept on
-    # the object; the objects stay referenced, so no identity is reused
-    solves = []
-    solve = hopf._integral_space
+    # the left integral space of each Hopf algebra object is solved at most
+    # once and kept on the object, and the right integral, the antipode image
+    # of the left one, solves no fixed-point system; the objects stay
+    # referenced, so no identity is reused
+    solves, right_systems, in_right, right_reads = [], [], [], []
+    solve, fixed, right = hopf._integral_space, hopf.fixed_points, hopf.right_integrals
 
-    def counted(h, side):
-        solves.append((h, side))
-        return solve(h, side)
+    def counted(h):
+        solves.append(h)
+        return solve(h)
+
+    def counted_fixed(h, action):
+        if in_right:
+            right_systems.append(action)
+        return fixed(h, action)
+
+    def counted_right(h):
+        hopf.left_integrals(h)
+        right_reads.append(h)
+        in_right.append(h)
+        try:
+            return right(h)
+        finally:
+            in_right.pop()
 
     monkeypatch.setattr(hopf, "_integral_space", counted)
+    monkeypatch.setattr(hopf, "fixed_points", counted_fixed)
+    monkeypatch.setattr(hopf, "right_integrals", counted_right)
     for command in COMMANDS:
         run_in_fixdir(command, "json")
-    counts = collections.Counter((id(h), side) for h, side in solves)
+    counts = collections.Counter(id(h) for h in solves)
     assert counts, "the golden commands solve integral spaces"
     assert max(counts.values()) == 1
+    assert right_reads, "the golden commands read right integrals"
+    assert right_systems == []
 
 
 # Fraction objects one in-process run may build.  Sums of integral Q values

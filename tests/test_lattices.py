@@ -424,3 +424,34 @@ def test_free_generator_inconclusive_absence():
     tame = lattices.tame_check_integral(order, zi())
     result = lattices.free_rank_one_generator(order, zi(), tame, [(1, 0)])
     assert result.generator is None
+
+
+@functools.lru_cache(maxsize=None)
+def order_hopf_algebras():
+    """QC_2, QC_3, Q[C_2 x C_2] and Sweedler's algebra over Q."""
+    return (zoo.qc2(), hopf.group_algebra(QQ, zoo.cyclic_table(3)),
+            hopf.group_algebra(QQ, zoo.product_table(zoo.cyclic_table(2), zoo.cyclic_table(2))),
+            hopf.sweedler(QQ))
+
+
+@st.composite
+def full_rank_orders(draw):
+    """A full-rank lattice in one of `order_hopf_algebras`: n random vectors
+    with small denominators, often joined by the stored basis so that the
+    lattice holds the group ring (or Z-span of the basis)."""
+    h = draw(st.sampled_from(order_hopf_algebras()))
+    n = h.dim
+    entry = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 1, 2]))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    assume(oracles.leibniz_det(rows) != 0)
+    if draw(st.booleans()):
+        rows += [linalg.unit_vec(QQ, n, i) for i in range(n)]
+    return lattices.OrderData(h, lattices.IntegerLattice.from_generators(n, rows))
+
+
+@given(full_rank_orders())
+def test_hopf_order_flags_match_the_oracles(order):
+    report = lattices.is_hopf_order(order)
+    flags = (report.contains_unit, report.mult_closed, report.comult_stable,
+             report.counit_integral, report.antipode_stable, report.witness)
+    assert flags == oracles.hopf_order_flags(order)

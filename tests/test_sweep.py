@@ -1,0 +1,45 @@
+"""``tools/sweep.py`` on two tiny cases, so that the sweep cannot rot.
+
+The full sweep runs thousands of fresh processes and stays outside the
+suite; here the tool runs end to end on one command in text and in
+``--json`` form, and ``--compare`` finds a record equal to itself and
+lists a case whose exit code moved.
+"""
+
+import json
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "sweep.py"
+
+
+def run_tool(*args):
+    return subprocess.run([sys.executable, str(TOOL), *args], capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_sweep_records_and_compares_two_cases(tmp_path):
+    out = tmp_path / "a.json"
+    proc = run_tool("--out", str(out), "--match", r"^integrals hopf_qc2\.json( --json)?$")
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert sorted(record) == ["integrals hopf_qc2.json", "integrals hopf_qc2.json --json"]
+    assert {case["exit"] for case in record.values()} == {0}
+    assert len({case["stdout"] for case in record.values()}) == 2
+    # stderr holds only the elapsed line, which the hash leaves out
+    assert {case["stderr"] for case in record.values()} == {
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"}
+
+    same = run_tool("--compare", str(out), str(out))
+    assert same.returncode == 0
+    assert same.stdout == "0 of 2 cases differ\n"
+
+    record["integrals hopf_qc2.json"]["exit"] = 1
+    moved = tmp_path / "b.json"
+    moved.write_text(json.dumps(record), encoding="utf-8")
+    diff = run_tool("--compare", str(out), str(moved))
+    assert diff.returncode == 1
+    assert diff.stdout.splitlines() == [
+        "integrals hopf_qc2.json: exit differ (exit 0 -> 1)", "1 of 2 cases differ"]
