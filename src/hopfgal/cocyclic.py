@@ -123,14 +123,11 @@ def regular_comodule(hopf):
 
 
 def module_to_comodule(h, action):
-    """Right dual(H)-comodule from a verified H-action: rho(m) = sum (e_a . m) (x) e_a*."""
+    """Right dual(H)-comodule from a verified H-action: rho(m) = sum (e_a . m) (x) e_a*,
+    read off the action by `hopf.dual_coaction`, which keeps it canonical."""
     linalg.require_field(h.domain, "module/comodule dictionary")
     dim = len(action[0]) if action else 0
-    triples = [
-        (m, m2, a, c) for a, block in enumerate(action) for m, cell in enumerate(block)
-        for m2, c in cell
-    ]
-    return _comodule(hopf_mod.dual(h), dim, triples)
+    return ComoduleData(hopf_mod.dual(h), dim, hopf_mod.dual_coaction(action, dim))
 
 
 def comodule_to_module(c):

@@ -26,8 +26,10 @@ alpha(1) = 1, the antipode identity holds form subalgebras too (see
 :func:`verify_hopf`), so S decides those laws as well.  A refusal reruns
 the full lexicographic scan, so a witness is always the first failing
 index tuple in that order.  `check_group_table` does the same on a table.
-The coalgebra laws are predicates on a coaction, Delta here and the
-coaction of a comodule (algebra) in `cocyclic`.
+The coalgebra laws are predicates on a coaction, Delta here, the
+coaction of a comodule (algebra) in `cocyclic` and, in `actions`, the
+dual coaction (:func:`dual_coaction`) of an action: the module-algebra
+law is the comodule-algebra law of that coaction over dual(H).
 
 Structure tensors are stored once, sparse and canonical, as
 :func:`sparse_tensor` builds them: mult[i][j] is the tuple of (k, c)
@@ -327,10 +329,11 @@ def generating_set(domain, mult, unit):
     words of the indices before it, and the span grows by one
     `linalg.echelon_insert` per product of a word with a generator.
     Returns None over a domain that is not a field, and when |S| + 1
-    reaches the dimension, where the test costs as much as the full scan.
+    reaches the dimension, where the test costs as much as the full scan;
+    below dimension 3 it always does, so no span is built there.
     """
     dim = len(unit)
-    if not domain.is_field:
+    if not domain.is_field or dim < 3:
         return None
     one = domain.one
     pivots, words, gens = {}, [], []
@@ -830,16 +833,9 @@ def dual(h):
         report = build_hopf(h.algebra, h.comult, h.counit, h.antipode).report
     n = h.dim
     labels = tuple(f"{lab}*" for lab in h.labels)
-    # H's tensors are canonical, so reading them in index order appends each
-    # cell's entries sorted and once: the transposes come out canonical.
-    # e_i* e_j* contains comult[k]'s coefficient of e_i (x) e_j on e_k*
-    cells = {}
-    for k, g in enumerate(h.comult):
-        for i, j, c in g:
-            cells.setdefault((i, j), []).append((k, c))
-    mult = tuple(tuple(tuple(cells.get((i, j), ())) for j in range(n)) for i in range(n))
-    alg = AlgebraData(dom, n, labels, mult, tuple(h.counit))
-    # Delta(e_i*) contains mult[j][k]'s coefficient of e_i on e_j* (x) e_k*
+    alg = AlgebraData(dom, n, labels, dual_mult(h), tuple(h.counit))
+    # Delta(e_i*) contains mult[j][k]'s coefficient of e_i on e_j* (x) e_k*,
+    # canonical as in `dual_mult`
     cells = [[] for _ in range(n)]
     for j, row in enumerate(h.algebra.mult):
         for k, cell in enumerate(row):
@@ -849,6 +845,36 @@ def dual(h):
     d = HopfAlgebraData(alg, comult, tuple(h.algebra.unit), h.antipode.transpose())
     object.__setattr__(d, "report", report)
     return d
+
+
+def dual_mult(h):
+    """The multiplication tensor of dual(H) on the dual basis, over any
+    domain: e_i* e_j* holds comult[k]'s coefficient of e_i (x) e_j on e_k*.
+
+    H's comult is canonical, so reading it in index order appends each
+    cell's entries sorted and once: the transpose comes out canonical.
+    """
+    n = h.dim
+    cells = {}
+    for k, g in enumerate(h.comult):
+        for i, j, c in g:
+            cells.setdefault((i, j), []).append((k, c))
+    return tuple(tuple(tuple(cells.get((i, j), ())) for j in range(n)) for i in range(n))
+
+
+def dual_coaction(action, dim):
+    """The right dual(H)-coaction sigma(e_m) = sum_a (e_a . e_m) (x) e_a* of
+    an H-action on a space of dimension dim, the module/comodule dictionary
+    with the pairing fixed as evaluation on the stored bases.
+
+    coaction[m] holds the (m', a, c) triples of sigma(e_m), sorted, in the
+    layout of Delta.  Each cell action[a][m] is canonical, so each (m', a)
+    occurs once and the triples are canonical too.
+    """
+    return tuple(
+        tuple(sorted((t, a, c) for a, block in enumerate(action) for t, c in block[m]))
+        for m in range(dim)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -218,47 +218,17 @@ def is_hopf_order(order):
         raise PreconditionError("Hopf-order checks need a full-rank order")
     gens = lat.generators()
     contains_unit = lat.contains(h.algebra.unit)
-    witness = None
-
-    mult_closed = True
-    for i, u in enumerate(gens):
-        for j, v in enumerate(gens):
-            if not lat.contains(h.algebra.mul_vec(u, v)):
-                mult_closed = False
-                witness = witness or ("mult", i, j)
-                break
-        if not mult_closed:
-            break
-
-    comult_stable = True
-    for i, u in enumerate(gens):
-        if not _in_square(lat, h.comult_vec(u)):
-            comult_stable = False
-            witness = witness or ("comult", i)
-            break
-
-    counit_integral = True
-    for i, u in enumerate(gens):
-        if Fraction(h.counit_vec(u)).denominator != 1:
-            counit_integral = False
-            witness = witness or ("counit", i)
-            break
-
-    antipode_stable = True
-    for i, u in enumerate(gens):
-        if not lat.contains(h.antipode.apply(u)):
-            antipode_stable = False
-            witness = witness or ("antipode", i)
-            break
-
-    return HopfOrderReport(
-        contains_unit,
-        mult_closed,
-        comult_stable,
-        counit_integral,
-        antipode_stable,
-        witness,
-    )
+    # the first failure of each flag; the witness is the first of them
+    mult = next((("mult", i, j) for i, u in enumerate(gens) for j, v in enumerate(gens)
+                 if not lat.contains(h.algebra.mul_vec(u, v))), None)
+    comult = next((("comult", i) for i, u in enumerate(gens)
+                   if not _in_square(lat, h.comult_vec(u))), None)
+    counit = next((("counit", i) for i, u in enumerate(gens)
+                   if Fraction(h.counit_vec(u)).denominator != 1), None)
+    antipode = next((("antipode", i) for i, u in enumerate(gens)
+                     if not lat.contains(h.antipode.apply(u))), None)
+    return HopfOrderReport(contains_unit, mult is None, comult is None, counit is None,
+                           antipode is None, mult or comult or counit or antipode)
 
 
 def _in_square(lat, image):

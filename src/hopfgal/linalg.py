@@ -1104,10 +1104,6 @@ def sparse_sum(domain, terms):
     return {key: c for key, c in out.items() if c}
 
 
-def vec_scale(domain, c, v):
-    return tuple(domain.mul(c, x) for x in v)
-
-
 def unit_vec(domain, n, i):
     return tuple(domain.one if j == i else domain.zero for j in range(n))
 

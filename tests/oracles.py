@@ -23,6 +23,9 @@ the bar shift that the package takes from the Morita lemma.
 `dense_galois_j`, `dense_gamma`, `dense_faithful` and
 `dense_coinvariants` build the Galois maps, the faithfulness verdict
 and the coinvariants from their defining formulas, by dense products.
+`module_algebra_witness` decides the module-algebra law by the full
+loop over H and pairs of S, the reference for the package's decision
+through the dual coaction on the generators of S.
 `ReferenceLattice` holds a
 lattice by its canonical generators as the columns of a dense Q-Matrix,
 the reference for `lattices.IntegerLattice`, which holds integer
@@ -753,6 +756,34 @@ def comodule_algebra_witness(S):
         if rho(s_grid[s][t]) != square_mul(rho(basis[s]), rho(basis[t])):
             return ("comodule-algebra-mult", (s, t))
     return None
+
+
+def module_algebra_failures(d):
+    """Every failure of the module-algebra law of an action, in the order
+    of the full loop over dim H (dim S)^2 cases: for each a, (a, "unit")
+    when e_a . 1 != counit(e_a) 1, then each (a, s, t) with
+    e_a . (e_s e_t) != (e_a1 . e_s)(e_a2 . e_t), s before t.  Read off
+    dense action matrices and dense products."""
+    dom, h, alg = d.domain, d.hopf, d.algebra
+    n = alg.dim
+    mats = dense_action_matrices(dom, d.action, n)
+    basis = [unit_vec(dom, n, s) for s in range(n)]
+    for a in range(h.dim):
+        if dense_apply(mats[a], alg.unit) != tuple(dom.mul(h.counit[a], x) for x in alg.unit):
+            yield (a, "unit")
+        for s, t in product(range(n), repeat=2):
+            rhs = [dom.zero] * n
+            for j, k, c in h.comult[a]:
+                term = dense_product(alg, mats[j].col(s), mats[k].col(t))
+                rhs = [dom.add(x, dom.mul(c, y)) for x, y in zip(rhs, term)]
+            if dense_apply(mats[a], dense_product(alg, basis[s], basis[t])) != tuple(rhs):
+                yield (a, s, t)
+
+
+def module_algebra_witness(d):
+    """The first of `module_algebra_failures`, or None: (a, "unit") or
+    (a, s, t), the witness of the full loop."""
+    return next(module_algebra_failures(d), None)
 
 
 def relative_module_witness(m):

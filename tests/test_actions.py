@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hopfgal import actions, hopf, linalg, zoo
 from hopfgal.errors import AxiomError, PreconditionError
-from hopfgal.linalg import QQ
+from hopfgal.linalg import GF, QQ, ZZ
 
 import oracles
 
@@ -40,7 +40,76 @@ def test_affine_shift_is_not_a_module_algebra():
     bad = actions.ModuleAlgebraData(h, alg, action)
     report = actions.verify_module_algebra(bad)
     assert not report.passed
-    assert report.check("module-algebra-law").witness == (1, 1, 1)
+    assert report.check("module-algebra-law").witness == (1, 1)
+
+
+def harpoon_extension(h):
+    """H as a dual(H)-module algebra by f -> x = x_1 f(x_2): e_a* -> e_x
+    is the part of Delta(e_x) whose right leg is e_a."""
+    triples = [(a, x, j, c) for x, g in enumerate(h.comult) for j, a, c in g]
+    return actions.module_algebra(hopf.dual(h), h.algebra, triples)
+
+
+def graded_group_algebra(p, n):
+    """F_p C_n as a dual(F_p C_n)-module algebra by its grading:
+    delta_g projects onto the line of g."""
+    h = hopf.group_algebra(GF(p), zoo.cyclic_table(n))
+    return actions.module_algebra(hopf.dual(h), h.algebra, [(g, g, g, 1) for g in range(n)])
+
+
+def over_z(name):
+    """A rational zoo extension with integral data, rebuilt over Z."""
+    d = ext(name)
+    h = hopf.group_algebra(ZZ, zoo.cyclic_table(2), labels=d.hopf.labels)
+    alg = hopf.algebra_from_triples(
+        ZZ, 2, d.algebra.labels, oracles.mult_triples(d.algebra), d.algebra.unit)
+    return actions.module_algebra(h, alg, action_triples(d.action))
+
+
+def action_triples(action):
+    return [(a, m, t, c) for a, block in enumerate(action) for m, cell in enumerate(block)
+            for t, c in cell]
+
+
+MODULE_ALGEBRAS = {
+    **{name: functools.partial(ext, name) for name in zoo.extension_registry()},
+    **{f"{name}-z": functools.partial(over_z, name) for name in ("gaussian", "gaussian-trivial")},
+    **{f"graded-f5c{n}": functools.partial(graded_group_algebra, 5, n) for n in (3, 4, 5)},
+    "taft3-f7-harpoon": lambda: harpoon_extension(hopf.taft(GF(7), 3, 2)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def module_algebra_case(name):
+    return MODULE_ALGEBRAS[name]()
+
+
+def test_module_algebra_cases_of_dimension_three_or_more_have_generators():
+    for name in ("graded-f5c3", "graded-f5c4", "graded-f5c5", "taft3-f7-harpoon"):
+        d = module_algebra_case(name)
+        assert d.algebra.generators is not None, name
+        assert oracles.module_algebra_witness(d) is None, name
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_ALGEBRAS))
+@given(data=st.data())
+def test_module_algebra_law_matches_the_full_loop(name, data):
+    # one cell e_a . e_m of a module algebra replaced, over Q, F_p and Z
+    d = module_algebra_case(name)
+    dom, dh, ds = d.domain, d.hopf.dim, d.algebra.dim
+    a, m = data.draw(st.integers(0, dh - 1)), data.draw(st.integers(0, ds - 1))
+    t, c = data.draw(st.integers(0, ds - 1)), data.draw(st.integers(-2, 2))
+    triples = [e for e in action_triples(d.action) if e[:2] != (a, m)] + [(a, m, t, c)]
+    action = hopf.sparse_tensor(dom, (dh, ds, ds), triples, 2)
+    bad = actions.ModuleAlgebraData(d.hopf, d.algebra, action)
+    check = actions.verify_module_algebra(bad).check("module-algebra-law")
+    failures = list(oracles.module_algebra_failures(bad))
+    assert check.passed == (not failures)
+    if any(w[1] == "unit" for w in failures):
+        assert check.witness == ("unit",)
+    elif failures:
+        # the least pair of S at which the law fails for some a
+        assert check.witness == min(w[1:] for w in failures)
 
 
 # invariants --------------------------------------------------------------------
@@ -142,8 +211,24 @@ def test_gamma_algebra_map_when_bijective():
             assert actions.gamma_is_algebra_map(d), name
             checked += 1
     assert checked >= 5
+    # the Gaussian case on the basis (x, 1), whose unit is not e_0
+    alg = hopf.algebra_from_triples(
+        QQ, 2, ("x", "1"), [(0, 0, 1, -1), (0, 1, 0, 1), (1, 0, 0, 1), (1, 1, 1, 1)], (0, 1))
+    d = actions.module_algebra(
+        zoo.qc2(), alg, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 0, -1), (1, 1, 1, 1)])
+    assert actions.galois_map_gamma(d).bijective and actions.gamma_is_algebra_map(d)
     with pytest.raises(PreconditionError):
         actions.gamma_is_algebra_map(ext("gaussian-trivial"))
+
+
+def test_gamma_bijective_but_not_multiplicative():
+    # Sweedler's algebra over its dual by the harpoon: gamma(g (x) x) =
+    # gx (x) 1 + 1 (x) x, while gamma(1 (x) x) gamma(g (x) 1) = xg (x) 1 + 1 (x) x
+    # and xg = -gx
+    d = harpoon_extension(hopf.sweedler(QQ))
+    assert actions.galois_map_gamma(d).bijective
+    assert d.algebra.mult[2][1] == ((3, QQ.normalize(-1)),)
+    assert not actions.gamma_is_algebra_map(d)
 
 
 # faithfulness ------------------------------------------------------------------

@@ -1042,9 +1042,9 @@ def test_cyclic_converts_an_action_only_extension(tmp_path, fixtures, capsys):
 
 # where each law is decided ---------------------------------------------------------
 #
-# Each law is decided once, where its data enters: a module file, an
-# explicit smash-module spec, an AYD module file, the coaction of an
-# extension file and an explicit Hopf file.  The exit code and the first stderr line
+# Each law is decided once, where its data enters: a module file, the
+# action of an extension file, an explicit smash-module spec, an AYD
+# module file, the coaction of an extension file and an explicit Hopf file.  The exit code and the first stderr line
 # of a refusal at each of those boundaries are pinned here.
 
 @pytest.mark.parametrize("command,code,first_line", [
@@ -1053,6 +1053,14 @@ def test_cyclic_converts_an_action_only_extension(tmp_path, fixtures, capsys):
     pytest.param(["homology", "mod_badlaw_zc2.json"], 2,
                  "error: hopfological homology needs a field, not Z; use the integer "
                  "normal-form routines for Z", id="homology-field-first"),
+    pytest.param(["tame", "ext_badlaw_qc2.json"], 2,
+                 "error: module-algebra-law fails at (1, 1)", id="tame-module-algebra-law"),
+    pytest.param(["tame", "ext_badunit_qc2.json"], 2,
+                 "error: module-algebra-law fails at ('unit',)", id="tame-module-algebra-unit"),
+    pytest.param(["cyclic", "ext_badlaw_qc2.json", "--module", "mod_kc2_ayd_f3.json"], 2,
+                 "error: module-algebra-law fails at (1, 1)", id="cyclic-module-algebra-law"),
+    pytest.param(["cyclic", "ext_badunit_qc2.json", "--module", "mod_kc2_ayd_f3.json"], 2,
+                 "error: module-algebra-law fails at ('unit',)", id="cyclic-module-algebra-unit"),
     pytest.param(["bar-shift", "ext_gaussian.json", "--module", "smashmod_badlaw.json"], 2,
                  "error: smash module law fails at (1, 1)", id="bar-shift-smash-module-law"),
     pytest.param(["cyclic", "comodalg_graded_f3.json", "--module", "mod_ayd_noaction_f3.json"], 2,

@@ -253,6 +253,35 @@ def test_relative_module_constructors_are_relative_hopf_modules(name, extra_dim)
 # dictionaries --------------------------------------------------------------------
 
 
+def regular_modules():
+    """H of every zoo extension, Sweedler's algebra and Taft n = 3 over F_7."""
+    hs = [d.hopf for d in zoo.extension_registry().values()]
+    return hs + [hopf.sweedler(QQ), hopf.taft(GF(7), 3, 2)]
+
+
+@pytest.mark.parametrize("h,action", [
+    *[(d.hopf, d.action) for d in zoo.extension_registry().values()],
+    *[(h, h.algebra.mult) for h in regular_modules()],
+])
+def test_dictionary_image_equals_the_sparse_tensor_build(h, action):
+    # the coaction read off the action matches the canonical build from entries
+    dim = len(action[0])
+    triples = [(m, m2, a, c) for a, block in enumerate(action) for m, cell in enumerate(block)
+               for m2, c in cell]
+    expected = cocyclic.ComoduleData(
+        hopf.dual(h), dim, hopf.sparse_tensor(h.domain, (dim, dim, h.dim), triples, 1))
+    assert cocyclic.module_to_comodule(h, action) == expected
+
+
+def test_dual_mult_is_the_product_of_the_dual_over_any_domain():
+    for h in regular_modules():
+        assert hopf.dual_mult(h) == hopf.dual(h).algebra.mult
+    # over Z, where dual() refuses: delta_g delta_h = [g = h] delta_g
+    h = hopf.group_algebra(linalg.ZZ, zoo.cyclic_table(3))
+    assert hopf.dual_mult(h) == tuple(
+        tuple(((i, 1),) if i == j else () for j in range(3)) for i in range(3))
+
+
 def test_trivial_module_gives_trivial_coaction():
     h = zoo.qc2()
     action = tuple((((0, h.counit[a]),),) for a in range(2))
