@@ -11,7 +11,8 @@ sparse rows.  S is an H-module algebra exactly when sigma(t) = sum_a
 (e_a . t) (x) e_a*, read off the action by `hopf.dual_coaction`, makes it
 a dual(H)-comodule algebra (Montgomery, Hopf Algebras and Their Actions
 on Rings, CBMS 82, 1993, 1.6 and 4.1): :func:`verify_module_algebra`
-decides that law, and gamma is built from the legs of sigma.
+decides and refuses that law by `hopf.verify_coaction_algebra`, and
+gamma is built from the legs of sigma.
 """
 
 from __future__ import annotations
@@ -20,14 +21,10 @@ import functools
 
 from . import hopf as hopf_mod
 from . import linalg
-from .errors import (
-    InconsistencyError,
-    PreconditionError,
-    ShapeError,
-)
+from .errors import PreconditionError, ShapeError
 from .hopf import AlgebraData, HopfAlgebraData, action_maps, verify_module_over_algebra
 from .linalg import ColumnMap, sparse_entries as _sparse  # noqa: F401 (read by perfbench/tests)
-from .reporting import CheckResult, VerificationReport, record
+from .reporting import record
 
 
 @record
@@ -58,35 +55,24 @@ def module_algebra(hopf, algebra, action_triples):
         hopf.domain, (hopf.dim, algebra.dim, algebra.dim), action_triples, 2
     )
     data = ModuleAlgebraData(hopf, algebra, action)
-    report = verify_module_algebra(data)
-    if not report.passed:
-        bad = report.failures()[0]
-        raise InconsistencyError(f"{bad.name} fails at {bad.witness}")
+    verify_module_algebra(data)
     return data
 
 
 def verify_module_algebra(d):
-    """Module law plus module-algebra law, each with a witness.
+    """Decides the module law, then the module-algebra law, and raises
+    AxiomError at the first failure.
 
     h . 1 = counit(h) 1 says sigma(1) = 1 (x) counit, the unit of dual(H),
     and h . (s t) = (h_1 . s)(h_2 . t) says sigma(s t) = sigma(s) sigma(t):
-    the comodule-algebra law of sigma, decided as `cocyclic.comodule_algebra`
-    decides it, with the witness ("unit",) or the first failing (s, t).
+    the comodule-algebra law of sigma, which `hopf.verify_coaction_algebra`
+    decides for `cocyclic.comodule_algebra` too, refused here as
+    "module-algebra-unit" at () or "module-algebra-mult" at (s, t).
     """
-    dom, h, alg = d.domain, d.hopf, d.algebra
-    module_witness = verify_module_over_algebra(h.algebra, d.action)
-    sigma = hopf_mod.dual_coaction(d.action, alg.dim)
-    unit, counit = ([(t, c) for t, c in enumerate(v) if c] for v in (alg.unit, h.counit))
-    if not hopf_mod._unital_coaction(dom, sigma, unit, counit):
-        witness = ("unit",)
-    else:
-        witness = hopf_mod._decide_on_generators(alg.generators, functools.partial(
-            hopf_mod._coaction_multiplicative, dom, alg.mult, sigma, hopf_mod.dual_mult(h)),
-            alg.dim)
-    return VerificationReport((
-        CheckResult("module-law", module_witness is None, module_witness),
-        CheckResult("module-algebra-law", witness is None, witness),
-    ))
+    h, alg = d.hopf, d.algebra
+    verify_module_over_algebra(h.algebra, d.action)
+    hopf_mod.verify_coaction_algebra("module-algebra", alg, hopf_mod.dual_coaction(
+        d.action, alg.dim), h.counit, hopf_mod.dual_mult(h))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +383,7 @@ def total_integral_map(d):
             free = (t0, phi)
             break
     if free is None:
-        raise InconsistencyError("no free generator of H* found in the candidate scan")
+        raise PreconditionError("no free generator of H* found in the candidate scan")
     t0, phi = free
 
     # integral -> t0 = t0(integral) counit, and t0(integral) != 0 as t0 is a
@@ -511,9 +497,7 @@ class SmashModuleData:
 def smash_module(smash_data, dim, action):
     """Validated smash module; checks the module law over S#H."""
     data = SmashModuleData(smash_data, dim, action)
-    witness = verify_module_over_algebra(smash_data.algebra, data.action)
-    if witness is not None:
-        raise InconsistencyError(f"smash module law fails at {witness}")
+    verify_module_over_algebra(smash_data.algebra, data.action, "smash-module-law")
     return data
 
 

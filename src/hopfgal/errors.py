@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all modules, and the default dimension bound."""
+"""Exception hierarchy shared by all modules, and the default dimension bound.
+
+Every failed law, wherever its data enters, raises AxiomError, which the
+CLI reports with exit 1.
+"""
 
 # the per-level dimension bound when neither --max-dim nor HOPFGAL_MAX_DIM sets one
 DEFAULT_MAX_DIM = 5000
@@ -33,7 +37,7 @@ class SingularMatrixError(HopfgalError):
 
 
 class AxiomError(HopfgalError):
-    """A structural axiom failed at construction; carries a witness."""
+    """A law failed where its data entered; carries its name and a witness."""
 
     def __init__(self, check, witness, message=None):
         super().__init__(message or f"{check} fails at {witness!r}")
@@ -43,10 +47,6 @@ class AxiomError(HopfgalError):
 
 class PreconditionError(HopfgalError):
     """A documented precondition of an operation does not hold."""
-
-
-class InconsistencyError(HopfgalError):
-    """An internal invariant failed; signals corrupted input data."""
 
 
 class ResourceBoundError(HopfgalError):

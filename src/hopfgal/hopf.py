@@ -14,13 +14,12 @@ report for the caller.  :func:`dual` transposes a verified algebra
 without a check and takes its report.
 
 Associativity, the module law and every Hopf axiom are decided on a
-generating set.  The mult rows are the maps L_x, left multiplication by
-e_x, and associativity says L_(x b) = L_x L_b for all x and b.  The b
-for which that holds, and the a for which the module or bialgebra law
-holds for all b, form subalgebras (Light's associativity test, see
-:func:`generating_set`), so checking the unit and a few greedily chosen
-basis generators S decides each law exactly; the unit needs no test
-once the unit axiom holds.  In a bialgebra, the rows where
+generating set.  Associativity is the module law of the left regular
+representation e_x -> L_x, the mult rows: L_(a b) = L_a L_b.  The a for
+which the module or bialgebra law holds for all b form a subalgebra
+(Light's associativity test, see :func:`generating_set`), so a few
+greedily chosen basis generators S decide each law exactly once 1 lies
+in it.  In a bialgebra, the rows where
 coassociativity, the counit axiom or, for an anti-algebra map alpha with
 alpha(1) = 1, the antipode identity holds form subalgebras too (see
 :func:`verify_hopf`), so S decides those laws as well.  A refusal reruns
@@ -29,7 +28,9 @@ index tuple in that order.  `check_group_table` does the same on a table.
 The coalgebra laws are predicates on a coaction, Delta here, the
 coaction of a comodule (algebra) in `cocyclic` and, in `actions`, the
 dual coaction (:func:`dual_coaction`) of an action: the module-algebra
-law is the comodule-algebra law of that coaction over dual(H).
+law is the comodule-algebra law of that coaction over dual(H), and
+:func:`verify_coaction_algebra` decides both.  A failed module or
+coaction-algebra law is refused here, by one AxiomError per law.
 
 Structure tensors are stored once, sparse and canonical, as
 :func:`sparse_tensor` builds them: mult[i][j] is the tuple of (k, c)
@@ -163,33 +164,23 @@ class AlgebraData:
         """The first (i, j, k) in lexicographic order with
         (e_i e_j) e_k != e_i (e_j e_k), or None.
 
-        Column k of L_x is mult[x][k].  Light's test checks L_(x b) =
-        L_x L_b for every x, for b each of ``generators`` and, unless the
-        unit axiom holds, the unit; when it holds, L_1 is the identity and
-        L_(x 1) = L_x = L_x L_1 needs no test.  The full scan compares
-        L_(e_i e_j) with L_i L_j column by column and runs only on refusal,
-        to find the witness, or without generators.
+        The module law of e_x -> L_x, column k of L_x being mult[x][k], by
+        the predicate of :meth:`representation_witness`: once the unit axiom
+        holds, the rows of ``generators`` decide it (see `generating_set`).
+        The full scan runs on refusal, to find the witness, and otherwise;
+        k is the first column where L_(i j) and L_i L_j differ.
         """
         dom, n, mult = self.domain, self.dim, self.mult
         left = [ColumnMap(dom, n, row) for row in mult]
-        tested = None
-        if self.generators is not None:
-            words = [((s, dom.one),) for s in self.generators]
-            if self.unit_witness() is not None:
-                words.insert(0, tuple((t, c) for t, c in enumerate(self.unit) if c))
-            # L_b and R_b of each tested b; R_t (column x: e_x e_t) only for the t of b
-            tested = [(_image(b, left), ColumnMap.combination(
-                dom, [c for _, c in b], [ColumnMap(dom, n, [row[t] for row in mult]) for t, _ in b],
-                n, n)) for b in words]
-
-        def failures():
-            for i, j in itertools.product(range(n), repeat=2):
-                lhs, rhs = _image(mult[i][j], left).cols, (left[i] @ left[j]).cols
-                if lhs != rhs:
-                    yield (i, j, next(k for k in range(n) if lhs[k] != rhs[k]))
-
-        return _decide_on_generators(
-            tested, lambda b, x: _image(b[1].cols[x], left) == left[x] @ b[0], n, failures())
+        rows = self.generators
+        if rows is not None and self.unit_witness() is not None:
+            rows = None
+        pair = _decide_on_generators(rows, functools.partial(_multiplicative, mult, left), n)
+        if pair is None:
+            return None
+        i, j = pair
+        lhs, rhs = _image(mult[i][j], left).cols, (left[i] @ left[j]).cols
+        return (i, j, next(k for k in range(n) if lhs[k] != rhs[k]))
 
     def unit_witness(self):
         """The first j with 1 e_j != e_j or e_j 1 != e_j, or None.
@@ -221,8 +212,7 @@ class AlgebraData:
         if ColumnMap.combination(dom, self.unit, maps, n, n) != ColumnMap.identity(dom, n):
             return ("unit",)
         return _decide_on_generators(
-            self.generators,
-            lambda a, b: _image(self.mult[a][b], maps) == maps[a] @ maps[b], self.dim)
+            self.generators, functools.partial(_multiplicative, self.mult, maps), self.dim)
 
     def format_element(self, vec):
         return linalg.format_vector(self.domain, self.labels, vec)
@@ -267,15 +257,17 @@ def representation_map(domain, action, dim):
     ])
 
 
-def verify_module_over_algebra(alg, action):
-    """Witness for the module law of an algebra action on a vector space.
+def verify_module_over_algebra(alg, action, check="module-law"):
+    """Decides the module law of an algebra action on a vector space,
+    (a b) . m = a . (b . m) and 1 . m = m, and raises AxiomError(check,
+    witness) when it fails (see :meth:`AlgebraData.representation_witness`).
 
-    action[a][m] holds the (t, c) pairs of e_a . e_m; returns None
-    when (a b) . m = a . (b . m) and 1 . m = m hold, else an index pair
-    (see :meth:`AlgebraData.representation_witness`).
+    action[a][m] holds the (t, c) pairs of e_a . e_m.
     """
     dim = len(action[0]) if action else 0
-    return alg.representation_witness(action_maps(alg.domain, action, dim))
+    witness = alg.representation_witness(action_maps(alg.domain, action, dim))
+    if witness is not None:
+        raise AxiomError(check, witness)
 
 
 def _image(vec, maps):
@@ -284,6 +276,11 @@ def _image(vec, maps):
     m = maps[0]
     return ColumnMap.combination(
         m.domain, [c for _, c in vec], [maps[k] for k, _ in vec], m.nrows, m.ncols)
+
+
+def _multiplicative(mult, maps, a, b):
+    """Whether e_a e_b maps to maps[a] @ maps[b] under e_x -> maps[x]."""
+    return _image(mult[a][b], maps) == maps[a] @ maps[b]
 
 
 def _decide_on_generators(tested, holds, n, failures=None):
@@ -314,16 +311,15 @@ def generating_set(domain, mult, unit):
     """Basis indices S whose words span the algebra, for Light's test.
 
     The words are the unit, each e_s and their left-bracketed products
-    (.. (e_s1 e_s2) ..) e_sk.  Let A be the set of b with L_(x b) = L_x L_b,
-    i.e. (x b) y = x (b y), for all x, L_x being left multiplication by
-    e_x.  A is a subspace, and for a, b in A
-    L_(x (ab)) = L_((xa) b) = L_(xa) L_b = L_x L_a L_b = L_x L_(ab),
-    so A is closed under products: if the unit and every e_s lie in A, so
-    does every word, and A is the whole algebra.  Testing the unit and S
-    thus decides associativity exactly, in (|S| + 1) dim compositions of
-    maps instead of dim^2, whether or not the unit axiom holds; when it
-    holds, the unit lies in A by itself and |S| dim compositions do.  The
-    same closure argument serves every law that is closed under products.
+    (.. (e_s1 e_s2) ..) e_sk.  Let T be the set of a with L_(a b) = L_a L_b,
+    i.e. (a b) y = a (b y), for all b and y, L_x being left multiplication
+    by e_x.  T is a subspace, and for a, a' in T
+    ((a a') b) y = (a (a' b)) y = a ((a' b) y) = a (a' (b y)) = (a a') (b y),
+    so T is closed under products: if the unit and every e_s lie in T, so
+    does every word, and T is the whole algebra.  Once the unit axiom
+    holds, 1 lies in T, so testing the rows of S decides associativity
+    exactly, in |S| dim compositions of maps instead of dim^2.  The same
+    closure argument serves every law that is closed under products.
 
     S is found greedily: e_c joins S when it is not in the span of the
     words of the indices before it, and the span grows by one
@@ -542,6 +538,28 @@ def _coaction_multiplicative(dom, mult, coaction, h_mult, i, j):
         ((u, v), mul(a, c)) for k, a in mult[i][j] for u, v, c in coaction[k]
     ))
     return lhs == _square_sum(dom, mult, h_mult, coaction[i], coaction[j])
+
+
+def verify_coaction_algebra(check, alg, coaction, h_unit, h_mult):
+    """Decides that a coaction rho of H on the algebra alg is an algebra
+    map, h_unit (a dense vector) and h_mult being H's unit and product.
+
+    Raises AxiomError(check + "-unit", ()) when rho(1) != 1 (x) 1, then
+    AxiomError(check + "-mult", (s, t)) at the first pair with
+    rho(e_s e_t) != rho(e_s) rho(e_t).  Once rho(1) = 1 (x) 1, the s that
+    satisfy the product law for every t form a subalgebra that holds 1, as
+    rho(s s' t) = rho(s) rho(s' t) = rho(s) rho(s') rho(t) = rho(s s') rho(t);
+    so the rows of the algebra's generators decide it, and a refusal
+    reruns the full loop for the first failing pair.
+    """
+    dom = alg.domain
+    unit, h_unit = ([(t, c) for t, c in enumerate(v) if c] for v in (alg.unit, h_unit))
+    if not _unital_coaction(dom, coaction, unit, h_unit):
+        raise AxiomError(check + "-unit", ())
+    witness = _decide_on_generators(alg.generators, functools.partial(
+        _coaction_multiplicative, dom, alg.mult, coaction, h_mult), alg.dim)
+    if witness is not None:
+        raise AxiomError(check + "-mult", witness)
 
 
 def _antipode_at(h, unit, i):

@@ -21,11 +21,7 @@ from fractions import Fraction
 from . import actions as actions_mod
 from . import hopf as hopf_mod
 from . import linalg
-from .errors import (
-    InconsistencyError,
-    PreconditionError,
-    ShapeError,
-)
+from .errors import PreconditionError, ShapeError
 from .linalg import QQ, ZZ, ColumnMap, Matrix
 from .reporting import record
 
@@ -117,11 +113,7 @@ class LatticeModuleData:
                 raise ShapeError("ambient action matrix shape mismatch")
         if len(self.unit) != n:
             raise ShapeError("unit vector length mismatch")
-        witness = self.hopf.algebra.representation_witness(self.action)
-        if witness == ("unit",):
-            raise InconsistencyError("unit of H does not act as the identity")
-        if witness is not None:
-            raise InconsistencyError(f"ambient action violates the module law at {witness}")
+        hopf_mod.verify_module_over_algebra(self.hopf.algebra, [m.cols for m in self.action])
 
     def action_of(self, hvec):
         """ColumnMap of the ambient action of a general element of H."""
@@ -180,7 +172,7 @@ def associated_order(h, module):
             rows.append(tuple(images[a][t] for a in range(m)))
     row_lattice = IntegerLattice.from_generators(m, rows)
     if row_lattice.rank < m:
-        raise InconsistencyError(
+        raise PreconditionError(
             "associated order is not a lattice; the action is not faithful"
         )
     # rows = canonical generators

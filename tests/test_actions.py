@@ -21,26 +21,28 @@ def ext(name):
 
 
 def test_gaussian_is_module_algebra():
-    assert actions.verify_module_algebra(ext("gaussian")).passed
+    assert actions.verify_module_algebra(ext("gaussian")) is None
 
 
 def test_derivation_action_is_module_algebra():
     # F2[d]/(d^2) acting on F2[t]/(t^2) as d/dt: the Leibniz rule on the basis
-    assert actions.verify_module_algebra(ext("truncated-polynomial")).passed
+    assert actions.verify_module_algebra(ext("truncated-polynomial")) is None
 
 
 def test_affine_shift_is_not_a_module_algebra():
-    # sigma(x) = x + 1 breaks multiplicativity: (x+1)^2 != sigma(x^2) = -1
+    # sigma(x) = x + 1 has sigma^2(x) = x + 2, so the module law refuses first;
+    # sigma(x) = 1 - x is an involution, and breaks multiplicativity:
+    # (1 - x)^2 = -2x != sigma(x^2) = -1
     h = zoo.qc2()
     alg = ext("gaussian").algebra
-    action = hopf.sparse_tensor(QQ, (2, 2, 2), [
-        (0, 0, 0, 1), (0, 1, 1, 1),  # identity acts trivially
-        (1, 0, 0, 1), (1, 1, 0, 1), (1, 1, 1, 1),  # sigma(1) = 1, sigma(x) = 1 + x
-    ], 2)
-    bad = actions.ModuleAlgebraData(h, alg, action)
-    report = actions.verify_module_algebra(bad)
-    assert not report.passed
-    assert report.check("module-algebra-law").witness == (1, 1)
+    for shift, expected in ((1, ("module-law", (1, 1))), (-1, ("module-algebra-mult", (1, 1)))):
+        action = hopf.sparse_tensor(QQ, (2, 2, 2), [
+            (0, 0, 0, 1), (0, 1, 1, 1),  # identity acts trivially
+            (1, 0, 0, 1), (1, 1, 0, 1), (1, 1, 1, shift),  # sigma(1) = 1, sigma(x) = 1 +- x
+        ], 2)
+        with pytest.raises(AxiomError) as err:
+            actions.verify_module_algebra(actions.ModuleAlgebraData(h, alg, action))
+        assert (err.value.check, err.value.witness) == expected
 
 
 def harpoon_extension(h):
@@ -102,14 +104,25 @@ def test_module_algebra_law_matches_the_full_loop(name, data):
     triples = [e for e in action_triples(d.action) if e[:2] != (a, m)] + [(a, m, t, c)]
     action = hopf.sparse_tensor(dom, (dh, ds, ds), triples, 2)
     bad = actions.ModuleAlgebraData(d.hopf, d.algebra, action)
-    check = actions.verify_module_algebra(bad).check("module-algebra-law")
+    # the first refusal: the module law, then the unit, then the product
+    module = oracles.dense_representation_witness(
+        d.hopf.algebra, oracles.dense_action_matrices(dom, action, ds))
     failures = list(oracles.module_algebra_failures(bad))
-    assert check.passed == (not failures)
-    if any(w[1] == "unit" for w in failures):
-        assert check.witness == ("unit",)
+    if module is not None:
+        expected = ("module-law", module)
+    elif any(w[1] == "unit" for w in failures):
+        expected = ("module-algebra-unit", ())
     elif failures:
         # the least pair of S at which the law fails for some a
-        assert check.witness == min(w[1:] for w in failures)
+        expected = ("module-algebra-mult", min(w[1:] for w in failures))
+    else:
+        expected = None
+    try:
+        actions.verify_module_algebra(bad)
+        refusal = None
+    except AxiomError as exc:
+        refusal = (exc.check, exc.witness)
+    assert refusal == expected
 
 
 # invariants --------------------------------------------------------------------

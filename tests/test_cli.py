@@ -283,6 +283,29 @@ def test_cyclic_refuses_more_levels_than_the_bound_before_any_is_built(tmp_path,
     assert levels == []
 
 
+# The same holds for bar-shift: with a one-dimensional S every bar degree has
+# the dimension of M, and the number of levels is refused before any degree.
+def test_bar_shift_refuses_more_levels_than_the_bound_before_any_is_built(tmp_path, capsys,
+                                                                          monkeypatch):
+    point = {"field": {"kind": "Fp", "p": 3}, "hopf": {"name": "group_algebra", "table": [[0]]},
+             "action": [[0, 0, 0, "1"]],
+             "algebra": {"dim": 1, "basis": ["1"], "mult": [[0, 0, 0, "1"]], "unit": ["1"]}}
+    (tmp_path / "point.json").write_text(json.dumps(point))
+    (tmp_path / "regular.json").write_text(json.dumps({"smash_module": "regular"}))
+    args = ["bar-shift", str(tmp_path / "point.json"), "--module", str(tmp_path / "regular.json")]
+    assert cli.main(args + ["--levels", "3", "--max-dim", "4"]) == 0
+    capsys.readouterr()
+    built = []
+    monkeypatch.setattr(cocyclic, "BarShiftReport", lambda **kw: built.append(kw))
+    assert cli.main(args + ["--levels", "4", "--max-dim", "4"]) == 3
+    assert "--levels 4 builds 5 levels > bound 4" in capsys.readouterr().err
+    start = time.perf_counter()
+    assert cli.main(args + ["--levels", str(10 ** 8), "--max-dim", "5000"]) == 3
+    assert time.perf_counter() - start < 1
+    assert "--levels 100000000 builds 100000001 levels > bound 5000" in capsys.readouterr().err
+    assert built == []
+
+
 def test_env_var_dimension_bound(fixtures):
     proc = run_cli(
         [
@@ -1044,27 +1067,34 @@ def test_cyclic_converts_an_action_only_extension(tmp_path, fixtures, capsys):
 #
 # Each law is decided once, where its data enters: a module file, the
 # action of an extension file, an explicit smash-module spec, an AYD
-# module file, the coaction of an extension file and an explicit Hopf file.  The exit code and the first stderr line
-# of a refusal at each of those boundaries are pinned here.
+# module file, a lattice action, the coaction of an extension file and an
+# explicit Hopf file.  Every failed law exits 1; the exit code and the first
+# stderr line of a refusal at each of those boundaries are pinned here.
 
 @pytest.mark.parametrize("command,code,first_line", [
-    pytest.param(["homology", "mod_badlaw_f2c2.json"], 2,
-                 "error: module law fails at (1, 1)", id="homology-module-law"),
+    pytest.param(["homology", "mod_badlaw_f2c2.json"], 1,
+                 "axiom failure: module-law fails at (1, 1)", id="homology-module-law"),
     pytest.param(["homology", "mod_badlaw_zc2.json"], 2,
                  "error: hopfological homology needs a field, not Z; use the integer "
                  "normal-form routines for Z", id="homology-field-first"),
-    pytest.param(["tame", "ext_badlaw_qc2.json"], 2,
-                 "error: module-algebra-law fails at (1, 1)", id="tame-module-algebra-law"),
-    pytest.param(["tame", "ext_badunit_qc2.json"], 2,
-                 "error: module-algebra-law fails at ('unit',)", id="tame-module-algebra-unit"),
-    pytest.param(["cyclic", "ext_badlaw_qc2.json", "--module", "mod_kc2_ayd_f3.json"], 2,
-                 "error: module-algebra-law fails at (1, 1)", id="cyclic-module-algebra-law"),
-    pytest.param(["cyclic", "ext_badunit_qc2.json", "--module", "mod_kc2_ayd_f3.json"], 2,
-                 "error: module-algebra-law fails at ('unit',)", id="cyclic-module-algebra-unit"),
-    pytest.param(["bar-shift", "ext_gaussian.json", "--module", "smashmod_badlaw.json"], 2,
-                 "error: smash module law fails at (1, 1)", id="bar-shift-smash-module-law"),
-    pytest.param(["cyclic", "comodalg_graded_f3.json", "--module", "mod_ayd_noaction_f3.json"], 2,
-                 "error: module law fails at ('unit',)", id="cyclic-ayd-module-law"),
+    pytest.param(["tame", "ext_badlaw_qc2.json"], 1,
+                 "axiom failure: module-algebra-mult fails at (1, 1)", id="tame-module-algebra-law"),
+    pytest.param(["tame", "ext_badunit_qc2.json"], 1,
+                 "axiom failure: module-algebra-unit fails at ()", id="tame-module-algebra-unit"),
+    pytest.param(["cyclic", "ext_badlaw_qc2.json", "--module", "mod_kc2_ayd_f3.json"], 1,
+                 "axiom failure: module-algebra-mult fails at (1, 1)",
+                 id="cyclic-module-algebra-law"),
+    pytest.param(["cyclic", "ext_badunit_qc2.json", "--module", "mod_kc2_ayd_f3.json"], 1,
+                 "axiom failure: module-algebra-unit fails at ()", id="cyclic-module-algebra-unit"),
+    pytest.param(["bar-shift", "ext_gaussian.json", "--module", "smashmod_badlaw.json"], 1,
+                 "axiom failure: smash-module-law fails at (1, 1)",
+                 id="bar-shift-smash-module-law"),
+    pytest.param(["cyclic", "comodalg_graded_f3.json", "--module", "mod_ayd_noaction_f3.json"], 1,
+                 "axiom failure: module-law fails at ('unit',)", id="cyclic-ayd-module-law"),
+    pytest.param(["homology", "lat_badlaw_qc2.json"], 1,
+                 "axiom failure: module-law fails at (1, 1)", id="homology-lattice-module-law"),
+    pytest.param(["assoc-order", "lat_badlaw_qc2.json"], 1,
+                 "axiom failure: module-law fails at (1, 1)", id="assoc-order-lattice-module-law"),
     pytest.param(["cyclic", "comodalg_badcounit_f3.json", "--module", "mod_kc2_ayd_f3.json"], 1,
                  "axiom failure: comodule-counit fails at (1,)", id="cyclic-comodule-counit"),
     pytest.param(["integrals", "hopf_sweedler_bad_antipode.json"], 1,
@@ -1080,3 +1110,17 @@ def test_each_law_is_refused_where_its_data_enters(fixtures, capsys, command, co
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[0] == first_line
+
+
+@pytest.mark.parametrize("command", ["homology", "assoc-order"])
+def test_a_lattice_algebra_block_is_refused_by_its_module_algebra_law(fixtures, tmp_path, capsys,
+                                                                      command):
+    # s acting by [[1, 1], [0, -1]] is an involution, so the module law holds, but
+    # not an automorphism of Q(i): the integral tameness check refuses the algebra
+    doc = json.loads((fixtures / "lat_zi_qc2.json").read_text())
+    doc["action"][1] = [["1", "1"], ["0", "-1"]]
+    (tmp_path / "lat.json").write_text(json.dumps(doc))
+    assert cli.main([command, str(tmp_path / "lat.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == "axiom failure: module-algebra-mult fails at (1, 1)"

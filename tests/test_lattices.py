@@ -400,15 +400,13 @@ def test_order_must_act_integrally():
 
 
 def test_unfaithful_action_has_no_associated_order_lattice():
-    from hopfgal.errors import InconsistencyError
-
     trivial = lattices.LatticeModuleData(
         hopf=zoo.qc2(),
         lattice=lattices.standard_lattice(2),
         action=(ColumnMap.identity(QQ, 2), ColumnMap.identity(QQ, 2)),
         unit=(1, 0),
     )
-    with pytest.raises(InconsistencyError):
+    with pytest.raises(PreconditionError):
         lattices.associated_order(zoo.qc2(), trivial)
 
 

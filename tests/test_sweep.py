@@ -2,8 +2,8 @@
 
 The full sweep runs thousands of fresh processes and stays outside the
 suite; here the tool runs end to end on one command in text and in
-``--json`` form, and ``--compare`` finds a record equal to itself and
-lists a case whose exit code moved.
+``--json`` form, and ``--compare`` finds a record equal to itself, lists
+the cases whose exit code moved and groups them in its summary.
 """
 
 import json
@@ -42,4 +42,20 @@ def test_sweep_records_and_compares_two_cases(tmp_path):
     diff = run_tool("--compare", str(out), str(moved))
     assert diff.returncode == 1
     assert diff.stdout.splitlines() == [
-        "integrals hopf_qc2.json: exit differ (exit 0 -> 1)", "1 of 2 cases differ"]
+        "integrals hopf_qc2.json: exit differ (exit 0 -> 1)",
+        "1 x integrals hopf_qc2.json: exit 0 -> 1",
+        "1 of 2 cases differ"]
+
+    # the summary groups cases by command, first fixture and exit transition
+    record["integrals hopf_qc2.json --json"]["exit"] = 1
+    record["verify hopf_qc2.json --max-dim 1"] = record["integrals hopf_qc2.json"]
+    moved.write_text(json.dumps(record), encoding="utf-8")
+    diff = run_tool("--compare", str(out), str(moved))
+    assert diff.returncode == 1
+    assert diff.stdout.splitlines() == [
+        "integrals hopf_qc2.json: exit differ (exit 0 -> 1)",
+        "integrals hopf_qc2.json --json: exit differ (exit 0 -> 1)",
+        "only in B: verify hopf_qc2.json --max-dim 1",
+        "2 x integrals hopf_qc2.json: exit 0 -> 1",
+        "1 x verify hopf_qc2.json: only in B",
+        "3 of 3 cases differ"]

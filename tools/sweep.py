@@ -34,11 +34,14 @@ The case set:
   at --max-dim 8.
 
 Every case runs in text and in ``--json`` form.  ``--compare`` prints
-one line per case that differs or that only one record holds, and exits
-1 when there is such a case, else 0.
+one line per case that differs or that only one record holds, then one
+line per group of those cases with the same command, first fixture and
+exit transition, with its count, and exits 1 when there is such a case,
+else 0.
 """
 
 import argparse
+import collections
 import concurrent.futures
 import hashlib
 import json
@@ -175,18 +178,34 @@ def sweep(repo, match=None):
 
 
 def differences(a, b):
-    """One line per case whose records differ or that one record lacks."""
-    lines = []
+    """One (line, group) pair per case whose records differ or that one
+    record lacks; the group is the case's command, its first fixture and
+    its exit transition."""
+    out = []
     for name in sorted(a.keys() | b.keys()):
         if name not in b:
-            lines.append(f"only in A: {name}")
+            transition = "only in A"
+            line = f"{transition}: {name}"
         elif name not in a:
-            lines.append(f"only in B: {name}")
+            transition = "only in B"
+            line = f"{transition}: {name}"
         elif a[name] != b[name]:
-            moved = [key for key in ("exit", "stdout", "stderr") if a[name][key] != b[name][key]]
-            lines.append(f"{name}: {', '.join(moved)} differ"
-                         f" (exit {a[name]['exit']} -> {b[name]['exit']})")
-    return lines
+            moved = [field for field in ("exit", "stdout", "stderr")
+                     if a[name][field] != b[name][field]]
+            transition = f"exit {a[name]['exit']} -> {b[name]['exit']}"
+            line = f"{name}: {', '.join(moved)} differ ({transition})"
+        else:
+            continue
+        argv = name.split()
+        fixture = next((arg for arg in argv if arg.endswith(".json")), "")
+        out.append((line, (argv[0], fixture, transition)))
+    return out
+
+
+def summary(groups):
+    """One line per group, with its count, in the order groups first occur."""
+    return [f"{count} x {command} {fixture}: {transition}"
+            for (command, fixture, transition), count in collections.Counter(groups).items()]
 
 
 def main(argv=None):
@@ -198,11 +217,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.compare:
         a, b = (json.loads(pathlib.Path(p).read_text(encoding="utf-8")) for p in args.compare)
-        lines = differences(a, b)
-        for line in lines:
+        diffs = differences(a, b)
+        for line in [line for line, _ in diffs] + summary(group for _, group in diffs):
             print(line)
-        print(f"{len(lines)} of {len(a.keys() | b.keys())} cases differ")
-        return 1 if lines else 0
+        print(f"{len(diffs)} of {len(a.keys() | b.keys())} cases differ")
+        return 1 if diffs else 0
     if not args.out:
         parser.error("--out is required unless --compare is given")
     record = sweep(args.repo, args.match)
