@@ -338,19 +338,25 @@ def tensor_comodule(x, c):
     The coaction is built in its canonical form, one basis vector at a
     time: the legs of x_i (x) c_s are summed by (m', h) and sorted.  The
     coefficients are products of the canonical coefficients of x, c and
-    H, so none needs the entry checks of `hopf.sparse_tensor`.
+    H, so none needs the entry checks of `hopf.sparse_tensor`.  A dict
+    loop, not `linalg.sparse_sum`, takes c1 c2 once per pair of legs.
     """
     dom, dc = x.domain, c.dim
-    mul = dom.mul
+    mul, add = dom.mul, dom.add
     h_mult = x.hopf.algebra.mult
-    coaction = tuple([
-        tuple((m2, hh, w) for (m2, hh), w in sorted(linalg.sparse_sum(dom, (
-            ((x0 * dc + s0, hh), mul(mul(c1, c2), w))
-            for x0, h1, c1 in legs for s0, h2, c2 in c.coaction[s] for hh, w in h_mult[h1][h2]
-        )).items()))
-        for legs in x.coaction for s in range(dc)
-    ])
-    return ComoduleData(x.hopf, x.dim * dc, coaction)
+    coaction = []
+    for legs in x.coaction:
+        for s in range(dc):
+            out = {}
+            for x0, h1, c1 in legs:
+                row, at = h_mult[h1], x0 * dc
+                for s0, h2, c2 in c.coaction[s]:
+                    m2, c12 = at + s0, mul(c1, c2)
+                    for hh, w in row[h2]:
+                        key, w = (m2, hh), mul(c12, w)
+                        out[key] = add(out[key], w) if key in out else w
+            coaction.append(tuple(sorted((m2, hh, w) for (m2, hh), w in out.items() if w)))
+    return ComoduleData(x.hopf, x.dim * dc, tuple(coaction))
 
 
 def tensor_power(c, k):
@@ -428,15 +434,20 @@ def cyclic_matrix(S, M, n):
     dom = S.domain
     ds, dm = S.dim, M.dim
     step = ds ** n * dm  # rows between consecutive values of the front slot
+    mul, add = dom.mul, dom.add
     # placed[s * dm + m]: the image of slot value s and coefficient m with
-    # rest = 0, as ascending (row, coeff) pairs
-    placed = [
-        [(s0 * step + m2, c) for (s0, m2), c in sorted(linalg.sparse_sum(dom, (
-            ((s0, m2), dom.mul(c, w))
-            for s0, h, c in S.comodule.coaction[s] for m2, w in M.action[h][m]
-        )).items())]
-        for s in range(ds) for m in range(dm)
-    ]
+    # rest = 0, as ascending (row, coeff) pairs, summed in a dict loop by
+    # row s0 * step + m2, which sorts as (s0, m2) since m2 < dm <= step
+    placed = []
+    for legs in S.comodule.coaction:
+        for m in range(dm):
+            out = {}
+            for s0, h, c in legs:
+                at = s0 * step
+                for m2, w in M.action[h][m]:
+                    row, w = at + m2, mul(c, w)
+                    out[row] = add(out[row], w) if row in out else w
+            placed.append(sorted((row, w) for row, w in out.items() if w))
     return ColumnMap(dom, ds * step, [
         tuple((i + shift, c) for i, c in spread)
         for shift in range(0, step, dm) for spread in placed
@@ -474,14 +485,21 @@ def cyclic_power(X, M, col):
     which restores their order, and act on the coefficient by their
     legs: x_0(1) . (x_1(1) . (.. x_n(1) . m)), which is
     (x_0(1) x_1(1) .. x_n(1)) . m by the module law of M, and that
-    product is the leg of x in X.
+    product is the leg of x in X.  A dict loop, not `linalg.sparse_sum`,
+    splits each index once and takes c w once per leg.
     """
     dom, dm = X.domain, M.dim
-    mul = dom.mul
-    return tuple(sorted(linalg.sparse_sum(dom, (
-        (x0 * dm + m2, mul(mul(c, w), v))
-        for i, c in col for x0, h, w in X.coaction[i // dm] for m2, v in M.action[h][i % dm]
-    )).items()))
+    mul, add = dom.mul, dom.add
+    act = M.action
+    out = {}
+    for i, c in col:
+        xi, mi = divmod(i, dm)
+        for x0, h, w in X.coaction[xi]:
+            at, cw = x0 * dm, mul(c, w)
+            for m2, v in act[h][mi]:
+                row, v = at + m2, mul(cw, v)
+                out[row] = add(out[row], v) if row in out else v
+    return tuple(sorted((row, v) for row, v in out.items() if v))
 
 
 @record

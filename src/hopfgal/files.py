@@ -75,12 +75,15 @@ def _list_field(obj, key, what):
 
 
 def _labels_field(obj, key, what):
-    """obj[key] as a tuple of string labels; None when absent or empty."""
+    """obj[key] as a tuple of distinct string labels; None when absent or empty."""
     value = obj.get(key)
     if not value:
         return None
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise FormatError(f"{what} '{key}' must be a list of strings, not {value!r}")
+    if len(set(value)) < len(value):
+        repeated = next(v for i, v in enumerate(value) if v in value[:i])
+        raise FormatError(f"{what} '{key}' repeats the label {repeated!r}")
     return tuple(value)
 
 

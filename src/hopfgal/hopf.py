@@ -300,11 +300,17 @@ def _decide_on_generators(tested, holds, n, failures=None):
 
 def _product(domain, mult, u, v):
     """Product of two sparse vectors of (index, coeff) pairs, as a dict of
-    its nonzero coefficients."""
-    mul = domain.mul
-    return linalg.sparse_sum(domain, (
-        (k, mul(mul(a, b), w)) for i, a in u for j, b in v for k, w in mult[i][j]
-    ))
+    its nonzero coefficients.  A dict loop, not `linalg.sparse_sum`, takes a b once."""
+    mul, add = domain.mul, domain.add
+    out = {}
+    for i, a in u:
+        row = mult[i]
+        for j, b in v:
+            ab = mul(a, b)
+            for k, w in row[j]:
+                w = mul(ab, w)
+                out[k] = add(out[k], w) if k in out else w
+    return {k: w for k, w in out.items() if w}
 
 
 def generating_set(domain, mult, unit):
@@ -532,12 +538,16 @@ def _unital_coaction(dom, coaction, unit, h_unit):
 
 def _coaction_multiplicative(dom, mult, coaction, h_mult, i, j):
     """Whether rho(e_i e_j) = rho(e_i) rho(e_j) in A (x) H, mult and h_mult
-    being the multiplications of the coacted algebra A and of H."""
-    mul = dom.mul
-    lhs = linalg.sparse_sum(dom, (
-        ((u, v), mul(a, c)) for k, a in mult[i][j] for u, v, c in coaction[k]
-    ))
-    return lhs == _square_sum(dom, mult, h_mult, coaction[i], coaction[j])
+    being the multiplications of the coacted algebra A and of H.  The left
+    side is a dict loop, not `linalg.sparse_sum`, as is `_square_sum`."""
+    mul, add = dom.mul, dom.add
+    lhs = {}
+    for k, a in mult[i][j]:
+        for u, v, c in coaction[k]:
+            key, c = (u, v), mul(a, c)
+            lhs[key] = add(lhs[key], c) if key in lhs else c
+    return {key: c for key, c in lhs.items() if c} == _square_sum(
+        dom, mult, h_mult, coaction[i], coaction[j])
 
 
 def verify_coaction_algebra(check, alg, coaction, h_unit, h_mult):
@@ -622,16 +632,21 @@ def _square_sum(dom, mult, h_mult, u, v):
     dict (s, t) -> c of its nonzero coefficients; mult and h_mult are the
     multiplications of A and H.
 
-    Uses (e_a (x) e_b)(e_c (x) e_d) = e_a e_c (x) e_b e_d.
+    Uses (e_a (x) e_b)(e_c (x) e_d) = e_a e_c (x) e_b e_d.  A dict loop,
+    not `linalg.sparse_sum`, takes c1 c2 w1 once per term of e_a e_c.
     """
-    mul = dom.mul
-    return linalg.sparse_sum(dom, (
-        ((s, t), mul(mul(c1, c2), mul(w1, w2)))
-        for a, b, c1 in u
-        for c, d, c2 in v
-        for s, w1 in mult[a][c]
-        for t, w2 in h_mult[b][d]
-    ))
+    mul, add = dom.mul, dom.add
+    out = {}
+    for a, b, c1 in u:
+        row, h_row = mult[a], h_mult[b]
+        for c, d, c2 in v:
+            c12, right = mul(c1, c2), h_row[d]
+            for s, w1 in row[c]:
+                cw = mul(c12, w1)
+                for t, w2 in right:
+                    key, w = (s, t), mul(cw, w2)
+                    out[key] = add(out[key], w) if key in out else w
+    return {key: w for key, w in out.items() if w}
 
 
 def _square_product(alg, u, v):

@@ -1096,11 +1096,12 @@ def sparse_entries(vec, zero):
 
 
 def sparse_sum(domain, terms):
-    """Totals of (key, coeff) terms by key, leaving out the keys that sum to zero."""
-    zero, add = domain.zero, domain.add
+    """Totals of (key, coeff) terms by key, leaving out the keys that sum to
+    zero; coeffs are domain values, so a key's first term is kept as is."""
+    add = domain.add
     out = {}
     for key, c in terms:
-        out[key] = add(out.get(key, zero), c)
+        out[key] = add(out[key], c) if key in out else c
     return {key: c for key, c in out.items() if c}
 
 

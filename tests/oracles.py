@@ -26,6 +26,9 @@ and the coinvariants from their defining formulas, by dense products.
 `module_algebra_witness` decides the module-algebra law by the full
 loop over H and pairs of S, the reference for the package's decision
 through the dual coaction on the generators of S.
+The `collected_*` functions are the generator forms of the package's
+one-pass sums (the tensor coaction, t^(n+1), t_n, the products in A (x) H
+and in A), every term summed as the old `linalg.sparse_sum` did.
 `ReferenceLattice` holds a
 lattice by its canonical generators as the columns of a dense Q-Matrix,
 the reference for `lattices.IntegerLattice`, which holds integer
@@ -984,6 +987,76 @@ def tensor_power_comodule(c, k):
     for _ in range(k - 1):
         current = tensor_comodule(current, c)
     return current
+
+
+# The generator forms of the package's hot sparse contractions, as they were
+# before each became one dict loop: every term goes through `_collect`, the
+# old `linalg.sparse_sum`, and the totals are sorted where the package sorts.
+
+
+def collected_tensor_coaction(x, c):
+    """The coaction of X (x) C: the legs of x_i (x) c_s summed by (m', h)."""
+    dom, dc, h_mult = x.domain, c.dim, x.hopf.algebra.mult
+    mul = dom.mul
+    return tuple(
+        tuple((m2, hh, w) for (m2, hh), w in sorted(_collect(dom, (
+            ((x0 * dc + s0, hh), mul(mul(c1, c2), w))
+            for x0, h1, c1 in legs for s0, h2, c2 in c.coaction[s] for hh, w in h_mult[h1][h2]
+        )).items()))
+        for legs in x.coaction for s in range(dc))
+
+
+def collected_cyclic_power(X, M, col):
+    """t_n^(n+1) of a column by its closed form (id (x) act)(rho_X (x) id)."""
+    dom, dm = X.domain, M.dim
+    mul = dom.mul
+    return tuple(sorted(_collect(dom, (
+        (x0 * dm + m2, mul(mul(c, w), v))
+        for i, c in col for x0, h, w in X.coaction[i // dm] for m2, v in M.action[h][i % dm]
+    )).items()))
+
+
+def collected_cyclic_matrix(S, M, n):
+    """t_n from the images of (s, m) with no slots before them, placed by
+    (s0, m2) and shifted by each value of the other slots."""
+    dom, ds, dm = S.domain, S.dim, M.dim
+    step = ds ** n * dm
+    placed = [
+        [(s0 * step + m2, c) for (s0, m2), c in sorted(_collect(dom, (
+            ((s0, m2), dom.mul(c, w))
+            for s0, h, c in S.comodule.coaction[s] for m2, w in M.action[h][m]
+        )).items())]
+        for s in range(ds) for m in range(dm)
+    ]
+    return ColumnMap(dom, ds * step, [
+        tuple((i + shift, c) for i, c in spread)
+        for shift in range(0, step, dm) for spread in placed
+    ])
+
+
+def collected_square_sum(dom, mult, h_mult, u, v):
+    """The product in A (x) H of two lists of (a, b, c) triples, as a dict."""
+    mul = dom.mul
+    return _collect(dom, (
+        ((s, t), mul(mul(c1, c2), mul(w1, w2)))
+        for a, b, c1 in u for c, d, c2 in v for s, w1 in mult[a][c] for t, w2 in h_mult[b][d]
+    ))
+
+
+def collected_coaction_multiplicative(dom, mult, coaction, h_mult, i, j):
+    """Whether rho(e_i e_j) = rho(e_i) rho(e_j) in A (x) H."""
+    lhs = _collect(dom, (
+        ((u, v), dom.mul(a, c)) for k, a in mult[i][j] for u, v, c in coaction[k]
+    ))
+    return lhs == collected_square_sum(dom, mult, h_mult, coaction[i], coaction[j])
+
+
+def collected_product(domain, mult, u, v):
+    """The product of two sparse vectors of (index, coeff) pairs, as a dict."""
+    mul = domain.mul
+    return _collect(domain, (
+        (k, mul(mul(a, b), w)) for i, a in u for j, b in v for k, w in mult[i][j]
+    ))
 
 
 def dense_cotensor(x, m):

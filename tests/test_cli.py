@@ -631,6 +631,12 @@ NESTED_CASES = [
                  "has non-integer indices", id="mult-index-bools"),
     pytest.param(["verify", "doc.json"], "hopf_f2c2.json", ("builtin", "labels"), 7,
                  "'labels' must be a list of strings", id="group-labels-number"),
+    # a repeated label would make reports and dual labels ambiguous
+    pytest.param(["verify", "doc.json"], "hopf_sweedler_bad_antipode.json", ("basis",),
+                 ["1", "g", "x", "g"], "algebra 'basis' repeats the label 'g'",
+                 id="basis-repeated-label"),
+    pytest.param(["integrals", "doc.json"], "hopf_f2c2.json", ("builtin", "labels"), ["a", "a"],
+                 "group_algebra 'labels' repeats the label 'a'", id="group-labels-repeated"),
     pytest.param(["bar-shift", "ext_gaussian.json", "--module", "doc.json", "--levels", "1"],
                  "smashmod_sum.json", ("smash_module", "sum"), 5,
                  "smash module 'sum' must be a list", id="smash-sum-number"),

@@ -452,8 +452,9 @@ def test_column_map_rejects_mismatched_operands():
 
 
 # Keys (i, j) with i < 3 are drawn freely; key CANCELLED gets c and -c, so
-# its total is zero whatever else is drawn.
-CANCELLED = (3, 1)
+# its total is zero whatever else is drawn; ZERO_ONLY gets the one term 0,
+# and LONE one small integer, its only term.
+CANCELLED, ZERO_ONLY, LONE = (3, 1), (3, 0), (4, 0)
 raw_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
@@ -463,7 +464,9 @@ def sparse_terms(draw):
     keys = st.tuples(st.integers(0, 2), st.integers(0, 1))
     terms = draw(st.lists(st.tuples(keys, raw_coeffs), max_size=10))
     c = draw(raw_coeffs.filter(bool))
-    terms = draw(st.permutations(terms + [(CANCELLED, c), (CANCELLED, -c)]))
+    n = draw(st.integers(-TABLE, TABLE))
+    terms = draw(st.permutations(
+        terms + [(CANCELLED, c), (CANCELLED, -c), (ZERO_ONLY, 0), (LONE, n)]))
     return domain, terms
 
 
@@ -471,21 +474,28 @@ def sparse_terms(draw):
 @example((QQ, [((0, 0), Fraction(1, 2)), (CANCELLED, 1), ((0, 0), Fraction(1, 2)),
                (CANCELLED, -1)]))
 @example((GF(5), [((1, 1), 3), ((1, 1), 2), (CANCELLED, 2), ((2, 0), 1), (CANCELLED, -2)]))
+@example((QQ, [(LONE, 7), (ZERO_ONLY, 0), (CANCELLED, 2), (CANCELLED, -2)]))
 def test_sparse_sum_and_from_entries_match_dense_reference(case):
     domain, raw = case
     terms = [(key, domain.normalize(c)) for key, c in raw]
     totals = {
         (i, j): domain.normalize(sum(c for key, c in raw if key == (i, j)))
-        for i in range(4)
+        for i in range(5)
         for j in range(2)
     }
     sums = sparse_sum(domain, terms)
     assert sums == {key: c for key, c in totals.items() if c != domain.zero}
-    assert CANCELLED not in sums
-    m = Matrix.from_entries(domain, 4, 2, terms)
-    assert m == Matrix(domain, [[totals[(i, j)] for j in range(2)] for i in range(4)])
+    assert CANCELLED not in sums and ZERO_ONLY not in sums
+    # a key's first term is kept as given: over Q, the shared table object
+    lone = [c for key, c in terms if key == LONE]
+    if lone and lone[0]:
+        assert sums[LONE] is lone[0]
+        if domain is QQ:
+            assert type(sums[LONE]) is Fraction and sums[LONE] is linalg._integral(int(lone[0]))
+    m = Matrix.from_entries(domain, 5, 2, terms)
+    assert m == Matrix(domain, [[totals[(i, j)] for j in range(2)] for i in range(5)])
     assert m.rows[CANCELLED[0]][CANCELLED[1]] == domain.zero
-    assert ColumnMap.from_entries(domain, 4, 2, terms) == ColumnMap.from_dense(m)
+    assert ColumnMap.from_entries(domain, 5, 2, terms) == ColumnMap.from_dense(m)
 
 
 def test_from_entries_without_terms_is_zero_matrix():

@@ -2,13 +2,19 @@
 """Byte-identity sweep of the hopfgal CLI, one fresh process per case.
 
 Runs a fixed set of CLI cases against the source tree of one checkout
-and records, for each case, its exit code, a hash of its stdout and a
-hash of its stderr with the ``# elapsed`` line removed.  Two records of
-the same case set, one per checkout, then show every report, message
-and exit code that a change moved.
+and records, for each case, its exit code, a hash of its stdout, a hash of
+its stderr with the ``# elapsed`` line removed, its wall time and the
+child's peak RSS (``ru_maxrss`` from ``os.wait4``; Linux carries the
+sweep's own RSS at the fork into it, so a case that needs less reads as
+that floor).  Two records of the same case set, one per checkout, then
+show every report, message and exit code that a change moved, and how
+time and memory moved.
 
     python tools/sweep.py --repo PATH --out FILE [--match REGEX]
     python tools/sweep.py --compare A B
+
+``--match scale/`` runs only the scaling group, whose records are the
+``BENCH_*.json`` files at the repository root.
 
 Each case runs ``python -m hopfgal.cli`` with the checkout's ``src`` on
 PYTHONPATH, from a work directory that holds the checkout's fixtures
@@ -16,8 +22,9 @@ and generated builtin specs, so the paths in reports are relative and do
 not depend on where the checkout lives.  PYTHONPYCACHEPREFIX names a
 fresh empty directory per case and PYTHONDONTWRITEBYTECODE is set, so
 no case reads bytecode, from the checkout or from an earlier case.  Two
-cases run at once.  A case that runs past TIMEOUT seconds is recorded
-with the exit code "timeout".
+cases run at once, except the scaling group, whose cases run one at a
+time after the others.  A case that runs past TIMEOUT seconds is
+recorded with the exit code "timeout".
 
 The case set:
 
@@ -31,13 +38,19 @@ The case set:
 - ``verify`` and ``integrals`` on builtin Taft algebras n = 2-8 over the
   three least primes p = 1 mod n (and n = 2 over Q), on C_N for
   N = 2-64 over Q and F_3, and on the dual of each, and on two of them
-  at --max-dim 8.
+  at --max-dim 8;
+- the scaling group, named ``scale/<series> <argv>``: ``cyclic`` on
+  comodalg_graded_f3 with mod_kc2_ayd_f3 at levels 10, 12 and 14
+  (--max-dim 2000000), and ``verify`` on builtin Taft algebras n = 16,
+  24 and 32 over F_97 and on their duals.
 
 Every case runs in text and in ``--json`` form.  ``--compare`` prints
-one line per case that differs or that only one record holds, then one
-line per group of those cases with the same command, first fixture and
-exit transition, with its count, and exits 1 when there is such a case,
-else 0.
+one line per case whose exit code or hashes differ or that only one
+record holds, then one line per group of those cases with the same
+command, first fixture and exit transition, with its count; then, for
+each command (or scaling series), the median ratio B/A of the wall
+time and of the peak RSS over the cases both records timed.  It exits 1
+when a case differs, else 0.
 """
 
 import argparse
@@ -49,9 +62,12 @@ import os
 import pathlib
 import re
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 COMMANDS = ("verify", "integrals", "tame", "galois", "homology", "cyclic", "bar-shift",
@@ -68,6 +84,9 @@ BAR_LEVELS = range(10)
 REFUSAL_DIMS = (1, 3, 9)
 JOBS = 2
 TIMEOUT = 120
+SCALE_CYCLIC_LEVELS = (10, 12, 14)
+SCALE_TAFT_N = (16, 24, 32)
+SCALE_TAFT_P = 97
 
 
 def primes_one_mod(n, count):
@@ -99,11 +118,38 @@ def builtin_specs():
         for label, field in (("Q", {"kind": "Q"}), ("F3", {"kind": "Fp", "p": 3})):
             specs[f"cyclic_N{size}_{label}.json"] = (
                 field, {"name": "group_algebra", "table": table})
+    return with_duals(specs)
+
+
+def with_duals(specs):
+    """File name -> document of each builtin spec and of its dual."""
     out = {}
     for name, (field, spec) in specs.items():
         out[name] = {"field": field, "builtin": spec}
         out[f"dual_{name}"] = {"field": field, "builtin": {"name": "dual", "of": spec}}
     return out
+
+
+def scale_specs():
+    """File name -> document of the Taft algebras of the scaling group."""
+    p = SCALE_TAFT_P
+    return with_duals({
+        f"taft_n{n}_F{p}.json": ({"kind": "Fp", "p": p},
+                                 {"name": "taft", "n": n, "q": str(least_primitive_root(p, n))})
+        for n in SCALE_TAFT_N})
+
+
+def scale_cases():
+    """Case name -> argv of the scaling group, without the --json form."""
+    cases = {}
+    for level in SCALE_CYCLIC_LEVELS:
+        argv = ["cyclic", "comodalg_graded_f3.json", "--module", "mod_kc2_ayd_f3.json",
+                "--levels", str(level), "--max-dim", "2000000"]
+        cases["scale/cyclic " + " ".join(argv)] = argv
+    for name in scale_specs():
+        series = "dual-taft" if name.startswith("dual_") else "taft"
+        cases[f"scale/{series} verify {name}"] = ["verify", name]
+    return cases
 
 
 def case_argvs(fixtures, builtins):
@@ -142,20 +188,32 @@ def digest(text):
 
 
 def run_case(repo, workdir, argv):
-    """The exit code and the stdout and stderr hashes of one fresh CLI run."""
-    with tempfile.TemporaryDirectory(prefix="pycache-") as cache:
+    """The exit code, the stdout and stderr hashes, the wall time (s) and
+    the peak RSS (MB) of one fresh CLI run."""
+    with (tempfile.TemporaryDirectory(prefix="pycache-") as cache,
+          tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err):
         env = {key: value for key, value in os.environ.items()
                if not key.startswith(("PYTHON", "HOPFGAL_"))}
         env.update(PYTHONPATH=str(repo / "src"), PYTHONPYCACHEPREFIX=cache,
                    PYTHONDONTWRITEBYTECODE="1")
-        try:
-            proc = subprocess.run([sys.executable, "-m", "hopfgal.cli", *argv], cwd=workdir,
-                                  env=env, capture_output=True, text=True, timeout=TIMEOUT)
-        except subprocess.TimeoutExpired:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "hopfgal.cli", *argv], cwd=workdir,
+                                env=env, stdout=out, stderr=err)
+        timer = threading.Timer(TIMEOUT, proc.kill)
+        timer.start()
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: a late kill sends nothing
+        timer.cancel()
+        if proc.returncode < 0 and wall >= TIMEOUT:
             return {"exit": "timeout", "stdout": None, "stderr": None}
-    stderr = "".join(line for line in proc.stderr.splitlines(keepends=True)
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read().decode("utf-8"), err.read().decode("utf-8")
+    stderr = "".join(line for line in stderr.splitlines(keepends=True)
                      if not line.startswith("# elapsed"))
-    return {"exit": proc.returncode, "stdout": digest(proc.stdout), "stderr": digest(stderr)}
+    return {"exit": proc.returncode, "stdout": digest(stdout), "stderr": digest(stderr),
+            "time_s": round(wall, 4), "peak_rss_mb": round(usage.ru_maxrss / 1024, 2)}
 
 
 def sweep(repo, match=None):
@@ -166,15 +224,21 @@ def sweep(repo, match=None):
         for name in fixtures:
             shutil.copyfile(repo / "tests" / "fixtures" / name, pathlib.Path(workdir) / name)
         builtins = builtin_specs()
-        for name, doc in builtins.items():
+        for name, doc in {**builtins, **scale_specs()}.items():
             (pathlib.Path(workdir) / name).write_text(json.dumps(doc), encoding="utf-8")
         argvs = {" ".join(argv): argv for argv in case_argvs(fixtures, list(builtins))}
+        scaled = {name + form: argv + form.split()
+                  for name, argv in scale_cases().items() for form in ("", " --json")}
         if match is not None:
-            argvs = {name: argv for name, argv in argvs.items() if re.search(match, name)}
+            argvs, scaled = ({name: argv for name, argv in cases.items() if re.search(match, name)}
+                             for cases in (argvs, scaled))
         with concurrent.futures.ThreadPoolExecutor(max_workers=JOBS) as pool:
             futures = {name: pool.submit(run_case, repo, workdir, argv)
                        for name, argv in argvs.items()}
-            return {name: future.result() for name, future in futures.items()}
+            record = {name: future.result() for name, future in futures.items()}
+        # one at a time, so that no other case shares the host with them
+        record.update((name, run_case(repo, workdir, argv)) for name, argv in scaled.items())
+        return record
 
 
 def differences(a, b):
@@ -189,9 +253,8 @@ def differences(a, b):
         elif name not in a:
             transition = "only in B"
             line = f"{transition}: {name}"
-        elif a[name] != b[name]:
-            moved = [field for field in ("exit", "stdout", "stderr")
-                     if a[name][field] != b[name][field]]
+        elif moved := [field for field in ("exit", "stdout", "stderr")
+                       if a[name][field] != b[name][field]]:
             transition = f"exit {a[name]['exit']} -> {b[name]['exit']}"
             line = f"{name}: {', '.join(moved)} differ ({transition})"
         else:
@@ -208,6 +271,21 @@ def summary(groups):
             for (command, fixture, transition), count in collections.Counter(groups).items()]
 
 
+def ratios(a, b):
+    """One line per command (or scaling series), sorted, with the median
+    ratio B/A of wall time and of peak RSS over the cases both timed."""
+    pairs = collections.defaultdict(list)
+    for name in sorted(a.keys() & b.keys()):
+        if "time_s" in a[name] and "time_s" in b[name]:
+            pairs[name.split()[0]].append((a[name], b[name]))
+    lines = []
+    for group, cases in sorted(pairs.items()):
+        wall = statistics.median(y["time_s"] / x["time_s"] for x, y in cases)
+        rss = statistics.median(y["peak_rss_mb"] / x["peak_rss_mb"] for x, y in cases)
+        lines.append(f"{group}: time x{wall:.3f}, peak RSS x{rss:.3f} (median of {len(cases)})")
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repo", default=str(ROOT), help="checkout whose src/ and fixtures run")
@@ -218,7 +296,8 @@ def main(argv=None):
     if args.compare:
         a, b = (json.loads(pathlib.Path(p).read_text(encoding="utf-8")) for p in args.compare)
         diffs = differences(a, b)
-        for line in [line for line, _ in diffs] + summary(group for _, group in diffs):
+        for line in ([line for line, _ in diffs] + summary(group for _, group in diffs)
+                     + ratios(a, b)):
             print(line)
         print(f"{len(diffs)} of {len(a.keys() | b.keys())} cases differ")
         return 1 if diffs else 0
