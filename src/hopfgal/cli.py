@@ -223,7 +223,7 @@ def run_cyclic(args):
     # the level-top identities reach level top + 1 (the pairs d_(top+1) s_j), bounded too;
     # level n has dimension dim(S)^(n+1) dim(M), so only a 1-dimensional S gets past level max_dim
     for n in range(min(top + 2, max_dim + 1)):
-        dim = cocyclic._level_dim(S, M, n)
+        dim = S.dim ** (n + 1) * M.dim
         if dim > max_dim:
             built_by = f" (the level {top} identities build it)" if n > top else ""
             raise ResourceBoundError(

@@ -1,4 +1,4 @@
-"""Comodules, cyclic-type operators, bar complexes and shift checks.
+"""Comodules, the cyclic operator and the shift checks.
 
 Conventions fixed here once:
 
@@ -15,20 +15,20 @@ Conventions fixed here once:
 * "Level n" of the cyclic family carries n + 1 algebra slots plus the
   coefficient module, with lexicographic flattening, left slot slowest.
 
-Face maps at level n multiply adjacent slots; the last face and the
-cyclic operator rotate the final slot to the front through its
-coaction legs, acting on the coefficients by the H-leg.  The operators
-fail cyclicity on the full space; t restricted to the cotensor
-subspace with stable anti-Yetter-Drinfeld coefficients satisfies
-t^(n+1) = id, and that restriction is what the identity checks verify.
+The cyclic operator t_n rotates the final slot to the front through its
+coaction legs, acting on the coefficients by the H-leg.  It fails
+cyclicity on the full space; t restricted to the cotensor subspace with
+stable anti-Yetter-Drinfeld coefficients satisfies t^(n+1) = id, and
+that restriction is what the identity checks verify.
 
-On a validated S and M the simplicial and rotation identities are a
-lemma (see `check_cyclic_identities`), and t^(n+1) has a closed form
-on X (x) M, X = S^(x)(n+1): so the level-n check builds the cotensor
-basis and t_n once each, and no face or degeneracy.  Only X outlives
-it: S keeps it, to build the next power from (`tensor_power`).  The
-cotensor system leaves out one row block that the counit law makes
-redundant, and is eliminated sparsely (`linalg.kernel_map`).
+On a validated S and M the simplicial and rotation identities of the
+faces and degeneracies are a lemma (see `check_cyclic_identities`), so
+no face or degeneracy is built; and t^(n+1) has a closed form on
+X (x) M, X = S^(x)(n+1): so the level-n check builds the cotensor basis
+and t_n once each.  Only X outlives it: S keeps it, to build the next
+power from (`tensor_power`).  The cotensor system leaves out one row
+block that the counit law makes redundant, and is eliminated sparsely
+(`linalg.kernel_map`).
 
 The four functions that need :mod:`actions` (the homology of a
 comodule, the bar shift, gamma of a comodule algebra and the T-shift)
@@ -66,8 +66,8 @@ class ComoduleData:
     A plain record: no law is decided here.  Data read from outside
     enters through :func:`comodule_from_triples`, which decides the
     counit and coassociativity laws.  The derived comodules (regular,
-    trivial, tensor products, the dictionary image of a module, the
-    cofree relative modules) are built as records, since they are
+    tensor products, the dictionary image of a module, the cofree
+    relative modules) are built as records, since they are
     comodules by construction: a tensor product of comodules is a
     comodule, and so is the dual coaction of a module.
     """
@@ -110,11 +110,6 @@ def comodule_from_triples(hopf, dim, triples):
         if witness is not None:
             raise AxiomError(name, witness)
     return c
-
-
-def trivial_comodule(hopf, dim):
-    unit = hopf.algebra.unit
-    return _comodule(hopf, dim, [(m, m, h, u) for m in range(dim) for h, u in enumerate(unit)])
 
 
 def regular_comodule(hopf):
@@ -416,15 +411,6 @@ def cotensor(x, m):
 # the cyclic-type operators
 
 
-def _mult_map(alg):
-    """S (x) S -> S, column (a, b) = a * b."""
-    return ColumnMap(alg.domain, alg.dim, [cell for row in alg.mult for cell in row])
-
-
-def _level_dim(S, M, n):
-    return S.dim ** (n + 1) * M.dim
-
-
 def cyclic_matrix(S, M, n):
     """t_n: rotate the last slot to the front through its coaction legs.
 
@@ -452,28 +438,6 @@ def cyclic_matrix(S, M, n):
         tuple((i + shift, c) for i, c in spread)
         for shift in range(0, step, dm) for spread in placed
     ])
-
-
-def face_matrix(S, M, n, i):
-    """d_i at level n: for i < n multiply slots i, i+1; the last face d_n
-    is d_0 t_n."""
-    if not 1 <= n:
-        raise ShapeError("faces exist at level >= 1")
-    if not 0 <= i <= n:
-        raise ShapeError(f"face index {i} out of range at level {n}")
-    if i == n:
-        return face_matrix(S, M, n, 0) @ cyclic_matrix(S, M, n)
-    ds = S.dim
-    return linalg.on_slot(ds ** i, _mult_map(S.algebra), ds ** (n - 1 - i) * M.dim)
-
-
-def degeneracy_matrix(S, M, n, i):
-    """s_i at level n: insert the unit of S after slot i."""
-    if not 0 <= i <= n:
-        raise ShapeError(f"degeneracy index {i} out of range at level {n}")
-    ds = S.dim
-    unit = tuple((k, u) for k, u in enumerate(S.algebra.unit) if u)
-    return linalg.on_slot(ds ** (i + 1), ColumnMap(S.domain, ds, [unit]), ds ** (n - i) * M.dim)
 
 
 def cyclic_power(X, M, col):
@@ -514,13 +478,9 @@ class CyclicIdentityReport:
     cyclicity_witness: tuple | None
     t_preserves_cotensor: bool
 
-    @property
-    def verdicts(self):
-        return (self.simplicial_ok, self.rotation_ok, self.cyclicity_ok)
-
 
 def _bound_level(S, M, n, max_dim):
-    dim = _level_dim(S, M, n)
+    dim = S.dim ** (n + 1) * M.dim
     if dim > max_dim:
         raise ResourceBoundError(f"level {n} has dimension {dim} > bound {max_dim}")
     return dim
@@ -584,94 +544,6 @@ def check_cyclic_identities(S, M, n, max_dim=DEFAULT_MAX_DIM):
         cyclicity_witness=cyc_witness,
         t_preserves_cotensor=B @ (ColumnMap(dom, B.ncols, at_pivots) @ tB) == tB,
     )
-
-
-def t_complex(S, M, top, max_dim=DEFAULT_MAX_DIM):
-    """Chain complex from the alternating sum of all faces at each level."""
-    dims = tuple(_bound_level(S, M, k, max_dim) for k in range(top + 1))
-    diffs = tuple(
-        _alternating_sum(S.domain, [face_matrix(S, M, k, i) for i in range(k + 1)], 0)
-        for k in range(1, top + 1)
-    )
-    return ChainComplexData(dims, diffs)
-
-
-def _alternating_sum(dom, faces, first):
-    """Sum of (-1)^i faces[i - first]: a (partial) bar or face differential."""
-    signs = [dom.one if i % 2 == 0 else dom.neg(dom.one) for i in range(first, first + len(faces))]
-    return ColumnMap.combination(dom, signs, faces, faces[0].nrows, faces[0].ncols)
-
-
-# ---------------------------------------------------------------------------
-# chain complexes and the bar construction
-
-
-@record
-class ChainComplexData:
-    """Non-negatively graded complex; differentials[k] is b_{k+1}, a ColumnMap."""
-
-    dims: tuple
-    differentials: tuple
-
-    def __post_init__(self):
-        if len(self.differentials) != max(0, len(self.dims) - 1):
-            raise ShapeError("need one differential per positive degree")
-        for k, b in enumerate(self.differentials, start=1):
-            if b.nrows != self.dims[k - 1] or b.ncols != self.dims[k]:
-                raise ShapeError(f"differential b_{k} has the wrong shape")
-        # no b.b = 0 check: the faces that `t_complex` and `bar_complex`
-        # build satisfy the presimplicial identities
-
-    @property
-    def top(self):
-        return len(self.dims) - 1
-
-    def differential(self, n):
-        return self.differentials[n - 1]
-
-    def homology_dims(self):
-        """Dimensions of H_0 .. H_{top-1} (the top degree needs b_{top+1}).
-
-        By rank-nullity, dim H_k = dims[k] - rank b_k - rank b_{k+1}.
-        """
-        ranks = [0] + [linalg.rank(b) for b in self.differentials]
-        return tuple(self.dims[k] - ranks[k] - ranks[k + 1] for k in range(self.top))
-
-
-def bar_complex(alg, s_action, top, max_dim=DEFAULT_MAX_DIM):
-    """One-sided bar complex of an algebra with module coefficients.
-
-    Degree n is S^(x)n (x) M; the faces d_i for 1 <= i <= n multiply
-    slots i, i+1 when i < n and apply the S-action to the coefficients
-    when i = n; the differential is the alternating sum from i = 1.
-    b.b = 0 follows from the presimplicial identities of these faces,
-    which hold once the module law does.
-    """
-    ds = alg.dim
-    dm = len(s_action[0]) if s_action else 0
-    hopf_mod.verify_module_over_algebra(alg, s_action, "S-module-law")
-    dims = []
-    for n in range(top + 1):
-        d = ds ** n * dm
-        if d > max_dim:
-            raise ResourceBoundError(f"bar degree {n} has dimension {d} > bound {max_dim}")
-        dims.append(d)
-    return ChainComplexData(tuple(dims), tuple(_bar_differentials(alg, s_action, dm, top)))
-
-
-def _bar_differentials(alg, s_action, dm, top):
-    """b_1 .. b_top of the bar complex of `bar_complex`, as ColumnMaps."""
-    dom = alg.domain
-    ds = alg.dim
-    act = ColumnMap(dom, dm, [cell for block in s_action for cell in block])
-    mult = _mult_map(alg)
-
-    def face(n, i):
-        if i == n:
-            return linalg.on_slot(ds ** (n - 1), act, 1)
-        return linalg.on_slot(ds ** (i - 1), mult, ds ** (n - 1 - i) * dm)
-
-    return [_alternating_sum(dom, [face(n, i) for i in range(1, n + 1)], 1) for n in range(1, top + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -804,15 +676,16 @@ class TShiftReport:
     dim_coinvariants: int
     dims_module: tuple
     dims_coinvariants: tuple
-    dims_match: bool
 
 
 def t_shift_check(m, top, max_dim=DEFAULT_MAX_DIM):
     """Fundamental-theorem shift for T-levels of a relative Hopf module.
 
     Needs gamma bijective for S over R = S^coH; verifies the evaluation
-    S (x) M^co -> M is bijective and compares level dimensions of
-    T(S, M) against T(S, M^co) shifted by one.
+    S (x) M^co -> M is bijective and reports the level dimensions of
+    T(S, M) and of T(S, M^co) shifted by one, each bounded by max_dim.
+    They agree exactly when dim M = dim S dim M^co, which a bijective
+    evaluation implies.
     """
     from . import actions
 
@@ -851,5 +724,4 @@ def t_shift_check(m, top, max_dim=DEFAULT_MAX_DIM):
         dim_coinvariants=len(mco),
         dims_module=dims_m,
         dims_coinvariants=dims_c,
-        dims_match=dims_m == dims_c,
     )

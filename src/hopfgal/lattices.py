@@ -78,9 +78,6 @@ class IntegerLattice:
     def contains(self, vec):
         return self.integer_coords(vec) is not None
 
-    def contains_lattice(self, other):
-        return all(self.contains(g) for g in other.generators())
-
 
 def standard_lattice(n):
     return IntegerLattice(n, 1, tuple(linalg.unit_vec(ZZ, n, i) for i in range(n)))

@@ -628,31 +628,6 @@ def _column(domain, terms):
     return tuple(sorted(sparse_sum(domain, terms).items()))
 
 
-def on_slot(left, a, right):
-    """I_left (x) a (x) I_right for a ColumnMap a, built by index arithmetic.
-
-    This is the one place that fixes the slot layout of tensor
-    operators: flattening is lexicographic with the left slot slowest,
-    so column (l, j, r) of the result is column j of a placed at rows
-    (l, i, r).  A one-entry column of a, as in the multiplication of a
-    monomial algebra and in the unit, gives `right` one-entry columns
-    at consecutive rows.
-    """
-    block = a.nrows * right
-    cols = []
-    for l in range(left):
-        offset = l * block
-        for col in a.cols:
-            if len(col) == 1:
-                (i, v), = col
-                start = offset + i * right
-                cols += [((k, v),) for k in range(start, start + right)]
-            else:
-                spread = [(offset + i * right, v) for i, v in col]
-                cols += [tuple((base + r, v) for base, v in spread) for r in range(right)]
-    return ColumnMap(a.domain, left * block, cols)
-
-
 # ---------------------------------------------------------------------------
 # field elimination
 
@@ -806,34 +781,6 @@ def column_space_basis(m):
     """Canonical echelon basis of the column span (vectors of length nrows);
     m is a Matrix or a ColumnMap."""
     return _dense(m.domain, m.nrows, _echelon_rows(rref(m.transpose())))
-
-
-def span_test(domain, basis):
-    """Membership test for the span of an RREF basis, as `echelon_basis` gives.
-
-    Each b_k is 1 at its pivot p_k, where every other b_i is 0, so v lies
-    in the span exactly when v == sum of v[p_k] * b_k.  The pivots and
-    nonzero entries are read once; the test takes vectors of domain values.
-    """
-    add, mul = domain.add, domain.mul
-    rows = [tuple((j, x) for j, x in enumerate(b) if x) for b in basis]
-
-    def contains(vec):
-        out = [domain.zero] * len(vec)
-        for row in rows:
-            c = vec[row[0][0]]
-            if c:
-                for j, x in row:
-                    out[j] = add(out[j], mul(c, x))
-        return out == list(vec)
-
-    return contains
-
-
-def span_le(domain, basis_a, basis_b):
-    """Whether span(basis_a) is contained in span(RREF basis_b)."""
-    contains = span_test(domain, basis_b)
-    return all(contains(v) for v in basis_a)
 
 
 def span_eq(domain, basis_a, basis_b):

@@ -102,9 +102,3 @@ class VerificationReport:
 
     def failures(self):
         return tuple(c for c in self.checks if not c.passed)
-
-    def check(self, name):
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)

@@ -18,8 +18,11 @@ comodule-algebra law, the relative Hopf module law and the closure of
 an associated order are checked by full loops; with the algebra axioms,
 they are the references for the structures the package derives without
 a check (the dual of a Hopf algebra, S#H, the dictionary comodule
-algebra).  `bar_shift_compat` builds the degreewise compatibility of
-the bar shift that the package takes from the Morita lemma.
+algebra).  The faces, degeneracies and the T and bar differentials are
+built only here, as dense matrices: the package decides their
+identities by lemmas.  `bar_shift_compat` builds from them the
+degreewise compatibility of the bar shift that the package takes from
+the Morita lemma.
 `dense_galois_j`, `dense_gamma`, `dense_faithful` and
 `dense_coinvariants` build the Galois maps, the faithfulness verdict
 and the coinvariants from their defining formulas, by dense products.
@@ -900,11 +903,13 @@ def integral_image_in_fixed_lattice(module, generator):
     return True
 
 
-# dense cyclic-family operators --------------------------------------------------
+# dense cyclic-family and bar operators -----------------------------------------
 #
-# The references for the sparse ColumnMap operators of `cocyclic`: every
-# operator is a dense Matrix, slots are placed row by row, and the identity
-# checks compose, compare and apply dense matrices.
+# The faces, degeneracies and differentials that the package decides by
+# lemmas and never builds, and the reference for its one built operator,
+# `cocyclic.cyclic_matrix`: every operator is a dense Matrix, slots are
+# placed row by row, and the identity checks compose, compare and apply
+# dense matrices.
 
 
 def dense_on_slot(domain, left, a, right):
@@ -964,6 +969,40 @@ def dense_degeneracy_matrix(S, M, n, i):
     ds = S.dim
     unit_col = Matrix.from_cols(S.domain, [S.algebra.unit], ds)
     return dense_on_slot(S.domain, ds ** (i + 1), unit_col, ds ** (n - i) * M.dim)
+
+
+def alternating_sum(domain, mats, first):
+    """The sum of (-1)^i mats[i - first] over i from first: a face differential."""
+    signs = [domain.one if i % 2 == 0 else domain.neg(domain.one)
+             for i in range(first, first + len(mats))]
+    return combination(domain, signs, mats, mats[0].nrows, mats[0].ncols)
+
+
+def dense_face_differential(S, M, n):
+    """b_n = sum of (-1)^i d_i over the faces of level n, n >= 1."""
+    return alternating_sum(S.domain, [dense_face_matrix(S, M, n, i) for i in range(n + 1)], 0)
+
+
+def dense_bar_differential(alg, n, dm, s_action=None):
+    """b_n, n >= 1, of the one-sided bar complex on S^(x)n (x) M, dim M = dm:
+    the sum of (-1)^i d_i from i = 1, where d_i multiplies slots i, i + 1
+    for i < n and d_n is the action s_action[s][m] = s . m on the
+    coefficients.  With no s_action, d_n is left out, as for coefficients
+    that carry no S-action."""
+    dom, ds = alg.domain, alg.dim
+    mult = _dense_mult_matrix(alg)
+    faces = [dense_on_slot(dom, ds ** (i - 1), mult, ds ** (n - 1 - i) * dm) for i in range(1, n)]
+    if s_action is not None:
+        act = ColumnMap(dom, dm, [cell for block in s_action for cell in block]).to_dense()
+        faces.append(dense_on_slot(dom, ds ** (n - 1), act, 1))
+    return alternating_sum(dom, faces, 1)
+
+
+def trivial_comodule(hopf, dim):
+    """V with the trivial coaction v -> v (x) 1."""
+    unit = hopf.algebra.unit
+    return cocyclic._comodule(
+        hopf, dim, [(m, m, h, u) for m in range(dim) for h, u in enumerate(unit)])
 
 
 def tensor_comodule(x, c):
@@ -1152,26 +1191,25 @@ def bar_shift_compat(d, module, top):
     S (x) M^H -> M, intertwines the bar differential of B(S, M) in
     degree n with faces 1..n of B(S, M^H) in degree n + 1.  [False] * top
     when the Morita map is not bijective.  phi comes from the dense
-    `dense_inverse`; faces and differentials are the package's sparse
-    ones.  The reference for `cocyclic.bar_shift_check`, which takes
-    the verdict from the Morita lemma instead."""
-    from hopfgal import actions, linalg
+    `dense_inverse`, the differentials from `dense_bar_differential`.
+    The reference for `cocyclic.bar_shift_check`, which takes the verdict
+    from the Morita lemma instead."""
+    from hopfgal import actions
 
     morita = actions.morita_decomposition(module)
     if not morita.bijective:
         return [False] * top
-    dom = d.domain
-    ds, dm, k = d.algebra.dim, morita.dim_module, morita.dim_fixed
-    phi = ColumnMap.from_dense(dense_inverse(morita.matrix.to_dense())[0])  # M -> S (x) M^H
-    bar_m = cocyclic._bar_differentials(d.algebra, module.s_action(), dm, top)
-    mult = cocyclic._mult_map(d.algebra)
+    dom, alg = d.domain, d.algebra
+    ds, dm, k = alg.dim, morita.dim_module, morita.dim_fixed
+    phi = dense_inverse(morita.matrix.to_dense())[0]  # M -> S (x) M^H
+    s_action = module.s_action()
     compat = []
     for n in range(1, top + 1):
-        iso_lo = linalg.on_slot(ds ** (n - 1), phi, 1)
-        iso_hi = linalg.on_slot(ds ** n, phi, 1)
-        # partial bar differential on S^(x)(n+1) (x) M^H: faces 1..n only
-        faces = [linalg.on_slot(ds ** (i - 1), mult, ds ** (n - i) * k) for i in range(1, n + 1)]
-        compat.append(cocyclic._alternating_sum(dom, faces, 1) @ iso_hi == iso_lo @ bar_m[n - 1])
+        iso_lo = dense_on_slot(dom, ds ** (n - 1), phi, 1)
+        iso_hi = dense_on_slot(dom, ds ** n, phi, 1)
+        # M^H carries no S-action, so its top face is left out
+        partial = dense_bar_differential(alg, n + 1, k)
+        compat.append(partial @ iso_hi == iso_lo @ dense_bar_differential(alg, n, dm, s_action))
     return compat
 
 

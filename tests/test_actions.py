@@ -308,7 +308,7 @@ def test_integral_image_always_inside_invariants():
     # the homology report takes I.S inside S^H from the theory and does not check it
     for name, d in zoo.extension_registry().items():
         hom = actions.hopfological_homology_module(d.hopf, d.action)
-        assert linalg.span_le(d.domain, hom.image_basis, hom.fixed_basis), name
+        assert all(oracles.echelon_in_span(d.domain, hom.fixed_basis, v) for v in hom.image_basis), name
 
 
 # total integral ----------------------------------------------------------------
@@ -387,7 +387,7 @@ def test_homology_inclusion_is_asserted():
     d = ext("gaussian")
     hom = actions.hopfological_homology_module(d.hopf, d.action)
     assert hom.dim_h0 == hom.dim_fixed - hom.dim_image
-    assert linalg.span_le(d.domain, hom.image_basis, hom.fixed_basis)
+    assert all(oracles.echelon_in_span(d.domain, hom.fixed_basis, v) for v in hom.image_basis)
 
 
 # smash modules and Morita --------------------------------------------------------

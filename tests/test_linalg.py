@@ -1,4 +1,3 @@
-import functools
 from fractions import Fraction
 
 import pytest
@@ -30,12 +29,10 @@ from hopfgal.linalg import (
     invert,
     kernel_basis,
     kernel_map,
-    on_slot,
     rank,
     rref,
     smith_normal_form,
     solve,
-    span_test,
     sparse_sum,
     stack,
 )
@@ -253,27 +250,6 @@ def test_kron_associative_up_to_flattening(a, b, c):
     assert a.kron(b).kron(c) == a.kron(b.kron(c))
 
 
-@st.composite
-def slot_operands(draw):
-    domain = draw(st.sampled_from([QQ, GF(5)]))
-    shape = draw(st.tuples(st.integers(1, 3), st.integers(1, 3)))
-    a = draw(small_matrix(domain, *shape))
-    return domain, draw(st.integers(1, 3)), a, draw(st.integers(1, 3))
-
-
-@given(slot_operands())
-@example((QQ, 1, Matrix(QQ, [[1, -2], [0, 3]]), 1))
-@example((GF(5), 1, Matrix(GF(5), [[1, 2, 3]]), 3))
-@example((QQ, 3, Matrix(QQ, [[2, 1]]), 1))
-@example((GF(5), 2, Matrix(GF(5), [[1], [0], [4]]), 2))  # a degeneracy: one column
-@example((QQ, 1, Matrix(QQ, [[1], [1]]), 1))
-def test_on_slot_matches_kron_with_identities(operands):
-    domain, left, a, right = operands
-    expected = Matrix.identity(domain, left).kron(a).kron(Matrix.identity(domain, right))
-    # from_dense is canonical, so this also checks that rows come out ascending
-    assert on_slot(left, ColumnMap.from_dense(a), right) == ColumnMap.from_dense(expected)
-
-
 def mixed_column_maps(domain, nrows, ncols):
     """ColumnMaps whose columns are drawn empty, one-entry with coefficient
     one, one-entry with another coefficient, or with several entries."""
@@ -291,22 +267,6 @@ def mixed_column_maps(domain, nrows, ncols):
 
     return st.lists(column(), min_size=ncols, max_size=ncols).map(
         lambda cols: ColumnMap(domain, nrows, cols))
-
-
-@st.composite
-def mixed_slot_operands(draw):
-    domain = draw(st.sampled_from([QQ, GF(5)]))
-    a = draw(mixed_column_maps(domain, draw(st.integers(1, 3)), draw(st.integers(1, 3))))
-    return domain, a, draw(st.integers(1, 3)), draw(st.integers(1, 3))
-
-
-# Empty, one-entry (coefficient one or not) and multi-entry columns.
-@given(mixed_slot_operands())
-@example((GF(5), ColumnMap(GF(5), 2, [((0, 1),), ((1, 2),), ((0, 1), (1, 4)), ()]), 2, 1))
-def test_on_slot_of_mixed_columns_matches_dense_oracle(operands):
-    domain, a, left, right = operands
-    built = on_slot(left, a, right)
-    assert built.to_dense() == oracles.dense_on_slot(domain, left, a.to_dense(), right)
 
 
 @st.composite
@@ -328,28 +288,6 @@ def test_compositions_of_mixed_columns_match_dense_product(operands):
     assert composed == expected
     assert all(c is a.cols[col[0][0]] for c, col in zip(composed.cols, b.cols)
                if len(col) == 1 and col[0][1] == a.domain.one)
-
-
-@st.composite
-def interchange_operands(draw):
-    domain = draw(st.sampled_from([QQ, GF(5)]))
-    a, b = (draw(small_matrix(domain, draw(st.integers(1, 3)), draw(st.integers(1, 3))))
-            for _ in range(2))
-    left, middle, right = (draw(st.integers(1, 2)) for _ in range(3))
-    return domain, left, a, middle, b, right
-
-
-# The lemma behind the reduced cyclic identity checks: operators on
-# disjoint slots commute, (A (x) I)(I (x) B) = A (x) B = (I (x) B)(A (x) I).
-@given(interchange_operands())
-def test_on_slot_interchange_law(operands):
-    domain, left, a, middle, b, right = operands
-    A, B = ColumnMap.from_dense(a), ColumnMap.from_dense(b)
-    b_first = on_slot(left, A, middle * b.nrows * right) @ on_slot(left * a.ncols * middle, B, right)
-    a_first = on_slot(left * a.nrows * middle, B, right) @ on_slot(left, A, middle * b.ncols * right)
-    eye = functools.partial(Matrix.identity, domain)
-    expected = eye(left).kron(a).kron(eye(middle)).kron(b).kron(eye(right))
-    assert b_first == a_first == ColumnMap.from_dense(expected)
 
 
 @st.composite
@@ -836,8 +774,8 @@ def test_echelon_basis_is_canonical():
     b1 = echelon_basis(QQ, [(1, 1, 0), (0, 1, 1)])
     b2 = echelon_basis(QQ, [(1, 2, 1), (2, 3, 1)])
     assert b1 == b2
-    assert span_test(QQ, b1)((1, 0, -1))
-    assert not span_test(QQ, b1)((1, 0, 0))
+    assert oracles.echelon_in_span(QQ, b1, (1, 0, -1))
+    assert not oracles.echelon_in_span(QQ, b1, (1, 0, 0))
 
 
 def test_rref_pivot_normalization():

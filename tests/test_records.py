@@ -11,6 +11,8 @@ from hopfgal.errors import AxiomError, ShapeError
 from hopfgal.linalg import GF, QQ
 from hopfgal.reporting import CheckResult, VerificationReport
 
+import oracles
+
 
 def test_fields_by_position_keyword_and_default():
     c = CheckResult("unit", False, (3,))
@@ -74,11 +76,11 @@ def test_post_init_errors_are_unchanged():
     # the unit of H acting by 2 breaks the module law
     action = tuple((((0, Fraction(2)),),) for _ in range(2))
     with pytest.raises(AxiomError) as err:
-        cocyclic.AydModuleData(cocyclic.trivial_comodule(h, 1), action)
+        cocyclic.AydModuleData(oracles.trivial_comodule(h, 1), action)
     assert (err.value.check, err.value.witness) == ("module-law", ("unit",))
     # one block over QC_2: the shape is refused before the module law reads the missing block
     with pytest.raises(ShapeError):
-        cocyclic.AydModuleData(cocyclic.trivial_comodule(h, 1), action[:1])
+        cocyclic.AydModuleData(oracles.trivial_comodule(h, 1), action[:1])
 
 
 def test_report_and_integrals_stay_out_of_equality_and_repr():

@@ -4,11 +4,15 @@ The full sweep runs thousands of fresh processes and stays outside the
 suite; here the tool runs end to end on one command in text and in
 ``--json`` form, and ``--compare`` finds a record equal to itself, lists
 the cases whose exit code moved, groups them in its summary and prints
-the median time and peak RSS ratios of each command.
+the median time and peak RSS ratios of each command.  One case runs
+in process, under a parent that holds 100 MB, to show that the peak RSS
+is the child's own.
 """
 
+import importlib.util
 import json
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -32,7 +36,7 @@ def test_sweep_records_and_compares_two_cases(tmp_path):
     # stderr holds only the elapsed line, which the hash leaves out
     assert {case["stderr"] for case in record.values()} == {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"}
-    # each case is timed, and its child's peak RSS is read from os.wait4
+    # each case is timed, and its child's peak RSS is recorded
     for case in record.values():
         assert 0 < case["time_s"] < 300
         assert 0 < case["peak_rss_mb"] < 1000
@@ -79,3 +83,17 @@ def test_scale_group_runs_its_own_builtin_specs(tmp_path):
     record = json.loads(out.read_text(encoding="utf-8"))
     assert list(record) == ["scale/taft verify taft_n16_F97.json"]
     assert record["scale/taft verify taft_n16_F97.json"]["exit"] == 0
+
+
+def test_peak_rss_is_the_childs_own_and_not_the_sweeps(tmp_path):
+    spec = importlib.util.spec_from_file_location("sweep", TOOL)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    shutil.copyfile(ROOT / "tests" / "fixtures" / "hopf_qc2.json", tmp_path / "hopf_qc2.json")
+    # a child's ru_maxrss starts at this process's RSS, 100 MB more with the
+    # ballast written; its own VmHWM does not count the ballast
+    ballast = bytearray(b"\x01") * (100 << 20)
+    case = sweep.run_case(ROOT, tmp_path, ["integrals", "hopf_qc2.json"])
+    assert len(ballast) == 100 << 20
+    assert case["exit"] == 0
+    assert 0 < case["peak_rss_mb"] < 30

@@ -4,11 +4,9 @@
 Runs a fixed set of CLI cases against the source tree of one checkout
 and records, for each case, its exit code, a hash of its stdout, a hash of
 its stderr with the ``# elapsed`` line removed, its wall time and the
-child's peak RSS (``ru_maxrss`` from ``os.wait4``; Linux carries the
-sweep's own RSS at the fork into it, so a case that needs less reads as
-that floor).  Two records of the same case set, one per checkout, then
-show every report, message and exit code that a change moved, and how
-time and memory moved.
+child's peak RSS.  Two records of the same case set, one per checkout,
+then show every report, message and exit code that a change moved, and
+how time and memory moved.
 
     python tools/sweep.py --repo PATH --out FILE [--match REGEX]
     python tools/sweep.py --compare A B
@@ -16,8 +14,9 @@ time and memory moved.
 ``--match scale/`` runs only the scaling group, whose records are the
 ``BENCH_*.json`` files at the repository root.
 
-Each case runs ``python -m hopfgal.cli`` with the checkout's ``src`` on
-PYTHONPATH, from a work directory that holds the checkout's fixtures
+Each case runs ``hopfgal.cli`` as ``__main__`` through a small launcher
+(``LAUNCHER``), with the checkout's ``src`` on PYTHONPATH, from a work
+directory that holds the checkout's fixtures
 and generated builtin specs, so the paths in reports are relative and do
 not depend on where the checkout lives.  PYTHONPYCACHEPREFIX names a
 fresh empty directory per case and PYTHONDONTWRITEBYTECODE is set, so
@@ -25,6 +24,13 @@ no case reads bytecode, from the checkout or from an earlier case.  Two
 cases run at once, except the scaling group, whose cases run one at a
 time after the others.  A case that runs past TIMEOUT seconds is
 recorded with the exit code "timeout".
+
+The peak RSS is the child's own ``VmHWM`` from ``/proc/self/status``,
+which the launcher writes to a side file at exit, so stdout and stderr
+are the CLI's alone.  ``ru_maxrss`` (from ``os.wait4``, or from
+``getrusage`` in the child) would not do: Linux starts it at the
+parent's RSS at the fork and keeps it across exec, so every case that
+needs less than the sweep process would read as the sweep's own size.
 
 The case set:
 
@@ -87,6 +93,20 @@ TIMEOUT = 120
 SCALE_CYCLIC_LEVELS = (10, 12, 14)
 SCALE_TAFT_N = (16, 24, 32)
 SCALE_TAFT_P = 97
+# python -c LAUNCHER PEAK_FILE ARGS...: run hopfgal.cli ARGS... as `python -m`
+# would, and write the process's peak RSS in kB (VmHWM) to PEAK_FILE at exit
+LAUNCHER = """
+import atexit, runpy, sys
+
+def write_peak(path=sys.argv.pop(1)):
+    with open("/proc/self/status", encoding="ascii") as status:
+        kb = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+    with open(path, "w", encoding="ascii") as out:
+        out.write(kb)
+
+atexit.register(write_peak)
+runpy.run_module("hopfgal.cli", run_name="__main__", alter_sys=True)
+"""
 
 
 def primes_one_mod(n, count):
@@ -190,30 +210,32 @@ def digest(text):
 def run_case(repo, workdir, argv):
     """The exit code, the stdout and stderr hashes, the wall time (s) and
     the peak RSS (MB) of one fresh CLI run."""
-    with (tempfile.TemporaryDirectory(prefix="pycache-") as cache,
+    with (tempfile.TemporaryDirectory(prefix="case-") as scratch,
           tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err):
+        peak = pathlib.Path(scratch) / "vmhwm"
         env = {key: value for key, value in os.environ.items()
                if not key.startswith(("PYTHON", "HOPFGAL_"))}
-        env.update(PYTHONPATH=str(repo / "src"), PYTHONPYCACHEPREFIX=cache,
+        env.update(PYTHONPATH=str(repo / "src"),
+                   PYTHONPYCACHEPREFIX=str(pathlib.Path(scratch) / "pycache"),
                    PYTHONDONTWRITEBYTECODE="1")
         start = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-m", "hopfgal.cli", *argv], cwd=workdir,
+        proc = subprocess.Popen([sys.executable, "-c", LAUNCHER, str(peak), *argv], cwd=workdir,
                                 env=env, stdout=out, stderr=err)
         timer = threading.Timer(TIMEOUT, proc.kill)
         timer.start()
-        _, status, usage = os.wait4(proc.pid, 0)
+        proc.wait()  # reaped: a late kill sends nothing
         wall = time.perf_counter() - start
-        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: a late kill sends nothing
         timer.cancel()
         if proc.returncode < 0 and wall >= TIMEOUT:
             return {"exit": "timeout", "stdout": None, "stderr": None}
         out.seek(0)
         err.seek(0)
         stdout, stderr = out.read().decode("utf-8"), err.read().decode("utf-8")
+        peak_kb = int(peak.read_text(encoding="ascii"))
     stderr = "".join(line for line in stderr.splitlines(keepends=True)
                      if not line.startswith("# elapsed"))
     return {"exit": proc.returncode, "stdout": digest(stdout), "stderr": digest(stderr),
-            "time_s": round(wall, 4), "peak_rss_mb": round(usage.ru_maxrss / 1024, 2)}
+            "time_s": round(wall, 4), "peak_rss_mb": round(peak_kb / 1024, 2)}
 
 
 def sweep(repo, match=None):
