@@ -10,8 +10,10 @@ builtins and `zoo` use, decides associativity and the unit axiom, and a
 group algebra takes both from its table (:func:`check_group_table`).
 :func:`verify_hopf` checks the other Hopf axioms, and
 :func:`build_hopf` runs it once, refuses failing data and keeps the
-report for the caller.  :func:`dual` transposes a verified algebra
-without a check and takes its report.
+report for the caller.  A group algebra is a Hopf algebra by a theorem
+once its table is decided, and keeps a passing report and its integral
+sum_g g without a check (:func:`group_algebra`).  :func:`dual`
+transposes a verified algebra without a check and takes its report.
 
 Associativity, the module law and every Hopf axiom are decided on a
 generating set.  Associativity is the module law of the left regular
@@ -47,7 +49,8 @@ lexicographic with the left factor varying slowest.
 
 Left integrals are the invariants (:func:`fixed_points`) of the left
 regular action, whose tensor is mult itself, solved at most once per Hopf
-algebra object and kept on it, as the axiom report is; right integrals
+algebra object and kept on it, as the axiom report is (never for a
+group algebra, which holds them from construction); right integrals
 are their antipode image (Larson-Sweedler), with no solve of their own.
 """
 
@@ -379,12 +382,14 @@ class HopfAlgebraData:
     the coefficient of e_j (x) e_k; counit is a coefficient vector;
     antipode is the ColumnMap whose column i is the image of e_i.  No Hopf
     axioms are enforced here, so tests can build corrupted instances;
-    `build_hopf` and every builtin constructor run :func:`verify_hopf`,
-    raise on failure and keep the passing report as ``report``, which is
-    None on data that has not been verified.  ``integrals`` holds the left
-    integral space from its first solve on (:func:`left_integrals`), so it
-    is not solved twice for one object.  Neither is a field: both stay
-    out of ``==``, the hash and the repr.
+    `build_hopf`, and with it `taft` and `sweedler`, runs
+    :func:`verify_hopf`, raises on failure and keeps the passing report as
+    ``report``, which is None on data that has not been verified.
+    :func:`group_algebra` takes its report by theorem instead.
+    ``integrals`` holds the left integral space from its first solve on
+    (:func:`left_integrals`), so it is not solved twice for one object; a
+    group algebra over a field holds it from construction.  Neither is a
+    field: both stay out of ``==``, the hash and the repr.
     """
 
     algebra: AlgebraData
@@ -477,15 +482,14 @@ def verify_hopf(h):
     bialgebra = _bialgebra_witness(h, unit)
     rows = alg.generators if bialgebra is None else None
     antipode_rows = rows if rows is not None and _antimultiplicative(h, rows, unit) else None
-    return VerificationReport((
-        _check("associativity", None),
-        _check("unit", None),
-        _check("coassociativity", _first_failing_row(
-            rows, functools.partial(_coassociative_at, dom, h.comult, h.comult), n)),
-        _check("counit", _first_failing_row(rows, functools.partial(_counital_at, h), n)),
-        _check("bialgebra", bialgebra),
-        _check("antipode",
-               _first_failing_row(antipode_rows, functools.partial(_antipode_at, h, unit), n)),
+    # associativity and the unit axiom pass: they were decided with h.algebra
+    return _report((
+        None,
+        None,
+        _first_failing_row(rows, functools.partial(_coassociative_at, dom, h.comult, h.comult), n),
+        _first_failing_row(rows, functools.partial(_counital_at, h), n),
+        bialgebra,
+        _first_failing_row(antipode_rows, functools.partial(_antipode_at, h, unit), n),
     ))
 
 
@@ -655,8 +659,15 @@ def _square_product(alg, u, v):
     return tuple((s, t, c) for (s, t), c in sorted(product.items()))
 
 
-def _check(name, witness):
-    return CheckResult(name, witness is None, witness)
+# the checks of a Hopf axiom report, in report order
+_HOPF_CHECKS = ("associativity", "unit", "coassociativity", "counit", "bialgebra", "antipode")
+
+
+def _report(witnesses):
+    """The axiom report with one witness, or None, per name of _HOPF_CHECKS."""
+    return VerificationReport(tuple(
+        CheckResult(name, witness is None, witness)
+        for name, witness in zip(_HOPF_CHECKS, witnesses, strict=True)))
 
 
 def build_hopf(algebra, comult, counit, antipode):
@@ -739,8 +750,14 @@ def group_generators(table):
 def group_algebra(domain, table, labels=None):
     """Group algebra with Delta(g) = g (x) g, counit 1, antipode g^-1.
 
-    Its algebra is a record: it takes associativity and its unit from the
-    table, which `check_group_table` decides."""
+    Once `check_group_table` has decided the table, kG is a Hopf algebra
+    by a theorem, and over a field its left integrals are the line of
+    sum_g g, which is also a right integral (Montgomery, Hopf Algebras
+    and Their Actions on Rings, CBMS 82, 1993, sections 1.5 and 2.1).
+    So it is built as a record without `build_hopf`: it keeps the
+    passing report that :func:`verify_hopf` returns on kG, and over a
+    field the integral space, whose canonical basis is the all-ones
+    vector."""
     inverses = check_group_table(table)
     n = len(table)
     if labels is None:
@@ -752,7 +769,11 @@ def group_algebra(domain, table, labels=None):
     alg = AlgebraData(domain, n, tuple(labels), mult, linalg.unit_vec(domain, n, 0))
     comult = tuple(((i, i, one),) for i in range(n))
     antipode = ColumnMap(domain, n, [((g, one),) for g in inverses])
-    return build_hopf(alg, comult, (one,) * n, antipode)
+    h = HopfAlgebraData(alg, comult, (one,) * n, antipode)
+    object.__setattr__(h, "report", _report((None,) * len(_HOPF_CHECKS)))
+    if domain.is_field:
+        h.integrals["left"] = IntegralSpace("left", ((one,) * n,))
+    return h
 
 
 def sweedler(domain):
@@ -960,7 +981,10 @@ def _integral_space(h):
 
 
 def left_integrals(h):
-    """Basis of {t : h t = counit(h) t}, solved on first read and kept on h."""
+    """Basis of {t : h t = counit(h) t}, solved on first read and kept on h.
+
+    A group algebra over a field holds it from construction, the line of
+    sum_g g (see :func:`group_algebra`), so it solves nothing here."""
     space = h.integrals.get("left")
     if space is None:
         space = h.integrals["left"] = _integral_space(h)

@@ -740,8 +740,10 @@ def test_unexpected_exception_exits_4(fixtures, capsys, monkeypatch):
     def broken(h):
         raise RuntimeError("broken check")
 
+    # an explicit document still reaches verify_hopf; a group algebra keeps
+    # its report by theorem
     monkeypatch.setattr(hopf, "verify_hopf", broken)
-    assert cli.main(["verify", fx(fixtures, "hopf_qc2.json")]) == 4
+    assert cli.main(["verify", fx(fixtures, "hopf_sweedler_bad_antipode.json")]) == 4
     captured = capsys.readouterr()
     assert "internal error: RuntimeError: broken check" in captured.err
     assert captured.out == ""
@@ -752,26 +754,52 @@ DUAL_TAFT4_F5 = {"field": {"kind": "Fp", "p": 5},
                  "builtin": {"name": "dual", "of": TAFT4_F5["builtin"]}}
 
 
-@pytest.mark.parametrize("command,doc,calls", [
-    pytest.param("verify", TAFT4_F5, 1, id="verify-taft"),
-    pytest.param("integrals", TAFT4_F5, 1, id="integrals-taft"),
+@pytest.mark.parametrize("command,doc,calls,solves", [
+    pytest.param(["verify"], TAFT4_F5, 1, 0, id="verify-taft"),
+    pytest.param(["integrals"], TAFT4_F5, 1, 1, id="integrals-taft"),
     # the inner Taft algebra; its dual, a transposition, takes that report
-    pytest.param("integrals", DUAL_TAFT4_F5, 1, id="integrals-dual-taft"),
-    pytest.param("verify", "hopf_sweedler_bad_antipode.json", 1, id="verify-explicit"),
+    pytest.param(["integrals"], DUAL_TAFT4_F5, 1, 1, id="integrals-dual-taft"),
+    pytest.param(["verify"], "hopf_sweedler_bad_antipode.json", 1, 0, id="verify-explicit"),
+    # a group algebra keeps its report and its integral sum_g g by theorem
+    pytest.param(["verify"], "hopf_qc2.json", 0, 0, id="verify-group"),
+    pytest.param(["integrals"], "hopf_f2c2.json", 0, 0, id="integrals-group"),
+    pytest.param(["tame"], "ext_gaussian.json", 0, 0, id="tame-group"),
+    pytest.param(["cyclic", "--module", "mod_kc2_ayd_f3.json"], "comodalg_graded_f3.json", 0, 0,
+                 id="cyclic-group"),
 ])
 def test_each_hopf_algebra_is_verified_once_per_command(tmp_path, fixtures, capsys, monkeypatch,
-                                                       command, doc, calls):
-    seen = []
-    verify = hopf.verify_hopf
+                                                       command, doc, calls, solves):
+    seen, solved = [], []
+    verify, solve = hopf.verify_hopf, hopf._integral_space
 
     def counted(h):
         seen.append(h.dim)
         return verify(h)
 
+    def counted_solve(h):
+        solved.append(h.dim)
+        return solve(h)
+
     monkeypatch.setattr(hopf, "verify_hopf", counted)
-    code = run_on_changed_doc(tmp_path, fixtures, [command, "doc.json"], doc, (), None)
-    assert code == (1 if command == "verify" and isinstance(doc, str) else 0)
+    monkeypatch.setattr(hopf, "_integral_space", counted_solve)
+    argv = [command[0], "doc.json", *command[1:]]
+    code = run_on_changed_doc(tmp_path, fixtures, argv, doc, (), None)
+    assert code == (1 if doc == "hopf_sweedler_bad_antipode.json" else 0)
     assert len(seen) == calls
+    assert len(solved) == solves
+
+
+def test_integrals_of_a_z_group_algebra_still_need_a_field(tmp_path, fixtures, capsys):
+    doc = json.loads((fixtures / "hopf_qc2.json").read_text())
+    doc["field"] = {"kind": "Z"}
+    (tmp_path / "zc2.json").write_text(json.dumps(doc))
+    assert cli.main(["integrals", str(tmp_path / "zc2.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _stderr_without_elapsed(captured.err) == [
+        "error: integral computation needs a field, not Z; use the integer normal-form "
+        "routines for Z"
+    ]
 
 
 @pytest.mark.parametrize("command", ["bar-shift", "cyclic"])
@@ -849,12 +877,13 @@ def test_integrals_solves_each_integral_space_once(fixtures, capsys, monkeypatch
     assert "semisimple: false" in capsys.readouterr().out
     assert len(solves) == 1
     assert systems == [solves[0].algebra.mult]
-    # the classification and the homology dimension read one left integral space
+    # the classification and the homology dimension read the integral sum_g g
+    # that a group algebra keeps from construction, and solve nothing
     for command, name in (("tame", "ext_f4.json"), ("galois", "ext_gaussian.json")):
         solves.clear()
         assert cli.main([command, fx(fixtures, name)]) == 0
         assert "classification: tame+hopf-galois" in capsys.readouterr().out
-        assert len(solves) == 1, command
+        assert len(solves) == 0, command
 
 
 def test_assoc_order_takes_the_integral_generator_from_the_tame_report(fixtures, capsys,

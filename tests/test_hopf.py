@@ -1,6 +1,7 @@
 import collections
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -469,22 +470,37 @@ def test_integrals_on_generators_match_full_stack(name):
 
 
 @st.composite
+def group_algebras_of_tables(draw):
+    """The group algebra of a relabelled group table over Q or F_p."""
+    table = relabelled_table(draw, zoo.GROUP_TABLES)
+    return hopf.group_algebra(draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)])), table)
+
+
+@st.composite
 def group_algebras(draw):
     """The group algebra, or its dual, of a relabelled group table over Q or F_p."""
-    table = relabelled_table(draw, zoo.GROUP_TABLES)
-    h = hopf.group_algebra(draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)])), table)
+    h = draw(group_algebras_of_tables())
     return hopf.dual(h) if draw(st.booleans()) else h
 
 
-@given(group_algebras())
+@given(group_algebras_of_tables())
 def test_group_algebra_integrals_on_generators_match_full_stack(h):
-    left = hopf.left_integrals(h)
-    assert left.basis == oracles.dense_integrals(h, "left")
-    assert hopf.right_integrals(h).basis == oracles.dense_integrals(h, "right")
-    # the integral space is solved once and kept on h
-    assert hopf.left_integrals(h) is left
-    full = oracles.dense_integrals(h, "left")
-    assert hopf.is_semisimple(h) == (h.counit_vec(full[0]) != h.domain.zero)
+    # kG keeps, by theorem, the report verify_hopf gives it and the integral
+    # sum_g g, and solves nothing; its dual takes that report and solves once
+    assert h.report == hopf.verify_hopf(h)
+    assert h.integrals["left"].basis == oracles.dense_integrals(h, "left")
+    d = hopf.dual(h)
+    assert d.report == hopf.verify_hopf(d)
+    for g, solves in ((h, 0), (d, 1)):
+        with mock.patch.object(hopf, "_integral_space", wraps=hopf._integral_space) as solve:
+            left = hopf.left_integrals(g)
+            assert left.basis == oracles.dense_integrals(g, "left")
+            assert hopf.right_integrals(g).basis == oracles.dense_integrals(g, "right")
+            # the integral space is kept on g
+            assert hopf.left_integrals(g) is left
+            full = oracles.dense_integrals(g, "left")
+            assert hopf.is_semisimple(g) == (g.counit_vec(full[0]) != g.domain.zero)
+        assert solve.call_count == solves
 
 
 @functools.lru_cache(maxsize=None)

@@ -25,6 +25,13 @@ def run_tool(*args):
                           timeout=300)
 
 
+def load_sweep():
+    spec = importlib.util.spec_from_file_location("sweep", TOOL)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    return sweep
+
+
 def test_sweep_records_and_compares_two_cases(tmp_path):
     out = tmp_path / "a.json"
     proc = run_tool("--out", str(out), "--match", r"^integrals hopf_qc2\.json( --json)?$")
@@ -86,9 +93,7 @@ def test_scale_group_runs_its_own_builtin_specs(tmp_path):
 
 
 def test_peak_rss_is_the_childs_own_and_not_the_sweeps(tmp_path):
-    spec = importlib.util.spec_from_file_location("sweep", TOOL)
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
+    sweep = load_sweep()
     shutil.copyfile(ROOT / "tests" / "fixtures" / "hopf_qc2.json", tmp_path / "hopf_qc2.json")
     # a child's ru_maxrss starts at this process's RSS, 100 MB more with the
     # ballast written; its own VmHWM does not count the ballast
@@ -97,3 +102,21 @@ def test_peak_rss_is_the_childs_own_and_not_the_sweeps(tmp_path):
     assert len(ballast) == 100 << 20
     assert case["exit"] == 0
     assert 0 < case["peak_rss_mb"] < 30
+
+
+def test_scale_group_series_runs_builtin_group_algebras(tmp_path):
+    # verify and integrals on C_N, integrals on its dual, over Q and F_97
+    cases = [name for name in load_sweep().scale_cases() if "group " in name]
+    assert cases == [
+        f"scale/{series} {command} {dual}cyclic_N{n}_{field}.json"
+        for n in (16, 64, 256) for field in ("Q", "F97")
+        for series, command, dual in (("group", "verify", ""), ("group", "integrals", ""),
+                                      ("dual-group", "integrals", "dual_"))]
+    out = tmp_path / "group.json"
+    proc = run_tool("--out", str(out), "--match",
+                    r"^scale/(dual-)?group integrals (dual_)?cyclic_N16_F97\.json$")
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert sorted(record) == ["scale/dual-group integrals dual_cyclic_N16_F97.json",
+                              "scale/group integrals cyclic_N16_F97.json"]
+    assert {case["exit"] for case in record.values()} == {0}

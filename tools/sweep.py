@@ -47,8 +47,10 @@ The case set:
   at --max-dim 8;
 - the scaling group, named ``scale/<series> <argv>``: ``cyclic`` on
   comodalg_graded_f3 with mod_kc2_ayd_f3 at levels 10, 12 and 14
-  (--max-dim 2000000), and ``verify`` on builtin Taft algebras n = 16,
-  24 and 32 over F_97 and on their duals.
+  (--max-dim 2000000), ``verify`` on builtin Taft algebras n = 16,
+  24 and 32 over F_97 and on their duals, and ``verify`` and
+  ``integrals`` on builtin C_N for N = 16, 64 and 256 over Q and F_97,
+  with ``integrals`` on their duals.
 
 Every case runs in text and in ``--json`` form.  ``--compare`` prints
 one line per case whose exit code or hashes differ or that only one
@@ -93,6 +95,8 @@ TIMEOUT = 120
 SCALE_CYCLIC_LEVELS = (10, 12, 14)
 SCALE_TAFT_N = (16, 24, 32)
 SCALE_TAFT_P = 97
+SCALE_GROUP_N = (16, 64, 256)
+SCALE_GROUP_FIELDS = (("Q", {"kind": "Q"}), ("F97", {"kind": "Fp", "p": 97}))
 # python -c LAUNCHER PEAK_FILE ARGS...: run hopfgal.cli ARGS... as `python -m`
 # would, and write the process's peak RSS in kB (VmHWM) to PEAK_FILE at exit
 LAUNCHER = """
@@ -133,12 +137,21 @@ def builtin_specs():
             q = least_primitive_root(p, n)
             specs[f"taft_n{n}_F{p}.json"] = (
                 {"kind": "Fp", "p": p}, {"name": "taft", "n": n, "q": str(q)})
-    for size in range(2, 65):
+    specs.update(cyclic_group_specs(range(2, 65), (("Q", {"kind": "Q"}),
+                                                   ("F3", {"kind": "Fp", "p": 3}))))
+    return with_duals(specs)
+
+
+def cyclic_group_specs(sizes, fields):
+    """File name -> (field, spec) of the group algebra of C_N, for each size
+    N and each (label, field) pair."""
+    specs = {}
+    for size in sizes:
         table = [[(i + j) % size for j in range(size)] for i in range(size)]
-        for label, field in (("Q", {"kind": "Q"}), ("F3", {"kind": "Fp", "p": 3})):
+        for label, field in fields:
             specs[f"cyclic_N{size}_{label}.json"] = (
                 field, {"name": "group_algebra", "table": table})
-    return with_duals(specs)
+    return specs
 
 
 def with_duals(specs):
@@ -151,12 +164,13 @@ def with_duals(specs):
 
 
 def scale_specs():
-    """File name -> document of the Taft algebras of the scaling group."""
+    """File name -> document of the Taft and group algebras of the scaling group."""
     p = SCALE_TAFT_P
     return with_duals({
-        f"taft_n{n}_F{p}.json": ({"kind": "Fp", "p": p},
-                                 {"name": "taft", "n": n, "q": str(least_primitive_root(p, n))})
-        for n in SCALE_TAFT_N})
+        **{f"taft_n{n}_F{p}.json": ({"kind": "Fp", "p": p},
+                                    {"name": "taft", "n": n, "q": str(least_primitive_root(p, n))})
+           for n in SCALE_TAFT_N},
+        **cyclic_group_specs(SCALE_GROUP_N, SCALE_GROUP_FIELDS)})
 
 
 def scale_cases():
@@ -167,8 +181,13 @@ def scale_cases():
                 "--levels", str(level), "--max-dim", "2000000"]
         cases["scale/cyclic " + " ".join(argv)] = argv
     for name in scale_specs():
-        series = "dual-taft" if name.startswith("dual_") else "taft"
-        cases[f"scale/{series} verify {name}"] = ["verify", name]
+        dual = "dual-" if name.startswith("dual_") else ""
+        if "taft" in name:
+            series, commands = "taft", ("verify",)
+        else:
+            series, commands = "group", ("integrals",) if dual else ("verify", "integrals")
+        for command in commands:
+            cases[f"scale/{dual}{series} {command} {name}"] = [command, name]
     return cases
 
 
