@@ -13,7 +13,8 @@ group algebra takes both from its table (:func:`check_group_table`).
 report for the caller.  A group algebra is a Hopf algebra by a theorem
 once its table is decided, and keeps a passing report and its integral
 sum_g g without a check (:func:`group_algebra`).  :func:`dual`
-transposes a verified algebra without a check and takes its report.
+transposes a verified algebra without a check and takes its report and
+the integral lines it holds.
 
 Associativity, the module law and every Hopf axiom are decided on a
 generating set.  Associativity is the module law of the left regular
@@ -49,9 +50,11 @@ lexicographic with the left factor varying slowest.
 
 Left integrals are the invariants (:func:`fixed_points`) of the left
 regular action, whose tensor is mult itself, solved at most once per Hopf
-algebra object and kept on it, as the axiom report is (never for a
-group algebra, which holds them from construction); right integrals
-are their antipode image (Larson-Sweedler), with no solve of their own.
+algebra object and kept on it, as the axiom report is.  The builtins
+over a field hold the line of H and the line of H* from construction,
+by theorem, and a dual of an object that holds them takes both, so
+none of them solves; right integrals are the antipode image of the
+left ones (Larson-Sweedler), with no solve of their own.
 """
 
 from __future__ import annotations
@@ -386,9 +389,11 @@ class HopfAlgebraData:
     :func:`verify_hopf`, raises on failure and keeps the passing report as
     ``report``, which is None on data that has not been verified.
     :func:`group_algebra` takes its report by theorem instead.
-    ``integrals`` holds the left integral space from its first solve on
-    (:func:`left_integrals`), so it is not solved twice for one object; a
-    group algebra over a field holds it from construction.  Neither is a
+    ``integrals`` holds the left integral space, ``"left"``, from its
+    first solve on (:func:`left_integrals`), so it is not solved twice
+    for one object.  Over a field, `taft`, `sweedler` and `group_algebra`
+    hold it from construction, with ``"dual"``, the left integral line of
+    H* on the dual basis; :func:`dual` swaps the two.  Neither is a
     field: both stay out of ``==``, the hash and the repr.
     """
 
@@ -752,12 +757,13 @@ def group_algebra(domain, table, labels=None):
 
     Once `check_group_table` has decided the table, kG is a Hopf algebra
     by a theorem, and over a field its left integrals are the line of
-    sum_g g, which is also a right integral (Montgomery, Hopf Algebras
-    and Their Actions on Rings, CBMS 82, 1993, sections 1.5 and 2.1).
-    So it is built as a record without `build_hopf`: it keeps the
+    sum_g g, which is also a right integral, and those of k^G = (kG)*
+    the line of 1*, the indicator of the identity (Montgomery, Hopf
+    Algebras and Their Actions on Rings, CBMS 82, 1993, sections 1.5 and
+    2.1).  So it is built as a record without `build_hopf`: it keeps the
     passing report that :func:`verify_hopf` returns on kG, and over a
-    field the integral space, whose canonical basis is the all-ones
-    vector."""
+    field both integral lines, whose canonical bases are the all-ones
+    vector and the unit vector at index 0."""
     inverses = check_group_table(table)
     n = len(table)
     if labels is None:
@@ -773,6 +779,7 @@ def group_algebra(domain, table, labels=None):
     object.__setattr__(h, "report", _report((None,) * len(_HOPF_CHECKS)))
     if domain.is_field:
         h.integrals["left"] = IntegralSpace("left", ((one,) * n,))
+        h.integrals["dual"] = IntegralSpace("left", (linalg.unit_vec(domain, n, 0),))
     return h
 
 
@@ -791,6 +798,13 @@ def taft(domain, n, q, labels=None):
     Delta g = g (x) g and Delta x = x (x) 1 + g (x) x, extended
     multiplicatively; the antipode sends g to g^-1 and x to -g^-1 x and
     is extended as an anti-homomorphism.
+
+    Over a field it holds both integral lines by theorem (Larson and
+    Sweedler, Amer. J. Math. 91, 1969; Montgomery, CBMS 82, 1993, section
+    2.1): the left integrals of H are the line of sum_a g^a x^(n-1), and
+    those of H* the line of (g x^(n-1))*, whatever q is.  Each has equal
+    nonzero coefficients, so it is the canonical basis `fixed_points`
+    would return.
     """
     if n < 2:
         raise FormatError("taft needs n >= 2")
@@ -868,7 +882,12 @@ def taft(domain, n, q, labels=None):
     # cols were produced in (b, a) loop order which matches idx(a, b) = b*n + a
     antipode = ColumnMap(domain, dim, cols)
 
-    return build_hopf(alg, tuple(comult), counit, antipode)
+    h = build_hopf(alg, tuple(comult), counit, antipode)
+    if domain.is_field:
+        # sum_a g^a x^(n-1) is 1 at the last n indices, those of x^(n-1)
+        h.integrals["left"] = IntegralSpace("left", ((domain.zero,) * idx(0, n - 1) + (one,) * n,))
+        h.integrals["dual"] = IntegralSpace("left", (linalg.unit_vec(domain, dim, idx(1, n - 1)),))
+    return h
 
 
 def dual(h):
@@ -878,6 +897,10 @@ def dual(h):
     Every axiom of dual(H) is the transpose of an axiom of H, so the dual
     is built without a check and takes H's report.  An h without a report
     is verified first, by :func:`build_hopf`, which raises its first failure.
+    dual(dual(H)) = H in coordinates, so the left integral line of dual(H)
+    is H's ``"dual"`` line and its ``"dual"`` line is H's left one: the
+    dual takes the lines h holds, swapped, and a line that h lacks is
+    solved on first read (:func:`left_integrals`).
     """
     dom = h.domain
     if not dom.is_field:
@@ -898,6 +921,9 @@ def dual(h):
     comult = tuple(map(tuple, cells))
     d = HopfAlgebraData(alg, comult, tuple(h.algebra.unit), h.antipode.transpose())
     object.__setattr__(d, "report", report)
+    for side, other in (("left", "dual"), ("dual", "left")):
+        if other in h.integrals:
+            d.integrals[side] = h.integrals[other]
     return d
 
 
@@ -983,8 +1009,9 @@ def _integral_space(h):
 def left_integrals(h):
     """Basis of {t : h t = counit(h) t}, solved on first read and kept on h.
 
-    A group algebra over a field holds it from construction, the line of
-    sum_g g (see :func:`group_algebra`), so it solves nothing here."""
+    A builtin over a field holds it from construction (see :func:`taft`
+    and :func:`group_algebra`), and so does the dual of one (see
+    :func:`dual`), so those solve nothing here."""
     space = h.integrals.get("left")
     if space is None:
         space = h.integrals["left"] = _integral_space(h)

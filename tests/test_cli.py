@@ -749,20 +749,45 @@ def test_unexpected_exception_exits_4(fixtures, capsys, monkeypatch):
     assert captured.out == ""
 
 
-TAFT4_F5 = {"field": {"kind": "Fp", "p": 5}, "builtin": {"name": "taft", "n": 4, "q": "2"}}
-DUAL_TAFT4_F5 = {"field": {"kind": "Fp", "p": 5},
-                 "builtin": {"name": "dual", "of": TAFT4_F5["builtin"]}}
+def explicit_document(field, h):
+    """The explicit Hopf document of h's structure constants, over `field`."""
+    return {
+        "field": field, "dim": h.dim, "basis": list(h.labels),
+        "mult": [[i, j, k, str(c)] for i, row in enumerate(h.algebra.mult)
+                 for j, cell in enumerate(row) for k, c in cell],
+        "unit": [str(c) for c in h.algebra.unit],
+        "comult": [[i, j, k, str(c)] for i, delta in enumerate(h.comult) for j, k, c in delta],
+        "counit": [str(c) for c in h.counit],
+        "antipode": [[i, j, str(c)] for i, col in enumerate(h.antipode.cols) for j, c in col],
+    }
+
+
+F5 = {"kind": "Fp", "p": 5}
+TAFT4_F5 = {"field": F5, "builtin": {"name": "taft", "n": 4, "q": "2"}}
+DUAL_TAFT4_F5 = {"field": F5, "builtin": {"name": "dual", "of": TAFT4_F5["builtin"]}}
+DUAL_DUAL_TAFT4_F5 = {"field": F5, "builtin": {"name": "dual", "of": DUAL_TAFT4_F5["builtin"]}}
+DUAL_C4_F5 = {"field": F5, "builtin": {"name": "dual", "of": {
+    "name": "group_algebra", "table": [[(i + j) % 4 for j in range(4)] for i in range(4)]}}}
+SWEEDLER_Q_EXPLICIT = explicit_document({"kind": "Q"}, hopf.sweedler(linalg.QQ))
 
 
 @pytest.mark.parametrize("command,doc,calls,solves", [
     pytest.param(["verify"], TAFT4_F5, 1, 0, id="verify-taft"),
-    pytest.param(["integrals"], TAFT4_F5, 1, 1, id="integrals-taft"),
-    # the inner Taft algebra; its dual, a transposition, takes that report
-    pytest.param(["integrals"], DUAL_TAFT4_F5, 1, 1, id="integrals-dual-taft"),
+    # Taft keeps its verify_hopf run, and its integral lines by theorem
+    pytest.param(["integrals"], TAFT4_F5, 1, 0, id="integrals-taft"),
+    # the inner Taft algebra is verified; its dual, a transposition, takes
+    # that report and the two integral lines, swapped, and so does the dual
+    # of the dual
+    pytest.param(["integrals"], DUAL_TAFT4_F5, 1, 0, id="integrals-dual-taft"),
+    pytest.param(["integrals"], DUAL_DUAL_TAFT4_F5, 1, 0, id="integrals-dual-dual-taft"),
     pytest.param(["verify"], "hopf_sweedler_bad_antipode.json", 1, 0, id="verify-explicit"),
+    # an explicit document is verified once and solves its integral once
+    pytest.param(["integrals"], SWEEDLER_Q_EXPLICIT, 1, 1, id="integrals-explicit"),
     # a group algebra keeps its report and its integral sum_g g by theorem
     pytest.param(["verify"], "hopf_qc2.json", 0, 0, id="verify-group"),
     pytest.param(["integrals"], "hopf_f2c2.json", 0, 0, id="integrals-group"),
+    # k^G takes the report of kG and its integral 1* by theorem
+    pytest.param(["integrals"], DUAL_C4_F5, 0, 0, id="integrals-dual-group"),
     pytest.param(["tame"], "ext_gaussian.json", 0, 0, id="tame-group"),
     pytest.param(["cyclic", "--module", "mod_kc2_ayd_f3.json"], "comodalg_graded_f3.json", 0, 0,
                  id="cyclic-group"),
@@ -857,9 +882,11 @@ def test_negative_levels_are_input_error(fixtures, capsys, command):
     assert "--levels must be 0 or more" in capsys.readouterr().err
 
 
-def test_integrals_solves_each_integral_space_once(fixtures, capsys, monkeypatch):
+def test_integrals_solves_each_integral_space_once(tmp_path, fixtures, capsys, monkeypatch):
     # one left solve per Hopf algebra object; the right integral is the
-    # antipode image of the left one and solves no fixed-point system
+    # antipode image of the left one and solves no fixed-point system.  A
+    # builtin holds its integrals by theorem, so the Sweedler algebra is
+    # given as an explicit document, which solves
     solves, systems = [], []
     solve, fixed = hopf._integral_space, hopf.fixed_points
 
@@ -873,7 +900,8 @@ def test_integrals_solves_each_integral_space_once(fixtures, capsys, monkeypatch
 
     monkeypatch.setattr(hopf, "_integral_space", counted)
     monkeypatch.setattr(hopf, "fixed_points", counted_fixed)
-    assert cli.main(["integrals", fx(fixtures, "hopf_sweedler.json")]) == 0
+    (tmp_path / "sweedler.json").write_text(json.dumps(SWEEDLER_Q_EXPLICIT))
+    assert cli.main(["integrals", str(tmp_path / "sweedler.json")]) == 0
     assert "semisimple: false" in capsys.readouterr().out
     assert len(solves) == 1
     assert systems == [solves[0].algebra.mult]

@@ -483,15 +483,28 @@ def group_algebras(draw):
     return hopf.dual(h) if draw(st.booleans()) else h
 
 
+def assert_seeded_lines_match_the_solve(h):
+    # both lines h holds by theorem are what the fully stacked dense solve
+    # gives on an unseeded copy of h, and on its dual; the dual of h takes
+    # them swapped, and the dual of that dual holds h's own
+    bare = hopf.HopfAlgebraData(h.algebra, h.comult, h.counit, h.antipode)
+    assert h.integrals["left"].basis == oracles.dense_integrals(bare, "left")
+    assert h.integrals["dual"].basis == oracles.dense_integrals(hopf.dual(bare), "left")
+    d = hopf.dual(h)
+    assert (d.integrals["left"], d.integrals["dual"]) == (h.integrals["dual"], h.integrals["left"])
+    assert hopf.dual(d).integrals == h.integrals
+
+
 @given(group_algebras_of_tables())
 def test_group_algebra_integrals_on_generators_match_full_stack(h):
     # kG keeps, by theorem, the report verify_hopf gives it and the integral
-    # sum_g g, and solves nothing; its dual takes that report and solves once
+    # sum_g g, and solves nothing; its dual takes that report and the line
+    # of 1*, and solves nothing either
     assert h.report == hopf.verify_hopf(h)
-    assert h.integrals["left"].basis == oracles.dense_integrals(h, "left")
+    assert_seeded_lines_match_the_solve(h)
     d = hopf.dual(h)
     assert d.report == hopf.verify_hopf(d)
-    for g, solves in ((h, 0), (d, 1)):
+    for g in (h, d):
         with mock.patch.object(hopf, "_integral_space", wraps=hopf._integral_space) as solve:
             left = hopf.left_integrals(g)
             assert left.basis == oracles.dense_integrals(g, "left")
@@ -500,17 +513,32 @@ def test_group_algebra_integrals_on_generators_match_full_stack(h):
             assert hopf.left_integrals(g) is left
             full = oracles.dense_integrals(g, "left")
             assert hopf.is_semisimple(g) == (g.counit_vec(full[0]) != g.domain.zero)
-        assert solve.call_count == solves
+        assert solve.call_count == 0
+
+
+# the three least primes p with n | p - 1, so F_p holds the primitive n-th
+# roots of unity
+TAFT_PRIMES = {2: (3, 5, 7), 3: (7, 13, 19), 4: (5, 13, 17), 5: (11, 31, 41), 6: (7, 13, 19),
+               7: (29, 43, 71), 8: (17, 41, 73)}
+SEEDED_TAFT_CASES = [(QQ, 2, -1)] + [
+    (GF(p), n, q) for n, primes in TAFT_PRIMES.items() for p in primes
+    for q in primitive_roots(p, n)]
+
+
+@pytest.mark.parametrize("domain,n,q", SEEDED_TAFT_CASES, ids=lambda v: str(v))
+def test_taft_integral_lines_match_the_dense_solve(domain, n, q):
+    assert_seeded_lines_match_the_solve(hopf.taft(domain, n, q))
+
+
+def test_no_integral_line_is_seeded_over_z():
+    assert hopf.sweedler(ZZ).integrals == {}
+    assert hopf.group_algebra(ZZ, [[0, 1], [1, 0]]).integrals == {}
 
 
 @functools.lru_cache(maxsize=None)
 def taft_and_dual(p, n, q):
     h = hopf.taft(GF(p), n, q)
     return h, hopf.dual(h)
-
-
-# three primes p with n | p - 1, so F_p holds the primitive n-th roots of unity
-TAFT_PRIMES = {2: (3, 5, 7), 3: (7, 13, 19), 4: (5, 13, 17), 5: (11, 31, 41), 6: (7, 13, 19)}
 
 
 @st.composite

@@ -84,12 +84,19 @@ def test_sweep_records_and_compares_two_cases(tmp_path):
 
 
 def test_scale_group_runs_its_own_builtin_specs(tmp_path):
+    # verify and integrals on Taft n over F_97 and on its dual
+    cases = [name for name in load_sweep().scale_cases() if "taft " in name]
+    assert cases == [
+        f"scale/{dual}taft {command} {dual.replace('-', '_')}taft_n{n}_F97.json"
+        for n in (16, 24, 32) for dual in ("", "dual-") for command in ("verify", "integrals")]
     out = tmp_path / "scale.json"
-    proc = run_tool("--out", str(out), "--match", r"^scale/taft verify taft_n16_F97\.json$")
+    proc = run_tool("--out", str(out), "--match",
+                    r"^scale/(dual-)?taft integrals (dual_)?taft_n16_F97\.json$")
     assert proc.returncode == 0, proc.stderr
     record = json.loads(out.read_text(encoding="utf-8"))
-    assert list(record) == ["scale/taft verify taft_n16_F97.json"]
-    assert record["scale/taft verify taft_n16_F97.json"]["exit"] == 0
+    assert sorted(record) == ["scale/dual-taft integrals dual_taft_n16_F97.json",
+                              "scale/taft integrals taft_n16_F97.json"]
+    assert {case["exit"] for case in record.values()} == {0}
 
 
 def test_peak_rss_is_the_childs_own_and_not_the_sweeps(tmp_path):

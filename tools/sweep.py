@@ -47,10 +47,10 @@ The case set:
   at --max-dim 8;
 - the scaling group, named ``scale/<series> <argv>``: ``cyclic`` on
   comodalg_graded_f3 with mod_kc2_ayd_f3 at levels 10, 12 and 14
-  (--max-dim 2000000), ``verify`` on builtin Taft algebras n = 16,
-  24 and 32 over F_97 and on their duals, and ``verify`` and
-  ``integrals`` on builtin C_N for N = 16, 64 and 256 over Q and F_97,
-  with ``integrals`` on their duals.
+  (--max-dim 2000000), ``verify`` and ``integrals`` on builtin Taft
+  algebras n = 16, 24 and 32 over F_97 and on their duals, and
+  ``verify`` and ``integrals`` on builtin C_N for N = 16, 64 and 256
+  over Q and F_97, with ``integrals`` on their duals.
 
 Every case runs in text and in ``--json`` form.  ``--compare`` prints
 one line per case whose exit code or hashes differ or that only one
@@ -183,7 +183,7 @@ def scale_cases():
     for name in scale_specs():
         dual = "dual-" if name.startswith("dual_") else ""
         if "taft" in name:
-            series, commands = "taft", ("verify",)
+            series, commands = "taft", ("verify", "integrals")
         else:
             series, commands = "group", ("integrals",) if dual else ("verify", "integrals")
         for command in commands:
