@@ -550,6 +550,28 @@ def check_cyclic_identities(S, M, n, max_dim=DEFAULT_MAX_DIM):
 # shift checks
 
 
+def _level_dims(top, ds, max_dim, level_name, count_name, series):
+    """The dimensions first * ds^n, n = 0..top, of each (name, first, shift)
+    series, each bounded by max_dim before it is stored, level by level up
+    to the first one past the bound.  With ds = 1 every level has one
+    dimension, so more than max_dim levels are refused as well; the
+    refusals name a level by level_name and the count by count_name."""
+    out = []
+    for name, value, shift in series:
+        dims = []
+        for n in range(min(top + 1, max_dim + 1)):
+            if value > max_dim:
+                raise ResourceBoundError(
+                    f"{level_name} {n + shift} of {name} has dimension {value} > bound {max_dim}"
+                )
+            dims.append(value)
+            value *= ds
+        out.append(tuple(dims))
+    if top + 1 > max_dim:
+        raise ResourceBoundError(f"{count_name} {top} builds {top + 1} levels > bound {max_dim}")
+    return out
+
+
 @record
 class BarShiftReport:
     top: int
@@ -587,19 +609,9 @@ def bar_shift_check(d, module, top, max_dim=DEFAULT_MAX_DIM):
         ) from exc
     ds = d.algebra.dim
     dm, k = morita.dim_module, morita.dim_fixed
-    # degree by degree, stopping at the first one past the bound; with dim S = 1
-    # every degree has one dimension, so only the number of levels is bounded
-    for name, value, shift in (("B(S, M)", dm, 0), ("B(S, M^H)", ds * k, 1)):
-        for n in range(min(top + 1, max_dim + 1)):
-            if value > max_dim:
-                raise ResourceBoundError(
-                    f"bar degree {n + shift} of {name} has dimension {value} > bound {max_dim}"
-                )
-            value *= ds
-    if top + 1 > max_dim:
-        raise ResourceBoundError(f"--levels {top} builds {top + 1} levels > bound {max_dim}")
-    dims_m = tuple(ds ** n * dm for n in range(top + 1))
-    dims_f = tuple(ds ** (n + 1) * k for n in range(top + 1))  # degrees 1 .. top + 1
+    # dims_f[n] is bar degree n + 1 of B(S, M^H)
+    dims_m, dims_f = _level_dims(top, ds, max_dim, "bar degree", "--levels",
+                                 (("B(S, M)", dm, 0), ("B(S, M^H)", ds * k, 1)))
     return BarShiftReport(
         top=top,
         dims_module=dims_m,
@@ -683,7 +695,8 @@ def t_shift_check(m, top, max_dim=DEFAULT_MAX_DIM):
 
     Needs gamma bijective for S over R = S^coH; verifies the evaluation
     S (x) M^co -> M is bijective and reports the level dimensions of
-    T(S, M) and of T(S, M^co) shifted by one, each bounded by max_dim.
+    T(S, M) and of T(S, M^co) shifted by one, each bounded by max_dim
+    before it is stored; more than max_dim levels are refused.
     They agree exactly when dim M = dim S dim M^co, which a bijective
     evaluation implies.
     """
@@ -704,16 +717,10 @@ def t_shift_check(m, top, max_dim=DEFAULT_MAX_DIM):
     mco = coinvariants(m.comodule)
     ev_bij = actions.evaluation_map(dom, m.s_action, m.dim, mco).bijective
 
-    ds = S.dim
-    dims_m = tuple(ds ** (n + 1) * m.dim for n in range(top + 1))
-    dims_c = tuple(ds ** (n + 2) * len(mco) for n in range(top + 1))
+    ds, dc = S.dim, len(mco)
     # dims_c[n] is T-level n + 1 of T(S, M^coH)
-    for name, dims, shift in (("T(S, M)", dims_m, 0), ("T(S, M^coH)", dims_c, 1)):
-        for n, value in enumerate(dims):
-            if value > max_dim:
-                raise ResourceBoundError(
-                    f"T-level {n + shift} of {name} has dimension {value} > bound {max_dim}"
-                )
+    dims_m, dims_c = _level_dims(top, ds, max_dim, "T-level", "top",
+                                 (("T(S, M)", ds * m.dim, 0), ("T(S, M^coH)", ds * ds * dc, 1)))
     return TShiftReport(
         top=top,
         gamma_rank=gamma.rank,

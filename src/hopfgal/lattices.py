@@ -246,18 +246,12 @@ def lattice_integrals(order):
         raise PreconditionError(f"integral lattice needs a Hopf order; failing flag {report.witness}")
     h = order.hopf
     integral = hopf_mod.left_integrals(h).basis[0]
-    # a Hopf order has full rank and the integral is nonzero: scale gets set
-    coords = order.lattice.coords(integral)
-    scale = None
-    for x in coords:
-        x = Fraction(x)
-        if x == 0:
-            continue
-        step = Fraction(x.denominator, abs(x.numerator))
-        scale = step if scale is None else Fraction(
-            math.lcm(scale.numerator, step.numerator),
-            math.gcd(scale.denominator, step.denominator),
-        )
+    # a Hopf order has full rank and the integral is nonzero, so some
+    # coordinate is; over the nonzero coordinates n/d in lowest terms, the
+    # least s > 0 with every s.n/d an integer is lcm(d) / gcd(n)
+    coords = [x for x in order.lattice.coords(integral) if x]
+    scale = Fraction(math.lcm(*(x.denominator for x in coords)),
+                     math.gcd(*(x.numerator for x in coords)))
     generator = tuple(QQ.mul(scale, v) for v in integral)
     return generator, IntegerLattice.from_generators(h.dim, [generator])
 

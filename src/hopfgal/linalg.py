@@ -25,13 +25,22 @@ in echelon form; no stored row is touched again.  One back-substitution
 from the highest pivot down then clears the pivot columns, each row
 visiting only the pivot columns it holds.  So a system whose rows stay
 sparse is eliminated in time about linear in its nonzeros.  The reduced
-form is unique, so kernel and echelon bases are canonical; the integer
-normal forms fix one pivoting rule (first nonzero column, topmost row),
-so they too are reproducible across runs.
+form is unique, so kernel and echelon bases are canonical.
+
+Over Z there is one row reduction too, `hermite_normal_form`: Euclid's
+algorithm down each column, by floor division, with the transform
+carried along as extra columns.  The Hermite form is unique; the floor
+remainders keep the working entries far smaller than 2 x 2 extended-gcd
+transforms do, under which random 32 x 32 matrices with one-digit
+entries took from under a second to minutes.  `smith_normal_form`
+alternates Hermite forms of m and of its transpose until m is diagonal
+(Kannan and Bachem), then orders the diagonal into invariant factors by
+gcd and lcm.  `det` is Bareiss's fraction-free elimination.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
@@ -841,24 +850,21 @@ def solve(m, b):
 # integer normal forms
 
 
-def xgcd(a, b):
-    """Extended gcd: returns (g, x, y) with g = ax + by, g >= 0."""
-    x, nx = 1, 0
-    y, ny = 0, 1
-    g, ng = a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        g, x, y = -g, -x, -y
-    return g, x, y
-
-
 def _require_integer(m):
     if m.domain is not ZZ and not isinstance(m.domain, IntegerRing):
         raise UnsupportedDomainError("integer normal forms need the Z domain")
+
+
+def _floor_reduce(rows, pivot, pc):
+    """Subtract from each row, in place, the floor-quotient multiple of the
+    pivot row that leaves row[pc] in [0, pivot[pc]) (or (pivot[pc], 0])."""
+    # over the pivot's nonzeros only: the u part of a row holds its own unit
+    # entry and those of the rows it took multiples of, so it stays sparse
+    terms = [(j, b) for j, b in enumerate(pivot) if b]
+    for row in rows:
+        if q := row[pc] // pivot[pc]:
+            for j, b in terms:
+                row[j] -= q * b
 
 
 def hermite_normal_form(m):
@@ -868,45 +874,32 @@ def hermite_normal_form(m):
     positive, entries above each pivot are reduced into [0, pivot), and
     zero rows sit at the bottom, so h is the canonical representative of
     the row span of m over Z.
+
+    Euclid's algorithm on rows: each column's least nonzero entry at or
+    below the pivot row moves up to it, and its floor-quotient multiple
+    leaves a remainder in every row below, until one nonzero entry is
+    left.  u rides along as ``nrows`` extra columns of the working rows.
     """
     _require_integer(m)
     nrows, ncols = m.nrows, m.ncols
-    work = [list(r) for r in m.rows]
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
+    work = [[*row, *[0] * i, 1, *[0] * (nrows - 1 - i)] for i, row in enumerate(m.rows)]
     pr = 0
     for pc in range(ncols):
-        sel = next((r for r in range(pr, nrows) if work[r][pc] != 0), None)
-        if sel is None:
-            continue
-        if sel != pr:
+        while live := [r for r in range(pr, nrows) if work[r][pc]]:
+            sel = min(live, key=lambda r: abs(work[r][pc]))
             work[pr], work[sel] = work[sel], work[pr]
-            u[pr], u[sel] = u[sel], u[pr]
-        for r in range(pr + 1, nrows):
-            if work[r][pc] == 0:
-                continue
-            a, b = work[pr][pc], work[r][pc]
-            g, x, y = xgcd(a, b)
-            aa, bb = a // g, b // g
-            # 2x2 unimodular transform [[x, y], [-bb, aa]] on rows pr, r
-            row_p, row_r = work[pr], work[r]
-            work[pr] = [x * s + y * t for s, t in zip(row_p, row_r)]
-            work[r] = [-bb * s + aa * t for s, t in zip(row_p, row_r)]
-            urow_p, urow_r = u[pr], u[r]
-            u[pr] = [x * s + y * t for s, t in zip(urow_p, urow_r)]
-            u[r] = [-bb * s + aa * t for s, t in zip(urow_p, urow_r)]
-        if work[pr][pc] < 0:
-            work[pr] = [-v for v in work[pr]]
-            u[pr] = [-v for v in u[pr]]
-        pivot = work[pr][pc]
-        for r in range(pr):
-            q = work[r][pc] // pivot
-            if q:
-                work[r] = [a - q * b for a, b in zip(work[r], work[pr])]
-                u[r] = [a - q * b for a, b in zip(u[r], u[pr])]
+            pivot = work[pr]
+            if len(live) == 1:
+                break
+            _floor_reduce(work[pr + 1:], pivot, pc)
+        else:
+            continue  # no pivot in this column
+        if pivot[pc] < 0:
+            pivot = work[pr] = [-v for v in pivot]
+        _floor_reduce(work[:pr], pivot, pc)
         pr += 1
-        if pr == nrows:
-            break
-    return Matrix._make(ZZ, work, ncols), Matrix._make(ZZ, u, nrows)
+    return (Matrix._make(ZZ, (row[:ncols] for row in work), ncols),
+            Matrix._make(ZZ, (row[ncols:] for row in work), nrows))
 
 
 def det(m):
@@ -954,83 +947,22 @@ def smith_normal_form(m):
     The returned tuple has length min(nrows, ncols) with zeros trailing
     for rank deficiency; the cokernel of m is the direct sum of Z/d_i
     plus a free part of rank nrows - rank(m).
+
+    Kannan and Bachem (SIAM J. Comput. 8, 1979): while an entry off the
+    diagonal is nonzero, m becomes the transpose of its row Hermite
+    form.  Each (t, t) pivot can only shrink until its row and column
+    clear, so this ends with a diagonal matrix, and replacing each pair
+    of diagonal entries with their gcd and lcm keeps the cokernel and
+    orders the factors.
     """
     _require_integer(m)
-    work = [list(r) for r in m.rows]
-    nrows, ncols = m.nrows, m.ncols
-    size = min(nrows, ncols)
-    factors = []
-
-    def submatrix_nonzero(t):
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if work[i][j]:
-                    return i, j
-        return None
-
-    t = 0
-    while t < size:
-        pos = submatrix_nonzero(t)
-        if pos is None:
-            break
-        # move the entry of minimal absolute value to (t, t)
-        bi, bj = pos
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                v = work[i][j]
-                if v and abs(v) < abs(work[bi][bj]):
-                    bi, bj = i, j
-        if bi != t:
-            work[t], work[bi] = work[bi], work[t]
-        if bj != t:
-            for row in work:
-                row[t], row[bj] = row[bj], row[t]
-        while True:
-            pivot = work[t][t]
-            # clear column t
-            dirty = False
-            for i in range(t + 1, nrows):
-                if work[i][t]:
-                    q = work[i][t] // pivot
-                    work[i] = [a - q * b for a, b in zip(work[i], work[t])]
-                    if work[i][t]:
-                        work[t], work[i] = work[i], work[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # clear row t
-            for j in range(t + 1, ncols):
-                if work[t][j]:
-                    q = work[t][j] // pivot
-                    for row in work:
-                        row[j] -= q * row[t]
-                    if work[t][j]:
-                        for row in work:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # enforce divisibility of the remaining block
-            pivot = work[t][t]
-            offender = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if work[i][j] % pivot:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            work[t] = [a + b for a, b in zip(work[t], work[offender])]
-        if work[t][t] < 0:
-            work[t] = [-v for v in work[t]]
-        factors.append(work[t][t])
-        t += 1
-    while len(factors) < size:
-        factors.append(0)
+    while any(v for i, row in enumerate(m.rows) for j, v in enumerate(row) if i != j):
+        m = hermite_normal_form(m)[0].transpose()
+    factors = [abs(m.rows[i][i]) for i in range(min(m.nrows, m.ncols))]
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            a, b = factors[i], factors[j]
+            factors[i], factors[j] = math.gcd(a, b), math.lcm(a, b)
     return tuple(factors)
 
 

@@ -1023,6 +1023,26 @@ def test_t_shift_refusal_names_the_level():
         cocyclic.t_shift_check(rel, 3, max_dim=16)
 
 
+def test_t_shift_bounds_each_level_before_storing_it():
+    # the first level past the bound refuses, whatever top asks for
+    rel = cocyclic.algebra_as_relative_module(graded(3))
+    with pytest.raises(ResourceBoundError, match=r"^T-level 3 of T\(S, M\) has dimension 32 > bound 16$"):
+        cocyclic.t_shift_check(rel, 10**9, max_dim=16)
+
+
+def test_t_shift_refuses_more_levels_than_the_bound():
+    # with dim S = 1 every level has dimension 1, so only the level count bounds the work
+    h = hopf.group_algebra(QQ, [[0]])
+    alg = hopf.algebra_from_triples(QQ, 1, ["1"], [(0, 0, 0, 1)], (QQ.one,))
+    rel = cocyclic.algebra_as_relative_module(cocyclic.comodule_algebra(h, alg, [(0, 0, 0, 1)]))
+    rep = cocyclic.t_shift_check(rel, 15, max_dim=16)
+    assert rep.dims_module == rep.dims_coinvariants == (1,) * 16
+    for top in (16, 10**9):
+        with pytest.raises(ResourceBoundError,
+                           match=rf"^top {top} builds {top + 1} levels > bound 16$"):
+            cocyclic.t_shift_check(rel, top, max_dim=16)
+
+
 def test_t_shift_rejects_non_strongly_graded():
     S0 = graded(3, strongly=False)
     with pytest.raises(PreconditionError):

@@ -1,3 +1,6 @@
+import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -705,24 +708,44 @@ def test_hnf_hand_example():
     assert abs(oracles.leibniz_det(u.rows)) == 1
 
 
-@given(
-    st.lists(
-        st.lists(st.integers(-6, 6), min_size=3, max_size=3), min_size=3, max_size=3
-    )
-)
+@st.composite
+def integer_matrices(draw, max_side):
+    """Integer matrices from 1x1 to max_side x max_side with entries in
+    [-9, 9], many zeros, and often a zero row or a zero column."""
+    nrows, ncols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [0] * ncols
+    if draw(st.booleans()):
+        j = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+@given(integer_matrices(7))
+@example([[0]])
+@example([[-3]])
+@example([[0, 0], [0, 3]])
+@example([[0, 2, 4], [0, 0, 0], [0, 3, 5]])
 def test_hnf_properties(rows):
+    # the defining conditions, which with h = u m and u unimodular pin h
     m = Matrix(ZZ, rows)
     h, u = hermite_normal_form(m)
     assert u @ m == h
     assert abs(oracles.leibniz_det(u.rows)) == 1
-    # canonical: pivots positive, entries above reduced
-    pivots = []
-    for row in h.rows:
-        lead = next((j for j, v in enumerate(row) if v != 0), None)
-        if lead is not None:
-            pivots.append((lead, row[lead]))
-    assert all(p > 0 for _, p in pivots)
-    assert [c for c, _ in pivots] == sorted(c for c, _ in pivots)
+    leads = [next((j for j, v in enumerate(row) if v), None) for row in h.rows]
+    rank = sum(lead is not None for lead in leads)
+    # zero rows last, and pivot columns strictly increasing, so every entry
+    # below a pivot is zero
+    assert leads[rank:] == [None] * (h.nrows - rank)
+    pivots = leads[:rank]
+    assert pivots == sorted(set(pivots))
+    for i, j in enumerate(pivots):
+        assert h.rows[i][j] > 0
+        assert all(0 <= h.rows[k][j] < h.rows[i][j] for k in range(i))
 
 
 def test_hnf_idempotent_on_canonical_form():
@@ -841,19 +864,39 @@ def test_integer_kernel_basis_is_a_saturated_kernel_basis(rows):
         assert set(smith_normal_form(Matrix(ZZ, basis))) == {1}
 
 
-@given(
-    st.lists(
-        st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=4, max_size=4
-    )
-)
+@given(integer_matrices(6))
+@example([[0, 0], [0, 3]])
+@example([[2, 4, 6], [0, 0, 0]])
 def test_snf_matches_sympy_oracle(rows):
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-    ours = [f for f in smith_normal_form(Matrix(ZZ, rows)) if f]
+    ours = smith_normal_form(Matrix(ZZ, rows))
     diag = sympy_snf(sympy.Matrix(rows))
     theirs = [abs(int(diag[i, i])) for i in range(min(diag.shape)) if diag[i, i] != 0]
-    assert ours == theirs
+    assert len(ours) == min(diag.shape)
+    assert list(ours) == theirs + [0] * (len(ours) - len(theirs))
+
+
+def _seeded_matrix(n, seed):
+    rng = random.Random(seed)
+    return Matrix(ZZ, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+
+
+# Random matrices whose entries, not their size, made the earlier
+# extended-gcd elimination slow: tens of seconds for each of these two.
+# Euclid's row reduction keeps the working entries small.
+def test_integer_normal_forms_do_not_blow_up_on_their_entries():
+    m = _seeded_matrix(32, 4)
+    start = time.perf_counter()
+    h, u = hermite_normal_form(m)
+    assert time.perf_counter() - start < 2
+    assert u @ m == h
+    m = _seeded_matrix(48, 2)
+    start = time.perf_counter()
+    factors = smith_normal_form(m)
+    assert time.perf_counter() - start < 2
+    assert math.prod(factors) == abs(det(m))
 
 
 def _in_row_lattice(basis_rows, row):

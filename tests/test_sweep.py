@@ -12,6 +12,7 @@ is the child's own.
 import importlib.util
 import json
 import pathlib
+import random
 import shutil
 import subprocess
 import sys
@@ -126,4 +127,29 @@ def test_scale_group_series_runs_builtin_group_algebras(tmp_path):
     record = json.loads(out.read_text(encoding="utf-8"))
     assert sorted(record) == ["scale/dual-group integrals dual_cyclic_N16_F97.json",
                               "scale/group integrals cyclic_N16_F97.json"]
+    assert {case["exit"] for case in record.values()} == {0}
+
+
+def test_scale_group_lattice_series_runs_generated_lattice_files(tmp_path):
+    # assoc-order on Z lattices over QC_2 of rank n, their basis a seeded random matrix
+    sweep = load_sweep()
+    cases = [name for name in sweep.scale_cases() if "lattice " in name]
+    assert cases == [f"scale/lattice assoc-order zlattice_n{n}_seed{seed}.json"
+                     for n in (16, 24, 32) for seed in (1, 4)]
+    doc = sweep.lattice_specs()["zlattice_n16_seed4.json"]
+    rng = random.Random(4)
+    assert doc["basis"] == [[str(rng.randint(-9, 9)) for _ in range(16)] for _ in range(16)]
+    identity, s = doc["action"]
+    assert [row[i] for i, row in enumerate(identity)] == ["1"] * 16
+    assert [row[i] for i, row in enumerate(s)] == ["1"] * 8 + ["-1"] * 8
+    assert all(v == "0" for matrix in (identity, s)
+               for i, row in enumerate(matrix) for j, v in enumerate(row) if i != j)
+    assert doc["unit"] == ["1"] + ["0"] * 15
+    out = tmp_path / "lattice.json"
+    proc = run_tool("--out", str(out), "--match",
+                    r"^scale/lattice assoc-order zlattice_n16_seed1\.json")
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert sorted(record) == ["scale/lattice assoc-order zlattice_n16_seed1.json",
+                              "scale/lattice assoc-order zlattice_n16_seed1.json --json"]
     assert {case["exit"] for case in record.values()} == {0}

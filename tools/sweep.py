@@ -16,9 +16,9 @@ how time and memory moved.
 
 Each case runs ``hopfgal.cli`` as ``__main__`` through a small launcher
 (``LAUNCHER``), with the checkout's ``src`` on PYTHONPATH, from a work
-directory that holds the checkout's fixtures
-and generated builtin specs, so the paths in reports are relative and do
-not depend on where the checkout lives.  PYTHONPYCACHEPREFIX names a
+directory that holds the checkout's fixtures, the generated builtin specs
+and the generated lattice files, so the paths in reports are relative and
+do not depend on where the checkout lives.  PYTHONPYCACHEPREFIX names a
 fresh empty directory per case and PYTHONDONTWRITEBYTECODE is set, so
 no case reads bytecode, from the checkout or from an earlier case.  Two
 cases run at once, except the scaling group, whose cases run one at a
@@ -50,7 +50,9 @@ The case set:
   (--max-dim 2000000), ``verify`` and ``integrals`` on builtin Taft
   algebras n = 16, 24 and 32 over F_97 and on their duals, and
   ``verify`` and ``integrals`` on builtin C_N for N = 16, 64 and 256
-  over Q and F_97, with ``integrals`` on their duals.
+  over Q and F_97, with ``integrals`` on their duals, and ``assoc-order``
+  on generated Z lattice files over QC_2 of rank n = 16, 24 and 32 whose
+  basis is a random n x n matrix with entries in [-9, 9] (seeds 1 and 4).
 
 Every case runs in text and in ``--json`` form.  ``--compare`` prints
 one line per case whose exit code or hashes differ or that only one
@@ -68,6 +70,7 @@ import hashlib
 import json
 import os
 import pathlib
+import random
 import re
 import shutil
 import statistics
@@ -97,6 +100,8 @@ SCALE_TAFT_N = (16, 24, 32)
 SCALE_TAFT_P = 97
 SCALE_GROUP_N = (16, 64, 256)
 SCALE_GROUP_FIELDS = (("Q", {"kind": "Q"}), ("F97", {"kind": "Fp", "p": 97}))
+SCALE_LATTICE_N = (16, 24, 32)
+SCALE_LATTICE_SEEDS = (1, 4)
 # python -c LAUNCHER PEAK_FILE ARGS...: run hopfgal.cli ARGS... as `python -m`
 # would, and write the process's peak RSS in kB (VmHWM) to PEAK_FILE at exit
 LAUNCHER = """
@@ -173,6 +178,30 @@ def scale_specs():
         **cyclic_group_specs(SCALE_GROUP_N, SCALE_GROUP_FIELDS)})
 
 
+def lattice_specs():
+    """File name -> Z lattice document over QC_2 of each rank n and seed of
+    the scaling group: the basis is the rows of an n x n matrix with
+    entries in [-9, 9] drawn by random.Random(seed), s acts by
+    diag(1^(n/2), (-1)^(n/2)) and the unit is e_0."""
+    specs = {}
+    for n in SCALE_LATTICE_N:
+        for seed in SCALE_LATTICE_SEEDS:
+            rng = random.Random(seed)
+            basis = [[str(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
+            diag = [[str(int(i == j) * (1 if i < n // 2 else -1)) for j in range(n)]
+                    for i in range(n)]
+            specs[f"zlattice_n{n}_seed{seed}.json"] = {
+                "field": {"kind": "Z"},
+                "hopf": {"name": "group_algebra", "table": [[0, 1], [1, 0]],
+                         "labels": ["1", "s"]},
+                "ambient_dim": n,
+                "basis": basis,
+                "action": [[[str(int(i == j)) for j in range(n)] for i in range(n)], diag],
+                "unit": [str(int(i == 0)) for i in range(n)],
+            }
+    return specs
+
+
 def scale_cases():
     """Case name -> argv of the scaling group, without the --json form."""
     cases = {}
@@ -188,6 +217,8 @@ def scale_cases():
             series, commands = "group", ("integrals",) if dual else ("verify", "integrals")
         for command in commands:
             cases[f"scale/{dual}{series} {command} {name}"] = [command, name]
+    for name in lattice_specs():
+        cases[f"scale/lattice assoc-order {name}"] = ["assoc-order", name]
     return cases
 
 
@@ -265,7 +296,7 @@ def sweep(repo, match=None):
         for name in fixtures:
             shutil.copyfile(repo / "tests" / "fixtures" / name, pathlib.Path(workdir) / name)
         builtins = builtin_specs()
-        for name, doc in {**builtins, **scale_specs()}.items():
+        for name, doc in {**builtins, **scale_specs(), **lattice_specs()}.items():
             (pathlib.Path(workdir) / name).write_text(json.dumps(doc), encoding="utf-8")
         argvs = {" ".join(argv): argv for argv in case_argvs(fixtures, list(builtins))}
         scaled = {name + form: argv + form.split()
