@@ -42,8 +42,9 @@ Delta(e_i), each sorted by index with zeros dropped; the antipode's
 column i holds the (j, c) pairs of alpha(e_i) in the same form.  Unit
 and counit are dense coefficient vectors.  `sparse_tensor` checks and
 sums entries from outside (files, `zoo`); :func:`taft` writes its
-multiplication cells, sharing equal ones, and :func:`dual` transposes
-H's tensors straight into that form.
+multiplication cells, sharing equal ones, and its comultiplication and
+antipode from closed forms, and :func:`dual` transposes H's tensors
+straight into that form.
 
 Basis order is part of the data.  Tensor-square flattenings are always
 lexicographic with the left factor varying slowest.
@@ -658,12 +659,6 @@ def _square_sum(dom, mult, h_mult, u, v):
     return {key: w for key, w in out.items() if w}
 
 
-def _square_product(alg, u, v):
-    """The nonzero (s, t, c) triples of `_square_sum` in alg (x) alg, sorted."""
-    product = _square_sum(alg.domain, alg.mult, alg.mult, u, v)
-    return tuple((s, t, c) for (s, t), c in sorted(product.items()))
-
-
 # the checks of a Hopf axiom report, in report order
 _HOPF_CHECKS = ("associativity", "unit", "coassociativity", "counit", "bialgebra", "antipode")
 
@@ -797,7 +792,21 @@ def taft(domain, n, q, labels=None):
     basis order 1, g, x, gx.  Relations: g^n = 1, x^n = 0, xg = q gx.
     Delta g = g (x) g and Delta x = x (x) 1 + g (x) x, extended
     multiplicatively; the antipode sends g to g^-1 and x to -g^-1 x and
-    is extended as an anti-homomorphism.
+    is extended as an anti-homomorphism (E. J. Taft, PNAS 68, 1971).
+
+    Both maps are built from closed forms, exponents of g and q taken
+    mod n.  As (x (x) 1)(g (x) x) = q (g (x) x)(x (x) 1), the q-binomial
+    formula (Kassel, Quantum Groups, GTM 155, 1995, section IV.2) gives
+
+        Delta(g^a x^b) = sum_{k=0..b} C(b,k)_q g^(a+b-k) x^k (x) g^a x^(b-k),
+
+    with the Gaussian binomials from C(b,k) = C(b-1,k-1) + q^k C(b-1,k),
+    and alpha(x)^b alpha(g)^a collects to one term:
+
+        alpha(g^a x^b) = (-1)^b q^(-b(b-1)/2 - ab) g^(-a-b) x^b.
+
+    The algebra laws and `verify_hopf` still run on every build, so a wrong
+    coefficient raises AxiomError.
 
     Over a field it holds both integral lines by theorem (Larson and
     Sweedler, Amer. J. Math. 91, 1969; Montgomery, CBMS 82, 1993, section
@@ -830,15 +839,19 @@ def taft(domain, n, q, labels=None):
 
         labels = tuple(lab(a, b) for b in range(n) for a in range(n))
 
+    # q^n = 1, so every exponent of q is taken mod n
     qpow = [domain.one]
-    for _ in range(n * n):
+    for _ in range(n - 1):
         qpow.append(domain.mul(qpow[-1], q))
+    # every stored index is read from this list: CPython caches no int past
+    # 256, and a fresh one per index of Delta would cost about 1 MB at n = 32
+    basis = list(range(dim))
 
     # (g^a x^b)(g^c x^d) = q^(bc) g^(a+c) x^(b+d), and 0 once b + d >= n:
     # each cell holds one canonical pair or none, so the tensor is built
     # directly in its stored form, by basis index.  As q^n = 1, the cells
     # are the dim * n pairs (k, q^e) with e < n, each built once and shared
-    cells = [[((k, w),) for w in qpow[:n]] for k in range(dim)]
+    cells = [[((k, w),) for w in qpow] for k in basis]
     mult = tuple(
         tuple(
             cells[idx((a + c) % n, b + d)][b * c % n] if b + d < n else ()
@@ -849,37 +862,33 @@ def taft(domain, n, q, labels=None):
     unit = linalg.unit_vec(domain, dim, idx(0, 0))
     alg = _checked_algebra(AlgebraData(domain, dim, tuple(labels), mult, unit))
 
-    # Delta(g^a x^b) = Delta(g)^a Delta(x)^b, multiplied out in H (x) H
-    one = domain.one
-    delta_g = [(idx(1, 0), idx(1, 0), one)]
-    delta_x = [(idx(0, 1), idx(0, 0), one), (idx(1, 0), idx(0, 1), one)]
-    comult = [None] * dim
-    delta_ga = ((idx(0, 0), idx(0, 0), one),)
-    for a in range(n):
-        vec = delta_ga
-        for b in range(n):
-            comult[idx(a, b)] = vec
-            vec = _square_product(alg, vec, delta_x)
-        delta_ga = _square_product(alg, delta_ga, delta_g)
+    # the Gaussian binomials C(b, k)_q for b < n, by the q-Pascal rule
+    one, add, mul = domain.one, domain.add, domain.mul
+    binomials = [[one]]
+    for b in range(1, n):
+        prev = binomials[-1]
+        binomials.append([one, *(add(prev[k - 1], mul(qpow[k], prev[k])) for k in range(1, b)),
+                          one])
+    # the q-binomial formula; the first index k n + (a + b - k) % n rises
+    # with k, so each cell comes out sorted
+    comult = [
+        tuple((basis[idx((a + b - k) % n, k)], basis[idx(a, b - k)], c)
+              for k, c in enumerate(binomials[b]) if c)
+        for b in range(n) for a in range(n)
+    ]
 
     # counit(g^a x^b) = [b == 0]
     counit = [domain.zero] * dim
     for a in range(n):
-        counit[idx(a, 0)] = domain.one
+        counit[idx(a, 0)] = one
     counit = tuple(counit)
 
-    # antipode: alpha(g) = g^-1, alpha(x) = -g^-1 x = -g^{n-1} x,
-    # extended as an anti-homomorphism: alpha(g^a x^b) = alpha(x)^b alpha(g)^a
-    alpha_g = ((idx(n - 1, 0), one),)
-    alpha_x = ((idx(n - 1, 1), domain.neg(one)),)
+    # alpha(g^a x^b) = (-1)^b q^(-b(b-1)/2 - ab) g^(-a-b) x^b, one term per column
     cols = []
     for b in range(n):
         for a in range(n):
-            vec = ((idx(0, 0), one),)
-            for factor in [alpha_x] * b + [alpha_g] * a:
-                vec = tuple(sorted(_product(domain, mult, vec, factor).items()))
-            cols.append(vec)
-    # cols were produced in (b, a) loop order which matches idx(a, b) = b*n + a
+            c = qpow[(-(b * (b - 1) // 2) - a * b) % n]
+            cols.append(((basis[idx((-a - b) % n, b)], domain.neg(c) if b % 2 else c),))
     antipode = ColumnMap(domain, dim, cols)
 
     h = build_hopf(alg, tuple(comult), counit, antipode)

@@ -47,8 +47,7 @@ class IntegerLattice:
                 raise ShapeError("generator length mismatch")
         scale = math.lcm(*(x.denominator for v in vectors for x in v))
         integer_rows = [[int(x * scale) for x in v] for v in vectors]
-        h, _ = linalg.hermite_normal_form(Matrix(ZZ, integer_rows))
-        return cls(ambient_dim, scale, tuple(r for r in h.rows if any(r)))
+        return cls(ambient_dim, scale, linalg.hermite_basis(Matrix(ZZ, integer_rows)))
 
     @property
     def rank(self):

@@ -27,15 +27,17 @@ visiting only the pivot columns it holds.  So a system whose rows stay
 sparse is eliminated in time about linear in its nonzeros.  The reduced
 form is unique, so kernel and echelon bases are canonical.
 
-Over Z there is one row reduction too, `hermite_normal_form`: Euclid's
-algorithm down each column, by floor division, with the transform
-carried along as extra columns.  The Hermite form is unique; the floor
-remainders keep the working entries far smaller than 2 x 2 extended-gcd
-transforms do, under which random 32 x 32 matrices with one-digit
-entries took from under a second to minutes.  `smith_normal_form`
-alternates Hermite forms of m and of its transpose until m is diagonal
-(Kannan and Bachem), then orders the diagonal into invariant factors by
-gcd and lcm.  `det` is Bareiss's fraction-free elimination.
+Over Z there is one row reduction too, behind `hermite_normal_form`:
+Euclid's algorithm down each column, by floor division, with the
+transform carried along as extra columns where it is read
+(`hermite_basis` and the Smith form reduce without it).  The Hermite
+form is unique; the floor remainders keep the working entries far
+smaller than 2 x 2 extended-gcd transforms do, under which random
+32 x 32 matrices with one-digit entries took from under a second to
+minutes.  `smith_normal_form` alternates Hermite forms of m and of its
+transpose until m is diagonal (Kannan and Bachem), then orders the
+diagonal into invariant factors by gcd and lcm.  `det` is Bareiss's
+fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -867,6 +869,29 @@ def _floor_reduce(rows, pivot, pc):
                 row[j] -= q * b
 
 
+def _hermite_reduce(work, ncols):
+    """Euclid's algorithm on the rows `work`, in place, which brings their
+    first ncols columns to row Hermite form (see `hermite_normal_form`);
+    any further columns ride along.  Returns the rank, the number of
+    nonzero rows, which come first."""
+    nrows, pr = len(work), 0
+    for pc in range(ncols):
+        while live := [r for r in range(pr, nrows) if work[r][pc]]:
+            sel = min(live, key=lambda r: abs(work[r][pc]))
+            work[pr], work[sel] = work[sel], work[pr]
+            pivot = work[pr]
+            if len(live) == 1:
+                break
+            _floor_reduce(work[pr + 1:], pivot, pc)
+        else:
+            continue  # no pivot in this column
+        if pivot[pc] < 0:
+            pivot = work[pr] = [-v for v in pivot]
+        _floor_reduce(work[:pr], pivot, pc)
+        pr += 1
+    return pr
+
+
 def hermite_normal_form(m):
     """Row-style Hermite normal form.
 
@@ -883,23 +908,18 @@ def hermite_normal_form(m):
     _require_integer(m)
     nrows, ncols = m.nrows, m.ncols
     work = [[*row, *[0] * i, 1, *[0] * (nrows - 1 - i)] for i, row in enumerate(m.rows)]
-    pr = 0
-    for pc in range(ncols):
-        while live := [r for r in range(pr, nrows) if work[r][pc]]:
-            sel = min(live, key=lambda r: abs(work[r][pc]))
-            work[pr], work[sel] = work[sel], work[pr]
-            pivot = work[pr]
-            if len(live) == 1:
-                break
-            _floor_reduce(work[pr + 1:], pivot, pc)
-        else:
-            continue  # no pivot in this column
-        if pivot[pc] < 0:
-            pivot = work[pr] = [-v for v in pivot]
-        _floor_reduce(work[:pr], pivot, pc)
-        pr += 1
+    _hermite_reduce(work, ncols)
     return (Matrix._make(ZZ, (row[:ncols] for row in work), ncols),
             Matrix._make(ZZ, (row[ncols:] for row in work), nrows))
+
+
+def hermite_basis(m):
+    """The nonzero rows of the Hermite normal form of m, as tuples: the
+    canonical basis of its row lattice, reduced without the transform u
+    that only `integer_kernel_basis` reads."""
+    _require_integer(m)
+    work = [list(row) for row in m.rows]
+    return tuple(map(tuple, work[:_hermite_reduce(work, m.ncols)]))
 
 
 def det(m):
@@ -949,16 +969,20 @@ def smith_normal_form(m):
     plus a free part of rank nrows - rank(m).
 
     Kannan and Bachem (SIAM J. Comput. 8, 1979): while an entry off the
-    diagonal is nonzero, m becomes the transpose of its row Hermite
-    form.  Each (t, t) pivot can only shrink until its row and column
-    clear, so this ends with a diagonal matrix, and replacing each pair
-    of diagonal entries with their gcd and lcm keeps the cokernel and
-    orders the factors.
+    diagonal is nonzero, m becomes the transpose of the nonzero rows of
+    its row Hermite form.  Each (t, t) pivot can only shrink until its
+    row and column clear, so this ends with a diagonal matrix, and
+    replacing each pair of diagonal entries with their gcd and lcm keeps
+    the cokernel and orders the factors.
     """
     _require_integer(m)
-    while any(v for i, row in enumerate(m.rows) for j, v in enumerate(row) if i != j):
-        m = hermite_normal_form(m)[0].transpose()
-    factors = [abs(m.rows[i][i]) for i in range(min(m.nrows, m.ncols))]
+    rows, ncols = [list(row) for row in m.rows], m.ncols
+    while any(v for i, row in enumerate(rows) for j, v in enumerate(row) if i != j):
+        # the zero rows of the Hermite form hold no invariant factor
+        ncols = _hermite_reduce(rows, ncols)
+        rows = [list(col) for col in zip(*rows[:ncols])]
+    factors = [abs(rows[i][i]) for i in range(min(len(rows), ncols))]
+    factors += [0] * (min(m.nrows, m.ncols) - len(factors))
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             a, b = factors[i], factors[j]

@@ -26,6 +26,9 @@ the Morita lemma.
 `dense_galois_j`, `dense_gamma`, `dense_faithful` and
 `dense_coinvariants` build the Galois maps, the faithfulness verdict
 and the coinvariants from their defining formulas, by dense products.
+`taft_by_products` multiplies out the Taft comultiplication and
+antipode from the generators, the reference for the closed forms of
+`hopf.taft`.
 `module_algebra_witness` decides the module-algebra law by the full
 loop over H and pairs of S, the reference for the package's decision
 through the dual coaction on the generators of S.
@@ -234,6 +237,50 @@ def dense_taft_antipode(h, n):
                 vec = dense_product(h.algebra, vec, factor)
             cols.append(vec)
     return cols
+
+
+def taft_by_products(domain, n, q):
+    """The comultiplication cells and antipode columns of the Taft algebra
+    T_n(q) in the stored forms of `hopf.taft`, multiplied out from the
+    generators one product at a time: Delta(g^a x^b) = Delta(g)^a Delta(x)^b
+    in H (x) H and alpha(g^a x^b) = alpha(x)^b alpha(g)^a in H, with
+    (g^a x^b)(g^c x^d) = q^(bc) g^(a+c) x^(b+d), 0 once b + d >= n."""
+    q, one, dim = domain.normalize(q), domain.one, n * n
+
+    def idx(a, b):
+        return b * n + a
+
+    def power(k):
+        out = one
+        for _ in range(k):
+            out = domain.mul(out, q)
+        return out
+
+    mult = [[() for _ in range(dim)] for _ in range(dim)]
+    for a, b, c, d in product(range(n), repeat=4):
+        if b + d < n:
+            mult[idx(a, b)][idx(c, d)] = ((idx((a + c) % n, b + d), power(b * c)),)
+
+    def square(u, v):
+        return tuple((s, t, c) for (s, t), c in
+                     sorted(collected_square_sum(domain, mult, mult, u, v).items()))
+
+    delta_g = ((idx(1, 0), idx(1, 0), one),)
+    delta_x = ((idx(0, 1), idx(0, 0), one), (idx(1, 0), idx(0, 1), one))
+    alpha_g = ((idx(n - 1, 0), one),)
+    alpha_x = ((idx(n - 1, 1), domain.neg(one)),)
+    comult, antipode = [None] * dim, [None] * dim
+    for a in range(n):
+        for b in range(n):
+            delta = ((idx(0, 0), idx(0, 0), one),)
+            for factor in [delta_g] * a + [delta_x] * b:
+                delta = square(delta, factor)
+            comult[idx(a, b)] = delta
+            alpha = ((idx(0, 0), one),)
+            for factor in [alpha_x] * b + [alpha_g] * a:
+                alpha = tuple(sorted(collected_product(domain, mult, alpha, factor).items()))
+            antipode[idx(a, b)] = alpha
+    return tuple(comult), tuple(antipode)
 
 
 # full axiom scans ---------------------------------------------------------------

@@ -203,6 +203,31 @@ def test_taft_comult_matches_dense_tensor_square(domain, n, q):
     assert h.comult == taft_comult_in_dense_square(h, n)
 
 
+# every primitive n-th root q mod p, 2 <= n <= 8 with n | p - 1, for six
+# primes, and Sweedler's algebra over Q and over Z
+TAFT_PRODUCT_CASES = (
+    [(GF(p), n, q) for p in (5, 7, 13, 17, 29, 97) for n in range(2, 9) if (p - 1) % n == 0
+     for q in primitive_roots(p, n)]
+    + [(QQ, 2, -1), (ZZ, 2, -1)]
+)
+
+
+def test_taft_product_cases_cover_42_roots():
+    assert len(TAFT_PRODUCT_CASES) == 42 + 2
+    # no p - 1 of the six is divisible by 5
+    assert {n for _, n, _ in TAFT_PRODUCT_CASES} == {2, 3, 4, 6, 7, 8}
+
+
+@pytest.mark.parametrize("domain,n,q", TAFT_PRODUCT_CASES, ids=lambda v: str(v))
+def test_taft_closed_forms_match_the_products(domain, n, q):
+    # the q-binomial comult and the one-term antipode against Delta and
+    # alpha multiplied out from the generators, cell for cell
+    h = hopf.taft(domain, n, q)
+    comult, antipode = oracles.taft_by_products(domain, n, q)
+    assert h.comult == comult
+    assert h.antipode.cols == antipode
+
+
 @pytest.mark.parametrize("p,n,q", [(11, 5, 3), (13, 6, 4)])
 def test_taft_scales_past_dimension_16(p, n, q):
     assert primitive_roots(p, n)[0] == q
@@ -240,7 +265,7 @@ def test_taft_and_dual_tensors_are_what_sparse_tensor_makes(domain, n, q):
             (i, j, k, c) for j, row in enumerate(x.algebra.mult)
             for k, cell in enumerate(row) for i, c in cell], 1)
     assert hopf.dual(hopf.dual(h)).algebra.mult == h.algebra.mult
-    # the antipode columns are sparse products; the dense ones must agree
+    # the antipode columns are closed forms; the dense products must agree
     assert h.antipode == ColumnMap.from_cols(domain, dim, oracles.dense_taft_antipode(h, n))
 
 

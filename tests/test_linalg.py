@@ -27,6 +27,7 @@ from hopfgal.linalg import (
     det,
     echelon_basis,
     echelon_insert,
+    hermite_basis,
     hermite_normal_form,
     integer_kernel_basis,
     invert,
@@ -746,6 +747,16 @@ def test_hnf_properties(rows):
     for i, j in enumerate(pivots):
         assert h.rows[i][j] > 0
         assert all(0 <= h.rows[k][j] < h.rows[i][j] for k in range(i))
+
+
+@given(integer_matrices(7))
+@example([[0]])
+@example([[0, 0], [0, 3]])
+def test_hermite_basis_is_the_nonzero_rows_of_the_hnf(rows):
+    # the same reduction without the transform columns
+    m = Matrix(ZZ, rows)
+    h, _ = hermite_normal_form(m)
+    assert hermite_basis(m) == tuple(row for row in h.rows if any(row))
 
 
 def test_hnf_idempotent_on_canonical_form():

@@ -6,7 +6,7 @@ suite; here the tool runs end to end on one command in text and in
 the cases whose exit code moved, groups them in its summary and prints
 the median time and peak RSS ratios of each command.  One case runs
 in process, under a parent that holds 100 MB, to show that the peak RSS
-is the child's own.
+is the child's own, and each scaling case runs three times.
 """
 
 import importlib.util
@@ -14,6 +14,7 @@ import json
 import pathlib
 import random
 import shutil
+import statistics
 import subprocess
 import sys
 
@@ -98,6 +99,24 @@ def test_scale_group_runs_its_own_builtin_specs(tmp_path):
     assert sorted(record) == ["scale/dual-taft integrals dual_taft_n16_F97.json",
                               "scale/taft integrals taft_n16_F97.json"]
     assert {case["exit"] for case in record.values()} == {0}
+    # each scaling case ran three times: the median time and the largest peak
+    for case in record.values():
+        assert len(case["time_s_runs"]) == len(case["peak_rss_mb_runs"]) == 3
+        assert case["time_s"] == statistics.median(case["time_s_runs"])
+        assert case["peak_rss_mb"] == max(case["peak_rss_mb_runs"])
+
+
+def test_scale_runs_merge_into_one_record():
+    merged = load_sweep().merged
+    run = {"exit": 0, "stdout": "a", "stderr": "b"}
+    runs = [{**run, "time_s": t, "peak_rss_mb": m}
+            for t, m in ((3.0, 20.0), (1.0, 22.5), (2.0, 21.0))]
+    assert merged(runs) == {**run, "time_s": 2.0, "peak_rss_mb": 22.5,
+                            "time_s_runs": [3.0, 1.0, 2.0], "peak_rss_mb_runs": [20.0, 22.5, 21.0]}
+    # runs that disagree in a hash are unstable; a timeout in any run is the case's
+    assert merged([runs[0], {**runs[1], "stdout": "c"}, runs[2]])["exit"] == "unstable"
+    assert merged([runs[0], {"exit": "timeout", "stdout": None, "stderr": None}, runs[2]]) == {
+        "exit": "timeout", "stdout": None, "stderr": None}
 
 
 def test_peak_rss_is_the_childs_own_and_not_the_sweeps(tmp_path):

@@ -22,8 +22,11 @@ do not depend on where the checkout lives.  PYTHONPYCACHEPREFIX names a
 fresh empty directory per case and PYTHONDONTWRITEBYTECODE is set, so
 no case reads bytecode, from the checkout or from an earlier case.  Two
 cases run at once, except the scaling group, whose cases run one at a
-time after the others.  A case that runs past TIMEOUT seconds is
-recorded with the exit code "timeout".
+time after the others, SCALE_RUNS times each, in rounds over the group:
+a scaling case records the median wall time and the largest peak RSS of
+its runs, and each run's time and peak.  A case that runs past TIMEOUT
+seconds is recorded with the exit code "timeout", and a scaling case
+whose runs disagree in exit code or hashes with the exit code "unstable".
 
 The peak RSS is the child's own ``VmHWM`` from ``/proc/self/status``,
 which the launcher writes to a side file at exit, so stdout and stderr
@@ -58,9 +61,9 @@ Every case runs in text and in ``--json`` form.  ``--compare`` prints
 one line per case whose exit code or hashes differ or that only one
 record holds, then one line per group of those cases with the same
 command, first fixture and exit transition, with its count; then, for
-each command (or scaling series), the median ratio B/A of the wall
-time and of the peak RSS over the cases both records timed.  It exits 1
-when a case differs, else 0.
+each command (or scaling series), the median ratio B/A of the
+recorded wall time and peak RSS over the cases both records timed.  It
+exits 1 when a case differs, else 0.
 """
 
 import argparse
@@ -102,6 +105,7 @@ SCALE_GROUP_N = (16, 64, 256)
 SCALE_GROUP_FIELDS = (("Q", {"kind": "Q"}), ("F97", {"kind": "Fp", "p": 97}))
 SCALE_LATTICE_N = (16, 24, 32)
 SCALE_LATTICE_SEEDS = (1, 4)
+SCALE_RUNS = 3
 # python -c LAUNCHER PEAK_FILE ARGS...: run hopfgal.cli ARGS... as `python -m`
 # would, and write the process's peak RSS in kB (VmHWM) to PEAK_FILE at exit
 LAUNCHER = """
@@ -309,8 +313,27 @@ def sweep(repo, match=None):
                        for name, argv in argvs.items()}
             record = {name: future.result() for name, future in futures.items()}
         # one at a time, so that no other case shares the host with them
-        record.update((name, run_case(repo, workdir, argv)) for name, argv in scaled.items())
+        runs = {name: [] for name in scaled}
+        for _ in range(SCALE_RUNS):
+            for name, argv in scaled.items():
+                runs[name].append(run_case(repo, workdir, argv))
+        record.update((name, merged(cases)) for name, cases in runs.items())
         return record
+
+
+def merged(runs):
+    """One record of the runs of a scaling case: the exit code and hashes
+    they share, the median wall time and the largest peak RSS, and each
+    run's time and peak, in run order."""
+    first = runs[0]
+    if any(run["exit"] == "timeout" for run in runs):
+        return {"exit": "timeout", "stdout": None, "stderr": None}
+    out = {key: first[key] for key in ("exit", "stdout", "stderr")}
+    if any(run[key] != value for run in runs for key, value in out.items()):
+        out["exit"] = "unstable"
+    times, peaks = [run["time_s"] for run in runs], [run["peak_rss_mb"] for run in runs]
+    return {**out, "time_s": statistics.median(times), "peak_rss_mb": max(peaks),
+            "time_s_runs": times, "peak_rss_mb_runs": peaks}
 
 
 def differences(a, b):
@@ -345,7 +368,9 @@ def summary(groups):
 
 def ratios(a, b):
     """One line per command (or scaling series), sorted, with the median
-    ratio B/A of wall time and of peak RSS over the cases both timed."""
+    ratio B/A of the recorded wall time and peak RSS (for a scaling case,
+    the median time and the largest peak of its runs) over the cases
+    both timed."""
     pairs = collections.defaultdict(list)
     for name in sorted(a.keys() & b.keys()):
         if "time_s" in a[name] and "time_s" in b[name]:
