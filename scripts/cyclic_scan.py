@@ -24,10 +24,9 @@ def scan(label, S, M, top):
     if ok:
         stable, _ = cocyclic.stability_check(M)
     print(f"== {label}: ayd {ok} (witness {witness}), stable {stable}")
-    for n in range(top + 1):
-        rep = cocyclic.check_cyclic_identities(S, M, n)
+    for rep in cocyclic.cyclic_levels(S, M, top):
         print(
-            f"  level {n}: dim {rep.dim:3} cotensor {rep.cotensor_dim:3} | "
+            f"  level {rep.level}: dim {rep.dim:3} cotensor {rep.cotensor_dim:3} | "
             f"simplicial {rep.simplicial_ok} rotation {rep.rotation_ok} "
             f"cyclicity {rep.cyclicity_ok} preserves-cotensor {rep.t_preserves_cotensor}"
         )

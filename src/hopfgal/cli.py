@@ -219,18 +219,7 @@ def run_cyclic(args):
     if args.module is None:
         raise FormatError("the cyclic command needs --module")
     M = files.load_ayd_module(S.hopf, args.module, args.max_dim)
-    max_dim = args.max_dim
-    # the level-top identities reach level top + 1 (the pairs d_(top+1) s_j), bounded too;
-    # level n has dimension dim(S)^(n+1) dim(M), so only a 1-dimensional S gets past level max_dim
-    for n in range(min(top + 2, max_dim + 1)):
-        dim = S.dim ** (n + 1) * M.dim
-        if dim > max_dim:
-            built_by = f" (the level {top} identities build it)" if n > top else ""
-            raise ResourceBoundError(
-                f"level {n} has dimension {dim} > bound {max_dim}{built_by}"
-            )
-    if top + 1 > max_dim:
-        raise ResourceBoundError(f"--levels {top} builds {top + 1} levels > bound {max_dim}")
+    levels = cocyclic.cyclic_levels(S, M, top, args.max_dim)
     ayd_ok, ayd_witness = M.ayd
     stable_ok = False
     if ayd_ok:
@@ -238,11 +227,10 @@ def run_cyclic(args):
     per_level = []
     all_ok = True
     warning = None
-    for n in range(top + 1):
-        rep = cocyclic.check_cyclic_identities(S, M, n, max_dim)
+    for rep in levels:
         per_level.append(
             {
-                "level": n,
+                "level": rep.level,
                 "dim": rep.dim,
                 "cotensor_dim": rep.cotensor_dim,
                 "simplicial": rep.simplicial_ok,

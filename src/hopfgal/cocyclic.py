@@ -25,10 +25,11 @@ On a validated S and M the simplicial and rotation identities of the
 faces and degeneracies are a lemma (see `check_cyclic_identities`), so
 no face or degeneracy is built; and t^(n+1) has a closed form on
 X (x) M, X = S^(x)(n+1): so the level-n check builds the cotensor basis
-and t_n once each.  Only X outlives it: S keeps it, to build the next
-power from (`tensor_power`).  The cotensor system leaves out one row
-block that the counit law makes redundant, and is eliminated sparsely
-(`linalg.kernel_map`).
+and t_n once each.  `cyclic_levels` is the one loop over the levels: it
+bounds them all before any work, then checks them lazily, each X one
+`tensor_comodule` from the one below it, and holds one X at a time.  The
+cotensor system leaves out one row block that the counit law makes
+redundant, and is eliminated sparsely (`linalg.kernel_map`).
 
 The four functions that need :mod:`actions` (the homology of a
 comodule, the bar shift, gamma of a comodule algebra and the T-shift)
@@ -41,6 +42,7 @@ coalgebra-law predicates of :mod:`hopf` and the comodule-algebra law by
 from __future__ import annotations
 
 import functools
+import itertools
 
 from . import hopf as hopf_mod
 from . import linalg
@@ -79,11 +81,6 @@ class ComoduleData:
     @property
     def domain(self):
         return self.hopf.domain
-
-    @functools.cached_property
-    def last_power(self):
-        """[(k, C^(x)k)] of the last power k >= 2 `tensor_power` built, or []."""
-        return []
 
 
 def _comodule(hopf, dim, triples):
@@ -354,19 +351,6 @@ def tensor_comodule(x, c):
     return ComoduleData(x.hopf, x.dim * dc, tuple(coaction))
 
 
-def tensor_power(c, k):
-    """C^(x)k as a right comodule, k >= 1: the legs multiply in slot order.
-    C keeps the last power k >= 2 built (`last_power`, read once, as threads
-    may share C), and higher ones start from it: each is built once."""
-    held = c.last_power
-    j, power = next((kp for kp in held[:1] if kp[0] <= k), (1, c))
-    for _ in range(k - j):
-        power = tensor_comodule(power, c)
-    if k > 1:
-        held[:] = [(k, power)]
-    return power
-
-
 def cotensor(x, m):
     """Canonical basis of the cotensor equalizer inside X (x) M, as the
     columns of a ColumnMap.
@@ -444,7 +428,7 @@ def cyclic_power(X, M, col):
     """t_n^(n+1) of a column of X (x) M, by its closed form
     (id (x) act)(rho_X (x) id).
 
-    X is `tensor_power` S^(x)(n+1), whose legs multiply in slot order.
+    X is S^(x)(n+1), whose legs multiply in slot order.
     The n + 1 rotations bring slots n, n - 1, .., 0 to the front in turn,
     which restores their order, and act on the coefficient by their
     legs: x_0(1) . (x_1(1) . (.. x_n(1) . m)), which is
@@ -479,15 +463,9 @@ class CyclicIdentityReport:
     t_preserves_cotensor: bool
 
 
-def _bound_level(S, M, n, max_dim):
-    dim = S.dim ** (n + 1) * M.dim
-    if dim > max_dim:
-        raise ResourceBoundError(f"level {n} has dimension {dim} > bound {max_dim}")
-    return dim
-
-
-def check_cyclic_identities(S, M, n, max_dim=DEFAULT_MAX_DIM):
-    """Three-part verdict at level n.
+def check_cyclic_identities(S, M, n, X):
+    """Three-part verdict at level n, with X = S^(x)(n+1) the tensor power
+    of the comodule of S (`cyclic_levels` builds it and bounds the level).
 
     (a) the presimplicial and degeneracy identities on the full space,
     (b) the rotation relation d_n t_n = t_{n-1} d_{n-1} on the full
@@ -515,15 +493,11 @@ def check_cyclic_identities(S, M, n, max_dim=DEFAULT_MAX_DIM):
     Hajac, Khalkhali, Rangipour and Sommerhaeuser, "Stable
     anti-Yetter-Drinfeld modules", C. R. Acad. Sci. Paris 338, 2004),
     applied to the columns of the cotensor's echelon basis B in turn;
-    the witness is the first column it moves.  Levels n and n + 1, which the
-    identities of (a) reach, are bounded by max_dim before any work.
+    the witness is the first column it moves.
     """
     if S.hopf != M.hopf:
         raise ShapeError("S and M must live over one Hopf algebra")
-    dim = _bound_level(S, M, n, max_dim)
-    _bound_level(S, M, n + 1, max_dim)
-    dom = S.domain
-    X = tensor_power(S.comodule, n + 1)
+    dom, dim = S.domain, X.dim * M.dim
     B = cotensor(X, M.comodule)
     cyc_witness = next(
         ((k,) for k, col in enumerate(B.cols) if cyclic_power(X, M, col) != col), None)
@@ -544,6 +518,29 @@ def check_cyclic_identities(S, M, n, max_dim=DEFAULT_MAX_DIM):
         cyclicity_witness=cyc_witness,
         t_preserves_cotensor=B @ (ColumnMap(dom, B.ncols, at_pivots) @ tB) == tB,
     )
+
+
+def cyclic_levels(S, M, top, max_dim=DEFAULT_MAX_DIM):
+    """The `check_cyclic_identities` reports of levels 0..top, read lazily.
+
+    Level n has dimension dim(S)^(n+1) dim(M), and the level-top
+    identities reach level top + 1 (the pairs d_(top+1) s_j), so levels
+    0..top + 1 are bounded by max_dim here, before any work; so is the
+    number of levels, as with a 1-dimensional S every level has the
+    dimension of M.  Each level is checked when it is read, its
+    X = S^(x)(n+1) one `tensor_comodule` from the X below it, so the
+    levels build S^(x)2 .. S^(x)(top+1) once each and hold one at a time.
+    """
+    for n in range(min(top + 2, max_dim + 1)):
+        dim = S.dim ** (n + 1) * M.dim
+        if dim > max_dim:
+            built_by = f" (the level {top} identities build it)" if n > top else ""
+            raise ResourceBoundError(f"level {n} has dimension {dim} > bound {max_dim}{built_by}")
+    if top + 1 > max_dim:
+        raise ResourceBoundError(f"--levels {top} builds {top + 1} levels > bound {max_dim}")
+    powers = itertools.accumulate(itertools.repeat(S.comodule, top), tensor_comodule,
+                                  initial=S.comodule)
+    return (check_cyclic_identities(S, M, n, X) for n, X in enumerate(powers))
 
 
 # ---------------------------------------------------------------------------

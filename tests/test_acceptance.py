@@ -151,8 +151,7 @@ def test_criterion_6_cyclic_identities():
     for S, M in cases:
         assert cocyclic.ayd_check(M) == (True, None)
         assert cocyclic.stability_check(M) == (True, None)
-        for n in range(4):
-            rep = cocyclic.check_cyclic_identities(S, M, n)
+        for n, rep in enumerate(cocyclic.cyclic_levels(S, M, 3)):
             assert rep.simplicial_ok, (S.domain.name, n)
             assert rep.rotation_ok, (S.domain.name, n)
             assert rep.cyclicity_ok, (S.domain.name, n)

@@ -274,7 +274,7 @@ def test_cyclic_refuses_more_levels_than_the_bound_before_any_is_built(tmp_path,
     levels = []
     check = cocyclic.check_cyclic_identities
     monkeypatch.setattr(cocyclic, "check_cyclic_identities",
-                        lambda S, M, n, max_dim: levels.append(n) or check(S, M, n, max_dim))
+                        lambda S, M, n, X: levels.append(n) or check(S, M, n, X))
     assert cli.main(args + ["--levels", "4", "--max-dim", "4"]) == 3
     assert "--levels 4 builds 5 levels > bound 4" in capsys.readouterr().err
     start = time.perf_counter()

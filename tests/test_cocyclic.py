@@ -3,13 +3,14 @@ import itertools
 import math
 import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hopfgal import actions, cocyclic, hopf, linalg, zoo
+from hopfgal import actions, cli, cocyclic, hopf, linalg, zoo
 from hopfgal.errors import (
     AxiomError,
     HopfgalError,
@@ -126,9 +127,10 @@ def test_regular_and_trivial_comodules_are_comodules(h, dim):
     assert oracles.comodule_law_witness(oracles.trivial_comodule(h, dim)) is None
 
 
-@pytest.mark.parametrize("h", [hopf.sweedler(QQ), hopf.taft(GF(7), 3, 2)],
+@pytest.mark.parametrize("build", [lambda: hopf.sweedler(QQ), lambda: hopf.taft(GF(7), 3, 2)],
                          ids=["sweedler", "taft3-f7"])
-def test_regular_and_trivial_comodules_of_noncommutative_algebras(h):
+def test_regular_and_trivial_comodules_of_noncommutative_algebras(build):
+    h = build()
     assert oracles.comodule_law_witness(cocyclic.regular_comodule(h)) is None
     assert oracles.comodule_law_witness(oracles.trivial_comodule(h, 2)) is None
 
@@ -467,7 +469,7 @@ def test_cotensor_kernel_work_is_linear_in_its_nonzeros(monkeypatch):
     per_nonzero = {}
     for level in (7, 9):
         lines[0] = nonzeros[0] = 0
-        basis = cocyclic.cotensor(cocyclic.tensor_power(S.comodule, level + 1), M.comodule)
+        basis = cocyclic.cotensor(oracles.tensor_power_comodule(S.comodule, level + 1), M.comodule)
         assert basis.ncols == 2 ** (level + 1)
         per_nonzero[level] = lines[0] / nonzeros[0]
     assert per_nonzero[9] <= 1.1 * per_nonzero[7]
@@ -527,8 +529,7 @@ def test_identities_all_levels_trivial_coefficients():
     for p in (3, 2):
         S = graded(p)
         M = ayd_trivial(p)
-        for n in range(4):
-            rep = cocyclic.check_cyclic_identities(S, M, n)
+        for n, rep in enumerate(cocyclic.cyclic_levels(S, M, 3)):
             assert (rep.simplicial_ok, rep.rotation_ok, rep.cyclicity_ok) == (True, True, True), (p, n)
             assert rep.t_preserves_cotensor
 
@@ -536,20 +537,50 @@ def test_identities_all_levels_trivial_coefficients():
 def test_identities_swap_coefficients_cyclicity_fails():
     S = graded(3)
     M = ayd_swap(3)
-    rep = cocyclic.check_cyclic_identities(S, M, 1)
+    rep = cocyclic.check_cyclic_identities(S, M, 1, oracles.tensor_power_comodule(S.comodule, 2))
     assert rep.simplicial_ok and rep.rotation_ok
     assert not rep.cyclicity_ok
     assert rep.cyclicity_witness is not None
 
 
-def test_level_bound():
-    S = graded(3)
-    M = ayd_trivial(3)
-    with pytest.raises(ResourceBoundError, match=r"^level 3 has dimension 32 > bound 16$"):
-        cocyclic.check_cyclic_identities(S, M, 3, max_dim=16)
-    # the level 2 identities reach level 3
-    with pytest.raises(ResourceBoundError, match=r"^level 3 has dimension 32 > bound 16$"):
-        cocyclic.check_cyclic_identities(S, M, 2, max_dim=16)
+# `cyclic_levels` bounds levels 0..top + 1 and the number of levels before
+# any work, with the refusals the cyclic command prints: a refusal builds no
+# tensor power, no cotensor and no level, and the levels are built when read.
+def test_cyclic_levels_refuse_before_any_work(fixtures, monkeypatch, capsys):
+    calls = []
+    for name in ("tensor_comodule", "cotensor", "check_cyclic_identities"):
+        monkeypatch.setattr(cocyclic, name, lambda *args, name=name, fn=getattr(cocyclic, name):
+                            calls.append(name) or fn(*args))
+    S, M = graded(3), ayd_trivial(3)
+    command = ["cyclic", str(fixtures / "comodalg_graded_f3.json"),
+               "--module", str(fixtures / "mod_kc2_ayd_f3.json"), "--max-dim", "16", "--levels"]
+    refusals = {
+        3: "level 3 has dimension 32 > bound 16",
+        # the level 2 identities reach level 3
+        2: "level 3 has dimension 32 > bound 16 (the level 2 identities build it)",
+    }
+    for top, message in refusals.items():
+        with pytest.raises(ResourceBoundError) as exc:
+            cocyclic.cyclic_levels(S, M, top, max_dim=16)
+        assert str(exc.value) == message
+        assert calls == []
+        assert cli.main(command + [str(top)]) == 3
+        assert capsys.readouterr().err == f"resource bound exceeded: {message}\n"
+    # with a 1-dimensional S every level has the dimension of M, so only the
+    # number of levels bounds them
+    point = cocyclic.comodule_algebra(zoo.fpc2(3), hopf.algebra_from_triples(
+        GF(3), 1, ("1",), [(0, 0, 0, 1)], (1,)), [(0, 0, 0, 1)])
+    start = time.perf_counter()
+    with pytest.raises(ResourceBoundError) as exc:
+        cocyclic.cyclic_levels(point, M, 10 ** 8)
+    assert time.perf_counter() - start < 1
+    assert str(exc.value) == "--levels 100000000 builds 100000001 levels > bound 5000"
+    assert calls == []
+    levels = cocyclic.cyclic_levels(S, M, 1, max_dim=16)
+    assert calls == []
+    assert [rep.level for rep in levels] == [0, 1]
+    assert calls == ["check_cyclic_identities", "cotensor",
+                     "tensor_comodule", "check_cyclic_identities", "cotensor"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -583,8 +614,7 @@ def test_operators_match_dense_oracles(case):
 @pytest.mark.parametrize("case", DENSE_ORACLE_CASES)
 def test_identity_reports_match_dense_oracle(case):
     S, M = DENSE_ORACLE_CASES[case]()
-    for n in range(5):
-        rep = cocyclic.check_cyclic_identities(S, M, n)
+    for n, rep in enumerate(cocyclic.cyclic_levels(S, M, 4)):
         assert rep == oracles.dense_cyclic_identities(S, M, n), n
 
 
@@ -661,7 +691,7 @@ def test_closed_form_of_t_to_the_n_plus_1_matches_dense_compositions(case):
     power = Matrix.identity(dom, dim)
     for _ in range(n + 1):
         power = t @ power
-    X = cocyclic.tensor_power(S.comodule, n + 1)
+    X = oracles.tensor_power_comodule(S.comodule, n + 1)
     closed = ColumnMap(dom, dim, [cocyclic.cyclic_power(X, M, col)
                                   for col in ColumnMap.identity(dom, dim).cols])
     assert closed.to_dense() == power
@@ -677,7 +707,8 @@ def test_full_identity_loops_pass_on_validated_data(case):
     S, M, n = case
     expected = oracles.dense_cyclic_identities(S, M, n)
     assert expected.simplicial_ok and expected.rotation_ok, expected.simplicial_witness
-    assert cocyclic.check_cyclic_identities(S, M, n) == expected
+    X = oracles.tensor_power_comodule(S.comodule, n + 1)
+    assert cocyclic.check_cyclic_identities(S, M, n, X) == expected
 
 
 def with_column_replaced(t, level, n, k, row):
@@ -706,8 +737,7 @@ def test_corrupted_cyclic_operator_witnesses_match_dense_oracle(case, level, dat
                    lambda S, M, n: with_column_replaced(sparse(S, M, n), level, n, k, row))
         mp.setattr(oracles, "dense_cyclic_matrix", lambda S, M, n: with_column_replaced(
             ColumnMap.from_dense(dense(S, M, n)), level, n, k, row).to_dense())
-        for n in range(5):
-            rep = cocyclic.check_cyclic_identities(S, M, n)
+        for n, rep in enumerate(cocyclic.cyclic_levels(S, M, 4)):
             expected = oracles.dense_cyclic_identities(S, M, n)
             assert rep.t_preserves_cotensor == expected.t_preserves_cotensor, n
             assert (rep.dim, rep.cotensor_dim) == (expected.dim, expected.cotensor_dim), n
@@ -780,19 +810,6 @@ def test_cotensor_of_random_comodules_matches_dense_oracle(case):
     assert tuple(cocyclic.cotensor(x, m).to_dense().cols()) == oracles.dense_cotensor(x, m)
 
 
-# A comodule keeps the last tensor power it built and starts higher ones from
-# it; each must be the power rebuilt from C, whatever order they are read in.
-@given(cotensor_cases(), st.permutations(range(1, 6)))
-@example(([cocyclic.regular_comodule(hopf.sweedler(QQ))], None), [4, 1, 3, 2, 5])
-@example(([cocyclic.regular_comodule(hopf.taft(GF(7), 3, 2))], None), [2, 1, 3])
-@settings(max_examples=30, deadline=None)
-def test_tensor_powers_read_in_any_order_match_the_oracle(case, order):
-    c = case[0][0]  # the first tensor factor of a cotensor case
-    for k in order:
-        if c.dim ** k <= 256:
-            assert cocyclic.tensor_power(c, k) == oracles.tensor_power_comodule(c, k), k
-
-
 def test_multi_term_operators_match_dense_oracles():
     # Sweedler's regular coaction has two legs on x, so t and d_n have
     # columns with several entries, some of which d_n sums to one entry
@@ -801,8 +818,8 @@ def test_multi_term_operators_match_dense_oracles():
     M = zoo.group_like_ayd(sw, action="regular")
     for n in range(3):
         assert cocyclic.cyclic_matrix(S, M, n).to_dense() == oracles.dense_cyclic_matrix(S, M, n), n
-    for n in range(2):
-        assert cocyclic.check_cyclic_identities(S, M, n) == oracles.dense_cyclic_identities(S, M, n)
+    for n, rep in enumerate(cocyclic.cyclic_levels(S, M, 1)):
+        assert rep == oracles.dense_cyclic_identities(S, M, n), n
 
 
 def test_t_complex_differential_squares_to_zero():
@@ -833,8 +850,7 @@ def test_identities_over_noncommutative_base():
         QQ, (4, 2, 2), [(a, m, m, sw.counit[a]) for a in range(4) for m in range(2)], 2
     )
     M = cocyclic.AydModuleData(oracles.trivial_comodule(sw, 2), action)
-    for n in range(2):
-        rep = cocyclic.check_cyclic_identities(S, M, n)
+    for n, rep in enumerate(cocyclic.cyclic_levels(S, M, 1)):
         assert rep.simplicial_ok and rep.rotation_ok, n
 
 

@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 from fractions import Fraction
 from unittest import mock
@@ -14,20 +15,47 @@ from hopfgal.reporting import CheckResult, VerificationReport
 
 import oracles
 
+# The builtin cases by name.  Tests are parametrized by these names and build
+# the cases they read, so a builtin whose build raises fails those tests, not
+# the collection of the module.  "dual(NAME)" and "NAME*" name the dual of NAME.
+BUILTINS = {
+    "QC2": zoo.qc2,
+    "F2C2": lambda: zoo.fpc2(2),
+    "C3(F7)": lambda: hopf.group_algebra(GF(7), zoo.cyclic_table(3)),
+    "C6(F5)": lambda: hopf.group_algebra(GF(5), zoo.cyclic_table(6)),
+    "S3(Q)": lambda: hopf.group_algebra(QQ, zoo.GROUP_TABLES["S3"]),
+    "Q8(F3)": lambda: hopf.group_algebra(GF(3), zoo.GROUP_TABLES["Q8"]),
+    "sweedler(Q)": lambda: hopf.sweedler(QQ),
+    "sweedler(F5)": lambda: hopf.sweedler(GF(5)),
+    "taft(3,2,F7)": lambda: hopf.taft(GF(7), 3, 2),
+    "taft(4,2,F5)": lambda: hopf.taft(GF(5), 4, 2),
+    "divided-power(F2)": zoo.divided_power_hopf,
+}
 
-import functools
+
+@functools.lru_cache(maxsize=None)
+def builtin(name):
+    """The Hopf algebra a case name names, built on first read."""
+    if name.endswith("*"):
+        return hopf.dual(builtin(name[:-1]))
+    if name.startswith("dual("):
+        return hopf.dual(builtin(name[len("dual("):-1]))
+    return BUILTINS[name]()
 
 
-@functools.lru_cache(maxsize=1)
-def builtin_zoo():
-    return {
-        "QC2": zoo.qc2(),
-        "F2C2": zoo.fpc2(2),
-        "dual(QC2)": hopf.dual(zoo.qc2()),
-        "sweedler(Q)": hopf.sweedler(QQ),
-        "sweedler(F5)": hopf.sweedler(GF(5)),
-        "taft(3,2,F7)": hopf.taft(GF(7), 3, 2),
-    }
+def with_duals(names):
+    return tuple(case for name in names for case in (name, f"{name}*"))
+
+
+ZOO = ("QC2", "F2C2", "dual(QC2)", "sweedler(Q)", "sweedler(F5)", "taft(3,2,F7)")
+# every builtin and its dual
+ANTIPODE_BUILTINS = ("QC2", "F2C2", "C3(F7)", "sweedler(Q)", "sweedler(F5)", "taft(3,2,F7)",
+                     "taft(4,2,F5)", "divided-power(F2)")
+ANTIPODE_CASES = ANTIPODE_BUILTINS + tuple(f"dual({name})" for name in ANTIPODE_BUILTINS)
+ZOO_AND_DUALS = with_duals(ZOO)
+# every builtin and its dual, over Q and F_p
+INTEGRAL_CASES = ZOO_AND_DUALS + with_duals(("taft(4,2,F5)", "S3(Q)", "Q8(F3)"))
+REDUCTION_CASES = ("sweedler(Q)", "taft(3,2,F7)", "C6(F5)")
 
 
 # verification -----------------------------------------------------------------
@@ -74,22 +102,6 @@ def test_hand_checked_sweedler_relations():
     assert total == (0, 0, 0, 0)
 
 
-@functools.lru_cache(maxsize=1)
-def antipode_cases():
-    """Every builtin and its dual, by name."""
-    builtins = {
-        "QC2": zoo.qc2(),
-        "F2C2": zoo.fpc2(2),
-        "C3(F7)": hopf.group_algebra(GF(7), zoo.cyclic_table(3)),
-        "sweedler(Q)": hopf.sweedler(QQ),
-        "sweedler(F5)": hopf.sweedler(GF(5)),
-        "taft(3,2,F7)": hopf.taft(GF(7), 3, 2),
-        "taft(4,2,F5)": hopf.taft(GF(5), 4, 2),
-        "divided-power(F2)": zoo.divided_power_hopf(),
-    }
-    return {**builtins, **{f"dual({name})": hopf.dual(h) for name, h in builtins.items()}}
-
-
 def with_antipode_column_corrupted(h, j):
     """h with 1 added to the entry of its antipode at row j + 1 (mod dim) of column j."""
     dom, n = h.domain, h.dim
@@ -102,9 +114,9 @@ def antipode_check(h):
     return next(c for c in hopf.verify_hopf(h).checks if c.name == "antipode")
 
 
-@pytest.mark.parametrize("name", list(antipode_cases()))
+@pytest.mark.parametrize("name", ANTIPODE_CASES)
 def test_antipode_witness_matches_dense_oracle(name):
-    h = antipode_cases()[name]
+    h = builtin(name)
     check = antipode_check(h)
     assert check.passed and oracles.dense_antipode_witness(h) is None
     for j in range(h.dim):
@@ -148,7 +160,7 @@ def test_taft_matches_sweedler():
 def test_taft_3_2_f7():
     # oracle: 2^3 = 8 = 1 mod 7 while 2, 4 != 1, so 2 is a primitive cube root
     assert pow(2, 3, 7) == 1 and pow(2, 1, 7) != 1 and pow(2, 2, 7) != 1
-    t = builtin_zoo()["taft(3,2,F7)"]
+    t = builtin("taft(3,2,F7)")
     assert t.dim == 9
     assert hopf.verify_hopf(t).passed
 
@@ -334,10 +346,10 @@ def test_sparse_tensor_sums_repeats_and_drops_zeros():
     assert by_first == (((1, 0, 3), (1, 1, Fraction(3, 2))), ())
 
 
-@pytest.mark.parametrize("name", list(builtin_zoo()))
+@pytest.mark.parametrize("name", ZOO)
 def test_sparse_views_match_dense_tensors(name):
     # each stored tensor equals the canonical form read off the dense tensor it encodes
-    h = builtin_zoo()[name]
+    h = builtin(name)
     shape = (h.dim,) * 3
     for g in (h, hopf.dual(h)):
         mult = [
@@ -368,7 +380,8 @@ def test_dual_group_algebra_is_pointwise_product():
 
 
 def test_dual_is_involutive_on_builtins():
-    for name, h in builtin_zoo().items():
+    for name in ZOO:
+        h = builtin(name)
         dd = hopf.dual(hopf.dual(h))
         assert dd.algebra.mult == h.algebra.mult, name
         assert dd.algebra.unit == h.algebra.unit, name
@@ -423,18 +436,13 @@ def test_dual_qc2_integral_is_delta_e():
 
 
 def test_larson_sweedler_dimensions_across_builtins():
-    for name, h in builtin_zoo().items():
+    for name in ZOO:
+        h = builtin(name)
         assert hopf.left_integrals(h).dim == 1, name
         assert hopf.right_integrals(h).dim == 1, name
 
 
 # actions as ColumnMaps against the dense builders ----------------------------------
-
-
-def zoo_and_duals():
-    for name, h in builtin_zoo().items():
-        yield name, h
-        yield f"{name}*", hopf.dual(h)
 
 
 def regular_actions(h):
@@ -450,8 +458,9 @@ def trivial_action(h, dim):
     )
 
 
-@pytest.mark.parametrize("name,h", list(zoo_and_duals()), ids=[n for n, _ in zoo_and_duals()])
-def test_fixed_points_and_integrals_match_dense_oracle(name, h):
+@pytest.mark.parametrize("name", ZOO_AND_DUALS)
+def test_fixed_points_and_integrals_match_dense_oracle(name):
+    h = builtin(name)
     dom = h.domain
     for side, action in regular_actions(h).items():
         mult = oracles.left_mult_matrix if side == "left" else oracles.right_mult_matrix
@@ -468,28 +477,16 @@ def test_fixed_points_and_integrals_match_dense_oracle(name, h):
         assert len(dense) == dim
 
 
-@functools.lru_cache(maxsize=1)
-def integral_cases():
-    """Every builtin and its dual, over Q and F_p."""
-    cases = dict(zoo_and_duals())
-    for name, h in (("taft(4,2,F5)", hopf.taft(GF(5), 4, 2)),
-                    ("S3(Q)", hopf.group_algebra(QQ, zoo.GROUP_TABLES["S3"])),
-                    ("Q8(F3)", hopf.group_algebra(GF(3), zoo.GROUP_TABLES["Q8"]))):
-        cases[name], cases[f"{name}*"] = h, hopf.dual(h)
-    return cases
-
-
 def test_integral_cases_take_the_generating_set_path():
     # otherwise the test below would compare the full stack with itself
-    gens = {name: h.algebra.generators for name, h in integral_cases().items()
-            if h.algebra.generators is not None}
+    gens = {name for name in INTEGRAL_CASES if builtin(name).algebra.generators is not None}
     assert {"sweedler(Q)", "taft(3,2,F7)", "taft(4,2,F5)", "taft(4,2,F5)*", "S3(Q)",
-            "Q8(F3)"} <= set(gens)
+            "Q8(F3)"} <= gens
 
 
-@pytest.mark.parametrize("name", sorted(integral_cases()))
+@pytest.mark.parametrize("name", sorted(INTEGRAL_CASES))
 def test_integrals_on_generators_match_full_stack(name):
-    h = integral_cases()[name]
+    h = builtin(name)
     assert hopf.left_integrals(h).basis == oracles.dense_integrals(h, "left")
     assert hopf.right_integrals(h).basis == oracles.dense_integrals(h, "right")
 
@@ -609,8 +606,9 @@ def witness_cases(h):
     return cases
 
 
-@pytest.mark.parametrize("name,h", list(zoo_and_duals()), ids=[n for n, _ in zoo_and_duals()])
-def test_representation_witness_matches_dense_oracle(name, h):
+@pytest.mark.parametrize("name", ZOO_AND_DUALS)
+def test_representation_witness_matches_dense_oracle(name):
+    h = builtin(name)
     dom = h.domain
     witnesses = {}
     for case, (action, dim) in witness_cases(h).items():
@@ -658,7 +656,8 @@ def test_group_algebra_semisimple_iff_p_does_not_divide_order(p, name):
 
 
 def test_cocommutative_antipode_is_involution():
-    for name, h in builtin_zoo().items():
+    for name in ZOO:
+        h = builtin(name)
         if h.is_cocommutative():
             alpha = h.antipode.to_dense()
             assert alpha @ alpha == Matrix.identity(h.domain, h.dim), name
@@ -671,7 +670,7 @@ def test_antipode_rank_matches_minor_oracle():
     assert linalg.rank(sw.antipode) == 4
     # taft antipode: monomial matrix (one nonzero per row and column),
     # hence invertible by inspection
-    t = builtin_zoo()["taft(3,2,F7)"]
+    t = builtin("taft(3,2,F7)")
     for j in range(9):
         assert sum(1 for v in t.antipode.col(j) if v != 0) == 1
     for row in t.antipode.to_dense().rows:
@@ -857,7 +856,7 @@ def verified_hopf_algebras(draw):
     """A builtin or its dual (over Q, F_2, F_5 or F_7), or the group algebra,
     or its dual, of a relabelled group table over Q or F_p."""
     if draw(st.booleans()):
-        return antipode_cases()[draw(st.sampled_from(sorted(antipode_cases())))]
+        return builtin(draw(st.sampled_from(sorted(ANTIPODE_CASES))))
     return draw(group_algebras())
 
 
@@ -925,24 +924,15 @@ def test_dual_of_unverified_data_raises_what_build_hopf_raises(parts):
     assert got == expected
 
 
-@functools.lru_cache(maxsize=1)
-def reduction_cases():
-    return {
-        "sweedler(Q)": hopf.sweedler(QQ),
-        "taft(3,2,F7)": hopf.taft(GF(7), 3, 2),
-        "C6(F5)": hopf.group_algebra(GF(5), C6_TABLE),
-    }
-
-
 def test_reduction_cases_take_the_generating_set_path():
     # otherwise the tests below would compare the full loop with itself
-    gens = {name: h.algebra.generators for name, h in reduction_cases().items()}
+    gens = {name: builtin(name).algebra.generators for name in REDUCTION_CASES}
     assert gens == {"sweedler(Q)": (1, 2), "taft(3,2,F7)": (1, 3), "C6(F5)": (1,)}
 
 
-@given(st.sampled_from(sorted(["sweedler(Q)", "taft(3,2,F7)", "C6(F5)"])), st.data())
+@given(st.sampled_from(sorted(REDUCTION_CASES)), st.data())
 def test_corrupted_mult_cell_light_test_matches_full_scan(name, data):
-    h = reduction_cases()[name]
+    h = builtin(name)
     alg, dom, n = h.algebra, h.domain, h.dim
     i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
     k, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(-3, 3))
@@ -968,7 +958,7 @@ def mult_tensors(draw):
     Q, F_p or Z, often with e_0 as a two-sided identity so that a generating
     set exists."""
     if draw(st.booleans()):
-        alg = reduction_cases()[draw(st.sampled_from(sorted(reduction_cases())))].algebra
+        alg = builtin(draw(st.sampled_from(sorted(REDUCTION_CASES)))).algebra
         n = alg.dim
         i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
         cell = with_mult_cell(alg, i, j, k, draw(st.integers(-3, 3)), draw(st.booleans()))
@@ -983,13 +973,20 @@ def mult_tensors(draw):
     return dom, n, triples, draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
 
 
-# e_0 e_0 = 2 e_0: the first failing pair (0, 0) differs in every column but 0
-@example((QQ, 4, with_mult_cell(hopf.sweedler(QQ).algebra, 0, 0, 0, 2, False), (1, 0, 0, 0)))
-@example((GF(7), 9, with_mult_cell(hopf.taft(GF(7), 3, 2).algebra, 0, 0, 0, 2, False),
-          linalg.unit_vec(GF(7), 9, 0)))
 @given(mult_tensors())
 def test_associativity_witness_matches_the_dense_oracle(case):
-    dom, n, triples, unit = case
+    assert_associativity_witness_is_the_dense_oracles(*case)
+
+
+# e_0 e_0 = 2 e_0: the first failing pair (0, 0) differs in every column but 0
+@pytest.mark.parametrize("name", ["sweedler(Q)", "taft(3,2,F7)"])
+def test_associativity_witness_of_a_doubled_unit_cell_matches_the_dense_oracle(name):
+    alg = builtin(name).algebra
+    assert_associativity_witness_is_the_dense_oracles(
+        alg.domain, alg.dim, with_mult_cell(alg, 0, 0, 0, 2, False), alg.unit)
+
+
+def assert_associativity_witness_is_the_dense_oracles(dom, n, triples, unit):
     mult = hopf.sparse_tensor(dom, (n, n, n), triples, 2)
     alg = hopf.AlgebraData(dom, n, tuple(f"e{i}" for i in range(n)), mult,
                            tuple(map(dom.normalize, unit)))
@@ -1030,9 +1027,9 @@ def test_taft_light_test_composes_the_stored_mult_rows(monkeypatch):
     assert (calls["_product"], calls["matmul"]) == (0, 2 * 16)
 
 
-@given(st.sampled_from(sorted(["sweedler(Q)", "taft(3,2,F7)", "C6(F5)"])), st.data())
+@given(st.sampled_from(sorted(REDUCTION_CASES)), st.data())
 def test_corrupted_comult_cell_bialgebra_rows_match_full_loop(name, data):
-    h = reduction_cases()[name]
+    h = builtin(name)
     dom, n = h.domain, h.dim
     i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
     c = data.draw(st.integers(-3, 3))
@@ -1062,7 +1059,7 @@ def oracle_report(h):
 
 @st.composite
 def corrupted_hopf_algebras(draw):
-    """A case of `reduction_cases` or `antipode_cases` with one comult cell,
+    """A case of REDUCTION_CASES or ANTIPODE_CASES with one comult cell,
     counit entry or antipode column changed; or C_6 over F_5 with the
     group-like Delta(g^a) = g^(ja) (x) g^(ka), counit 1 and alpha(g^a) =
     g^(ma), whose Delta and counit are algebra maps and alpha an
@@ -1070,13 +1067,12 @@ def corrupted_hopf_algebras(draw):
     bialgebra law is decided on the generator g."""
     part = draw(st.sampled_from(["group-like", "comult", "counit", "antipode"]))
     if part == "group-like":
-        h = reduction_cases()["C6(F5)"]
+        h = builtin("C6(F5)")
         dom, j, k, m = h.domain, *(draw(st.integers(0, 5)) for _ in range(3))
         comult = tuple(((j * a % 6, k * a % 6, dom.one),) for a in range(6))
         antipode = ColumnMap(dom, 6, [((m * a % 6, dom.one),) for a in range(6)])
         return hopf.HopfAlgebraData(h.algebra, comult, h.counit, antipode)
-    cases = {**antipode_cases(), **reduction_cases()}
-    h = cases[draw(st.sampled_from(sorted(cases)))]
+    h = builtin(draw(st.sampled_from(sorted({*ANTIPODE_CASES, *REDUCTION_CASES}))))
     dom, n = h.domain, h.dim
     counit, antipode = h.counit, h.antipode
     i = draw(st.integers(0, n - 1))
@@ -1102,16 +1098,25 @@ def with_comult_cell(h, i, j, k, c):
     ] + [(i, j, k, c)], 1), h.counit, h.antipode)
 
 
-# Delta(gx) gains gx (x) gx: the bialgebra law fails, and with it the
-# generator rows g and x, where coassociativity still holds, decide nothing
-@example(with_comult_cell(hopf.sweedler(QQ), 3, 3, 3, 1))
-# alpha(g) = g, which the gate passes (C_6 is abelian), fails the antipode
-# identity only on the rows g^a with 2a != 0 mod 6
-@example(hopf.HopfAlgebraData(
-    reduction_cases()["C6(F5)"].algebra, reduction_cases()["C6(F5)"].comult,
-    reduction_cases()["C6(F5)"].counit, ColumnMap.identity(GF(5), 6)))
 @given(corrupted_hopf_algebras())
 def test_corrupted_hopf_data_report_matches_the_full_loops(bad):
+    assert hopf.verify_hopf(bad) == oracle_report(bad)
+
+
+CORRUPTED_BUILTINS = {
+    # Delta(gx) gains gx (x) gx: the bialgebra law fails, and with it the
+    # generator rows g and x, where coassociativity still holds, decide nothing
+    "sweedler(Q)": lambda h: with_comult_cell(h, 3, 3, 3, 1),
+    # alpha(g) = g, which the gate passes (C_6 is abelian), fails the antipode
+    # identity only on the rows g^a with 2a != 0 mod 6
+    "C6(F5)": lambda h: hopf.HopfAlgebraData(h.algebra, h.comult, h.counit,
+                                             ColumnMap.identity(h.domain, h.dim)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTED_BUILTINS))
+def test_corrupted_builtin_report_matches_the_full_loops(name):
+    bad = CORRUPTED_BUILTINS[name](builtin(name))
     assert hopf.verify_hopf(bad) == oracle_report(bad)
 
 
@@ -1138,9 +1143,9 @@ def test_taft_decides_the_coalgebra_and_antipode_laws_on_the_generator_rows(monk
         "matmul": 2 * 2}
 
 
-@pytest.mark.parametrize("name", sorted(antipode_cases()))
+@pytest.mark.parametrize("name", sorted(ANTIPODE_CASES))
 def test_generating_set_words_span_the_algebra(name):
-    alg = antipode_cases()[name].algebra
+    alg = builtin(name).algebra
     if alg.generators is not None:
         assert len(alg.generators) + 1 < alg.dim
         assert oracles.word_span_dim(alg, alg.generators) == alg.dim

@@ -109,13 +109,14 @@ def test_derived_values_are_worked_out_once(monkeypatch):
     assert calls == {"generating_set": 1, "ayd_check": 1}
 
 
-@pytest.mark.parametrize("h", [
-    hopf.sweedler(QQ),
-    hopf.taft(GF(7), 3, 2),
-    hopf.taft(GF(13), 4, 5),
-    hopf.group_algebra(GF(5), zoo.quaternion_table()),
+@pytest.mark.parametrize("build", [
+    lambda: hopf.sweedler(QQ),
+    lambda: hopf.taft(GF(7), 3, 2),
+    lambda: hopf.taft(GF(13), 4, 5),
+    lambda: hopf.group_algebra(GF(5), zoo.quaternion_table()),
 ], ids=["sweedler", "taft3", "taft4", "quaternion"])
-def test_the_dual_of_the_dual_is_the_algebra_with_starred_labels(h):
+def test_the_dual_of_the_dual_is_the_algebra_with_starred_labels(build):
+    h = build()
     dd = hopf.dual(hopf.dual(h))
     starred = hopf.AlgebraData(h.domain, h.dim, tuple(f"{x}**" for x in h.labels),
                                h.algebra.mult, h.algebra.unit)

@@ -6,7 +6,8 @@ suite; here the tool runs end to end on one command in text and in
 the cases whose exit code moved, groups them in its summary and prints
 the median time and peak RSS ratios of each command.  One case runs
 in process, under a parent that holds 100 MB, to show that the peak RSS
-is the child's own, and each scaling case runs three times.
+is the child's own, each scaling case runs three times, and a sweep runs
+its cases on a copy of ``src`` that holds no bytecode.
 """
 
 import importlib.util
@@ -129,6 +130,40 @@ def test_peak_rss_is_the_childs_own_and_not_the_sweeps(tmp_path):
     assert len(ballast) == 100 << 20
     assert case["exit"] == 0
     assert 0 < case["peak_rss_mb"] < 30
+
+
+def test_cases_run_a_copy_of_src_without_bytecode_or_a_pycache_prefix(tmp_path, monkeypatch):
+    # a checkout whose src/ holds bytecode: the sweep's copy of src/ leaves it
+    # out, and with PYTHONDONTWRITEBYTECODE no case writes any; no case sets
+    # PYTHONPYCACHEPREFIX, which would compile the standard library too
+    repo = tmp_path / "repo"
+    shutil.copytree(ROOT / "src", repo / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "tests" / "fixtures", repo / "tests" / "fixtures")
+    (repo / "src" / "hopfgal" / "__pycache__").mkdir()
+    (repo / "src" / "hopfgal" / "__pycache__" / "cli.cpython.pyc").write_bytes(b"")
+    sweep = load_sweep()
+    envs, caches = [], []
+    popen, run_case = subprocess.Popen, sweep.run_case
+
+    def recorded(*args, env, **kwargs):
+        envs.append(env)
+        return popen(*args, env=env, **kwargs)
+
+    def checked(tree, workdir, argv):
+        record = run_case(tree, workdir, argv)
+        caches.append(sorted(pathlib.Path(tree, "src").rglob("__pycache__")))
+        return record
+
+    monkeypatch.setattr(subprocess, "Popen", recorded)
+    monkeypatch.setattr(sweep, "run_case", checked)
+    record = sweep.sweep(repo, r"^integrals hopf_qc2\.json( --json)?$")
+    assert {case["exit"] for case in record.values()} == {0}
+    assert len(envs) == len(caches) == 2
+    for env in envs:
+        assert "PYTHONPYCACHEPREFIX" not in env
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+        assert not pathlib.Path(env["PYTHONPATH"]).is_relative_to(repo)
+    assert caches == [[], []]
 
 
 def test_scale_group_series_runs_builtin_group_algebras(tmp_path):

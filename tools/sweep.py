@@ -15,12 +15,15 @@ how time and memory moved.
 ``BENCH_*.json`` files at the repository root.
 
 Each case runs ``hopfgal.cli`` as ``__main__`` through a small launcher
-(``LAUNCHER``), with the checkout's ``src`` on PYTHONPATH, from a work
-directory that holds the checkout's fixtures, the generated builtin specs
-and the generated lattice files, so the paths in reports are relative and
-do not depend on where the checkout lives.  PYTHONPYCACHEPREFIX names a
-fresh empty directory per case and PYTHONDONTWRITEBYTECODE is set, so
-no case reads bytecode, from the checkout or from an earlier case.  Two
+(``LAUNCHER``), from a work directory that holds the checkout's fixtures,
+the generated builtin specs and the generated lattice files, so the paths
+in reports are relative and do not depend on where the checkout lives.
+The sweep copies the checkout's ``src`` once, without ``__pycache__``,
+and puts the copy on PYTHONPATH; PYTHONDONTWRITEBYTECODE is set, so the
+copy stays without bytecode.  Each case then compiles hopfgal from source
+and reads the standard library's installed bytecode, as a first run after
+installation does: no case reads hopfgal bytecode, from the checkout or
+from an earlier case, and none compiles the standard library.  Two
 cases run at once, except the scaling group, whose cases run one at a
 time after the others, SCALE_RUNS times each, in rounds over the group:
 a scaling case records the median wall time and the largest peak RSS of
@@ -261,17 +264,15 @@ def digest(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def run_case(repo, workdir, argv):
+def run_case(tree, workdir, argv):
     """The exit code, the stdout and stderr hashes, the wall time (s) and
-    the peak RSS (MB) of one fresh CLI run."""
+    the peak RSS (MB) of one fresh CLI run of the hopfgal in tree/src."""
     with (tempfile.TemporaryDirectory(prefix="case-") as scratch,
           tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err):
         peak = pathlib.Path(scratch) / "vmhwm"
         env = {key: value for key, value in os.environ.items()
                if not key.startswith(("PYTHON", "HOPFGAL_"))}
-        env.update(PYTHONPATH=str(repo / "src"),
-                   PYTHONPYCACHEPREFIX=str(pathlib.Path(scratch) / "pycache"),
-                   PYTHONDONTWRITEBYTECODE="1")
+        env.update(PYTHONPATH=str(pathlib.Path(tree) / "src"), PYTHONDONTWRITEBYTECODE="1")
         start = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-c", LAUNCHER, str(peak), *argv], cwd=workdir,
                                 env=env, stdout=out, stderr=err)
@@ -295,7 +296,10 @@ def run_case(repo, workdir, argv):
 def sweep(repo, match=None):
     """Case name -> record of every case (or of those `match` finds)."""
     repo = pathlib.Path(repo).resolve()
-    with tempfile.TemporaryDirectory(prefix="sweep-") as workdir:
+    with (tempfile.TemporaryDirectory(prefix="sweep-") as workdir,
+          tempfile.TemporaryDirectory(prefix="sweep-tree-") as tree):
+        shutil.copytree(repo / "src", pathlib.Path(tree) / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
         fixtures = sorted(p.name for p in (repo / "tests" / "fixtures").glob("*.json"))
         for name in fixtures:
             shutil.copyfile(repo / "tests" / "fixtures" / name, pathlib.Path(workdir) / name)
@@ -309,14 +313,14 @@ def sweep(repo, match=None):
             argvs, scaled = ({name: argv for name, argv in cases.items() if re.search(match, name)}
                              for cases in (argvs, scaled))
         with concurrent.futures.ThreadPoolExecutor(max_workers=JOBS) as pool:
-            futures = {name: pool.submit(run_case, repo, workdir, argv)
+            futures = {name: pool.submit(run_case, tree, workdir, argv)
                        for name, argv in argvs.items()}
             record = {name: future.result() for name, future in futures.items()}
         # one at a time, so that no other case shares the host with them
         runs = {name: [] for name in scaled}
         for _ in range(SCALE_RUNS):
             for name, argv in scaled.items():
-                runs[name].append(run_case(repo, workdir, argv))
+                runs[name].append(run_case(tree, workdir, argv))
         record.update((name, merged(cases)) for name, cases in runs.items())
         return record
 
