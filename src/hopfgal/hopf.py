@@ -14,7 +14,9 @@ report for the caller.  A group algebra is a Hopf algebra by a theorem
 once its table is decided, and keeps a passing report and its integral
 sum_g g without a check (:func:`group_algebra`).  :func:`dual`
 transposes a verified algebra without a check and takes its report and
-the integral lines it holds.
+the integral lines it holds.  Neither a report nor an integral line
+reads a tensor, so a group algebra builds its multiplication, and a
+dual both its tensors, on first read (`reporting.lazy`).
 
 Associativity, the module law and every Hopf axiom are decided on a
 generating set.  Associativity is the module law of the left regular
@@ -44,7 +46,7 @@ and counit are dense coefficient vectors.  `sparse_tensor` checks and
 sums entries from outside (files, `zoo`); :func:`taft` writes its
 multiplication cells, sharing equal ones, and its comultiplication and
 antipode from closed forms, and :func:`dual` transposes H's tensors
-straight into that form.
+straight into that form when they are first read.
 
 Basis order is part of the data.  Tensor-square flattenings are always
 lexicographic with the left factor varying slowest.
@@ -71,7 +73,7 @@ from .errors import (
     UnsupportedDomainError,
 )
 from .linalg import ColumnMap
-from .reporting import CheckResult, VerificationReport, record
+from .reporting import CheckResult, VerificationReport, lazy, record
 
 
 def sparse_tensor(domain, shape, entries, lead):
@@ -128,7 +130,9 @@ class AlgebraData:
 
     A record: :func:`algebra_from_triples` decides the laws of data from
     outside, and derived algebras (a dual, a smash product S#H) take
-    their laws from the validated data they are built from.
+    their laws from the validated data they are built from.  ``mult`` may
+    be given as a `reporting.lazy` value, built on its first read, as a
+    dual and a group algebra give it.
     """
 
     domain: object
@@ -136,6 +140,8 @@ class AlgebraData:
     labels: tuple
     mult: tuple
     unit: tuple
+
+    lazy_fields = ("mult",)
 
     @functools.cached_property
     def generators(self):
@@ -394,14 +400,19 @@ class HopfAlgebraData:
     first solve on (:func:`left_integrals`), so it is not solved twice
     for one object.  Over a field, `taft`, `sweedler` and `group_algebra`
     hold it from construction, with ``"dual"``, the left integral line of
-    H* on the dual basis; :func:`dual` swaps the two.  Neither is a
-    field: both stay out of ``==``, the hash and the repr.
+    H* on the dual basis; :func:`dual` swaps the two.  ``predual`` is the
+    Hopf algebra that :func:`dual` transposed to build this one, else
+    None.  None of the three is a field: they stay out of ``==``, the
+    hash and the repr.  ``comult`` may be given as a `reporting.lazy`
+    value, built on its first read, as a dual gives it.
     """
 
     algebra: AlgebraData
     comult: tuple
     counit: tuple
     antipode: ColumnMap
+
+    lazy_fields = ("comult",)
 
     def __post_init__(self):
         n = self.algebra.dim
@@ -411,6 +422,7 @@ class HopfAlgebraData:
             raise ShapeError("antipode shape mismatch")
         object.__setattr__(self, "report", None)
         object.__setattr__(self, "integrals", {})
+        object.__setattr__(self, "predual", None)
 
     @property
     def domain(self):
@@ -758,7 +770,9 @@ def group_algebra(domain, table, labels=None):
     2.1).  So it is built as a record without `build_hopf`: it keeps the
     passing report that :func:`verify_hopf` returns on kG, and over a
     field both integral lines, whose canonical bases are the all-ones
-    vector and the unit vector at index 0."""
+    vector and the unit vector at index 0.  Neither reads the
+    multiplication tensor, so it is built from the table on first read
+    (:func:`group_mult`)."""
     inverses = check_group_table(table)
     n = len(table)
     if labels is None:
@@ -766,7 +780,7 @@ def group_algebra(domain, table, labels=None):
     if len(labels) != n:
         raise ShapeError("label or unit length does not match dimension")
     one = domain.one
-    mult = tuple(tuple(((k, one),) for k in row) for row in table)
+    mult = lazy(functools.partial(group_mult, domain, tuple(map(tuple, table))))
     alg = AlgebraData(domain, n, tuple(labels), mult, linalg.unit_vec(domain, n, 0))
     comult = tuple(((i, i, one),) for i in range(n))
     antipode = ColumnMap(domain, n, [((g, one),) for g in inverses])
@@ -776,6 +790,12 @@ def group_algebra(domain, table, labels=None):
         h.integrals["left"] = IntegralSpace("left", ((one,) * n,))
         h.integrals["dual"] = IntegralSpace("left", (linalg.unit_vec(domain, n, 0),))
     return h
+
+
+def group_mult(domain, table):
+    """The multiplication tensor of kG: e_g e_h = e_(table[g][h])."""
+    one = domain.one
+    return tuple(tuple(((k, one),) for k in row) for row in table)
 
 
 def sweedler(domain):
@@ -805,8 +825,12 @@ def taft(domain, n, q, labels=None):
 
         alpha(g^a x^b) = (-1)^b q^(-b(b-1)/2 - ab) g^(-a-b) x^b.
 
-    The algebra laws and `verify_hopf` still run on every build, so a wrong
-    coefficient raises AxiomError.
+    T_n(q) is generated by g and x, so over a field the algebra's
+    generating set is (1, n), the indices of g and x, which is what
+    `generating_set` would find, and no search runs.  Light's test of the
+    algebra laws and `verify_hopf` still run on every build, on those
+    generators, so a wrong coefficient raises AxiomError.  Over Z there
+    is no generating set, and the laws are decided on every row.
 
     Over a field it holds both integral lines by theorem (Larson and
     Sweedler, Amer. J. Math. 91, 1969; Montgomery, CBMS 82, 1993, section
@@ -860,7 +884,11 @@ def taft(domain, n, q, labels=None):
         for b in range(n) for a in range(n)
     )
     unit = linalg.unit_vec(domain, dim, idx(0, 0))
-    alg = _checked_algebra(AlgebraData(domain, dim, tuple(labels), mult, unit))
+    alg = AlgebraData(domain, dim, tuple(labels), mult, unit)
+    if domain.is_field:
+        # the presentation's generators g and x; `generators` is a cached property
+        object.__setattr__(alg, "generators", (idx(1, 0), idx(0, 1)))
+    alg = _checked_algebra(alg)
 
     # the Gaussian binomials C(b, k)_q for b < n, by the q-Pascal rule
     one, add, mul = domain.one, domain.add, domain.mul
@@ -906,10 +934,14 @@ def dual(h):
     Every axiom of dual(H) is the transpose of an axiom of H, so the dual
     is built without a check and takes H's report.  An h without a report
     is verified first, by :func:`build_hopf`, which raises its first failure.
-    dual(dual(H)) = H in coordinates, so the left integral line of dual(H)
-    is H's ``"dual"`` line and its ``"dual"`` line is H's left one: the
-    dual takes the lines h holds, swapped, and a line that h lacks is
-    solved on first read (:func:`left_integrals`).
+    Neither the report nor the integrals read the dual's tensors, so its
+    `mult` (:func:`dual_mult`) and `comult` (:func:`dual_comult`) are
+    built on first read, and the dual keeps h as ``predual``.
+    dual(dual(H)) = H in coordinates: its tensors are H's own objects, and
+    the left integral line of dual(H) is H's ``"dual"`` line and its
+    ``"dual"`` line is H's left one: the dual takes the lines h holds,
+    swapped, and a line that h lacks is solved on first read
+    (:func:`left_integrals`).
     """
     dom = h.domain
     if not dom.is_field:
@@ -917,19 +949,17 @@ def dual(h):
     report = h.report
     if report is None:
         report = build_hopf(h.algebra, h.comult, h.counit, h.antipode).report
-    n = h.dim
+    k = h.predual
+    if k is None:
+        mult, comult = functools.partial(dual_mult, h), functools.partial(dual_comult, h)
+    else:
+        # the transpose of a transpose is the tensor itself
+        mult, comult = (lambda: k.algebra.mult), (lambda: k.comult)
     labels = tuple(f"{lab}*" for lab in h.labels)
-    alg = AlgebraData(dom, n, labels, dual_mult(h), tuple(h.counit))
-    # Delta(e_i*) contains mult[j][k]'s coefficient of e_i on e_j* (x) e_k*,
-    # canonical as in `dual_mult`
-    cells = [[] for _ in range(n)]
-    for j, row in enumerate(h.algebra.mult):
-        for k, cell in enumerate(row):
-            for i, c in cell:
-                cells[i].append((j, k, c))
-    comult = tuple(map(tuple, cells))
-    d = HopfAlgebraData(alg, comult, tuple(h.algebra.unit), h.antipode.transpose())
+    alg = AlgebraData(dom, h.dim, labels, lazy(mult), tuple(h.counit))
+    d = HopfAlgebraData(alg, lazy(comult), tuple(h.algebra.unit), h.antipode.transpose())
     object.__setattr__(d, "report", report)
+    object.__setattr__(d, "predual", h)
     for side, other in (("left", "dual"), ("dual", "left")):
         if other in h.integrals:
             d.integrals[side] = h.integrals[other]
@@ -949,6 +979,18 @@ def dual_mult(h):
         for i, j, c in g:
             cells.setdefault((i, j), []).append((k, c))
     return tuple(tuple(tuple(cells.get((i, j), ())) for j in range(n)) for i in range(n))
+
+
+def dual_comult(h):
+    """The comultiplication tensor of dual(H) on the dual basis:
+    Delta(e_i*) holds mult[j][k]'s coefficient of e_i on e_j* (x) e_k*,
+    canonical as in :func:`dual_mult`."""
+    cells = [[] for _ in range(h.dim)]
+    for j, row in enumerate(h.algebra.mult):
+        for k, cell in enumerate(row):
+            for i, c in cell:
+                cells[i].append((j, k, c))
+    return tuple(map(tuple, cells))
 
 
 def dual_coaction(action, dim):

@@ -28,7 +28,9 @@ the Morita lemma.
 and the coinvariants from their defining formulas, by dense products.
 `taft_by_products` multiplies out the Taft comultiplication and
 antipode from the generators, the reference for the closed forms of
-`hopf.taft`.
+`hopf.taft`, and `taft_mult_by_relations` reads each product of the
+multiplication off the presentation, the reference for its
+multiplication and for taking g and x as its generating set.
 `module_algebra_witness` decides the module-algebra law by the full
 loop over H and pairs of S, the reference for the package's decision
 through the dual coaction on the generators of S.
@@ -281,6 +283,36 @@ def taft_by_products(domain, n, q):
                 alpha = tuple(sorted(collected_product(domain, mult, alpha, factor).items()))
             antipode[idx(a, b)] = alpha
     return tuple(comult), tuple(antipode)
+
+
+def taft_mult_by_relations(domain, n, q):
+    """The multiplication cells of the Taft algebra T_n(q) in the stored
+    form of `hopf.taft`, from its presentation alone: e_i e_j, for
+    e_i = g^a x^b and e_j = g^c x^d, is the word g^a x^b g^c x^d, read
+    letter by letter into a normal form g^s x^t.  A g moves left past
+    each of the t letters x before it by xg = q gx, and g^n = 1 and
+    x^n = 0 reduce the exponents."""
+    q = domain.normalize(q)
+
+    def normal_form(word):
+        s, t, coeff = 0, 0, domain.one
+        for letter in word:
+            if letter == "x":
+                t += 1
+                if t == n:
+                    return ()
+            else:
+                for _ in range(t):
+                    coeff = domain.mul(coeff, q)
+                s = (s + 1) % n
+        return ((t * n + s, coeff),)
+
+    # basis index b n + a stands for g^a x^b
+    basis = [(a, b) for b in range(n) for a in range(n)]
+    return tuple(
+        tuple(normal_form("g" * a + "x" * b + "g" * c + "x" * d) for c, d in basis)
+        for a, b in basis
+    )
 
 
 # full axiom scans ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 import collections
+import functools
 import gc
 import json
 import os
@@ -768,7 +769,14 @@ DUAL_TAFT4_F5 = {"field": F5, "builtin": {"name": "dual", "of": TAFT4_F5["builti
 DUAL_DUAL_TAFT4_F5 = {"field": F5, "builtin": {"name": "dual", "of": DUAL_TAFT4_F5["builtin"]}}
 DUAL_C4_F5 = {"field": F5, "builtin": {"name": "dual", "of": {
     "name": "group_algebra", "table": [[(i + j) % 4 for j in range(4)] for i in range(4)]}}}
-SWEEDLER_Q_EXPLICIT = explicit_document({"kind": "Q"}, hopf.sweedler(linalg.QQ))
+
+
+@functools.lru_cache(maxsize=None)
+def sweedler_q_explicit():
+    """Sweedler's algebra over Q as an explicit document, built on first call
+    so that a builtin that fails to build fails the tests that read it, not
+    the module's collection."""
+    return explicit_document({"kind": "Q"}, hopf.sweedler(linalg.QQ))
 
 
 @pytest.mark.parametrize("command,doc,calls,solves", [
@@ -782,7 +790,7 @@ SWEEDLER_Q_EXPLICIT = explicit_document({"kind": "Q"}, hopf.sweedler(linalg.QQ))
     pytest.param(["integrals"], DUAL_DUAL_TAFT4_F5, 1, 0, id="integrals-dual-dual-taft"),
     pytest.param(["verify"], "hopf_sweedler_bad_antipode.json", 1, 0, id="verify-explicit"),
     # an explicit document is verified once and solves its integral once
-    pytest.param(["integrals"], SWEEDLER_Q_EXPLICIT, 1, 1, id="integrals-explicit"),
+    pytest.param(["integrals"], sweedler_q_explicit, 1, 1, id="integrals-explicit"),
     # a group algebra keeps its report and its integral sum_g g by theorem
     pytest.param(["verify"], "hopf_qc2.json", 0, 0, id="verify-group"),
     pytest.param(["integrals"], "hopf_f2c2.json", 0, 0, id="integrals-group"),
@@ -794,6 +802,7 @@ SWEEDLER_Q_EXPLICIT = explicit_document({"kind": "Q"}, hopf.sweedler(linalg.QQ))
 ])
 def test_each_hopf_algebra_is_verified_once_per_command(tmp_path, fixtures, capsys, monkeypatch,
                                                        command, doc, calls, solves):
+    doc = doc() if callable(doc) else doc  # built before the counters are set
     seen, solved = [], []
     verify, solve = hopf.verify_hopf, hopf._integral_space
 
@@ -812,6 +821,78 @@ def test_each_hopf_algebra_is_verified_once_per_command(tmp_path, fixtures, caps
     assert code == (1 if doc == "hopf_sweedler_bad_antipode.json" else 0)
     assert len(seen) == calls
     assert len(solved) == solves
+
+
+def count_tensor_builds(monkeypatch):
+    """A Counter of the calls of each builder of a derived tensor, by name."""
+    calls = collections.Counter()
+    for name in ("group_mult", "dual_mult", "dual_comult"):
+        def counted(*args, _name=name, _fn=getattr(hopf, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(hopf, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command,doc,builds", [
+    # a dual takes H's report and integral lines, and kG its own by theorem:
+    # neither reads a tensor that it derives, so none is built
+    pytest.param(["verify"], DUAL_TAFT4_F5, {}, id="verify-dual-taft"),
+    pytest.param(["integrals"], DUAL_TAFT4_F5, {}, id="integrals-dual-taft"),
+    pytest.param(["integrals"], DUAL_DUAL_TAFT4_F5, {}, id="integrals-dual-dual-taft"),
+    pytest.param(["verify"], "hopf_taft3_dual_f7.json", {}, id="verify-dual-taft3"),
+    pytest.param(["verify"], "hopf_qc2.json", {}, id="verify-group"),
+    pytest.param(["integrals"], "hopf_f2c2.json", {}, id="integrals-group"),
+    pytest.param(["integrals"], DUAL_C4_F5, {}, id="integrals-dual-group"),
+    # the coaction-algebra law reads kG's product, built once
+    pytest.param(["cyclic", "--module", "mod_kc2_ayd_f3.json"], "comodalg_graded_f3.json",
+                 {"group_mult": 1}, id="cyclic-group"),
+])
+def test_derived_tensors_are_built_on_first_read(tmp_path, fixtures, capsys, monkeypatch,
+                                                 command, doc, builds):
+    calls = count_tensor_builds(monkeypatch)
+    argv = [command[0], "doc.json", *command[1:]]
+    assert run_on_changed_doc(tmp_path, fixtures, argv, doc, (), None) == 0
+    assert calls == builds
+
+
+def test_an_action_only_cyclic_builds_each_tensor_it_reads_once(tmp_path, fixtures, capsys,
+                                                                 monkeypatch):
+    # S is a kC2-module algebra, read as a comodule algebra over dual(kC2):
+    # kG's product once, the coproduct of dual(kC2) once, and its product
+    # once for the module law of M over it; the module-algebra law of S
+    # builds the product of H* itself, once more (`hopf.dual_mult`)
+    calls = count_tensor_builds(monkeypatch)
+    assert cli.main(action_only_cyclic(tmp_path, fixtures) + ["--levels", "2"]) == 0
+    assert calls == {"group_mult": 1, "dual_mult": 2, "dual_comult": 1}
+
+
+@pytest.mark.parametrize("command,doc,searches", [
+    # Taft, and Sweedler with it, take g and x as generators over a field
+    pytest.param(["verify"], TAFT4_F5, 0, id="verify-taft"),
+    pytest.param(["integrals"], DUAL_TAFT4_F5, 0, id="integrals-dual-taft"),
+    pytest.param(["verify"], "hopf_sweedler.json", 0, id="verify-sweedler"),
+    # over Z the search finds no generating set, and the laws run on every row
+    pytest.param(["verify"], {"field": {"kind": "Z"}, "builtin": {"name": "sweedler"}}, 1,
+                 id="verify-sweedler-z"),
+    # an explicit document still searches, once
+    pytest.param(["verify"], sweedler_q_explicit, 1, id="verify-explicit"),
+    pytest.param(["integrals"], sweedler_q_explicit, 1, id="integrals-explicit"),
+])
+def test_builtin_taft_takes_its_generators_from_the_presentation(
+        tmp_path, fixtures, capsys, monkeypatch, command, doc, searches):
+    doc = doc() if callable(doc) else doc  # built before the counter is set
+    seen = []
+    search = hopf.generating_set
+
+    def counted(domain, mult, unit):
+        seen.append(len(unit))
+        return search(domain, mult, unit)
+
+    monkeypatch.setattr(hopf, "generating_set", counted)
+    assert run_on_changed_doc(tmp_path, fixtures, [*command, "doc.json"], doc, (), None) == 0
+    assert len(seen) == searches
 
 
 def test_integrals_of_a_z_group_algebra_still_need_a_field(tmp_path, fixtures, capsys):
@@ -900,7 +981,7 @@ def test_integrals_solves_each_integral_space_once(tmp_path, fixtures, capsys, m
 
     monkeypatch.setattr(hopf, "_integral_space", counted)
     monkeypatch.setattr(hopf, "fixed_points", counted_fixed)
-    (tmp_path / "sweedler.json").write_text(json.dumps(SWEEDLER_Q_EXPLICIT))
+    (tmp_path / "sweedler.json").write_text(json.dumps(sweedler_q_explicit()))
     assert cli.main(["integrals", str(tmp_path / "sweedler.json")]) == 0
     assert "semisimple: false" in capsys.readouterr().out
     assert len(solves) == 1

@@ -145,9 +145,10 @@ def test_dictionary_image_of_every_extension_is_a_comodule(name):
     assert oracles.comodule_law_witness(c) is None
 
 
+@functools.lru_cache(maxsize=None)
 def comodule_algebras():
     """Comodule algebras: gradings, Sweedler's regular coaction, and the
-    converted module algebras of the registry."""
+    converted module algebras of the registry, built on first call."""
     sw = hopf.sweedler(QQ)
     out = {
         "graded-f3": graded(3),
@@ -161,7 +162,9 @@ def comodule_algebras():
     return out
 
 
-COMODULE_ALGEBRAS = comodule_algebras()
+COMODULE_ALGEBRA_NAMES = sorted([
+    "graded-f3", "graded-f3-nsg", "graded-f2", "graded-q", "sweedler-regular",
+    *(f"converted-{name}" for name in zoo.extension_registry())])
 
 
 @pytest.mark.parametrize("name", sorted(zoo.extension_registry()))
@@ -226,12 +229,12 @@ def klein_grading(degrees):
 
 
 # rho(x) = x (x) 1 keeps the comodule laws, and rho(g x) = rho(g) rho(x) fails
-@example(sweedler_with_cell(2, 1, 2, 0))
+@example("sweedler-delta-x-cell-0")
 # deg y = 1 in C_3: the row of the first generator x holds, y y = 1 fails
 @example(klein_grading([0, 0, 1, 1]))
 @given(st.one_of(graded_algebras(), sweedler_coactions()))
 def test_comodule_algebra_refuses_exactly_what_the_oracle_refuses(case):
-    h, alg, triples = case
+    h, alg, triples = drawn_or_named(case)
     record = cocyclic.ComoduleAlgebraData(alg, cocyclic._comodule(h, alg.dim, triples))
     witness = (oracles.comodule_law_witness(record.comodule)
                or oracles.comodule_algebra_witness(record))
@@ -244,10 +247,14 @@ def test_comodule_algebra_refuses_exactly_what_the_oracle_refuses(case):
         assert S == record
 
 
-@given(st.sampled_from(sorted(COMODULE_ALGEBRAS)), st.integers(1, 3))
+def test_comodule_algebra_names_are_the_built_ones():
+    assert sorted(comodule_algebras()) == COMODULE_ALGEBRA_NAMES
+
+
+@given(st.sampled_from(COMODULE_ALGEBRA_NAMES), st.integers(1, 3))
 @example("sweedler-regular", 2)
 def test_relative_module_constructors_are_relative_hopf_modules(name, extra_dim):
-    S = COMODULE_ALGEBRAS[name]
+    S = comodule_algebras()[name]
     for m in (cocyclic.algebra_as_relative_module(S), cocyclic.cofree_relative_module(S, extra_dim)):
         assert oracles.relative_module_witness(m) is None
         assert oracles.comodule_law_witness(m.comodule) is None
@@ -256,18 +263,36 @@ def test_relative_module_constructors_are_relative_hopf_modules(name, extra_dim)
 # dictionaries --------------------------------------------------------------------
 
 
+REGULAR_MODULES = {
+    **{name: (lambda name=name: zoo.extension_registry()[name].hopf)
+       for name in zoo.extension_registry()},
+    "sweedler": lambda: hopf.sweedler(QQ),
+    "taft3-f7": lambda: hopf.taft(GF(7), 3, 2),
+}
+
+
 def regular_modules():
     """H of every zoo extension, Sweedler's algebra and Taft n = 3 over F_7."""
-    hs = [d.hopf for d in zoo.extension_registry().values()]
-    return hs + [hopf.sweedler(QQ), hopf.taft(GF(7), 3, 2)]
+    return [build() for build in REGULAR_MODULES.values()]
 
 
-@pytest.mark.parametrize("h,action", [
-    *[(d.hopf, d.action) for d in zoo.extension_registry().values()],
-    *[(h, h.algebra.mult) for h in regular_modules()],
-])
+# (name, "action") is a zoo extension's action, (name, "regular") the
+# regular module of REGULAR_MODULES[name]; each is built inside the test, and
+# the ids are positional
+DICTIONARY_CASES = [*((name, "action") for name in zoo.extension_registry()),
+                    *((name, "regular") for name in REGULAR_MODULES)]
+
+
+@pytest.mark.parametrize("h,action", DICTIONARY_CASES,
+                         ids=[f"h{i}-action{i}" for i in range(len(DICTIONARY_CASES))])
 def test_dictionary_image_equals_the_sparse_tensor_build(h, action):
     # the coaction read off the action matches the canonical build from entries
+    if action == "action":
+        d = zoo.extension_registry()[h]
+        h, action = d.hopf, d.action
+    else:
+        h = REGULAR_MODULES[h]()
+        action = h.algebra.mult
     dim = len(action[0])
     triples = [(m, m2, a, c) for a, block in enumerate(action) for m, cell in enumerate(block)
                for m2, c in cell]
@@ -678,14 +703,40 @@ def sweedler_regular():
             zoo.group_like_ayd(sw, action="regular"))
 
 
+# The explicit examples that need a builtin name their case, which the test
+# builds, so that a builtin that fails to build fails those tests, not the
+# module's collection.
+NAMED_EXAMPLES = {
+    "sweedler-delta-x-cell-0": lambda: sweedler_with_cell(2, 1, 2, 0),
+    "sweedler-regular-1": lambda: (*sweedler_regular(), 1),
+    "sweedler-regular-2": lambda: (*sweedler_regular(), 2),
+    "sweedler-regular-squared": lambda: (
+        [cocyclic.regular_comodule(hopf.sweedler(QQ))] * 2,
+        cocyclic.regular_comodule(hopf.sweedler(QQ))),
+    "taft3-regular-trivial": lambda: (
+        [cocyclic.regular_comodule(hopf.taft(GF(7), 3, 2))],
+        oracles.trivial_comodule(hopf.taft(GF(7), 3, 2), 1)),
+    # the regular comodule algebra of Sweedler's algebra: multi-leg
+    # coactions, dim S = dim H
+    "sweedler-regular-galois": lambda: (
+        dictionary_module_algebra(comodule_algebras()["sweedler-regular"]),
+        comodule_algebras()["sweedler-regular"]),
+}
+
+
+def drawn_or_named(case):
+    """A drawn case itself, or the named example's, built now."""
+    return NAMED_EXAMPLES[case]() if isinstance(case, str) else case
+
+
 # t_n^(n+1) equals its closed form on the whole level, not only on the
 # cotensor: in noncommutative H (Sweedler, Taft 3, S3, D4, Q8) the legs of
 # X = S^(x)(n+1) must multiply in slot order for it to hold.
 @given(cyclic_cases(reach=0, cap=512))
-@example((*sweedler_regular(), 2))
+@example("sweedler-regular-2")
 @settings(max_examples=40, deadline=None)
 def test_closed_form_of_t_to_the_n_plus_1_matches_dense_compositions(case):
-    S, M, n = case
+    S, M, n = drawn_or_named(case)
     dom, dim = S.domain, S.dim ** (n + 1) * M.dim
     t = oracles.dense_cyclic_matrix(S, M, n)
     power = Matrix.identity(dom, dim)
@@ -701,10 +752,10 @@ def test_closed_form_of_t_to_the_n_plus_1_matches_dense_compositions(case):
 # the full pair loops of the dense oracle pass on validated S and M, and the
 # whole report, cyclicity and its witness included, is the oracle's.
 @given(cyclic_cases(reach=2, cap=512))
-@example((*sweedler_regular(), 1))
+@example("sweedler-regular-1")
 @settings(max_examples=25, deadline=None)
 def test_full_identity_loops_pass_on_validated_data(case):
-    S, M, n = case
+    S, M, n = drawn_or_named(case)
     expected = oracles.dense_cyclic_identities(S, M, n)
     assert expected.simplicial_ok and expected.rotation_ok, expected.simplicial_witness
     X = oracles.tensor_power_comodule(S.comodule, n + 1)
@@ -796,13 +847,11 @@ def cotensor_cases(draw):
 # the kernel must still be the one of the full system, with several-term
 # coactions and with counit(e_h) = 0 on part of the basis (Sweedler, Taft).
 @given(cotensor_cases())
-@example(([cocyclic.regular_comodule(hopf.sweedler(QQ))] * 2,
-          cocyclic.regular_comodule(hopf.sweedler(QQ))))
-@example(([cocyclic.regular_comodule(hopf.taft(GF(7), 3, 2))],
-          oracles.trivial_comodule(hopf.taft(GF(7), 3, 2), 1)))
+@example("sweedler-regular-squared")
+@example("taft3-regular-trivial")
 @settings(max_examples=40, deadline=None)
 def test_cotensor_of_random_comodules_matches_dense_oracle(case):
-    factors, m = case
+    factors, m = drawn_or_named(case)
     x = reference = factors[0]
     for factor in factors[1:]:
         x, reference = cocyclic.tensor_comodule(x, factor), oracles.tensor_comodule(reference, factor)
@@ -1098,12 +1147,10 @@ def extension(name):
     return zoo.extension_registry()[name]
 
 
-# the regular comodule algebra of Sweedler's algebra: multi-leg coactions, dim S = dim H
-@example((dictionary_module_algebra(COMODULE_ALGEBRAS["sweedler-regular"]),
-          COMODULE_ALGEBRAS["sweedler-regular"]))
+@example("sweedler-regular-galois")
 @given(galois_cases())
 def test_galois_maps_and_faithfulness_match_their_dense_oracles(case):
-    d, S = case
+    d, S = drawn_or_named(case)
     for galois, dense in (
         (actions.galois_map_j(d), oracles.dense_galois_j(d)),
         (actions.galois_map_gamma(d), oracles.dense_gamma(d)),

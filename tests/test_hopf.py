@@ -240,6 +240,40 @@ def test_taft_closed_forms_match_the_products(domain, n, q):
     assert h.antipode.cols == antipode
 
 
+@pytest.mark.parametrize("domain,n,q", TAFT_PRODUCT_CASES, ids=lambda v: str(v))
+def test_taft_mult_matches_the_presentation(domain, n, q):
+    # the closed-form product against words in g and x reduced by
+    # g^n = 1, x^n = 0 and xg = q gx, cell for cell
+    assert hopf.taft(domain, n, q).algebra.mult == oracles.taft_mult_by_relations(domain, n, q)
+
+
+@pytest.mark.parametrize("domain,n,q", TAFT_PRODUCT_CASES, ids=lambda v: str(v))
+def test_g_and_x_generate_the_taft_algebra(domain, n, q):
+    # `taft` takes (1, n), the indices of g and x, as its generating set
+    # over a field without a search: their words span all n^2 dimensions
+    alg = hopf.taft(domain, n, q).algebra
+    assert oracles.word_span_dim(alg, (1, n)) == n * n
+    if domain.is_field:
+        assert alg.generators == (1, n) == hopf.generating_set(domain, alg.mult, alg.unit)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: hopf.taft(GF(13), 4, 5), id="taft"),
+    pytest.param(lambda: hopf.group_algebra(QQ, zoo.cyclic_table(3)), id="group"),
+    pytest.param(lambda: hopf.dual(hopf.taft(GF(7), 3, 2)), id="dual-taft"),
+])
+def test_dual_of_a_dual_takes_the_tensors_themselves(build):
+    h = build()
+    dd = hopf.dual(hopf.dual(h))
+    assert dd.algebra.mult is h.algebra.mult
+    assert dd.comult is h.comult
+    # otherwise a dual's tensors are the transpositions, kept from the first read
+    d = hopf.dual(h)
+    assert d.algebra.mult == hopf.dual_mult(h)
+    assert d.comult == hopf.dual_comult(h)
+    assert d.algebra.mult is d.algebra.mult
+
+
 @pytest.mark.parametrize("p,n,q", [(11, 5, 3), (13, 6, 4)])
 def test_taft_scales_past_dimension_16(p, n, q):
     assert primitive_roots(p, n)[0] == q

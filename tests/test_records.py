@@ -88,9 +88,48 @@ def test_report_and_integrals_stay_out_of_equality_and_repr():
     hopf.left_integrals(h)
     bare = hopf.HopfAlgebraData(h.algebra, h.comult, h.counit, h.antipode)
     assert h.report.passed and h.integrals
-    assert bare.report is None and bare.integrals == {}
+    assert bare.report is None and bare.integrals == {} and bare.predual is None
     assert h == bare and hash(h) == hash(bare)
     assert repr(h) == repr(bare) and "report" not in repr(h) and "integrals" not in repr(h)
+    d = hopf.dual(h)
+    assert d.predual is h and "predual" not in repr(d)
+
+
+@reporting.record
+class Pair:
+    left: tuple
+    right: tuple
+
+    lazy_fields = ("right",)
+
+
+def test_a_lazy_field_is_built_on_its_first_read_and_then_stored():
+    built = []
+
+    def build():
+        built.append(1)
+        return (1, 2)
+
+    p = Pair((0,), reporting.lazy(build))
+    assert "right" not in vars(p) and built == []
+    assert p.right == (1, 2) and p.right is p.right
+    assert vars(p)["right"] == (1, 2) and built == [1]
+    # equality, the hash and the repr read every field, so they build it
+    for use in (lambda q: q == Pair((0,), (1, 2)), hash,
+                lambda q: repr(q) == "Pair(left=(0,), right=(1, 2))"):
+        q = Pair((0,), reporting.lazy(lambda: (1, 2)))
+        assert use(q) and "right" in vars(q)
+    with pytest.raises(AttributeError):
+        p.right = (3,)
+
+
+def test_only_declared_fields_may_be_lazy():
+    with pytest.raises(TypeError):
+        Pair(reporting.lazy(lambda: (0,)), (1, 2))
+    # the lazy field's class attribute builds it; no record has __getattr__,
+    # so every other attribute read is a plain one
+    assert isinstance(Pair.__dict__["right"], reporting._LazyField)
+    assert "left" not in Pair.__dict__ and not hasattr(Pair, "__getattr__")
 
 
 def test_derived_values_are_worked_out_once(monkeypatch):

@@ -6,8 +6,9 @@ suite; here the tool runs end to end on one command in text and in
 the cases whose exit code moved, groups them in its summary and prints
 the median time and peak RSS ratios of each command.  One case runs
 in process, under a parent that holds 100 MB, to show that the peak RSS
-is the child's own, each scaling case runs three times, and a sweep runs
-its cases on a copy of ``src`` that holds no bytecode.
+is the child's own, each scaling case runs three times, the floor case
+is a bare interpreter run as the cases are, and a sweep runs its cases on
+a copy of ``src`` that holds no bytecode.
 """
 
 import importlib.util
@@ -105,6 +106,51 @@ def test_scale_group_runs_its_own_builtin_specs(tmp_path):
         assert len(case["time_s_runs"]) == len(case["peak_rss_mb_runs"]) == 3
         assert case["time_s"] == statistics.median(case["time_s_runs"])
         assert case["peak_rss_mb"] == max(case["peak_rss_mb_runs"])
+
+
+def test_the_floor_case_is_a_bare_interpreter_run_three_times(tmp_path):
+    sweep = load_sweep()
+    out = tmp_path / "floor.json"
+    proc = run_tool("--out", str(out), "--match", "^scale/floor")
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert list(record) == [sweep.FLOOR] == ["scale/floor python -c pass"]
+    floor = record[sweep.FLOOR]
+    assert floor["exit"] == 0
+    assert floor["stdout"] == floor["stderr"] == sweep.digest("")
+    assert len(floor["time_s_runs"]) == len(floor["peak_rss_mb_runs"]) == 3
+    # started as the cases are, without the CLI: no hopfgal module is loaded
+    assert 0 < floor["time_s"] < 30 and 0 < floor["peak_rss_mb"] < 30
+
+
+def test_compare_prints_the_time_above_the_floor_beside_the_raw_ratio(tmp_path):
+    floor = load_sweep().FLOOR
+
+    def case(time_s):
+        return {"exit": 0, "stdout": "a", "stderr": "b", "time_s": time_s, "peak_rss_mb": 20.0}
+
+    a = {floor: case(0.1), "scale/taft verify t16": case(0.3), "scale/taft verify t24": case(0.5),
+         "scale/taft verify t32": case(1.1)}
+    # B's floor is 0.05 s slower; its work above the floor is half of A's
+    b = {floor: case(0.15), "scale/taft verify t16": case(0.25),
+         "scale/taft verify t24": case(0.35), "scale/taft verify t32": case(0.65)}
+    paths = []
+    for name, record in (("a", a), ("b", b), ("a-bare", {k: v for k, v in a.items() if k != floor})):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(record), encoding="utf-8")
+    proc = run_tool("--compare", str(paths[0]), str(paths[1]))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "scale/floor: time x1.500, peak RSS x1.000 (median of 1)",
+        "scale/taft: time x0.700 (x0.500 above the floor), peak RSS x1.000 (median of 3)",
+        "0 of 4 cases differ"]
+    # a record without the floor prints the raw ratio alone
+    proc = run_tool("--compare", str(paths[2]), str(paths[1]))
+    assert proc.stdout.splitlines() == [
+        f"only in B: {floor}",
+        "1 x scale/floor : only in B",
+        "scale/taft: time x0.700, peak RSS x1.000 (median of 3)",
+        "1 of 4 cases differ"]
 
 
 def test_scale_runs_merge_into_one_record():

@@ -27,7 +27,10 @@ from an earlier case, and none compiles the standard library.  Two
 cases run at once, except the scaling group, whose cases run one at a
 time after the others, SCALE_RUNS times each, in rounds over the group:
 a scaling case records the median wall time and the largest peak RSS of
-its runs, and each run's time and peak.  A case that runs past TIMEOUT
+its runs, and each run's time and peak.  The scaling group holds the
+floor case FLOOR, ``python -c pass`` started as the cases are (the
+launcher without the CLI): the interpreter's own start, which every
+case's time includes.  A case that runs past TIMEOUT
 seconds is recorded with the exit code "timeout", and a scaling case
 whose runs disagree in exit code or hashes with the exit code "unstable".
 
@@ -58,15 +61,18 @@ The case set:
   ``verify`` and ``integrals`` on builtin C_N for N = 16, 64 and 256
   over Q and F_97, with ``integrals`` on their duals, and ``assoc-order``
   on generated Z lattice files over QC_2 of rank n = 16, 24 and 32 whose
-  basis is a random n x n matrix with entries in [-9, 9] (seeds 1 and 4).
+  basis is a random n x n matrix with entries in [-9, 9] (seeds 1 and 4),
+  and the floor case.
 
 Every case runs in text and in ``--json`` form.  ``--compare`` prints
 one line per case whose exit code or hashes differ or that only one
 record holds, then one line per group of those cases with the same
 command, first fixture and exit transition, with its count; then, for
 each command (or scaling series), the median ratio B/A of the
-recorded wall time and peak RSS over the cases both records timed.  It
-exits 1 when a case differs, else 0.
+recorded wall time and peak RSS over the cases both records timed, and,
+when both records hold the floor case, beside the time ratio the median
+ratio of the time above each record's floor.  It exits 1 when a case
+differs, else 0.
 """
 
 import argparse
@@ -109,10 +115,10 @@ SCALE_GROUP_FIELDS = (("Q", {"kind": "Q"}), ("F97", {"kind": "Fp", "p": 97}))
 SCALE_LATTICE_N = (16, 24, 32)
 SCALE_LATTICE_SEEDS = (1, 4)
 SCALE_RUNS = 3
-# python -c LAUNCHER PEAK_FILE ARGS...: run hopfgal.cli ARGS... as `python -m`
-# would, and write the process's peak RSS in kB (VmHWM) to PEAK_FILE at exit
-LAUNCHER = """
-import atexit, runpy, sys
+# python -c PEAK PEAK_FILE: write the process's peak RSS in kB (VmHWM) to
+# PEAK_FILE at exit, and do nothing else
+PEAK = """
+import atexit, sys
 
 def write_peak(path=sys.argv.pop(1)):
     with open("/proc/self/status", encoding="ascii") as status:
@@ -121,8 +127,15 @@ def write_peak(path=sys.argv.pop(1)):
         out.write(kb)
 
 atexit.register(write_peak)
+"""
+# python -c LAUNCHER PEAK_FILE ARGS...: run hopfgal.cli ARGS... as `python -m`
+# would, and write the peak as PEAK does
+LAUNCHER = PEAK + """
+import runpy
 runpy.run_module("hopfgal.cli", run_name="__main__", alter_sys=True)
 """
+# the floor case: PEAK alone, a `python -c pass` started as the cases are
+FLOOR = "scale/floor python -c pass"
 
 
 def primes_one_mod(n, count):
@@ -264,9 +277,10 @@ def digest(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def run_case(tree, workdir, argv):
+def run_case(tree, workdir, argv, code=LAUNCHER):
     """The exit code, the stdout and stderr hashes, the wall time (s) and
-    the peak RSS (MB) of one fresh CLI run of the hopfgal in tree/src."""
+    the peak RSS (MB) of one fresh CLI run of the hopfgal in tree/src
+    (with code PEAK, of the bare interpreter)."""
     with (tempfile.TemporaryDirectory(prefix="case-") as scratch,
           tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err):
         peak = pathlib.Path(scratch) / "vmhwm"
@@ -274,7 +288,7 @@ def run_case(tree, workdir, argv):
                if not key.startswith(("PYTHON", "HOPFGAL_"))}
         env.update(PYTHONPATH=str(pathlib.Path(tree) / "src"), PYTHONDONTWRITEBYTECODE="1")
         start = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-c", LAUNCHER, str(peak), *argv], cwd=workdir,
+        proc = subprocess.Popen([sys.executable, "-c", code, str(peak), *argv], cwd=workdir,
                                 env=env, stdout=out, stderr=err)
         timer = threading.Timer(TIMEOUT, proc.kill)
         timer.start()
@@ -307,8 +321,9 @@ def sweep(repo, match=None):
         for name, doc in {**builtins, **scale_specs(), **lattice_specs()}.items():
             (pathlib.Path(workdir) / name).write_text(json.dumps(doc), encoding="utf-8")
         argvs = {" ".join(argv): argv for argv in case_argvs(fixtures, list(builtins))}
-        scaled = {name + form: argv + form.split()
+        scaled = {name + form: (LAUNCHER, argv + form.split())
                   for name, argv in scale_cases().items() for form in ("", " --json")}
+        scaled[FLOOR] = (PEAK, [])
         if match is not None:
             argvs, scaled = ({name: argv for name, argv in cases.items() if re.search(match, name)}
                              for cases in (argvs, scaled))
@@ -319,8 +334,8 @@ def sweep(repo, match=None):
         # one at a time, so that no other case shares the host with them
         runs = {name: [] for name in scaled}
         for _ in range(SCALE_RUNS):
-            for name, argv in scaled.items():
-                runs[name].append(run_case(tree, workdir, argv))
+            for name, (code, argv) in scaled.items():
+                runs[name].append(run_case(tree, workdir, argv, code))
         record.update((name, merged(cases)) for name, cases in runs.items())
         return record
 
@@ -374,7 +389,10 @@ def ratios(a, b):
     """One line per command (or scaling series), sorted, with the median
     ratio B/A of the recorded wall time and peak RSS (for a scaling case,
     the median time and the largest peak of its runs) over the cases
-    both timed."""
+    both timed.  When both records timed the floor case, the time ratio
+    is followed by the median ratio of the times above each record's
+    floor, over the cases whose time lies above it in both records."""
+    floors = [r[FLOOR]["time_s"] for r in (a, b) if "time_s" in r.get(FLOOR, {})]
     pairs = collections.defaultdict(list)
     for name in sorted(a.keys() & b.keys()):
         if "time_s" in a[name] and "time_s" in b[name]:
@@ -383,7 +401,11 @@ def ratios(a, b):
     for group, cases in sorted(pairs.items()):
         wall = statistics.median(y["time_s"] / x["time_s"] for x, y in cases)
         rss = statistics.median(y["peak_rss_mb"] / x["peak_rss_mb"] for x, y in cases)
-        lines.append(f"{group}: time x{wall:.3f}, peak RSS x{rss:.3f} (median of {len(cases)})")
+        above = [(y["time_s"] - floors[1]) / (x["time_s"] - floors[0]) for x, y in cases
+                 if len(floors) == 2 and x["time_s"] > floors[0] and y["time_s"] > floors[1]]
+        beside = f" (x{statistics.median(above):.3f} above the floor)" if above else ""
+        lines.append(f"{group}: time x{wall:.3f}{beside}, peak RSS x{rss:.3f} "
+                     f"(median of {len(cases)})")
     return lines
 
 
