@@ -72,7 +72,7 @@ def verify_module_algebra(d):
     h, alg = d.hopf, d.algebra
     verify_module_over_algebra(h.algebra, d.action)
     hopf_mod.verify_coaction_algebra("module-algebra", alg, hopf_mod.dual_coaction(
-        d.action, alg.dim), h.counit, hopf_mod.dual_mult(h))
+        d.action, alg.dim), h.counit, h.dual_product)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +211,7 @@ def gamma_is_algebra_map(d):
     legs = [[(p * ds + r // dh, r % dh, mul(c, v)) for r, v in col for p, c in unit]
             for col in gamma.matrix.cols]
     holds = functools.partial(
-        hopf_mod._coaction_multiplicative, dom, square, legs, hopf_mod.dual_mult(d.hopf))
+        hopf_mod._coaction_multiplicative, dom, square, legs, d.hopf.dual_product)
     return all(holds(x, y) for x in pairs for y in pairs)
 
 

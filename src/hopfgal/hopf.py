@@ -436,6 +436,13 @@ class HopfAlgebraData:
     def labels(self):
         return self.algebra.labels
 
+    @functools.cached_property
+    def dual_product(self):
+        """:func:`dual_mult` of this Hopf algebra, the multiplication tensor
+        of dual(H) over any domain, built on first read: the dual's
+        ``mult`` and the module-algebra and Galois checks read this one."""
+        return dual_mult(self)
+
     def comult_vec(self, vec):
         """Delta of a general element as a dict (j, k) -> coeff."""
         mul, zero = self.domain.mul, self.domain.zero
@@ -936,7 +943,8 @@ def dual(h):
     is verified first, by :func:`build_hopf`, which raises its first failure.
     Neither the report nor the integrals read the dual's tensors, so its
     `mult` (:func:`dual_mult`) and `comult` (:func:`dual_comult`) are
-    built on first read, and the dual keeps h as ``predual``.
+    built on first read, its `mult` as h's ``dual_product``, and the dual
+    keeps h as ``predual``.
     dual(dual(H)) = H in coordinates: its tensors are H's own objects, and
     the left integral line of dual(H) is H's ``"dual"`` line and its
     ``"dual"`` line is H's left one: the dual takes the lines h holds,
@@ -951,7 +959,7 @@ def dual(h):
         report = build_hopf(h.algebra, h.comult, h.counit, h.antipode).report
     k = h.predual
     if k is None:
-        mult, comult = functools.partial(dual_mult, h), functools.partial(dual_comult, h)
+        mult, comult = (lambda: h.dual_product), functools.partial(dual_comult, h)
     else:
         # the transpose of a transpose is the tensor itself
         mult, comult = (lambda: k.algebra.mult), (lambda: k.comult)

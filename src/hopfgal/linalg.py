@@ -150,9 +150,9 @@ def _shared(x):
 
 
 class RationalField(Domain):
-    """Q: values are always reduced `Fraction`s.  Sums, differences and
-    negatives of integral operands take an int path (no gcd, no
-    normalizing constructor); every small integral result is the shared
+    """Q: values are always reduced `Fraction`s.  Sums, differences,
+    products and negatives of integral operands take an int path (no gcd,
+    no normalizing constructor); every small integral result is the shared
     table object, and raw ints passed in are read as the Fractions they
     equal."""
 
@@ -191,12 +191,12 @@ class RationalField(Domain):
         return _shared(a - b)
 
     def mul(self, a, b):
-        # Products keep Fraction arithmetic for now: ROADMAP item 5 says
-        # why, and when the int path comes here too.
         try:
-            return _shared(a * b)
+            if a._denominator == 1 == b._denominator:
+                return _integral(a._numerator * b._numerator)
         except AttributeError:
             return self.mul(self.normalize(a), self.normalize(b))
+        return _shared(a * b)
 
     def neg(self, a):
         try:

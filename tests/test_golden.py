@@ -156,20 +156,22 @@ def test_no_integral_space_is_solved_twice(monkeypatch):
     assert right_systems == []
 
 
-# Fraction objects one in-process run may build.  Sums of integral Q values
-# take an int path and small integral values are shared, so these commands
-# build 191, 145 and 198.  Dropping the int paths of `add`, `sub` and `neg`
-# builds 218, 177 and 246, and dropping the int path of `add` alone 213,
-# 157 and 216: each budget lies below both, so either fails it.  `galois`
-# built 195 while it verified its group algebra and solved its integral;
-# its budget fails if that work comes back.  `bar-shift` built 1252 while
-# it built every degree's bar differentials and isomorphisms; its budget
-# fails if that work comes back.
+# Fraction objects one in-process run may build.  Sums, differences,
+# products and negatives of integral Q values take an int path and small
+# integral values are shared, so these commands build 0, 27, 20 and 12.
+# Dropping the int path of `mul` builds 128, 145, 198 and 155; of `add`
+# 20, 39, 38 and 26; of `sub` 0, 42, 36 and 22; of `neg` 2, 32, 34 and
+# 19: each budget lies below every count that moves, so dropping any of
+# the four fails some budget.  `galois` built 195 while it verified its
+# group algebra and solved its integral, and `bar-shift` 1252 while it
+# built every degree's bar differentials and isomorphisms: their budgets
+# fail if that work comes back.
 FRACTION_BUDGETS = [
-    pytest.param(["integrals", "hopf_sweedler.json"], 205, id="integrals"),
-    pytest.param(["galois", "ext_gaussian.json"], 150, id="galois"),
+    pytest.param(["integrals", "hopf_sweedler.json"], 1, id="integrals"),
+    pytest.param(["galois", "ext_gaussian.json"], 30, id="galois"),
     pytest.param(["bar-shift", "ext_gaussian.json", "--module", "smashmod_sum.json",
-                  "--levels", "3"], 210, id="bar-shift"),
+                  "--levels", "3"], 30, id="bar-shift"),
+    pytest.param(["homology", "mod_regular_sweedler.json"], 16, id="homology"),
 ]
 
 

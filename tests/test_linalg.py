@@ -121,6 +121,10 @@ def assert_q_value(result, expected):
 @example(Fraction(TABLE), Fraction(1))  # the sum leaves the table
 @example(Fraction(1, 2), Fraction(1, 2))  # non-integral operands, integral sum
 @example(3, 4)
+@example(Fraction(TABLE), Fraction(2))  # the product leaves the table
+@example(Fraction(-16), Fraction(16))  # the product is -256, at the table's edge
+@example(Fraction(2), Fraction(1, 2))  # a non-integral operand, integral product
+@example(3, Fraction(1, 3))  # a raw int
 def test_q_domain_matches_fraction_arithmetic(a, b):
     fa, fb = Fraction(a), Fraction(b)
     assert_q_value(QQ.add(a, b), fa + fb)
