@@ -108,7 +108,13 @@ def _parse_scalar(domain, value):
     if isinstance(value, bool):  # a subclass of int, so test it first
         raise FormatError(f"boolean scalar {value!r} rejected; use strings")
     if isinstance(value, str):
+        # an ASCII integer literal skips domain.parse's Fraction; every
+        # other text (a '+', spaces, underscores, other scripts' digits)
+        # takes it
+        digits = value[1:] if value[:1] == "-" else value
         try:
+            if digits.isdigit() and digits.isascii():
+                return domain.normalize(int(value))
             return domain.parse(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(

@@ -4,8 +4,11 @@ A lattice L in Q^n is held by its scale, the least d with d.L inside
 Z^n, and the nonzero rows of the Hermite normal form of d.L.  Both
 depend on L alone, so two lattices are equal exactly when their fields
 are, and every verdict here is reproducible bit for bit.  Membership
-and coordinates come by substitution down the Hermite rows; dense
-`Matrix` appears only over Z.
+and coordinates come by substitution down the Hermite rows, on ints:
+the vector's denominators are cleared once, and the residual is held
+over one integer denominator that grows only when a pivot does not
+divide it (Cohen, GTM 138, 2.4).  A `Fraction` is built only for a
+coordinate that is not integral; dense `Matrix` appears only over Z.
 
 The base principal ideal domain is Z only; obstructions at individual
 primes are reported through the Smith invariant factors of the fixed
@@ -22,7 +25,7 @@ from . import actions as actions_mod
 from . import hopf as hopf_mod
 from . import linalg
 from .errors import PreconditionError, ShapeError
-from .linalg import QQ, ZZ, ColumnMap, Matrix
+from .linalg import QQ, ZZ, ColumnMap, Matrix, _integral
 from .reporting import record
 
 
@@ -45,34 +48,74 @@ class IntegerLattice:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise ShapeError("generator length mismatch")
-        scale = math.lcm(*(x.denominator for v in vectors for x in v))
-        integer_rows = [[int(x * scale) for x in v] for v in vectors]
+        scale = math.lcm(*(x._denominator for v in vectors for x in v))
+        integer_rows = [[x._numerator * (scale // x._denominator) for x in v] for v in vectors]
         return cls(ambient_dim, scale, linalg.hermite_basis(Matrix(ZZ, integer_rows)))
 
     @property
     def rank(self):
         return len(self.rows)
 
+    @functools.cached_property
+    def _supports(self):
+        """The nonzero (column, entry) pairs of each Hermite row, the
+        pivot first."""
+        return tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in self.rows)
+
     def generators(self):
-        return [tuple(Fraction(x, self.scale) for x in r) for r in self.rows]
+        """The canonical generators, rows / scale; integral entries are
+        the shared small-integer objects where they can be."""
+        s = self.scale
+        return [tuple(Fraction(x, s) if x % s else _integral(x // s) for x in r)
+                for r in self.rows]
+
+    def _substitute(self, vec):
+        """The coordinates of vec in the lattice basis as (numerator,
+        denominator) int pairs, or None when vec is outside the span.
+
+        The coordinates c satisfy sum c_i row_i = scale . vec.  With vec's
+        denominators cleared, scale . vec = rest / den for ints rest and
+        den; each Hermite row takes rest[p] / row[p] at its pivot p, after
+        den and rest grow by the least factor that makes the division
+        exact."""
+        if len(vec) != self.ambient_dim:
+            raise ShapeError("right-hand side length mismatch")
+        vec = [x if type(x) is Fraction else QQ.normalize(x) for x in vec]
+        den = math.lcm(*(x._denominator for x in vec))
+        g = math.gcd(den, self.scale)
+        lift = self.scale // g
+        rest = [x._numerator * (den // x._denominator) * lift for x in vec]
+        den //= g
+        out = []
+        for support in self._supports:
+            p, a = support[0]
+            r = rest[p]
+            if r % a:
+                grow = a // math.gcd(a, r)
+                den *= grow
+                rest = [x * grow for x in rest]
+                r *= grow
+            q = r // a
+            if q:
+                for j, b in support:
+                    rest[j] -= q * b
+            out.append((q, den))
+        return None if any(rest) else out
 
     def coords(self, vec):
         """Rational coordinates of vec in the lattice basis, or None, by
         substitution down the echelon Hermite rows."""
-        if len(vec) != self.ambient_dim:
-            raise ShapeError("right-hand side length mismatch")
-        rest, coords = [QQ.normalize(v) for v in vec], []
-        for row in self.rows:
-            p = next(i for i, a in enumerate(row) if a)
-            x = rest[p] / row[p]  # on the integer row: x * scale on the generator
-            rest = [r - x * a if a else r for r, a in zip(rest, row)]
-            coords.append(QQ.normalize(x * self.scale))
-        return None if any(rest) else tuple(coords)
+        pairs = self._substitute(vec)
+        if pairs is None:
+            return None
+        return tuple(Fraction(q, d) if q % d else _integral(q // d) for q, d in pairs)
 
     def integer_coords(self, vec):
         """The coordinates of vec as ints, or None when vec is outside L."""
-        x = self.coords(vec)
-        return None if x is None or any(v.denominator != 1 for v in x) else tuple(map(int, x))
+        pairs = self._substitute(vec)
+        if pairs is None or any(q % d for q, d in pairs):
+            return None
+        return tuple(q // d for q, d in pairs)
 
     def contains(self, vec):
         return self.integer_coords(vec) is not None
@@ -230,7 +273,7 @@ def _in_square(lat, image):
     for (j, k), c in image.items():
         cols[k][j] = c
     half = [lat.coords(col) for col in cols]
-    return all(x.denominator == 1 for row in zip(*half) for x in lat.coords(row))
+    return all(lat.integer_coords(row) is not None for row in zip(*half))
 
 
 def lattice_integrals(order):
@@ -303,10 +346,11 @@ def tame_check_integral(order, module):
 
     # the order must act integrally on S
     order_gens = order.lattice.generators()
+    lat_gens = lat.generators()
     integer_actions = []
     for u in order_gens:
         mat = module.action_of(u)
-        cols = [lat.integer_coords(mat.apply(gen)) for gen in lat.generators()]
+        cols = [lat.integer_coords(mat.apply(gen)) for gen in lat_gens]
         if None in cols:
             raise PreconditionError(
                 "the order does not act integrally on the lattice "
@@ -326,7 +370,7 @@ def tame_check_integral(order, module):
     # image lattice J.S in S-coordinates
     lam = module.action_of(generator)
     image_cols = []
-    for gen in lat.generators():
+    for gen in lat_gens:
         coords = lat.coords(lam.apply(gen))
         image_cols.append(tuple(int(x) for x in coords))
     # inside S^A, as the generator of J is a left integral: a (J s) = counit(a) J s

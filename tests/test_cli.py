@@ -6,10 +6,14 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hopfgal import cli, cocyclic, files, hopf, linalg
+from hopfgal.errors import FormatError, HopfgalError
 
 PKG_SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -723,6 +727,45 @@ def test_builtin_past_the_bound_is_refused_before_building(
     assert run_on_changed_doc(tmp_path, fixtures, command, base, path, value) == 3
     assert time.perf_counter() - start < 2.0
     assert message in capsys.readouterr().err
+
+
+def parse_through_the_domain(domain, text):
+    """`files._parse_scalar` on a string as it was before integer literals
+    took their own path: every text goes through `domain.parse`."""
+    try:
+        return domain.parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError(f"scalar {text!r} is not an element of {domain.name}: {exc}") from exc
+
+
+def outcome(parse, domain, text):
+    try:
+        value = parse(domain, text)
+    except HopfgalError as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+# signed and padded ASCII digits, and texts the integer path must leave to
+# domain.parse: underscores, other scripts' digits, exponents, fractions
+LITERALS = st.one_of(
+    st.builds(lambda pad, sign, digits, end: pad + sign + digits + end,
+              st.sampled_from(["", " ", "\t"]), st.sampled_from(["", "-", "+", "--"]),
+              st.text("0123456789", max_size=24), st.sampled_from(["", " ", "\n"])),
+    st.sampled_from(["1_000", "-1_000", "\u0663", "-\u0663", "\u00b2", "1e3", "1/2",
+                     "-1/2", "1/7", "3/0", "1.5", "0x10", "-", "", "-0", "007"]),
+)
+
+
+@given(LITERALS, st.sampled_from(["Q", "Z", "F7"]))
+@example("9" * 4301, "Q")
+@example("-" + "9" * 4301, "F7")
+def test_integer_literals_parse_as_the_domain_parses_them(text, name):
+    domain = {"Q": linalg.QQ, "Z": linalg.ZZ, "F7": linalg.GF(7)}[name]
+    got = outcome(files._parse_scalar, domain, text)
+    assert got == outcome(parse_through_the_domain, domain, text)
+    if domain is linalg.QQ and got[0] is Fraction:
+        assert linalg.QQ.normalize(got[1]) is got[1]
 
 
 def test_verify_over_a_large_prime(tmp_path, capsys):

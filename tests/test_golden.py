@@ -157,21 +157,32 @@ def test_no_integral_space_is_solved_twice(monkeypatch):
 
 
 # Fraction objects one in-process run may build.  Sums, differences,
-# products and negatives of integral Q values take an int path and small
-# integral values are shared, so these commands build 0, 27, 20 and 12.
-# Dropping the int path of `mul` builds 128, 145, 198 and 155; of `add`
-# 20, 39, 38 and 26; of `sub` 0, 42, 36 and 22; of `neg` 2, 32, 34 and
-# 19: each budget lies below every count that moves, so dropping any of
-# the four fails some budget.  `galois` built 195 while it verified its
-# group algebra and solved its integral, and `bar-shift` 1252 while it
-# built every degree's bar differentials and isomorphisms: their budgets
-# fail if that work comes back.
+# products and negatives of integral Q values take an int path, small
+# integral values are shared, integer literals parse without a Fraction,
+# and lattice coordinates come by substitution on ints, so these commands
+# build 0, 17, 10, 0, 22, 113 and 12, in order.  Dropping the int path of
+# `mul` builds 128, 135, 188, 143, 178, 264 and 250; of `add` 20, 29, 28,
+# 14, 55, 145 and 60; of `sub` 0, 32, 26, 10, 40, 132 and 44; of `neg` 2,
+# 22, 24, 7, 27, 118 and 17.  Reading literals through `domain.parse`
+# builds 0, 27, 20, 12, 48, 139 and 35.  On the lattice commands alone,
+# substituting in Fraction arithmetic builds 90, 221 and 80, clearing the
+# generators' denominators by Fraction products 36, 139 and 26, and
+# unshared generators 36, 141 and 38.  Each budget lies below every count
+# that moves, so dropping any of these paths fails some budget.  `galois`
+# built 195 while it verified its group algebra and solved its integral,
+# and `bar-shift` 1252 while it built every degree's bar differentials and
+# isomorphisms: their budgets fail if that work comes back.
 FRACTION_BUDGETS = [
     pytest.param(["integrals", "hopf_sweedler.json"], 1, id="integrals"),
-    pytest.param(["galois", "ext_gaussian.json"], 30, id="galois"),
+    pytest.param(["galois", "ext_gaussian.json"], 20, id="galois"),
     pytest.param(["bar-shift", "ext_gaussian.json", "--module", "smashmod_sum.json",
-                  "--levels", "3"], 30, id="bar-shift"),
-    pytest.param(["homology", "mod_regular_sweedler.json"], 16, id="homology"),
+                  "--levels", "3"], 15, id="bar-shift"),
+    pytest.param(["homology", "mod_regular_sweedler.json"], 5, id="homology"),
+    pytest.param(["homology", "lat_zi_qc2.json"], 25, id="homology-lattice"),
+    pytest.param(["assoc-order", "lat_zi_qc2.json", "--candidates"], 116,
+                 id="assoc-order-zi"),
+    pytest.param(["assoc-order", "lat_zzeta3_qc2.json", "--order", "group-ring",
+                  "--candidates"], 15, id="assoc-order-zzeta3"),
 ]
 
 

@@ -1,8 +1,9 @@
 import functools
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from hopfgal import hopf, lattices, linalg, zoo
@@ -71,9 +72,68 @@ def test_lattice_matches_reference(case, data):
     gens = ref.generators()
     probes = list(vectors) + gens + [tuple(x / 2 for x in g) for g in gens]
     probes += data.draw(st.lists(st.lists(FRACTIONS, min_size=n, max_size=n), max_size=3))
+    assert all(QQ.normalize(v) is v for g in ours.generators() for v in g)
     for vec in probes:
-        assert ours.coords(vec) == ref.coords(vec), vec
-        assert ours.contains(vec) == ref.contains(vec), vec
+        assert_matches_reference(ours, ref, vec)
+
+
+def reference_integer_coords(ref, vec):
+    x = ref.coords(vec)
+    if x is None or any(Fraction(v).denominator != 1 for v in x):
+        return None
+    return tuple(int(v) for v in x)
+
+
+def assert_matches_reference(ours, ref, vec):
+    x = ours.coords(vec)
+    assert x == ref.coords(vec), vec
+    assert x is None or all(QQ.normalize(v) is v for v in x), vec
+    ints = ours.integer_coords(vec)
+    assert ints == reference_integer_coords(ref, vec), vec
+    assert ints is None or all(type(v) is int for v in ints), vec
+    assert ours.contains(vec) == ref.contains(vec), vec
+
+
+# lattices whose substitution must grow its denominator: scale d > 1 and
+# Hermite pivots in 2..7 prime to d, probed at rational combinations of the
+# generators whose coefficients have denominators 2, 3, 5 or 7, so some pivot
+# does not divide the residual's entry; a probe off the span when the rank
+# is short
+
+@st.composite
+def growing_denominator_cases(draw):
+    n = draw(st.integers(1, 4))
+    d = draw(st.sampled_from([2, 3, 5, 6]))
+    pivot_cols = sorted(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                                      unique=True)))
+    vectors = []
+    for c in pivot_cols:
+        pivot = draw(st.sampled_from([p for p in range(2, 8) if math.gcd(p, d) == 1]))
+        tail = draw(st.lists(st.integers(-9, 9), min_size=n - c - 1, max_size=n - c - 1))
+        vectors.append(tuple(Fraction(x, d) for x in [0] * c + [pivot] + tail))
+    coefficient = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 5, 7]))
+    probes = []
+    for _ in range(draw(st.integers(1, 3))):
+        cs = draw(st.lists(coefficient, min_size=len(vectors), max_size=len(vectors)))
+        probes.append(tuple(sum(k * v[i] for k, v in zip(cs, vectors)) for i in range(n)))
+    probes.append(draw(st.lists(FRACTIONS, min_size=n, max_size=n).map(tuple)))
+    probes.append(draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n).map(tuple)))
+    return n, vectors, probes
+
+
+@given(growing_denominator_cases())
+@example((2, [(Fraction(3, 2), Fraction(1, 2)), (0, Fraction(5, 2))],
+          [(1, 0), (Fraction(3, 4), Fraction(13, 12))]))
+def test_coords_grow_one_denominator_where_a_pivot_does_not_divide(case):
+    n, vectors, probes = case
+    ours = lattices.IntegerLattice.from_generators(n, vectors)
+    ref = oracles.ReferenceLattice.from_generators(n, vectors)
+    assert ours.scale > 1 and all(row[next(j for j, a in enumerate(row) if a)] > 1
+                                  for row in ours.rows)
+    assert ours.generators() == ref.generators()
+    assert all(QQ.normalize(v) is v for g in ours.generators() for v in g)
+    for vec in probes + ref.generators():
+        assert_matches_reference(ours, ref, vec)
 
 
 @given(generator_sets(), st.data())

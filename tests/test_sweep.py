@@ -235,7 +235,7 @@ def test_scale_group_lattice_series_runs_generated_lattice_files(tmp_path):
     sweep = load_sweep()
     cases = [name for name in sweep.scale_cases() if "lattice " in name]
     assert cases == [f"scale/lattice assoc-order zlattice_n{n}_seed{seed}.json"
-                     for n in (16, 24, 32) for seed in (1, 4)]
+                     for n in (16, 24, 32, 48, 64) for seed in (1, 4)]
     doc = sweep.lattice_specs()["zlattice_n16_seed4.json"]
     rng = random.Random(4)
     assert doc["basis"] == [[str(rng.randint(-9, 9)) for _ in range(16)] for _ in range(16)]

@@ -60,9 +60,10 @@ The case set:
   algebras n = 16, 24 and 32 over F_97 and on their duals, and
   ``verify`` and ``integrals`` on builtin C_N for N = 16, 64 and 256
   over Q and F_97, with ``integrals`` on their duals, and ``assoc-order``
-  on generated Z lattice files over QC_2 of rank n = 16, 24 and 32 whose
-  basis is a random n x n matrix with entries in [-9, 9] (seeds 1 and 4),
-  and the floor case.
+  on generated Z lattice files over QC_2 of rank n = 16, 24, 32, 48 and
+  64 whose basis is a random n x n matrix with entries in [-9, 9] (seeds
+  1 and 4), and the floor case.  Ranks 48 and 64 run well above the
+  floor, so a change in lattice arithmetic shows in their times.
 
 Every case runs in text and in ``--json`` form.  ``--compare`` prints
 one line per case whose exit code or hashes differ or that only one
@@ -112,7 +113,7 @@ SCALE_TAFT_N = (16, 24, 32)
 SCALE_TAFT_P = 97
 SCALE_GROUP_N = (16, 64, 256)
 SCALE_GROUP_FIELDS = (("Q", {"kind": "Q"}), ("F97", {"kind": "Fp", "p": 97}))
-SCALE_LATTICE_N = (16, 24, 32)
+SCALE_LATTICE_N = (16, 24, 32, 48, 64)
 SCALE_LATTICE_SEEDS = (1, 4)
 SCALE_RUNS = 3
 # python -c PEAK PEAK_FILE: write the process's peak RSS in kB (VmHWM) to
