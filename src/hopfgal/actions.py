@@ -69,10 +69,14 @@ def verify_module_algebra(d):
     decides for `cocyclic.comodule_algebra` too, refused here as
     "module-algebra-unit" at () or "module-algebra-mult" at (s, t).
     """
-    h, alg = d.hopf, d.algebra
-    verify_module_over_algebra(h.algebra, d.action)
-    hopf_mod.verify_coaction_algebra("module-algebra", alg, hopf_mod.dual_coaction(
-        d.action, alg.dim), h.counit, h.dual_product)
+    verify_module_over_algebra(d.hopf.algebra, d.action)
+    _verify_module_algebra_law(d)
+
+
+def _verify_module_algebra_law(d):
+    """The module-algebra law alone, for an action whose module law holds."""
+    hopf_mod.verify_coaction_algebra("module-algebra", d.algebra, hopf_mod.dual_coaction(
+        d.action, d.algebra.dim), d.hopf.counit, d.hopf.dual_product)
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +257,10 @@ def classify_extension(d):
     ranks the tame and Hopf-Galois verdicts are equivalent by the
     theory, and the report flags that the equivalence applies.
     """
-    dom = d.domain
-    linalg.require_field(dom, "extension classification")
+    linalg.require_field(d.domain, "extension classification")
     homology = hopfological_homology_module(d.hopf, d.action)
-    inv, image = homology.fixed_basis, homology.image_basis
-    base_line = linalg.echelon_basis(dom, [d.algebra.unit])
-    inv_is_base = linalg.span_eq(dom, inv, base_line)
-    faithful = is_faithful(d)
-    rank_equal = d.algebra.dim == d.hopf.dim
-    integral_surjective = linalg.span_eq(dom, image, base_line)
+    facts = tuple(_tame_facts(d, is_faithful(d), homology))
+    rank_equal, faithful, is_extension, integral_surjective = facts
     j = galois_map_j(d)
     gamma = galois_map_gamma(d)
     commutative = d.algebra.is_commutative()
@@ -269,8 +268,7 @@ def classify_extension(d):
     local = hopf_mod.is_local(d.hopf)
     semisimple = hopf_mod.is_semisimple(d.hopf)
 
-    is_extension = inv_is_base
-    tame = is_extension and rank_equal and faithful and integral_surjective
+    tame = all(facts)
     original_form = commutative and cocommutative
     hopf_galois = j.bijective if original_form else gamma.bijective
     equivalence = local and cocommutative and rank_equal and faithful and is_extension
@@ -287,11 +285,11 @@ def classify_extension(d):
         classification = "H-extension"
 
     return ExtensionReport(
-        invariants_basis=inv,
-        invariants_are_base=inv_is_base,
+        invariants_basis=homology.fixed_basis,
+        invariants_are_base=is_extension,
         faithful=faithful,
         rank_equal=rank_equal,
-        integral_image_basis=image,
+        integral_image_basis=homology.image_basis,
         integral_surjective=integral_surjective,
         j_rank=j.rank,
         j_bijective=j.bijective,
@@ -308,6 +306,20 @@ def classify_extension(d):
         equivalence_applies=equivalence,
         classification=classification,
     )
+
+
+def _tame_facts(d, faithful, homology=None):
+    """The four facts whose conjunction is tameness, cheapest first, so
+    `all` stops at the first false one: rank(S) = rank(H), faithfulness (as
+    `is_faithful` decides it), S^H = R.1 and I.S = R.1, read off `homology`,
+    solved here when not given.  Reduced echelon bases are equal exactly
+    when their spans are."""
+    yield d.algebra.dim == d.hopf.dim
+    yield faithful
+    homology = homology or hopfological_homology_module(d.hopf, d.action)
+    base_line = linalg.echelon_basis(d.domain, [d.algebra.unit])
+    yield homology.fixed_basis == base_line
+    yield homology.image_basis == base_line
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +359,14 @@ def total_integral_map(d):
     """
     dom = d.domain
     linalg.require_field(dom, "total integral")
-    report = classify_extension(d)
-    if not report.tame:
-        if not report.invariants_are_base:
+    facts = tuple(_tame_facts(d, is_faithful(d)))
+    if not all(facts):
+        rank_equal, faithful, invariants_are_base, _ = facts
+        if not invariants_are_base:
             obstruction = "S^H differs from R.1"
-        elif not report.rank_equal:
+        elif not rank_equal:
             obstruction = "rank(S) differs from rank(H)"
-        elif not report.faithful:
+        elif not faithful:
             obstruction = "S is not a faithful H-module"
         else:
             obstruction = "I.S = 0 (trace map not surjective)"

@@ -709,7 +709,7 @@ def t_shift_check(m, top, max_dim=DEFAULT_MAX_DIM):
     dom = S.domain
     base = linalg.echelon_basis(dom, [S.algebra.unit])
     s_coinv = coinvariants(S.comodule)
-    coinv_base = linalg.span_eq(dom, s_coinv, base)
+    coinv_base = s_coinv == base
 
     mco = coinvariants(m.comodule)
     ev_bij = actions.evaluation_map(dom, m.s_action, m.dim, mco).bijective

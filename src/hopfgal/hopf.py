@@ -1093,25 +1093,23 @@ def is_semisimple(h):
 
 
 def is_local(h):
-    """Whether the counit kernel is nilpotent (checked by powering).
-
-    For finite-dimensional pointed cocommutative Hopf algebras this
-    matches localness of the underlying algebra.
-    """
+    """Whether the counit kernel is nilpotent: for finite-dimensional pointed
+    cocommutative H, whether its algebra is local.  A semisimple H has
+    J(H) = 0 (Larson-Sweedler), so it is local only in dimension 1
+    (Montgomery, CBMS 82, 1993, 2.2).  Only a non-semisimple H has the kernel
+    powered, until a power is 0 or equals the one before, as canonical
+    echelon bases."""
     dom = h.domain
     linalg.require_field(dom, "localness check")
+    if is_semisimple(h):
+        return h.dim == 1
     eps = ColumnMap(dom, 1, [((0, e),) if e else () for e in h.counit])
-    radical = list(linalg.kernel_basis(eps))
-    current = radical
+    radical = current = linalg.kernel_basis(eps)
     for _ in range(h.dim + 1):
         if not current:
             return True
-        products = []
-        for u in current:
-            for v in radical:
-                products.append(h.algebra.mul_vec(u, v))
-        nxt = list(linalg.echelon_basis(dom, products))
-        if linalg.span_eq(dom, nxt, current):
+        nxt = linalg.echelon_basis(dom, [h.algebra.mul_vec(u, v) for u in current for v in radical])
+        if nxt == current:
             return False
         current = nxt
     return not current

@@ -337,6 +337,8 @@ def tame_check_integral(order, module):
     verdict is tame exactly when the quotient is trivial and the
     hypotheses (fixed lattice = Z.1, rank equality, faithfulness) hold.
     Primes dividing any factor are reported as the local obstructions.
+    With an `algebra`, `rational_tame` is the field-case tame verdict of
+    the same action over Q, read from its four facts cheapest first.
     """
     h = order.hopf
     lat = module.lattice
@@ -359,20 +361,15 @@ def tame_check_integral(order, module):
         integer_actions.append(Matrix.from_cols(ZZ, cols, lat.rank))
 
     # fixed lattice S^A as the saturated integer kernel
-    blocks = []
-    for u, mat in zip(order_gens, integer_actions):
-        # integral: `lattice_integrals` has required the Hopf-order flags
-        eps = h.counit_vec(u)
-        blocks.append(mat - Matrix.identity(ZZ, lat.rank).scale(int(eps)))
+    # counits are integral: `lattice_integrals` has required the Hopf-order flags
+    blocks = [mat - Matrix.identity(ZZ, lat.rank).scale(int(h.counit_vec(u)))
+              for u, mat in zip(order_gens, integer_actions)]
     fixed_basis = linalg.integer_kernel_basis(linalg.stack(blocks))
     fixed_lattice = IntegerLattice.from_generators(lat.rank, fixed_basis)
 
     # image lattice J.S in S-coordinates
     lam = module.action_of(generator)
-    image_cols = []
-    for gen in lat_gens:
-        coords = lat.coords(lam.apply(gen))
-        image_cols.append(tuple(int(x) for x in coords))
+    image_cols = [tuple(int(x) for x in lat.coords(lam.apply(gen))) for gen in lat_gens]
     # inside S^A, as the generator of J is a left integral: a (J s) = counit(a) J s
     image_lattice = IntegerLattice.from_generators(lat.rank, image_cols)
 
@@ -380,20 +377,14 @@ def tame_check_integral(order, module):
     factors = ()
     free_rank = fixed_lattice.rank - image_lattice.rank
     if image_lattice.rank:
-        cols = []
-        for g in image_lattice.generators():
-            coords = fixed_lattice.coords(g)
-            cols.append(tuple(int(x) for x in coords))
+        cols = [tuple(int(x) for x in fixed_lattice.coords(g)) for g in image_lattice.generators()]
         rel = Matrix.from_cols(ZZ, cols, fixed_lattice.rank)
         factors = tuple(f for f in linalg.smith_normal_form(rel) if f not in (0, 1))
     quotient_trivial = not factors and free_rank == 0
 
     unit_coords = lat.coords(module.unit)
-    fixed_is_base = (
-        unit_coords is not None
-        and fixed_lattice
-        == IntegerLattice.from_generators(lat.rank, [unit_coords])
-    )
+    fixed_is_base = unit_coords is not None and fixed_lattice == IntegerLattice.from_generators(
+        lat.rank, [unit_coords])
     rank_equal = order.rank == lat.rank
     action = [m.cols for m in module.action]
     n = lat.ambient_dim
@@ -403,14 +394,16 @@ def tame_check_integral(order, module):
     primes = sorted({p for f in factors for p in _prime_factors(f)})
 
     rational_tame = None
-    if module.algebra is not None:
+    if (alg := module.algebra) is not None:
         # action entries (a, v, u, c): e_a . e_v contains c e_u
-        entries = [
-            (a, v, u, c) for a, block in enumerate(action) for v, col in enumerate(block)
-            for u, c in col
-        ]
-        ma = actions_mod.module_algebra(h, module.algebra, entries)
-        rational_tame = actions_mod.classify_extension(ma).tame
+        entries = [(a, v, u, c) for a, block in enumerate(action)
+                   for v, col in enumerate(block) for u, c in col]
+        ma = actions_mod.ModuleAlgebraData(h, alg, hopf_mod.sparse_tensor(
+            QQ, (h.dim, alg.dim, alg.dim), entries, 2))
+        # the load decided the module law on Q^n, which an algebra of another dimension fails
+        (actions_mod._verify_module_algebra_law if alg.dim == n
+         else actions_mod.verify_module_algebra)(ma)
+        rational_tame = all(actions_mod._tame_facts(ma, faithful))
 
     return TameLatticeReport(
         fixed_rank=fixed_lattice.rank,

@@ -794,10 +794,6 @@ def column_space_basis(m):
     return _dense(m.domain, m.nrows, _echelon_rows(rref(m.transpose())))
 
 
-def span_eq(domain, basis_a, basis_b):
-    return echelon_basis(domain, basis_a) == echelon_basis(domain, basis_b)
-
-
 def _augmented(m, cols):
     """The ColumnMap [m | cols] of a Matrix or ColumnMap m and extra columns."""
     if isinstance(m, Matrix):

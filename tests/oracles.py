@@ -23,6 +23,8 @@ built only here, as dense matrices: the package decides their
 identities by lemmas.  `bar_shift_compat` builds from them the
 degreewise compatibility of the bar shift that the package takes from
 the Morita lemma.
+`powered_is_local` powers the counit kernel of every Hopf algebra, the
+reference for `hopf.is_local`, which powers only a non-semisimple one.
 `dense_galois_j`, `dense_gamma`, `dense_faithful` and
 `dense_coinvariants` build the Galois maps, the faithfulness verdict
 and the coinvariants from their defining formulas, by dense products.
@@ -748,6 +750,24 @@ def dense_integrals(h, side):
     """Integral basis from the stacked left (or right) multiplications."""
     mult = left_mult_matrix if side == "left" else right_mult_matrix
     return dense_fixed_points(h, [mult(h.algebra, unit_vec(h.domain, h.dim, a)) for a in range(h.dim)])
+
+
+def powered_is_local(h):
+    """Whether the counit kernel J of h is nilpotent, by powering it for
+    every h: J^(k+1) = J^k J as dense echelon bases, until a power is 0 or
+    equals the one before.  The reference for `hopf.is_local`, which
+    answers a semisimple h by theorem instead."""
+    dom = h.domain
+    radical = current = dense_kernel_basis(Matrix(dom, [tuple(h.counit)]))
+    for _ in range(h.dim + 1):
+        if not current:
+            return True
+        nxt = dense_echelon_basis(dom, [dense_product(h.algebra, u, v)
+                                        for u in current for v in radical])
+        if nxt == current:
+            return False
+        current = nxt
+    return not current
 
 
 def dense_representation_witness(alg, mats):

@@ -159,30 +159,34 @@ def test_no_integral_space_is_solved_twice(monkeypatch):
 # Fraction objects one in-process run may build.  Sums, differences,
 # products and negatives of integral Q values take an int path, small
 # integral values are shared, integer literals parse without a Fraction,
-# and lattice coordinates come by substitution on ints, so these commands
-# build 0, 17, 10, 0, 22, 113 and 12, in order.  Dropping the int path of
-# `mul` builds 128, 135, 188, 143, 178, 264 and 250; of `add` 20, 29, 28,
-# 14, 55, 145 and 60; of `sub` 0, 32, 26, 10, 40, 132 and 44; of `neg` 2,
-# 22, 24, 7, 27, 118 and 17.  Reading literals through `domain.parse`
-# builds 0, 27, 20, 12, 48, 139 and 35.  On the lattice commands alone,
-# substituting in Fraction arithmetic builds 90, 221 and 80, clearing the
-# generators' denominators by Fraction products 36, 139 and 26, and
-# unshared generators 36, 141 and 38.  Each budget lies below every count
+# lattice coordinates come by substitution on ints, the lattice commands'
+# rational cross-check reads only the tame facts, and a semisimple H is not
+# powered for localness, so these commands build 0, 14, 10, 0, 9, 100 and
+# 5, in order (17, 22, 113 and 12 for `galois` and the lattice commands
+# while the cross-check built the full extension report and QC_2 was
+# powered).  Dropping the int path of `mul` builds 128, 116, 188, 143,
+# 108, 194 and 159; of `add` 20, 24, 28, 14, 36, 126 and 44; of `sub` 0,
+# 29, 26, 10, 12, 104 and 11; of `neg` 2, 18, 24, 7, 13, 104 and 9.
+# Reading literals through `domain.parse` builds 0, 24, 20, 12, 35, 126
+# and 28.  On the lattice commands alone,
+# substituting in Fraction arithmetic builds 144, 325 and 158, clearing the
+# generators' denominators by Fraction products 23, 126 and 19, and
+# unshared generators 23, 128 and 31.  Each budget lies below every count
 # that moves, so dropping any of these paths fails some budget.  `galois`
 # built 195 while it verified its group algebra and solved its integral,
 # and `bar-shift` 1252 while it built every degree's bar differentials and
 # isomorphisms: their budgets fail if that work comes back.
 FRACTION_BUDGETS = [
     pytest.param(["integrals", "hopf_sweedler.json"], 1, id="integrals"),
-    pytest.param(["galois", "ext_gaussian.json"], 20, id="galois"),
+    pytest.param(["galois", "ext_gaussian.json"], 14, id="galois"),
     pytest.param(["bar-shift", "ext_gaussian.json", "--module", "smashmod_sum.json",
                   "--levels", "3"], 15, id="bar-shift"),
     pytest.param(["homology", "mod_regular_sweedler.json"], 5, id="homology"),
-    pytest.param(["homology", "lat_zi_qc2.json"], 25, id="homology-lattice"),
-    pytest.param(["assoc-order", "lat_zi_qc2.json", "--candidates"], 116,
+    pytest.param(["homology", "lat_zi_qc2.json"], 9, id="homology-lattice"),
+    pytest.param(["assoc-order", "lat_zi_qc2.json", "--candidates"], 100,
                  id="assoc-order-zi"),
     pytest.param(["assoc-order", "lat_zzeta3_qc2.json", "--order", "group-ring",
-                  "--candidates"], 15, id="assoc-order-zzeta3"),
+                  "--candidates"], 5, id="assoc-order-zzeta3"),
 ]
 
 
@@ -233,6 +237,61 @@ def test_command_does_not_call_the_kernel(monkeypatch, command, kernel):
     assert len(calls) == 0
     if command[0] == "bar-shift":
         assert len(j_builds) == 1
+
+
+# Extension reports the lattice commands do not build: their rational
+# cross-check reads the four tame facts, not a full `classify_extension`
+# report with its Galois maps.
+REPORTS_NOT_BUILT = [
+    pytest.param(["homology", "lat_zi_qc2.json"], id="homology-lattice"),
+    pytest.param(["assoc-order", "lat_zi_qc2.json", "--candidates"], id="assoc-order-zi"),
+    pytest.param(["assoc-order", "lat_zzeta3_qc2.json", "--order", "group-ring", "--candidates"],
+                 id="assoc-order-zzeta3"),
+]
+
+
+@pytest.mark.parametrize("command", REPORTS_NOT_BUILT)
+def test_lattice_command_builds_no_extension_report(monkeypatch, command):
+    calls = []
+    for name in ("classify_extension", "galois_map_j", "galois_map_gamma"):
+        original = getattr(actions, name)
+        monkeypatch.setattr(actions, name, lambda d, name=name, original=original: (
+            calls.append(name) or original(d)))
+    code, _ = run_in_fixdir(command, "json")
+    assert code == 0
+    assert calls == []
+
+
+# A semisimple H is local only in dimension 1, so `is_local` powers the
+# counit kernel of a non-semisimple H only: `galois ext_gaussian.json`
+# (H = QC_2) builds no power, `tame ext_trunc.json` (H = F_2[d]/(d^2)) does.
+@pytest.mark.parametrize("command,powered", [
+    pytest.param(["galois", "ext_gaussian.json"], False, id="semisimple"),
+    pytest.param(["tame", "ext_trunc.json"], True, id="not-semisimple"),
+])
+def test_only_a_non_semisimple_hopf_algebra_is_powered_for_localness(monkeypatch, command,
+                                                                     powered):
+    inside, powers = [], []
+    is_local, echelon_basis = hopf.is_local, linalg.echelon_basis
+
+    def counted_local(h):
+        inside.append(h)
+        try:
+            return is_local(h)
+        finally:
+            inside.pop()
+
+    def counted_echelon(*args):
+        if inside:
+            powers.append(args)
+        return echelon_basis(*args)
+
+    monkeypatch.setattr(hopf, "is_local", counted_local)
+    monkeypatch.setattr(linalg, "echelon_basis", counted_echelon)
+    code, stdout = run_in_fixdir(command, "json")
+    assert code == 0
+    assert '"hopf_local"' in stdout
+    assert bool(powers) == powered
 
 
 def write_golden():

@@ -720,6 +720,30 @@ def test_locality():
     assert not hopf.is_local(hopf.dual(zoo.fpc2(2)))
 
 
+# is_local answers a semisimple H by theorem (local only in dimension 1) and
+# powers the counit kernel of the others; the oracle powers it for all
+
+
+@pytest.mark.parametrize("name", ANTIPODE_CASES)
+def test_is_local_of_a_builtin_matches_the_powering_oracle(name):
+    h = builtin(name)
+    assert hopf.is_local(h) == oracles.powered_is_local(h)
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(2), GF(3), GF(5), GF(7)], ids=str)
+@pytest.mark.parametrize("name", sorted(zoo.GROUP_TABLES))
+def test_is_local_of_a_group_algebra_matches_the_powering_oracle(domain, name):
+    # kG and its dual, with p dividing |G| or not
+    h = hopf.group_algebra(domain, zoo.GROUP_TABLES[name])
+    for g in (h, hopf.dual(h)):
+        assert hopf.is_local(g) == oracles.powered_is_local(g)
+    # kG is local exactly when G is a p-group in characteristic p, or trivial
+    n, p = h.dim, domain.characteristic
+    while p and n % p == 0:
+        n //= p
+    assert hopf.is_local(h) == (n == 1)
+
+
 # fuzzing: bad structure constants must be rejected -------------------------------
 
 
@@ -855,16 +879,25 @@ def test_group_table_light_test_matches_full_scan(table):
         GF(5), n, triples, unit)
 
 
-@st.composite
-def twisted_group_algebras(draw):
-    """e_g e_h = c(g, h) e_gh over F_7, with c the coboundary of a random
-    f (f(1) = 1), which is associative, or that c with one value past the
-    identity row and column rescaled."""
+def coboundary_twists(draw):
+    """A group table and a random f : G -> F_7^x with f(1) = 1, and the
+    coboundary c(g, h) = f(g) f(h) / f(gh) of f."""
     table = GROUP_TABLES[draw(st.sampled_from(sorted(GROUP_TABLES)))]
     n = len(table)
     dom = GF(7)
     f = [1] + draw(st.lists(st.integers(1, 6), min_size=n - 1, max_size=n - 1))
     twist = {(g, h): dom.div(dom.mul(f[g], f[h]), f[table[g][h]]) for g in range(n) for h in range(n)}
+    return table, f, twist
+
+
+@st.composite
+def twisted_group_algebras(draw):
+    """e_g e_h = c(g, h) e_gh over F_7, with c the coboundary of a random
+    f (f(1) = 1), which is associative, or that c with one value past the
+    identity row and column rescaled."""
+    table, _, twist = coboundary_twists(draw)
+    n = len(table)
+    dom = GF(7)
     if draw(st.booleans()):
         g, h = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
         twist[g, h] = dom.mul(twist[g, h], draw(st.integers(2, 6)))
@@ -877,6 +910,26 @@ def test_twisted_group_algebra_light_test_matches_full_scan(case):
     unit = linalg.unit_vec(GF(7), n, 0)
     assert construction_failure(GF(7), n, triples, unit) == oracles.algebra_axiom_failure(
         GF(7), n, triples, unit)
+
+
+@given(st.data())
+def test_is_local_of_a_twisted_group_algebra_matches_the_powering_oracle(data):
+    # the associative twisted group algebras, kG over F_7 in the basis
+    # e_g = f(g) g: counit f(g), Delta e_g = e_g (x) e_g / f(g) and
+    # S(e_g) = f(g) / f(g^-1) e_(g^-1) carry kG's Hopf structure over; of
+    # these, only F_7 C_7 is not semisimple
+    table, f, twist = coboundary_twists(data.draw)
+    n, dom = len(table), GF(7)
+    inverse = [table[g].index(0) for g in range(n)]
+    alg = hopf.algebra_from_triples(dom, n, tuple(f"e{g}" for g in range(n)), [
+        (g, k, table[g][k], twist[g, k]) for g in range(n) for k in range(n)],
+        linalg.unit_vec(dom, n, 0))
+    comult = hopf.sparse_tensor(dom, (n, n, n), [(g, g, g, dom.inv(f[g])) for g in range(n)], 1)
+    antipode = hopf.matrix_from_triples(
+        dom, n, [(g, inverse[g], dom.div(f[g], f[inverse[g]])) for g in range(n)])
+    h = hopf.build_hopf(alg, comult, tuple(f), antipode)
+    # local exactly for the 7-groups, C_1 and C_7
+    assert hopf.is_local(h) == oracles.powered_is_local(h) == (n in (1, 7))
 
 
 # dual as a transposition -----------------------------------------------------------

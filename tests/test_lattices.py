@@ -1,14 +1,23 @@
 import functools
+import json
 import math
+import pathlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from hopfgal import hopf, lattices, linalg, zoo
-from hopfgal.errors import PreconditionError, ShapeError
+from hopfgal import actions, files, hopf, lattices, linalg, zoo
+from hopfgal.errors import (
+    DEFAULT_MAX_DIM,
+    AxiomError,
+    FormatError,
+    PreconditionError,
+    ShapeError,
+)
 from hopfgal.linalg import QQ, ColumnMap
+from test_sweep import load_sweep
 
 import oracles
 
@@ -430,6 +439,163 @@ def test_image_always_in_fixed_lattice():
         # the report takes J.S inside S^A from the theory and does not check it
         generator = lattices.tame_check_integral(order, module).integral_generator
         assert oracles.integral_image_in_fixed_lattice(module, generator)
+
+
+# the rational cross-check ----------------------------------------------------------
+#
+# `rational_tame` reads the four tame facts of the module algebra over Q that
+# the lattice's `algebra` section and action make, cheapest first, and stops
+# at the first false one: it must be the `tame` verdict of the full field-case
+# report, and the conjunction of the facts as the dense oracles decide them.
+# Given faithfulness, S^H = Q.1 and I.S = Q.1 hold together (I.S is a nonzero
+# subspace of S^H, since the integral acts nonzero, and 1 in I.S puts all of
+# S^H in it), so the documents below fail the facts one at a time except the
+# last two, which fail together.
+
+FIXDIR = pathlib.Path(__file__).parent / "fixtures"
+
+
+def square_zero_doc(n, m):
+    """Z^(1+m) inside S = Q.1 + V with V^2 = 0, dim V = m, QC_n (n even)
+    acting on V through g^k -> (-1)^k."""
+    dim = 1 + m
+    return {
+        "field": {"kind": "Z"},
+        "hopf": {"name": "group_algebra", "table": zoo.cyclic_table(n)},
+        "ambient_dim": dim,
+        "basis": [[str(int(i == j)) for j in range(dim)] for i in range(dim)],
+        "action": [[[str(int(i == j) * (-1 if i and k % 2 else 1)) for j in range(dim)]
+                    for i in range(dim)] for k in range(n)],
+        "unit": [str(int(i == 0)) for i in range(dim)],
+        "algebra": {"dim": dim, "mult": [[0, j, j, "1"] for j in range(dim)]
+                    + [[j, 0, j, "1"] for j in range(1, dim)],
+                    "unit": [str(int(i == 0)) for i in range(dim)]},
+    }
+
+
+def permutation_doc(table, subgroups):
+    """Z^X inside Q^X, the functions on the G-set X that is the disjoint
+    union of the coset spaces G/K of `subgroups`, with kG permuting X."""
+    points = list(dict.fromkeys((i, frozenset(table[g][k] for k in sub))
+                                for i, sub in enumerate(subgroups) for g in range(len(table))))
+    index = {point: p for p, point in enumerate(points)}
+    n = len(points)
+
+    def rows(a):
+        image = [index[i, frozenset(table[a][x] for x in coset)] for i, coset in points]
+        return [[str(int(image[q] == p)) for q in range(n)] for p in range(n)]
+
+    return {
+        "field": {"kind": "Z"},
+        "hopf": {"name": "group_algebra", "table": table},
+        "ambient_dim": n,
+        "basis": [[str(int(i == j)) for j in range(n)] for i in range(n)],
+        "action": [rows(a) for a in range(len(table))],
+        "unit": ["1"] * n,
+        "algebra": {"dim": n, "mult": [[p, p, p, "1"] for p in range(n)], "unit": ["1"] * n},
+    }
+
+
+def s3_on_six_points():
+    """S_3 on X = S_3/C_2 + S_3/C_3 + S_3/S_3: faithful, as X carries the
+    trivial, sign and two-dimensional representations, with three orbits."""
+    table = zoo.GROUP_TABLES["S3"]
+    group = range(len(table))
+    involution = next(g for g in group if g and table[g][g] == 0)
+    rotations = [g for g in group if table[g][table[g][g]] == 0]
+    return permutation_doc(table, [(0, involution), rotations, group])
+
+
+def fixture_doc(name):
+    return json.loads((FIXDIR / name).read_text())
+
+
+# name -> (document, (rank equal, faithful, S^H = Q.1, I.S = Q.1))
+ONE_FACT_AT_A_TIME = {
+    "all-hold-zi": (lambda: fixture_doc("lat_zi_qc2.json"), (True, True, True, True)),
+    "all-hold-zzeta3": (lambda: fixture_doc("lat_zzeta3_qc2.json"), (True, True, True, True)),
+    "rank": (lambda: square_zero_doc(2, 2), (False, True, True, True)),
+    "faithful": (lambda: square_zero_doc(4, 3), (True, False, True, True)),
+    "invariants-and-trace": (s3_on_six_points, (True, True, False, False)),
+}
+
+
+def group_ring_docs():
+    return load_sweep().group_ring_lattice_specs(range(2, 9))
+
+
+def field_case(module):
+    """The module algebra over Q of the lattice's algebra section and action."""
+    entries = [(a, v, u, c) for a, m in enumerate(module.action)
+               for v, col in enumerate(m.cols) for u, c in col]
+    return actions.module_algebra(module.hopf, module.algebra, entries)
+
+
+def dense_tame_facts(d):
+    """The four tame facts of a module algebra over a field, by dense oracles."""
+    dom, n = d.domain, d.algebra.dim
+    mats = oracles.dense_action_matrices(dom, d.action, n)
+    integral = oracles.dense_integrals(d.hopf, "left")[0]
+    image = oracles.combination(dom, integral, mats, n, n).cols()
+    base = oracles.dense_echelon_basis(dom, [d.algebra.unit])
+    return (n == d.hopf.dim, oracles.dense_faithful(d),
+            oracles.dense_fixed_points(d.hopf, mats) == base,
+            oracles.dense_echelon_basis(dom, image) == base)
+
+
+def cross_check(doc, monkeypatch):
+    """The rational_tame of the group-ring order on a lattice document, the
+    field-case report and its facts, and the number of homology solves the
+    cross-check made."""
+    module, _ = files.load_lattice(doc, DEFAULT_MAX_DIM)
+    solves = []
+    solve = actions.hopfological_homology_module
+    monkeypatch.setattr(actions, "hopfological_homology_module",
+                        lambda h, action: solves.append(h) or solve(h, action))
+    report = lattices.tame_check_integral(lattices.group_ring_order(module.hopf), module)
+    monkeypatch.undo()
+    d = field_case(module)
+    return report.rational_tame, actions.classify_extension(d), dense_tame_facts(d), len(solves)
+
+
+@pytest.mark.parametrize("name", sorted(ONE_FACT_AT_A_TIME))
+def test_rational_tame_fails_each_fact_as_the_field_case_does(name, monkeypatch):
+    build, expected = ONE_FACT_AT_A_TIME[name]
+    rational_tame, report, facts, solves = cross_check(build(), monkeypatch)
+    assert facts == expected
+    assert (report.rank_equal, report.faithful, report.invariants_are_base,
+            report.integral_surjective) == facts
+    assert rational_tame is report.tame is all(facts)
+    # rank equality and faithfulness are read first: S^H and I.S are solved
+    # only when both hold
+    assert solves == (1 if facts[0] and facts[1] else 0)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_rational_tame_of_a_cyclic_group_ring_is_the_field_case_verdict(n, monkeypatch):
+    # Z[C_n] inside Q[C_n], C_2 acting by t -> t^-1: trivially for n = 2,
+    # where S is not faithful, and with dim S > dim H past it
+    rational_tame, report, facts, solves = cross_check(
+        group_ring_docs()[f"zcyclic_n{n}.json"], monkeypatch)
+    assert facts == ((True, False, False, False) if n == 2 else (False, True, False, False))
+    assert rational_tame is report.tame is False
+    assert solves == 0
+
+
+@pytest.mark.parametrize("dim,error", [(1, FormatError), (3, AxiomError)])
+def test_an_algebra_of_another_dimension_is_refused_as_the_field_case_refuses_it(dim, error):
+    # the load decides the module law on Q^2 only; an algebra of dimension 1
+    # cannot hold the action's entries, and one of dimension 3 breaks the law
+    doc = fixture_doc("lat_zi_qc2.json")
+    doc["algebra"] = {"dim": dim, "mult": [[0, j, j, "1"] for j in range(dim)]
+                      + [[j, 0, j, "1"] for j in range(1, dim)],
+                      "unit": ["1"] + ["0"] * (dim - 1)}
+    module, _ = files.load_lattice(doc, DEFAULT_MAX_DIM)
+    with pytest.raises(error) as expected:
+        field_case(module)
+    with pytest.raises(error) as raised:
+        lattices.tame_check_integral(lattices.group_ring_order(module.hopf), module)
+    assert str(raised.value) == str(expected.value)
 
 
 # freeness certificates ------------------------------------------------------------

@@ -458,10 +458,11 @@ def column_map(domain, nrows, ncols, entries):
 
 
 @st.composite
-def sparse_systems(draw, square=False):
-    """A map of shape up to 9 x 9 over Q, F_2 or F_5, mostly zeros; half the
-    draws factor through at most 3 dimensions, so their kernels are large."""
-    domain = draw(st.sampled_from([QQ, GF(2), GF(5)]))
+def sparse_systems(draw, square=False, domains=(QQ, GF(2), GF(5))):
+    """A map of shape up to 9 x 9 over Q, F_2 or F_5 (or `domains`), mostly
+    zeros; half the draws factor through at most 3 dimensions, so their
+    kernels are large."""
+    domain = draw(st.sampled_from(domains))
     entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
 
     def draw_map(nrows, ncols):
@@ -524,6 +525,33 @@ def test_invert_matches_dense_rref(m):
             assert err.value.rank == r
         else:
             assert invert(form) == ColumnMap.from_dense(inverse)
+
+
+def invertible_change(draw, domain, n):
+    """A random invertible n x n map L U over domain: L unit lower
+    triangular, U upper triangular with a nonzero diagonal."""
+    entry, diagonal = st.sampled_from([0, 0, 1, -1, 2, -3]), st.sampled_from([1, -1, 2, 3, -3])
+    lower = column_map(domain, n, n, [((i, j), draw(entry) if i > j else int(i == j))
+                                      for i in range(n) for j in range(n)])
+    upper = column_map(domain, n, n, [((i, j), draw(entry) if i < j else draw(diagonal) * (i == j))
+                                      for i in range(n) for j in range(n)])
+    return lower @ upper
+
+
+@given(sparse_systems(domains=(QQ, GF(7))), st.data())
+def test_one_space_has_one_canonical_basis(m, data):
+    # two spanning sets of one space, one the other after an invertible
+    # change, give one basis: the column space of m and of m P, and the
+    # kernel of m and of Q m.  Callers compare spans by == on these bases.
+    dom = m.domain
+    moved = m @ invertible_change(data.draw, dom, m.ncols)
+    columns = column_space_basis(m)
+    assert column_space_basis(moved) == columns
+    for vectors in (m.to_dense().cols(), moved.to_dense().cols(), columns):
+        assert echelon_basis(dom, vectors) == columns
+    kernel = kernel_basis(m)
+    assert kernel_basis(invertible_change(data.draw, dom, m.nrows) @ m) == kernel
+    assert echelon_basis(dom, kernel) == kernel
 
 
 @st.composite

@@ -8,7 +8,9 @@ the median time and peak RSS ratios of each command.  One case runs
 in process, under a parent that holds 100 MB, to show that the peak RSS
 is the child's own, each scaling case runs three times, the floor case
 is a bare interpreter run as the cases are, and a sweep runs its cases on
-a copy of ``src`` that holds no bytecode.
+a copy of ``src`` that holds no bytecode.  With ``--alternate``, a stub in
+place of ``run_case`` shows the order in which two trees' runs alternate
+and that each tree's record holds its own runs.
 """
 
 import importlib.util
@@ -253,3 +255,98 @@ def test_scale_group_lattice_series_runs_generated_lattice_files(tmp_path):
     assert sorted(record) == ["scale/lattice assoc-order zlattice_n16_seed1.json",
                               "scale/lattice assoc-order zlattice_n16_seed1.json --json"]
     assert {case["exit"] for case in record.values()} == {0}
+
+
+def test_scale_lattice_algebra_series_runs_group_ring_documents(tmp_path):
+    # assoc-order --order group-ring on Z[C_n] inside Q[C_n], C_2 acting by
+    # t -> t^-1, with an algebra section, so the rational cross-check runs
+    sweep = load_sweep()
+    cases = {name: argv for name, argv in sweep.scale_cases().items() if "lattice-algebra " in name}
+    assert cases == {
+        f"scale/lattice-algebra assoc-order zcyclic_n{n}.json --order group-ring":
+            ["assoc-order", f"zcyclic_n{n}.json", "--order", "group-ring"]
+        for n in (16, 32, 64, 128)}
+    doc = sweep.group_ring_lattice_specs([5])["zcyclic_n5.json"]
+    identity, inversion = doc["action"]
+    assert doc["basis"] == identity == [[str(int(i == j)) for j in range(5)] for i in range(5)]
+    # column k of the inversion is e_(-k mod 5)
+    assert [[int(v) for v in row] for row in zip(*inversion)] == [
+        [int(i == -k % 5) for i in range(5)] for k in range(5)]
+    assert doc["algebra"]["mult"] == [[i, j, (i + j) % 5, "1"] for i in range(5) for j in range(5)]
+    assert doc["unit"] == doc["algebra"]["unit"] == ["1", "0", "0", "0", "0"]
+    out = tmp_path / "lattice-algebra.json"
+    proc = run_tool("--out", str(out), "--match", r"^scale/lattice-algebra .*zcyclic_n16\.json")
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert sorted(record) == [
+        "scale/lattice-algebra assoc-order zcyclic_n16.json --order group-ring",
+        "scale/lattice-algebra assoc-order zcyclic_n16.json --order group-ring --json"]
+    assert {case["exit"] for case in record.values()} == {0}
+
+
+def two_checkouts(tmp_path):
+    """Two checkouts A and B with the fixtures and a src that names its side."""
+    repos = []
+    for side in ("A", "B"):
+        repo = tmp_path / side
+        shutil.copytree(ROOT / "tests" / "fixtures", repo / "tests" / "fixtures")
+        (repo / "src").mkdir()
+        (repo / "src" / "SIDE").write_text(side, encoding="utf-8")
+        repos.append(repo)
+    return repos
+
+
+def stub_runs(sweep, monkeypatch):
+    """Replace run_case by a stub that records (side, case) per call and
+    returns a record whose stdout is the side and whose time is the call's
+    index."""
+    calls = []
+
+    def stub(tree, workdir, argv, code=sweep.LAUNCHER):
+        side = pathlib.Path(tree, "src", "SIDE").read_text(encoding="utf-8")
+        calls.append((side, " ".join(argv)))
+        return {"exit": 0, "stdout": side, "stderr": "", "time_s": float(len(calls)),
+                "peak_rss_mb": 1.0}
+
+    monkeypatch.setattr(sweep, "run_case", stub)
+    return calls
+
+
+def test_alternate_runs_each_scaling_case_in_the_two_trees_in_turn(tmp_path, monkeypatch):
+    sweep = load_sweep()
+    calls = stub_runs(sweep, monkeypatch)
+    match = r"^(scale/floor|scale/lattice-algebra .*zcyclic_n16\.json|integrals hopf_qc2\.json$)"
+    a, b = sweep.sweep_trees(two_checkouts(tmp_path), match)
+    name = "scale/lattice-algebra assoc-order zcyclic_n16.json --order group-ring"
+    scaled = {name: name.split(" ", 1)[1], name + " --json": name.split(" ", 1)[1] + " --json",
+              sweep.FLOOR: ""}
+    assert sorted(a) == sorted(b) == sorted([*scaled, "integrals hopf_qc2.json"])
+    # the identity case runs once in each tree; then, in rounds over the
+    # scaling group, each case runs in A then B, B then A, A then B
+    assert sorted(calls[:2]) == [("A", "integrals hopf_qc2.json"), ("B", "integrals hopf_qc2.json")]
+    assert calls[2:] == [(side, argv) for order in ("AB", "BA", "AB")
+                         for argv in scaled.values() for side in order]
+    # each tree's record holds its own runs, in today's format
+    for case, argv in scaled.items():
+        for side, record in (("A", a), ("B", b)):
+            assert record[case]["stdout"] == side
+            assert record[case]["time_s_runs"] == [
+                float(k) for k, call in enumerate(calls, start=1) if call == (side, argv)]
+            assert record[case] == sweep.merged([
+                {"exit": 0, "stdout": side, "stderr": "", "time_s": t, "peak_rss_mb": 1.0}
+                for t in record[case]["time_s_runs"]])
+
+
+def test_alternate_writes_one_record_per_tree(tmp_path, monkeypatch, capsys):
+    sweep = load_sweep()
+    stub_runs(sweep, monkeypatch)
+    repo_a, repo_b = two_checkouts(tmp_path)
+    out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
+    assert sweep.main(["--repo", str(repo_a), "--out", str(out_a),
+                       "--alternate", str(repo_b), str(out_b), "--match", "^scale/floor"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"1 cases written to {out_a}", f"1 cases written to {out_b}"]
+    a, b = (json.loads(out.read_text(encoding="utf-8")) for out in (out_a, out_b))
+    assert (a[sweep.FLOOR]["stdout"], b[sweep.FLOOR]["stdout"]) == ("A", "B")
+    assert a[sweep.FLOOR]["time_s_runs"] == [1.0, 4.0, 5.0]
+    assert b[sweep.FLOOR]["time_s_runs"] == [2.0, 3.0, 6.0]

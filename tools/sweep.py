@@ -9,10 +9,17 @@ then show every report, message and exit code that a change moved, and
 how time and memory moved.
 
     python tools/sweep.py --repo PATH --out FILE [--match REGEX]
+    python tools/sweep.py --repo A --out FILE_A --alternate B FILE_B [--match REGEX]
     python tools/sweep.py --compare A B
 
 ``--match scale/`` runs only the scaling group, whose records are the
-``BENCH_*.json`` files at the repository root.
+``BENCH_*.json`` files at the repository root.  With ``--alternate``, one
+sweep runs two checkouts, each from its own copy of ``src`` and its own
+work directory, and writes one record for each, in the same format: the
+runs of each scaling case go to the two checkouts in the order A B, B A,
+A B, so that host drift slower than a run reads the same in both records
+instead of as a change, as it does when two sweeps run one after the
+other.
 
 Each case runs ``hopfgal.cli`` as ``__main__`` through a small launcher
 (``LAUNCHER``), from a work directory that holds the checkout's fixtures,
@@ -62,8 +69,11 @@ The case set:
   over Q and F_97, with ``integrals`` on their duals, and ``assoc-order``
   on generated Z lattice files over QC_2 of rank n = 16, 24, 32, 48 and
   64 whose basis is a random n x n matrix with entries in [-9, 9] (seeds
-  1 and 4), and the floor case.  Ranks 48 and 64 run well above the
-  floor, so a change in lattice arithmetic shows in their times.
+  1 and 4), ``assoc-order --order group-ring`` on Z[C_n] inside Q[C_n]
+  for n = 16, 32, 64 and 128, whose ``algebra`` section runs the rational
+  cross-check (``scale/lattice-algebra``), and the floor case.  Ranks 48
+  and 64 run well above the floor, so a change in lattice arithmetic
+  shows in their times.
 
 Every case runs in text and in ``--json`` form.  ``--compare`` prints
 one line per case whose exit code or hashes differ or that only one
@@ -80,6 +90,7 @@ import argparse
 import collections
 import concurrent.futures
 import hashlib
+import itertools
 import json
 import os
 import pathlib
@@ -115,6 +126,7 @@ SCALE_GROUP_N = (16, 64, 256)
 SCALE_GROUP_FIELDS = (("Q", {"kind": "Q"}), ("F97", {"kind": "Fp", "p": 97}))
 SCALE_LATTICE_N = (16, 24, 32, 48, 64)
 SCALE_LATTICE_SEEDS = (1, 4)
+SCALE_GROUP_RING_N = (16, 32, 64, 128)
 SCALE_RUNS = 3
 # python -c PEAK PEAK_FILE: write the process's peak RSS in kB (VmHWM) to
 # PEAK_FILE at exit, and do nothing else
@@ -223,6 +235,28 @@ def lattice_specs():
     return specs
 
 
+def permutation_rows(n, image):
+    """The rows, as strings, of the n x n matrix of e_j -> e_image(j)."""
+    return [[str(int(i == image(j))) for j in range(n)] for i in range(n)]
+
+
+def group_ring_lattice_specs(sizes):
+    """File name -> lattice document of Z[C_n] inside Q[C_n], for each size
+    n: the standard basis, C_2 acting by t -> t^-1 (e_k -> e_(-k mod n)),
+    the unit e_0, and an `algebra` section holding the product of Q[C_n],
+    so `assoc-order` and lattice `homology` run the rational cross-check."""
+    return {f"zcyclic_n{n}.json": {
+        "field": {"kind": "Z"},
+        "hopf": {"name": "group_algebra", "table": [[0, 1], [1, 0]], "labels": ["1", "s"]},
+        "ambient_dim": n,
+        "basis": permutation_rows(n, lambda j: j),
+        "action": [permutation_rows(n, lambda j: j), permutation_rows(n, lambda j: -j % n)],
+        "unit": [str(int(i == 0)) for i in range(n)],
+        "algebra": {"dim": n, "unit": [str(int(i == 0)) for i in range(n)],
+                    "mult": [[i, j, (i + j) % n, "1"] for i in range(n) for j in range(n)]},
+    } for n in sizes}
+
+
 def scale_cases():
     """Case name -> argv of the scaling group, without the --json form."""
     cases = {}
@@ -240,6 +274,9 @@ def scale_cases():
             cases[f"scale/{dual}{series} {command} {name}"] = [command, name]
     for name in lattice_specs():
         cases[f"scale/lattice assoc-order {name}"] = ["assoc-order", name]
+    for name in group_ring_lattice_specs(SCALE_GROUP_RING_N):
+        argv = ["assoc-order", name, "--order", "group-ring"]
+        cases["scale/lattice-algebra " + " ".join(argv)] = argv
     return cases
 
 
@@ -310,35 +347,63 @@ def run_case(tree, workdir, argv, code=LAUNCHER):
 
 def sweep(repo, match=None):
     """Case name -> record of every case (or of those `match` finds)."""
-    repo = pathlib.Path(repo).resolve()
-    with (tempfile.TemporaryDirectory(prefix="sweep-") as workdir,
-          tempfile.TemporaryDirectory(prefix="sweep-tree-") as tree):
-        shutil.copytree(repo / "src", pathlib.Path(tree) / "src",
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        fixtures = sorted(p.name for p in (repo / "tests" / "fixtures").glob("*.json"))
-        for name in fixtures:
-            shutil.copyfile(repo / "tests" / "fixtures" / name, pathlib.Path(workdir) / name)
+    return sweep_trees([repo], match)[0]
+
+
+def sweep_trees(repos, match=None):
+    """One record (case name -> record) per checkout in repos, each run
+    from its own copy of src and its own work directory.  The identity
+    cases of the checkouts go to the pool interleaved; each scaling
+    case's runs go to the checkouts in turn, in the order of repos and
+    then reversed, round by round (A B, B A, A B for two), so that host
+    drift slower than a run falls on every checkout alike."""
+    def picked(cases):
+        return {name: case for name, case in cases.items()
+                if match is None or re.search(match, name)}
+
+    with tempfile.TemporaryDirectory(prefix="sweep-") as scratch:
         builtins = builtin_specs()
-        for name, doc in {**builtins, **scale_specs(), **lattice_specs()}.items():
-            (pathlib.Path(workdir) / name).write_text(json.dumps(doc), encoding="utf-8")
-        argvs = {" ".join(argv): argv for argv in case_argvs(fixtures, list(builtins))}
+        generated = {**builtins, **scale_specs(), **lattice_specs(),
+                     **group_ring_lattice_specs(SCALE_GROUP_RING_N)}
         scaled = {name + form: (LAUNCHER, argv + form.split())
                   for name, argv in scale_cases().items() for form in ("", " --json")}
-        scaled[FLOOR] = (PEAK, [])
-        if match is not None:
-            argvs, scaled = ({name: argv for name, argv in cases.items() if re.search(match, name)}
-                             for cases in (argvs, scaled))
+        scaled = picked({**scaled, FLOOR: (PEAK, [])})
+        sides = []
+        for k, repo in enumerate(repos):
+            repo = pathlib.Path(repo).resolve()
+            tree, workdir = pathlib.Path(scratch, f"tree{k}"), pathlib.Path(scratch, f"work{k}")
+            shutil.copytree(repo / "src", tree / "src",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            workdir.mkdir()
+            fixtures = sorted(p.name for p in (repo / "tests" / "fixtures").glob("*.json"))
+            for name in fixtures:
+                shutil.copyfile(repo / "tests" / "fixtures" / name, workdir / name)
+            for name, doc in generated.items():
+                (workdir / name).write_text(json.dumps(doc), encoding="utf-8")
+            argvs = {" ".join(argv): argv for argv in case_argvs(fixtures, list(builtins))}
+            sides.append((tree, workdir, picked(argvs)))
         with concurrent.futures.ThreadPoolExecutor(max_workers=JOBS) as pool:
-            futures = {name: pool.submit(run_case, tree, workdir, argv)
-                       for name, argv in argvs.items()}
-            record = {name: future.result() for name, future in futures.items()}
+            # the checkouts' cases interleaved, so that they share the host alike
+            futures = [{} for _ in sides]
+            for cases in itertools.zip_longest(*(argvs.items() for _, _, argvs in sides)):
+                for k, case in enumerate(cases):
+                    if case is not None:
+                        tree, workdir, _ = sides[k]
+                        futures[k][case[0]] = pool.submit(run_case, tree, workdir, case[1])
+            records = [{name: future.result() for name, future in side.items()}
+                       for side in futures]
         # one at a time, so that no other case shares the host with them
-        runs = {name: [] for name in scaled}
+        runs = [{name: [] for name in scaled} for _ in sides]
+        order = list(range(len(sides)))
         for _ in range(SCALE_RUNS):
             for name, (code, argv) in scaled.items():
-                runs[name].append(run_case(tree, workdir, argv, code))
-        record.update((name, merged(cases)) for name, cases in runs.items())
-        return record
+                for k in order:
+                    tree, workdir, _ = sides[k]
+                    runs[k][name].append(run_case(tree, workdir, argv, code))
+            order.reverse()
+        for record, side_runs in zip(records, runs):
+            record.update((name, merged(cases)) for name, cases in side_runs.items())
+        return records
 
 
 def merged(runs):
@@ -415,6 +480,9 @@ def main(argv=None):
     parser.add_argument("--repo", default=str(ROOT), help="checkout whose src/ and fixtures run")
     parser.add_argument("--out", help="file the JSON record is written to")
     parser.add_argument("--match", help="run only the cases whose name this regex finds")
+    parser.add_argument("--alternate", nargs=2, metavar=("REPO", "OUT"),
+                        help="a second checkout, whose scaling runs alternate with those of "
+                             "--repo, and the file its record is written to")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two records")
     args = parser.parse_args(argv)
     if args.compare:
@@ -427,10 +495,14 @@ def main(argv=None):
         return 1 if diffs else 0
     if not args.out:
         parser.error("--out is required unless --compare is given")
-    record = sweep(args.repo, args.match)
-    pathlib.Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n",
-                                      encoding="utf-8")
-    print(f"{len(record)} cases written to {args.out}")
+    repos, outs = [args.repo], [args.out]
+    if args.alternate:
+        repos.append(args.alternate[0])
+        outs.append(args.alternate[1])
+    for record, out in zip(sweep_trees(repos, args.match), outs):
+        pathlib.Path(out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n",
+                                     encoding="utf-8")
+        print(f"{len(record)} cases written to {out}")
     return 0
 
 
