@@ -354,8 +354,7 @@ def total_integral_map(d):
     Follows the constructive proof: H* is free of rank one over H, so
     pick a free generator t normalized so that the integral sends t to
     the counit, solve integral . z = 1 in S, and set g(h -> t) = h . z.
-    Returns the obstruction instead when I.S is a proper subspace of
-    R.1 or another tameness condition fails.
+    Returns the obstruction instead when a tameness condition fails.
     """
     dom = d.domain
     linalg.require_field(dom, "total integral")
@@ -366,10 +365,9 @@ def total_integral_map(d):
             obstruction = "S^H differs from R.1"
         elif not rank_equal:
             obstruction = "rank(S) differs from rank(H)"
-        elif not faithful:
-            obstruction = "S is not a faithful H-module"
         else:
-            obstruction = "I.S = 0 (trace map not surjective)"
+            # a faithful S with S^H = R.1 has I.S = R.1, a nonzero subspace of S^H
+            obstruction = "S is not a faithful H-module"
         return TotalIntegralResult(False, None, None, obstruction)
 
     h = d.hopf

@@ -186,7 +186,7 @@ class AlgebraData:
         dom, n, mult = self.domain, self.dim, self.mult
         left = [ColumnMap(dom, n, row) for row in mult]
         rows = self.generators
-        if rows is not None and self.unit_witness() is not None:
+        if rows is not None and self._unit_law is not None:
             rows = None
         pair = _decide_on_generators(rows, functools.partial(_multiplicative, mult, left), n)
         if pair is None:
@@ -196,7 +196,13 @@ class AlgebraData:
         return (i, j, next(k for k in range(n) if lhs[k] != rhs[k]))
 
     def unit_witness(self):
-        """The first j with 1 e_j != e_j or e_j 1 != e_j, or None.
+        """The first j with 1 e_j != e_j or e_j 1 != e_j, or None."""
+        return self._unit_law
+
+    @functools.cached_property
+    def _unit_law(self):
+        """`unit_witness`, decided on first read: the gate of
+        `associativity_witness` and `_checked_algebra` both read it.
 
         Column j of the left multiplication map L_1 is 1 e_j, and column
         j of the right one R_1 is e_j 1, so both are compared with the

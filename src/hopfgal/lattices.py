@@ -26,7 +26,7 @@ from . import hopf as hopf_mod
 from . import linalg
 from .errors import PreconditionError, ShapeError
 from .linalg import QQ, ZZ, ColumnMap, Matrix, _integral
-from .reporting import record
+from .reporting import lazy, record
 
 
 @record
@@ -311,6 +311,8 @@ class TameLatticeReport:
     integral_generator: tuple
     rational_tame: bool | None
 
+    lazy_fields = ("rational_tame",)
+
 
 def _prime_factors(n):
     out = []
@@ -338,7 +340,8 @@ def tame_check_integral(order, module):
     hypotheses (fixed lattice = Z.1, rank equality, faithfulness) hold.
     Primes dividing any factor are reported as the local obstructions.
     With an `algebra`, `rational_tame` is the field-case tame verdict of
-    the same action over Q, read from its four facts cheapest first.
+    the same action over Q, read from its four facts cheapest first on
+    the field's first read; the module-algebra law is decided here.
     """
     h = order.hopf
     lat = module.lattice
@@ -403,7 +406,7 @@ def tame_check_integral(order, module):
         # the load decided the module law on Q^n, which an algebra of another dimension fails
         (actions_mod._verify_module_algebra_law if alg.dim == n
          else actions_mod.verify_module_algebra)(ma)
-        rational_tame = all(actions_mod._tame_facts(ma, faithful))
+        rational_tame = lazy(lambda: all(actions_mod._tame_facts(ma, faithful)))
 
     return TameLatticeReport(
         fixed_rank=fixed_lattice.rank,

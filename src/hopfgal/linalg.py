@@ -25,7 +25,13 @@ in echelon form; no stored row is touched again.  One back-substitution
 from the highest pivot down then clears the pivot columns, each row
 visiting only the pivot columns it holds.  So a system whose rows stay
 sparse is eliminated in time about linear in its nonzeros.  The reduced
-form is unique, so kernel and echelon bases are canonical.
+form is unique, so kernel and echelon bases are canonical, and a row
+that is already reduced costs nothing: an empty row is skipped, a row
+of one entry in a column no pivot owns is stored as the unit row there,
+the back-substitution passes over a row that holds only its pivot, and
+a kernel vector of one entry is not sorted.  Each gives the row or
+vector that the general path would, so the result is the same unique
+form.
 
 Over Z there is one row reduction too, behind `hermite_normal_form`:
 Euclid's algorithm down each column, by floor division, with the
@@ -652,7 +658,9 @@ def rref(m):
     the pivot columns it holds.  A reduced row is 0 at every other
     pivot, so those subtractions add no pivot column, and each row is
     reduced once.  The reduced echelon form is unique, so the result
-    does not depend on the order of the rows.
+    does not depend on the order of the rows.  An empty row lies in the
+    span and is not inserted; a row that holds only its pivot has no
+    other pivot column to clear and is passed over.
     """
     domain = m.domain
     require_field(domain, "row reduction")
@@ -662,11 +670,13 @@ def rref(m):
         rows = (enumerate(row) for row in m.rows)
     pivots = {}
     for terms in rows:
-        echelon_insert(domain, pivots, terms)
+        if terms:  # an empty row lies in the span; a dense row's `enumerate` is always true
+            echelon_insert(domain, pivots, terms)
     for p in sorted(pivots, reverse=True):
         row = pivots[p]
-        for q in [c for c in row if c in pivots and c != p]:
-            _subtract(domain, row, row[q], pivots[q])
+        if len(row) > 1:  # a row of its pivot alone holds no other pivot
+            for q in [c for c in row if c in pivots and c != p]:
+                _subtract(domain, row, row[q], pivots[q])
     return pivots
 
 
@@ -694,7 +704,17 @@ def echelon_insert(domain, pivots, terms):
     to 1 at its lowest column and stored; no earlier row is cleared, so
     the stored rows are an echelon basis of the span and `rref`
     back-substitutes once at the end.
+
+    A tuple of one nonzero entry in a column that is not a pivot meets
+    no stored pivot, so it is stored as 1 at that column, as the
+    general path would scale it; its length is read only on a tuple,
+    never on an iterator of a dense row.
     """
+    if type(terms) is tuple and len(terms) == 1:
+        (c, v), = terms
+        if v and c not in pivots:
+            pivots[c] = {c: domain.one}
+            return c
     r = {c: v for c, v in terms if v}
     heap = [c for c in r if c in pivots]
     if heap:
@@ -758,7 +778,8 @@ def kernel_map(m):
     nonzero only for p_i > f.  So v_f is 1 at its lowest entry f, and
     every other v_g is 0 at f, which is neither g nor a pivot.  The v_f
     by ascending f are therefore the reduced echelon basis of the
-    kernel, which is unique, and they need no second elimination.
+    kernel, which is unique, and they need no second elimination.  A v_f
+    that no R_i reaches is e_f alone, which needs no sorting.
     """
     dom = m.domain
     require_field(dom, "kernel computation")
@@ -773,7 +794,8 @@ def kernel_map(m):
         for c, v in row.items():
             if c != q:
                 free[last - c].append((p, neg(v)))
-    return ColumnMap(dom, m.ncols, [tuple(sorted(vec)) for vec in free.values()])
+    return ColumnMap(dom, m.ncols, [
+        tuple(vec) if len(vec) == 1 else tuple(sorted(vec)) for vec in free.values()])
 
 
 def kernel_basis(m):

@@ -6,7 +6,10 @@ the largest nonvanishing minor, and equation solving from brute
 enumeration where feasible.  Over a field, `dense_rref` is a dense
 Gauss-Jordan elimination on whole rows, the differential reference for
 the package's one sparse-row `linalg.rref`; the dense kernel, echelon
-basis, solve and inverse below are read from it.  `dense_apply` and
+basis, solve and inverse below are read from it.  `general_rref` and
+`general_kernel_map` are the sparse elimination with every row on the
+general path, the references for the shortcuts `linalg.rref`,
+`echelon_insert` and `kernel_map` take on rows that are already reduced.  `dense_apply` and
 `dense_antipode_witness` apply and check maps by their dense rows and
 columns, the references for the package's sparse `ColumnMap`s.  The
 full axiom scans check associativity, coassociativity, the counit
@@ -48,6 +51,7 @@ Hermite rows and a scale.  Slow but obviously correct at desk scale.
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations, permutations, product
 from math import gcd
 
@@ -684,6 +688,80 @@ def dense_rref(m):
         if pr == m.nrows:
             break
     return Matrix(dom, rows) if rows else Matrix.zeros(dom, 0, m.ncols), tuple(pivots)
+
+
+def general_rref(m):
+    """The package's sparse elimination with every row taking the general
+    path: each row, empty or not, is reduced by the pivots it meets and
+    scaled to 1 at its lowest column, and the back-substitution visits
+    every stored row.  The reference for `linalg.rref`, whose shortcuts
+    skip the rows that are already reduced.  Returns {pivot: {col: coeff}}."""
+    dom = m.domain
+    rows = m.transpose().cols if isinstance(m, ColumnMap) else (enumerate(r) for r in m.rows)
+    pivots = {}
+    for terms in rows:
+        general_echelon_insert(dom, pivots, terms)
+    for p in sorted(pivots, reverse=True):
+        row = pivots[p]
+        for q in [c for c in row if c in pivots and c != p]:
+            f = row[q]
+            for c, v in pivots[q].items():
+                x = dom.sub(row.get(c, dom.zero), dom.mul(f, v))
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+    return pivots
+
+
+def general_echelon_insert(domain, pivots, terms):
+    """`linalg.echelon_insert` without its unit-row shortcut: the row is
+    reduced by the stored pivots it meets in increasing column order,
+    then scaled to 1 at its lowest column and stored; its pivot, or None."""
+    r = {c: v for c, v in terms if v}
+    heap = [c for c in r if c in pivots]
+    if heap:
+        heapify(heap)
+        sub, mul, zero = domain.sub, domain.mul, domain.zero
+        while heap:
+            p = heappop(heap)
+            f = r.get(p)
+            if f is None:  # pushed twice, already cleared
+                continue
+            for c, v in pivots[p].items():
+                x = r.get(c)
+                if x is None:
+                    r[c] = sub(zero, mul(f, v))
+                    if c in pivots:
+                        heappush(heap, c)
+                else:
+                    x = sub(x, mul(f, v))
+                    if x:
+                        r[c] = x
+                    else:
+                        del r[c]
+    if not r:
+        return None
+    p = min(r)
+    inv = domain.inv(r[p])
+    pivots[p] = {c: domain.mul(inv, v) for c, v in r.items()}
+    return p
+
+
+def general_kernel_map(m):
+    """The canonical kernel basis as `linalg.kernel_map` reads it off the
+    RREF of the reversed columns, from `general_rref`, every vector sorted."""
+    dom = m.domain
+    if isinstance(m, Matrix):
+        m = ColumnMap.from_dense(m)
+    last = m.ncols - 1
+    pivots = general_rref(ColumnMap(dom, m.nrows, m.cols[::-1]))
+    free = {f: [(f, dom.one)] for f in range(m.ncols) if last - f not in pivots}
+    for q, row in pivots.items():
+        for c, v in row.items():
+            if c != q:
+                free[last - c].append((last - q, dom.neg(v)))
+    return ColumnMap(dom, m.ncols, [tuple(sorted(vec)) for vec in free.values()])
 
 
 def dense_echelon_basis(domain, vectors):

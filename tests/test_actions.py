@@ -350,6 +350,43 @@ def test_total_integral_properties_on_tame_registry():
                 assert left == right, name
 
 
+@st.composite
+def permutation_module_algebras(draw):
+    """k^X for a random G-set X of one of zoo's groups, over Q or F_p: the
+    disjoint union of one to three coset spaces G/K, K generated by up to
+    two random elements, with G permuting the idempotents e_x."""
+    table = zoo.GROUP_TABLES[draw(st.sampled_from(sorted(zoo.GROUP_TABLES)))]
+    dom = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5), GF(7)]))
+    n = len(table)
+    e = next(g for g in range(n) if table[g][0] == 0)
+    points = []  # (orbit, coset gK)
+    for orbit in range(draw(st.integers(1, 3))):
+        sub = {e} | set(draw(st.lists(st.integers(0, n - 1), max_size=2)))
+        while (grown := sub | {table[a][b] for a in sub for b in sub}) != sub:
+            sub = grown
+        cosets = {frozenset(table[g][k] for k in sub) for g in range(n)}
+        points += [(orbit, c) for c in sorted(cosets, key=min)]
+    index = {point: i for i, point in enumerate(points)}
+    dim = len(points)
+    alg = hopf.algebra_from_triples(dom, dim, [f"e{i}" for i in range(dim)],
+                                    [(i, i, i, 1) for i in range(dim)], [1] * dim)
+    h = hopf.group_algebra(dom, table)
+    entries = [(g, i, index[(orbit, frozenset(table[g][x] for x in c))], 1)
+               for g in range(n) for i, (orbit, c) in enumerate(points)]
+    return actions.module_algebra(h, alg, entries)
+
+
+@given(permutation_module_algebras())
+def test_the_trace_is_surjective_whenever_the_other_tame_facts_hold(d):
+    # I.S is a subspace of S^H, nonzero when S is faithful (the integral acts
+    # as a nonzero map), so S^H = R.1 and faithfulness give I.S = R.1: the
+    # trace fact never decides tameness alone
+    rep = actions.classify_extension(d)
+    if rep.rank_equal and rep.faithful and rep.invariants_are_base:
+        assert rep.integral_surjective and rep.tame
+    assert actions.total_integral_map(d).present == rep.tame
+
+
 @pytest.mark.parametrize("name", list(zoo.extension_registry()))
 def test_module_actions_match_dense_oracle(name):
     d = ext(name)

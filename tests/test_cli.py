@@ -976,6 +976,27 @@ def test_each_algebra_law_is_decided_where_its_data_enters(tmp_path, fixtures, c
     assert calls == {"algebra_from_triples": 1, "associativity_witness": 1}
 
 
+@pytest.mark.parametrize("case,algebras", [("verify-sweedler", 1), ("tame-trunc", 2),
+                                            ("taft-build", 1)])
+def test_the_unit_law_of_an_algebra_is_decided_once(fixtures, capsys, monkeypatch, case,
+                                                    algebras):
+    # associativity reads the unit law as its gate on the generating rows, and
+    # `_checked_algebra` reads it after associativity: one decision serves both.
+    # `tame` loads two algebras, H and S
+    decided = []
+    law = hopf.AlgebraData.__dict__["_unit_law"]
+    counted = functools.cached_property(lambda alg: decided.append(alg) or law.func(alg))
+    counted.__set_name__(hopf.AlgebraData, "_unit_law")
+    monkeypatch.setattr(hopf.AlgebraData, "_unit_law", counted)
+    if case == "taft-build":
+        assert hopf.taft(linalg.GF(13), 4, 5).algebra.generators is not None
+    else:
+        command, name = {"verify-sweedler": ("verify", "hopf_sweedler.json"),
+                         "tame-trunc": ("tame", "ext_trunc.json")}[case]
+        assert cli.main([command, fx(fixtures, name)]) == 0
+    assert len(decided) == len({id(alg) for alg in decided}) == algebras
+
+
 @pytest.mark.parametrize("module", ["mod_kc2_ayd_f3.json", "mod_kc2_swap_f3.json"])
 def test_ayd_law_is_decided_once_per_cyclic_command(fixtures, capsys, monkeypatch, module):
     # the verdict is kept on M, and stability, checked only when the law

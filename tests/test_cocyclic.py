@@ -469,8 +469,24 @@ def test_cotensor_kernel_work_is_linear_in_its_nonzeros(monkeypatch):
     # systems.  Elimination that visits every stored row for each new
     # pivot runs about 310 lines per nonzero at level 7 and 1080 at level
     # 9, and grows with the level; the rows of this system stay sparse,
-    # so linear elimination runs the same few dozen at every level.
-    S, M = graded(3), ayd_trivial(3)
+    # so linear elimination runs the same few dozen at every level.  Every
+    # row here is empty or one entry in a fresh column.
+    assert_kernel_work_is_linear(monkeypatch, ayd_trivial(3).comodule)
+
+
+def test_cotensor_kernel_work_is_linear_in_a_changed_basis(monkeypatch):
+    # The same grading of the coefficients in the basis m_0, m_0 + m_1:
+    # rho(m_0 + m_1) = m_0 (x) (e - s) + (m_0 + m_1) (x) s, so the comodule
+    # is not diagonal.  A third of the rows hold two entries and a third
+    # meet a stored pivot, so the general elimination and the
+    # back-substitution run too, at the same bounds.
+    changed = cocyclic.comodule_from_triples(
+        zoo.fpc2(3), 2, [(0, 0, 0, 1), (1, 0, 0, 1), (1, 0, 1, -1), (1, 1, 1, 1)])
+    assert_kernel_work_is_linear(monkeypatch, changed)
+
+
+def assert_kernel_work_is_linear(monkeypatch, M):
+    S = graded(3)
     linalg_file, kernel_map = linalg.__file__, linalg.kernel_map
     lines, nonzeros = [0], [0]
 
@@ -494,7 +510,7 @@ def test_cotensor_kernel_work_is_linear_in_its_nonzeros(monkeypatch):
     per_nonzero = {}
     for level in (7, 9):
         lines[0] = nonzeros[0] = 0
-        basis = cocyclic.cotensor(oracles.tensor_power_comodule(S.comodule, level + 1), M.comodule)
+        basis = cocyclic.cotensor(oracles.tensor_power_comodule(S.comodule, level + 1), M)
         assert basis.ncols == 2 ** (level + 1)
         per_nonzero[level] = lines[0] / nonzeros[0]
     assert per_nonzero[9] <= 1.1 * per_nonzero[7]

@@ -553,9 +553,10 @@ def cross_check(doc, monkeypatch):
     monkeypatch.setattr(actions, "hopfological_homology_module",
                         lambda h, action: solves.append(h) or solve(h, action))
     report = lattices.tame_check_integral(lattices.group_ring_order(module.hopf), module)
+    rational_tame = report.rational_tame  # solved on this first read
     monkeypatch.undo()
     d = field_case(module)
-    return report.rational_tame, actions.classify_extension(d), dense_tame_facts(d), len(solves)
+    return rational_tame, actions.classify_extension(d), dense_tame_facts(d), len(solves)
 
 
 @pytest.mark.parametrize("name", sorted(ONE_FACT_AT_A_TIME))

@@ -662,6 +662,67 @@ def test_echelon_insert_meets_each_pivot_once():
     assert len(pivots) == n
 
 
+@st.composite
+def reduced_row_systems(draw):
+    """A sparse map over Q or F_7 whose rows mix the kinds that `rref`
+    takes without elimination and the kinds it eliminates: empty rows,
+    one entry in a column no earlier row holds, one entry repeated on a
+    column an earlier row holds, and rows of two to four entries."""
+    domain = draw(st.sampled_from((QQ, GF(7))))
+    ncols = draw(st.integers(1, 10))
+    value = st.sampled_from([1, -1, 2, 3, -3, Fraction(1, 2)])
+    rows, seen = [], []
+    for kind in draw(st.lists(st.sampled_from(("empty", "fresh", "repeat", "mixed")),
+                              max_size=12)):
+        if kind == "empty":
+            rows.append({})
+        elif kind == "fresh" or (kind == "repeat" and not seen):
+            fresh = [c for c in range(ncols) if c not in seen] or range(ncols)
+            rows.append({draw(st.sampled_from(fresh)): draw(value)})
+        elif kind == "repeat":
+            rows.append({draw(st.sampled_from(seen)): draw(value)})
+        else:
+            cols = draw(st.lists(st.integers(0, ncols - 1), min_size=2, max_size=4, unique=True))
+            rows.append({c: draw(value) for c in cols})
+        seen.extend(rows[-1])
+    return ColumnMap(domain, ncols, [
+        tuple((c, domain.normalize(v)) for c, v in sorted(row.items())) for row in rows
+    ]).transpose()
+
+
+@given(reduced_row_systems())
+def test_rows_already_reduced_eliminate_as_the_general_path_does(m):
+    # the shortcuts for empty rows, unit rows, rows of their pivot alone and
+    # one-entry kernel vectors give the unique RREF the general path gives,
+    # from the rows of a ColumnMap and from the `enumerate` rows of a Matrix
+    expected = oracles.general_rref(m)
+    assert rref(m) == rref(m.to_dense()) == expected
+    assert all(row[p] == m.domain.one for p, row in expected.items())
+    assert rank(m) == rank(m.to_dense()) == len(expected)
+    kernel = oracles.general_kernel_map(m)
+    assert kernel_map(m) == kernel_map(m.to_dense()) == kernel
+    assert kernel_basis(m) == oracles.dense_kernel_basis(m.to_dense())
+    t = m.transpose()
+    assert rref(t) == oracles.general_rref(t)
+    assert kernel_map(t) == oracles.general_kernel_map(t)
+
+
+def test_a_unit_row_in_a_fresh_column_is_stored_as_its_pivot_alone():
+    # the row 3 e_2 meets no stored pivot: it is stored as e_2, as the
+    # general path scales it; on a stored pivot it lies in the span
+    pivots = {}
+    assert echelon_insert(QQ, pivots, ((0, QQ.one), (2, Fraction(5)))) == 0
+    assert echelon_insert(QQ, pivots, ((2, Fraction(3)),)) == 2
+    assert echelon_insert(QQ, pivots, ((2, Fraction(-1)),)) is None
+    assert pivots == {0: {0: QQ.one, 2: Fraction(5)}, 2: {2: QQ.one}}
+    fp = {}
+    assert echelon_insert(GF(7), fp, ((4, 3),)) == 4 and fp == {4: {4: 1}}
+    # rows e_0 + 5 e_2, 3 e_2 and 0: the empty row is skipped, the unit row
+    # stored, and the back-substitution clears column 2 from the first row
+    m = ColumnMap(QQ, 3, [((0, QQ.one),), (), ((0, Fraction(5)), (1, Fraction(3)))])
+    assert rref(m) == {0: {0: QQ.one}, 2: {2: QQ.one}}
+
+
 # name: (domain, nrows, ncols, ((row, col), coeff) entries, kernel dimension)
 KERNEL_EXAMPLES = {
     "zero": (QQ, 3, 4, [], 4),

@@ -57,7 +57,7 @@ def test_sweep_records_and_compares_two_cases(tmp_path):
     same = run_tool("--compare", str(out), str(out))
     assert same.returncode == 0
     assert same.stdout.splitlines() == [
-        "integrals: time x1.000, peak RSS x1.000 (median of 2)",
+        "integrals: time x1.000 (IQR x1.000-x1.000, won 0 of 2), peak RSS x1.000 (median of 2)",
         "0 of 2 cases differ"]
 
     # time and RSS move no hash; the ratios are medians over the cases
@@ -70,7 +70,7 @@ def test_sweep_records_and_compares_two_cases(tmp_path):
     assert diff.stdout.splitlines() == [
         "integrals hopf_qc2.json: exit differ (exit 0 -> 1)",
         "1 x integrals hopf_qc2.json: exit 0 -> 1",
-        "integrals: time x1.500, peak RSS x1.000 (median of 2)",
+        "integrals: time x1.500 (IQR x1.250-x1.750, won 0 of 2), peak RSS x1.000 (median of 2)",
         "1 of 2 cases differ"]
 
     # the summary groups cases by command, first fixture and exit transition
@@ -85,7 +85,7 @@ def test_sweep_records_and_compares_two_cases(tmp_path):
         "only in B: verify hopf_qc2.json --max-dim 1",
         "2 x integrals hopf_qc2.json: exit 0 -> 1",
         "1 x verify hopf_qc2.json: only in B",
-        "integrals: time x1.500, peak RSS x1.000 (median of 2)",
+        "integrals: time x1.500 (IQR x1.250-x1.750, won 0 of 2), peak RSS x1.000 (median of 2)",
         "3 of 3 cases differ"]
 
 
@@ -143,16 +143,39 @@ def test_compare_prints_the_time_above_the_floor_beside_the_raw_ratio(tmp_path):
     proc = run_tool("--compare", str(paths[0]), str(paths[1]))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "scale/floor: time x1.500, peak RSS x1.000 (median of 1)",
-        "scale/taft: time x0.700 (x0.500 above the floor), peak RSS x1.000 (median of 3)",
+        "scale/floor: time x1.500 (IQR x1.500-x1.500, won 0 of 1), peak RSS x1.000 (median of 1)",
+        "scale/taft: time x0.700 (IQR x0.645-x0.767, won 3 of 3) (x0.500 above the floor), "
+        "peak RSS x1.000 (median of 3)",
         "0 of 4 cases differ"]
     # a record without the floor prints the raw ratio alone
     proc = run_tool("--compare", str(paths[2]), str(paths[1]))
     assert proc.stdout.splitlines() == [
         f"only in B: {floor}",
         "1 x scale/floor : only in B",
-        "scale/taft: time x0.700, peak RSS x1.000 (median of 3)",
+        "scale/taft: time x0.700 (IQR x0.645-x0.767, won 3 of 3), peak RSS x1.000 (median of 3)",
         "1 of 4 cases differ"]
+
+
+def test_compare_prints_the_cases_won_and_the_spread_of_the_time_ratios(tmp_path):
+    def case(time_s):
+        return {"exit": 0, "stdout": "a", "stderr": "b", "time_s": time_s, "peak_rss_mb": 20.0}
+
+    # per-case ratios 0.5, 0.8, 0.9 and 1.2: B won three cases, lost one and
+    # tied none; the quartiles of the ratios, inclusive of their ends, are
+    # 0.725 and 0.975 around the median 0.85
+    a = {f"scale/cyclic c{i}": case(1.0) for i in range(5)}
+    b = {f"scale/cyclic c{i}": case(t) for i, t in enumerate((0.5, 0.8, 1.2, 0.9, 1.0))}
+    del a["scale/cyclic c4"]
+    paths = []
+    for name, record in (("a", a), ("b", b)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(record), encoding="utf-8")
+    proc = run_tool("--compare", *map(str, paths))
+    assert proc.stdout.splitlines()[-2:] == [
+        "scale/cyclic: time x0.850 (IQR x0.725-x0.975, won 3 of 4), peak RSS x1.000 (median of 4)",
+        "1 of 5 cases differ"]
+    # one case is its own range
+    assert load_sweep().quartiles([0.7]) == (0.7, 0.7)
 
 
 def test_scale_runs_merge_into_one_record():

@@ -81,9 +81,10 @@ record holds, then one line per group of those cases with the same
 command, first fixture and exit transition, with its count; then, for
 each command (or scaling series), the median ratio B/A of the
 recorded wall time and peak RSS over the cases both records timed, and,
-when both records hold the floor case, beside the time ratio the median
-ratio of the time above each record's floor.  It exits 1 when a case
-differs, else 0.
+beside the time ratio, the interquartile range of the per-case time
+ratios, the number of cases that B ran faster than A, and, when both
+records hold the floor case, the median ratio of the time above each
+record's floor.  It exits 1 when a case differs, else 0.
 """
 
 import argparse
@@ -451,13 +452,23 @@ def summary(groups):
             for (command, fixture, transition), count in collections.Counter(groups).items()]
 
 
+def quartiles(values):
+    """The first and third quartiles of the values, inclusive of their ends."""
+    if len(values) == 1:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
 def ratios(a, b):
     """One line per command (or scaling series), sorted, with the median
     ratio B/A of the recorded wall time and peak RSS (for a scaling case,
     the median time and the largest peak of its runs) over the cases
-    both timed.  When both records timed the floor case, the time ratio
-    is followed by the median ratio of the times above each record's
-    floor, over the cases whose time lies above it in both records."""
+    both timed.  The time ratio is followed by the interquartile range of
+    the per-case time ratios and the number of cases B won (ran in less
+    time than A), and, when both records timed the floor case, by the
+    median ratio of the times above each record's floor, over the cases
+    whose time lies above it in both records."""
     floors = [r[FLOOR]["time_s"] for r in (a, b) if "time_s" in r.get(FLOOR, {})]
     pairs = collections.defaultdict(list)
     for name in sorted(a.keys() & b.keys()):
@@ -465,13 +476,16 @@ def ratios(a, b):
             pairs[name.split()[0]].append((a[name], b[name]))
     lines = []
     for group, cases in sorted(pairs.items()):
-        wall = statistics.median(y["time_s"] / x["time_s"] for x, y in cases)
+        times = [y["time_s"] / x["time_s"] for x, y in cases]
+        wall = statistics.median(times)
+        q1, q3 = quartiles(times)
+        won = sum(y["time_s"] < x["time_s"] for x, y in cases)
         rss = statistics.median(y["peak_rss_mb"] / x["peak_rss_mb"] for x, y in cases)
         above = [(y["time_s"] - floors[1]) / (x["time_s"] - floors[0]) for x, y in cases
                  if len(floors) == 2 and x["time_s"] > floors[0] and y["time_s"] > floors[1]]
         beside = f" (x{statistics.median(above):.3f} above the floor)" if above else ""
-        lines.append(f"{group}: time x{wall:.3f}{beside}, peak RSS x{rss:.3f} "
-                     f"(median of {len(cases)})")
+        lines.append(f"{group}: time x{wall:.3f} (IQR x{q1:.3f}-x{q3:.3f}, won {won} of "
+                     f"{len(cases)}){beside}, peak RSS x{rss:.3f} (median of {len(cases)})")
     return lines
 
 
